@@ -9,15 +9,15 @@ live next to their projects.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 from transmigrate.errors import ConfigurationError
+from transmigrate.validation.refine import DEFAULT_MAX_ROUNDS
 from transmigrate.validation.tools import DEFAULT_LINT_CMD, DEFAULT_SYNTAX_CMD
 
 DEFAULT_SEED = 20240501
 DEFAULT_PROMPT_BUDGET = 8000
-DEFAULT_MAX_ROUNDS = 3
 DEFAULT_RETRIEVAL_K = 3
 
 
@@ -43,7 +43,6 @@ class ToolsConfig:
     syntax_check_cmd: str = DEFAULT_SYNTAX_CMD
     lint_cmd: str = DEFAULT_LINT_CMD
     timeout_seconds: float = 60.0
-    parallelism: int = 1
 
 
 @dataclass
@@ -58,6 +57,23 @@ class BackendOptions:
     # Mock-backend fields.
     rules_file: str | None = None
     max_fixes_per_call: int | None = None
+
+
+def _section(raw: dict, path: str, cls: type) -> dict:
+    """The config section named by the last part of dotted ``path`` (empty
+    when absent). A key that ``cls`` has no field for is a
+    ConfigurationError naming it as ``path.key``."""
+    section = raw.get(path.rsplit(".", 1)[-1], {})
+    if not isinstance(section, dict):
+        raise ConfigurationError(f"config section {path!r} must be a JSON object")
+    known = [f.name for f in fields(cls)]
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown config key {', '.join(f'{path}.{k}' for k in unknown)}"
+            f" (known keys: {', '.join(known)})"
+        )
+    return section
 
 
 @dataclass
@@ -106,9 +122,9 @@ class RunConfig:
                 path = base_dir / path
             return str(path)
 
-        knowledge_raw = dict(raw.get("knowledge", {}))
-        crawl = CrawlConfig(**knowledge_raw.pop("crawl", {}))
-        backend_opts = BackendOptions(**raw.get("backend_options", {}))
+        knowledge_raw = dict(_section(raw, "knowledge", KnowledgeConfig))
+        knowledge_raw["crawl"] = CrawlConfig(**_section(knowledge_raw, "knowledge.crawl", CrawlConfig))
+        backend_opts = BackendOptions(**_section(raw, "backend_options", BackendOptions))
         backend_opts.rules_file = resolve(backend_opts.rules_file)
         config = cls(
             source_root=resolve(raw.get("source_root", "")) or "",
@@ -116,8 +132,8 @@ class RunConfig:
             backend=raw.get("backend", ""),
             project_name=raw.get("project_name", "project"),
             backend_options=backend_opts,
-            knowledge=KnowledgeConfig(crawl=crawl, **knowledge_raw),
-            tools=ToolsConfig(**raw.get("tools", {})),
+            knowledge=KnowledgeConfig(**knowledge_raw),
+            tools=ToolsConfig(**_section(raw, "tools", ToolsConfig)),
             prompt_budget=raw.get("prompt_budget", DEFAULT_PROMPT_BUDGET),
             max_rounds=raw.get("max_rounds", DEFAULT_MAX_ROUNDS),
             seed=raw.get("seed", DEFAULT_SEED),

@@ -92,101 +92,105 @@ def order_nodes(nodes: Iterable[str], deps: Mapping[str, set[str]]) -> list[str]
     lexicographic order.
     """
     node_list = sorted(set(nodes))
-    node_set = frozenset(node_list)
-    adj: dict[str, list[str]] = {}
-    for n in node_list:
-        targets = deps.get(n)
-        adj[n] = [t for t in targets if t in node_set and t != n] if targets else []
+    # Items are numbered in name order, so comparing numbers compares names.
+    number = dict(zip(node_list, range(len(node_list))))
+    adj: list[list[int]] = []
+    for name in node_list:
+        targets = deps.get(name)
+        adj.append([number[t] for t in targets if t in number and t != name] if targets else [])
 
     # Traversal order does not affect the output: the SCC partition is
     # order-independent, members are sorted at emission, and the ready heap
     # orders components by (degree, smallest member).
-    sccs = _tarjan(node_list, adj)
-    scc_of = {}
-    for idx, members in enumerate(sccs):
-        for m in members:
-            scc_of[m] = idx
+    sccs, degrees, dependents, remaining = _condense(adj)
+    if len(sccs) == 1:
+        return node_list
 
-    external_targets: list[set[int]] = [set() for _ in sccs]
-    degrees: list[int] = []
-    dependents: list[set[int]] = [set() for _ in sccs]
-    for idx, members in enumerate(sccs):
-        targets = set()
-        for m in members:
-            targets.update(adj[m])
-        outside = {t for t in targets if scc_of[t] != idx}
-        degrees.append(len(outside))
-        for t in outside:
-            external_targets[idx].add(scc_of[t])
-    for idx, target_sccs in enumerate(external_targets):
-        for t in target_sccs:
-            dependents[t].add(idx)
-
-    remaining = [len(external_targets[i]) for i in range(len(sccs))]
     ready = [(degrees[i], sccs[i][0], i) for i in range(len(sccs)) if remaining[i] == 0]
     heapq.heapify(ready)
     order: list[str] = []
-    emitted = 0
     while ready:
         _, _, idx = heapq.heappop(ready)
-        order.extend(sccs[idx])
-        emitted += 1
+        order.extend(map(node_list.__getitem__, sccs[idx]))
         for dep in dependents[idx]:
             remaining[dep] -= 1
             if remaining[dep] == 0:
                 heapq.heappush(ready, (degrees[dep], sccs[dep][0], dep))
-    assert emitted == len(sccs), "condensation is acyclic; all components must be emitted"
+    assert len(order) == len(node_list), "condensation is acyclic; all components must be emitted"
     return order
 
 
-def _tarjan(nodes: list[str], adj: Mapping[str, list[str]]) -> list[list[str]]:
-    """Iterative Tarjan SCC; components returned with sorted members."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    result: list[list[str]] = []
+def _condense(
+    adj: list[list[int]],
+) -> tuple[list[list[int]], list[int], list[list[int]], list[int]]:
+    """Iterative Tarjan SCC over numbered nodes, building the condensation as
+    it goes.
+
+    Returns, per component: its sorted members, its dependency degree (the
+    number of distinct items outside it that its members depend on), the
+    components that depend on it, and the number of distinct components it
+    depends on. Tarjan completes a component only after every component it
+    reaches, so its targets are already numbered when it is emitted.
+    """
+    n = len(adj)
+    index = [-1] * n
+    low = [0] * n
+    scc_of = [-1] * n  # -1 on a visited node means it is still on the stack
+    component_of = scc_of.__getitem__
+    stack: list[int] = []
+    sccs: list[list[int]] = []
+    degrees: list[int] = []
+    dependents: list[list[int]] = []
+    remaining: list[int] = []
     counter = 0
 
-    for root in nodes:
-        if root in index:
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        work: list[tuple[str, int]] = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(adj[root]))]
         while work:
-            node, child_i = work[-1]
-            if child_i == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            targets = adj[node]
-            while child_i < len(targets):
-                target = targets[child_i]
-                child_i += 1
-                if target not in index:
-                    work[-1] = (node, child_i)
-                    work.append((target, 0))
-                    advanced = True
+            node, targets = work[-1]
+            for target in targets:
+                if index[target] < 0:
+                    index[target] = low[target] = counter
+                    counter += 1
+                    stack.append(target)
+                    work.append((target, iter(adj[target])))
                     break
-                if target in on_stack:
-                    low[node] = min(low[node], index[target])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                members = []
-                while True:
-                    m = stack.pop()
-                    on_stack.discard(m)
-                    members.append(m)
-                    if m == node:
-                        break
-                result.append(sorted(members))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    return result
+                if scc_of[target] < 0 and index[target] < low[node]:
+                    low[node] = index[target]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
+                if low[node] != index[node]:
+                    continue
+                idx = len(sccs)
+                members = [stack.pop()]
+                while members[-1] != node:
+                    members.append(stack.pop())
+                for m in members:
+                    scc_of[m] = idx
+                members.sort()
+                if len(members) == 1:
+                    outside = adj[node]
+                elif len(members) == n:
+                    outside = ()
+                else:
+                    outside = {t for m in members for t in adj[m] if scc_of[t] != idx}
+                target_sccs = set(map(component_of, outside))
+                sccs.append(members)
+                degrees.append(len(outside))
+                remaining.append(len(target_sccs))
+                dependents.append([])
+                for t in target_sccs:
+                    dependents[t].append(idx)
+    return sccs, degrees, dependents, remaining
 
 
 def build_plan(

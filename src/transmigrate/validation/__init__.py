@@ -30,7 +30,6 @@ from transmigrate.validation.tools import (
     DEFAULT_SYNTAX_CMD,
     build_argv,
     run_external_check,
-    run_external_checks,
     stub_tool_commands,
 )
 
@@ -57,7 +56,6 @@ __all__ = [
     "refine_loop",
     "run_checks",
     "run_external_check",
-    "run_external_checks",
     "stub_tool_commands",
     "translated_definitions",
 ]

@@ -3,7 +3,9 @@
 Emits diagnostics in the same ``path:line:col: severity: message (rule)``
 shape as the real tools so the rest of the pipeline cannot tell the
 difference. Intended for fixtures and CI hosts without Swift tooling;
-wire it in with ``stub_tool_commands()``.
+wire it in with the templates ``transmigrate-stubcheck syntax {file}`` and
+``transmigrate-stubcheck lint {file}`` (``stub_tool_commands()``), which
+``run_external_check`` serves by calling ``run`` in the same process.
 
 Syntax mode: structural parse errors (unbalanced braces) and reserved
 words used as identifiers; exit 1 when any error is found. Lint mode:
@@ -14,8 +16,8 @@ failures).
 from __future__ import annotations
 
 import re
-import sys
 from pathlib import Path
+from typing import Sequence
 
 from transmigrate.sourcemodel.lexer import line_and_column
 from transmigrate.sourcemodel.parser import SourceFile, parse_source
@@ -62,26 +64,19 @@ def check_lint(path: str, text: str) -> list[str]:
     return diagnostics
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = sys.argv[1:] if argv is None else argv
+def run(args: Sequence[str], cwd: str | Path | None = None) -> tuple[int, str]:
+    """Check one file the way a checker process would: ``args`` is
+    ``[mode, file]``, ``file`` is read relative to ``cwd``, and the result
+    is (exit status, output). Status 1 means syntax errors were found,
+    2 a bad usage or an unreadable file."""
     if len(args) != 2 or args[0] not in ("syntax", "lint"):
-        print("usage: stubcheck <syntax|lint> <file>", file=sys.stderr)
-        return 2
+        return 2, "usage: transmigrate-stubcheck <syntax|lint> <file>\n"
     mode, file_arg = args
-    path = Path(file_arg)
     try:
-        text = path.read_text(encoding="utf-8", errors="replace")
+        text = Path(cwd or ".", file_arg).read_text(encoding="utf-8", errors="replace")
     except OSError as exc:
-        print(f"stubcheck: cannot read {file_arg}: {exc}", file=sys.stderr)
-        return 2
+        return 2, f"stubcheck: cannot read {file_arg}: {exc}\n"
     checker = check_syntax if mode == "syntax" else check_lint
     diagnostics = checker(file_arg, text)
-    for line in diagnostics:
-        print(line)
-    if mode == "syntax" and diagnostics:
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    status = 1 if mode == "syntax" and diagnostics else 0
+    return status, "".join(f"{line}\n" for line in diagnostics)

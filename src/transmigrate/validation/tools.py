@@ -1,47 +1,35 @@
-"""External checker invocation.
+"""Checker invocation.
 
 Command templates come from configuration (defaults: ``swiftc -parse
 {file}`` and ``swiftlint lint --path {file}``) and are substituted into an
-argv, never a shell string. A nonzero exit with diagnostics is a normal
-outcome. A missing tool or a timeout raises here. The pipeline also
-raises ``ToolError`` for a nonzero exit whose output holds no diagnostic
-line: that checker never ran, and its silence must not read as a clean
-file. Batch runs may fan out over a thread pool bounded by the configured
-parallelism, with results returned in deterministic (sorted) order.
+argv, never a shell string. A template whose program is
+``transmigrate-stubcheck`` runs the bundled stub checker in this process;
+any other template runs as a child process. A nonzero exit with
+diagnostics is a normal outcome. A missing tool, a timeout or a crashed
+stub raises here. The pipeline also raises ``ToolError`` for a nonzero
+exit whose output holds no diagnostic line: that checker never ran, and
+its silence must not read as a clean file.
 """
 
 from __future__ import annotations
 
 import shlex
 import subprocess
-import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Iterable
 
 from transmigrate.errors import ConfigurationError, ToolError
+from transmigrate.validation import stubcheck
 
 DEFAULT_SYNTAX_CMD = "swiftc -parse {file}"
 DEFAULT_LINT_CMD = "swiftlint lint --path {file}"
+STUB_PROGRAM = "transmigrate-stubcheck"
 
 
 def stub_tool_commands() -> tuple[str, str]:
     """Command templates for the bundled stub checker, for environments
-    without Swift tooling (CI, fixtures).
-
-    The child imports the same ``transmigrate`` copy as this process: the
-    templates put its absolute package root first on ``sys.path``, so they
-    need no install and work from any ``cwd`` and under any ``PYTHONPATH``."""
-    py = shlex.quote(sys.executable)
-    root = str(Path(__file__).resolve().parents[2])
-    bootstrap = shlex.quote(
-        f"import sys; sys.path.insert(0, {root!r}); "
-        "from transmigrate.validation.stubcheck import main; sys.exit(main())"
-    )
-    return (
-        f"{py} -c {bootstrap} syntax {{file}}",
-        f"{py} -c {bootstrap} lint {{file}}",
-    )
+    without Swift tooling (CI, fixtures). They are fixed strings, so they
+    can be written straight into a config file."""
+    return f"{STUB_PROGRAM} syntax {{file}}", f"{STUB_PROGRAM} lint {{file}}"
 
 
 def build_argv(command_template: str, file: str | Path) -> list[str]:
@@ -57,8 +45,14 @@ def run_external_check(
     """Run one checker over one file; returns (exit status, combined output).
 
     ``cwd`` lets callers pass repository-relative paths so diagnostics come
-    back with stable, machine-independent file names."""
+    back with stable, machine-independent file names. ``timeout`` bounds
+    child processes only; the in-process stub has none."""
     argv = build_argv(command_template, file)
+    if argv[0] == STUB_PROGRAM:
+        try:
+            return stubcheck.run(argv[1:], cwd)
+        except Exception as exc:  # e.g. RecursionError on deeply nested input
+            raise ToolError(f"{STUB_PROGRAM} crashed on {file}: {exc!r}") from exc
     try:
         proc = subprocess.run(
             argv,
@@ -73,19 +67,3 @@ def run_external_check(
     except subprocess.TimeoutExpired as exc:
         raise ToolError(f"checker timed out after {timeout}s: {' '.join(argv)}") from exc
     return proc.returncode, proc.stdout or ""
-
-
-def run_external_checks(
-    files: Iterable[str | Path],
-    command_template: str,
-    timeout: float = 60.0,
-    parallelism: int = 1,
-) -> dict[str, tuple[int, str]]:
-    """Run one checker over many files, bounded by ``parallelism``;
-    results keyed by file in sorted order."""
-    ordered = sorted(str(f) for f in files)
-    if parallelism <= 1:
-        return {f: run_external_check(f, command_template, timeout) for f in ordered}
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        results = list(pool.map(lambda f: run_external_check(f, command_template, timeout), ordered))
-    return dict(zip(ordered, results))

@@ -175,6 +175,19 @@ class TestCheckerFailure:
         assert calls == []
         assert not (out / "report").exists()
 
+    def test_stub_crash_fails_the_stage(self, fixture_project, tmp_path, monkeypatch):
+        from transmigrate.validation import stubcheck
+
+        def crash(path, text):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(stubcheck, "check_syntax", crash)
+        config = make_run_config(fixture_project, tmp_path / "out")
+        with pytest.raises(ToolError, match="RecursionError"):
+            Pipeline(config).run()
+        state = json.loads((tmp_path / "out" / "state.json").read_text())
+        assert state["completed_stages"] == ["analyze", "index", "plan"]
+
 
 class TestStages:
     def test_stage_before_prerequisite_is_ordering_error(self, run_config):
@@ -274,6 +287,20 @@ class TestCli:
         config_path = tmp_path / "config.json"
         config_path.write_text("{not json")
         assert cli_main(["run", "--config", str(config_path)]) == 2
+
+    @pytest.mark.parametrize("key", ["tools.parallelism", "knowledge.crawl.enable", "backend_options.modle"])
+    def test_unknown_config_key_exits_2(self, fixture_project, tmp_path, capsys, key):
+        config_path = self.write_config(tmp_path, fixture_project)
+        raw = json.loads(config_path.read_text())
+        *sections, name = key.split(".")
+        section = raw
+        for part in sections:
+            section = section.setdefault(part, {})
+        section[name] = 2
+        config_path.write_text(json.dumps(raw))
+        assert cli_main(["run", "--config", str(config_path)]) == 2
+        assert f"unknown config key {key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_checker_that_never_ran_exits_1(self, fixture_project, tmp_path):
         config_path = self.write_config(tmp_path, fixture_project)

@@ -1,5 +1,6 @@
 import sys
 import shlex
+import subprocess
 
 import pytest
 
@@ -272,6 +273,42 @@ class TestExternalTools:
         )
         assert output.splitlines() == [LINT_LISTING_2]
 
+    def test_stub_runs_in_process(self, tmp_path, monkeypatch):
+        # The bundled stub starts no process: with process creation
+        # disabled, both templates still give the canonical diagnostics.
+        def no_process(*args, **kwargs):
+            raise AssertionError("the stub checker started a process")
+
+        monkeypatch.setattr(subprocess, "run", no_process)
+        monkeypatch.setattr(subprocess, "Popen", no_process)
+        listing_1 = tmp_path / "WeatherApp" / "HTTPWeatherClient.swift"
+        listing_2 = tmp_path / "AndroidTvMovie" / "GlideBackgroundManager.swift"
+        for target in (listing_1, listing_2):
+            target.parent.mkdir(parents=True)
+        listing_1.write_text("\n".join(["// filler"] * 67 + ["let retries = 3   "]) + "\n")
+        listing_2.write_text("\n".join(["// filler"] * 65 + ["let x = 1 // " + "y" * 181]) + "\n")
+        (tmp_path / "Bad.swift").write_text("class Bad {\n    let init = 0\n}\n")
+        syntax_cmd, lint_cmd = stub_tool_commands()
+
+        def check(file, template):
+            return run_external_check(file, template, cwd=tmp_path)
+
+        assert check("WeatherApp/HTTPWeatherClient.swift", lint_cmd) == (0, LINT_LISTING_1 + "\n")
+        assert check("AndroidTvMovie/GlideBackgroundManager.swift", lint_cmd) == (0, LINT_LISTING_2 + "\n")
+        assert check("Bad.swift", syntax_cmd) == (
+            1,
+            "Bad.swift:2:9: error: keyword 'init' cannot be used as an identifier\n",
+        )
+        assert check("WeatherApp/HTTPWeatherClient.swift", syntax_cmd) == (0, "")
+
+    def test_stub_crash_is_tool_error(self, tmp_path):
+        # Deep nesting exhausts the parser's recursion; a crashed check must
+        # end as ToolError, as a crashed checker process does.
+        (tmp_path / "Deep.swift").write_text("{" * 1000)
+        syntax_cmd, _ = stub_tool_commands()
+        with pytest.raises(ToolError, match="crashed"):
+            run_external_check("Deep.swift", syntax_cmd, cwd=tmp_path)
+
 
 class TestValidationReport:
     def test_pass_flag_reflects_error_issues_only(self):
@@ -288,22 +325,6 @@ class TestValidationReport:
         loaded = ValidationReport.from_dict(report.to_dict())
         assert loaded.round_index == 2
         assert [i.message for i in loaded.all_issues()] == ["msg"]
-
-
-class TestBatchChecks:
-    def test_parallel_results_deterministic_and_keyed_by_file(self, tmp_path):
-        from transmigrate.validation import run_external_checks
-
-        files = []
-        for i in range(4):
-            f = tmp_path / f"U{i}.swift"
-            f.write_text("class U {\n    let init = 0\n}\n" if i % 2 else "class U {\n}\n")
-            files.append(f)
-        syntax_cmd, _ = stub_tool_commands()
-        sequential = run_external_checks(files, syntax_cmd, parallelism=1)
-        parallel = run_external_checks(files, syntax_cmd, parallelism=3)
-        assert list(parallel) == sorted(str(f) for f in files)
-        assert {k: v[0] for k, v in parallel.items()} == {k: v[0] for k, v in sequential.items()}
 
 
 def test_extensions_merge_into_primary_declaration():
