@@ -59,20 +59,25 @@ class BackendOptions:
     max_fixes_per_call: int | None = None
 
 
-def _section(raw: dict, path: str, cls: type) -> dict:
-    """The config section named by the last part of dotted ``path`` (empty
-    when absent). A key that ``cls`` has no field for is a
-    ConfigurationError naming it as ``path.key``."""
-    section = raw.get(path.rsplit(".", 1)[-1], {})
-    if not isinstance(section, dict):
-        raise ConfigurationError(f"config section {path!r} must be a JSON object")
+def _reject_unknown(section: dict, prefix: str, cls: type) -> None:
+    """A key that ``cls`` has no field for is a ConfigurationError naming
+    it as ``prefix + key``."""
     known = [f.name for f in fields(cls)]
     unknown = sorted(set(section) - set(known))
     if unknown:
         raise ConfigurationError(
-            f"unknown config key {', '.join(f'{path}.{k}' for k in unknown)}"
+            f"unknown config key {', '.join(prefix + k for k in unknown)}"
             f" (known keys: {', '.join(known)})"
         )
+
+
+def _section(raw: dict, path: str, cls: type) -> dict:
+    """The config section named by the last part of dotted ``path`` (empty
+    when absent), with its keys checked against ``cls``."""
+    section = raw.get(path.rsplit(".", 1)[-1], {})
+    if not isinstance(section, dict):
+        raise ConfigurationError(f"config section {path!r} must be a JSON object")
+    _reject_unknown(section, f"{path}.", cls)
     return section
 
 
@@ -122,6 +127,9 @@ class RunConfig:
                 path = base_dir / path
             return str(path)
 
+        if not isinstance(raw, dict):
+            raise ConfigurationError("config must be a JSON object")
+        _reject_unknown(raw, "", cls)
         knowledge_raw = dict(_section(raw, "knowledge", KnowledgeConfig))
         knowledge_raw["crawl"] = CrawlConfig(**_section(knowledge_raw, "knowledge.crawl", CrawlConfig))
         backend_opts = BackendOptions(**_section(raw, "backend_options", BackendOptions))
@@ -140,6 +148,7 @@ class RunConfig:
             grammar_dir=resolve(raw.get("grammar_dir")),
             dump_prompts=raw.get("dump_prompts", False),
             sample_issues=raw.get("sample_issues", False),
+            dry_run=raw.get("dry_run", False),
         )
         return config
 

@@ -3,9 +3,19 @@
 The default provider is fully offline and deterministic: lowercase
 alphanumeric tokens are hashed (md5, so independent of interpreter hash
 randomization) into a fixed number of buckets and the count vector is
-L2-normalized. A remote provider with the same contract can be swapped in
-through configuration; its wire format is a JSON POST of
-``{"input": <text>}`` answered by ``{"embedding": [numbers]}``.
+L2-normalized. Text with no alphanumeric token but some characters hashes
+as one token, its whole lowercased text.
+
+Each embedder memoises ``token -> bucket``, so md5 runs once per distinct
+token; documents and queries drawn from one project share most of their
+vocabulary. The memo lives as long as the embedder and holds one entry per
+distinct token it has seen. The counts come from ``np.bincount`` over the
+bucket numbers. They are exact small integers, so the vector is bitwise
+the one a per-token ``counts[bucket] += 1.0`` loop gives.
+
+A remote provider with the same contract can be swapped in through
+configuration; its wire format is a JSON POST of ``{"input": <text>}``
+answered by ``{"embedding": [numbers]}``.
 """
 
 from __future__ import annotations
@@ -43,6 +53,18 @@ def _bucket(token: str, dimension: int) -> int:
     return int(digest[:8], 16) % dimension
 
 
+class _BucketMemo(dict):
+    """``token -> bucket`` for one dimension; md5 runs on a miss only."""
+
+    def __init__(self, dimension: int) -> None:
+        super().__init__()
+        self.dimension = dimension
+
+    def __missing__(self, token: str) -> int:
+        bucket = self[token] = _bucket(token, self.dimension)
+        return bucket
+
+
 class HashedTokenEmbedder:
     """Offline bag-of-tokens embedder; bitwise deterministic."""
 
@@ -51,6 +73,7 @@ class HashedTokenEmbedder:
             raise ValueError("embedding dimension must be positive")
         self.dimension = dimension
         self.call_count = 0
+        self._buckets = _BucketMemo(dimension)
 
     def embed(self, text: str) -> EmbeddingVector:
         self.call_count += 1
@@ -59,9 +82,8 @@ class HashedTokenEmbedder:
             # No alphanumeric content: hash the raw text so non-empty input
             # still gets a unit vector.
             tokens = [text.lower()]
-        counts = np.zeros(self.dimension, dtype=np.float64)
-        for token in tokens:
-            counts[_bucket(token, self.dimension)] += 1.0
+        buckets = np.fromiter(map(self._buckets.__getitem__, tokens), dtype=np.intp, count=len(tokens))
+        counts = np.bincount(buckets, minlength=self.dimension).astype(np.float64)
         norm = float(np.linalg.norm(counts))
         if norm == 0.0:
             return EmbeddingVector(counts)

@@ -7,10 +7,28 @@ query(k1) is a prefix of query(k2). For tie-breaking, scores compare at
 1e-12 granularity: mathematically equal cosines can differ in the last
 float ulp depending on summation order, and quantizing the comparison
 keeps the id tie-break authoritative regardless of the evaluation path.
+The ranking key of an entry is exactly ``(-round(score, 12), chunk_id)``.
+
+A query does not sort every entry. With ``t`` the k-th largest raw score
+(``np.argpartition``), the candidates are the entries scoring at least
+``t - 2e-12``. Every member of the true top-k is a candidate: at least k
+entries score ``>= t``, and ``round`` is monotone, so a member has
+``round(s, 12) >= round(t, 12)``, and ``round`` moves a value by at most
+0.5e-12. Only the candidates get the exact key: ``round`` runs once per
+distinct candidate score, the last rounded value that still reaches the
+top-k is found by partition, and the tied entries at that value are cut
+by an id-rank array that ``freeze()`` computes once (the rank of each
+entry's id, insertion order among equal ids, as a stable sort gives). A
+query that shares no token with most chunks makes every zero score a
+candidate; that case stays in numpy too. Ties, prefix order and the
+returned scores are those of a full sort by the key: the selection
+changes neither the tie rule nor the file format.
 
 Persistence is line-delimited JSON: a header line with the dimension and
 entry count, then one ``{"id": ..., "v": [...]}`` line per entry. Chunks
-are stored beside the index in line-delimited JSON.
+are stored beside the index in line-delimited JSON. A line that does not
+parse, or an id with no saved chunk, is an IntegrityError naming the file
+and line.
 """
 
 from __future__ import annotations
@@ -24,6 +42,10 @@ import numpy as np
 from transmigrate.errors import ArgumentError, IntegrityError
 from transmigrate.knowledge.chunks import DocumentChunk
 from transmigrate.knowledge.embed import EmbeddingVector
+
+# A top-k member scores at least t - 1e-12 (two roundings of at most
+# 0.5e-12 each); the margin doubles that to cover float error.
+_CANDIDATE_MARGIN = 2e-12
 
 
 @dataclass
@@ -39,6 +61,7 @@ class VectorIndex:
         self._vectors: list[np.ndarray] = []
         self._chunks: dict[str, DocumentChunk] = {}
         self._matrix: np.ndarray | None = None
+        self._id_rank: np.ndarray | None = None
         self.frozen = False
 
     def __len__(self) -> int:
@@ -60,6 +83,10 @@ class VectorIndex:
             self._matrix = (
                 np.vstack(self._vectors) if self._vectors else np.zeros((0, self.dimension))
             )
+            # sorted() is stable, so equal ids keep their insertion order.
+            by_id = sorted(range(len(self._ids)), key=self._ids.__getitem__)
+            self._id_rank = np.empty(len(by_id), dtype=np.intp)
+            self._id_rank[by_id] = np.arange(len(by_id))
             self.frozen = True
         return self
 
@@ -70,9 +97,29 @@ class VectorIndex:
     def chunk(self, chunk_id: str) -> DocumentChunk:
         return self._chunks[chunk_id]
 
-    @property
-    def ids(self) -> list[str]:
-        return list(self._ids)
+    def top_k(self, scores: np.ndarray, k: int) -> list[tuple[str, float]]:
+        """(id, score) of the k best entries under ``(-round(s, 12), id)``,
+        best first; see the module docstring."""
+        assert self._id_rank is not None
+        n = len(scores)
+        if k < n:
+            kth = scores[np.argpartition(scores, n - k)[n - k]]
+            cand = np.flatnonzero(scores >= kth - _CANDIDATE_MARGIN)
+        else:
+            cand = np.arange(n)
+        distinct, inverse = np.unique(scores[cand], return_inverse=True)
+        rounded = np.array([round(float(v), 12) for v in distinct])[inverse]
+        if len(cand) > k:
+            last = np.partition(rounded, len(cand) - k)[len(cand) - k]
+            above = rounded > last
+            tied = cand[rounded == last]
+            need = k - int(np.count_nonzero(above))
+            if need < len(tied):
+                tied = tied[np.argpartition(self._id_rank[tied], need - 1)[:need]]
+            cand = np.concatenate([cand[above], tied])
+            rounded = np.concatenate([rounded[above], np.full(len(tied), last)])
+        best = cand[np.lexsort((self._id_rank[cand], -rounded))]
+        return [(self._ids[i], float(scores[i])) for i in best]
 
     # ---- persistence ----
 
@@ -106,27 +153,48 @@ class VectorIndex:
     def load(cls, index_path: str | Path, chunks_path: str | Path) -> "VectorIndex":
         index_path = Path(index_path)
         chunks_path = Path(chunks_path)
-        chunks: list[DocumentChunk] = []
-        with chunks_path.open(encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    rec = json.loads(line)
-                    chunks.append(DocumentChunk(**rec))
-        by_id = {c.chunk_id: c for c in chunks}
-        with index_path.open(encoding="utf-8") as fh:
-            header = json.loads(fh.readline())
-            index = cls(dimension=int(header["dimension"]))
-            for line in fh:
-                if not line.strip():
-                    continue
-                rec = json.loads(line)
-                vec = EmbeddingVector(np.asarray(rec["v"], dtype=np.float64))
-                index.add(by_id[rec["id"]], vec)
+        by_id = {}
+        for lineno, rec in _jsonl_records(chunks_path):
+            try:
+                chunk = DocumentChunk(**rec)
+            except TypeError as exc:
+                raise IntegrityError(f"{chunks_path}:{lineno}: corrupt chunk: {exc}") from exc
+            by_id[chunk.chunk_id] = chunk
+        records = _jsonl_records(index_path)
+        lineno, header = next(records, (1, {}))
+        if "dimension" not in header or "entries" not in header:
+            raise IntegrityError(f"{index_path}:{lineno}: index header has no dimension and entry count")
+        index = cls(dimension=int(header["dimension"]))
+        for lineno, rec in records:
+            chunk = by_id.get(rec.get("id"))
+            if chunk is None:
+                raise IntegrityError(f"{index_path}:{lineno}: id {rec.get('id')!r} has no chunk in {chunks_path}")
+            try:
+                values = np.asarray(rec["v"], dtype=np.float64)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise IntegrityError(f"{index_path}:{lineno}: corrupt vector: {exc!r}") from exc
+            index.add(chunk, EmbeddingVector(values))
         if len(index) != int(header["entries"]):
             raise IntegrityError(
                 f"index file corrupt: header says {header['entries']} entries, found {len(index)}"
             )
         return index.freeze()
+
+
+def _jsonl_records(path: Path):
+    """(line number, object) for each non-blank line; a line that is not a
+    JSON object is an IntegrityError naming the file and line."""
+    with path.open(encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise IntegrityError(f"{path}:{lineno}: corrupt line: {exc}") from exc
+            if not isinstance(rec, dict):
+                raise IntegrityError(f"{path}:{lineno}: corrupt line: not a JSON object")
+            yield lineno, rec
 
 
 def build_index(chunks: list[DocumentChunk], embedder) -> VectorIndex:
@@ -151,7 +219,4 @@ def query(index: VectorIndex, text: str, k: int, embedder) -> list[RetrievalResu
             f"query dimension {vector.dimension} does not match index dimension {index.dimension}"
         )
     scores = index.scores(vector)
-    ranked = sorted(
-        zip(index.ids, scores), key=lambda pair: (-round(float(pair[1]), 12), pair[0])
-    )
-    return [RetrievalResult(chunk=index.chunk(cid), score=float(s)) for cid, s in ranked[:k]]
+    return [RetrievalResult(chunk=index.chunk(cid), score=s) for cid, s in index.top_k(scores, k)]

@@ -76,13 +76,6 @@ class TranslationPlan:
         return plan
 
 
-def compute_degrees(graph: DependencyGraph) -> dict[str, int]:
-    """Dependency degree per item: the number of distinct same-granularity
-    targets it depends on. Duplicate edges of different kinds count their
-    shared target once; self-references are not dependencies."""
-    return {node: len(targets) for node, targets in graph.dependencies().items()}
-
-
 def order_nodes(nodes: Iterable[str], deps: Mapping[str, set[str]]) -> list[str]:
     """Total deterministic order: SCC condensation, dependencies first.
 

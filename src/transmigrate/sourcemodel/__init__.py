@@ -7,7 +7,6 @@ from transmigrate.sourcemodel.extract import (
     extract_classes,
     identifier_occurrences,
     method_body,
-    reparse_matches,
 )
 from transmigrate.sourcemodel.grammar import GrammarProfile, default_grammar_dir, load_grammar
 from transmigrate.sourcemodel.graph import (
@@ -43,5 +42,4 @@ __all__ = [
     "method_body",
     "parse_source",
     "quotient_graph",
-    "reparse_matches",
 ]

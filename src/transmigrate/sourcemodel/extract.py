@@ -23,7 +23,6 @@ from transmigrate.sourcemodel.parser import (
     Ast,
     AstNode,
     SourceFile,
-    parse_source,
 )
 
 _BASE_TYPE_RE = re.compile(r"[A-Za-z_$][\w$]*(?:\.[A-Za-z_$][\w$]*)*")
@@ -304,35 +303,6 @@ def method_body(file: SourceFile, m: MethodDescriptor) -> str:
             f"method span {m.span} outside {file.path} (0..{len(data)}): snapshot drift"
         )
     return data[start:end].decode("utf-8")
-
-
-def reparse_matches(file: SourceFile, m: MethodDescriptor, grammar_dir: str | Path | None = None) -> bool:
-    """Round-trip check: re-parsing the extracted body yields a declaration
-    tree equivalent to ``m.ast_slice`` up to the span offset shift."""
-    text = method_body(file, m)
-    fragment = SourceFile(path=file.path + "#fragment", text=text, language=file.language)
-    ast = parse_source(fragment, grammar_dir)
-    wanted = "constructor_declaration" if m.is_constructor else "method_declaration"
-    candidates = [n for n in ast.root.children if n.kind in (wanted, "method_declaration", "constructor_declaration")]
-    if not candidates:
-        return False
-    return _equal_modulo_offset(candidates[0], m.ast_slice, m.span[0])
-
-
-def _equal_modulo_offset(reparsed: AstNode, original: AstNode, base: int) -> bool:
-    if reparsed.kind != original.kind:
-        # A constructor re-parsed without its enclosing class is
-        # indistinguishable from a method; accept that pair.
-        pair = {reparsed.kind, original.kind}
-        if pair != {"method_declaration", "constructor_declaration"}:
-            return False
-    if (reparsed.start, reparsed.end) != (original.start - base, original.end - base):
-        return False
-    if len(reparsed.children) != len(original.children):
-        return False
-    return all(
-        _equal_modulo_offset(r, o, base) for r, o in zip(reparsed.children, original.children)
-    )
 
 
 def identifier_occurrences(text: str, profile: GrammarProfile) -> list[tuple[str, int, int, int]]:

@@ -288,7 +288,10 @@ class TestCli:
         config_path.write_text("{not json")
         assert cli_main(["run", "--config", str(config_path)]) == 2
 
-    @pytest.mark.parametrize("key", ["tools.parallelism", "knowledge.crawl.enable", "backend_options.modle"])
+    @pytest.mark.parametrize(
+        "key",
+        ["tools.parallelism", "knowledge.crawl.enable", "backend_options.modle", "max_round", "promt_budget"],
+    )
     def test_unknown_config_key_exits_2(self, fixture_project, tmp_path, capsys, key):
         config_path = self.write_config(tmp_path, fixture_project)
         raw = json.loads(config_path.read_text())
@@ -301,6 +304,54 @@ class TestCli:
         assert cli_main(["run", "--config", str(config_path)]) == 2
         assert f"unknown config key {key}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text("[]")
+        assert cli_main(["run", "--config", str(config_path)]) == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
+
+    def test_dry_run_read_from_config_file(self, fixture_project, tmp_path, monkeypatch):
+        from transmigrate.backends import MockBackend
+
+        calls = []
+        monkeypatch.setattr(MockBackend, "translate", lambda self, envelope: calls.append(envelope))
+        config_path = self.write_config(tmp_path, fixture_project)
+        raw = json.loads(config_path.read_text())
+        raw["dry_run"] = True
+        config_path.write_text(json.dumps(raw))
+        assert cli_main(["run", "--config", str(config_path)]) == 0
+        assert calls == []
+        assert not (tmp_path / "out" / "translate" / "units").exists()
+
+    def corrupt_index_then_translate(self, tmp_path, fixture_project, capsys, corrupt):
+        config_path = self.write_config(tmp_path, fixture_project)
+        for stage in ("analyze", "index", "plan"):
+            assert cli_main([stage, "--config", str(config_path)]) == 0
+        index_path = tmp_path / "out" / "index" / "index.jsonl"
+        index_path.write_text(corrupt(index_path.read_text()))
+        capsys.readouterr()
+        assert cli_main(["translate", "--config", str(config_path)]) == 1
+        return capsys.readouterr().err
+
+    def test_truncated_index_exits_1(self, fixture_project, tmp_path, capsys):
+        err = self.corrupt_index_then_translate(
+            tmp_path, fixture_project, capsys, lambda text: text[: len(text) // 2]
+        )
+        assert err.startswith("error: ")
+        assert "index.jsonl:" in err and "corrupt line" in err
+        assert "Traceback" not in err
+
+    def test_index_id_without_chunk_exits_1(self, fixture_project, tmp_path, capsys):
+        def rename_first_entry(text):
+            header, first, *rest = text.splitlines(keepends=True)
+            entry = json.loads(first)
+            entry["id"] = "missing.md#0"
+            return "".join([header, json.dumps(entry) + "\n", *rest])
+
+        err = self.corrupt_index_then_translate(tmp_path, fixture_project, capsys, rename_first_entry)
+        assert err.startswith("error: ")
+        assert "index.jsonl:2: id 'missing.md#0' has no chunk" in err
 
     def test_checker_that_never_ran_exits_1(self, fixture_project, tmp_path):
         config_path = self.write_config(tmp_path, fixture_project)

@@ -1,0 +1,130 @@
+"""The vectorised embedding and top-k selection against the plain loops
+they replaced: same vector bits, same ids, same scores, for every k."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import transmigrate.knowledge.index as index_module
+from transmigrate.knowledge import DocumentChunk, EmbeddingVector, HashedTokenEmbedder, VectorIndex, build_index, query
+from transmigrate.knowledge.embed import _TOKEN_RE, _bucket
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def reference_embed(text: str, dimension: int) -> np.ndarray:
+    """The per-token loop: one md5 and one float add per token."""
+    tokens = _TOKEN_RE.findall(text.lower())
+    if not tokens and text:
+        tokens = [text.lower()]
+    counts = np.zeros(dimension, dtype=np.float64)
+    for token in tokens:
+        counts[_bucket(token, dimension)] += 1.0
+    norm = float(np.linalg.norm(counts))
+    if norm == 0.0:
+        return counts
+    return counts / norm
+
+
+def reference_query(index: VectorIndex, ids: list[str], text: str, k: int, embedder) -> list[tuple[str, float]]:
+    """A Python sort of every (id, score) pair by (-round(score, 12), id)."""
+    scores = index.scores(embedder.embed(text))
+    ranked = sorted(zip(ids, scores), key=lambda pair: (-round(float(pair[1]), 12), pair[0]))
+    return [(cid, float(s)) for cid, s in ranked[:k]]
+
+
+def assert_every_k_matches(index, ids, texts, embedder):
+    for text in texts:
+        for k in range(1, len(ids) + 3):
+            got = [(r.chunk.chunk_id, r.score) for r in query(index, text, k, embedder)]
+            assert got == reference_query(index, ids, text, k, embedder), (text, k)
+
+
+class FixedEmbedder:
+    """Embeds every text as one given vector."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+        self.dimension = len(self.values)
+
+    def embed(self, _text):
+        return EmbeddingVector(self.values)
+
+
+WORDS = ["alpha", "beta", "gamma", "fetch", "view", "swift"]
+phrase = st.lists(st.sampled_from(WORDS), max_size=5).map(" ".join)
+
+
+class TestQueryEquivalence:
+    @SETTINGS
+    @given(pool=st.lists(phrase, min_size=1, max_size=4), picks=st.lists(st.integers(0, 3), min_size=1, max_size=24),
+           dimension=st.sampled_from([1, 7, 64]), probe=phrase)
+    def test_duplicate_texts_inserted_in_reverse_id_order(self, pool, picks, dimension, probe):
+        # Few distinct texts over many chunks: equal scores straddle every k.
+        texts = [pool[p % len(pool)] for p in picks]
+        chunks = [DocumentChunk(f"doc{i:03d}", "api_doc", t) for i, t in reversed(list(enumerate(texts)))]
+        embedder = HashedTokenEmbedder(dimension)
+        index = build_index(chunks, embedder)
+        ids = [c.chunk_id for c in chunks]
+        assert_every_k_matches(index, ids, [probe, texts[0], "", "!!!", "zzzz qqqq"], embedder)
+
+    @SETTINGS
+    @given(step=st.integers(0, 10**6), offsets=st.lists(st.integers(-40, 40), min_size=1, max_size=20),
+           scale=st.sampled_from([1e-17, 1e-16, 1e-14, 1e-13, 4e-13]), sign=st.sampled_from([1.0, -1.0]))
+    def test_scores_closer_than_the_rounding_grain(self, step, offsets, scale, sign):
+        # One-dimensional vectors against the query [1.0] make each score
+        # exactly its vector's value: values a few ulps to a few 1e-13
+        # around a 1e-12 rounding half-point.
+        half_point = (step + 0.5) * 1e-12
+        index = VectorIndex(1)
+        ids = []
+        for i, off in reversed(list(enumerate(offsets))):
+            chunk = DocumentChunk(f"c{i:02d}", "api_doc", "x")
+            index.add(chunk, EmbeddingVector(np.array([sign * (half_point + off * scale)])))
+            ids.append(chunk.chunk_id)
+        index.freeze()
+        assert_every_k_matches(index, ids, ["q"], FixedEmbedder([1.0]))
+
+    @SETTINGS
+    @given(texts=st.lists(phrase, min_size=1, max_size=30), dimension=st.sampled_from([1, 7, 256]))
+    def test_query_with_no_common_token(self, texts, dimension):
+        chunks = [DocumentChunk(f"doc{i:03d}", "api_doc", t) for i, t in enumerate(texts)]
+        embedder = HashedTokenEmbedder(dimension)
+        index = build_index(chunks, embedder)
+        ids = [c.chunk_id for c in chunks]
+        assert_every_k_matches(index, ids, ["unrelated words only", "", "!!!"], embedder)
+
+    def test_all_zero_scores_round_once(self, monkeypatch):
+        # Every chunk ties at 0.0 for an empty query: the exact key is
+        # computed once for the one distinct score, not once per chunk.
+        embedder = HashedTokenEmbedder(16)
+        chunks = [DocumentChunk(f"doc{i:04d}", "api_doc", f"w{i}") for i in range(500, 0, -1)]
+        index = build_index(chunks, embedder)
+        calls = []
+
+        def counting_round(value, ndigits):
+            calls.append(value)
+            return round(value, ndigits)
+
+        monkeypatch.setattr(index_module, "round", counting_round, raising=False)
+        got = [r.chunk.chunk_id for r in query(index, "", 3, embedder)]
+        assert got == ["doc0001#0", "doc0002#0", "doc0003#0"]
+        assert len(calls) == 1
+
+
+class TestEmbedEquivalence:
+    @SETTINGS
+    @given(texts=st.lists(st.text(max_size=80), min_size=1, max_size=5), dimension=st.sampled_from([1, 7, 256]))
+    def test_bitwise_equal_to_per_token_loop(self, texts, dimension):
+        warm = HashedTokenEmbedder(dimension)
+        for text in texts + texts:
+            expected = reference_embed(text, dimension)
+            assert warm.embed(text).values.tobytes() == expected.tobytes()
+            assert HashedTokenEmbedder(dimension).embed(text).values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("text", ["", "!!!", "Ünïcode tøkens", "x " * 500, "a1 b2 a1"])
+    def test_edge_texts(self, text):
+        for dimension in (1, 7, 256):
+            got = HashedTokenEmbedder(dimension).embed(text).values
+            assert got.tobytes() == reference_embed(text, dimension).tobytes()

@@ -3,8 +3,15 @@ import random
 import pytest
 
 from transmigrate.errors import IntegrityError
-from transmigrate.scheduler import TranslationPlan, build_plan, compute_degrees, order_nodes
+from transmigrate.scheduler import TranslationPlan, build_plan, order_nodes
 from transmigrate.sourcemodel.graph import DependencyGraph
+
+
+def compute_degrees(graph: DependencyGraph) -> dict[str, int]:
+    """Dependency degree per item: the number of distinct same-granularity
+    targets it depends on. Duplicate edges of different kinds count their
+    shared target once; self-references are not dependencies."""
+    return {node: len(targets) for node, targets in graph.dependencies().items()}
 
 
 def make_graph(granularity, nodes, edges):

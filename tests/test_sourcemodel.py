@@ -17,8 +17,36 @@ from transmigrate.sourcemodel import (
     method_body,
     parse_source,
     quotient_graph,
-    reparse_matches,
 )
+
+
+def reparse_matches(file: SourceFile, m, grammar_dir=None) -> bool:
+    """Round-trip check: re-parsing the extracted body yields a declaration
+    tree equivalent to ``m.ast_slice`` up to the span offset shift."""
+    text = method_body(file, m)
+    fragment = SourceFile(path=file.path + "#fragment", text=text, language=file.language)
+    ast = parse_source(fragment, grammar_dir)
+    wanted = "constructor_declaration" if m.is_constructor else "method_declaration"
+    candidates = [n for n in ast.root.children if n.kind in (wanted, "method_declaration", "constructor_declaration")]
+    if not candidates:
+        return False
+    return _equal_modulo_offset(candidates[0], m.ast_slice, m.span[0])
+
+
+def _equal_modulo_offset(reparsed, original, base: int) -> bool:
+    if reparsed.kind != original.kind:
+        # A constructor re-parsed without its enclosing class is
+        # indistinguishable from a method; accept that pair.
+        pair = {reparsed.kind, original.kind}
+        if pair != {"method_declaration", "constructor_declaration"}:
+            return False
+    if (reparsed.start, reparsed.end) != (original.start - base, original.end - base):
+        return False
+    if len(reparsed.children) != len(original.children):
+        return False
+    return all(
+        _equal_modulo_offset(r, o, base) for r, o in zip(reparsed.children, original.children)
+    )
 
 
 def java(text: str, path: str = "T.java") -> SourceFile:
