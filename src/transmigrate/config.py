@@ -9,7 +9,8 @@ live next to their projects.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, asdict
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from transmigrate.errors import ConfigurationError
@@ -59,9 +60,28 @@ class BackendOptions:
     max_fixes_per_call: int | None = None
 
 
-def _reject_unknown(section: dict, prefix: str, cls: type) -> None:
-    """A key that ``cls`` has no field for is a ConfigurationError naming
-    it as ``prefix + key``."""
+_JSON_TYPE_NAMES = {
+    bool: "true or false",
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    type(None): "null",
+}
+
+
+def _is_json_type(value, expected: type) -> bool:
+    if isinstance(value, bool):
+        return expected is bool
+    if expected is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, expected)
+
+
+def _check_keys(section: dict, prefix: str, cls: type) -> None:
+    """A key that ``cls`` has no field for, or a value whose JSON type does
+    not fit the field, is a ConfigurationError naming it as ``prefix + key``.
+    ``null`` fits only the fields that default to None; a boolean is not a
+    number. Nested sections are checked by ``_section``."""
     known = [f.name for f in fields(cls)]
     unknown = sorted(set(section) - set(known))
     if unknown:
@@ -69,6 +89,15 @@ def _reject_unknown(section: dict, prefix: str, cls: type) -> None:
             f"unknown config key {', '.join(prefix + k for k in unknown)}"
             f" (known keys: {', '.join(known)})"
         )
+    for key, hint in typing.get_type_hints(cls).items():
+        if key not in section or is_dataclass(hint):
+            continue
+        allowed = typing.get_args(hint) or (hint,)
+        if not any(_is_json_type(section[key], t) for t in allowed):
+            raise ConfigurationError(
+                f"config key {prefix}{key} must be {' or '.join(_JSON_TYPE_NAMES[t] for t in allowed)},"
+                f" got {json.dumps(section[key], default=str)}"
+            )
 
 
 def _section(raw: dict, path: str, cls: type) -> dict:
@@ -77,7 +106,7 @@ def _section(raw: dict, path: str, cls: type) -> dict:
     section = raw.get(path.rsplit(".", 1)[-1], {})
     if not isinstance(section, dict):
         raise ConfigurationError(f"config section {path!r} must be a JSON object")
-    _reject_unknown(section, f"{path}.", cls)
+    _check_keys(section, f"{path}.", cls)
     return section
 
 
@@ -129,7 +158,7 @@ class RunConfig:
 
         if not isinstance(raw, dict):
             raise ConfigurationError("config must be a JSON object")
-        _reject_unknown(raw, "", cls)
+        _check_keys(raw, "", cls)
         knowledge_raw = dict(_section(raw, "knowledge", KnowledgeConfig))
         knowledge_raw["crawl"] = CrawlConfig(**_section(knowledge_raw, "knowledge.crawl", CrawlConfig))
         backend_opts = BackendOptions(**_section(raw, "backend_options", BackendOptions))

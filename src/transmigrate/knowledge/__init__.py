@@ -1,34 +1,1 @@
 """Project knowledge base: document ingestion, embedding, exact retrieval."""
-
-from transmigrate.knowledge.chunks import (
-    CHUNK_OVERLAP,
-    CHUNK_SIZE,
-    DocumentChunk,
-    chunk_text,
-    ingest_repository,
-)
-from transmigrate.knowledge.crawl import crawl_site
-from transmigrate.knowledge.embed import (
-    DEFAULT_DIMENSION,
-    EmbeddingVector,
-    HashedTokenEmbedder,
-    RemoteEmbedder,
-)
-from transmigrate.knowledge.index import RetrievalResult, VectorIndex, build_index, query
-
-__all__ = [
-    "CHUNK_OVERLAP",
-    "CHUNK_SIZE",
-    "DEFAULT_DIMENSION",
-    "DocumentChunk",
-    "EmbeddingVector",
-    "HashedTokenEmbedder",
-    "RemoteEmbedder",
-    "RetrievalResult",
-    "VectorIndex",
-    "build_index",
-    "chunk_text",
-    "crawl_site",
-    "ingest_repository",
-    "query",
-]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -49,6 +50,7 @@ from transmigrate.validation.checks import (
     check_references,
     compare_graphs,
     load_residue_rules,
+    parse_corpora,
     platform_scan,
 )
 from transmigrate.validation.issues import IssueRecord, ValidationReport, parse_tool_output
@@ -69,32 +71,7 @@ class PipelineState:
     seed: int = 0
 
     def save(self, path: Path) -> None:
-        path.write_text(
-            json.dumps(
-                {
-                    "completed_stages": self.completed_stages,
-                    "unit_status": dict(sorted(self.unit_status.items())),
-                    "input_hash": self.input_hash,
-                    "config_hash": self.config_hash,
-                    "seed": self.seed,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
-            encoding="utf-8",
-        )
-
-    @classmethod
-    def load(cls, path: Path) -> "PipelineState":
-        raw = json.loads(path.read_text(encoding="utf-8"))
-        return cls(
-            completed_stages=list(raw.get("completed_stages", [])),
-            unit_status=dict(raw.get("unit_status", {})),
-            input_hash=raw.get("input_hash", ""),
-            config_hash=raw.get("config_hash", ""),
-            seed=int(raw.get("seed", 0)),
-        )
+        _write_json(path, vars(self))
 
 
 def hash_source_tree(root: str | Path) -> str:
@@ -114,9 +91,52 @@ def hash_config(config: RunConfig) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _write_json(path: Path, payload) -> None:
+def _write_text(path: Path, text: str) -> None:
+    """Write ``path`` whole or not at all: the text goes to a temporary
+    file beside it, which ``os.replace`` then moves over it, so a kill
+    mid-write leaves the previous version for a resume, never half a file."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    tmp = path.with_name(f".{path.name}.tmp")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
+
+
+def _write_json(path: Path, payload) -> None:
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _missing(artifact: Path, stage: str) -> OrderingError:
+    return OrderingError(f"missing artifact {artifact.name!r}: run the {stage!r} stage first")
+
+
+def _read_artifact(path: Path, stage: str, decode=json.loads):
+    """``decode`` applied to the text of an artifact that ``stage`` writes.
+    A missing artifact is an OrderingError; one that does not decode is an
+    IntegrityError naming the file."""
+    try:
+        return decode(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise _missing(path, stage) from None
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise IntegrityError(f"corrupt artifact {path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _class_summaries(text: str) -> list[tuple[str, str, list[str]]]:
+    """(qualified name, component, constructor and method names) of each
+    class in ``analyze/classes.json``."""
+    return [
+        (c["qualified_name"], c["component"], [m["name"] for m in c["constructors"] + c["methods"]])
+        for c in json.loads(text)
+    ]
+
+
+def _round_reports(text: str) -> tuple[ValidationReport, ValidationReport]:
+    """First and last round reports of a ``translate/refinement`` payload."""
+    history = json.loads(text)["history"]
+    return (
+        ValidationReport.from_dict(history[0]["report"]),
+        ValidationReport.from_dict(history[-1]["report"]),
+    )
 
 
 class Pipeline:
@@ -125,7 +145,7 @@ class Pipeline:
         self.config = config
         self.out = Path(config.output_root)
         self.state_path = self.out / "state.json"
-        self._asts: dict[str, Ast] = {}
+        self._java: tuple[dict[str, Ast], list[ClassDescriptor]] | None = None
         self._prompt_ordinal = 0
         self.state = self._load_or_init_state()
 
@@ -135,7 +155,7 @@ class Pipeline:
         input_hash = hash_source_tree(self.config.source_root)
         config_hash = hash_config(self.config)
         if self.state_path.is_file():
-            state = PipelineState.load(self.state_path)
+            state = _read_artifact(self.state_path, "analyze", lambda text: PipelineState(**json.loads(text)))
             if state.input_hash != input_hash or state.config_hash != config_hash:
                 raise IntegrityError(
                     "refusing to resume: source tree or configuration changed since the "
@@ -145,7 +165,6 @@ class Pipeline:
         return PipelineState(input_hash=input_hash, config_hash=config_hash, seed=self.config.seed)
 
     def _save_state(self) -> None:
-        self.out.mkdir(parents=True, exist_ok=True)
         self.state.save(self.state_path)
 
     def _mark_stage_done(self, stage: str) -> None:
@@ -155,29 +174,20 @@ class Pipeline:
 
     # ---- shared loading ---------------------------------------------------
 
-    def _source_files(self) -> list[SourceFile]:
-        root = Path(self.config.source_root)
-        files = []
-        for path in sorted(root.rglob("*.java")):
-            rel = path.relative_to(root).as_posix()
-            files.append(SourceFile.read(path, rel, "java"))
-        return files
-
-    def _parse_all(self) -> tuple[list[SourceFile], list[ClassDescriptor]]:
-        files = self._source_files()
-        descriptors: list[ClassDescriptor] = []
-        for f in files:
-            ast = parse_source(f, self.config.grammar_dir)
-            self._asts[f.path] = ast
-            descriptors.extend(extract_classes(ast, self.config.grammar_dir))
-        return files, descriptors
-
-    def _require(self, artifact: Path, producing_stage: str) -> Path:
-        if not artifact.exists():
-            raise OrderingError(
-                f"missing artifact {artifact.name!r}: run the {producing_stage!r} stage first"
-            )
-        return artifact
+    def _java_model(self) -> tuple[dict[str, Ast], list[ClassDescriptor]]:
+        """ASTs by repository-relative path, and the class descriptors, of
+        every ``.java`` file under the source root, parsed once per
+        pipeline: analyze leaves them for translate, which drops them."""
+        if self._java is None:
+            root = Path(self.config.source_root)
+            asts: dict[str, Ast] = {}
+            descriptors: list[ClassDescriptor] = []
+            for path in sorted(root.rglob("*.java")):
+                source = SourceFile.read(path, path.relative_to(root).as_posix(), "java")
+                asts[source.path] = ast = parse_source(source, self.config.grammar_dir)
+                descriptors.extend(extract_classes(ast, self.config.grammar_dir))
+            self._java = asts, descriptors
+        return self._java
 
     def _embedder(self):
         k = self.config.knowledge
@@ -207,20 +217,18 @@ class Pipeline:
     # ---- stages ------------------------------------------------------------
 
     def stage_analyze(self) -> None:
-        files, descriptors = self._parse_all()
+        asts, descriptors = self._java_model()
         graphs = {g: build_dependency_graph(descriptors, g) for g in ("method", "class", "component")}
         _write_json(self.out / "analyze" / "classes.json", [_descriptor_dict(d) for d in descriptors])
         for name, graph in graphs.items():
-            path = self.out / "analyze" / f"graph_{name}.json"
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(graph.to_json() + "\n", encoding="utf-8")
-        logger.info("analyzed %d files, %d classes", len(files), len(descriptors))
+            _write_text(self.out / "analyze" / f"graph_{name}.json", graph.to_json() + "\n")
+        logger.info("analyzed %d files, %d classes", len(asts), len(descriptors))
         self._mark_stage_done("analyze")
 
     def stage_index(self) -> None:
         meta_path = self.out / "index" / "meta.json"
         if meta_path.is_file():
-            meta = json.loads(meta_path.read_text(encoding="utf-8"))
+            meta = _read_artifact(meta_path, "index")
             if (
                 meta.get("input_hash") == self.state.input_hash
                 and meta.get("dimension") == self.config.knowledge.embedding_dimension
@@ -249,18 +257,13 @@ class Pipeline:
 
     def stage_plan(self) -> None:
         analyze_dir = self.out / "analyze"
-        self._require(analyze_dir / "graph_method.json", "analyze")
         graphs = {
-            g: DependencyGraph.from_json((analyze_dir / f"graph_{g}.json").read_text(encoding="utf-8"))
+            g: _read_artifact(analyze_dir / f"graph_{g}.json", "analyze", DependencyGraph.from_json)
             for g in ("method", "class", "component")
         }
-        classes = json.loads((analyze_dir / "classes.json").read_text(encoding="utf-8"))
-        method_owner = {
-            f"{c['qualified_name']}.{m['name']}": c["qualified_name"]
-            for c in classes
-            for m in c["constructors"] + c["methods"]
-        }
-        class_component = {c["qualified_name"]: c["component"] for c in classes}
+        classes = _read_artifact(analyze_dir / "classes.json", "analyze", _class_summaries)
+        method_owner = {f"{qualified}.{m}": qualified for qualified, _, members in classes for m in members}
+        class_component = {qualified: component for qualified, component, _ in classes}
         plan = build_plan(
             graphs["method"],
             graphs["class"],
@@ -268,9 +271,7 @@ class Pipeline:
             method_owner=method_owner,
             class_component=class_component,
         )
-        plan_path = self.out / "plan" / "plan.jsonl"
-        plan_path.parent.mkdir(parents=True, exist_ok=True)
-        plan_path.write_text(plan.to_jsonl(), encoding="utf-8")
+        _write_text(self.out / "plan" / "plan.jsonl", plan.to_jsonl())
         logger.info("plan covers %s components/classes/methods", plan.item_counts())
         self._mark_stage_done("plan")
 
@@ -294,11 +295,8 @@ class Pipeline:
     def _dump_prompt(self, label: str, envelope) -> None:
         if not self.config.dump_prompts:
             return
-        dump_dir = self.out / "prompts"
-        dump_dir.mkdir(parents=True, exist_ok=True)
         safe = label.replace("/", "_").replace(".", "_")
-        path = dump_dir / f"{self._prompt_ordinal:04d}_{safe}.txt"
-        path.write_text(envelope.rendered_text, encoding="utf-8")
+        _write_text(self.out / "prompts" / f"{self._prompt_ordinal:04d}_{safe}.txt", envelope.rendered_text)
         self._prompt_ordinal += 1
 
     def _unit_checks(self):
@@ -335,18 +333,17 @@ class Pipeline:
         ]
 
     def stage_translate(self) -> None:
-        plan_path = self._require(self.out / "plan" / "plan.jsonl", "plan")
-        self._require(self.out / "index" / "meta.json", "index")
-        plan = TranslationPlan.from_jsonl(plan_path.read_text(encoding="utf-8"))
-        files, descriptors = self._parse_all()
+        plan = _read_artifact(self.out / "plan" / "plan.jsonl", "plan", TranslationPlan.from_jsonl)
+        _read_artifact(self.out / "index" / "meta.json", "index")
+        class_graph, component_graph = (
+            _read_artifact(self.out / "analyze" / f"graph_{g}.json", "analyze", DependencyGraph.from_json)
+            for g in ("class", "component")
+        )
+        # Taken over from analyze (or parsed here when analyze ran in an
+        # earlier process) and released when this stage returns.
+        asts, descriptors = self._java_model()
+        self._java = None
         by_qualified = {d.qualified_name: d for d in descriptors}
-        files_by_path = {f.path: f for f in files}
-        class_graph = DependencyGraph.from_json(
-            self._require(self.out / "analyze" / "graph_class.json", "analyze").read_text(encoding="utf-8")
-        )
-        component_graph = DependencyGraph.from_json(
-            self._require(self.out / "analyze" / "graph_component.json", "analyze").read_text(encoding="utf-8")
-        )
         index = VectorIndex.load(
             self.out / "index" / "index.jsonl", self.out / "index" / "chunks.jsonl"
         )
@@ -379,8 +376,8 @@ class Pipeline:
                     logger.info("skipping completed unit %s", qualified)
                     continue
                 descriptor = by_qualified[qualified]
-                source = files_by_path[descriptor.source_path]
-                ast = self._asts[descriptor.source_path]
+                ast = asts[descriptor.source_path]
+                source = ast.source
 
                 translated_methods: list[str] = []
                 for method_id in cls_plan.methods:
@@ -433,10 +430,8 @@ class Pipeline:
                 unit = TranslationUnit(name=unit_file, level="class", code=initial_code)
                 final_unit, state = refine_loop(unit, backend, checks, self.config.max_rounds)
 
-                initial_dir.mkdir(parents=True, exist_ok=True)
-                units_dir.mkdir(parents=True, exist_ok=True)
-                (initial_dir / unit_file).write_text(initial_code, encoding="utf-8")
-                (units_dir / unit_file).write_text(final_unit.code, encoding="utf-8")
+                _write_text(initial_dir / unit_file, initial_code)
+                _write_text(units_dir / unit_file, final_unit.code)
                 _write_json(
                     refinement_dir / f"{unit_base}.json",
                     {
@@ -471,9 +466,7 @@ class Pipeline:
             self._dump_prompt(f"component_{comp.name or 'default'}", comp_envelope)
             comp_code = extract_code(backend.translate(comp_envelope)).code
             comp_file = (comp.name or "default").replace("/", "_") or "default"
-            comp_dir = self.out / "translate" / "components"
-            comp_dir.mkdir(parents=True, exist_ok=True)
-            (comp_dir / f"{comp_file}.swift").write_text(comp_code, encoding="utf-8")
+            _write_text(self.out / "translate" / "components" / f"{comp_file}.swift", comp_code)
             component_outputs[comp.name] = comp_code
 
         project_envelope = render_prompt(
@@ -496,7 +489,7 @@ class Pipeline:
         project_envelope = truncate_context(project_envelope, self.config.prompt_budget)
         self._dump_prompt("project", project_envelope)
         project_code = extract_code(backend.translate(project_envelope)).code
-        (self.out / "translate" / "project.swift").write_text(project_code, encoding="utf-8")
+        _write_text(self.out / "translate" / "project.swift", project_code)
         self._mark_stage_done("translate")
 
     def _resource_listing(self) -> str:
@@ -518,17 +511,18 @@ class Pipeline:
         return "\n".join(parts) or "none"
 
     def stage_validate(self) -> None:
-        units_dir = self._require(self.out / "translate" / "units", "translate")
+        units_dir = self.out / "translate" / "units"
+        if not units_dir.is_dir():
+            raise _missing(units_dir, "translate")
         initial_dir = self.out / "translate" / "initial"
         refinement_dir = self.out / "translate" / "refinement"
-        _files, descriptors = self._parse_all()
-        source_class_graph = DependencyGraph.from_json(
-            self._require(self.out / "analyze" / "graph_class.json", "analyze").read_text(encoding="utf-8")
+        classes = _read_artifact(self.out / "analyze" / "classes.json", "analyze", _class_summaries)
+        project_symbols = {qualified.rsplit(".", 1)[-1] for qualified, _, _ in classes}
+        project_symbols.update(m for _, _, members in classes for m in members)
+        source_class_graph = _read_artifact(
+            self.out / "analyze" / "graph_class.json", "analyze", DependencyGraph.from_json
         )
-        unit_names = json.loads(
-            self._require(self.out / "translate" / "unit_names.json", "translate").read_text(encoding="utf-8")
-        )
-        mapping = {qualified: base for qualified, base in unit_names.items()}
+        unit_names = _read_artifact(self.out / "translate" / "unit_names.json", "translate")
         unit_of = {base: f"{base}.swift" for base in unit_names.values()}
 
         def load_units(directory: Path) -> dict[str, str]:
@@ -539,24 +533,19 @@ class Pipeline:
         final_units = load_units(units_dir)
         initial_units = load_units(initial_dir) if initial_dir.is_dir() else dict(final_units)
 
-        def corpus_report(units: dict[str, str]) -> ValidationReport:
+        def corpus_report(corpus) -> ValidationReport:
             report = ValidationReport()
-            report.extend(check_references(units, descriptors, grammar_dir=self.config.grammar_dir))
-            translated_graph = build_translated_class_graph(units, self.config.grammar_dir)
-            report.extend(compare_graphs(source_class_graph, translated_graph, mapping, unit_of))
+            report.extend(check_references(corpus, project_symbols, grammar_dir=self.config.grammar_dir))
+            translated_graph = build_translated_class_graph(corpus)
+            report.extend(compare_graphs(source_class_graph, translated_graph, unit_names, unit_of))
             return report
 
-        def round_report(payload: dict, which: str) -> ValidationReport:
-            history = payload["history"]
-            entry = history[0] if which == "before" else history[-1]
-            return ValidationReport.from_dict(entry["report"])
-
-        before = corpus_report(initial_units)
-        after = corpus_report(final_units)
+        corpora = parse_corpora(initial_units, final_units, grammar_dir=self.config.grammar_dir)
+        before, after = map(corpus_report, corpora)
         for payload_path in sorted(refinement_dir.glob("*.json")):
-            payload = json.loads(payload_path.read_text(encoding="utf-8"))
-            before = before.merged_with(round_report(payload, "before"))
-            after = after.merged_with(round_report(payload, "after"))
+            first, last = _read_artifact(payload_path, "translate", _round_reports)
+            before = before.merged_with(first)
+            after = after.merged_with(last)
 
         def validity(units: dict[str, str], report: ValidationReport) -> dict[str, bool]:
             flags = {}
@@ -583,14 +572,11 @@ class Pipeline:
 
     def stage_report(self) -> None:
         validate_dir = self.out / "validate"
-        self._require(validate_dir / "before.json", "validate")
-        before = ValidationReport.from_dict(
-            json.loads((validate_dir / "before.json").read_text(encoding="utf-8"))
+        before, after = (
+            _read_artifact(validate_dir / name, "validate", lambda t: ValidationReport.from_dict(json.loads(t)))
+            for name in ("before.json", "after.json")
         )
-        after = ValidationReport.from_dict(
-            json.loads((validate_dir / "after.json").read_text(encoding="utf-8"))
-        )
-        validity = json.loads((validate_dir / "validity.json").read_text(encoding="utf-8"))
+        validity = _read_artifact(validate_dir / "validity.json", "validate")
 
         metrics = compute_project_metrics(
             self.config.project_name,
@@ -621,13 +607,8 @@ class Pipeline:
         labels = [classify_issue(i) for i in pool]
 
         report_dir = self.out / "report"
-        report_dir.mkdir(parents=True, exist_ok=True)
-        (report_dir / "report.json").write_text(
-            emit_report([metrics], labels, "json", extras), encoding="utf-8"
-        )
-        (report_dir / "report.md").write_text(
-            emit_report([metrics], labels, "markdown", extras), encoding="utf-8"
-        )
+        _write_text(report_dir / "report.json", emit_report([metrics], labels, "json", extras))
+        _write_text(report_dir / "report.md", emit_report([metrics], labels, "markdown", extras))
         self._mark_stage_done("report")
 
     # ---- drivers -----------------------------------------------------------

@@ -16,15 +16,15 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, NamedTuple, Sequence
 
 from transmigrate.errors import ArgumentError, MappingError
 from transmigrate.sourcemodel.extract import ClassDescriptor, extract_classes, identifier_occurrences
 from transmigrate.sourcemodel.graph import DependencyGraph, build_dependency_graph
 from transmigrate.sourcemodel.grammar import load_grammar
-from transmigrate.sourcemodel.parser import SourceFile, parse_source
+from transmigrate.sourcemodel.parser import Ast, SourceFile, parse_source
 from transmigrate.validation.issues import IssueRecord
 
 
@@ -92,51 +92,67 @@ def platform_scan(
     return issues
 
 
-def translated_definitions(
-    units: Mapping[str, str], grammar_dir: str | Path | None = None
-) -> set[str]:
+class ParsedUnit(NamedTuple):
+    """A translated unit's tree and extracted types. Checks and corpora
+    share it, so nothing may mutate it."""
+
+    ast: Ast
+    classes: tuple[ClassDescriptor, ...]
+
+
+def parse_corpora(
+    *corpora: Mapping[str, str], grammar_dir: str | Path | None = None
+) -> list[dict[str, ParsedUnit]]:
+    """Each corpus (unit name -> Swift text) as unit name -> ParsedUnit. A
+    unit with the same name and text in several corpora, such as one that
+    refinement left alone, is parsed once and shared between them."""
+    parsed: dict[tuple[str, str], ParsedUnit] = {}
+    for units in corpora:
+        for name, text in units.items():
+            if (name, text) not in parsed:
+                ast = parse_source(SourceFile(name, text, "swift"), grammar_dir)
+                parsed[name, text] = ParsedUnit(ast, tuple(extract_classes(ast, grammar_dir)))
+    return [{name: parsed[name, text] for name, text in units.items()} for units in corpora]
+
+
+def translated_definitions(corpus: Mapping[str, ParsedUnit]) -> set[str]:
     """Names defined anywhere in the translated corpus: types, methods,
     initializers, and top-level functions."""
     defined: set[str] = set()
-    for name in sorted(units):
-        ast = parse_source(SourceFile(name, units[name], "swift"), grammar_dir)
-        for cls in extract_classes(ast, grammar_dir):
+    for unit in corpus.values():
+        for cls in unit.classes:
             defined.add(cls.simple_name)
             for m in cls.all_methods():
                 defined.add(m.name)
             for f in cls.fields:
                 defined.add(f.name)
-        for node in ast.root.children:
+        for node in unit.ast.root.children:
             if node.kind in ("method_declaration", "constructor_declaration"):
                 ident = node.first("identifier")
                 if ident is not None:
-                    defined.add(ast.source.data[ident.start : ident.end].decode("utf-8"))
+                    defined.add(unit.ast.source.data[ident.start : ident.end].decode("utf-8"))
     return defined
 
 
 def check_references(
-    units: Mapping[str, str],
-    source_classes: Sequence[ClassDescriptor],
+    corpus: Mapping[str, ParsedUnit],
+    project_symbols: Collection[str],
     allowlist: set[str] | None = None,
     grammar_dir: str | Path | None = None,
 ) -> list[IssueRecord]:
-    """Flag references to project-origin symbols (source classes, methods,
-    constructors) that have no definition in the translated set and are not
-    allowlisted platform names. One issue per (unit, symbol), anchored at
-    the symbol's first occurrence."""
+    """Flag references to project symbols (source class simple names and
+    constructor and method names, as in ``analyze/classes.json``) that have
+    no definition in the parsed translated corpus and are not allowlisted
+    platform names. One issue per (unit, symbol), anchored at the symbol's
+    first occurrence."""
     profile = load_grammar("swift", grammar_dir)
     allow = load_platform_allowlist() if allowlist is None else set(allowlist)
-    project_symbols: set[str] = set()
-    for cls in source_classes:
-        project_symbols.add(cls.simple_name)
-        for m in cls.all_methods():
-            project_symbols.add(m.name)
-    defined = translated_definitions(units, grammar_dir)
+    defined = translated_definitions(corpus)
 
     issues: list[IssueRecord] = []
-    for name in sorted(units):
+    for name in sorted(corpus):
         first_occurrence: dict[str, tuple[int, int]] = {}
-        for sym, _offset, line, col in identifier_occurrences(units[name], profile):
+        for sym, _offset, line, col in identifier_occurrences(corpus[name].ast.source.text, profile):
             first_occurrence.setdefault(sym, (line, col))
         for sym in sorted(first_occurrence):
             if sym in project_symbols and sym not in defined and sym not in allow:
@@ -155,32 +171,35 @@ def check_references(
     return issues
 
 
-def build_translated_class_graph(
-    units: Mapping[str, str], grammar_dir: str | Path | None = None
-) -> DependencyGraph:
-    """Class-granularity dependency graph of the translated corpus.
+def _union(first: list[str], second: list[str]) -> list[str]:
+    merged = list(first)
+    merged.extend(i for i in second if i not in merged)
+    return merged
 
-    Extensions of a type share its name; their members are merged into the
-    primary declaration instead of colliding with it."""
-    descriptors: list[ClassDescriptor] = []
-    for name in sorted(units):
-        ast = parse_source(SourceFile(name, units[name], "swift"), grammar_dir)
-        descriptors.extend(extract_classes(ast, grammar_dir))
+
+def build_translated_class_graph(corpus: Mapping[str, ParsedUnit]) -> DependencyGraph:
+    """Class-granularity dependency graph of the parsed translated corpus.
+
+    Extensions of a type share its name; their members are merged into a
+    copy of the primary declaration instead of colliding with it."""
     merged: dict[str, ClassDescriptor] = {}
-    for desc in descriptors:
-        primary = merged.get(desc.qualified_name)
-        if primary is None:
-            merged[desc.qualified_name] = desc
-            continue
-        primary.methods.extend(desc.methods)
-        primary.constructors.extend(desc.constructors)
-        primary.fields.extend(desc.fields)
-        primary.class_level_calls.extend(desc.class_level_calls)
-        primary.interfaces.extend(i for i in desc.interfaces if i not in primary.interfaces)
-        primary.imports.extend(i for i in desc.imports if i not in primary.imports)
-        if primary.superclass is None:
-            primary.superclass = desc.superclass
-        primary.degraded = primary.degraded or desc.degraded
+    for name in sorted(corpus):
+        for desc in corpus[name].classes:
+            primary = merged.get(desc.qualified_name)
+            if primary is None:
+                merged[desc.qualified_name] = desc
+                continue
+            merged[desc.qualified_name] = replace(
+                primary,
+                methods=primary.methods + desc.methods,
+                constructors=primary.constructors + desc.constructors,
+                fields=primary.fields + desc.fields,
+                class_level_calls=primary.class_level_calls + desc.class_level_calls,
+                interfaces=_union(primary.interfaces, desc.interfaces),
+                imports=_union(primary.imports, desc.imports),
+                superclass=desc.superclass if primary.superclass is None else primary.superclass,
+                degraded=primary.degraded or desc.degraded,
+            )
     return build_dependency_graph(list(merged.values()), "class")
 
 

@@ -17,7 +17,9 @@ from conftest import FIXTURE_PROJECT, GOLDEN_DIR, make_run_config
 from golden_fixtures import ALL_INPUTS, RETRIEVED
 
 from transmigrate.backends import MockBackend, MockRule
-from transmigrate.knowledge import DocumentChunk, HashedTokenEmbedder, build_index, query
+from transmigrate.knowledge.chunks import DocumentChunk
+from transmigrate.knowledge.embed import HashedTokenEmbedder
+from transmigrate.knowledge.index import build_index, query
 from transmigrate.pipeline import Pipeline
 from transmigrate.prompts import render_prompt
 from transmigrate.reporting import (
@@ -27,7 +29,7 @@ from transmigrate.reporting import (
     sample_size,
 )
 from transmigrate.scheduler import order_nodes
-from transmigrate.validation import TranslationUnit, refine_loop
+from transmigrate.validation.refine import TranslationUnit, refine_loop
 from transmigrate.validation.issues import (
     IssueRecord,
     format_diagnostic_line,

@@ -8,18 +8,10 @@ import numpy as np
 import pytest
 
 from transmigrate.errors import ArgumentError, CrawlError, IntegrityError
-from transmigrate.knowledge import (
-    CHUNK_OVERLAP,
-    CHUNK_SIZE,
-    DocumentChunk,
-    HashedTokenEmbedder,
-    VectorIndex,
-    build_index,
-    chunk_text,
-    crawl_site,
-    ingest_repository,
-    query,
-)
+from transmigrate.knowledge.chunks import CHUNK_OVERLAP, CHUNK_SIZE, DocumentChunk, chunk_text, ingest_repository
+from transmigrate.knowledge.crawl import crawl_site
+from transmigrate.knowledge.embed import HashedTokenEmbedder
+from transmigrate.knowledge.index import VectorIndex, build_index, query
 
 
 class TestChunking:

@@ -1,7 +1,9 @@
 import json
+import pathlib
 import shlex
 import socket
 import sys
+from collections import Counter
 
 import pytest
 
@@ -11,6 +13,7 @@ from transmigrate.cli import main as cli_main
 from transmigrate.errors import ConfigurationError, IntegrityError, OrderingError, ToolError
 from transmigrate.knowledge.embed import HashedTokenEmbedder
 from transmigrate.pipeline import Pipeline
+from transmigrate.sourcemodel import parser
 
 
 def run_full(config):
@@ -150,6 +153,63 @@ class TestDeterminismAndResume:
         (fixture_project / "README.md").write_text("drifted")
         with pytest.raises(IntegrityError):
             Pipeline(config)
+
+
+class TestParseOnce:
+    def test_each_source_text_parsed_once_per_run(self, run_config, fixture_project, monkeypatch):
+        calls = []
+        in_validate = []
+        real_parse = parser.parse_source
+        real_validate = Pipeline.stage_validate
+
+        def counting_parse(source, grammar_dir=None):
+            calls.append((source.language, source.path, source.text, bool(in_validate)))
+            return real_parse(source, grammar_dir)
+
+        def validate(self):
+            in_validate.append(True)
+            real_validate(self)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("transmigrate") and getattr(module, "parse_source", None) is real_parse:
+                monkeypatch.setattr(module, "parse_source", counting_parse)
+        monkeypatch.setattr(Pipeline, "stage_validate", validate)
+        run_full(run_config)
+
+        java = Counter(path for language, path, _, _ in calls if language == "java")
+        expected_java = {p.relative_to(fixture_project).as_posix() for p in fixture_project.rglob("*.java")}
+        assert java == Counter(expected_java)
+
+        translate = run_config_path(run_config.output_root) / "translate"
+        expected_swift = {
+            (p.name, p.read_text(encoding="utf-8"))
+            for directory in ("initial", "units")
+            for p in (translate / directory).glob("*.swift")
+        }
+        assert len(expected_swift) > len(list((translate / "units").glob("*.swift")))  # refinement changed a unit
+        swift = Counter((path, text) for language, path, text, validating in calls if validating)
+        assert all(language == "swift" for language, *_, validating in calls if validating)
+        assert swift == Counter(expected_swift)
+
+
+class TestArtifactWrites:
+    def test_failed_write_leaves_previous_state_whole(self, run_config, monkeypatch):
+        pipeline = Pipeline(run_config)
+        pipeline.run_stage("analyze")
+        before = pipeline.state_path.read_text()
+        real_write_text = pathlib.Path.write_text
+
+        def write_half_then_fail(self, data, *args, **kwargs):
+            real_write_text(self, data[: len(data) // 2], *args, **kwargs)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pathlib.Path, "write_text", write_half_then_fail)
+        pipeline.state.unit_status["com.example.core.Logger"] = "translated"
+        with pytest.raises(OSError, match="disk full"):
+            pipeline.state.save(pipeline.state_path)
+        monkeypatch.undo()
+        assert pipeline.state_path.read_text() == before
+        assert json.loads(before)["completed_stages"] == ["analyze"]
 
 
 class TestCheckerFailure:
@@ -304,6 +364,51 @@ class TestCli:
         assert cli_main(["run", "--config", str(config_path)]) == 2
         assert f"unknown config key {key}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, wanted",
+        [
+            ("max_rounds", "2", "must be an integer"),
+            ("max_rounds", True, "must be an integer"),
+            ("seed", None, "must be an integer"),
+            ("dry_run", 1, "must be true or false"),
+            ("tools.timeout_seconds", "60", "must be a number"),
+            ("knowledge.crawl.max_depth", 1.5, "must be an integer"),
+            ("backend_options.model", None, "must be a string"),
+        ],
+    )
+    def test_config_value_of_wrong_type_exits_2(self, fixture_project, tmp_path, capsys, key, value, wanted):
+        config_path = self.write_config(tmp_path, fixture_project)
+        raw = json.loads(config_path.read_text())
+        *sections, name = key.split(".")
+        section = raw
+        for part in sections:
+            section = section.setdefault(part, {})
+        section[name] = value
+        config_path.write_text(json.dumps(raw))
+        assert cli_main(["run", "--config", str(config_path)]) == 2
+        assert f"config key {key} {wanted}, got {json.dumps(value)}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_null_and_integer_accepted_where_they_fit(self, fixture_project, tmp_path):
+        config_path = self.write_config(tmp_path, fixture_project)
+        raw = json.loads(config_path.read_text())
+        raw["grammar_dir"] = None
+        raw["backend_options"].update(max_output_units=None, temperature=0)
+        raw["knowledge"] = {"crawl": {"start_url": None}}
+        config_path.write_text(json.dumps(raw))
+        assert cli_main(["analyze", "--config", str(config_path)]) == 0
+
+    @pytest.mark.parametrize("artifact, command", [("state.json", "run"), ("analyze/classes.json", "plan")])
+    def test_truncated_artifact_exits_1(self, fixture_project, tmp_path, capsys, artifact, command):
+        config_path = self.write_config(tmp_path, fixture_project)
+        assert cli_main(["analyze", "--config", str(config_path)]) == 0
+        path = tmp_path / "out" / artifact
+        path.write_text(path.read_text()[:40])
+        capsys.readouterr()
+        assert cli_main([command, "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: corrupt artifact {path}: JSONDecodeError")
 
     def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"

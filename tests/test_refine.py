@@ -1,6 +1,6 @@
 from transmigrate.backends import MockBackend, MockRule
 from transmigrate.errors import RetryableBackendError
-from transmigrate.validation import RefinementState, TranslationUnit, build_repair_envelope, refine_loop
+from transmigrate.validation.refine import RefinementState, TranslationUnit, build_repair_envelope, refine_loop
 from transmigrate.validation.issues import IssueRecord
 
 

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import transmigrate.knowledge.index as index_module
-from transmigrate.knowledge import DocumentChunk, EmbeddingVector, HashedTokenEmbedder, VectorIndex, build_index, query
-from transmigrate.knowledge.embed import _TOKEN_RE, _bucket
+from transmigrate.knowledge.chunks import DocumentChunk
+from transmigrate.knowledge.embed import _TOKEN_RE, EmbeddingVector, HashedTokenEmbedder, _bucket
+from transmigrate.knowledge.index import VectorIndex, build_index, query
 
 SETTINGS = settings(max_examples=60, deadline=None)
 

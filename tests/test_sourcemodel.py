@@ -4,20 +4,17 @@ from dataclasses import replace
 import pytest
 
 from transmigrate.errors import ConfigurationError, IntegrityError, StructuralError
-from transmigrate.sourcemodel import (
+from transmigrate.sourcemodel.extract import extract_classes, method_body
+from transmigrate.sourcemodel.grammar import load_grammar
+from transmigrate.sourcemodel.graph import (
     EDGE_CALL,
     EDGE_FIELD_TYPE,
     EDGE_IMPORT,
     EDGE_INHERITANCE,
-    SourceFile,
     build_dependency_graph,
-    check_span_invariants,
-    extract_classes,
-    load_grammar,
-    method_body,
-    parse_source,
     quotient_graph,
 )
+from transmigrate.sourcemodel.parser import SourceFile, check_span_invariants, parse_source
 
 
 def reparse_matches(file: SourceFile, m, grammar_dir=None) -> bool:

@@ -1,27 +1,29 @@
 import sys
 import shlex
 import subprocess
+from pathlib import Path
 
 import pytest
 
 from transmigrate.errors import ArgumentError, ConfigurationError, MappingError, ToolError
 from transmigrate.sourcemodel.extract import extract_classes
 from transmigrate.sourcemodel.parser import SourceFile, parse_source
-from transmigrate.validation import (
-    ValidationReport,
-    build_argv,
+from transmigrate.validation.checks import (
     build_translated_class_graph,
     check_references,
     compare_graphs,
-    format_diagnostic_line,
     load_residue_rules,
+    parse_corpora,
+    platform_scan,
+)
+from transmigrate.validation.issues import (
+    IssueRecord,
+    ValidationReport,
+    format_diagnostic_line,
     parse_diagnostic_line,
     parse_tool_output,
-    platform_scan,
-    run_external_check,
-    stub_tool_commands,
 )
-from transmigrate.validation.issues import IssueRecord
+from transmigrate.validation.tools import build_argv, run_external_check, stub_tool_commands
 
 LINT_LISTING_1 = (
     "WeatherApp/HTTPWeatherClient.swift:68:1: warning: Trailing Whitespace Violation: "
@@ -77,12 +79,15 @@ class TestDiagnosticParsing:
 
 
 def swift_units(**units):
-    return dict(units)
+    (corpus,) = parse_corpora(units)
+    return corpus
 
 
-def source_descriptors(java_text: str):
-    ast = parse_source(SourceFile("S.java", java_text, "java"))
-    return extract_classes(ast)
+def project_symbols(java_text: str):
+    """The project symbols of ``java_text``: class simple names plus
+    constructor and method names, as ``analyze/classes.json`` lists them."""
+    classes = extract_classes(parse_source(SourceFile("S.java", java_text, "java")))
+    return {c.simple_name for c in classes} | {m.name for c in classes for m in c.all_methods()}
 
 
 class TestReferenceCheck:
@@ -97,7 +102,7 @@ class Service {
         units = swift_units(**{
             "Detail.swift": "class Detail { func setUpWithError() { FetchThreadData(); MockHandler() } }"
         })
-        issues = check_references(units, source_descriptors(self.SOURCE))
+        issues = check_references(units, project_symbols(self.SOURCE))
         assert len(issues) == 2
         symbols = {i.message.split("'")[1] for i in issues}
         assert symbols == {"FetchThreadData", "MockHandler"}
@@ -108,10 +113,10 @@ class Service {
             "Detail.swift": "class Detail { func setUpWithError() { FetchThreadData() } }",
             "Helpers.swift": "func FetchThreadData() {}",
         })
-        assert check_references(units, source_descriptors(self.SOURCE)) == []
+        assert check_references(units, project_symbols(self.SOURCE)) == []
 
     def test_allowlisted_platform_symbol_not_flagged(self):
-        source = source_descriptors("package p; class Service { void Helper() {} }")
+        source = project_symbols("package p; class Service { void Helper() {} }")
         units = swift_units(**{"A.swift": "class A { func go() { Helper() } }"})
         assert len(check_references(units, source)) == 1
         assert check_references(units, source, allowlist={"Helper"}) == []
@@ -120,7 +125,7 @@ class Service {
         units = swift_units(**{
             "A.swift": "class A {\n    func go() {\n        FetchThreadData()\n    }\n}"
         })
-        issues = check_references(units, source_descriptors(self.SOURCE))
+        issues = check_references(units, project_symbols(self.SOURCE))
         assert issues[0].line == 3 and issues[0].column == 9
 
 
@@ -137,7 +142,7 @@ class TestGraphComparison:
     def test_missing_edge_is_error(self):
         source = class_graph_of("class A { B b; void go() { b.run(); } }", "class B { void run() {} }")
         translated = build_translated_class_graph(
-            {"A.swift": "class A { }", "B.swift": "class B { func run() {} }"}
+            swift_units(**{"A.swift": "class A { }", "B.swift": "class B { func run() {} }"})
         )
         issues = compare_graphs(source, translated)
         errors = [i for i in issues if i.severity == "error"]
@@ -147,14 +152,14 @@ class TestGraphComparison:
     def test_isomorphic_graphs_clean(self):
         source = class_graph_of("class A { B b; }", "class B { }")
         translated = build_translated_class_graph(
-            {"A.swift": "class A { var b: B }", "B.swift": "class B { }"}
+            swift_units(**{"A.swift": "class A { var b: B }", "B.swift": "class B { }"})
         )
         assert compare_graphs(source, translated) == []
 
     def test_extra_translated_edge_is_warning(self):
         source = class_graph_of("class A { }", "class B { }")
         translated = build_translated_class_graph(
-            {"A.swift": "class A { var b: B }", "B.swift": "class B { }"}
+            swift_units(**{"A.swift": "class A { var b: B }", "B.swift": "class B { }"})
         )
         issues = compare_graphs(source, translated)
         assert [i.severity for i in issues] == ["warning"]
@@ -162,7 +167,7 @@ class TestGraphComparison:
 
     def test_non_injective_mapping_rejected(self):
         source = class_graph_of("class A { }", "class B { }")
-        translated = build_translated_class_graph({"C.swift": "class C { }"})
+        translated = build_translated_class_graph(swift_units(**{"C.swift": "class C { }"}))
         with pytest.raises(MappingError):
             compare_graphs(source, translated, mapping={"A": "C", "B": "C"})
 
@@ -233,6 +238,14 @@ class TestExternalTools:
         issues, _ = parse_tool_output(output, "syntax")
         assert status == 1
         assert len(issues) == 1 and issues[0].line == 2 and issues[0].severity == "error"
+
+    def test_stub_import_loads_no_numpy(self):
+        import transmigrate
+
+        probe = "import sys, transmigrate.validation.stubcheck; print('numpy' in sys.modules)"
+        env = {"PYTHONPATH": str(Path(transmigrate.__file__).parents[1]), "PATH": ""}
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+        assert result.stdout == "False\n", result.stderr
 
     def test_missing_tool_is_configuration_error(self, tmp_path):
         f = tmp_path / "a.swift"
@@ -328,11 +341,22 @@ class TestValidationReport:
 
 
 def test_extensions_merge_into_primary_declaration():
-    units = {
+    units = swift_units(**{
         "Store.swift": "class Store { var helper: Helper }\nextension Store { func draw() { helper.assist() } }",
         "Helper.swift": "class Helper { func assist() {} }",
-    }
+    })
     graph = build_translated_class_graph(units)
     assert sorted(graph.nodes) == ["Helper", "Store"]
     assert ("Store", "Helper", "field-type") in graph.edges
     assert ("Store", "Helper", "call") in graph.edges
+
+
+def test_translated_graph_leaves_shared_parse_results_unchanged():
+    units = swift_units(**{
+        "Store.swift": "class Store { var helper: Helper }\nextension Store { func draw() { helper.assist() } }",
+        "Helper.swift": "class Helper { func assist() {} }",
+    })
+    members = [(len(c.methods), len(c.fields)) for unit in units.values() for c in unit.classes]
+    first = build_translated_class_graph(units)
+    assert build_translated_class_graph(units) == first
+    assert [(len(c.methods), len(c.fields)) for unit in units.values() for c in unit.classes] == members
