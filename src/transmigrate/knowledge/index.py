@@ -29,11 +29,26 @@ entry count, then one ``{"id": ..., "v": [...]}`` line per entry. Chunks
 are stored beside the index in line-delimited JSON. A line that does not
 parse, or an id with no saved chunk, is an IntegrityError naming the file
 and line.
+
+``save`` writes the bytes ``json.dumps({"id": id, "v": [floats]})`` gives,
+but assembles each entry line itself: the id goes through ``json.dumps``,
+and each cell's text comes from a memo made for that one call, keyed on the
+float64 bit pattern and filled with ``json.dumps(float(value))`` on a miss
+(the encoder's own text, ``NaN`` and ``Infinity`` included). A normalised
+count vector holds few distinct values, so most cells are a dict hit. The
+key is the bits, not the float: a float key would merge ``-0.0`` with
+``0.0``, and NaN would never hit. The lines are written one entry at a
+time, so no second copy of the matrix is made.
+
+A pipeline run hands the index that its index stage built straight to
+translate; ``load`` serves only a separate process (a stage run on its
+own, a resume, or an index-stage cache hit).
 """
 
 from __future__ import annotations
 
 import json
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -130,8 +145,11 @@ class VectorIndex:
         chunks_path.parent.mkdir(parents=True, exist_ok=True)
         with index_path.open("w", encoding="utf-8") as fh:
             fh.write(json.dumps({"dimension": self.dimension, "entries": len(self._ids)}) + "\n")
+            cell_text = _FloatText()
             for cid, vec in zip(self._ids, self._vectors):
-                fh.write(json.dumps({"id": cid, "v": [float(x) for x in vec]}) + "\n")
+                bits = np.ascontiguousarray(vec, dtype=np.float64).view(np.int64).tolist()
+                cells = ", ".join(map(cell_text.__getitem__, bits))
+                fh.write('{"id": ' + json.dumps(cid) + ', "v": [' + cells + "]}\n")
         with chunks_path.open("w", encoding="utf-8") as fh:
             for cid in self._ids:
                 c = self._chunks[cid]
@@ -179,6 +197,15 @@ class VectorIndex:
                 f"index file corrupt: header says {header['entries']} entries, found {len(index)}"
             )
         return index.freeze()
+
+
+class _FloatText(dict):
+    """float64 bit pattern -> the text ``json.dumps`` gives that float;
+    the encoder runs on a miss only."""
+
+    def __missing__(self, bits: int) -> str:
+        text = self[bits] = json.dumps(struct.unpack("<d", struct.pack("<q", bits))[0])
+        return text
 
 
 def _jsonl_records(path: Path):

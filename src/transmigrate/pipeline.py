@@ -146,6 +146,7 @@ class Pipeline:
         self.out = Path(config.output_root)
         self.state_path = self.out / "state.json"
         self._java: tuple[dict[str, Ast], list[ClassDescriptor]] | None = None
+        self._index: VectorIndex | None = None
         self._prompt_ordinal = 0
         self.state = self._load_or_init_state()
 
@@ -243,6 +244,7 @@ class Pipeline:
         embedder = self._embedder()
         index = build_index(chunks, embedder)
         index.save(self.out / "index" / "index.jsonl", self.out / "index" / "chunks.jsonl")
+        self._index = index  # taken over by translate in this process
         _write_json(
             meta_path,
             {
@@ -339,14 +341,15 @@ class Pipeline:
             _read_artifact(self.out / "analyze" / f"graph_{g}.json", "analyze", DependencyGraph.from_json)
             for g in ("class", "component")
         )
-        # Taken over from analyze (or parsed here when analyze ran in an
-        # earlier process) and released when this stage returns.
+        # Taken over from analyze and index (or parsed and loaded here when
+        # they ran in an earlier process) and released when this stage
+        # returns. ``is None``: an empty index is falsy.
         asts, descriptors = self._java_model()
         self._java = None
         by_qualified = {d.qualified_name: d for d in descriptors}
-        index = VectorIndex.load(
-            self.out / "index" / "index.jsonl", self.out / "index" / "chunks.jsonl"
-        )
+        index, self._index = self._index, None
+        if index is None:
+            index = VectorIndex.load(self.out / "index" / "index.jsonl", self.out / "index" / "chunks.jsonl")
         embedder = self._embedder()
         backend = self._backend()
         checks = self._unit_checks()

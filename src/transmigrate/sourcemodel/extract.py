@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from transmigrate.errors import IntegrityError
-from transmigrate.sourcemodel import lexer
 from transmigrate.sourcemodel.grammar import GrammarProfile, load_grammar
 from transmigrate.sourcemodel.lexer import IDENT, PUNCT, Token
 from transmigrate.sourcemodel.parser import (
@@ -303,17 +302,6 @@ def method_body(file: SourceFile, m: MethodDescriptor) -> str:
             f"method span {m.span} outside {file.path} (0..{len(data)}): snapshot drift"
         )
     return data[start:end].decode("utf-8")
-
-
-def identifier_occurrences(text: str, profile: GrammarProfile) -> list[tuple[str, int, int, int]]:
-    """All non-keyword identifiers in ``text`` as (name, byte offset, line, col)."""
-    data = text.encode("utf-8")
-    out = []
-    for tok in lexer.tokenize(data, profile):
-        if tok.kind == IDENT and tok.text not in profile.keywords:
-            line, col = lexer.line_and_column(data, tok.start)
-            out.append((tok.text, tok.start, line, col))
-    return out
 
 
 def _descriptor_kind(profile: GrammarProfile, node_kind: str) -> str:

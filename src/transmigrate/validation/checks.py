@@ -21,9 +21,10 @@ from pathlib import Path
 from typing import Collection, Mapping, NamedTuple, Sequence
 
 from transmigrate.errors import ArgumentError, MappingError
-from transmigrate.sourcemodel.extract import ClassDescriptor, extract_classes, identifier_occurrences
+from transmigrate.sourcemodel.extract import ClassDescriptor, extract_classes
 from transmigrate.sourcemodel.graph import DependencyGraph, build_dependency_graph
 from transmigrate.sourcemodel.grammar import load_grammar
+from transmigrate.sourcemodel.lexer import IDENT, line_and_column
 from transmigrate.sourcemodel.parser import Ast, SourceFile, parse_source
 from transmigrate.validation.issues import IssueRecord
 
@@ -144,19 +145,22 @@ def check_references(
     constructor and method names, as in ``analyze/classes.json``) that have
     no definition in the parsed translated corpus and are not allowlisted
     platform names. One issue per (unit, symbol), anchored at the symbol's
-    first occurrence."""
+    first occurrence. The identifiers are the tokens the parse kept; only
+    a reported symbol's offset is turned into a line and column."""
     profile = load_grammar("swift", grammar_dir)
     allow = load_platform_allowlist() if allowlist is None else set(allowlist)
     defined = translated_definitions(corpus)
 
     issues: list[IssueRecord] = []
     for name in sorted(corpus):
-        first_occurrence: dict[str, tuple[int, int]] = {}
-        for sym, _offset, line, col in identifier_occurrences(corpus[name].ast.source.text, profile):
-            first_occurrence.setdefault(sym, (line, col))
-        for sym in sorted(first_occurrence):
+        ast = corpus[name].ast
+        first_offset: dict[str, int] = {}
+        for tok in ast.tokens:
+            if tok.kind == IDENT and tok.text not in profile.keywords:
+                first_offset.setdefault(tok.text, tok.start)
+        for sym in sorted(first_offset):
             if sym in project_symbols and sym not in defined and sym not in allow:
-                line, col = first_occurrence[sym]
+                line, col = line_and_column(ast.source.data, first_offset[sym])
                 issues.append(
                     IssueRecord(
                         file=name,

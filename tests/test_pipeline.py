@@ -12,6 +12,7 @@ from conftest import GOLDEN_DIR, make_run_config
 from transmigrate.cli import main as cli_main
 from transmigrate.errors import ConfigurationError, IntegrityError, OrderingError, ToolError
 from transmigrate.knowledge.embed import HashedTokenEmbedder
+from transmigrate.knowledge.index import VectorIndex
 from transmigrate.pipeline import Pipeline
 from transmigrate.sourcemodel import parser
 
@@ -20,6 +21,29 @@ def run_full(config):
     pipeline = Pipeline(config)
     pipeline.run()
     return pipeline
+
+
+def output_tree(root):
+    """Relative path -> bytes of every file under ``root``."""
+    root = pathlib.Path(root)
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+STAGE_NAMES = ("analyze", "index", "plan", "translate", "validate", "report")
+
+
+@pytest.fixture
+def index_loads(monkeypatch):
+    """The output roots ``VectorIndex.load`` is called for, in call order."""
+    loads = []
+    real_load = VectorIndex.load.__func__
+
+    def counting_load(cls, index_path, chunks_path):
+        loads.append(pathlib.Path(index_path).parent.parent)
+        return real_load(cls, index_path, chunks_path)
+
+    monkeypatch.setattr(VectorIndex, "load", classmethod(counting_load))
+    return loads
 
 
 def report_bytes(config):
@@ -547,10 +571,23 @@ class TestStageBoundaryResume:
         # Interrupting at every stage boundary and resuming must match the
         # golden single-run artifacts.
         config = make_run_config(fixture_project, tmp_path / "out")
-        for stage in ("analyze", "index", "plan", "translate", "validate", "report"):
+        for stage in STAGE_NAMES:
             Pipeline(config).run_stage(stage)  # fresh Pipeline each time
         out = run_config_path(config.output_root)
         assert (out / "report" / "report.json").read_bytes() == (GOLDEN_DIR / "report.json").read_bytes()
+
+    def test_stagewise_tree_equals_single_run_tree(self, fixture_project, tmp_path):
+        # The single run translates with the index its index stage built;
+        # the stagewise run loads it from disk. Every artifact, the dumped
+        # prompts and state.json included, must come out the same.
+        single = make_run_config(fixture_project, tmp_path / "single", dump_prompts=True)
+        run_full(single)
+        stagewise = make_run_config(fixture_project, tmp_path / "stagewise", dump_prompts=True)
+        for stage in STAGE_NAMES:
+            Pipeline(stagewise).run_stage(stage)
+        single_tree = output_tree(single.output_root)
+        assert any(name.startswith("prompts/") for name in single_tree)
+        assert output_tree(stagewise.output_root) == single_tree
 
     def test_full_run_after_partial_stages_skips_them(self, fixture_project, tmp_path, monkeypatch):
         config = make_run_config(fixture_project, tmp_path / "out")
@@ -570,6 +607,40 @@ class TestStageBoundaryResume:
         monkeypatch.setattr(P, "stage_analyze", counting)
         Pipeline(config).run()
         assert calls == []  # analyze not repeated
+
+
+class TestIndexReuse:
+    def test_single_run_never_loads_the_index(self, run_config, index_loads):
+        run_full(run_config)
+        assert index_loads == []
+        _, json_bytes, _ = report_bytes(run_config)
+        assert json_bytes == (GOLDEN_DIR / "report.json").read_bytes()
+
+    def test_stagewise_runs_load_the_index_once(self, fixture_project, tmp_path, index_loads):
+        # A fresh Pipeline per stage stands for a process per stage: the
+        # translate stage has only the saved index. One Pipeline running
+        # the stages one by one keeps the index it built.
+        fresh = make_run_config(fixture_project, tmp_path / "fresh")
+        for stage in STAGE_NAMES:
+            Pipeline(fresh).run_stage(stage)
+        same = make_run_config(fixture_project, tmp_path / "same")
+        pipeline = Pipeline(same)
+        for stage in STAGE_NAMES:
+            pipeline.run_stage(stage)
+        assert index_loads == [tmp_path / "fresh"]
+
+    def test_cache_hit_keeps_the_built_index_and_a_fresh_translate_loads_it(self, run_config, index_loads):
+        out = run_config_path(run_config.output_root)
+        pipeline = Pipeline(run_config)
+        pipeline.run_stage("index")
+        saved = output_tree(out / "index")
+        pipeline.run_stage("index")  # cache hit: nothing is embedded or written
+        assert output_tree(out / "index") == saved
+        for stage in ("analyze", "plan", "translate"):
+            pipeline.run_stage(stage)
+        assert index_loads == []
+        Pipeline(run_config).run_stage("translate")
+        assert index_loads == [out]
 
 
 class TestLiveBackendPipeline:

@@ -1,9 +1,16 @@
 """The vectorised embedding and top-k selection against the plain loops
-they replaced: same vector bits, same ids, same scores, for every k."""
+they replaced: same vector bits, same ids, same scores, for every k. The
+memoised index writer against the per-entry ``json.dumps`` it replaced:
+same bytes."""
+
+import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import transmigrate.knowledge.index as index_module
@@ -129,3 +136,55 @@ class TestEmbedEquivalence:
         for dimension in (1, 7, 256):
             got = HashedTokenEmbedder(dimension).embed(text).values
             assert got.tobytes() == reference_embed(text, dimension).tobytes()
+
+
+def reference_index_text(dimension: int, entries: list[tuple[str, np.ndarray]]) -> bytes:
+    """What ``VectorIndex.save`` wrote with one ``json.dumps`` per entry."""
+    lines = [json.dumps({"dimension": dimension, "entries": len(entries)}) + "\n"]
+    for cid, vec in entries:
+        lines.append(json.dumps({"id": cid, "v": [float(x) for x in vec]}) + "\n")
+    return "".join(lines).encode("utf-8")
+
+
+def saved_index_bytes(dimension: int, entries: list[tuple[str, np.ndarray]]) -> bytes:
+    index = VectorIndex(dimension)
+    for ordinal, (uri, vec) in enumerate(entries):
+        index.add(DocumentChunk(uri, "api_doc", "text", {}, ordinal), EmbeddingVector(vec))
+    index.freeze()
+    with tempfile.TemporaryDirectory() as tmp:
+        index.save(Path(tmp) / "index.jsonl", Path(tmp) / "chunks.jsonl")
+        return (Path(tmp) / "index.jsonl").read_bytes()
+
+
+SPECIAL_CELLS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300]
+cell = st.one_of(st.sampled_from(SPECIAL_CELLS), st.floats())
+source_uri = st.one_of(st.sampled_from(['say "hi"', "back\\slash", "naïve/ünï.md", "日本語"]), st.text(max_size=12))
+
+
+class TestIndexWriterEquivalence:
+    @SETTINGS
+    @given(dimension=st.sampled_from([1, 256]), pool=st.lists(cell, min_size=1, max_size=8),
+           rows=st.lists(st.tuples(source_uri, st.randoms(use_true_random=False)), max_size=5))
+    @example(dimension=1, pool=[0.0], rows=[])
+    @example(dimension=256, pool=[0.0], rows=[])
+    def test_same_bytes_as_json_dumps_per_entry(self, dimension, pool, rows):
+        # Every vector draws its cells from one small pool, so values repeat
+        # within and across entries, as in normalised count vectors.
+        entries = [(uri, np.array([rnd.choice(pool) for _ in range(dimension)])) for uri, rnd in rows]
+        ids = [f"{uri}#{ordinal}" for ordinal, (uri, _) in enumerate(entries)]
+        expected = reference_index_text(dimension, [(cid, vec) for cid, (_, vec) in zip(ids, entries)])
+        assert saved_index_bytes(dimension, entries) == expected
+
+    @pytest.mark.parametrize("dimension", [1, 256])
+    def test_signed_zeros_nan_and_infinities(self, dimension):
+        # 0.0 and -0.0 compare equal and NaN equals nothing: the memo must
+        # tell them apart by their bits, whichever comes first.
+        cells = SPECIAL_CELLS + SPECIAL_CELLS[::-1] + [1e300, 5e-324]
+        entries = [
+            ("zero-first", np.resize(np.array(cells), dimension)),
+            ("negative-zero-first", np.resize(np.array(cells[::-1]), dimension)),
+            ("one-cell", np.array([-0.0] * dimension)),
+        ]
+        ids = [f"{uri}#{ordinal}" for ordinal, (uri, _) in enumerate(entries)]
+        expected = reference_index_text(dimension, [(cid, vec) for cid, (_, vec) in zip(ids, entries)])
+        assert saved_index_bytes(dimension, entries) == expected

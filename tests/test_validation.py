@@ -128,6 +128,25 @@ class Service {
         issues = check_references(units, project_symbols(self.SOURCE))
         assert issues[0].line == 3 and issues[0].column == 9
 
+    def test_issue_column_counts_bytes_after_non_ascii_text(self):
+        # Mentions in a comment and a string are not references; the column
+        # is the 1-based byte offset in the line, so "ü" counts twice.
+        text = (
+            "// café: MockHandler() lives elsewhere\n"
+            "class A {\n"
+            '    let s = "naïve MockHandler"\n'
+            "    func go() { let ü = 1; MockHandler()\n"
+            "        FetchThreadData(); MockHandler()\n"
+            "    }\n"
+            "}\n"
+        )
+        issues = check_references(swift_units(**{"A.swift": text}), project_symbols(self.SOURCE))
+        assert [(i.message.split("'")[1], i.line, i.column) for i in issues] == [
+            ("FetchThreadData", 5, 9),
+            ("MockHandler", 4, len("    func go() { let ü = 1; ".encode("utf-8")) + 1),
+        ]
+        assert all(i.file == "A.swift" and i.rule == "missing_definition" for i in issues)
+
 
 def class_graph_of(*java_sources):
     descs = []
