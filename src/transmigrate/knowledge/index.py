@@ -32,23 +32,19 @@ and line.
 
 ``save`` writes the bytes ``json.dumps({"id": id, "v": [floats]})`` gives,
 but assembles each entry line itself: the id goes through ``json.dumps``,
-and each cell's text comes from a memo made for that one call, keyed on the
-float64 bit pattern and filled with ``json.dumps(float(value))`` on a miss
-(the encoder's own text, ``NaN`` and ``Infinity`` included). A normalised
-count vector holds few distinct values, so most cells are a dict hit. The
-key is the bits, not the float: a float key would merge ``-0.0`` with
-``0.0``, and NaN would never hit. The lines are written one entry at a
-time, so no second copy of the matrix is made.
-
-A pipeline run hands the index that its index stage built straight to
-translate; ``load`` serves only a separate process (a stage run on its
-own, a resume, or an index-stage cache hit).
+and the cells of one vector are formatted once per distinct float64 bit
+pattern in that vector (``np.unique`` on the bits), with ``float.__repr__``,
+the encoder's text for a finite float, or ``json.dumps`` when the vector
+holds NaN or an infinity. A normalised count vector holds few distinct
+values, so most cells are not formatted at all. The key is the bits, not
+the float: the float would merge ``-0.0`` with ``0.0``. Nothing outlives
+one entry line, so the writer needs the same memory for dense vectors,
+where every cell differs.
 """
 
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -145,11 +141,8 @@ class VectorIndex:
         chunks_path.parent.mkdir(parents=True, exist_ok=True)
         with index_path.open("w", encoding="utf-8") as fh:
             fh.write(json.dumps({"dimension": self.dimension, "entries": len(self._ids)}) + "\n")
-            cell_text = _FloatText()
             for cid, vec in zip(self._ids, self._vectors):
-                bits = np.ascontiguousarray(vec, dtype=np.float64).view(np.int64).tolist()
-                cells = ", ".join(map(cell_text.__getitem__, bits))
-                fh.write('{"id": ' + json.dumps(cid) + ', "v": [' + cells + "]}\n")
+                fh.write('{"id": ' + json.dumps(cid) + ', "v": [' + _cells_text(vec) + "]}\n")
         with chunks_path.open("w", encoding="utf-8") as fh:
             for cid in self._ids:
                 c = self._chunks[cid]
@@ -199,13 +192,14 @@ class VectorIndex:
         return index.freeze()
 
 
-class _FloatText(dict):
-    """float64 bit pattern -> the text ``json.dumps`` gives that float;
-    the encoder runs on a miss only."""
-
-    def __missing__(self, bits: int) -> str:
-        text = self[bits] = json.dumps(struct.unpack("<d", struct.pack("<q", bits))[0])
-        return text
+def _cells_text(vec: np.ndarray) -> str:
+    """The cells of one vector as ``json.dumps`` writes a float list, each
+    distinct bit pattern formatted once."""
+    vec = np.ascontiguousarray(vec, dtype=np.float64)
+    bits, where = np.unique(vec.view(np.int64), return_inverse=True)
+    fmt = float.__repr__ if np.isfinite(vec).all() else json.dumps
+    texts = np.array(list(map(fmt, bits.view(np.float64).tolist())), dtype=object)
+    return ", ".join(texts[where].tolist())
 
 
 def _jsonl_records(path: Path):

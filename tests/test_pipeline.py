@@ -13,7 +13,7 @@ from transmigrate.cli import main as cli_main
 from transmigrate.errors import ConfigurationError, IntegrityError, OrderingError, ToolError
 from transmigrate.knowledge.embed import HashedTokenEmbedder
 from transmigrate.knowledge.index import VectorIndex
-from transmigrate.pipeline import Pipeline
+from transmigrate.pipeline import STAGES, Pipeline
 from transmigrate.sourcemodel import parser
 
 
@@ -27,9 +27,6 @@ def output_tree(root):
     """Relative path -> bytes of every file under ``root``."""
     root = pathlib.Path(root)
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
-
-
-STAGE_NAMES = ("analyze", "index", "plan", "translate", "validate", "report")
 
 
 @pytest.fixture
@@ -571,7 +568,7 @@ class TestStageBoundaryResume:
         # Interrupting at every stage boundary and resuming must match the
         # golden single-run artifacts.
         config = make_run_config(fixture_project, tmp_path / "out")
-        for stage in STAGE_NAMES:
+        for stage in STAGES:
             Pipeline(config).run_stage(stage)  # fresh Pipeline each time
         out = run_config_path(config.output_root)
         assert (out / "report" / "report.json").read_bytes() == (GOLDEN_DIR / "report.json").read_bytes()
@@ -583,7 +580,7 @@ class TestStageBoundaryResume:
         single = make_run_config(fixture_project, tmp_path / "single", dump_prompts=True)
         run_full(single)
         stagewise = make_run_config(fixture_project, tmp_path / "stagewise", dump_prompts=True)
-        for stage in STAGE_NAMES:
+        for stage in STAGES:
             Pipeline(stagewise).run_stage(stage)
         single_tree = output_tree(single.output_root)
         assert any(name.startswith("prompts/") for name in single_tree)
@@ -621,11 +618,11 @@ class TestIndexReuse:
         # translate stage has only the saved index. One Pipeline running
         # the stages one by one keeps the index it built.
         fresh = make_run_config(fixture_project, tmp_path / "fresh")
-        for stage in STAGE_NAMES:
+        for stage in STAGES:
             Pipeline(fresh).run_stage(stage)
         same = make_run_config(fixture_project, tmp_path / "same")
         pipeline = Pipeline(same)
-        for stage in STAGE_NAMES:
+        for stage in STAGES:
             pipeline.run_stage(stage)
         assert index_loads == [tmp_path / "fresh"]
 

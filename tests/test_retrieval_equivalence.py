@@ -1,7 +1,7 @@
 """The vectorised embedding and top-k selection against the plain loops
 they replaced: same vector bits, same ids, same scores, for every k. The
-memoised index writer against the per-entry ``json.dumps`` it replaced:
-same bytes."""
+index writer, which formats each distinct cell of a vector once, against
+the per-entry ``json.dumps`` it replaced: same bytes."""
 
 import json
 import math
@@ -177,7 +177,7 @@ class TestIndexWriterEquivalence:
 
     @pytest.mark.parametrize("dimension", [1, 256])
     def test_signed_zeros_nan_and_infinities(self, dimension):
-        # 0.0 and -0.0 compare equal and NaN equals nothing: the memo must
+        # 0.0 and -0.0 compare equal and NaN equals nothing: the writer must
         # tell them apart by their bits, whichever comes first.
         cells = SPECIAL_CELLS + SPECIAL_CELLS[::-1] + [1e300, 5e-324]
         entries = [
@@ -185,6 +185,21 @@ class TestIndexWriterEquivalence:
             ("negative-zero-first", np.resize(np.array(cells[::-1]), dimension)),
             ("one-cell", np.array([-0.0] * dimension)),
         ]
+        ids = [f"{uri}#{ordinal}" for ordinal, (uri, _) in enumerate(entries)]
+        expected = reference_index_text(dimension, [(cid, vec) for cid, (_, vec) in zip(ids, entries)])
+        assert saved_index_bytes(dimension, entries) == expected
+
+    @pytest.mark.parametrize("dimension", [1, 7, 256])
+    def test_dense_vectors_with_every_cell_distinct(self, dimension):
+        # A remote embedder returns dense floats: no cell repeats, and one
+        # NaN or infinity among them changes how the whole vector is written.
+        rng = np.random.default_rng(dimension)
+        dense = [rng.standard_normal(dimension) for _ in range(4)]
+        dense = [vec / np.linalg.norm(vec) for vec in dense]
+        dense[1][0] = math.nan
+        dense[2][-1] = -math.inf
+        dense[3][0] = -0.0
+        entries = [(f"dense-{i}", vec) for i, vec in enumerate(dense)]
         ids = [f"{uri}#{ordinal}" for ordinal, (uri, _) in enumerate(entries)]
         expected = reference_index_text(dimension, [(cid, vec) for cid, (_, vec) in zip(ids, entries)])
         assert saved_index_bytes(dimension, entries) == expected
