@@ -4,8 +4,11 @@ Stage order: analyze -> index -> plan -> translate -> validate -> report.
 Every stage persists its artifacts under the output root before the state
 cursor advances, so an interrupted run resumes without repeating work
 (completed translation units are never re-sent to the backend). The state
-file hash-guards the source tree and configuration: resuming against
-modified inputs is refused.
+file is the stage cursor only: it is written once per completed stage. A
+translation unit is complete when its refinement payload exists; that
+payload is the last file the unit writes. The state file hash-guards the
+source tree and configuration: resuming against modified inputs is
+refused.
 
 With the mock backend and crawling disabled the whole run is
 bit-deterministic: no timestamps are written, every collection is sorted,
@@ -18,6 +21,7 @@ import hashlib
 import json
 import logging
 import os
+import shlex
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -65,7 +69,6 @@ STAGES = ("analyze", "index", "plan", "translate", "validate", "report")
 @dataclass
 class PipelineState:
     completed_stages: list[str] = field(default_factory=list)
-    unit_status: dict[str, str] = field(default_factory=dict)  # class -> pending|translated|failed
     input_hash: str = ""
     config_hash: str = ""
     seed: int = 0
@@ -165,13 +168,10 @@ class Pipeline:
             return state
         return PipelineState(input_hash=input_hash, config_hash=config_hash, seed=self.config.seed)
 
-    def _save_state(self) -> None:
-        self.state.save(self.state_path)
-
     def _mark_stage_done(self, stage: str) -> None:
         if stage not in self.state.completed_stages:
             self.state.completed_stages.append(stage)
-        self._save_state()
+        self.state.save(self.state_path)
 
     # ---- shared loading ---------------------------------------------------
 
@@ -302,37 +302,34 @@ class Pipeline:
         self._prompt_ordinal += 1
 
     def _unit_checks(self):
-        """Per-unit checks used inside the refinement loop: external syntax
-        and lint tools plus the platform residue scan."""
+        """Per-unit checks used inside the refinement loop: the external
+        syntax and lint tools, run in that order on one work file written
+        once per round, then the platform residue scan."""
         tools = self.config.tools
         rules = load_residue_rules()
         work_dir = self.out / "translate" / "work"
+        checkers = [(tools.syntax_check_cmd, "syntax"), (tools.lint_cmd, "lint")]
 
-        def tool_check(template: str, source: str):
-            def run(unit: TranslationUnit) -> list[IssueRecord]:
-                work_dir.mkdir(parents=True, exist_ok=True)
-                work_file = work_dir / unit.name
-                work_file.write_text(unit.code, encoding="utf-8")
-                rel = work_file.relative_to(self.out).as_posix()
-                status, output = run_external_check(
-                    rel, template, tools.timeout_seconds, cwd=self.out
-                )
-                issues, _skipped = parse_tool_output(output, source)
-                if status != 0 and not issues:
+        def tool_checks(unit: TranslationUnit) -> list[IssueRecord]:
+            work_dir.mkdir(parents=True, exist_ok=True)
+            work_file = work_dir / unit.name
+            work_file.write_text(unit.code, encoding="utf-8")
+            rel = work_file.relative_to(self.out).as_posix()
+            issues: list[IssueRecord] = []
+            for template, source in checkers:
+                status, output = run_external_check(rel, template, tools.timeout_seconds, cwd=self.out)
+                found, _skipped = parse_tool_output(output, source)
+                if status != 0 and not found:
                     raise ToolError(
-                        f"checker exited {status} without diagnostics: {output.strip()[-500:]!r}"
+                        f"{source} checker {shlex.split(template)[0]!r} exited {status} without "
+                        f"diagnostics on unit {unit.name}: {output.strip()[-500:]!r}"
                     )
-                for issue in issues:
-                    issue.file = unit.name
-                return issues
+                issues.extend(found)
+            for issue in issues:
+                issue.file = unit.name
+            return issues
 
-            return run
-
-        return [
-            tool_check(tools.syntax_check_cmd, "syntax"),
-            tool_check(tools.lint_cmd, "lint"),
-            lambda unit: platform_scan(unit.name, unit.code, rules),
-        ]
+        return [tool_checks, lambda unit: platform_scan(unit.name, unit.code, rules)]
 
     def stage_translate(self) -> None:
         plan = _read_artifact(self.out / "plan" / "plan.jsonl", "plan", TranslationPlan.from_jsonl)
@@ -356,15 +353,19 @@ class Pipeline:
         k = self.config.knowledge.retrieval_k
         unit_names = self._unit_names([d.qualified_name for d in descriptors])
         _write_json(self.out / "translate" / "unit_names.json", unit_names)
-
-        if self.config.dry_run:
-            pending = [c.name for _, c in plan.iter_classes() if self.state.unit_status.get(c.name) != "translated"]
-            logger.info("dry run: %d unit(s) would be translated: %s", len(pending), ", ".join(pending))
-            return
-
         units_dir = self.out / "translate" / "units"
         initial_dir = self.out / "translate" / "initial"
         refinement_dir = self.out / "translate" / "refinement"
+
+        def completed(qualified: str) -> bool:
+            # The refinement payload is the last file a unit writes, whole.
+            return (refinement_dir / f"{unit_names[qualified]}.json").is_file()
+
+        if self.config.dry_run:
+            pending = [c.name for _, c in plan.iter_classes() if not completed(c.name)]
+            logger.info("dry run: %d unit(s) would be translated: %s", len(pending), ", ".join(pending))
+            return
+
         component_outputs: dict[str, str] = {}
 
         def retrieve(text: str):
@@ -375,7 +376,7 @@ class Pipeline:
                 qualified = cls_plan.name
                 unit_base = unit_names[qualified]
                 unit_file = f"{unit_base}.swift"
-                if self.state.unit_status.get(qualified) == "translated" and (units_dir / unit_file).is_file():
+                if completed(qualified):
                     logger.info("skipping completed unit %s", qualified)
                     continue
                 descriptor = by_qualified[qualified]
@@ -448,8 +449,6 @@ class Pipeline:
                         ],
                     },
                 )
-                self.state.unit_status[qualified] = "translated"
-                self._save_state()
 
             member_units = [
                 f"// class: {c.name}\n" + (units_dir / f"{unit_names[c.name]}.swift").read_text(encoding="utf-8")

@@ -6,15 +6,21 @@ argv, never a shell string. A template whose program is
 ``transmigrate-stubcheck`` runs the bundled stub checker in this process;
 any other template runs as a child process. A nonzero exit with
 diagnostics is a normal outcome. A missing tool, a timeout or a crashed
-stub raises here. The pipeline also raises ``ToolError`` for a nonzero
-exit whose output holds no diagnostic line: that checker never ran, and
-its silence must not read as a clean file.
+stub raises here. A child runs in a session of its own; a timeout, or an
+interrupt while it runs, kills that whole process group, so a checker's
+own children (``swiftc`` starts ``swift-frontend``) die with it. The
+pipeline also raises ``ToolError`` for a nonzero exit whose output holds
+no diagnostic line: that checker never ran, and its silence must not read
+as a clean file.
 """
 
 from __future__ import annotations
 
+import os
 import shlex
+import signal
 import subprocess
+import threading
 from pathlib import Path
 
 from transmigrate.errors import ConfigurationError, ToolError
@@ -46,7 +52,11 @@ def run_external_check(
 
     ``cwd`` lets callers pass repository-relative paths so diagnostics come
     back with stable, machine-independent file names. ``timeout`` bounds
-    child processes only; the in-process stub has none."""
+    child processes only; the in-process stub has none. The child's output
+    is read by a blocking ``communicate()``, which reaps it with a blocking
+    wait (a timeout on ``communicate`` would reap by sleep-polling, a
+    millisecond or more per check); a watchdog thread kills the group when
+    ``timeout`` runs out, which ends the read."""
     argv = build_argv(command_template, file)
     if argv[0] == STUB_PROGRAM:
         try:
@@ -54,16 +64,44 @@ def run_external_check(
         except Exception as exc:  # e.g. RecursionError on deeply nested input
             raise ToolError(f"{STUB_PROGRAM} crashed on {file}: {exc!r}") from exc
     try:
-        proc = subprocess.run(
+        proc = subprocess.Popen(
             argv,
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
-            timeout=timeout,
             text=True,
             cwd=str(cwd) if cwd is not None else None,
+            start_new_session=True,
         )
     except FileNotFoundError as exc:
         raise ConfigurationError(f"checker tool not found: {argv[0]!r}") from exc
-    except subprocess.TimeoutExpired as exc:
-        raise ToolError(f"checker timed out after {timeout}s: {' '.join(argv)}") from exc
-    return proc.returncode, proc.stdout or ""
+    timed_out = threading.Event()
+
+    def expire() -> None:
+        timed_out.set()
+        _kill_group(proc)
+
+    watchdog = threading.Timer(timeout, expire)
+    watchdog.start()
+    try:
+        output, _ = proc.communicate()
+    except BaseException:  # e.g. KeyboardInterrupt: leave no checker behind
+        _kill_group(proc)
+        proc.stdout.close()
+        proc.wait()
+        raise
+    finally:
+        watchdog.cancel()
+    if timed_out.is_set():
+        raise ToolError(f"checker timed out after {timeout}s: {' '.join(argv)}")
+    return proc.returncode, output
+
+
+def _kill_group(proc: subprocess.Popen) -> None:
+    """SIGKILL every process in the child's group, unless the child has
+    been reaped (its pid may then be reused). The group outlives an exited
+    child while a grandchild still runs in it."""
+    if proc.returncode is None:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except (ProcessLookupError, PermissionError):  # gone; macOS gives EPERM for a zombie group
+            pass

@@ -145,8 +145,12 @@ class TestDeterminismAndResume:
             interrupted.run()
         monkeypatch.setattr(Pipeline, "_backend", real_factory)
 
+        # Logger is the one completed unit: its refinement payload, written
+        # last, is the only one; state.json holds the stage cursor only.
         state = json.loads((tmp_path / "out" / "state.json").read_text())
-        assert state["unit_status"] == {"com.example.core.Logger": "translated"}
+        payloads = sorted(p.name for p in (tmp_path / "out" / "translate" / "refinement").iterdir())
+        assert payloads == ["Logger.json"]
+        assert "unit_status" not in state
 
         class CountingBackend:
             def __init__(self, inner):
@@ -174,6 +178,69 @@ class TestDeterminismAndResume:
         (fixture_project / "README.md").write_text("drifted")
         with pytest.raises(IntegrityError):
             Pipeline(config)
+
+    def test_unit_without_refinement_payload_is_translated_again(self, fixture_project, tmp_path, monkeypatch):
+        import transmigrate.pipeline as pipeline_module
+
+        config = make_run_config(fixture_project, tmp_path / "out")
+        real_write_json = pipeline_module._write_json
+
+        def killed_before_payload(path, payload):
+            if path.name == "HttpClient.json" and path.parent.name == "refinement":
+                raise RuntimeError("simulated kill")
+            real_write_json(path, payload)
+
+        monkeypatch.setattr(pipeline_module, "_write_json", killed_before_payload)
+        with pytest.raises(RuntimeError, match="simulated kill"):
+            run_full(config)
+        monkeypatch.undo()
+        translate = tmp_path / "out" / "translate"
+        assert (translate / "units" / "HttpClient.swift").is_file()
+        assert not (translate / "refinement" / "HttpClient.json").exists()
+
+        class_prompts = []
+        real_factory = Pipeline._backend
+
+        class CountingBackend:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def translate(self, envelope):
+                if envelope.level == "class":
+                    class_prompts.append(envelope.slots.get("class_name"))
+                return self.inner.translate(envelope)
+
+        monkeypatch.setattr(Pipeline, "_backend", lambda self: CountingBackend(real_factory(self)))
+        run_full(config)
+        assert class_prompts == ["com.example.net.HttpClient", "com.example.ui.MainScreen"]
+        assert report_bytes(config)[1] == (GOLDEN_DIR / "report.json").read_bytes()
+
+    def test_dry_run_after_interrupted_translate_lists_pending_units(
+        self, fixture_project, tmp_path, monkeypatch, caplog
+    ):
+        from transmigrate.backends import MockBackend
+
+        config = make_run_config(fixture_project, tmp_path / "out")
+        real = MockBackend.translate
+        budget = [4]  # Logger's two method prompts, class prompt and repair
+
+        def crashing(self, envelope):
+            if budget[0] == 0:
+                raise RuntimeError("simulated interruption")
+            budget[0] -= 1
+            return real(self, envelope)
+
+        monkeypatch.setattr(MockBackend, "translate", crashing)
+        with pytest.raises(RuntimeError):
+            run_full(config)
+        calls = []
+        monkeypatch.setattr(MockBackend, "translate", lambda self, envelope: calls.append(envelope))
+        config.dry_run = True
+        with caplog.at_level("INFO", logger="transmigrate.pipeline"):
+            Pipeline(config).run_stage("translate")
+        assert calls == []
+        dry = [r.getMessage() for r in caplog.records if r.getMessage().startswith("dry run:")]
+        assert dry == ["dry run: 2 unit(s) would be translated: com.example.net.HttpClient, com.example.ui.MainScreen"]
 
 
 class TestParseOnce:
@@ -225,12 +292,26 @@ class TestArtifactWrites:
             raise OSError("disk full")
 
         monkeypatch.setattr(pathlib.Path, "write_text", write_half_then_fail)
-        pipeline.state.unit_status["com.example.core.Logger"] = "translated"
+        pipeline.state.completed_stages.append("index")
         with pytest.raises(OSError, match="disk full"):
             pipeline.state.save(pipeline.state_path)
         monkeypatch.undo()
         assert pipeline.state_path.read_text() == before
         assert json.loads(before)["completed_stages"] == ["analyze"]
+
+    def test_state_saved_once_per_stage(self, run_config, monkeypatch):
+        from transmigrate.pipeline import PipelineState
+
+        saves = []
+        real_save = PipelineState.save
+
+        def counting_save(self, path):
+            saves.append(list(self.completed_stages))
+            real_save(self, path)
+
+        monkeypatch.setattr(PipelineState, "save", counting_save)
+        run_full(run_config)
+        assert saves == [list(STAGES[: i + 1]) for i in range(len(STAGES))]
 
 
 class TestCheckerFailure:
@@ -255,6 +336,15 @@ class TestCheckerFailure:
             Pipeline(config).run()
         assert calls == []
         assert not (out / "report").exists()
+
+    def test_silent_checker_error_names_the_unit_and_the_program(self, fixture_project, tmp_path):
+        import re
+
+        config = make_run_config(fixture_project, tmp_path / "out")
+        config.tools.lint_cmd = f"{shlex.quote(sys.executable)} -c \"raise SystemExit(3)\" {{file}}"
+        wanted = f"lint checker {sys.executable!r} exited 3 without diagnostics on unit Logger.swift: ''"
+        with pytest.raises(ToolError, match=re.escape(wanted)):
+            Pipeline(config).run()
 
     def test_stub_crash_fails_the_stage(self, fixture_project, tmp_path, monkeypatch):
         from transmigrate.validation import stubcheck
@@ -430,6 +520,21 @@ class TestCli:
         assert cli_main([command, "--config", str(config_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: corrupt artifact {path}: JSONDecodeError")
+
+    def test_state_with_unit_status_exits_1(self, fixture_project, tmp_path, capsys):
+        # state.json kept per-unit status before units were marked complete
+        # by their refinement payloads; such a file is refused, not half-read.
+        config_path = self.write_config(tmp_path, fixture_project)
+        assert cli_main(["analyze", "--config", str(config_path)]) == 0
+        path = tmp_path / "out" / "state.json"
+        state = json.loads(path.read_text())
+        state["unit_status"] = {"com.example.core.Logger": "translated"}
+        path.write_text(json.dumps(state))
+        capsys.readouterr()
+        assert cli_main(["run", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: corrupt artifact {path}: TypeError")
+        assert "unit_status" in err and "Traceback" not in err
 
     def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"

@@ -279,6 +279,73 @@ class TestExternalTools:
         with pytest.raises(ToolError):
             run_external_check(f, slow, timeout=0.3)
 
+    def test_child_check_never_sleeps(self, tmp_path, monkeypatch):
+        # A child is reaped by a blocking wait, not by polling with sleeps.
+        import time
+
+        def no_sleep(seconds):
+            raise AssertionError(f"slept {seconds}s waiting for a checker")
+
+        f = tmp_path / "a.swift"
+        f.write_text("class A {}")
+        monkeypatch.setattr(time, "sleep", no_sleep)
+        assert run_external_check(f, "true {file}") == (0, "")
+
+    def test_child_diagnostic_and_status_returned(self, tmp_path):
+        (tmp_path / "a.swift").write_text("class A {}")
+        line = "a.swift:1:1: error: expected declaration"
+        code = f"import sys; print({line!r}); sys.exit(1)"
+        template = f"{shlex.quote(sys.executable)} -c {shlex.quote(code)} {{file}}"
+        assert run_external_check("a.swift", template, cwd=tmp_path) == (1, line + "\n")
+
+    def test_timeout_kills_the_checkers_process_group(self, tmp_path):
+        # The checker starts one grandchild that keeps the output pipe open
+        # and sleeps; the timeout ends the check and takes the grandchild too.
+        import os
+        import time
+
+        f = tmp_path / "a.swift"
+        f.write_text("class A {}")
+        pid_file = tmp_path / "grandchild.pid"
+        grandchild = f"import os, time; open({str(pid_file)!r}, 'w').write(str(os.getpid())); time.sleep(30)"
+        checker = f"import subprocess, sys; subprocess.Popen([sys.executable, '-c', {grandchild!r}]).wait()"
+        template = f"{shlex.quote(sys.executable)} -c {shlex.quote(checker)} {{file}}"
+        timeout = 1.0
+        started = time.monotonic()
+        with pytest.raises(ToolError, match="timed out"):
+            run_external_check(f, template, timeout=timeout)
+        assert time.monotonic() - started < timeout + 2
+        pid = int(pid_file.read_text())
+        # The killed grandchild is an orphan until the init process reaps
+        # it, which can take a second or two; unkilled, it would sleep 30 s.
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline:
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                break
+            time.sleep(0.05)
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+    def test_interrupted_check_kills_the_checker(self, tmp_path, monkeypatch):
+        import signal
+
+        f = tmp_path / "a.swift"
+        f.write_text("class A {}")
+        children = []
+
+        def interrupted(self, *args, **kwargs):
+            children.append(self)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
+        slow = f"{shlex.quote(sys.executable)} -c \"import time; time.sleep(30)\" {{file}}"
+        with pytest.raises(KeyboardInterrupt):
+            run_external_check(f, slow)
+        (child,) = children
+        assert child.returncode == -signal.SIGKILL
+
     def test_stub_lint_reproduces_canonical_listing(self, tmp_path):
         # A file whose line 68 carries trailing whitespace, checked under a
         # relative path, must reproduce the canonical lint line exactly.
