@@ -4,6 +4,12 @@ Text is split into chunks of at most 1,000 characters with a 100-character
 overlap between consecutive chunks. Chunk ids are ``<source_uri>#<ordinal>``
 and therefore stable across runs, which makes ingestion idempotent and
 retrieval tie-breaks deterministic.
+
+Source files contribute their comments. A file the caller has already
+parsed gives its comment tokens from that parse (``Ast.comments``) when
+the parse read the same text: ``SourceFile.read`` translates newlines,
+and ingest decodes the raw bytes, so a file with a carriage return is
+lexed again, as is a source file with no parse (a ``.swift`` file).
 """
 
 from __future__ import annotations
@@ -13,7 +19,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from transmigrate.sourcemodel import lexer
-from transmigrate.sourcemodel.grammar import profile_for_extension
+from transmigrate.sourcemodel.grammar import GrammarProfile, profile_for_extension
+from transmigrate.sourcemodel.parser import Ast
 
 logger = logging.getLogger(__name__)
 
@@ -84,11 +91,17 @@ def infer_kind(rel_path: str) -> str | None:
     return None
 
 
-def ingest_repository(root: str | Path) -> list[DocumentChunk]:
+def ingest_repository(
+    root: str | Path, asts: dict[str, Ast] | None = None, grammar_dir: str | Path | None = None
+) -> list[DocumentChunk]:
     """Walk ``root`` and chunk every ingestible text file, in sorted path
     order. Binary files are skipped with a logged notice, never an error.
-    Source files contribute their comments (kind ``code_comment``)."""
+    Source files contribute their comments (kind ``code_comment``), lexed
+    with the grammars in ``grammar_dir``; a file whose parse in ``asts``
+    (by root-relative path) read the same text takes the comment tokens of
+    that parse instead."""
     root = Path(root)
+    asts = asts or {}
     chunks: list[DocumentChunk] = []
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
         rel = path.relative_to(root).as_posix()
@@ -105,7 +118,16 @@ def ingest_repository(root: str | Path) -> list[DocumentChunk]:
             continue
         text = raw.decode("utf-8", errors="replace")
         if kind == "code_comment":
-            for i, comment in enumerate(_extract_comments(rel, text)):
+            profile = profile_for_extension(rel, grammar_dir)
+            if profile is None:
+                continue
+            ast = asts.get(rel)
+            if ast is not None and ast.source.text == text:
+                data, comments = ast.source.data, ast.comments
+            else:
+                data = text.encode("utf-8")
+                comments = [t for t in lexer.tokenize(data, profile) if t.kind == lexer.COMMENT]
+            for i, comment in enumerate(_comment_blocks(comments, data, profile)):
                 chunks.extend(
                     chunk_text(f"{rel}:comment{i}", "code_comment", comment, {"path": rel})
                 )
@@ -114,29 +136,25 @@ def ingest_repository(root: str | Path) -> list[DocumentChunk]:
     return chunks
 
 
-def _extract_comments(rel_path: str, text: str) -> list[str]:
-    """Comment blocks of a source file; line comments on consecutive lines
-    merge into one block."""
-    profile = profile_for_extension(rel_path)
-    if profile is None:
-        return []
-    data = text.encode("utf-8")
+def _comment_blocks(comments: list[lexer.Token], data: bytes, profile: GrammarProfile) -> list[str]:
+    """Comment blocks of a source file from its comment tokens, in order;
+    line comments on consecutive lines merge into one block."""
     line_marker = profile.line_comment
     blocks: list[str] = []
     run: list[str] = []
     prev_line: int | None = None
+    line, counted_to = 1, 0  # line number at byte offset ``counted_to``
 
     def flush_run() -> None:
         if run:
             blocks.append("\n".join(run))
             run.clear()
 
-    for tok in lexer.tokenize(data, profile):
-        if tok.kind != lexer.COMMENT:
-            continue
+    for tok in comments:
         stripped = _strip_comment_markers(tok.text, profile)
         if line_marker is not None and tok.text.startswith(line_marker):
-            line = lexer.line_and_column(data, tok.start)[0]
+            line += data.count(b"\n", counted_to, tok.start)
+            counted_to = tok.start
             if not (run and prev_line is not None and line == prev_line + 1):
                 flush_run()
             run.append(stripped)

@@ -6,34 +6,47 @@ randomization) into a fixed number of buckets and the count vector is
 L2-normalized. Text with no alphanumeric token but some characters hashes
 as one token, its whole lowercased text.
 
-Each embedder memoises ``token -> bucket``, so md5 runs once per distinct
-token; documents and queries drawn from one project share most of their
-vocabulary. The memo lives as long as the embedder and holds one entry per
-distinct token it has seen. The counts come from ``np.bincount`` over the
-bucket numbers. They are exact small integers, so the vector is bitwise
-the one a per-token ``counts[bucket] += 1.0`` loop gives.
+Texts are embedded in blocks, one row per text (``embed_many``); ``embed``
+is row 0 of a one-text block. A text is tokenized on its lowered UTF-8
+bytes: a 256-byte table keeps ASCII ``a``-``z`` and ``0``-``9`` and turns
+every other byte into a space, and ``split`` cuts the tokens. Every byte
+of a non-ASCII character is at least 0x80, so the tokens are those of
+``[a-z0-9]+`` on the lowered string, and md5 sees the same bytes.
+
+Each embedder memoises ``token bytes -> bucket``, so md5 runs once per
+distinct token; documents and queries drawn from one project share most of
+their vocabulary. The memo lives as long as the embedder and holds one
+entry per distinct token it has seen. A block of texts makes one
+``np.bincount`` over ``row * dimension + bucket``. The counts are exact
+small integers and so are their squared sums (below 2**53), so each row,
+and its norm, is bitwise what a per-token ``counts[bucket] += 1.0`` loop
+and ``np.linalg.norm`` give.
 
 A remote provider with the same contract can be swapped in through
 configuration; its wire format is a JSON POST of ``{"input": <text>}``
-answered by ``{"embedding": [numbers]}``.
+answered by ``{"embedding": [numbers]}``, one request per text.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import re
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
 
 import numpy as np
 
-from transmigrate.errors import RetryableBackendError
+from transmigrate.errors import IntegrityError, RetryableBackendError
 
 DEFAULT_DIMENSION = 256
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+# Texts per bincount block: the block's count matrix is rows * dimension
+# integers, 2 MB at the default dimension.
+_BLOCK_ROWS = 1024
+
+# Byte translation table: ASCII a-z and 0-9 stay, every other byte is a space.
+_SEPARATORS = bytes(b if b in b"abcdefghijklmnopqrstuvwxyz0123456789" else 0x20 for b in range(256))
 
 
 @dataclass(frozen=True)
@@ -48,21 +61,23 @@ class EmbeddingVector:
         return float(np.dot(self.values, other.values))
 
 
-def _bucket(token: str, dimension: int) -> int:
-    digest = hashlib.md5(token.encode("utf-8")).hexdigest()
-    return int(digest[:8], 16) % dimension
-
-
 class _BucketMemo(dict):
-    """``token -> bucket`` for one dimension; md5 runs on a miss only."""
+    """``token bytes -> bucket`` for one dimension; md5 runs on a miss only."""
 
     def __init__(self, dimension: int) -> None:
         super().__init__()
         self.dimension = dimension
 
-    def __missing__(self, token: str) -> int:
-        bucket = self[token] = _bucket(token, self.dimension)
+    def __missing__(self, token: bytes) -> int:
+        bucket = self[token] = int(hashlib.md5(token).hexdigest()[:8], 16) % self.dimension
         return bucket
+
+
+def _tokens(text: str) -> list[bytes]:
+    """The ``[a-z0-9]+`` tokens of the lowered text as bytes, or the whole
+    lowered text when it has characters but no such token."""
+    lowered = text.lower().encode("utf-8", "surrogatepass")
+    return lowered.translate(_SEPARATORS).split() or ([lowered] if lowered else [])
 
 
 class HashedTokenEmbedder:
@@ -76,18 +91,27 @@ class HashedTokenEmbedder:
         self._buckets = _BucketMemo(dimension)
 
     def embed(self, text: str) -> EmbeddingVector:
-        self.call_count += 1
-        tokens = _TOKEN_RE.findall(text.lower())
-        if not tokens and text:
-            # No alphanumeric content: hash the raw text so non-empty input
-            # still gets a unit vector.
-            tokens = [text.lower()]
-        buckets = np.fromiter(map(self._buckets.__getitem__, tokens), dtype=np.intp, count=len(tokens))
-        counts = np.bincount(buckets, minlength=self.dimension).astype(np.float64)
-        norm = float(np.linalg.norm(counts))
-        if norm == 0.0:
-            return EmbeddingVector(counts)
-        return EmbeddingVector(counts / norm)
+        return EmbeddingVector(self.embed_many([text])[0])
+
+    def embed_many(self, texts: list[str]) -> np.ndarray:
+        """One row per text, shape ``(len(texts), dimension)``."""
+        self.call_count += len(texts)
+        dim = self.dimension
+        out = np.empty((len(texts), dim))
+        for start in range(0, len(texts), _BLOCK_ROWS):
+            lengths: list[int] = []
+            buckets: list[int] = []
+            for text in texts[start : start + _BLOCK_ROWS]:
+                tokens = _tokens(text)
+                lengths.append(len(tokens))
+                buckets.extend(map(self._buckets.__getitem__, tokens))
+            rows = len(lengths)
+            cells = np.repeat(np.arange(0, rows * dim, dim), lengths) + np.array(buckets, dtype=np.intp)
+            counts = np.bincount(cells, minlength=rows * dim).reshape(rows, dim)
+            norms = np.sqrt(np.square(counts).sum(axis=1))
+            # A text with no token keeps its zero row; any other norm is >= 1.
+            np.divide(counts, np.maximum(norms, 1.0)[:, None], out=out[start : start + rows])
+        return out
 
 
 class RemoteEmbedder:
@@ -119,3 +143,16 @@ class RemoteEmbedder:
         if norm > 0.0:
             values = values / norm
         return EmbeddingVector(values)
+
+    def embed_many(self, texts: list[str]) -> np.ndarray:
+        """One request per text, one row per response; a response of another
+        dimension than the configured one is an IntegrityError."""
+        out = np.empty((len(texts), self.dimension))
+        for row, text in enumerate(texts):
+            values = self.embed(text).values
+            if values.shape != (self.dimension,):
+                raise IntegrityError(
+                    f"vector dimension {values.size} does not match index dimension {self.dimension}"
+                )
+            out[row] = values
+        return out

@@ -1,6 +1,9 @@
 """Exact (flat) cosine-similarity index.
 
-Entries are written then frozen; queries are only valid on a frozen index.
+An index is built whole, from its chunks and one ``(entries, dimension)``
+matrix holding their vectors, row i the vector of chunk i: ``build_index``
+embeds every chunk in one ``embed_many`` call and ``load`` fills a matrix
+allocated from the header's entry count. Entries never change afterwards.
 Query results are the exact top-k by cosine score with ties broken by
 chunk id ascending, so retrieval is reproducible and, for any k1 < k2,
 query(k1) is a prefix of query(k2). For tie-breaking, scores compare at
@@ -17,12 +20,12 @@ entries score ``>= t``, and ``round`` is monotone, so a member has
 0.5e-12. Only the candidates get the exact key: ``round`` runs once per
 distinct candidate score, the last rounded value that still reaches the
 top-k is found by partition, and the tied entries at that value are cut
-by an id-rank array that ``freeze()`` computes once (the rank of each
-entry's id, insertion order among equal ids, as a stable sort gives). A
-query that shares no token with most chunks makes every zero score a
-candidate; that case stays in numpy too. Ties, prefix order and the
-returned scores are those of a full sort by the key: the selection
-changes neither the tie rule nor the file format.
+by an id-rank array computed once per index (the rank of each entry's id,
+insertion order among equal ids, as a stable sort gives). A query that
+shares no token with most chunks makes every zero score a candidate; that
+case stays in numpy too. Ties, prefix order and the returned scores are
+those of a full sort by the key: the selection changes neither the tie
+rule nor the file format.
 
 Persistence is line-delimited JSON: a header line with the dimension and
 entry count, then one ``{"id": ..., "v": [...]}`` line per entry. Chunks
@@ -31,15 +34,15 @@ parse, or an id with no saved chunk, is an IntegrityError naming the file
 and line.
 
 ``save`` writes the bytes ``json.dumps({"id": id, "v": [floats]})`` gives,
-but assembles each entry line itself: the id goes through ``json.dumps``,
-and the cells of one vector are formatted once per distinct float64 bit
-pattern in that vector (``np.unique`` on the bits), with ``float.__repr__``,
-the encoder's text for a finite float, or ``json.dumps`` when the vector
-holds NaN or an infinity. A normalised count vector holds few distinct
-values, so most cells are not formatted at all. The key is the bits, not
-the float: the float would merge ``-0.0`` with ``0.0``. Nothing outlives
-one entry line, so the writer needs the same memory for dense vectors,
-where every cell differs.
+but formats a block of rows at a time, about 65,536 cells, so the writer's
+memory stays small for dense vectors too. A cell whose bits are 0 (positive
+zero, most cells of a count vector) is written as ``0.0`` without sorting.
+The other cells of the block are formatted once per distinct float64 bit
+pattern (``np.unique`` on the bits), with ``float.__repr__``, the encoder's
+text for a finite float, or ``json.dumps`` when the block holds NaN or an
+infinity. The key is the bits, not the float: the float would merge
+``-0.0`` with ``0.0``. Each row is then joined from an object array of
+those texts; the id goes through ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -58,6 +61,9 @@ from transmigrate.knowledge.embed import EmbeddingVector
 # 0.5e-12 each); the margin doubles that to cover float error.
 _CANDIDATE_MARGIN = 2e-12
 
+# Cells ``save`` formats per block of rows.
+_BLOCK_CELLS = 65_536
+
 
 @dataclass
 class RetrievalResult:
@@ -66,43 +72,24 @@ class RetrievalResult:
 
 
 class VectorIndex:
-    def __init__(self, dimension: int) -> None:
-        self.dimension = dimension
-        self._ids: list[str] = []
-        self._vectors: list[np.ndarray] = []
-        self._chunks: dict[str, DocumentChunk] = {}
-        self._matrix: np.ndarray | None = None
-        self._id_rank: np.ndarray | None = None
-        self.frozen = False
+    def __init__(self, chunks: list[DocumentChunk], matrix: np.ndarray) -> None:
+        """An index over ``chunks``; row i of ``matrix`` is the vector of
+        chunk i. A chunk id given twice maps to its last chunk."""
+        if matrix.ndim != 2 or matrix.shape[0] != len(chunks):
+            raise IntegrityError(f"index matrix of shape {matrix.shape} does not hold {len(chunks)} rows")
+        self.dimension = int(matrix.shape[1])
+        self._ids = [c.chunk_id for c in chunks]
+        self._chunks = dict(zip(self._ids, chunks))
+        self._matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+        # sorted() is stable, so equal ids keep their insertion order.
+        by_id = sorted(range(len(self._ids)), key=self._ids.__getitem__)
+        self._id_rank = np.empty(len(by_id), dtype=np.intp)
+        self._id_rank[by_id] = np.arange(len(by_id))
 
     def __len__(self) -> int:
         return len(self._ids)
 
-    def add(self, chunk: DocumentChunk, vector: EmbeddingVector) -> None:
-        if self.frozen:
-            raise IntegrityError("index is frozen; entries are immutable")
-        if vector.dimension != self.dimension:
-            raise IntegrityError(
-                f"vector dimension {vector.dimension} does not match index dimension {self.dimension}"
-            )
-        self._ids.append(chunk.chunk_id)
-        self._vectors.append(vector.values)
-        self._chunks[chunk.chunk_id] = chunk
-
-    def freeze(self) -> "VectorIndex":
-        if not self.frozen:
-            self._matrix = (
-                np.vstack(self._vectors) if self._vectors else np.zeros((0, self.dimension))
-            )
-            # sorted() is stable, so equal ids keep their insertion order.
-            by_id = sorted(range(len(self._ids)), key=self._ids.__getitem__)
-            self._id_rank = np.empty(len(by_id), dtype=np.intp)
-            self._id_rank[by_id] = np.arange(len(by_id))
-            self.frozen = True
-        return self
-
     def scores(self, vector: EmbeddingVector) -> np.ndarray:
-        assert self._matrix is not None
         return self._matrix @ vector.values
 
     def chunk(self, chunk_id: str) -> DocumentChunk:
@@ -111,7 +98,6 @@ class VectorIndex:
     def top_k(self, scores: np.ndarray, k: int) -> list[tuple[str, float]]:
         """(id, score) of the k best entries under ``(-round(s, 12), id)``,
         best first; see the module docstring."""
-        assert self._id_rank is not None
         n = len(scores)
         if k < n:
             kth = scores[np.argpartition(scores, n - k)[n - k]]
@@ -139,23 +125,24 @@ class VectorIndex:
         chunks_path = Path(chunks_path)
         index_path.parent.mkdir(parents=True, exist_ok=True)
         chunks_path.parent.mkdir(parents=True, exist_ok=True)
+        rows = max(1, _BLOCK_CELLS // max(self.dimension, 1))
         with index_path.open("w", encoding="utf-8") as fh:
             fh.write(json.dumps({"dimension": self.dimension, "entries": len(self._ids)}) + "\n")
-            for cid, vec in zip(self._ids, self._vectors):
-                fh.write('{"id": ' + json.dumps(cid) + ', "v": [' + _cells_text(vec) + "]}\n")
+            for start in range(0, len(self._ids), rows):
+                fh.write(_rows_text(self._ids[start : start + rows], self._matrix[start : start + rows]))
+        encode = json.JSONEncoder(sort_keys=True).encode
         with chunks_path.open("w", encoding="utf-8") as fh:
             for cid in self._ids:
                 c = self._chunks[cid]
                 fh.write(
-                    json.dumps(
+                    encode(
                         {
                             "source_uri": c.source_uri,
                             "kind": c.kind,
                             "text": c.text,
                             "metadata": c.metadata,
                             "ordinal": c.ordinal,
-                        },
-                        sort_keys=True,
+                        }
                     )
                     + "\n"
                 )
@@ -175,7 +162,16 @@ class VectorIndex:
         lineno, header = next(records, (1, {}))
         if "dimension" not in header or "entries" not in header:
             raise IntegrityError(f"{index_path}:{lineno}: index header has no dimension and entry count")
-        index = cls(dimension=int(header["dimension"]))
+        try:
+            dimension, entries = int(header["dimension"]), int(header["entries"])
+        except (TypeError, ValueError) as exc:
+            raise IntegrityError(f"{index_path}:{lineno}: corrupt index header: {exc}") from exc
+        # Every cell takes more than one byte, so a header promising more
+        # cells than the file has bytes is corrupt: it gets no matrix, and
+        # the entry count check below reports it.
+        fits = 0 <= entries and entries * max(dimension, 1) <= index_path.stat().st_size
+        matrix = np.empty((entries if fits else 0, max(dimension, 0)))
+        chunks: list[DocumentChunk] = []
         for lineno, rec in records:
             chunk = by_id.get(rec.get("id"))
             if chunk is None:
@@ -184,22 +180,34 @@ class VectorIndex:
                 values = np.asarray(rec["v"], dtype=np.float64)
             except (KeyError, TypeError, ValueError) as exc:
                 raise IntegrityError(f"{index_path}:{lineno}: corrupt vector: {exc!r}") from exc
-            index.add(chunk, EmbeddingVector(values))
-        if len(index) != int(header["entries"]):
+            if values.shape != (dimension,):
+                raise IntegrityError(f"vector dimension {values.size} does not match index dimension {dimension}")
+            if len(chunks) < len(matrix):
+                matrix[len(chunks)] = values
+            chunks.append(chunk)
+        if len(chunks) != entries:
             raise IntegrityError(
-                f"index file corrupt: header says {header['entries']} entries, found {len(index)}"
+                f"index file corrupt: header says {header['entries']} entries, found {len(chunks)}"
             )
-        return index.freeze()
+        return cls(chunks, matrix)
 
 
-def _cells_text(vec: np.ndarray) -> str:
-    """The cells of one vector as ``json.dumps`` writes a float list, each
-    distinct bit pattern formatted once."""
-    vec = np.ascontiguousarray(vec, dtype=np.float64)
-    bits, where = np.unique(vec.view(np.int64), return_inverse=True)
-    fmt = float.__repr__ if np.isfinite(vec).all() else json.dumps
-    texts = np.array(list(map(fmt, bits.view(np.float64).tolist())), dtype=object)
-    return ", ".join(texts[where].tolist())
+def _rows_text(ids: list[str], block: np.ndarray) -> str:
+    """The entry lines of ``ids`` and their rows of the matrix, as
+    ``json.dumps`` writes them; see the module docstring."""
+    bits = block.view(np.int64).ravel()
+    nonzero = np.flatnonzero(bits)
+    distinct, where = np.unique(bits[nonzero], return_inverse=True)
+    values = distinct.view(np.float64)
+    fmt = float.__repr__ if np.isfinite(values).all() else json.dumps
+    # Text i + 1 is that of distinct pattern i; text 0 is positive zero's.
+    texts = np.array(["0.0", *map(fmt, values.tolist())], dtype=object)
+    cells = np.zeros(len(bits), dtype=np.intp)
+    cells[nonzero] = where + 1
+    return "".join(
+        '{"id": ' + json.dumps(cid) + ', "v": [' + ", ".join(row) + "]}\n"
+        for cid, row in zip(ids, texts[cells].reshape(block.shape).tolist())
+    )
 
 
 def _jsonl_records(path: Path):
@@ -219,19 +227,14 @@ def _jsonl_records(path: Path):
 
 
 def build_index(chunks: list[DocumentChunk], embedder) -> VectorIndex:
-    """Embed every chunk and return a frozen index."""
-    index = VectorIndex(dimension=embedder.dimension)
-    for chunk in chunks:
-        index.add(chunk, embedder.embed(chunk.text))
-    return index.freeze()
+    """Embed every chunk, in one ``embed_many`` call, and return the index."""
+    return VectorIndex(chunks, embedder.embed_many([c.text for c in chunks]))
 
 
 def query(index: VectorIndex, text: str, k: int, embedder) -> list[RetrievalResult]:
     """Exact top-k by cosine similarity; ties broken by chunk id ascending."""
     if k <= 0:
         raise ArgumentError(f"k must be positive, got {k}")
-    if not index.frozen:
-        raise IntegrityError("query requires a frozen index")
     if len(index) == 0:
         return []
     vector = embedder.embed(text)

@@ -178,7 +178,8 @@ class Pipeline:
     def _java_model(self) -> tuple[dict[str, Ast], list[ClassDescriptor]]:
         """ASTs by repository-relative path, and the class descriptors, of
         every ``.java`` file under the source root, parsed once per
-        pipeline: analyze leaves them for translate, which drops them."""
+        pipeline: analyze leaves them for index (comment chunks) and
+        translate, which drops them."""
         if self._java is None:
             root = Path(self.config.source_root)
             asts: dict[str, Ast] = {}
@@ -237,7 +238,10 @@ class Pipeline:
                 logger.info("index cache hit; skipping embedding")
                 self._mark_stage_done("index")
                 return
-        chunks = ingest_repository(self.config.source_root)
+        # Comment chunks reuse the parse analyze left in this process; without
+        # it, ingest lexes the sources instead of parsing them here.
+        asts = self._java[0] if self._java is not None else None
+        chunks = ingest_repository(self.config.source_root, asts, self.config.grammar_dir)
         crawl = self.config.knowledge.crawl
         if crawl.enabled and crawl.start_url:
             chunks.extend(crawl_site(crawl.start_url, crawl.max_depth, crawl.max_pages))

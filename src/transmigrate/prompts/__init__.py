@@ -9,7 +9,9 @@ units of four characters.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -126,11 +128,18 @@ def default_templates_dir() -> Path:
 
 def load_template(level: str, templates_dir: str | Path | None = None) -> PromptTemplate:
     """Load and validate one level's template: every slot must be known for
-    the level and every mandatory heading must appear verbatim."""
+    the level and every mandatory heading must appear verbatim. A template
+    is read once per process for each level and absolute directory; a
+    missing or invalid one raises on every call."""
+    directory = Path(templates_dir) if templates_dir is not None else default_templates_dir()
+    return _load_template(level, os.path.abspath(directory))
+
+
+@functools.cache
+def _load_template(level: str, directory: str) -> PromptTemplate:
     if level not in LEVELS:
         raise AssemblyError(f"unknown prompt level {level!r}")
-    directory = Path(templates_dir) if templates_dir is not None else default_templates_dir()
-    body = (directory / f"{level}.txt").read_text(encoding="utf-8")
+    body = Path(directory, f"{level}.txt").read_text(encoding="utf-8")
     template = PromptTemplate(level=level, body=body)
     known = set(MANDATORY_SLOTS[level]) | {SPEC_SLOT.get(level, "")}
     for slot in template.slots:

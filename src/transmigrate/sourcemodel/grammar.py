@@ -5,12 +5,15 @@ syntax of one language: comment markers, string delimiters, keyword
 classes, and how type/member declarations are introduced. The parser is
 generic; all language specifics live in these files. Profiles are loaded
 from a configurable grammar directory so deployments can adjust or add
-languages without code changes.
+languages without code changes. A profile is read once per process for
+each language and absolute directory; a missing one raises on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -57,7 +60,12 @@ def load_grammar(language: str, grammar_dir: str | Path | None = None) -> Gramma
     Raises ConfigurationError when no profile file exists for the language.
     """
     directory = Path(grammar_dir) if grammar_dir is not None else default_grammar_dir()
-    path = directory / f"{language}.json"
+    return _load_grammar(language, os.path.abspath(directory))
+
+
+@functools.cache
+def _load_grammar(language: str, directory: str) -> GrammarProfile:
+    path = Path(directory, f"{language}.json")
     if not path.is_file():
         raise ConfigurationError(f"no grammar available for language {language!r} (looked in {directory})")
     raw = json.loads(path.read_text(encoding="utf-8"))

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from transmigrate.errors import StructuralError
 from transmigrate.sourcemodel.extract import CallSite, ClassDescriptor
@@ -45,7 +46,15 @@ class DependencyGraph:
         return {t for f, t, _ in self.edges if f == node}
 
     def out_edges(self, node: str) -> list[Edge]:
-        return sorted(e for e in self.edges if e[0] == node)
+        return list(self._out_edges.get(node, ()))
+
+    @cached_property
+    def _out_edges(self) -> dict[str, list[Edge]]:
+        """node -> its outgoing edges, sorted; built on first use."""
+        adjacency: dict[str, list[Edge]] = {}
+        for edge in sorted(self.edges):
+            adjacency.setdefault(edge[0], []).append(edge)
+        return adjacency
 
     def dependencies(self) -> dict[str, set[str]]:
         """node -> set of distinct targets it depends on (self excluded)."""

@@ -6,7 +6,9 @@ Non-ASCII bytes are treated as identifier constituents, which is safe for
 both Java and Swift identifiers and keeps the scanner single-pass.
 
 The tokenizer never fails: unterminated strings run to end of line,
-unterminated block comments run to end of input.
+unterminated block comments run to end of input, and no token ends past
+the end of input (a literal ending in an escape at end of input stops
+there).
 """
 
 from __future__ import annotations
@@ -105,6 +107,7 @@ def tokenize(data: bytes, profile: GrammarProfile) -> list[Token]:
                         if data[i] == 0x0A:  # unterminated: stop at newline
                             break
                         i += 1
+                    i = min(i, n)  # an escape at end of input ends there
                 emit(STRING, start, i)
                 matched_string = True
                 break
@@ -123,6 +126,7 @@ def tokenize(data: bytes, profile: GrammarProfile) -> list[Token]:
                 if data[i] == 0x0A:
                     break
                 i += 1
+            i = min(i, n)
             emit(CHAR, start, i)
             continue
         if _is_ident_start(b):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import random
 import threading
@@ -7,11 +8,13 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 
+import transmigrate.knowledge.chunks as chunks_module
 from transmigrate.errors import ArgumentError, CrawlError, IntegrityError
 from transmigrate.knowledge.chunks import CHUNK_OVERLAP, CHUNK_SIZE, DocumentChunk, chunk_text, ingest_repository
 from transmigrate.knowledge.crawl import crawl_site
 from transmigrate.knowledge.embed import HashedTokenEmbedder
 from transmigrate.knowledge.index import VectorIndex, build_index, query
+from transmigrate.sourcemodel.parser import SourceFile, parse_source
 
 
 class TestChunking:
@@ -70,6 +73,42 @@ class TestIngestion:
         assert kinds == {"code_comment"}
         texts = " ".join(c.text for c in chunks)
         assert "top note" in texts and "body comment" in texts
+
+    def test_comments_from_the_parse_equal_a_fresh_lex(self, tmp_path, monkeypatch):
+        # Line comments on consecutive lines merge; a blank line, code or a
+        # block comment between them starts a new block. B.java has CRLF
+        # line ends and a lone CR, which SourceFile.read turns into LF, so
+        # its parse read other text and ingest lexes the raw bytes again.
+        java = (
+            "// one\n// two\n\n// three\nclass A {\n  /* block\n   * body */\n"
+            "  int x; // four\n  // five\n  void m() {}\n}\n"
+        )
+        (tmp_path / "A.java").write_text(java)
+        (tmp_path / "B.java").write_bytes(b"// crlf one\r\n// crlf two\r// same line\r\nclass B {}\r\n")
+        (tmp_path / "C.swift").write_text("// swift one\n// swift two\nclass C {}\n")
+        asts = {
+            rel: parse_source(SourceFile.read(tmp_path / rel, rel, "java")) for rel in ("A.java", "B.java")
+        }
+        assert asts["B.java"].source.text != (tmp_path / "B.java").read_bytes().decode()
+        lexed = []
+        real_tokenize = chunks_module.lexer.tokenize
+        monkeypatch.setattr(
+            chunks_module.lexer, "tokenize", lambda data, profile: lexed.append(data) or real_tokenize(data, profile)
+        )
+        fresh = ingest_repository(tmp_path)
+        assert len(lexed) == 3
+        lexed.clear()
+        reused = ingest_repository(tmp_path, asts)
+        assert lexed == [(tmp_path / name).read_bytes() for name in ("B.java", "C.swift")]
+        assert reused == fresh
+        assert [(c.source_uri, c.text) for c in fresh] == [
+            ("A.java:comment0", "one\ntwo"),
+            ("A.java:comment1", "three"),
+            ("A.java:comment2", "block\nbody"),
+            ("A.java:comment3", "four\nfive"),
+            ("B.java:comment0", "crlf one\ncrlf two\r// same line"),
+            ("C.swift:comment0", "swift one\nswift two"),
+        ]
 
     def test_issue_and_pull_request_kinds(self, tmp_path):
         (tmp_path / "issues").mkdir()
@@ -187,20 +226,13 @@ class TestIndexAndQuery:
         with pytest.raises(IntegrityError):
             query(index, "x", 1, e32)
 
-    def test_query_requires_frozen_index(self):
+    def test_index_rejects_a_matrix_of_another_row_count(self):
         e = HashedTokenEmbedder(16)
-        index = VectorIndex(16)
-        index.add(DocumentChunk("a", "api_doc", "text"), e.embed("text"))
+        chunks = random_chunks(3, random.Random(1))
         with pytest.raises(IntegrityError):
-            query(index, "text", 1, e)
-        index.freeze()
-        assert query(index, "text", 1, e)[0].chunk.chunk_id == "a#0"
-
-    def test_frozen_index_rejects_additions(self):
-        e = HashedTokenEmbedder(16)
-        index = build_index(random_chunks(2, random.Random(1)), e)
+            VectorIndex(chunks, e.embed_many([c.text for c in chunks[:2]]))
         with pytest.raises(IntegrityError):
-            index.add(DocumentChunk("z", "api_doc", "zz"), e.embed("zz"))
+            VectorIndex(chunks, np.zeros(3))
 
     def test_save_load_round_trip(self, tmp_path):
         e = HashedTokenEmbedder(24)
@@ -213,6 +245,24 @@ class TestIndexAndQuery:
             after = [(r.chunk.chunk_id, r.score) for r in query(loaded, qtext, 4, e)]
             assert before == after
 
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ({"dimension": 24, "entries": 2}, "header says 2 entries, found 3"),
+            ({"dimension": 24, "entries": 4}, "header says 4 entries, found 3"),
+            ({"dimension": 24, "entries": 10**15}, "header says 1000000000000000 entries, found 3"),
+            ({"dimension": 23, "entries": 3}, "vector dimension 24 does not match index dimension 23"),
+            ({"dimension": "x", "entries": 3}, "index.jsonl:1: corrupt index header"),
+        ],
+    )
+    def test_load_rejects_a_header_that_disagrees_with_the_entries(self, tmp_path, header, message):
+        index = build_index(random_chunks(3, random.Random(9)), HashedTokenEmbedder(24))
+        index.save(tmp_path / "index.jsonl", tmp_path / "chunks.jsonl")
+        lines = (tmp_path / "index.jsonl").read_text().splitlines(keepends=True)
+        (tmp_path / "index.jsonl").write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+        with pytest.raises(IntegrityError, match=message):
+            VectorIndex.load(tmp_path / "index.jsonl", tmp_path / "chunks.jsonl")
 
 SITE = {
     "index.html": '<html><title>Home</title><body>Welcome to MiniApp docs. '
@@ -310,6 +360,36 @@ class TestRemoteEmbedder:
             vector = embedder.embed("hello world")
             assert received == [{"input": "hello world"}]
             assert np.allclose(vector.values, [0.6, 0.8])  # re-normalized
+        finally:
+            server.shutdown()
+
+    def test_embed_many_fills_rows_and_rejects_another_dimension(self):
+        from transmigrate.knowledge.embed import RemoteEmbedder
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                import json as _json
+
+                text = _json.loads(self.rfile.read(int(self.headers["Content-Length"])))["input"]
+                payload = _json.dumps({"embedding": [3.0, 4.0] if text == "ok" else [1.0, 0.0, 0.0]}).encode()
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(payload)))
+                self.end_headers()
+                self.wfile.write(payload)
+
+            def log_message(self, *args):
+                pass
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            embedder = RemoteEmbedder(f"http://127.0.0.1:{server.server_address[1]}/embed", dimension=2)
+            matrix = embedder.embed_many(["ok", "ok"])
+            assert matrix.shape == (2, 2) and np.allclose(matrix, [[0.6, 0.8], [0.6, 0.8]])
+            assert embedder.call_count == 2
+            with pytest.raises(IntegrityError, match="dimension 3"):
+                embedder.embed_many(["ok", "wrong"])
         finally:
             server.shutdown()
 

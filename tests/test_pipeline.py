@@ -280,6 +280,26 @@ class TestParseOnce:
         assert swift == Counter(expected_swift)
 
 
+    def test_comment_chunks_reuse_the_analyze_parse(self, run_config, fixture_project, tmp_path, monkeypatch):
+        import transmigrate.knowledge.chunks as chunks_module
+
+        lexed = []
+        real_tokenize = chunks_module.lexer.tokenize
+        monkeypatch.setattr(
+            chunks_module.lexer, "tokenize", lambda data, profile: lexed.append(data) or real_tokenize(data, profile)
+        )
+        pipeline = Pipeline(run_config)
+        pipeline.run_stage("analyze")
+        lexed.clear()  # the parse lexes each file once
+        pipeline.run_stage("index")
+        assert lexed == []
+        alone = Pipeline(make_run_config(fixture_project, tmp_path / "alone"))
+        alone.run_stage("index")  # no parse in this process: ingest lexes
+        assert len(lexed) == len(list(fixture_project.rglob("*.java")))
+        for name in ("chunks.jsonl", "index.jsonl"):
+            reused = run_config_path(run_config.output_root) / "index" / name
+            assert reused.read_bytes() == (tmp_path / "alone" / "index" / name).read_bytes()
+
 class TestArtifactWrites:
     def test_failed_write_leaves_previous_state_whole(self, run_config, monkeypatch):
         pipeline = Pipeline(run_config)
@@ -384,14 +404,14 @@ class TestStages:
         ]
 
     def test_index_second_run_is_cache_hit(self, run_config, monkeypatch):
-        calls = []
-        real_embed = HashedTokenEmbedder.embed
+        calls = []  # one entry per embedded text
+        real_embed_many = HashedTokenEmbedder.embed_many
 
-        def counting_embed(self, text):
-            calls.append(1)
-            return real_embed(self, text)
+        def counting_embed_many(self, texts):
+            calls.extend(texts)
+            return real_embed_many(self, texts)
 
-        monkeypatch.setattr(HashedTokenEmbedder, "embed", counting_embed)
+        monkeypatch.setattr(HashedTokenEmbedder, "embed_many", counting_embed_many)
         pipeline = Pipeline(run_config)
         pipeline.run_stage("index")
         first_count = len(calls)

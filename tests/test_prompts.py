@@ -81,6 +81,16 @@ class TestRendering:
         with pytest.raises(AssemblyError, match="unknown_slot"):
             load_template("method", templates_dir=tmp_path)
 
+    def test_template_read_once_per_directory_and_errors_raise_each_time(self, tmp_path):
+        (tmp_path / "method.txt").write_text("Hi {unknown_slot}")
+        for _ in range(2):
+            with pytest.raises(AssemblyError, match="unknown_slot"):
+                load_template("method", templates_dir=tmp_path)
+        with pytest.raises(AssemblyError, match="unknown prompt level"):
+            load_template("module")
+        assert load_template("method") is load_template("method")
+        assert load_template("class").level == "class"
+
     def test_braces_in_code_survive_rendering(self):
         inputs = dict(ALL_INPUTS["method"])
         inputs["method_code"] = "void m() { int x = {1}; } // {ast} stays literal"

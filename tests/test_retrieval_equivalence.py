@@ -1,34 +1,41 @@
-"""The vectorised embedding and top-k selection against the plain loops
+"""The batched embedding and top-k selection against the plain loops
 they replaced: same vector bits, same ids, same scores, for every k. The
-index writer, which formats each distinct cell of a vector once, against
-the per-entry ``json.dumps`` it replaced: same bytes."""
+block index writer, which formats each distinct cell of a block of rows
+once, against the per-entry ``json.dumps`` it replaced: same bytes."""
 
+import hashlib
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import transmigrate.knowledge.embed as embed_module
 import transmigrate.knowledge.index as index_module
 from transmigrate.knowledge.chunks import DocumentChunk
-from transmigrate.knowledge.embed import _TOKEN_RE, EmbeddingVector, HashedTokenEmbedder, _bucket
+from transmigrate.knowledge.embed import EmbeddingVector, HashedTokenEmbedder
 from transmigrate.knowledge.index import VectorIndex, build_index, query
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
+TOKEN_RE = re.compile(r"[a-z0-9]+")
+
 
 def reference_embed(text: str, dimension: int) -> np.ndarray:
-    """The per-token loop: one md5 and one float add per token."""
-    tokens = _TOKEN_RE.findall(text.lower())
+    """The per-token loop: one regex scan, then one md5 and one float add
+    per token."""
+    tokens = TOKEN_RE.findall(text.lower())
     if not tokens and text:
         tokens = [text.lower()]
     counts = np.zeros(dimension, dtype=np.float64)
     for token in tokens:
-        counts[_bucket(token, dimension)] += 1.0
+        counts[int(hashlib.md5(token.encode("utf-8")).hexdigest()[:8], 16) % dimension] += 1.0
     norm = float(np.linalg.norm(counts))
     if norm == 0.0:
         return counts
@@ -61,6 +68,10 @@ class FixedEmbedder:
 
 
 WORDS = ["alpha", "beta", "gamma", "fetch", "view", "swift"]
+# Case folding before tokenizing: the Kelvin sign lowers to ASCII "k", and
+# "İ" lowers to "i" plus a combining dot; punctuation-only and empty texts
+# take the whole-text and zero-vector paths.
+EDGE_TEXTS = ["\u212aelvin", "\u0130stanbul", "İİ", "!!!", "--", "", " ", "\u00e9t\u00e9 2024", "x\ty\nz"]
 phrase = st.lists(st.sampled_from(WORDS), max_size=5).map(" ".join)
 
 
@@ -85,13 +96,10 @@ class TestQueryEquivalence:
         # exactly its vector's value: values a few ulps to a few 1e-13
         # around a 1e-12 rounding half-point.
         half_point = (step + 0.5) * 1e-12
-        index = VectorIndex(1)
-        ids = []
-        for i, off in reversed(list(enumerate(offsets))):
-            chunk = DocumentChunk(f"c{i:02d}", "api_doc", "x")
-            index.add(chunk, EmbeddingVector(np.array([sign * (half_point + off * scale)])))
-            ids.append(chunk.chunk_id)
-        index.freeze()
+        entries = list(reversed(list(enumerate(offsets))))
+        chunks = [DocumentChunk(f"c{i:02d}", "api_doc", "x") for i, _ in entries]
+        index = VectorIndex(chunks, np.array([[sign * (half_point + off * scale)] for _, off in entries]))
+        ids = [c.chunk_id for c in chunks]
         assert_every_k_matches(index, ids, ["q"], FixedEmbedder([1.0]))
 
     @SETTINGS
@@ -137,6 +145,28 @@ class TestEmbedEquivalence:
             got = HashedTokenEmbedder(dimension).embed(text).values
             assert got.tobytes() == reference_embed(text, dimension).tobytes()
 
+    @SETTINGS
+    @given(texts=st.lists(st.one_of(st.sampled_from(EDGE_TEXTS), st.text(max_size=60)), max_size=12),
+           dimension=st.sampled_from([1, 7, 256]), block=st.sampled_from([1, 3, 1024]))
+    def test_embed_many_rows_equal_reference(self, texts, dimension, block):
+        # Blocks of 1 and 3 texts make most lists span several blocks.
+        embedder = HashedTokenEmbedder(dimension)
+        with mock.patch.object(embed_module, "_BLOCK_ROWS", block):
+            matrix = embedder.embed_many(texts)
+        assert matrix.shape == (len(texts), dimension)
+        for row, text in zip(matrix, texts):
+            assert row.tobytes() == reference_embed(text, dimension).tobytes(), text
+        for text in texts:
+            assert embedder.embed(text).values.tobytes() == embedder.embed_many([text])[0].tobytes()
+        assert embedder.call_count == 3 * len(texts)
+
+    def test_more_texts_than_one_block(self):
+        texts = [f"w{i % 97} shared Kelvin \u212a{i}" if i % 5 else "" for i in range(2 * 1024 + 5)]
+        for dimension in (7, 256):
+            matrix = HashedTokenEmbedder(dimension).embed_many(texts)
+            expected = np.array([reference_embed(text, dimension) for text in texts]).reshape(len(texts), dimension)
+            assert matrix.tobytes() == expected.tobytes()
+
 
 def reference_index_text(dimension: int, entries: list[tuple[str, np.ndarray]]) -> bytes:
     """What ``VectorIndex.save`` wrote with one ``json.dumps`` per entry."""
@@ -147,10 +177,8 @@ def reference_index_text(dimension: int, entries: list[tuple[str, np.ndarray]]) 
 
 
 def saved_index_bytes(dimension: int, entries: list[tuple[str, np.ndarray]]) -> bytes:
-    index = VectorIndex(dimension)
-    for ordinal, (uri, vec) in enumerate(entries):
-        index.add(DocumentChunk(uri, "api_doc", "text", {}, ordinal), EmbeddingVector(vec))
-    index.freeze()
+    chunks = [DocumentChunk(uri, "api_doc", "text", {}, ordinal) for ordinal, (uri, _) in enumerate(entries)]
+    index = VectorIndex(chunks, np.array([vec for _, vec in entries]).reshape(len(entries), dimension))
     with tempfile.TemporaryDirectory() as tmp:
         index.save(Path(tmp) / "index.jsonl", Path(tmp) / "chunks.jsonl")
         return (Path(tmp) / "index.jsonl").read_bytes()
@@ -203,3 +231,22 @@ class TestIndexWriterEquivalence:
         ids = [f"{uri}#{ordinal}" for ordinal, (uri, _) in enumerate(entries)]
         expected = reference_index_text(dimension, [(cid, vec) for cid, (_, vec) in zip(ids, entries)])
         assert saved_index_bytes(dimension, entries) == expected
+
+    @pytest.mark.parametrize("special", [math.nan, -0.0, math.inf])
+    @pytest.mark.parametrize("dimension", [1, 7, 256])
+    def test_blocks_of_rows_with_a_special_cell_in_one_block(self, dimension, special):
+        # At 65,536 cells per block, 600 rows of 256 cells make three
+        # blocks; at 3 cells per block every block is one row (three rows
+        # at dimension 1). The special cell sits in one block only, so only
+        # that block is written the json.dumps way.
+        rng = np.random.default_rng(dimension)
+        counts = rng.integers(0, 3, size=(600, dimension)).astype(np.float64)
+        norms = np.linalg.norm(counts, axis=1, keepdims=True)
+        vectors = counts / np.where(norms == 0.0, 1.0, norms)
+        vectors[300, dimension // 2] = special
+        entries = [(f"row-{i}", vec) for i, vec in enumerate(vectors)]
+        ids = [f"{uri}#{ordinal}" for ordinal, (uri, _) in enumerate(entries)]
+        expected = reference_index_text(dimension, [(cid, vec) for cid, (_, vec) in zip(ids, entries)])
+        assert saved_index_bytes(dimension, entries) == expected
+        with mock.patch.object(index_module, "_BLOCK_CELLS", 3):
+            assert saved_index_bytes(dimension, entries) == expected

@@ -1,11 +1,12 @@
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from transmigrate.errors import ConfigurationError, IntegrityError, StructuralError
 from transmigrate.sourcemodel.extract import extract_classes, method_body
-from transmigrate.sourcemodel.grammar import load_grammar
+from transmigrate.sourcemodel.grammar import default_grammar_dir, load_grammar
 from transmigrate.sourcemodel.graph import (
     EDGE_CALL,
     EDGE_FIELD_TYPE,
@@ -118,13 +119,32 @@ interface I1 { void x(); }
         assert not ast.has_errors
 
     def test_span_invariants_hold_on_malformed_input(self):
-        for text in ("class A { {", "}}}", "class B { void m( {} }", "class C { int x = ; }"):
-            ast = parse_source(java(text))
+        # The last four end in a backslash escape at end of input, which
+        # steps over two bytes: the literal still ends at the input's end.
+        for language, text in [
+            *(("java", t) for t in ("class A { {", "}}}", "class B { void m( {} }", "class C { int x = ; }")),
+            ("java", 'class A { String s = "abc\\'),
+            ("java", "'\\"),
+            ("java", "char c = '\\"),
+            ("swift", '"abc\\'),
+        ]:
+            ast = parse_source(SourceFile("T." + language, text, language))
             assert check_span_invariants(ast) == [], text
+            assert max(t.end for t in ast.tokens) <= len(text.encode()), text
 
     def test_missing_grammar_is_configuration_error(self, tmp_path):
         with pytest.raises(ConfigurationError):
             load_grammar("java", grammar_dir=tmp_path)
+
+    def test_grammar_read_once_per_directory_and_a_miss_raises_each_time(self, tmp_path, monkeypatch):
+        for _ in range(2):
+            with pytest.raises(ConfigurationError):
+                load_grammar("java", grammar_dir=tmp_path)
+        (tmp_path / "java.json").write_bytes((default_grammar_dir() / "java.json").read_bytes())
+        monkeypatch.chdir(tmp_path)
+        profile = load_grammar("java", grammar_dir=Path.cwd())
+        assert load_grammar("java", grammar_dir=".") is profile
+        assert load_grammar("java") is load_grammar("java", default_grammar_dir()) is not profile
 
     def test_unknown_language_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -258,6 +278,13 @@ class TestDependencyGraph:
         descs = classes_of(java("class A { void x(){} }"), java("class B { void y(){} }", "B.java"))
         graph = build_dependency_graph(descs, "class")
         assert graph.edges == frozenset()
+
+    def test_out_edges_are_the_sorted_edges_from_a_node(self):
+        _files, descs = graph_fixture_classes()
+        for granularity in ("method", "class", "component"):
+            graph = build_dependency_graph(descs, granularity)
+            for node in sorted(graph.nodes) + ["not-a-node"]:
+                assert graph.out_edges(node) == sorted(e for e in graph.edges if e[0] == node)
 
     def test_duplicate_qualified_names_error_names_both_files(self):
         descs = classes_of(java("class A {}", "one/A.java"), java("class A {}", "two/A.java"))
