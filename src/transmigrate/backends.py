@@ -8,6 +8,8 @@ the first choice's message content. The mock rewrites the envelope's code
 payload with an ordered regex rule table and returns it fenced, which is
 enough to drive the full pipeline bit-reproducibly and to script
 validation-loop behaviors (fix one issue per round, never fix, and so on).
+The live client reads its settings from ``config.BackendOptions``, whose
+ranges ``RunConfig.validate`` checks before any stage runs.
 """
 
 from __future__ import annotations
@@ -23,14 +25,13 @@ import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from transmigrate.errors import ArgumentError, BackendError, ExtractionError, RetryableBackendError
+from transmigrate.config import BackendOptions
+from transmigrate.errors import BackendError, ExtractionError, RetryableBackendError
 from transmigrate.prompts import PromptEnvelope
 
 logger = logging.getLogger(__name__)
 
 TODO_MARKER = "// TODO: Platform-specific adaptation required"
-
-DEFAULT_API_KEY_ENV = "TRANSMIGRATE_API_KEY"
 
 # The first of these slots present in an envelope is the code payload the
 # mock rewrites (repair prompts carry prior_code; translation prompts carry
@@ -42,23 +43,6 @@ _PAYLOAD_SLOTS = (
     "translated_classes",
     "translated_components",
 )
-
-
-@dataclass(frozen=True)
-class BackendConfig:
-    endpoint: str = "https://api.openai.com/v1/chat/completions"
-    model: str = "gpt-4o"
-    temperature: float = 0.0
-    max_output_units: int | None = None
-    retry_count: int = 2
-    timeout_seconds: float = 60.0
-    api_key_env: str = DEFAULT_API_KEY_ENV
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.temperature <= 2.0:
-            raise ArgumentError(f"temperature must be in [0, 2], got {self.temperature}")
-        if self.retry_count < 0:
-            raise ArgumentError(f"retry count must be >= 0, got {self.retry_count}")
 
 
 def split_system_user(rendered_text: str) -> tuple[str, str]:
@@ -74,8 +58,8 @@ def split_system_user(rendered_text: str) -> tuple[str, str]:
 class LiveBackend:
     """Chat-completion client with bounded retries on transport failures."""
 
-    def __init__(self, config: BackendConfig) -> None:
-        self.config = config
+    def __init__(self, options: BackendOptions) -> None:
+        self.options = options
         self.call_count = 0
 
     def build_request_body(self, envelope: PromptEnvelope) -> dict:
@@ -85,29 +69,29 @@ class LiveBackend:
             messages.append({"role": "system", "content": system})
         messages.append({"role": "user", "content": user})
         body: dict = {
-            "model": self.config.model,
+            "model": self.options.model,
             "messages": messages,
-            "temperature": self.config.temperature,
+            "temperature": self.options.temperature,
         }
-        if self.config.max_output_units is not None:
-            body["max_tokens"] = self.config.max_output_units
+        if self.options.max_output_units is not None:
+            body["max_tokens"] = self.options.max_output_units
         return body
 
     def translate(self, envelope: PromptEnvelope) -> str:
         self.call_count += 1
         body = json.dumps(self.build_request_body(envelope)).encode("utf-8")
         headers = {"Content-Type": "application/json"}
-        api_key = os.environ.get(self.config.api_key_env, "")
+        api_key = os.environ.get(self.options.api_key_env, "")
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
         prompt_hash = hashlib.sha256(envelope.rendered_text.encode("utf-8")).hexdigest()[:16]
-        attempts = self.config.retry_count + 1
+        attempts = self.options.retry_count + 1
         last_error: Exception | None = None
         for attempt in range(attempts):
-            request = urllib.request.Request(self.config.endpoint, data=body, headers=headers)
+            request = urllib.request.Request(self.options.endpoint, data=body, headers=headers)
             started = time.monotonic()
             try:
-                with urllib.request.urlopen(request, timeout=self.config.timeout_seconds) as resp:
+                with urllib.request.urlopen(request, timeout=self.options.timeout_seconds) as resp:
                     payload = json.loads(resp.read().decode("utf-8"))
                 latency = time.monotonic() - started
                 logger.info(

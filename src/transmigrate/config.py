@@ -1,9 +1,13 @@
 """Run configuration.
 
 A single JSON file drives the whole pipeline; CLI flags override selected
-fields (backend, seed, max rounds, dry-run, prompt dumping). Relative
-paths in the file resolve against the file's own directory so configs can
-live next to their projects.
+fields (backend, seed, max rounds, dry-run, prompt dumping). This module is
+the one place that declares a setting: its name and JSON type (a dataclass
+field), its default, and its valid range (``RunConfig.validate``, which
+``Pipeline`` runs before any stage). Relative paths in the file, and the
+default output root, resolve against the file's own directory so configs
+can live next to their projects. The module imports nothing from the
+package but its errors, so reading a config loads no numpy.
 """
 
 from __future__ import annotations
@@ -14,12 +18,11 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from transmigrate.errors import ConfigurationError
-from transmigrate.validation.refine import DEFAULT_MAX_ROUNDS
-from transmigrate.validation.tools import DEFAULT_LINT_CMD, DEFAULT_SYNTAX_CMD
 
-DEFAULT_SEED = 20240501
-DEFAULT_PROMPT_BUDGET = 8000
-DEFAULT_RETRIEVAL_K = 3
+DEFAULT_MAX_ROUNDS = 3
+
+# Fields holding a path, resolved against the config file's directory.
+_PATH_FIELDS = frozenset({"source_root", "output_root", "grammar_dir", "rules_file"})
 
 
 @dataclass
@@ -33,7 +36,7 @@ class CrawlConfig:
 @dataclass
 class KnowledgeConfig:
     embedding_dimension: int = 256
-    retrieval_k: int = DEFAULT_RETRIEVAL_K
+    retrieval_k: int = 3
     provider: str = "offline"  # "offline" | "remote"
     remote_endpoint: str | None = None
     crawl: CrawlConfig = field(default_factory=CrawlConfig)
@@ -41,13 +44,14 @@ class KnowledgeConfig:
 
 @dataclass
 class ToolsConfig:
-    syntax_check_cmd: str = DEFAULT_SYNTAX_CMD
-    lint_cmd: str = DEFAULT_LINT_CMD
+    syntax_check_cmd: str = "swiftc -parse {file}"
+    lint_cmd: str = "swiftlint lint --path {file}"
     timeout_seconds: float = 60.0
 
 
 @dataclass
 class BackendOptions:
+    # Live-backend fields.
     endpoint: str = "https://api.openai.com/v1/chat/completions"
     model: str = "gpt-4o"
     temperature: float = 0.0
@@ -77,19 +81,19 @@ def _is_json_type(value, expected: type) -> bool:
     return isinstance(value, expected)
 
 
-def _check_keys(section: dict, prefix: str, cls: type) -> None:
-    """A key that ``cls`` has no field for, or a value whose JSON type does
-    not fit the field, is a ConfigurationError naming it as ``prefix + key``.
-    ``null`` fits only the fields that default to None; a boolean is not a
-    number. Nested sections are checked by ``_section``."""
-    known = [f.name for f in fields(cls)]
-    unknown = sorted(set(section) - set(known))
+def _check_keys(section: dict, prefix: str, hints: dict[str, type]) -> None:
+    """A key that has no field in ``hints`` (field name -> type, in field
+    order), or a value whose JSON type does not fit the field, is a
+    ConfigurationError naming it as ``prefix + key``. ``null`` fits only the
+    fields that default to None; a boolean is not a number. Nested sections
+    are checked by ``_build``."""
+    unknown = sorted(set(section) - set(hints))
     if unknown:
         raise ConfigurationError(
             f"unknown config key {', '.join(prefix + k for k in unknown)}"
-            f" (known keys: {', '.join(known)})"
+            f" (known keys: {', '.join(hints)})"
         )
-    for key, hint in typing.get_type_hints(cls).items():
+    for key, hint in hints.items():
         if key not in section or is_dataclass(hint):
             continue
         allowed = typing.get_args(hint) or (hint,)
@@ -100,40 +104,88 @@ def _check_keys(section: dict, prefix: str, cls: type) -> None:
             )
 
 
-def _section(raw: dict, path: str, cls: type) -> dict:
-    """The config section named by the last part of dotted ``path`` (empty
-    when absent), with its keys checked against ``cls``."""
-    section = raw.get(path.rsplit(".", 1)[-1], {})
+def _build(cls: type, section, prefix: str, base_dir: Path | None):
+    """An instance of the dataclass ``cls`` from the JSON object ``section``,
+    whose keys are named ``prefix + key`` in errors. Keys and types are
+    checked, nested sections are built the same way, absent keys keep the
+    field's default, and path fields, given or defaulted, resolve against
+    ``base_dir``."""
     if not isinstance(section, dict):
-        raise ConfigurationError(f"config section {path!r} must be a JSON object")
-    _check_keys(section, f"{path}.", cls)
-    return section
+        if not prefix:
+            raise ConfigurationError("config must be a JSON object")
+        raise ConfigurationError(f"config section {prefix[:-1]!r} must be a JSON object")
+    hints = typing.get_type_hints(cls)
+    _check_keys(section, prefix, hints)
+    values = {}
+    for f in fields(cls):
+        if is_dataclass(hints[f.name]):
+            values[f.name] = _build(hints[f.name], section.get(f.name, {}), f"{prefix}{f.name}.", base_dir)
+        elif f.name in section:
+            values[f.name] = section[f.name]
+        if f.name in _PATH_FIELDS:
+            path = values.get(f.name, f.default)
+            if path is not None:
+                path = Path(path)
+                if base_dir is not None and not path.is_absolute():
+                    path = base_dir / path
+                values[f.name] = str(path)
+    return cls(**values)
 
 
 @dataclass
 class RunConfig:
-    source_root: str
-    output_root: str
-    backend: str  # "mock" | "live"
+    source_root: str = ""
+    output_root: str = "out"
+    backend: str = ""  # "mock" | "live"
     project_name: str = "project"
     backend_options: BackendOptions = field(default_factory=BackendOptions)
     knowledge: KnowledgeConfig = field(default_factory=KnowledgeConfig)
     tools: ToolsConfig = field(default_factory=ToolsConfig)
-    prompt_budget: int = DEFAULT_PROMPT_BUDGET
+    prompt_budget: int = 8000  # size units (chars / 4)
     max_rounds: int = DEFAULT_MAX_ROUNDS
-    seed: int = DEFAULT_SEED
+    seed: int = 20240501
     grammar_dir: str | None = None
     dump_prompts: bool = False
     sample_issues: bool = False
     dry_run: bool = False
 
     def validate(self) -> None:
+        """Check every value against its valid range, whatever the backend.
+        A value out of range is a ConfigurationError naming its key."""
         if not self.backend:
             raise ConfigurationError("no backend configured (expected 'mock' or 'live')")
         if self.backend not in ("mock", "live"):
             raise ConfigurationError(f"unknown backend {self.backend!r} (expected 'mock' or 'live')")
-        if self.max_rounds < 0:
-            raise ConfigurationError(f"max_rounds must be >= 0, got {self.max_rounds}")
+        knowledge, opts = self.knowledge, self.backend_options
+        for key, value, ok, wanted in (
+            ("max_rounds", self.max_rounds, self.max_rounds >= 0, "must be >= 0"),
+            ("prompt_budget", self.prompt_budget, self.prompt_budget >= 1, "must be >= 1"),
+            (
+                "knowledge.embedding_dimension",
+                knowledge.embedding_dimension,
+                knowledge.embedding_dimension >= 1,
+                "must be >= 1",
+            ),
+            ("knowledge.retrieval_k", knowledge.retrieval_k, knowledge.retrieval_k >= 1, "must be >= 1"),
+            (
+                "knowledge.provider",
+                knowledge.provider,
+                knowledge.provider in ("offline", "remote"),
+                'must be "offline" or "remote"',
+            ),
+            (
+                "knowledge.remote_endpoint",
+                knowledge.remote_endpoint,
+                knowledge.provider != "remote" or bool(knowledge.remote_endpoint),
+                'must be set when knowledge.provider is "remote"',
+            ),
+            ("backend_options.temperature", opts.temperature, 0 <= opts.temperature <= 2, "must be in [0, 2]"),
+            ("backend_options.retry_count", opts.retry_count, opts.retry_count >= 0, "must be >= 0"),
+            ("backend_options.timeout_seconds", opts.timeout_seconds, opts.timeout_seconds > 0, "must be > 0"),
+            ("tools.timeout_seconds", self.tools.timeout_seconds, self.tools.timeout_seconds > 0, "must be > 0"),
+        ):
+            if not ok:
+                raise ConfigurationError(f"config key {key} {wanted}, got {json.dumps(value)}")
         if not Path(self.source_root).is_dir():
             raise ConfigurationError(f"source root is not a directory: {self.source_root}")
 
@@ -148,38 +200,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, base_dir: Path | None = None) -> "RunConfig":
-        def resolve(p: str | None) -> str | None:
-            if p is None:
-                return None
-            path = Path(p)
-            if base_dir is not None and not path.is_absolute():
-                path = base_dir / path
-            return str(path)
-
-        if not isinstance(raw, dict):
-            raise ConfigurationError("config must be a JSON object")
-        _check_keys(raw, "", cls)
-        knowledge_raw = dict(_section(raw, "knowledge", KnowledgeConfig))
-        knowledge_raw["crawl"] = CrawlConfig(**_section(knowledge_raw, "knowledge.crawl", CrawlConfig))
-        backend_opts = BackendOptions(**_section(raw, "backend_options", BackendOptions))
-        backend_opts.rules_file = resolve(backend_opts.rules_file)
-        config = cls(
-            source_root=resolve(raw.get("source_root", "")) or "",
-            output_root=resolve(raw.get("output_root", "out")) or "out",
-            backend=raw.get("backend", ""),
-            project_name=raw.get("project_name", "project"),
-            backend_options=backend_opts,
-            knowledge=KnowledgeConfig(**knowledge_raw),
-            tools=ToolsConfig(**_section(raw, "tools", ToolsConfig)),
-            prompt_budget=raw.get("prompt_budget", DEFAULT_PROMPT_BUDGET),
-            max_rounds=raw.get("max_rounds", DEFAULT_MAX_ROUNDS),
-            seed=raw.get("seed", DEFAULT_SEED),
-            grammar_dir=resolve(raw.get("grammar_dir")),
-            dump_prompts=raw.get("dump_prompts", False),
-            sample_issues=raw.get("sample_issues", False),
-            dry_run=raw.get("dry_run", False),
-        )
-        return config
+        return _build(cls, raw, "", base_dir)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":

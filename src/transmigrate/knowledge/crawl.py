@@ -67,7 +67,7 @@ def _fetch(url: str) -> str:
     return raw.decode("utf-8", errors="replace")
 
 
-def crawl_site(start_url: str, max_depth: int = 1, max_pages: int = 20) -> list[DocumentChunk]:
+def crawl_site(start_url: str, max_depth: int, max_pages: int) -> list[DocumentChunk]:
     """Breadth-first crawl from ``start_url``, same host only.
 
     The start page is depth 0 and counts toward ``max_pages``. Pages that

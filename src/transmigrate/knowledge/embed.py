@@ -37,9 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from transmigrate.config import KnowledgeConfig
 from transmigrate.errors import IntegrityError, RetryableBackendError
-
-DEFAULT_DIMENSION = 256
 
 # Texts per bincount block: the block's count matrix is rows * dimension
 # integers, 2 MB at the default dimension.
@@ -56,9 +55,6 @@ class EmbeddingVector:
     @property
     def dimension(self) -> int:
         return int(self.values.shape[0])
-
-    def dot(self, other: "EmbeddingVector") -> float:
-        return float(np.dot(self.values, other.values))
 
 
 class _BucketMemo(dict):
@@ -83,7 +79,7 @@ def _tokens(text: str) -> list[bytes]:
 class HashedTokenEmbedder:
     """Offline bag-of-tokens embedder; bitwise deterministic."""
 
-    def __init__(self, dimension: int = DEFAULT_DIMENSION) -> None:
+    def __init__(self, dimension: int = KnowledgeConfig.embedding_dimension) -> None:
         if dimension <= 0:
             raise ValueError("embedding dimension must be positive")
         self.dimension = dimension

@@ -25,7 +25,7 @@ import shlex
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from transmigrate.backends import LiveBackend, MockBackend, BackendConfig, extract_code
+from transmigrate.backends import LiveBackend, MockBackend, extract_code
 from transmigrate.config import RunConfig
 from transmigrate.errors import ConfigurationError, IntegrityError, OrderingError, ToolError
 from transmigrate.knowledge.chunks import ingest_repository
@@ -194,8 +194,6 @@ class Pipeline:
     def _embedder(self):
         k = self.config.knowledge
         if k.provider == "remote":
-            if not k.remote_endpoint:
-                raise ConfigurationError("remote embedding provider requires an endpoint")
             return RemoteEmbedder(k.remote_endpoint, k.embedding_dimension)
         return HashedTokenEmbedder(k.embedding_dimension)
 
@@ -205,16 +203,7 @@ class Pipeline:
             if opts.rules_file:
                 return MockBackend.from_rules_file(opts.rules_file, opts.max_fixes_per_call)
             return MockBackend(max_fixes_per_call=opts.max_fixes_per_call)
-        backend_config = BackendConfig(
-            endpoint=opts.endpoint,
-            model=opts.model,
-            temperature=opts.temperature,
-            max_output_units=opts.max_output_units,
-            retry_count=opts.retry_count,
-            timeout_seconds=opts.timeout_seconds,
-            api_key_env=opts.api_key_env,
-        )
-        return LiveBackend(backend_config)
+        return LiveBackend(opts)
 
     # ---- stages ------------------------------------------------------------
 

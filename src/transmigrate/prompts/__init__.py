@@ -23,8 +23,6 @@ from transmigrate.sourcemodel.parser import AstNode
 
 LEVELS = ("method", "class", "component", "project", "repair")
 
-DEFAULT_BUDGET = 8000  # size units (chars / 4)
-
 _SLOT_RE = re.compile(r"\{(\w+)\}")
 
 NO_CONTEXT_SENTINEL = "none retrieved"
@@ -117,9 +115,6 @@ class PromptEnvelope:
     size_estimate: int
     slots: dict[str, str] = field(default_factory=dict)
     dropped: list[str] = field(default_factory=list)
-
-    def headings_present(self) -> bool:
-        return all(h in self.rendered_text for h in MANDATORY_HEADINGS[self.level])
 
 
 def default_templates_dir() -> Path:
@@ -217,7 +212,7 @@ def size_units(text: str) -> int:
 
 def truncate_context(
     envelope: PromptEnvelope,
-    budget: int = DEFAULT_BUDGET,
+    budget: int,
     *,
     templates_dir: str | Path | None = None,
 ) -> PromptEnvelope:

@@ -16,12 +16,13 @@ from pathlib import Path
 
 from transmigrate.errors import IntegrityError
 from transmigrate.sourcemodel.grammar import GrammarProfile, load_grammar
-from transmigrate.sourcemodel.lexer import IDENT, PUNCT, Token
+from transmigrate.sourcemodel.lexer import IDENT, PUNCT
 from transmigrate.sourcemodel.parser import (
     TYPE_DECLARATION_KINDS,
     Ast,
     AstNode,
     SourceFile,
+    generic_arguments_end,
 )
 
 _BASE_TYPE_RE = re.compile(r"[A-Za-z_$][\w$]*(?:\.[A-Za-z_$][\w$]*)*")
@@ -252,7 +253,7 @@ def _call_sites_in(
             # type-like names take the lookahead, so comparison chains on
             # ordinary variables never masquerade as calls.
             if is_ctor or tok.text[:1].isupper():
-                after = _generic_arguments_end(toks, paren_at)
+                after = generic_arguments_end(toks, paren_at)
                 if after is None:
                     continue
                 paren_at = after
@@ -262,31 +263,6 @@ def _call_sites_in(
             continue
         sites.append(CallSite(name=tok.text, receiver=receiver, offset=tok.start, is_constructor=is_ctor))
     return sites
-
-
-_GENERIC_PUNCT = frozenset({"<", ">", ",", ".", "?", "&", "[", "]", "@"})
-
-
-def _generic_arguments_end(toks: list[Token], at: int) -> int | None:
-    """Index one past the '>' matching the '<' at ``at``, or None when the
-    run contains anything a generic argument list cannot."""
-    depth = 0
-    j = at
-    while j < len(toks):
-        t = toks[j]
-        if t.kind == PUNCT:
-            if t.text == "<":
-                depth += 1
-            elif t.text == ">":
-                depth -= 1
-                if depth == 0:
-                    return j + 1
-            elif t.text not in _GENERIC_PUNCT:
-                return None
-        elif t.kind != IDENT:
-            return None
-        j += 1
-    return None
 
 
 def method_body(file: SourceFile, m: MethodDescriptor) -> str:

@@ -42,9 +42,6 @@ class DependencyGraph:
     weights: dict[Edge, int] = field(default_factory=dict)
     externals: dict[str, int] = field(default_factory=dict)
 
-    def targets(self, node: str) -> set[str]:
-        return {t for f, t, _ in self.edges if f == node}
-
     def out_edges(self, node: str) -> list[Edge]:
         return list(self._out_edges.get(node, ()))
 
@@ -63,15 +60,6 @@ class DependencyGraph:
             if f != t:
                 deps[f].add(t)
         return deps
-
-    def reference_counts(self) -> dict[str, int]:
-        """node -> total outgoing reference occurrences (duplicates counted)."""
-        counts = {n: 0 for n in self.nodes}
-        for edge, w in self.weights.items():
-            f, t, _ = edge
-            if f != t:
-                counts[f] += w
-        return counts
 
     def to_json(self) -> str:
         payload = {

@@ -92,9 +92,6 @@ class AstNode:
         for child in self.children:
             yield from child.walk()
 
-    def find_all(self, kind: str) -> list["AstNode"]:
-        return [n for n in self.walk() if n.kind == kind]
-
     def first(self, kind: str) -> "AstNode | None":
         for child in self.children:
             if child.kind == kind:
@@ -108,10 +105,6 @@ class Ast:
     source: SourceFile
     tokens: list[Token]          # comment tokens excluded
     comments: list[Token]
-
-    @property
-    def has_errors(self) -> bool:
-        return any(n.kind == "error" for n in self.root.walk())
 
 
 def parse_source(file: SourceFile, grammar_dir: str | Path | None = None) -> Ast:
@@ -146,6 +139,33 @@ def check_span_invariants(ast: Ast) -> list[str]:
 
     visit(ast.root)
     return problems
+
+
+_GENERIC_PUNCT = frozenset({"<", ">", ",", ".", "?", "&", "[", "]", "@"})
+
+
+def generic_arguments_end(toks: list[Token], at: int) -> int | None:
+    """If ``toks[at]`` opens a generic argument list, return the index one
+    past its matching '>'; otherwise None. Only declaration-context tokens
+    are allowed inside, which distinguishes generics from comparison
+    operators."""
+    depth = 0
+    j = at
+    while j < len(toks):
+        tok = toks[j]
+        if tok.kind == PUNCT:
+            if tok.text == "<":
+                depth += 1
+            elif tok.text == ">":
+                depth -= 1
+                if depth == 0:
+                    return j + 1
+            elif tok.text not in _GENERIC_PUNCT:
+                return None
+        elif tok.kind != IDENT:
+            return None
+        j += 1
+    return None
 
 
 class _Parser:
@@ -454,7 +474,7 @@ class _Parser:
                 elif tok.text == "]":
                     depth -= 1
                 elif tok.text == "<" and depth == 0:
-                    skipped = self._generics_end(scan)
+                    skipped = generic_arguments_end(self.toks, scan)
                     if skipped is not None:
                         scan = skipped
                         continue
@@ -738,35 +758,11 @@ class _Parser:
                         return end
         return self.eof
 
-    def _generics_end(self, at: int) -> int | None:
-        """If ``toks[at]`` opens a generic argument list, return the index
-        one past its matching '>'; otherwise None. Only declaration-context
-        tokens are allowed inside, which distinguishes generics from
-        comparison operators."""
-        depth = 0
-        j = at
-        allowed_punct = {"<", ">", ",", ".", "?", "&", "[", "]", "@"}
-        while j < len(self.toks):
-            tok = self.toks[j]
-            if tok.kind == PUNCT:
-                if tok.text == "<":
-                    depth += 1
-                elif tok.text == ">":
-                    depth -= 1
-                    if depth == 0:
-                        return j + 1
-                elif tok.text not in allowed_punct:
-                    return None
-            elif tok.kind != IDENT:
-                return None
-            j += 1
-        return None
-
     def _skip_generics(self) -> int:
         """Consume a generic argument list if present; best-effort on malformed
         input (single '<' consumed)."""
         at = self.i
-        end_index = self._generics_end(at)
+        end_index = generic_arguments_end(self.toks, at)
         if end_index is None:
             return self.advance().end
         end = self.toks[end_index - 1].end

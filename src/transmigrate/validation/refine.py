@@ -17,13 +17,12 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from transmigrate.backends import extract_code
+from transmigrate.config import DEFAULT_MAX_ROUNDS
 from transmigrate.errors import BackendError
 from transmigrate.prompts import PromptEnvelope, output_requirements_for, render_prompt
 from transmigrate.validation.issues import IssueRecord, ValidationReport, format_diagnostic_line
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_MAX_ROUNDS = 3
 
 Check = Callable[["TranslationUnit"], list[IssueRecord]]
 
@@ -46,10 +45,6 @@ class RefinementState:
     @property
     def repair_calls(self) -> int:
         return len(self.history) - 1 if self.history else 0
-
-    @property
-    def final_report(self) -> ValidationReport:
-        return self.history[-1][1]
 
 
 def build_repair_envelope(

@@ -1,7 +1,7 @@
 """Checker invocation.
 
-Command templates come from configuration (defaults: ``swiftc -parse
-{file}`` and ``swiftlint lint --path {file}``) and are substituted into an
+Command templates come from configuration (``config.ToolsConfig`` holds
+the defaults, the Swift compiler and SwiftLint) and are substituted into an
 argv, never a shell string. A template whose program is
 ``transmigrate-stubcheck`` runs the bundled stub checker in this process;
 any other template runs as a child process. A nonzero exit with
@@ -23,11 +23,10 @@ import subprocess
 import threading
 from pathlib import Path
 
+from transmigrate.config import ToolsConfig
 from transmigrate.errors import ConfigurationError, ToolError
 from transmigrate.validation import stubcheck
 
-DEFAULT_SYNTAX_CMD = "swiftc -parse {file}"
-DEFAULT_LINT_CMD = "swiftlint lint --path {file}"
 STUB_PROGRAM = "transmigrate-stubcheck"
 
 
@@ -46,7 +45,10 @@ def build_argv(command_template: str, file: str | Path) -> list[str]:
 
 
 def run_external_check(
-    file: str | Path, command_template: str, timeout: float = 60.0, cwd: str | Path | None = None
+    file: str | Path,
+    command_template: str,
+    timeout: float = ToolsConfig.timeout_seconds,
+    cwd: str | Path | None = None,
 ) -> tuple[int, str]:
     """Run one checker over one file; returns (exit status, combined output).
 

@@ -244,7 +244,7 @@ def test_criterion_6_refinement_bounds():
         unit = TranslationUnit(f"unit{i:02d}.swift", "class", f"let x{i} = BUG\n")
         _, state = refine_loop(unit, backend, [_bug_check], max_rounds=3)
         assert backend.call_count == 3, f"unit {i} made {backend.call_count} repair calls"
-        assert state.final_report.error_count() == 1  # unresolved, still reported
+        assert state.history[-1][1].error_count() == 1  # unresolved, still reported
 
     # One fix per round with two planted issues: clean at round two.
     for i in range(20):
@@ -252,7 +252,7 @@ def test_criterion_6_refinement_bounds():
         unit = TranslationUnit(f"unit{i:02d}.swift", "class", "BUG\nBUG\n")
         _, state = refine_loop(unit, backend, [_bug_check], max_rounds=3)
         assert state.round == 2
-        assert state.final_report.error_count() == 0
+        assert state.history[-1][1].error_count() == 0
     passed("6 refinement bounds")
 
 

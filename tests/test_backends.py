@@ -6,7 +6,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from transmigrate.backends import (
-    BackendConfig,
     CodeExtraction,
     LiveBackend,
     MockBackend,
@@ -15,7 +14,8 @@ from transmigrate.backends import (
     extract_code,
     split_system_user,
 )
-from transmigrate.errors import ArgumentError, BackendError, ExtractionError, RetryableBackendError
+from transmigrate.config import BackendOptions
+from transmigrate.errors import BackendError, ExtractionError, RetryableBackendError
 from transmigrate.prompts import render_prompt
 
 
@@ -105,8 +105,8 @@ def capture_server():
 class TestLiveBackend:
     def test_request_body_shape_and_roles(self, capture_server, monkeypatch):
         monkeypatch.setenv("TRANSMIGRATE_API_KEY", "sk-test")
-        config = BackendConfig(endpoint=capture_server, model="test-model", temperature=0.0)
-        backend = LiveBackend(config)
+        options = BackendOptions(endpoint=capture_server, model="test-model", temperature=0.0)
+        backend = LiveBackend(options)
         envelope = method_envelope("int x;")
         raw = backend.translate(envelope)
         assert extract_code(raw).code == "func go() {}"
@@ -131,7 +131,7 @@ class TestLiveBackend:
 
     def test_non_success_status_is_backend_error(self, capture_server):
         _CapturingHandler.status = 500
-        backend = LiveBackend(BackendConfig(endpoint=capture_server))
+        backend = LiveBackend(BackendOptions(endpoint=capture_server))
         with pytest.raises(BackendError) as exc:
             backend.translate(method_envelope("int x;"))
         assert not isinstance(exc.value, RetryableBackendError)
@@ -146,16 +146,10 @@ class TestLiveBackend:
             raise urllib.error.URLError("still down")
 
         monkeypatch.setattr("urllib.request.urlopen", flaky)
-        backend = LiveBackend(BackendConfig(endpoint="http://127.0.0.1:9/x", retry_count=2))
+        backend = LiveBackend(BackendOptions(endpoint="http://127.0.0.1:9/x", retry_count=2))
         with pytest.raises(RetryableBackendError):
             backend.translate(method_envelope("int x;"))
         assert len(attempts) == 3  # initial try + two retries
-
-    def test_config_validation(self):
-        with pytest.raises(ArgumentError):
-            BackendConfig(temperature=2.5)
-        with pytest.raises(ArgumentError):
-            BackendConfig(retry_count=-1)
 
 
 class TestExtractCode:

@@ -521,6 +521,37 @@ class TestCli:
         assert f"config key {key} {wanted}, got {json.dumps(value)}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("prompt_budget", 0, "prompt_budget"),
+            ("knowledge.embedding_dimension", 0, "knowledge.embedding_dimension"),
+            ("knowledge.retrieval_k", 0, "knowledge.retrieval_k"),
+            ("knowledge.provider", "remtoe", "knowledge.provider"),
+            ("knowledge.provider", "remote", "knowledge.remote_endpoint"),
+            ("backend_options.temperature", 5.0, "backend_options.temperature"),
+            ("backend_options.temperature", 2.5, "backend_options.temperature"),
+            ("backend_options.temperature", -0.1, "backend_options.temperature"),
+            ("backend_options.retry_count", -1, "backend_options.retry_count"),
+            ("backend_options.timeout_seconds", 0, "backend_options.timeout_seconds"),
+            ("tools.timeout_seconds", 0, "tools.timeout_seconds"),
+        ],
+    )
+    def test_config_value_out_of_range_exits_2(self, fixture_project, tmp_path, capsys, key, value, named):
+        # Checked whatever the backend, so the mock-backend fixture config
+        # also refuses a live-backend setting out of range.
+        config_path = self.write_config(tmp_path, fixture_project)
+        raw = json.loads(config_path.read_text())
+        *sections, name = key.split(".")
+        section = raw
+        for part in sections:
+            section = section.setdefault(part, {})
+        section[name] = value
+        config_path.write_text(json.dumps(raw))
+        assert cli_main(["run", "--config", str(config_path)]) == 2
+        assert f"error: config key {named} must" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_null_and_integer_accepted_where_they_fit(self, fixture_project, tmp_path):
         config_path = self.write_config(tmp_path, fixture_project)
         raw = json.loads(config_path.read_text())

@@ -40,7 +40,7 @@ class TestRefineLoop:
         final, state = refine_loop(unit("BUG BUG\n"), backend, [marker_check])
         assert backend.call_count == 1
         assert state.round == 1
-        assert state.final_report.error_count() == 0
+        assert state.history[-1][1].error_count() == 0
         assert "BUG" not in final.code
 
     def test_never_fixing_backend_makes_exactly_three_repair_calls(self):
@@ -49,7 +49,7 @@ class TestRefineLoop:
         assert backend.call_count == 3
         assert state.repair_calls == 3
         assert state.round == 3
-        assert state.final_report.error_count() == 1  # unresolved, reported
+        assert state.history[-1][1].error_count() == 1  # unresolved, reported
         assert "BUG" in final.code
 
     def test_one_fix_per_round_with_two_issues_ends_at_round_two(self):
@@ -57,7 +57,7 @@ class TestRefineLoop:
         final, state = refine_loop(unit("BUG\nBUG\n"), backend, [marker_check])
         assert state.round == 2
         assert backend.call_count == 2
-        assert state.final_report.error_count() == 0
+        assert state.history[-1][1].error_count() == 0
 
     def test_round_budget_respected_for_any_bound(self):
         for bound in (0, 1, 2, 5):
@@ -77,7 +77,7 @@ class TestRefineLoop:
         backend = MockBackend([MockRule("SMELL", "CLEAN")])
         _, state = refine_loop(unit("SMELL\n"), backend, [warning_check])
         assert backend.call_count == 0
-        assert state.final_report.count("lint") == 1
+        assert state.history[-1][1].count("lint") == 1
 
     def test_backend_failure_returns_best_candidate_degraded(self):
         class FailingBackend:

@@ -258,10 +258,11 @@ class TestExternalTools:
         assert status == 1
         assert len(issues) == 1 and issues[0].line == 2 and issues[0].severity == "error"
 
-    def test_stub_import_loads_no_numpy(self):
+    @pytest.mark.parametrize("module", ["transmigrate.validation.stubcheck", "transmigrate.config"])
+    def test_import_loads_no_numpy(self, module):
         import transmigrate
 
-        probe = "import sys, transmigrate.validation.stubcheck; print('numpy' in sys.modules)"
+        probe = f"import sys, {module}; print('numpy' in sys.modules)"
         env = {"PYTHONPATH": str(Path(transmigrate.__file__).parents[1]), "PATH": ""}
         result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
         assert result.stdout == "False\n", result.stderr
