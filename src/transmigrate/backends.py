@@ -23,6 +23,7 @@ import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from transmigrate.config import BackendOptions
@@ -115,6 +116,7 @@ class MockRule:
     replacement: str
     when: str = "always"  # "always" | "translate" | "repair"
 
+    @cached_property
     def compiled(self) -> re.Pattern[str]:
         return re.compile(self.pattern, flags=re.MULTILINE)
 
@@ -161,7 +163,7 @@ class MockBackend:
             if remaining is not None and remaining <= 0:
                 break
             count = 0 if remaining is None else remaining
-            out, n = rule.compiled().subn(rule.replacement, out, count=count)
+            out, n = rule.compiled.subn(rule.replacement, out, count=count)
             if remaining is not None:
                 remaining -= n
         return f"```swift\n{out}\n```"

@@ -13,6 +13,7 @@ package but its errors, so reading a config loads no numpy.
 from __future__ import annotations
 
 import json
+import math
 import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -85,8 +86,9 @@ def _check_keys(section: dict, prefix: str, hints: dict[str, type]) -> None:
     """A key that has no field in ``hints`` (field name -> type, in field
     order), or a value whose JSON type does not fit the field, is a
     ConfigurationError naming it as ``prefix + key``. ``null`` fits only the
-    fields that default to None; a boolean is not a number. Nested sections
-    are checked by ``_build``."""
+    fields that default to None; a boolean is not a number, and a number
+    must be finite (Python's ``json`` reads ``Infinity`` and ``NaN``).
+    Nested sections are checked by ``_build``."""
     unknown = sorted(set(section) - set(hints))
     if unknown:
         raise ConfigurationError(
@@ -97,11 +99,14 @@ def _check_keys(section: dict, prefix: str, hints: dict[str, type]) -> None:
         if key not in section or is_dataclass(hint):
             continue
         allowed = typing.get_args(hint) or (hint,)
-        if not any(_is_json_type(section[key], t) for t in allowed):
+        value = section[key]
+        if not any(_is_json_type(value, t) for t in allowed):
             raise ConfigurationError(
                 f"config key {prefix}{key} must be {' or '.join(_JSON_TYPE_NAMES[t] for t in allowed)},"
-                f" got {json.dumps(section[key], default=str)}"
+                f" got {json.dumps(value, default=str)}"
             )
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigurationError(f"config key {prefix}{key} must be a finite number, got {json.dumps(value)}")
 
 
 def _build(cls: type, section, prefix: str, base_dir: Path | None):

@@ -179,15 +179,19 @@ class Pipeline:
         """ASTs by repository-relative path, and the class descriptors, of
         every ``.java`` file under the source root, parsed once per
         pipeline: analyze leaves them for index (comment chunks) and
-        translate, which drops them."""
+        translate, which drops them. Extraction is the last reader of a
+        file's tokens, so the kept ASTs hold none: only the tree, the
+        source and the comments."""
         if self._java is None:
             root = Path(self.config.source_root)
             asts: dict[str, Ast] = {}
             descriptors: list[ClassDescriptor] = []
             for path in sorted(root.rglob("*.java")):
                 source = SourceFile.read(path, path.relative_to(root).as_posix(), "java")
-                asts[source.path] = ast = parse_source(source, self.config.grammar_dir)
+                ast = parse_source(source, self.config.grammar_dir)
                 descriptors.extend(extract_classes(ast, self.config.grammar_dir))
+                ast.tokens = []
+                asts[source.path] = ast
             self._java = asts, descriptors
         return self._java
 
@@ -530,7 +534,7 @@ class Pipeline:
 
         def corpus_report(corpus) -> ValidationReport:
             report = ValidationReport()
-            report.extend(check_references(corpus, project_symbols, grammar_dir=self.config.grammar_dir))
+            report.extend(check_references(corpus, project_symbols))
             translated_graph = build_translated_class_graph(corpus)
             report.extend(compare_graphs(source_class_graph, translated_graph, unit_names, unit_of))
             return report

@@ -117,8 +117,8 @@ class PromptEnvelope:
     dropped: list[str] = field(default_factory=list)
 
 
-def default_templates_dir() -> Path:
-    return Path(__file__).parent / "templates"
+# Resolved once: every render loads its template through this directory.
+_DEFAULT_TEMPLATES_DIR = os.path.abspath(Path(__file__).parent / "templates")
 
 
 def load_template(level: str, templates_dir: str | Path | None = None) -> PromptTemplate:
@@ -126,8 +126,8 @@ def load_template(level: str, templates_dir: str | Path | None = None) -> Prompt
     the level and every mandatory heading must appear verbatim. A template
     is read once per process for each level and absolute directory; a
     missing or invalid one raises on every call."""
-    directory = Path(templates_dir) if templates_dir is not None else default_templates_dir()
-    return _load_template(level, os.path.abspath(directory))
+    directory = _DEFAULT_TEMPLATES_DIR if templates_dir is None else os.path.abspath(templates_dir)
+    return _load_template(level, directory)
 
 
 @functools.cache

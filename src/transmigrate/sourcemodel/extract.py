@@ -11,12 +11,13 @@ attempted.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from transmigrate.errors import IntegrityError
 from transmigrate.sourcemodel.grammar import GrammarProfile, load_grammar
-from transmigrate.sourcemodel.lexer import IDENT, PUNCT
+from transmigrate.sourcemodel.lexer import IDENT, PUNCT, Token
 from transmigrate.sourcemodel.parser import (
     TYPE_DECLARATION_KINDS,
     Ast,
@@ -103,13 +104,14 @@ def extract_classes(ast: Ast, grammar_dir: str | Path | None = None) -> list[Cla
         if qn.kind == "qualified_name"
     ]
     component = package if profile.package_keyword else _posix_dirname(ast.source.path)
+    runs = TokenRuns(ast.tokens)
 
     descriptors: list[ClassDescriptor] = []
 
     def visit(node: AstNode, prefix: str) -> None:
         for child in node.children:
             if child.kind in TYPE_DECLARATION_KINDS:
-                _extract_type(ast, profile, child, prefix, package, component, imports, descriptors, visit)
+                _extract_type(ast, runs, profile, child, prefix, package, component, imports, descriptors, visit)
             elif child.kind == "type_body":
                 visit(child, prefix)
 
@@ -119,6 +121,7 @@ def extract_classes(ast: Ast, grammar_dir: str | Path | None = None) -> list[Cla
 
 def _extract_type(
     ast: Ast,
+    runs: "TokenRuns",
     profile: GrammarProfile,
     node: AstNode,
     prefix: str,
@@ -153,7 +156,7 @@ def _extract_type(
         nested_type_spans = [c.span for c in body.children if c.kind in TYPE_DECLARATION_KINDS]
         for member in body.children:
             if member.kind in ("method_declaration", "constructor_declaration"):
-                desc = _extract_method(ast, profile, member, qualified)
+                desc = _extract_method(ast, runs, profile, member, qualified)
                 if member.kind == "constructor_declaration":
                     constructors.append(desc)
                 else:
@@ -161,7 +164,7 @@ def _extract_type(
             elif member.kind == "field_declaration":
                 fields.extend(_extract_fields(ast, member))
                 body_spans = [c.span for c in member.children if c.kind == "block"]
-                init_sites = _call_sites_in(ast, profile, member.span, exclude=body_spans)
+                init_sites = _call_sites_in(runs.within(member.span), profile, exclude=body_spans)
                 class_level_calls.extend(init_sites)
             elif member.kind == "error":
                 degraded = True
@@ -193,13 +196,15 @@ def _extract_type(
         visit(body, dotted)
 
 
-def _extract_method(ast: Ast, profile: GrammarProfile, node: AstNode, owner: str) -> MethodDescriptor:
+def _extract_method(
+    ast: Ast, runs: "TokenRuns", profile: GrammarProfile, node: AstNode, owner: str
+) -> MethodDescriptor:
     name_node = node.first("identifier")
     name = _node_text(ast, name_node) if name_node else "<anonymous>"
     block = node.first("block")
     sites: list[CallSite] = []
     if block is not None:
-        sites = _call_sites_in(ast, profile, block.span, exclude=[])
+        sites = _call_sites_in(runs.within(block.span), profile, exclude=[])
     return MethodDescriptor(
         name=name,
         owner=owner,
@@ -221,14 +226,28 @@ def _extract_fields(ast: Ast, node: AstNode) -> list[FieldInfo]:
     ]
 
 
+class TokenRuns:
+    """A file's structural tokens, indexed by offset. The tokens that lie
+    wholly inside a span form one contiguous run, since tokens are ordered and
+    never overlap, so ``within`` finds it by bisection instead of a scan of
+    the whole file for each method."""
+
+    def __init__(self, tokens: list[Token]) -> None:
+        self.tokens = tokens
+        self.starts = [t.start for t in tokens]
+        self.ends = [t.end for t in tokens]
+
+    def within(self, span: tuple[int, int]) -> list[Token]:
+        """The tokens ``t`` with ``start <= t.start and t.end <= end``, in order."""
+        start, end = span
+        return self.tokens[bisect_left(self.starts, start) : bisect_right(self.ends, end)]
+
+
 def _call_sites_in(
-    ast: Ast,
+    toks: list[Token],
     profile: GrammarProfile,
-    span: tuple[int, int],
     exclude: list[tuple[int, int]],
 ) -> list[CallSite]:
-    start, end = span
-    toks = [t for t in ast.tokens if start <= t.start and t.end <= end]
     sites: list[CallSite] = []
     for i, tok in enumerate(toks):
         if tok.kind != IDENT or tok.text in profile.call_blocklist:

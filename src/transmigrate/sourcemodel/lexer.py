@@ -13,7 +13,7 @@ there).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from transmigrate.sourcemodel.grammar import GrammarProfile
 
@@ -34,8 +34,10 @@ _DIGITS = frozenset(range(ord("0"), ord("9") + 1))
 _WS = frozenset(b" \t\r\n\f\v")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One token: a tuple with named fields and no per-instance dict, since
+    a parse makes one per word and punctuation mark of the file."""
+
     kind: str
     start: int
     end: int

@@ -76,8 +76,10 @@ class SourceFile:
         return cls(path=repo_relative, text=text, language=language)
 
 
-@dataclass
+@dataclass(slots=True)
 class AstNode:
+    """One declaration-level node; slotted, as a file yields hundreds."""
+
     kind: str
     start: int
     end: int

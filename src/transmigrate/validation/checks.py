@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Collection, Mapping, NamedTuple, Sequence
 
@@ -25,7 +26,7 @@ from transmigrate.sourcemodel.extract import ClassDescriptor, extract_classes
 from transmigrate.sourcemodel.graph import DependencyGraph, build_dependency_graph
 from transmigrate.sourcemodel.grammar import load_grammar
 from transmigrate.sourcemodel.lexer import IDENT, line_and_column
-from transmigrate.sourcemodel.parser import Ast, SourceFile, parse_source
+from transmigrate.sourcemodel.parser import SourceFile, parse_source
 from transmigrate.validation.issues import IssueRecord
 
 
@@ -40,6 +41,7 @@ class ResidueRule:
     def category(self) -> str:
         return self.rule_id.split(".", 1)[0]
 
+    @cached_property
     def compiled(self) -> re.Pattern[str]:
         return re.compile(self.pattern, flags=re.MULTILINE)
 
@@ -74,7 +76,7 @@ def platform_scan(
         rules = load_residue_rules()
     issues: list[IssueRecord] = []
     for rule in rules:
-        for match in rule.compiled().finditer(code):
+        for match in rule.compiled.finditer(code):
             line = code.count("\n", 0, match.start()) + 1
             col = match.start() - (code.rfind("\n", 0, match.start()) + 1) + 1
             snippet = match.group(0).strip()
@@ -94,11 +96,14 @@ def platform_scan(
 
 
 class ParsedUnit(NamedTuple):
-    """A translated unit's tree and extracted types. Checks and corpora
-    share it, so nothing may mutate it."""
+    """What the corpus checks read of a translated unit's parse; the tree and
+    its tokens are not kept. Checks and corpora share it, so nothing may
+    mutate it."""
 
-    ast: Ast
     classes: tuple[ClassDescriptor, ...]
+    functions: tuple[str, ...]  # top-level function and initializer names
+    first_offsets: dict[str, int]  # non-keyword identifier -> offset of its first occurrence
+    data: bytes  # the UTF-8 source, to turn an offset into a line and column
 
 
 def parse_corpora(
@@ -107,12 +112,26 @@ def parse_corpora(
     """Each corpus (unit name -> Swift text) as unit name -> ParsedUnit. A
     unit with the same name and text in several corpora, such as one that
     refinement left alone, is parsed once and shared between them."""
+    keywords = load_grammar("swift", grammar_dir).keywords
     parsed: dict[tuple[str, str], ParsedUnit] = {}
     for units in corpora:
         for name, text in units.items():
-            if (name, text) not in parsed:
-                ast = parse_source(SourceFile(name, text, "swift"), grammar_dir)
-                parsed[name, text] = ParsedUnit(ast, tuple(extract_classes(ast, grammar_dir)))
+            if (name, text) in parsed:
+                continue
+            ast = parse_source(SourceFile(name, text, "swift"), grammar_dir)
+            data = ast.source.data
+            functions = tuple(
+                data[ident.start : ident.end].decode("utf-8")
+                for node in ast.root.children
+                if node.kind in ("method_declaration", "constructor_declaration")
+                and (ident := node.first("identifier")) is not None
+            )
+            first_offsets: dict[str, int] = {}
+            for tok in ast.tokens:
+                if tok.kind == IDENT and tok.text not in keywords:
+                    first_offsets.setdefault(tok.text, tok.start)
+            classes = tuple(extract_classes(ast, grammar_dir))
+            parsed[name, text] = ParsedUnit(classes, functions, first_offsets, data)
     return [{name: parsed[name, text] for name, text in units.items()} for units in corpora]
 
 
@@ -127,11 +146,7 @@ def translated_definitions(corpus: Mapping[str, ParsedUnit]) -> set[str]:
                 defined.add(m.name)
             for f in cls.fields:
                 defined.add(f.name)
-        for node in unit.ast.root.children:
-            if node.kind in ("method_declaration", "constructor_declaration"):
-                ident = node.first("identifier")
-                if ident is not None:
-                    defined.add(unit.ast.source.data[ident.start : ident.end].decode("utf-8"))
+        defined.update(unit.functions)
     return defined
 
 
@@ -139,28 +154,22 @@ def check_references(
     corpus: Mapping[str, ParsedUnit],
     project_symbols: Collection[str],
     allowlist: set[str] | None = None,
-    grammar_dir: str | Path | None = None,
 ) -> list[IssueRecord]:
     """Flag references to project symbols (source class simple names and
     constructor and method names, as in ``analyze/classes.json``) that have
     no definition in the parsed translated corpus and are not allowlisted
     platform names. One issue per (unit, symbol), anchored at the symbol's
-    first occurrence. The identifiers are the tokens the parse kept; only
-    a reported symbol's offset is turned into a line and column."""
-    profile = load_grammar("swift", grammar_dir)
+    first occurrence, which the parse recorded; only a reported symbol's
+    offset is turned into a line and column."""
     allow = load_platform_allowlist() if allowlist is None else set(allowlist)
     defined = translated_definitions(corpus)
 
     issues: list[IssueRecord] = []
     for name in sorted(corpus):
-        ast = corpus[name].ast
-        first_offset: dict[str, int] = {}
-        for tok in ast.tokens:
-            if tok.kind == IDENT and tok.text not in profile.keywords:
-                first_offset.setdefault(tok.text, tok.start)
-        for sym in sorted(first_offset):
+        unit = corpus[name]
+        for sym in sorted(unit.first_offsets):
             if sym in project_symbols and sym not in defined and sym not in allow:
-                line, col = line_and_column(ast.source.data, first_offset[sym])
+                line, col = line_and_column(unit.data, unit.first_offsets[sym])
                 issues.append(
                     IssueRecord(
                         file=name,

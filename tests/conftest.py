@@ -1,3 +1,4 @@
+import gc
 import shutil
 from pathlib import Path
 
@@ -38,3 +39,19 @@ def make_run_config(source_root: Path, output_root: Path, **overrides) -> RunCon
     }
     raw.update(overrides)
     return RunConfig.from_dict(raw)
+
+
+def reachable(*roots) -> list:
+    """Every object reachable from ``roots`` through references, classes
+    excluded (a class reaches its module and from there everything)."""
+    seen: set[int] = set()
+    found = []
+    stack = list(roots)
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, type) or id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found

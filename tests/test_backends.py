@@ -63,6 +63,13 @@ class TestMockBackend:
         )
         assert extract_code(mock.translate(repair)).code == "yyy"
 
+    def test_each_rule_compiled_once(self):
+        rule = MockRule("a", "b")
+        mock = MockBackend([rule])
+        for _ in range(2):
+            assert extract_code(mock.translate(method_envelope("aaa"))).code == "bbb"
+        assert rule.compiled is rule.compiled
+
     def test_rules_file_loading(self, tmp_path):
         rules_path = tmp_path / "rules.json"
         rules_path.write_text(json.dumps({"rules": [{"pattern": "a", "replacement": "b"}]}))

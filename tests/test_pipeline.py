@@ -1,20 +1,22 @@
 import json
+import os
 import pathlib
 import shlex
+import shutil
 import socket
 import sys
 from collections import Counter
 
 import pytest
 
-from conftest import GOLDEN_DIR, make_run_config
+from conftest import FIXTURE_PROJECT, GOLDEN_DIR, make_run_config, reachable
 
 from transmigrate.cli import main as cli_main
 from transmigrate.errors import ConfigurationError, IntegrityError, OrderingError, ToolError
 from transmigrate.knowledge.embed import HashedTokenEmbedder
 from transmigrate.knowledge.index import VectorIndex
 from transmigrate.pipeline import STAGES, Pipeline
-from transmigrate.sourcemodel import parser
+from transmigrate.sourcemodel import lexer, parser
 
 
 def run_full(config):
@@ -172,6 +174,52 @@ class TestDeterminismAndResume:
 
         assert report_bytes(config)[1] == (GOLDEN_DIR / "report.json").read_bytes()
 
+    def test_kill_at_any_artifact_rename_resumes_to_a_fresh_run(self, tmp_path, monkeypatch):
+        """Every artifact is renamed into place; a kill just before or just
+        after any of those renames leaves a run that a new Pipeline resumes
+        to the fresh run's whole output tree, byte for byte. A resumed
+        translate parses the Java again in its own process, so this also
+        checks that a new parse yields what the shared one held."""
+
+        class Killed(BaseException):
+            pass
+
+        shutil.copytree(FIXTURE_PROJECT, tmp_path / "project")
+        real_replace = os.replace
+        renames = []
+
+        def counting_replace(src, dst):
+            renames.append(pathlib.Path(dst).relative_to(tmp_path / "fresh").as_posix())
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", counting_replace)
+        run_full(make_run_config(tmp_path / "project", tmp_path / "fresh"))
+        monkeypatch.undo()
+        fresh = output_tree(tmp_path / "fresh")
+        assert len(renames) == 31 and "translate/project.swift" in renames
+
+        for at, artifact in enumerate(renames):
+            for after in (False, True):
+                out = tmp_path / f"kill{at:02d}{'after' if after else 'before'}"
+                config = make_run_config(tmp_path / "project", out)
+                count = [0]
+
+                def killing_replace(src, dst):
+                    count[0] += 1
+                    if count[0] <= at:
+                        real_replace(src, dst)
+                        return
+                    if after:
+                        real_replace(src, dst)
+                    raise Killed(dst)
+
+                monkeypatch.setattr(os, "replace", killing_replace)
+                with pytest.raises(Killed):
+                    run_full(config)
+                monkeypatch.undo()
+                run_full(config)
+                assert output_tree(out) == fresh, (artifact, "after" if after else "before")
+
     def test_resume_refused_when_inputs_change(self, fixture_project, tmp_path):
         config = make_run_config(fixture_project, tmp_path / "out")
         run_full(config)
@@ -299,6 +347,19 @@ class TestParseOnce:
         for name in ("chunks.jsonl", "index.jsonl"):
             reused = run_config_path(run_config.output_root) / "index" / name
             assert reused.read_bytes() == (tmp_path / "alone" / "index" / name).read_bytes()
+
+    def test_parse_kept_for_translate_holds_no_tokens(self, run_config):
+        # Extraction is the last reader of the Java tokens; index reads the
+        # comments and translate reads the tree and the source.
+        pipeline = Pipeline(run_config)
+        pipeline.run_stage("analyze")
+        pipeline.run_stage("index")
+        asts, descriptors = pipeline._java
+        assert len(asts) == 3 and descriptors
+        assert all(ast.tokens == [] for ast in asts.values())
+        assert any(ast.comments for ast in asts.values())
+        kept = [o for o in reachable(pipeline._java) if isinstance(o, lexer.Token)]
+        assert kept and all(t.kind == lexer.COMMENT for t in kept)
 
 class TestArtifactWrites:
     def test_failed_write_leaves_previous_state_whole(self, run_config, monkeypatch):
@@ -506,6 +567,11 @@ class TestCli:
             ("tools.timeout_seconds", "60", "must be a number"),
             ("knowledge.crawl.max_depth", 1.5, "must be an integer"),
             ("backend_options.model", None, "must be a string"),
+            # Python's json reads Infinity and NaN, which would pass every range check.
+            ("tools.timeout_seconds", float("inf"), "must be a finite number"),
+            ("tools.timeout_seconds", float("nan"), "must be a finite number"),
+            ("backend_options.timeout_seconds", float("-inf"), "must be a finite number"),
+            ("backend_options.temperature", float("nan"), "must be a finite number"),
         ],
     )
     def test_config_value_of_wrong_type_exits_2(self, fixture_project, tmp_path, capsys, key, value, wanted):

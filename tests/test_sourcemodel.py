@@ -5,7 +5,10 @@ from pathlib import Path
 import pytest
 
 from transmigrate.errors import ConfigurationError, IntegrityError, StructuralError
-from transmigrate.sourcemodel.extract import extract_classes, method_body
+from conftest import FIXTURE_PROJECT
+
+from transmigrate.sourcemodel import lexer
+from transmigrate.sourcemodel.extract import TokenRuns, extract_classes, method_body
 from transmigrate.sourcemodel.grammar import default_grammar_dir, load_grammar
 from transmigrate.sourcemodel.graph import (
     EDGE_CALL,
@@ -148,6 +151,38 @@ interface I1 { void x(); }
     def test_unknown_language_rejected(self):
         with pytest.raises(ConfigurationError):
             SourceFile(path="a.kt", text="", language="kotlin")
+
+
+class TestTokenRecords:
+    def test_tokens_and_nodes_have_no_instance_dict(self):
+        ast = parse_source(java("class A { int x; void f() { g(); } } // done"))
+        assert ast.tokens and ast.comments
+        assert not any(hasattr(t, "__dict__") for t in ast.tokens + ast.comments)
+        assert not any(hasattr(n, "__dict__") for n in ast.root.walk())
+
+    @pytest.mark.parametrize("path", sorted(FIXTURE_PROJECT.rglob("*.java")), ids=lambda p: p.name)
+    def test_parse_returns_every_token(self, path):
+        file = SourceFile.read(path, path.name, "java")
+        ast = parse_source(file)
+        everything = lexer.tokenize(file.data, load_grammar("java"))
+        assert ast.tokens == [t for t in everything if t.kind != lexer.COMMENT]
+        assert ast.comments == [t for t in everything if t.kind == lexer.COMMENT]
+
+
+class TestTokenRuns:
+    @pytest.mark.parametrize("path", sorted(FIXTURE_PROJECT.rglob("*.java")), ids=lambda p: p.name)
+    def test_within_equals_a_full_scan(self, path):
+        ast = parse_source(SourceFile.read(path, path.name, "java"))
+        runs = TokenRuns(ast.tokens)
+        spans = [m.span for c in extract_classes(ast) for m in c.all_methods()]
+        spans += [n.span for n in ast.root.walk()]
+        assert len(spans) > 10
+        rng = random.Random(11)
+        n = len(ast.source.data)
+        spans += [(rng.randint(-3, n + 3), rng.randint(-3, n + 3)) for _ in range(500)]  # some inverted
+        spans += [(t.start + 1, t.end) for t in ast.tokens] + [(t.start, t.end - 1) for t in ast.tokens]
+        for start, end in spans:
+            assert runs.within((start, end)) == [t for t in ast.tokens if start <= t.start and t.end <= end]
 
 
 class TestExtract:

@@ -5,9 +5,12 @@ from pathlib import Path
 
 import pytest
 
+from conftest import reachable
+
 from transmigrate.errors import ArgumentError, ConfigurationError, MappingError, ToolError
 from transmigrate.sourcemodel.extract import extract_classes
-from transmigrate.sourcemodel.parser import SourceFile, parse_source
+from transmigrate.sourcemodel.lexer import Token
+from transmigrate.sourcemodel.parser import Ast, AstNode, SourceFile, parse_source
 from transmigrate.validation.checks import (
     build_translated_class_graph,
     check_references,
@@ -232,6 +235,10 @@ class Weather {
         assert len(rules) > 10
         assert all(r.rule_id and r.pattern for r in rules)
 
+    def test_each_rule_compiled_once(self):
+        rule = load_residue_rules()[0]
+        assert rule.compiled is rule.compiled
+
 
 class TestExternalTools:
     def test_argv_substitution(self):
@@ -436,6 +443,20 @@ def test_extensions_merge_into_primary_declaration():
     assert sorted(graph.nodes) == ["Helper", "Store"]
     assert ("Store", "Helper", "field-type") in graph.edges
     assert ("Store", "Helper", "call") in graph.edges
+
+
+def test_parsed_units_keep_no_tree_and_no_tokens():
+    text = "import UIKit\nclass A {\n    func go() { Helper(); go() }\n}\nfunc top() {}\ninit() {}\n"
+    units = swift_units(**{"A.swift": text})
+    unit = units["A.swift"]
+    assert [c.qualified_name for c in unit.classes] == ["A"]
+    assert unit.functions == ("top", "init")
+    assert unit.first_offsets == {name: text.index(name) for name in ("UIKit", "A", "go", "Helper", "top")}
+    assert unit.data == text.encode()
+    kept = reachable(units)
+    assert not [o for o in kept if isinstance(o, (Ast, Token))]
+    assert not [o for o in kept if isinstance(o, AstNode) and o.kind == "program"]
+    assert not [o for o in kept if isinstance(o, list) and o and isinstance(o[0], Token)]
 
 
 def test_translated_graph_leaves_shared_parse_results_unchanged():
