@@ -23,7 +23,7 @@ from transmigrate.errors import ConfigurationError
 DEFAULT_MAX_ROUNDS = 3
 
 # Fields holding a path, resolved against the config file's directory.
-_PATH_FIELDS = frozenset({"source_root", "output_root", "grammar_dir", "rules_file"})
+_PATH_FIELDS = frozenset({"source_root", "output_root", "rules_file"})
 
 
 @dataclass
@@ -149,7 +149,6 @@ class RunConfig:
     prompt_budget: int = 8000  # size units (chars / 4)
     max_rounds: int = DEFAULT_MAX_ROUNDS
     seed: int = 20240501
-    grammar_dir: str | None = None
     dump_prompts: bool = False
     sample_issues: bool = False
     dry_run: bool = False

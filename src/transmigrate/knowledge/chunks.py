@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from transmigrate.sourcemodel import lexer
-from transmigrate.sourcemodel.grammar import GrammarProfile, profile_for_extension
+from transmigrate.sourcemodel.grammar import LANGUAGE_BY_SUFFIX, GrammarProfile, profile_for_extension
 from transmigrate.sourcemodel.parser import Ast
 
 logger = logging.getLogger(__name__)
@@ -30,7 +30,6 @@ CHUNK_OVERLAP = 100
 KINDS = ("readme", "api_doc", "code_comment", "pull_request", "issue", "web_page")
 
 _DOC_SUFFIXES = {".md", ".rst", ".txt", ".adoc", ".html", ".htm"}
-_SOURCE_SUFFIXES = {".java", ".swift"}
 
 
 @dataclass
@@ -80,7 +79,7 @@ def infer_kind(rel_path: str) -> str | None:
     parts = {part.lower() for part in p.parts[:-1]}
     if name.startswith("readme"):
         return "readme"
-    if p.suffix.lower() in _SOURCE_SUFFIXES:
+    if p.suffix.lower() in LANGUAGE_BY_SUFFIX:
         return "code_comment"
     if parts & {"pulls", "pull_requests", "prs"} or "pull_request" in name:
         return "pull_request"
@@ -91,13 +90,11 @@ def infer_kind(rel_path: str) -> str | None:
     return None
 
 
-def ingest_repository(
-    root: str | Path, asts: dict[str, Ast] | None = None, grammar_dir: str | Path | None = None
-) -> list[DocumentChunk]:
+def ingest_repository(root: str | Path, asts: dict[str, Ast] | None = None) -> list[DocumentChunk]:
     """Walk ``root`` and chunk every ingestible text file, in sorted path
     order. Binary files are skipped with a logged notice, never an error.
     Source files contribute their comments (kind ``code_comment``), lexed
-    with the grammars in ``grammar_dir``; a file whose parse in ``asts``
+    with their language's grammar; a file whose parse in ``asts``
     (by root-relative path) read the same text takes the comment tokens of
     that parse instead."""
     root = Path(root)
@@ -118,7 +115,7 @@ def ingest_repository(
             continue
         text = raw.decode("utf-8", errors="replace")
         if kind == "code_comment":
-            profile = profile_for_extension(rel, grammar_dir)
+            profile = profile_for_extension(rel)
             if profile is None:
                 continue
             ast = asts.get(rel)

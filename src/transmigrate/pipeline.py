@@ -3,12 +3,13 @@
 Stage order: analyze -> index -> plan -> translate -> validate -> report.
 Every stage persists its artifacts under the output root before the state
 cursor advances, so an interrupted run resumes without repeating work
-(completed translation units are never re-sent to the backend). The state
-file is the stage cursor only: it is written once per completed stage. A
-translation unit is complete when its refinement payload exists; that
-payload is the last file the unit writes. The state file hash-guards the
-source tree and configuration: resuming against modified inputs is
-refused.
+(completed translation units and components are never re-sent to the
+backend). The state file is the stage cursor only: it is written once per
+completed stage. A translation unit is complete when its refinement payload
+exists; that payload is the last file the unit writes. A component is
+complete when its ``translate/components`` file exists. The state file
+hash-guards the source tree and configuration: resuming against modified
+inputs is refused.
 
 With the mock backend and crawling disabled the whole run is
 bit-deterministic: no timestamps are written, every collection is sorted,
@@ -188,8 +189,8 @@ class Pipeline:
             descriptors: list[ClassDescriptor] = []
             for path in sorted(root.rglob("*.java")):
                 source = SourceFile.read(path, path.relative_to(root).as_posix(), "java")
-                ast = parse_source(source, self.config.grammar_dir)
-                descriptors.extend(extract_classes(ast, self.config.grammar_dir))
+                ast = parse_source(source)
+                descriptors.extend(extract_classes(ast))
                 ast.tokens = []
                 asts[source.path] = ast
             self._java = asts, descriptors
@@ -213,6 +214,10 @@ class Pipeline:
 
     def stage_analyze(self) -> None:
         asts, descriptors = self._java_model()
+        if not descriptors:
+            raise ConfigurationError(
+                f"no Java class found under source_root {self.config.source_root!r}: nothing to translate"
+            )
         graphs = {g: build_dependency_graph(descriptors, g) for g in ("method", "class", "component")}
         _write_json(self.out / "analyze" / "classes.json", [_descriptor_dict(d) for d in descriptors])
         for name, graph in graphs.items():
@@ -234,7 +239,7 @@ class Pipeline:
         # Comment chunks reuse the parse analyze left in this process; without
         # it, ingest lexes the sources instead of parsing them here.
         asts = self._java[0] if self._java is not None else None
-        chunks = ingest_repository(self.config.source_root, asts, self.config.grammar_dir)
+        chunks = ingest_repository(self.config.source_root, asts)
         crawl = self.config.knowledge.crawl
         if crawl.enabled and crawl.start_url:
             chunks.extend(crawl_site(crawl.start_url, crawl.max_depth, crawl.max_pages))
@@ -369,6 +374,15 @@ class Pipeline:
             return query(index, text, k, embedder) if len(index) else []
 
         for comp in plan.components:
+            comp_file = (comp.name or "default").replace("/", "_") or "default"
+            comp_path = self.out / "translate" / "components" / f"{comp_file}.swift"
+            if comp_path.is_file():
+                # Written whole after every member unit: a resume reads it
+                # back byte for byte (``newline=""`` keeps any "\r").
+                logger.info("skipping completed component %s", comp.name or "(default)")
+                with comp_path.open(encoding="utf-8", newline="") as saved:
+                    component_outputs[comp.name] = saved.read()
+                continue
             for cls_plan in comp.classes:
                 qualified = cls_plan.name
                 unit_base = unit_names[qualified]
@@ -464,8 +478,7 @@ class Pipeline:
             comp_envelope = truncate_context(comp_envelope, self.config.prompt_budget)
             self._dump_prompt(f"component_{comp.name or 'default'}", comp_envelope)
             comp_code = extract_code(backend.translate(comp_envelope)).code
-            comp_file = (comp.name or "default").replace("/", "_") or "default"
-            _write_text(self.out / "translate" / "components" / f"{comp_file}.swift", comp_code)
+            _write_text(comp_path, comp_code)
             component_outputs[comp.name] = comp_code
 
         project_envelope = render_prompt(
@@ -530,7 +543,7 @@ class Pipeline:
             }
 
         final_units = load_units(units_dir)
-        initial_units = load_units(initial_dir) if initial_dir.is_dir() else dict(final_units)
+        initial_units = load_units(initial_dir)
 
         def corpus_report(corpus) -> ValidationReport:
             report = ValidationReport()
@@ -539,7 +552,7 @@ class Pipeline:
             report.extend(compare_graphs(source_class_graph, translated_graph, unit_names, unit_of))
             return report
 
-        corpora = parse_corpora(initial_units, final_units, grammar_dir=self.config.grammar_dir)
+        corpora = parse_corpora(initial_units, final_units)
         before, after = map(corpus_report, corpora)
         for payload_path in sorted(refinement_dir.glob("*.json")):
             first, last = _read_artifact(payload_path, "translate", _round_reports)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,6 +21,8 @@ from transmigrate.knowledge.index import RetrievalResult
 from transmigrate.sourcemodel.parser import AstNode
 
 LEVELS = ("method", "class", "component", "project", "repair")
+
+_TEMPLATES_DIR = Path(__file__).parent / "templates"
 
 _SLOT_RE = re.compile(r"\{(\w+)\}")
 
@@ -117,24 +118,15 @@ class PromptEnvelope:
     dropped: list[str] = field(default_factory=list)
 
 
-# Resolved once: every render loads its template through this directory.
-_DEFAULT_TEMPLATES_DIR = os.path.abspath(Path(__file__).parent / "templates")
-
-
-def load_template(level: str, templates_dir: str | Path | None = None) -> PromptTemplate:
-    """Load and validate one level's template: every slot must be known for
-    the level and every mandatory heading must appear verbatim. A template
-    is read once per process for each level and absolute directory; a
-    missing or invalid one raises on every call."""
-    directory = _DEFAULT_TEMPLATES_DIR if templates_dir is None else os.path.abspath(templates_dir)
-    return _load_template(level, directory)
-
-
 @functools.cache
-def _load_template(level: str, directory: str) -> PromptTemplate:
+def load_template(level: str) -> PromptTemplate:
+    """Load and validate one level's shipped template: every slot must be
+    known for the level and every mandatory heading must appear verbatim.
+    A template is read once per process for each level; a missing or
+    invalid one raises on every call."""
     if level not in LEVELS:
         raise AssemblyError(f"unknown prompt level {level!r}")
-    body = Path(directory, f"{level}.txt").read_text(encoding="utf-8")
+    body = (_TEMPLATES_DIR / f"{level}.txt").read_text(encoding="utf-8")
     template = PromptTemplate(level=level, body=body)
     known = set(MANDATORY_SLOTS[level]) | {SPEC_SLOT.get(level, "")}
     for slot in template.slots:
@@ -152,7 +144,6 @@ def render_prompt(
     retrieved: Sequence[RetrievalResult] = (),
     *,
     provenance: dict[str, object] | None = None,
-    templates_dir: str | Path | None = None,
 ) -> PromptEnvelope:
     """Render one level's template.
 
@@ -161,7 +152,7 @@ def render_prompt(
     when none are supplied the slot reads "none retrieved". A missing
     mandatory slot raises AssemblyError naming the slot.
     """
-    template = load_template(level, templates_dir)
+    template = load_template(level)
     for slot in MANDATORY_SLOTS[level]:
         if slot not in inputs:
             raise AssemblyError(f"missing mandatory slot {slot!r} for {level} prompt")
@@ -210,12 +201,7 @@ def size_units(text: str) -> int:
     return math.ceil(len(text) / 4)
 
 
-def truncate_context(
-    envelope: PromptEnvelope,
-    budget: int,
-    *,
-    templates_dir: str | Path | None = None,
-) -> PromptEnvelope:
+def truncate_context(envelope: PromptEnvelope, budget: int) -> PromptEnvelope:
     """Fit the envelope into ``budget`` size units by dropping context slots
     in priority order: retrieved specification, then the syntax-tree excerpt,
     then the dependency excerpt. Source code and prior translations are
@@ -226,7 +212,7 @@ def truncate_context(
     if envelope.size_estimate <= budget:
         return envelope
 
-    template = load_template(envelope.level, templates_dir)
+    template = load_template(envelope.level)
     slots = dict(envelope.slots)
     provenance = dict(envelope.slot_provenance)
     dropped = list(envelope.dropped)
@@ -251,10 +237,10 @@ def truncate_context(
     )
 
 
-def output_requirements_for(level: str, templates_dir: str | Path | None = None) -> str:
+def output_requirements_for(level: str) -> str:
     """The literal requirements section of a level's template, reused by
     repair prompts so refinements follow the same output contract."""
-    body = load_template(level, templates_dir).body
+    body = load_template(level).body
     marker = "Output Requirement:"
     at = body.find(marker)
     return body[at:].rstrip() if at >= 0 else ""

@@ -191,21 +191,18 @@ def build_plan(
     class_graph: DependencyGraph,
     component_graph: DependencyGraph,
     *,
-    method_owner: Mapping[str, str] | None = None,
-    class_component: Mapping[str, str] | None = None,
+    method_owner: Mapping[str, str],
+    class_component: Mapping[str, str],
 ) -> TranslationPlan:
     """Order components, classes within each component, and methods within
     each class. Class ordering uses intra-component edges only; method
     ordering uses intra-class edges only (the coarser level already
     sequences cross-boundary work).
 
-    Roll-up maps are derived by longest-prefix matching when not supplied;
-    an item that cannot be attributed to its parent raises IntegrityError.
+    ``method_owner`` maps each method to its class and ``class_component``
+    each class to its component; a map naming an unknown class or component
+    raises IntegrityError.
     """
-    if method_owner is None:
-        method_owner = _derive_rollup(method_graph.nodes, class_graph.nodes, "method", "class")
-    if class_component is None:
-        class_component = _derive_rollup(class_graph.nodes, component_graph.nodes, "class", "component")
     for cls, comp in class_component.items():
         if comp not in component_graph.nodes:
             raise IntegrityError(f"class {cls!r} rolls up to unknown component {comp!r}")
@@ -248,22 +245,3 @@ def build_plan(
     ):
         raise IntegrityError("plan does not cover every graph node exactly once")
     return plan
-
-
-def _derive_rollup(
-    fine_nodes: frozenset[str], coarse_nodes: frozenset[str], fine_name: str, coarse_name: str
-) -> dict[str, str]:
-    """Attribute each fine-grained id to the longest coarse id that prefixes
-    it (dotted ids; nested classes make simple rsplit wrong)."""
-    by_length = sorted(coarse_nodes, key=len, reverse=True)
-    out: dict[str, str] = {}
-    for node in fine_nodes:
-        for candidate in by_length:
-            if candidate == "" or node == candidate or node.startswith(candidate + "."):
-                out[node] = candidate
-                break
-        else:
-            raise IntegrityError(
-                f"{fine_name} {node!r} does not roll up to any {coarse_name} node"
-            )
-    return out

@@ -13,7 +13,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from transmigrate.errors import IntegrityError
 from transmigrate.sourcemodel.grammar import GrammarProfile, load_grammar
@@ -90,11 +89,11 @@ class ClassDescriptor:
         return self.constructors + self.methods
 
 
-def extract_classes(ast: Ast, grammar_dir: str | Path | None = None) -> list[ClassDescriptor]:
+def extract_classes(ast: Ast) -> list[ClassDescriptor]:
     """One descriptor per type declaration, nested types included (dotted
     qualified names). Declarations containing parse errors are emitted with
     ``degraded=True``, never dropped."""
-    profile = load_grammar(ast.source.language, grammar_dir)
+    profile = load_grammar(ast.source.language)
     package = _package_of(ast)
     imports = [
         _node_text(ast, qn)

@@ -3,21 +3,25 @@
 A profile is a small JSON description of the lexical and declaration
 syntax of one language: comment markers, string delimiters, keyword
 classes, and how type/member declarations are introduced. The parser is
-generic; all language specifics live in these files. Profiles are loaded
-from a configurable grammar directory so deployments can adjust or add
-languages without code changes. A profile is read once per process for
-each language and absolute directory; a missing one raises on every call.
+generic; all language specifics live in these files, which ship in the
+package's ``grammars`` directory. A profile is read once per process for
+each language; an unknown language raises on every call.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from transmigrate.errors import ConfigurationError
+
+_GRAMMARS_DIR = Path(__file__).parent / "grammars"
+
+# The one suffix -> language map: what the parser accepts and what ingest
+# and ``SourceFile.read`` take for source code.
+LANGUAGE_BY_SUFFIX = {".java": "java", ".swift": "swift"}
 
 
 @dataclass(frozen=True)
@@ -49,25 +53,15 @@ class GrammarProfile:
     call_blocklist: frozenset[str] = field(default_factory=frozenset)
 
 
-def default_grammar_dir() -> Path:
-    """Directory holding the grammar profiles shipped with the package."""
-    return Path(__file__).parent / "grammars"
-
-
-def load_grammar(language: str, grammar_dir: str | Path | None = None) -> GrammarProfile:
-    """Load the profile for ``language`` from ``grammar_dir``.
+@functools.cache
+def load_grammar(language: str) -> GrammarProfile:
+    """The shipped profile for ``language``.
 
     Raises ConfigurationError when no profile file exists for the language.
     """
-    directory = Path(grammar_dir) if grammar_dir is not None else default_grammar_dir()
-    return _load_grammar(language, os.path.abspath(directory))
-
-
-@functools.cache
-def _load_grammar(language: str, directory: str) -> GrammarProfile:
-    path = Path(directory, f"{language}.json")
+    path = _GRAMMARS_DIR / f"{language}.json"
     if not path.is_file():
-        raise ConfigurationError(f"no grammar available for language {language!r} (looked in {directory})")
+        raise ConfigurationError(f"no grammar available for language {language!r} (looked in {_GRAMMARS_DIR})")
     raw = json.loads(path.read_text(encoding="utf-8"))
     block = raw.get("block_comment")
     return GrammarProfile(
@@ -92,10 +86,7 @@ def _load_grammar(language: str, directory: str) -> GrammarProfile:
     )
 
 
-def profile_for_extension(path: str, grammar_dir: str | Path | None = None) -> GrammarProfile | None:
+def profile_for_extension(path: str) -> GrammarProfile | None:
     """Best-effort profile lookup by file extension; None when unsupported."""
-    suffix = Path(path).suffix.lower()
-    language = {".java": "java", ".swift": "swift"}.get(suffix)
-    if language is None:
-        return None
-    return load_grammar(language, grammar_dir)
+    language = LANGUAGE_BY_SUFFIX.get(Path(path).suffix.lower())
+    return None if language is None else load_grammar(language)

@@ -31,10 +31,10 @@ from pathlib import Path
 
 from transmigrate.errors import ConfigurationError
 from transmigrate.sourcemodel import lexer
-from transmigrate.sourcemodel.grammar import GrammarProfile, load_grammar
+from transmigrate.sourcemodel.grammar import LANGUAGE_BY_SUFFIX, GrammarProfile, load_grammar
 from transmigrate.sourcemodel.lexer import IDENT, PUNCT, Token
 
-LANGUAGES = ("java", "swift")
+LANGUAGES = tuple(LANGUAGE_BY_SUFFIX.values())
 
 _TYPE_KIND_BY_KEYWORD = {
     "class": "class_declaration",
@@ -68,7 +68,7 @@ class SourceFile:
     def read(cls, path: str | Path, repo_relative: str, language: str | None = None) -> "SourceFile":
         p = Path(path)
         if language is None:
-            language = {".java": "java", ".swift": "swift"}.get(p.suffix.lower(), "")
+            language = LANGUAGE_BY_SUFFIX.get(p.suffix.lower(), "")
         try:
             text = p.read_text(encoding="utf-8", errors="replace")
         except OSError as exc:
@@ -109,10 +109,10 @@ class Ast:
     comments: list[Token]
 
 
-def parse_source(file: SourceFile, grammar_dir: str | Path | None = None) -> Ast:
+def parse_source(file: SourceFile) -> Ast:
     """Parse ``file`` into a declaration tree using its language's grammar
     profile. Raises ConfigurationError when the grammar is unavailable."""
-    profile = load_grammar(file.language, grammar_dir)
+    profile = load_grammar(file.language)
     data = file.data
     all_tokens = lexer.tokenize(data, profile)
     tokens = [t for t in all_tokens if t.kind != lexer.COMMENT]

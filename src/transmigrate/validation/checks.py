@@ -106,19 +106,17 @@ class ParsedUnit(NamedTuple):
     data: bytes  # the UTF-8 source, to turn an offset into a line and column
 
 
-def parse_corpora(
-    *corpora: Mapping[str, str], grammar_dir: str | Path | None = None
-) -> list[dict[str, ParsedUnit]]:
+def parse_corpora(*corpora: Mapping[str, str]) -> list[dict[str, ParsedUnit]]:
     """Each corpus (unit name -> Swift text) as unit name -> ParsedUnit. A
     unit with the same name and text in several corpora, such as one that
     refinement left alone, is parsed once and shared between them."""
-    keywords = load_grammar("swift", grammar_dir).keywords
+    keywords = load_grammar("swift").keywords
     parsed: dict[tuple[str, str], ParsedUnit] = {}
     for units in corpora:
         for name, text in units.items():
             if (name, text) in parsed:
                 continue
-            ast = parse_source(SourceFile(name, text, "swift"), grammar_dir)
+            ast = parse_source(SourceFile(name, text, "swift"))
             data = ast.source.data
             functions = tuple(
                 data[ident.start : ident.end].decode("utf-8")
@@ -130,7 +128,7 @@ def parse_corpora(
             for tok in ast.tokens:
                 if tok.kind == IDENT and tok.text not in keywords:
                     first_offsets.setdefault(tok.text, tok.start)
-            classes = tuple(extract_classes(ast, grammar_dir))
+            classes = tuple(extract_classes(ast))
             parsed[name, text] = ParsedUnit(classes, functions, first_offsets, data)
     return [{name: parsed[name, text] for name, text in units.items()} for units in corpora]
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Callable, Sequence
 
 from transmigrate.backends import extract_code
@@ -47,11 +46,7 @@ class RefinementState:
         return len(self.history) - 1 if self.history else 0
 
 
-def build_repair_envelope(
-    unit: TranslationUnit,
-    issues: Sequence[IssueRecord],
-    templates_dir: str | Path | None = None,
-) -> PromptEnvelope:
+def build_repair_envelope(unit: TranslationUnit, issues: Sequence[IssueRecord]) -> PromptEnvelope:
     diagnostics = "\n".join(format_diagnostic_line(i) for i in issues) or "none"
     requirements_level = unit.level if unit.level in ("method", "class", "component", "project") else "class"
     return render_prompt(
@@ -59,14 +54,13 @@ def build_repair_envelope(
         {
             "diagnostics": diagnostics,
             "prior_code": unit.code,
-            "output_requirements": output_requirements_for(requirements_level, templates_dir),
+            "output_requirements": output_requirements_for(requirements_level),
         },
         provenance={
             "diagnostics": [i.issue_id for i in issues],
             "prior_code": f"unit:{unit.name}",
             "output_requirements": f"template:{requirements_level}",
         },
-        templates_dir=templates_dir,
     )
 
 
@@ -82,7 +76,6 @@ def refine_loop(
     backend,
     checks: Sequence[Check],
     max_rounds: int = DEFAULT_MAX_ROUNDS,
-    templates_dir: str | Path | None = None,
 ) -> tuple[TranslationUnit, RefinementState]:
     """Refine ``unit`` until clean or the round budget is spent.
 
@@ -106,7 +99,7 @@ def refine_loop(
                 max_rounds,
             )
             break
-        envelope = build_repair_envelope(current, report.all_issues(), templates_dir)
+        envelope = build_repair_envelope(current, report.all_issues())
         try:
             response = backend.translate(envelope)
         except BackendError as exc:

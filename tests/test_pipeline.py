@@ -220,6 +220,35 @@ class TestDeterminismAndResume:
                 run_full(config)
                 assert output_tree(out) == fresh, (artifact, "after" if after else "before")
 
+    def test_resume_after_failed_project_prompt_sends_no_component_prompt(
+        self, fixture_project, tmp_path, monkeypatch
+    ):
+        from transmigrate.backends import MockBackend
+
+        run_full(make_run_config(fixture_project, tmp_path / "fresh"))
+        config = make_run_config(fixture_project, tmp_path / "out")
+        real = MockBackend.translate
+        levels = []
+        failed = []
+
+        def failing_first_project(self, envelope):
+            levels.append(envelope.level)
+            if envelope.level == "project" and not failed:
+                failed.append(envelope)
+                raise RuntimeError("simulated project failure")
+            return real(self, envelope)
+
+        monkeypatch.setattr(MockBackend, "translate", failing_first_project)
+        with pytest.raises(RuntimeError, match="simulated project failure"):
+            run_full(config)
+        assert levels.count("component") == 3
+        assert not (tmp_path / "out" / "translate" / "project.swift").exists()
+
+        levels.clear()
+        run_full(config)
+        assert (levels.count("component"), levels.count("project")) == (0, 1)
+        assert output_tree(tmp_path / "out") == output_tree(tmp_path / "fresh")
+
     def test_resume_refused_when_inputs_change(self, fixture_project, tmp_path):
         config = make_run_config(fixture_project, tmp_path / "out")
         run_full(config)
@@ -298,9 +327,9 @@ class TestParseOnce:
         real_parse = parser.parse_source
         real_validate = Pipeline.stage_validate
 
-        def counting_parse(source, grammar_dir=None):
+        def counting_parse(source):
             calls.append((source.language, source.path, source.text, bool(in_validate)))
-            return real_parse(source, grammar_dir)
+            return real_parse(source)
 
         def validate(self):
             in_validate.append(True)
@@ -542,7 +571,15 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "key",
-        ["tools.parallelism", "knowledge.crawl.enable", "backend_options.modle", "max_round", "promt_budget"],
+        [
+            "tools.parallelism",
+            "knowledge.crawl.enable",
+            "backend_options.modle",
+            "max_round",
+            "promt_budget",
+            # Grammars and templates ship with the package; no setting moves them.
+            "grammar_dir",
+        ],
     )
     def test_unknown_config_key_exits_2(self, fixture_project, tmp_path, capsys, key):
         config_path = self.write_config(tmp_path, fixture_project)
@@ -621,7 +658,6 @@ class TestCli:
     def test_null_and_integer_accepted_where_they_fit(self, fixture_project, tmp_path):
         config_path = self.write_config(tmp_path, fixture_project)
         raw = json.loads(config_path.read_text())
-        raw["grammar_dir"] = None
         raw["backend_options"].update(max_output_units=None, temperature=0)
         raw["knowledge"] = {"crawl": {"start_url": None}}
         config_path.write_text(json.dumps(raw))
@@ -708,6 +744,21 @@ class TestCli:
         config_path.write_text(json.dumps(raw))
         assert cli_main(["run", "--config", str(config_path)]) == 1
         assert not (tmp_path / "out" / "report").exists()
+
+    def test_source_tree_without_java_class_exits_2_at_analyze(self, tmp_path, capsys, monkeypatch):
+        from transmigrate.backends import MockBackend
+
+        calls = []
+        monkeypatch.setattr(MockBackend, "translate", lambda self, envelope: calls.append(envelope))
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        (empty / "README.md").write_text("# Nothing to translate\n")
+        config_path = self.write_config(tmp_path, empty)
+        assert cli_main(["run", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert "no Java class found under source_root" in err and str(empty) in err
+        assert not (tmp_path / "out").exists()
+        assert calls == []
 
     def test_backend_flag_overrides_config(self, fixture_project, tmp_path):
         config_path = self.write_config(tmp_path, fixture_project)

@@ -5,6 +5,7 @@ import pytest
 from conftest import GOLDEN_DIR
 from golden_fixtures import ALL_INPUTS, RETRIEVED
 
+from transmigrate import prompts
 from transmigrate.errors import AssemblyError, BudgetError
 from transmigrate.prompts import (
     MANDATORY_HEADINGS,
@@ -76,16 +77,18 @@ class TestRendering:
         assert size_units("abcd") == 1
         assert size_units("abcde") == 2
 
-    def test_templates_validate_on_load(self, tmp_path):
+    def test_templates_validate_on_load(self, tmp_path, monkeypatch):
         (tmp_path / "method.txt").write_text("Hi {unknown_slot}")
-        with pytest.raises(AssemblyError, match="unknown_slot"):
-            load_template("method", templates_dir=tmp_path)
-
-    def test_template_read_once_per_directory_and_errors_raise_each_time(self, tmp_path):
-        (tmp_path / "method.txt").write_text("Hi {unknown_slot}")
+        (tmp_path / "class.txt").write_text("Hi {class_name}")
+        monkeypatch.setattr(prompts, "_TEMPLATES_DIR", tmp_path)
+        load_template.cache_clear()  # else the shipped templates read earlier are served
         for _ in range(2):
             with pytest.raises(AssemblyError, match="unknown_slot"):
-                load_template("method", templates_dir=tmp_path)
+                load_template("method")
+            with pytest.raises(AssemblyError, match="missing heading"):
+                load_template("class")
+
+    def test_template_read_once_per_process(self):
         with pytest.raises(AssemblyError, match="unknown prompt level"):
             load_template("module")
         assert load_template("method") is load_template("method")

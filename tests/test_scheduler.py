@@ -24,6 +24,22 @@ def make_graph(granularity, nodes, edges):
     )
 
 
+def plan_for(method_graph, class_graph, component_graph):
+    """``build_plan`` with the roll-up maps that the plan stage reads from
+    ``classes.json``: here a method's class and a class's component are its
+    id without the last dotted part."""
+    def parent(nodes):
+        return {n: n.rpartition(".")[0] for n in nodes}
+
+    return build_plan(
+        method_graph,
+        class_graph,
+        component_graph,
+        method_owner=parent(method_graph.nodes),
+        class_component=parent(class_graph.nodes),
+    )
+
+
 def is_topological(order, deps):
     """Independent oracle: every dependency precedes its dependent."""
     pos = {n: i for i, n in enumerate(order)}
@@ -170,12 +186,12 @@ class TestBuildPlan:
         )
         methods = make_graph("method", [], [])
         components = make_graph("component", ["m"], [])
-        plan = build_plan(methods, classes, components)
+        plan = plan_for(methods, classes, components)
         assert [c.name for c in plan.components[0].classes] == ["m.C", "m.B", "m.A"]
 
     def test_no_edges_lexicographic(self):
         classes = make_graph("class", ["m.B", "m.A", "m.C"], [])
-        plan = build_plan(make_graph("method", [], []), classes, make_graph("component", ["m"], []))
+        plan = plan_for(make_graph("method", [], []), classes, make_graph("component", ["m"], []))
         assert [c.name for c in plan.components[0].classes] == ["m.A", "m.B", "m.C"]
 
     def test_cycle_condensation_order(self):
@@ -184,12 +200,12 @@ class TestBuildPlan:
             ["m.A", "m.B", "m.C"],
             [("m.A", "m.B", "call"), ("m.B", "m.A", "call"), ("m.A", "m.C", "call")],
         )
-        plan = build_plan(make_graph("method", [], []), classes, make_graph("component", ["m"], []))
+        plan = plan_for(make_graph("method", [], []), classes, make_graph("component", ["m"], []))
         assert [c.name for c in plan.components[0].classes] == ["m.C", "m.A", "m.B"]
 
     def test_plan_structure_and_completeness(self):
         method_graph, class_graph, component_graph = component_fixture()
-        plan = build_plan(method_graph, class_graph, component_graph)
+        plan = plan_for(method_graph, class_graph, component_graph)
         assert [c.name for c in plan.components] == ["p", "q"]
         assert [c.name for c in plan.components[0].classes] == ["p.A", "p.B"]
         assert plan.components[0].classes[0].methods == ["p.A.x", "p.A.y"]
@@ -197,7 +213,7 @@ class TestBuildPlan:
 
     def test_every_item_exactly_once(self):
         method_graph, class_graph, component_graph = component_fixture()
-        plan = build_plan(method_graph, class_graph, component_graph)
+        plan = plan_for(method_graph, class_graph, component_graph)
         classes = [c.name for _, c in plan.iter_classes()]
         assert sorted(classes) == sorted(class_graph.nodes)
         methods = [m for _, c in plan.iter_classes() for m in c.methods]
@@ -211,7 +227,7 @@ class TestBuildPlan:
             [("p.A", "q.C", "call")],
         )
         component_graph = make_graph("component", ["p", "q"], [("p", "q", "call")])
-        plan = build_plan(make_graph("method", [], []), class_graph, component_graph)
+        plan = plan_for(make_graph("method", [], []), class_graph, component_graph)
         p_component = [c for c in plan.components if c.name == "p"][0]
         assert [c.name for c in p_component.classes] == ["p.A", "p.B"]
 
@@ -220,10 +236,10 @@ class TestBuildPlan:
         class_graph = make_graph("class", ["p.A"], [])
         component_graph = make_graph("component", ["p"], [])
         with pytest.raises(IntegrityError):
-            build_plan(method_graph, class_graph, component_graph)
+            plan_for(method_graph, class_graph, component_graph)
 
     def test_plan_jsonl_round_trip(self):
-        plan = build_plan(*component_fixture())
+        plan = plan_for(*component_fixture())
         text = plan.to_jsonl()
         loaded = TranslationPlan.from_jsonl(text)
         assert loaded.to_jsonl() == text
@@ -239,6 +255,6 @@ class TestBuildPlan:
         component_graph = make_graph("component", ["m"], [])
         method_graph = make_graph("method", [], [])
         plans = {
-            build_plan(method_graph, class_graph, component_graph).to_jsonl() for _ in range(3)
+            plan_for(method_graph, class_graph, component_graph).to_jsonl() for _ in range(3)
         }
         assert len(plans) == 1

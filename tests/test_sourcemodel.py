@@ -1,6 +1,5 @@
 import random
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
@@ -9,7 +8,7 @@ from conftest import FIXTURE_PROJECT
 
 from transmigrate.sourcemodel import lexer
 from transmigrate.sourcemodel.extract import TokenRuns, extract_classes, method_body
-from transmigrate.sourcemodel.grammar import default_grammar_dir, load_grammar
+from transmigrate.sourcemodel.grammar import load_grammar
 from transmigrate.sourcemodel.graph import (
     EDGE_CALL,
     EDGE_FIELD_TYPE,
@@ -21,12 +20,12 @@ from transmigrate.sourcemodel.graph import (
 from transmigrate.sourcemodel.parser import SourceFile, check_span_invariants, parse_source
 
 
-def reparse_matches(file: SourceFile, m, grammar_dir=None) -> bool:
+def reparse_matches(file: SourceFile, m) -> bool:
     """Round-trip check: re-parsing the extracted body yields a declaration
     tree equivalent to ``m.ast_slice`` up to the span offset shift."""
     text = method_body(file, m)
     fragment = SourceFile(path=file.path + "#fragment", text=text, language=file.language)
-    ast = parse_source(fragment, grammar_dir)
+    ast = parse_source(fragment)
     wanted = "constructor_declaration" if m.is_constructor else "method_declaration"
     candidates = [n for n in ast.root.children if n.kind in (wanted, "method_declaration", "constructor_declaration")]
     if not candidates:
@@ -134,19 +133,16 @@ interface I1 { void x(); }
             assert check_span_invariants(ast) == [], text
             assert max(t.end for t in ast.tokens) <= len(text.encode()), text
 
-    def test_missing_grammar_is_configuration_error(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            load_grammar("java", grammar_dir=tmp_path)
+    def test_missing_grammar_is_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="kotlin"):
+            load_grammar("kotlin")
 
-    def test_grammar_read_once_per_directory_and_a_miss_raises_each_time(self, tmp_path, monkeypatch):
+    def test_grammar_read_once_per_process_and_a_miss_raises_each_time(self):
         for _ in range(2):
             with pytest.raises(ConfigurationError):
-                load_grammar("java", grammar_dir=tmp_path)
-        (tmp_path / "java.json").write_bytes((default_grammar_dir() / "java.json").read_bytes())
-        monkeypatch.chdir(tmp_path)
-        profile = load_grammar("java", grammar_dir=Path.cwd())
-        assert load_grammar("java", grammar_dir=".") is profile
-        assert load_grammar("java") is load_grammar("java", default_grammar_dir()) is not profile
+                load_grammar("kotlin")
+        assert load_grammar("java") is load_grammar("java")
+        assert load_grammar("swift").language == "swift"
 
     def test_unknown_language_rejected(self):
         with pytest.raises(ConfigurationError):
