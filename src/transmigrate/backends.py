@@ -8,8 +8,10 @@ the first choice's message content. The mock rewrites the envelope's code
 payload with an ordered regex rule table and returns it fenced, which is
 enough to drive the full pipeline bit-reproducibly and to script
 validation-loop behaviors (fix one issue per round, never fix, and so on).
-The live client reads its settings from ``config.BackendOptions``, whose
-ranges ``RunConfig.validate`` checks before any stage runs.
+Either backend's reply is text; ``extract_code`` reduces it to the Swift
+code it carries, which is all a caller keeps of a reply. The live client
+reads its settings from ``config.BackendOptions``, whose ranges
+``RunConfig.validate`` checks before any stage runs.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import re
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -31,8 +33,6 @@ from transmigrate.errors import BackendError, ExtractionError, RetryableBackendE
 from transmigrate.prompts import PromptEnvelope
 
 logger = logging.getLogger(__name__)
-
-TODO_MARKER = "// TODO: Platform-specific adaptation required"
 
 # The first of these slots present in an envelope is the code payload the
 # mock rewrites (repair prompts carry prior_code; translation prompts carry
@@ -169,32 +169,22 @@ class MockBackend:
         return f"```swift\n{out}\n```"
 
 
-@dataclass
-class CodeExtraction:
-    code: str
-    todo_markers: list[tuple[int, str]] = field(default_factory=list)
-    fence_count: int = 0
-
-
 _FENCE_OPEN_RE = re.compile(r"^```[\w+-]*\s*$")
 _FENCE_CLOSE_RE = re.compile(r"^```\s*$")
 
 
-def extract_code(response: str) -> CodeExtraction:
-    """Pull target code out of a backend response.
+def extract_code(response: str) -> str:
+    """The target code in a backend response.
 
     With one or more fenced blocks, the longest block wins (ties go to the
     first); an unterminated final fence runs to the end of the response.
-    With no fence the whole response is taken as code and ``fence_count``
-    stays 0, which callers treat as a warning. Lines containing the
-    platform-adaptation TODO marker are collected as (line, text) pairs.
+    With no fence the whole response is taken as code.
     """
     if not response.strip():
         raise ExtractionError("empty backend response")
-    lines = response.splitlines()
     blocks: list[str] = []
     current: list[str] | None = None
-    for line in lines:
+    for line in response.splitlines():
         if current is None:
             if _FENCE_OPEN_RE.match(line):
                 current = []
@@ -205,15 +195,4 @@ def extract_code(response: str) -> CodeExtraction:
             current.append(line)
     if current is not None:  # unterminated fence: lenient, take the tail
         blocks.append("\n".join(current))
-    if blocks:
-        code = max(blocks, key=len)  # max() keeps the first on ties
-        fence_count = len(blocks)
-    else:
-        code = response
-        fence_count = 0
-    markers = [
-        (idx + 1, line)
-        for idx, line in enumerate(code.splitlines())
-        if TODO_MARKER in line
-    ]
-    return CodeExtraction(code=code, todo_markers=markers, fence_count=fence_count)
+    return max(blocks, key=len) if blocks else response  # max() keeps the first on ties

@@ -47,7 +47,12 @@ from transmigrate.reporting import (
     sample_size,
 )
 from transmigrate.scheduler import TranslationPlan, build_plan
-from transmigrate.sourcemodel.extract import ClassDescriptor, extract_classes, method_body
+from transmigrate.sourcemodel.extract import (
+    ClassDescriptor,
+    declarations_by_span,
+    extract_classes,
+    method_body,
+)
 from transmigrate.sourcemodel.graph import DependencyGraph, build_dependency_graph
 from transmigrate.sourcemodel.parser import Ast, SourceFile, parse_source
 from transmigrate.validation.checks import (
@@ -65,6 +70,10 @@ from transmigrate.validation.tools import run_external_check
 logger = logging.getLogger(__name__)
 
 STAGES = ("analyze", "index", "plan", "translate", "validate", "report")
+
+# The stages a dry run runs. In place of any later stage it logs what
+# translate would send: it sends, writes and marks nothing after plan.
+_DRY_RUN_STAGES = ("analyze", "index", "plan")
 
 
 @dataclass
@@ -181,8 +190,8 @@ class Pipeline:
         every ``.java`` file under the source root, parsed once per
         pipeline: analyze leaves them for index (comment chunks) and
         translate, which drops them. Extraction is the last reader of a
-        file's tokens, so the kept ASTs hold none: only the tree, the
-        source and the comments."""
+        file's tokens and ingest of its comments, so the kept ASTs hold
+        none past ingest: only the tree and the source."""
         if self._java is None:
             root = Path(self.config.source_root)
             asts: dict[str, Ast] = {}
@@ -237,9 +246,12 @@ class Pipeline:
                 self._mark_stage_done("index")
                 return
         # Comment chunks reuse the parse analyze left in this process; without
-        # it, ingest lexes the sources instead of parsing them here.
-        asts = self._java[0] if self._java is not None else None
+        # it, ingest lexes the sources instead of parsing them here. Nothing
+        # after ingest reads the comments.
+        asts = self._java[0] if self._java is not None else {}
         chunks = ingest_repository(self.config.source_root, asts)
+        for ast in asts.values():
+            ast.comments = []
         crawl = self.config.knowledge.crawl
         if crawl.enabled and crawl.start_url:
             chunks.extend(crawl_site(crawl.start_url, crawl.max_depth, crawl.max_pages))
@@ -295,13 +307,6 @@ class Pipeline:
             else:
                 mapping[qualified] = qualified.replace(".", "_")
         return mapping
-
-    def _dump_prompt(self, label: str, envelope) -> None:
-        if not self.config.dump_prompts:
-            return
-        safe = label.replace("/", "_").replace(".", "_")
-        _write_text(self.out / "prompts" / f"{self._prompt_ordinal:04d}_{safe}.txt", envelope.rendered_text)
-        self._prompt_ordinal += 1
 
     def _unit_checks(self):
         """Per-unit checks used inside the refinement loop: the external
@@ -359,23 +364,21 @@ class Pipeline:
         initial_dir = self.out / "translate" / "initial"
         refinement_dir = self.out / "translate" / "refinement"
 
-        def completed(qualified: str) -> bool:
-            # The refinement payload is the last file a unit writes, whole.
-            return (refinement_dir / f"{unit_names[qualified]}.json").is_file()
-
-        if self.config.dry_run:
-            pending = [c.name for _, c in plan.iter_classes() if not completed(c.name)]
-            logger.info("dry run: %d unit(s) would be translated: %s", len(pending), ", ".join(pending))
-            return
+        def send(level: str, label: str, inputs: dict[str, str], about: str) -> str:
+            """Render one level's prompt with the chunks retrieved for
+            ``about``, fit it to the budget, dump it when asked, send it, and
+            return the code of the reply."""
+            retrieved = query(index, about, k, embedder) if len(index) else []
+            envelope = truncate_context(render_prompt(level, inputs, retrieved), self.config.prompt_budget)
+            if self.config.dump_prompts:
+                safe = label.replace("/", "_").replace(".", "_")
+                _write_text(self.out / "prompts" / f"{self._prompt_ordinal:04d}_{safe}.txt", envelope.rendered_text)
+                self._prompt_ordinal += 1
+            return extract_code(backend.translate(envelope))
 
         component_outputs: dict[str, str] = {}
-
-        def retrieve(text: str):
-            return query(index, text, k, embedder) if len(index) else []
-
         for comp in plan.components:
-            comp_file = (comp.name or "default").replace("/", "_") or "default"
-            comp_path = self.out / "translate" / "components" / f"{comp_file}.swift"
+            comp_path = self._component_path(comp.name)
             if comp_path.is_file():
                 # Written whole after every member unit: a resume reads it
                 # back byte for byte (``newline=""`` keeps any "\r").
@@ -387,12 +390,13 @@ class Pipeline:
                 qualified = cls_plan.name
                 unit_base = unit_names[qualified]
                 unit_file = f"{unit_base}.swift"
-                if completed(qualified):
+                if self._unit_complete(unit_base):
                     logger.info("skipping completed unit %s", qualified)
                     continue
                 descriptor = by_qualified[qualified]
                 ast = asts[descriptor.source_path]
                 source = ast.source
+                declarations = declarations_by_span(ast)
 
                 translated_methods: list[str] = []
                 for method_id in cls_plan.methods:
@@ -403,46 +407,34 @@ class Pipeline:
                     if not descriptor_methods:
                         continue
                     m = descriptor_methods[0]
-                    envelope = render_prompt(
+                    code = send(
                         "method",
+                        f"method_{method_id}",
                         {
                             "method_name": m.name,
                             "file_name": descriptor.source_path,
                             "method_code": method_body(source, m),
-                            "ast": ast_excerpt(m.ast_slice, source.data),
+                            "ast": ast_excerpt(declarations[m.span], source.data),
                         },
-                        retrieved=retrieve(f"{descriptor.simple_name} {m.name}"),
-                        provenance={"method_code": f"method:{method_id}"},
+                        f"{descriptor.simple_name} {m.name}",
                     )
-                    envelope = truncate_context(envelope, self.config.prompt_budget)
-                    self._dump_prompt(f"method_{method_id}", envelope)
-                    translated_methods.append(
-                        f"// method: {m.name}\n{extract_code(backend.translate(envelope)).code}"
-                    )
+                    translated_methods.append(f"// method: {m.name}\n{code}")
 
-                class_content = source.data[descriptor.span[0] : descriptor.span[1]].decode("utf-8")
-                class_nodes = [
-                    n
-                    for n in ast.root.walk()
-                    if n.span == descriptor.span and n.kind.endswith("_declaration")
-                ]
-                envelope = render_prompt(
+                class_node = declarations.get(descriptor.span)
+                initial_code = send(
                     "class",
+                    f"class_{qualified}",
                     {
                         "class_name": qualified,
-                        "class_content": class_content,
+                        "class_content": source.data[descriptor.span[0] : descriptor.span[1]].decode("utf-8"),
                         "translated_methods": "\n\n".join(translated_methods) or "none",
-                        "ast": ast_excerpt(class_nodes[0], source.data) if class_nodes else "unavailable",
+                        "ast": ast_excerpt(class_node, source.data) if class_node else "unavailable",
                         "dependency": dependency_excerpt(class_graph, qualified),
                     },
-                    retrieved=retrieve(f"{descriptor.simple_name} {descriptor.component}"),
-                    provenance={"class_content": f"class:{qualified}"},
+                    f"{descriptor.simple_name} {descriptor.component}",
                 )
-                envelope = truncate_context(envelope, self.config.prompt_budget)
-                self._dump_prompt(f"class_{qualified}", envelope)
-                initial_code = extract_code(backend.translate(envelope)).code
 
-                unit = TranslationUnit(name=unit_file, level="class", code=initial_code)
+                unit = TranslationUnit(name=unit_file, code=initial_code)
                 final_unit, state = refine_loop(unit, backend, checks, self.config.max_rounds)
 
                 _write_text(initial_dir / unit_file, initial_code)
@@ -465,23 +457,22 @@ class Pipeline:
                 f"// class: {c.name}\n" + (units_dir / f"{unit_names[c.name]}.swift").read_text(encoding="utf-8")
                 for c in comp.classes
             ]
-            comp_envelope = render_prompt(
+            comp_code = send(
                 "component",
+                f"component_{comp.name or 'default'}",
                 {
                     "component_name": comp.name or "(default)",
                     "translated_classes": "\n\n".join(member_units) or "none",
                     "ast": "\n".join(f"(class_declaration {c.name})" for c in comp.classes) or "none",
                     "dependency": dependency_excerpt(component_graph, comp.name),
                 },
-                retrieved=retrieve(comp.name or "project root"),
+                comp.name or "project root",
             )
-            comp_envelope = truncate_context(comp_envelope, self.config.prompt_budget)
-            self._dump_prompt(f"component_{comp.name or 'default'}", comp_envelope)
-            comp_code = extract_code(backend.translate(comp_envelope)).code
             _write_text(comp_path, comp_code)
             component_outputs[comp.name] = comp_code
 
-        project_envelope = render_prompt(
+        project_code = send(
+            "project",
             "project",
             {
                 "translated_components": "\n\n".join(
@@ -496,13 +487,18 @@ class Pipeline:
                 "resource": self._resource_listing(),
                 "configuration": self._configuration_listing(),
             },
-            retrieved=retrieve(self.config.project_name),
+            self.config.project_name,
         )
-        project_envelope = truncate_context(project_envelope, self.config.prompt_budget)
-        self._dump_prompt("project", project_envelope)
-        project_code = extract_code(backend.translate(project_envelope)).code
         _write_text(self.out / "translate" / "project.swift", project_code)
         self._mark_stage_done("translate")
+
+    def _unit_complete(self, unit_base: str) -> bool:
+        # The refinement payload is the last file a unit writes, whole.
+        return (self.out / "translate" / "refinement" / f"{unit_base}.json").is_file()
+
+    def _component_path(self, name: str) -> Path:
+        file = (name or "default").replace("/", "_") or "default"
+        return self.out / "translate" / "components" / f"{file}.swift"
 
     def _resource_listing(self) -> str:
         root = Path(self.config.source_root)
@@ -636,7 +632,10 @@ class Pipeline:
         }.get(name)
         if runner is None:
             raise ConfigurationError(f"unknown stage {name!r}")
-        runner()
+        if self.config.dry_run and name not in _DRY_RUN_STAGES:
+            self._log_dry_run()
+        else:
+            runner()
 
     def run(self) -> None:
         for stage in STAGES:
@@ -645,9 +644,22 @@ class Pipeline:
                 continue
             logger.info("running stage %s", stage)
             self.run_stage(stage)
-            if self.config.dry_run and stage == "plan":
-                logger.info("dry run: stopping before translate")
+            if self.config.dry_run and stage not in _DRY_RUN_STAGES:
                 return
+
+    def _log_dry_run(self) -> None:
+        """Log the units, components and project prompt that translate
+        would send, by the same completion rules translate applies."""
+        plan = _read_artifact(self.out / "plan" / "plan.jsonl", "plan", TranslationPlan.from_jsonl)
+        classes = _read_artifact(self.out / "analyze" / "classes.json", "analyze", _class_summaries)
+        unit_names = self._unit_names([qualified for qualified, _, _ in classes])
+        units = [c.name for _, c in plan.iter_classes() if not self._unit_complete(unit_names[c.name])]
+        components = [c.name or "(default)" for c in plan.components if not self._component_path(c.name).is_file()]
+        for what, names in (("unit", units), ("component", components)):
+            listing = f": {', '.join(names)}" if names else ""
+            logger.info("dry run: %d %s(s) would be translated%s", len(names), what, listing)
+        if "translate" not in self.state.completed_stages:
+            logger.info("dry run: the project prompt would be sent")
 
 
 def _descriptor_dict(d: ClassDescriptor) -> dict:

@@ -1,10 +1,10 @@
-"""Prompt assembly: templates with named slots, provenance, size budgets.
+"""Prompt assembly: templates with named slots and size budgets.
 
 Templates ship as editable text files next to this module. Slot fillers
 are substituted in a single pass over the template, so braces inside slot
 values (source code) are never re-interpreted. Every rendered envelope
-tracks where each slot's content came from and an estimated size in
-units of four characters.
+carries its slot values, the context slots truncation dropped, and an
+estimated size in units of four characters.
 """
 
 from __future__ import annotations
@@ -44,23 +44,6 @@ MANDATORY_SLOTS = {
     "project": ("translated_components", "dependency", "resource", "configuration"),
     "repair": ("diagnostics", "prior_code", "output_requirements"),
 }
-
-# Source code and prior translations are never dropped by truncation.
-_UNTRUNCATABLE = frozenset(
-    {
-        "method_code",
-        "class_content",
-        "translated_methods",
-        "translated_classes",
-        "translated_components",
-        "prior_code",
-        "diagnostics",
-        "output_requirements",
-    }
-)
-
-# Context is dropped in this priority order (first present wins).
-_DROP_ORDER = ("__spec__", "ast", "dependency")
 
 MANDATORY_HEADINGS = {
     "method": (
@@ -112,7 +95,6 @@ class PromptTemplate:
 class PromptEnvelope:
     level: str
     rendered_text: str
-    slot_provenance: dict[str, object]
     size_estimate: int
     slots: dict[str, str] = field(default_factory=dict)
     dropped: list[str] = field(default_factory=list)
@@ -142,8 +124,6 @@ def render_prompt(
     level: str,
     inputs: dict[str, str],
     retrieved: Sequence[RetrievalResult] = (),
-    *,
-    provenance: dict[str, object] | None = None,
 ) -> PromptEnvelope:
     """Render one level's template.
 
@@ -158,28 +138,13 @@ def render_prompt(
             raise AssemblyError(f"missing mandatory slot {slot!r} for {level} prompt")
 
     slots = dict(inputs)
-    slot_provenance: dict[str, object] = dict(provenance or {})
-    for slot in inputs:
-        slot_provenance.setdefault(slot, f"input:{slot}")
-
     spec_slot = SPEC_SLOT.get(level)
     if spec_slot is not None and spec_slot not in slots:
-        if retrieved:
-            slots[spec_slot] = chunks_excerpt(retrieved)
-            slot_provenance[spec_slot] = [r.chunk.chunk_id for r in retrieved]
-        else:
-            slots[spec_slot] = NO_CONTEXT_SENTINEL
-            slot_provenance[spec_slot] = "none"
-
-    return _render(template, slots, slot_provenance, dropped=[])
+        slots[spec_slot] = chunks_excerpt(retrieved) if retrieved else NO_CONTEXT_SENTINEL
+    return _render(template, slots, dropped=[])
 
 
-def _render(
-    template: PromptTemplate,
-    slots: dict[str, str],
-    slot_provenance: dict[str, object],
-    dropped: list[str],
-) -> PromptEnvelope:
+def _render(template: PromptTemplate, slots: dict[str, str], dropped: list[str]) -> PromptEnvelope:
     def fill(match: re.Match[str]) -> str:
         name = match.group(1)
         if name not in slots:
@@ -190,7 +155,6 @@ def _render(
     return PromptEnvelope(
         level=template.level,
         rendered_text=rendered,
-        slot_provenance=slot_provenance,
         size_estimate=size_units(rendered),
         slots=slots,
         dropped=list(dropped),
@@ -214,21 +178,14 @@ def truncate_context(envelope: PromptEnvelope, budget: int) -> PromptEnvelope:
 
     template = load_template(envelope.level)
     slots = dict(envelope.slots)
-    provenance = dict(envelope.slot_provenance)
     dropped = list(envelope.dropped)
-    spec_slot = SPEC_SLOT.get(envelope.level)
-
-    order = [spec_slot if name == "__spec__" else name for name in _DROP_ORDER]
     current = envelope
-    for slot in order:
-        if slot is None or slot not in slots or slot in _UNTRUNCATABLE or slot in dropped:
-            continue
-        if slots[slot] == _DROPPED_SENTINEL:
+    for slot in (SPEC_SLOT.get(envelope.level), "ast", "dependency"):
+        if slot not in slots or slots[slot] == _DROPPED_SENTINEL:
             continue
         slots[slot] = _DROPPED_SENTINEL
-        provenance[slot] = "dropped"
         dropped.append(slot)
-        current = _render(template, slots, provenance, dropped)
+        current = _render(template, slots, dropped)
         if current.size_estimate <= budget:
             return current
     raise BudgetError(

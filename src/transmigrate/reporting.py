@@ -32,9 +32,6 @@ from typing import Sequence
 from transmigrate.errors import ArgumentError
 from transmigrate.validation.issues import IssueRecord
 
-# Review-set size of the reference evaluation this tool's sampling follows
-# (95% confidence; the underlying population size was not published).
-REFERENCE_REVIEW_SET_SIZE = 380
 
 CATEGORY_LINTING = "Linting/Code Quality"
 CATEGORY_SYNTAX = "Syntax Error"
@@ -89,11 +86,9 @@ class TaxonomyLabel:
             object.__setattr__(self, "level", expected)
 
 
-def classify_issue(issue: IssueRecord, context: str | None = None) -> TaxonomyLabel:
+def classify_issue(issue: IssueRecord) -> TaxonomyLabel:
     """Deterministic rule cascade from issue source (and, for platform
-    issues, the matched rule family) to a taxonomy category. ``context``
-    is the translated unit text, consulted only for the residual-construct
-    fallback."""
+    issues, the matched rule family) to a taxonomy category."""
     if issue.source == "lint":
         return TaxonomyLabel(CATEGORY_LINTING)
     if issue.source == "syntax":
@@ -105,8 +100,6 @@ def classify_issue(issue: IssueRecord, context: str | None = None) -> TaxonomyLa
         category = _PLATFORM_RULE_CATEGORIES.get(family)
         if category is not None:
             return TaxonomyLabel(category)
-        if context and ("import android" in context or "R." in context):
-            return TaxonomyLabel(CATEGORY_INCOMPLETE)
     return TaxonomyLabel(CATEGORY_UNCLASSIFIED)
 
 

@@ -53,7 +53,6 @@ class MethodDescriptor:
     name: str
     owner: str
     span: tuple[int, int]
-    ast_slice: AstNode
     calls: list[str] = field(default_factory=list)
     call_sites: list[CallSite] = field(default_factory=list)
     is_constructor: bool = False
@@ -208,7 +207,6 @@ def _extract_method(
         name=name,
         owner=owner,
         span=node.span,
-        ast_slice=node,
         calls=[s.name for s in sites],
         call_sites=sites,
         is_constructor=node.kind == "constructor_declaration",
@@ -281,6 +279,16 @@ def _call_sites_in(
             continue
         sites.append(CallSite(name=tok.text, receiver=receiver, offset=tok.start, is_constructor=is_ctor))
     return sites
+
+
+def declarations_by_span(ast: Ast) -> dict[tuple[int, int], AstNode]:
+    """Each span's first ``*_declaration`` node in walk order: for a class or
+    method descriptor's span, the node it was extracted from."""
+    nodes: dict[tuple[int, int], AstNode] = {}
+    for node in ast.root.walk():
+        if node.kind.endswith("_declaration"):
+            nodes.setdefault(node.span, node)
+    return nodes
 
 
 def method_body(file: SourceFile, m: MethodDescriptor) -> str:

@@ -19,7 +19,6 @@ Node kinds
 
 Invariants: every child span lies within its parent's span, sibling spans
 are ordered and non-overlapping, and the root spans the whole input.
-``check_span_invariants`` verifies this mechanically.
 """
 
 from __future__ import annotations
@@ -121,26 +120,6 @@ def parse_source(file: SourceFile) -> Ast:
     children = parser.parse_members(stop_at_close=False, enclosing_type=None)
     root = AstNode("program", 0, len(data), children)
     return Ast(root=root, source=file, tokens=tokens, comments=comments)
-
-
-def check_span_invariants(ast: Ast) -> list[str]:
-    """Return a list of span-nesting violations; empty when the tree is sound."""
-    problems: list[str] = []
-
-    def visit(node: AstNode) -> None:
-        prev_end = node.start
-        for child in node.children:
-            if child.start < node.start or child.end > node.end:
-                problems.append(f"{child.kind} {child.span} escapes {node.kind} {node.span}")
-            if child.start < prev_end:
-                problems.append(f"{child.kind} {child.span} overlaps previous sibling (ends {prev_end})")
-            if child.start > child.end:
-                problems.append(f"{child.kind} has inverted span {child.span}")
-            prev_end = max(prev_end, child.end)
-            visit(child)
-
-    visit(ast.root)
-    return problems
 
 
 _GENERIC_PUNCT = frozenset({"<", ">", ",", ".", "?", "&", "[", "]", "@"})

@@ -3,7 +3,7 @@
 Each round runs the configured checks over the current candidate; when
 error-severity issues remain, a repair prompt is assembled (the issue list
 rendered as canonical diagnostic lines above the prior code, closed by the
-unit level's output requirements) and the backend produces the next
+class prompt's output requirements) and the backend produces the next
 candidate. The loop stops as soon as a round is clean or after
 ``max_rounds`` repair calls, whichever comes first. The full candidate
 history is retained for before/after metrics.
@@ -28,10 +28,9 @@ Check = Callable[["TranslationUnit"], list[IssueRecord]]
 
 @dataclass(frozen=True)
 class TranslationUnit:
-    """One refinable artifact: a translated file plus its prompt level."""
+    """One refinable artifact: a translated class file."""
 
     name: str
-    level: str
     code: str
 
 
@@ -48,18 +47,12 @@ class RefinementState:
 
 def build_repair_envelope(unit: TranslationUnit, issues: Sequence[IssueRecord]) -> PromptEnvelope:
     diagnostics = "\n".join(format_diagnostic_line(i) for i in issues) or "none"
-    requirements_level = unit.level if unit.level in ("method", "class", "component", "project") else "class"
     return render_prompt(
         "repair",
         {
             "diagnostics": diagnostics,
             "prior_code": unit.code,
-            "output_requirements": output_requirements_for(requirements_level),
-        },
-        provenance={
-            "diagnostics": [i.issue_id for i in issues],
-            "prior_code": f"unit:{unit.name}",
-            "output_requirements": f"template:{requirements_level}",
+            "output_requirements": output_requirements_for("class"),
         },
     )
 
@@ -110,5 +103,5 @@ def refine_loop(
             )[0]
             current = replace(current, code=best_code)
             return current, state
-        current = replace(current, code=extract_code(response).code)
+        current = replace(current, code=extract_code(response))
     return current, state

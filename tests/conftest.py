@@ -55,3 +55,24 @@ def reachable(*roots) -> list:
         found.append(obj)
         stack.extend(gc.get_referents(obj))
     return found
+
+
+def check_span_invariants(ast) -> list[str]:
+    """Span-nesting violations of a parse tree; empty when every child lies
+    within its parent, siblings are ordered and no span is inverted."""
+    problems: list[str] = []
+
+    def visit(node) -> None:
+        prev_end = node.start
+        for child in node.children:
+            if child.start < node.start or child.end > node.end:
+                problems.append(f"{child.kind} {child.span} escapes {node.kind} {node.span}")
+            if child.start < prev_end:
+                problems.append(f"{child.kind} {child.span} overlaps previous sibling (ends {prev_end})")
+            if child.start > child.end:
+                problems.append(f"{child.kind} has inverted span {child.span}")
+            prev_end = max(prev_end, child.end)
+            visit(child)
+
+    visit(ast.root)
+    return problems

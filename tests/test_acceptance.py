@@ -241,7 +241,7 @@ def test_criterion_6_refinement_bounds():
     # Never-fixing backend: exactly three repair calls for every unit.
     for i in range(20):
         backend = MockBackend([])
-        unit = TranslationUnit(f"unit{i:02d}.swift", "class", f"let x{i} = BUG\n")
+        unit = TranslationUnit(f"unit{i:02d}.swift", f"let x{i} = BUG\n")
         _, state = refine_loop(unit, backend, [_bug_check], max_rounds=3)
         assert backend.call_count == 3, f"unit {i} made {backend.call_count} repair calls"
         assert state.history[-1][1].error_count() == 1  # unresolved, still reported
@@ -249,7 +249,7 @@ def test_criterion_6_refinement_bounds():
     # One fix per round with two planted issues: clean at round two.
     for i in range(20):
         backend = MockBackend([MockRule("BUG", "OK")], max_fixes_per_call=1)
-        unit = TranslationUnit(f"unit{i:02d}.swift", "class", "BUG\nBUG\n")
+        unit = TranslationUnit(f"unit{i:02d}.swift", "BUG\nBUG\n")
         _, state = refine_loop(unit, backend, [_bug_check], max_rounds=3)
         assert state.round == 2
         assert state.history[-1][1].error_count() == 0

@@ -6,11 +6,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from transmigrate.backends import (
-    CodeExtraction,
     LiveBackend,
     MockBackend,
     MockRule,
-    TODO_MARKER,
     extract_code,
     split_system_user,
 )
@@ -35,7 +33,7 @@ class TestMockBackend:
     def test_rule_table_rewrites_payload(self):
         mock = MockBackend([MockRule("int", "Int")])
         response = mock.translate(method_envelope("int go() { return 0; }"))
-        assert extract_code(response).code == "Int go() { return 0; }"
+        assert extract_code(response) == "Int go() { return 0; }"
 
     def test_identical_calls_identical_outputs(self):
         mock = MockBackend([MockRule("a", "b")])
@@ -45,36 +43,36 @@ class TestMockBackend:
     def test_empty_rule_table_is_pass_through(self):
         mock = MockBackend()
         envelope = method_envelope("unchanged body")
-        assert extract_code(mock.translate(envelope)).code == "unchanged body"
+        assert extract_code(mock.translate(envelope)) == "unchanged body"
 
     def test_max_fixes_per_call_caps_replacements(self):
         mock = MockBackend([MockRule("BUG", "OK")], max_fixes_per_call=1)
         envelope = method_envelope("BUG BUG BUG")
-        first = extract_code(mock.translate(envelope)).code
+        first = extract_code(mock.translate(envelope))
         assert first == "OK BUG BUG"
 
     def test_repair_only_rules_skip_initial_translation(self):
         rules = [MockRule("x", "y", when="repair")]
         mock = MockBackend(rules)
-        assert extract_code(mock.translate(method_envelope("xxx"))).code == "xxx"
+        assert extract_code(mock.translate(method_envelope("xxx"))) == "xxx"
         repair = render_prompt(
             "repair",
             {"diagnostics": "d", "prior_code": "xxx", "output_requirements": "Output Requirement:"},
         )
-        assert extract_code(mock.translate(repair)).code == "yyy"
+        assert extract_code(mock.translate(repair)) == "yyy"
 
     def test_each_rule_compiled_once(self):
         rule = MockRule("a", "b")
         mock = MockBackend([rule])
         for _ in range(2):
-            assert extract_code(mock.translate(method_envelope("aaa"))).code == "bbb"
+            assert extract_code(mock.translate(method_envelope("aaa"))) == "bbb"
         assert rule.compiled is rule.compiled
 
     def test_rules_file_loading(self, tmp_path):
         rules_path = tmp_path / "rules.json"
         rules_path.write_text(json.dumps({"rules": [{"pattern": "a", "replacement": "b"}]}))
         mock = MockBackend.from_rules_file(rules_path)
-        assert extract_code(mock.translate(method_envelope("aaa"))).code == "bbb"
+        assert extract_code(mock.translate(method_envelope("aaa"))) == "bbb"
 
 
 class _CapturingHandler(BaseHTTPRequestHandler):
@@ -116,7 +114,7 @@ class TestLiveBackend:
         backend = LiveBackend(options)
         envelope = method_envelope("int x;")
         raw = backend.translate(envelope)
-        assert extract_code(raw).code == "func go() {}"
+        assert extract_code(raw) == "func go() {}"
         sent = _CapturingHandler.captured[0]
         body = sent["body"]
         assert set(body) == {"model", "messages", "temperature"}
@@ -161,34 +159,27 @@ class TestLiveBackend:
 
 class TestExtractCode:
     def test_single_fence(self):
-        extraction = extract_code("Here you go:\n```swift\nfunc a() {}\n```\nDone.")
-        assert extraction.code == "func a() {}"
-        assert extraction.fence_count == 1
+        assert extract_code("Here you go:\n```swift\nfunc a() {}\n```\nDone.") == "func a() {}"
 
-    def test_todo_marker_collected(self):
-        response = f"```swift\nfunc a() {{}}\n{TODO_MARKER}\n```"
-        extraction = extract_code(response)
-        assert extraction.todo_markers == [(2, TODO_MARKER)]
+    def test_todo_marker_line_kept_in_code(self):
+        marker = "// TODO: Platform-specific adaptation required"
+        assert extract_code(f"```swift\nfunc a() {{}}\n{marker}\n```") == f"func a() {{}}\n{marker}"
 
     def test_longest_fence_wins(self):
         short = "s" * 40
         long = "l" * 90
         response = f"```\n{short}\n```\ntext\n```\n{long}\n```"
-        assert extract_code(response).code == long
+        assert extract_code(response) == long
 
     def test_equal_length_fences_tie_to_first(self):
         response = "```\nfirst!\n```\n```\nsecond\n```"
-        assert extract_code(response).code == "first!"
+        assert extract_code(response) == "first!"
 
     def test_no_fence_takes_whole_response(self):
-        extraction = extract_code("func a() {}")
-        assert extraction.code == "func a() {}"
-        assert extraction.fence_count == 0
+        assert extract_code("func a() {}") == "func a() {}"
 
     def test_unterminated_fence_runs_to_end(self):
-        extraction = extract_code("```swift\nfunc a() {}\nfunc b() {}")
-        assert extraction.code == "func a() {}\nfunc b() {}"
-        assert extraction.fence_count == 1
+        assert extract_code("```swift\nfunc a() {}\nfunc b() {}") == "func a() {}\nfunc b() {}"
 
     def test_empty_response_is_extraction_error(self):
         with pytest.raises(ExtractionError):
@@ -196,9 +187,4 @@ class TestExtractCode:
 
     def test_idempotent_on_refenced_code(self):
         first = extract_code("```swift\nstruct S {}\n```")
-        second = extract_code(f"```swift\n{first.code}\n```")
-        assert second.code == first.code
-
-    def test_extraction_dataclass_defaults(self):
-        extraction = CodeExtraction(code="x")
-        assert extraction.todo_markers == [] and extraction.fence_count == 0
+        assert extract_code(f"```swift\n{first}\n```") == first

@@ -292,12 +292,12 @@ class TestDeterminismAndResume:
         assert class_prompts == ["com.example.net.HttpClient", "com.example.ui.MainScreen"]
         assert report_bytes(config)[1] == (GOLDEN_DIR / "report.json").read_bytes()
 
-    def test_dry_run_after_interrupted_translate_lists_pending_units(
-        self, fixture_project, tmp_path, monkeypatch, caplog
-    ):
+    @staticmethod
+    def interrupt_after_logger(config, monkeypatch):
+        """Run until the fifth backend call, which raises: Logger's unit is
+        complete, nothing else is."""
         from transmigrate.backends import MockBackend
 
-        config = make_run_config(fixture_project, tmp_path / "out")
         real = MockBackend.translate
         budget = [4]  # Logger's two method prompts, class prompt and repair
 
@@ -310,6 +310,15 @@ class TestDeterminismAndResume:
         monkeypatch.setattr(MockBackend, "translate", crashing)
         with pytest.raises(RuntimeError):
             run_full(config)
+        monkeypatch.undo()
+
+    def test_dry_run_after_interrupted_translate_lists_pending_units(
+        self, fixture_project, tmp_path, monkeypatch, caplog
+    ):
+        from transmigrate.backends import MockBackend
+
+        config = make_run_config(fixture_project, tmp_path / "out")
+        self.interrupt_after_logger(config, monkeypatch)
         calls = []
         monkeypatch.setattr(MockBackend, "translate", lambda self, envelope: calls.append(envelope))
         config.dry_run = True
@@ -317,7 +326,56 @@ class TestDeterminismAndResume:
             Pipeline(config).run_stage("translate")
         assert calls == []
         dry = [r.getMessage() for r in caplog.records if r.getMessage().startswith("dry run:")]
-        assert dry == ["dry run: 2 unit(s) would be translated: com.example.net.HttpClient, com.example.ui.MainScreen"]
+        assert dry == [
+            "dry run: 2 unit(s) would be translated: com.example.net.HttpClient, com.example.ui.MainScreen",
+            "dry run: 3 component(s) would be translated: com.example.core, com.example.net, com.example.ui",
+            "dry run: the project prompt would be sent",
+        ]
+
+    def test_dry_run_after_interrupted_translate_changes_nothing(self, fixture_project, tmp_path, monkeypatch):
+        from transmigrate.backends import MockBackend
+
+        config = make_run_config(fixture_project, tmp_path / "out")
+        self.interrupt_after_logger(config, monkeypatch)
+        before = output_tree(tmp_path / "out")
+        calls = []
+        monkeypatch.setattr(MockBackend, "translate", lambda self, envelope: calls.append(envelope))
+        config.dry_run = True
+        run_full(config)
+        assert calls == []
+        assert output_tree(tmp_path / "out") == before
+        assert json.loads(before["state.json"])["completed_stages"] == ["analyze", "index", "plan"]
+
+        monkeypatch.undo()
+        config.dry_run = False
+        run_full(config)
+        assert report_bytes(config)[1] == (GOLDEN_DIR / "report.json").read_bytes()
+
+    def test_dry_run_after_failed_project_prompt_lists_the_project_prompt(
+        self, fixture_project, tmp_path, monkeypatch, caplog
+    ):
+        from transmigrate.backends import MockBackend
+
+        config = make_run_config(fixture_project, tmp_path / "out")
+        real = MockBackend.translate
+
+        def failing_project(self, envelope):
+            if envelope.level == "project":
+                raise RuntimeError("simulated project failure")
+            return real(self, envelope)
+
+        monkeypatch.setattr(MockBackend, "translate", failing_project)
+        with pytest.raises(RuntimeError, match="simulated project failure"):
+            run_full(config)
+        config.dry_run = True
+        with caplog.at_level("INFO", logger="transmigrate.pipeline"):
+            run_full(config)
+        dry = [r.getMessage() for r in caplog.records if r.getMessage().startswith("dry run:")]
+        assert dry == [
+            "dry run: 0 unit(s) would be translated",
+            "dry run: 0 component(s) would be translated",
+            "dry run: the project prompt would be sent",
+        ]
 
 
 class TestParseOnce:
@@ -378,17 +436,16 @@ class TestParseOnce:
             assert reused.read_bytes() == (tmp_path / "alone" / "index" / name).read_bytes()
 
     def test_parse_kept_for_translate_holds_no_tokens(self, run_config):
-        # Extraction is the last reader of the Java tokens; index reads the
-        # comments and translate reads the tree and the source.
+        # Extraction is the last reader of the Java tokens and index's ingest
+        # of the comments; translate reads the tree and the source.
         pipeline = Pipeline(run_config)
         pipeline.run_stage("analyze")
+        assert any(ast.comments for ast in pipeline._java[0].values())
         pipeline.run_stage("index")
         asts, descriptors = pipeline._java
         assert len(asts) == 3 and descriptors
-        assert all(ast.tokens == [] for ast in asts.values())
-        assert any(ast.comments for ast in asts.values())
-        kept = [o for o in reachable(pipeline._java) if isinstance(o, lexer.Token)]
-        assert kept and all(t.kind == lexer.COMMENT for t in kept)
+        assert all(ast.tokens == [] and ast.comments == [] for ast in asts.values())
+        assert not [o for o in reachable(pipeline._java) if isinstance(o, lexer.Token)]
 
 class TestArtifactWrites:
     def test_failed_write_leaves_previous_state_whole(self, run_config, monkeypatch):

@@ -23,7 +23,7 @@ def warning_check(unit: TranslationUnit) -> list[IssueRecord]:
 
 
 def unit(code: str, name: str = "U.swift") -> TranslationUnit:
-    return TranslationUnit(name=name, level="class", code=code)
+    return TranslationUnit(name=name, code=code)
 
 
 class TestRefineLoop:
@@ -120,12 +120,6 @@ class TestRepairEnvelope:
         assert text.index("Reported Issues:") < text.index("Current Code:")
         assert "class A { let init = 0 }" in text
         assert "Output Requirement:" in text
-
-    def test_provenance_links_issues_and_unit(self):
-        issues = [IssueRecord("U.swift", 1, 1, "error", "r", "m", "syntax")]
-        envelope = build_repair_envelope(unit("x", name="Thing.swift"), issues)
-        assert envelope.slot_provenance["prior_code"] == "unit:Thing.swift"
-        assert isinstance(envelope.slot_provenance["diagnostics"], list)
 
     def test_state_defaults(self):
         state = RefinementState()

@@ -4,10 +4,10 @@ from dataclasses import replace
 import pytest
 
 from transmigrate.errors import ConfigurationError, IntegrityError, StructuralError
-from conftest import FIXTURE_PROJECT
+from conftest import FIXTURE_PROJECT, check_span_invariants
 
 from transmigrate.sourcemodel import lexer
-from transmigrate.sourcemodel.extract import TokenRuns, extract_classes, method_body
+from transmigrate.sourcemodel.extract import TokenRuns, declarations_by_span, extract_classes, method_body
 from transmigrate.sourcemodel.grammar import load_grammar
 from transmigrate.sourcemodel.graph import (
     EDGE_CALL,
@@ -17,12 +17,13 @@ from transmigrate.sourcemodel.graph import (
     build_dependency_graph,
     quotient_graph,
 )
-from transmigrate.sourcemodel.parser import SourceFile, check_span_invariants, parse_source
+from transmigrate.sourcemodel.parser import SourceFile, parse_source
 
 
 def reparse_matches(file: SourceFile, m) -> bool:
     """Round-trip check: re-parsing the extracted body yields a declaration
-    tree equivalent to ``m.ast_slice`` up to the span offset shift."""
+    tree equivalent to the method's node in the file's parse (found by its
+    span) up to the span offset shift."""
     text = method_body(file, m)
     fragment = SourceFile(path=file.path + "#fragment", text=text, language=file.language)
     ast = parse_source(fragment)
@@ -30,7 +31,8 @@ def reparse_matches(file: SourceFile, m) -> bool:
     candidates = [n for n in ast.root.children if n.kind in (wanted, "method_declaration", "constructor_declaration")]
     if not candidates:
         return False
-    return _equal_modulo_offset(candidates[0], m.ast_slice, m.span[0])
+    original = declarations_by_span(parse_source(file))[m.span]
+    return _equal_modulo_offset(candidates[0], original, m.span[0])
 
 
 def _equal_modulo_offset(reparsed, original, base: int) -> bool:
@@ -191,11 +193,13 @@ class TestExtract:
         assert foo.methods[0].calls == []
 
     def test_interface_method_without_body(self):
-        descs = classes_of(java("interface I { void x(); }"))
+        ast = parse_source(java("interface I { void x(); }"))
+        descs = extract_classes(ast)
         assert descs[0].kind == "interface"
         assert [m.name for m in descs[0].methods] == ["x"]
         method = descs[0].methods[0]
-        assert method.ast_slice.first("block") is None
+        node = declarations_by_span(ast)[method.span]
+        assert node.kind == "method_declaration" and node.first("block") is None
         assert method.span[1] > method.span[0]
 
     def test_nested_class_gets_dotted_qualified_name(self):
@@ -239,13 +243,11 @@ class TestMethodBody:
 
     def test_full_file_span_returns_whole_text(self):
         src = java("void a(){}")
-        ast = parse_source(src)
-        method = [n for n in ast.root.children if n.kind == "method_declaration"][0]
-        descs = extract_classes(ast)
+        descs = extract_classes(parse_source(src))
         assert descs == []  # no enclosing type in this fragment
         from transmigrate.sourcemodel.extract import MethodDescriptor
 
-        m = MethodDescriptor(name="a", owner="", span=(0, len(src.text)), ast_slice=method)
+        m = MethodDescriptor(name="a", owner="", span=(0, len(src.text)))
         assert method_body(src, m) == src.text
 
     def test_round_trip_reparse_equivalence(self):

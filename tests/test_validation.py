@@ -454,8 +454,7 @@ def test_parsed_units_keep_no_tree_and_no_tokens():
     assert unit.first_offsets == {name: text.index(name) for name in ("UIKit", "A", "go", "Helper", "top")}
     assert unit.data == text.encode()
     kept = reachable(units)
-    assert not [o for o in kept if isinstance(o, (Ast, Token))]
-    assert not [o for o in kept if isinstance(o, AstNode) and o.kind == "program"]
+    assert not [o for o in kept if isinstance(o, (Ast, AstNode, Token))]
     assert not [o for o in kept if isinstance(o, list) and o and isinstance(o[0], Token)]
 
 
