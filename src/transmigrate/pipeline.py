@@ -118,10 +118,6 @@ def _write_json(path: Path, payload) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _missing(artifact: Path, stage: str) -> OrderingError:
-    return OrderingError(f"missing artifact {artifact.name!r}: run the {stage!r} stage first")
-
-
 def _read_artifact(path: Path, stage: str, decode=json.loads):
     """``decode`` applied to the text of an artifact that ``stage`` writes.
     A missing artifact is an OrderingError; one that does not decode is an
@@ -129,7 +125,7 @@ def _read_artifact(path: Path, stage: str, decode=json.loads):
     try:
         return decode(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
-        raise _missing(path, stage) from None
+        raise OrderingError(f"missing artifact {path.name!r}: run the {stage!r} stage first") from None
     except (ValueError, LookupError, TypeError, AttributeError) as exc:
         raise IntegrityError(f"corrupt artifact {path}: {type(exc).__name__}: {exc}") from exc
 
@@ -143,13 +139,14 @@ def _class_summaries(text: str) -> list[tuple[str, str, list[str]]]:
     ]
 
 
-def _round_reports(text: str) -> tuple[ValidationReport, ValidationReport]:
-    """First and last round reports of a ``translate/refinement`` payload."""
-    history = json.loads(text)["history"]
-    return (
-        ValidationReport.from_dict(history[0]["report"]),
-        ValidationReport.from_dict(history[-1]["report"]),
-    )
+def _first_and_kept_rounds(text: str) -> list[tuple[str, ValidationReport]]:
+    """Code and report of round 0 and of the kept round of a
+    ``translate/refinement`` payload."""
+    payload = json.loads(text)
+    return [
+        (entry["code"], ValidationReport.from_dict(entry["report"]))
+        for entry in (payload["history"][0], payload["history"][payload["kept"]])
+    ]
 
 
 class Pipeline:
@@ -361,7 +358,6 @@ class Pipeline:
         unit_names = self._unit_names([d.qualified_name for d in descriptors])
         _write_json(self.out / "translate" / "unit_names.json", unit_names)
         units_dir = self.out / "translate" / "units"
-        initial_dir = self.out / "translate" / "initial"
         refinement_dir = self.out / "translate" / "refinement"
 
         def send(level: str, label: str, inputs: dict[str, str], about: str) -> str:
@@ -400,25 +396,25 @@ class Pipeline:
 
                 translated_methods: list[str] = []
                 for method_id in cls_plan.methods:
+                    # Overloads share one plan entry; each gets its own prompt.
                     method_name = method_id[len(qualified) + 1 :]
-                    descriptor_methods = [
-                        m for m in descriptor.constructors + descriptor.methods if m.name == method_name
-                    ]
-                    if not descriptor_methods:
-                        continue
-                    m = descriptor_methods[0]
-                    code = send(
-                        "method",
-                        f"method_{method_id}",
-                        {
-                            "method_name": m.name,
-                            "file_name": descriptor.source_path,
-                            "method_code": method_body(source, m),
-                            "ast": ast_excerpt(declarations[m.span], source.data),
-                        },
-                        f"{descriptor.simple_name} {m.name}",
+                    overloads = sorted(
+                        (m for m in descriptor.constructors + descriptor.methods if m.name == method_name),
+                        key=lambda m: m.span,
                     )
-                    translated_methods.append(f"// method: {m.name}\n{code}")
+                    for m in overloads:
+                        code = send(
+                            "method",
+                            f"method_{method_id}",
+                            {
+                                "method_name": m.name,
+                                "file_name": descriptor.source_path,
+                                "method_code": method_body(source, m),
+                                "ast": ast_excerpt(declarations[m.span], source.data),
+                            },
+                            f"{descriptor.simple_name} {m.name}",
+                        )
+                        translated_methods.append(f"// method: {m.name}\n{code}")
 
                 class_node = declarations.get(descriptor.span)
                 initial_code = send(
@@ -437,7 +433,6 @@ class Pipeline:
                 unit = TranslationUnit(name=unit_file, code=initial_code)
                 final_unit, state = refine_loop(unit, backend, checks, self.config.max_rounds)
 
-                _write_text(initial_dir / unit_file, initial_code)
                 _write_text(units_dir / unit_file, final_unit.code)
                 _write_json(
                     refinement_dir / f"{unit_base}.json",
@@ -446,6 +441,7 @@ class Pipeline:
                         "class": qualified,
                         "rounds": state.round,
                         "degraded": state.degraded,
+                        "kept": state.kept,
                         "history": [
                             {"code": code, "report": report.to_dict()}
                             for code, report in state.history
@@ -519,27 +515,23 @@ class Pipeline:
         return "\n".join(parts) or "none"
 
     def stage_validate(self) -> None:
-        units_dir = self.out / "translate" / "units"
-        if not units_dir.is_dir():
-            raise _missing(units_dir, "translate")
-        initial_dir = self.out / "translate" / "initial"
-        refinement_dir = self.out / "translate" / "refinement"
+        translate_dir = self.out / "translate"
+        unit_names = _read_artifact(translate_dir / "unit_names.json", "translate")
         classes = _read_artifact(self.out / "analyze" / "classes.json", "analyze", _class_summaries)
         project_symbols = {qualified.rsplit(".", 1)[-1] for qualified, _, _ in classes}
         project_symbols.update(m for _, _, members in classes for m in members)
         source_class_graph = _read_artifact(
             self.out / "analyze" / "graph_class.json", "analyze", DependencyGraph.from_json
         )
-        unit_names = _read_artifact(self.out / "translate" / "unit_names.json", "translate")
         unit_of = {base: f"{base}.swift" for base in unit_names.values()}
-
-        def load_units(directory: Path) -> dict[str, str]:
-            return {
-                p.name: p.read_text(encoding="utf-8") for p in sorted(directory.glob("*.swift"))
-            }
-
-        final_units = load_units(units_dir)
-        initial_units = load_units(initial_dir)
+        # Each unit's payload holds its first and kept rounds: the code
+        # exactly as translate wrote it and that round's checks.
+        rounds = {
+            unit: _read_artifact(translate_dir / "refinement" / f"{base}.json", "translate", _first_and_kept_rounds)
+            for base, unit in sorted(unit_of.items(), key=lambda item: item[1])
+        }
+        initial_units = {unit: code for unit, ((code, _), _) in rounds.items()}
+        final_units = {unit: code for unit, (_, (code, _)) in rounds.items()}
 
         def corpus_report(corpus) -> ValidationReport:
             report = ValidationReport()
@@ -550,32 +542,23 @@ class Pipeline:
 
         corpora = parse_corpora(initial_units, final_units)
         before, after = map(corpus_report, corpora)
-        for payload_path in sorted(refinement_dir.glob("*.json")):
-            first, last = _read_artifact(payload_path, "translate", _round_reports)
+        for (_, first), (_, kept) in rounds.values():
             before = before.merged_with(first)
-            after = after.merged_with(last)
+            after = after.merged_with(kept)
 
-        def validity(units: dict[str, str], report: ValidationReport) -> dict[str, bool]:
-            flags = {}
-            for name in sorted(units):
-                issues = report.files.get(name, [])
-                syntax_ok = not any(i.source == "syntax" and i.severity == "error" for i in issues)
-                refs_ok = not any(
-                    i.source == "internal_reference" and i.severity == "error" for i in issues
+        def validity(report: ValidationReport) -> dict[str, bool]:
+            """A unit is valid without syntax, reference and graph errors."""
+            return {
+                unit: not any(
+                    i.severity == "error" and i.source in ("syntax", "internal_reference", "graph_diff")
+                    for i in report.files.get(unit, [])
                 )
-                graph_ok = not any(i.source == "graph_diff" and i.severity == "error" for i in issues)
-                flags[name] = syntax_ok and refs_ok and graph_ok
-            return flags
+                for unit in rounds
+            }
 
         _write_json(self.out / "validate" / "before.json", before.to_dict())
         _write_json(self.out / "validate" / "after.json", after.to_dict())
-        _write_json(
-            self.out / "validate" / "validity.json",
-            {
-                "before": validity(initial_units, before),
-                "after": validity(final_units, after),
-            },
-        )
+        _write_json(self.out / "validate" / "validity.json", {"before": validity(before), "after": validity(after)})
         self._mark_stage_done("validate")
 
     def stage_report(self) -> None:

@@ -6,7 +6,9 @@ fields, and nested brace blocks. Expression-level structure is not
 modeled; method bodies appear as nested ``block`` nodes. Malformed input
 never raises: unmatched braces become ``error`` nodes at the offending
 span and parsing continues, so downstream extraction can flag degraded
-declarations instead of dropping them.
+declarations instead of dropping them. A block or type body opened inside
+``MAX_NESTING`` braces is skipped whole as an ``error`` node, so no input
+exhausts the recursion of the parser or of the walks over its tree.
 
 Node kinds
     program, package_declaration, import_declaration, qualified_name,
@@ -45,6 +47,10 @@ _TYPE_KIND_BY_KEYWORD = {
 }
 
 TYPE_DECLARATION_KINDS = frozenset(_TYPE_KIND_BY_KEYWORD.values()) | {"annotation_declaration"}
+
+# Braces open around the cursor beyond which a block or type body is not
+# descended into (each level costs a few stack frames here and in the walks).
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -157,6 +163,7 @@ class _Parser:
         self.profile = profile
         self.eof = len(data)
         self.i = 0
+        self.depth = 0  # braces open around the cursor
         newlines = []
         pos = data.find(b"\n")
         while pos >= 0:
@@ -208,8 +215,14 @@ class _Parser:
                 members.append(AstNode("error", tok.start, tok.end))
                 self.advance()
                 continue
+            at = self.i
             node = self.parse_member(enclosing_type)
-            if node is not None:
+            if self.i == at:
+                # A member that consumed nothing (a stray ')' or ']'): flag
+                # the token and step over it, or the loop would never end.
+                members.append(AstNode("error", tok.start, tok.end))
+                self.advance()
+            elif node is not None:
                 members.append(node)
         return members
 
@@ -382,13 +395,17 @@ class _Parser:
         return names
 
     def _parse_type_body(self, type_keyword: str, type_name: str | None) -> AstNode:
+        if self.depth >= MAX_NESTING:
+            return self._skip_too_deep("type_body")
         open_tok = self.advance()  # '{'
+        self.depth += 1
         children: list[AstNode] = []
         if type_keyword == "enum" and self.profile.member_style == "c":
             constants = self._parse_enum_constants()
             if constants is not None:
                 children.append(constants)
         children.extend(self.parse_members(stop_at_close=True, enclosing_type=type_name))
+        self.depth -= 1
         tok = self.peek()
         if tok is not None and tok.kind == PUNCT and tok.text == "}":
             close = self.advance()
@@ -705,22 +722,35 @@ class _Parser:
     # ---- generic helpers -----------------------------------------------------
 
     def _parse_block(self) -> AstNode:
+        if self.depth >= MAX_NESTING:
+            return self._skip_too_deep("block")
         open_tok = self.advance()  # '{'
+        self.depth += 1
         children: list[AstNode] = []
         while not self.at_end():
             tok = self.peek()
             assert tok is not None
             if tok.kind == PUNCT and tok.text == "}":
                 close = self.advance()
+                self.depth -= 1
                 return AstNode("block", open_tok.start, close.end, children)
             if tok.kind == PUNCT and tok.text == "{":
                 children.append(self._parse_block())
                 continue
             self.advance()
+        self.depth -= 1
         # Unclosed block: the error node covers the unterminated tail.
         tail_start = max(self._last_end(), open_tok.end)
         children.append(AstNode("error", tail_start, self.eof))
         return AstNode("block", open_tok.start, self.eof, children)
+
+    def _skip_too_deep(self, kind: str) -> AstNode:
+        """The ``kind`` node of a block or type body opened at the nesting
+        bound: consumed through its matching close, with one error child
+        over its whole span."""
+        start = self.toks[self.i].start
+        end = self._skip_balanced("{", "}")
+        return AstNode(kind, start, end, [AstNode("error", start, end)])
 
     def _skip_balanced(self, open_text: str, close_text: str) -> int:
         """Consume from the current opening token through its matching close;

@@ -17,8 +17,6 @@ import hashlib
 import re
 from dataclasses import dataclass, field
 
-SOURCES = ("syntax", "lint", "internal_reference", "graph_diff", "platform")
-
 _DIAG_RE = re.compile(
     r"^(?P<file>[^\s:][^:\n]*):(?P<line>\d+):(?P<col>\d+):\s*"
     r"(?P<severity>error|warning):\s*(?P<message>.*)$"
@@ -34,7 +32,7 @@ class IssueRecord:
     severity: str  # "error" | "warning"
     rule: str | None
     message: str
-    source: str  # one of SOURCES
+    source: str  # syntax, lint, internal_reference, graph_diff or platform
 
     @property
     def issue_id(self) -> str:
@@ -95,10 +93,9 @@ def parse_tool_output(output: str, source: str) -> tuple[list[IssueRecord], int]
 
 @dataclass
 class ValidationReport:
-    """Issues grouped by file, plus per-check pass flags."""
+    """Issues grouped by file."""
 
     files: dict[str, list[IssueRecord]] = field(default_factory=dict)
-    round_index: int | None = None
 
     def add(self, issue: IssueRecord) -> None:
         self.files.setdefault(issue.file, []).append(issue)
@@ -110,37 +107,17 @@ class ValidationReport:
     def all_issues(self) -> list[IssueRecord]:
         return [issue for name in sorted(self.files) for issue in self.files[name]]
 
-    def issues_from(self, source: str) -> list[IssueRecord]:
-        return [i for i in self.all_issues() if i.source == source]
-
-    def error_count(self, source: str | None = None) -> int:
-        return sum(
-            1
-            for i in self.all_issues()
-            if i.severity == "error" and (source is None or i.source == source)
-        )
-
-    def count(self, source: str) -> int:
-        return len(self.issues_from(source))
-
-    def passes(self, source: str) -> bool:
-        """A check passes iff it produced zero error-severity issues."""
-        return self.error_count(source) == 0
-
-    @property
-    def pass_flags(self) -> dict[str, bool]:
-        return {source: self.passes(source) for source in SOURCES}
+    def error_count(self) -> int:
+        return sum(1 for i in self.all_issues() if i.severity == "error")
 
     def merged_with(self, other: "ValidationReport") -> "ValidationReport":
-        merged = ValidationReport(round_index=self.round_index)
+        merged = ValidationReport()
         merged.extend(self.all_issues())
         merged.extend(other.all_issues())
         return merged
 
     def to_dict(self) -> dict:
         return {
-            "round_index": self.round_index,
-            "pass_flags": self.pass_flags,
             "files": {
                 name: [
                     {
@@ -160,7 +137,7 @@ class ValidationReport:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ValidationReport":
-        report = cls(round_index=payload.get("round_index"))
+        report = cls()
         for name, issues in payload.get("files", {}).items():
             for rec in issues:
                 report.add(IssueRecord(**rec))

@@ -5,8 +5,10 @@ error-severity issues remain, a repair prompt is assembled (the issue list
 rendered as canonical diagnostic lines above the prior code, closed by the
 class prompt's output requirements) and the backend produces the next
 candidate. The loop stops as soon as a round is clean or after
-``max_rounds`` repair calls, whichever comes first. The full candidate
-history is retained for before/after metrics.
+``max_rounds`` repair calls, whichever comes first. The state keeps every
+round's code and report, and ``kept``, the index of the round whose code
+the loop returned: validate reads round 0 as the before corpus and round
+``kept`` as the after corpus.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ class RefinementState:
     round: int = 0
     history: list[tuple[str, ValidationReport]] = field(default_factory=list)
     degraded: bool = False
+    kept: int = 0  # index into ``history`` of the returned code
 
     @property
     def repair_calls(self) -> int:
@@ -57,8 +60,8 @@ def build_repair_envelope(unit: TranslationUnit, issues: Sequence[IssueRecord]) 
     )
 
 
-def run_checks(unit: TranslationUnit, checks: Sequence[Check], round_index: int) -> ValidationReport:
-    report = ValidationReport(round_index=round_index)
+def run_checks(unit: TranslationUnit, checks: Sequence[Check]) -> ValidationReport:
+    report = ValidationReport()
     for check in checks:
         report.extend(check(unit))
     return report
@@ -79,9 +82,9 @@ def refine_loop(
     state = RefinementState()
     current = unit
     for round_index in range(max_rounds + 1):
-        report = run_checks(current, checks, round_index)
+        report = run_checks(current, checks)
         state.history.append((current.code, report))
-        state.round = round_index
+        state.round = state.kept = round_index
         if report.error_count() == 0:
             break
         if round_index == max_rounds:
@@ -98,10 +101,9 @@ def refine_loop(
         except BackendError as exc:
             logger.warning("backend failed during refinement of %s: %s", current.name, exc)
             state.degraded = True
-            best_code = min(
-                state.history, key=lambda entry: entry[1].error_count()
-            )[0]
-            current = replace(current, code=best_code)
-            return current, state
+            state.kept = min(
+                range(len(state.history)), key=lambda index: state.history[index][1].error_count()
+            )
+            return replace(current, code=state.history[state.kept][0]), state
         current = replace(current, code=extract_code(response))
     return current, state

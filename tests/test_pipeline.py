@@ -12,7 +12,7 @@ import pytest
 from conftest import FIXTURE_PROJECT, GOLDEN_DIR, make_run_config, reachable
 
 from transmigrate.cli import main as cli_main
-from transmigrate.errors import ConfigurationError, IntegrityError, OrderingError, ToolError
+from transmigrate.errors import BackendError, ConfigurationError, IntegrityError, OrderingError, ToolError
 from transmigrate.knowledge.embed import HashedTokenEmbedder
 from transmigrate.knowledge.index import VectorIndex
 from transmigrate.pipeline import STAGES, Pipeline
@@ -69,6 +69,36 @@ class TestFullRun:
         assert row["lint_before"] == 2 and row["lint_after"] == 1
         assert row["valid_pct_after"] > row["valid_pct_before"]
 
+    def test_degraded_unit_is_measured_by_its_kept_round(self, run_config, monkeypatch):
+        # Logger's first repair adds two syntax errors and its second fails:
+        # refinement keeps round 0 (one error), and the after metrics must
+        # count that code, not the discarded three-error round.
+        real_factory = Pipeline._backend
+
+        class WorsensThenFails:
+            def __init__(self, inner):
+                self.inner = inner
+                self.repairs = 0
+
+            def translate(self, envelope):
+                if envelope.level != "repair":
+                    return self.inner.translate(envelope)
+                self.repairs += 1
+                if self.repairs == 1:
+                    return envelope.slots["prior_code"] + "\nlet init = 1\nlet init = 2\n"
+                if self.repairs == 2:
+                    raise BackendError("backend gone")
+                return self.inner.translate(envelope)
+
+        monkeypatch.setattr(Pipeline, "_backend", lambda self: WorsensThenFails(real_factory(self)))
+        run_full(run_config)
+        translate = run_config_path(run_config.output_root) / "translate"
+        payload = json.loads((translate / "refinement" / "Logger.json").read_text(encoding="utf-8"))
+        assert payload["degraded"] and payload["kept"] == 0 and len(payload["history"]) == 2
+        assert (translate / "units" / "Logger.swift").read_text(encoding="utf-8") == payload["history"][0]["code"]
+        row = report_bytes(run_config)[0]["projects"][0]
+        assert row["syntax_before"] == 1 and row["syntax_after"] == 1
+
     def test_rerun_skips_completed_stages_and_preserves_report(self, run_config):
         pipeline = run_full(run_config)
         _, json_before, _ = report_bytes(run_config)
@@ -86,7 +116,7 @@ class TestFullRun:
             "index/index.jsonl",
             "plan/plan.jsonl",
             "translate/units/Logger.swift",
-            "translate/initial/Logger.swift",
+            "translate/refinement/Logger.json",
             "validate/before.json",
             "report/report.json",
             "state.json",
@@ -99,6 +129,41 @@ class TestFullRun:
         prompts = sorted((tmp_path / "out" / "prompts").glob("*.txt"))
         assert len(prompts) >= 10  # 6 methods + 3 classes + 3 components + project
         assert any("method_com_example_core_Logger_log" in p.name for p in prompts)
+
+    def test_every_overload_gets_a_method_prompt(self, tmp_path, monkeypatch):
+        source = tmp_path / "project" / "p"
+        source.mkdir(parents=True)
+        (source / "Foo.java").write_text(
+            "package p;\n"
+            "public class Foo {\n"
+            "    public Foo() { }\n"
+            "    public Foo(int size) { }\n"
+            "    public void run() { helper(); }\n"
+            "    public void run(int times) { }\n"
+            "    void helper() { }\n"
+            "}\n",
+            encoding="utf-8",
+        )
+        sent = []
+        real_factory = Pipeline._backend
+
+        class Recording:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def translate(self, envelope):
+                sent.append(envelope)
+                return self.inner.translate(envelope)
+
+        monkeypatch.setattr(Pipeline, "_backend", lambda self: Recording(real_factory(self)))
+        run_full(make_run_config(tmp_path / "project", tmp_path / "out"))
+        method_code = [e.slots["method_code"] for e in sent if e.level == "method"]
+        assert len(method_code) == 5
+        assert any("int size" in code for code in method_code)
+        assert any("int times" in code for code in method_code)
+        (class_prompt,) = [e for e in sent if e.level == "class"]
+        translated = class_prompt.slots["translated_methods"]
+        assert translated.count("// method: Foo\n") == 2 and translated.count("// method: run\n") == 2
 
 
 def run_config_path(out):
@@ -196,7 +261,7 @@ class TestDeterminismAndResume:
         run_full(make_run_config(tmp_path / "project", tmp_path / "fresh"))
         monkeypatch.undo()
         fresh = output_tree(tmp_path / "fresh")
-        assert len(renames) == 31 and "translate/project.swift" in renames
+        assert len(renames) == 28 and "translate/project.swift" in renames
 
         for at, artifact in enumerate(renames):
             for after in (False, True):
@@ -404,12 +469,13 @@ class TestParseOnce:
         assert java == Counter(expected_java)
 
         translate = run_config_path(run_config.output_root) / "translate"
+        payloads = [json.loads(p.read_text(encoding="utf-8")) for p in (translate / "refinement").glob("*.json")]
         expected_swift = {
-            (p.name, p.read_text(encoding="utf-8"))
-            for directory in ("initial", "units")
-            for p in (translate / directory).glob("*.swift")
+            (payload["unit"], payload["history"][index]["code"])
+            for payload in payloads
+            for index in (0, payload["kept"])
         }
-        assert len(expected_swift) > len(list((translate / "units").glob("*.swift")))  # refinement changed a unit
+        assert len(expected_swift) > len(payloads)  # refinement changed a unit
         swift = Counter((path, text) for language, path, text, validating in calls if validating)
         assert all(language == "swift" for language, *_, validating in calls if validating)
         assert swift == Counter(expected_swift)

@@ -65,6 +65,7 @@ class TestRefineLoop:
             _, state = refine_loop(unit("BUG\n"), backend, [marker_check], max_rounds=bound)
             assert backend.call_count == bound
             assert len(state.history) == state.round + 1
+            assert state.kept == state.round
 
     def test_monotone_backend_strictly_decreases_issue_count(self):
         backend = MockBackend([MockRule("BUG", "OK")], max_fixes_per_call=1)
@@ -77,7 +78,7 @@ class TestRefineLoop:
         backend = MockBackend([MockRule("SMELL", "CLEAN")])
         _, state = refine_loop(unit("SMELL\n"), backend, [warning_check])
         assert backend.call_count == 0
-        assert state.history[-1][1].count("lint") == 1
+        assert sum(i.source == "lint" for i in state.history[-1][1].all_issues()) == 1
 
     def test_backend_failure_returns_best_candidate_degraded(self):
         class FailingBackend:
@@ -109,6 +110,22 @@ class TestRefineLoop:
         final, state = refine_loop(unit("BUG\nBUG\n"), backend, [marker_check], max_rounds=4)
         assert state.degraded
         assert final.code == "BUG"  # single-issue candidate beats the original
+        assert state.kept == 1 and state.round == 1
+
+    def test_backend_failure_keeps_earliest_of_tied_candidates(self):
+        class SameThenFails:
+            def __init__(self):
+                self.call_count = 0
+
+            def translate(self, envelope):
+                self.call_count += 1
+                if self.call_count == 1:
+                    return "```swift\nBUG // reworded\n```"  # as many issues as before
+                raise RetryableBackendError("gone")
+
+        final, state = refine_loop(unit("BUG\n"), SameThenFails(), [marker_check], max_rounds=4)
+        assert state.degraded and state.kept == 0 and state.round == 1
+        assert final.code == "BUG\n"
 
 
 class TestRepairEnvelope:
@@ -123,4 +140,4 @@ class TestRepairEnvelope:
 
     def test_state_defaults(self):
         state = RefinementState()
-        assert state.round == 0 and state.history == [] and not state.degraded
+        assert state.round == 0 and state.kept == 0 and state.history == [] and not state.degraded

@@ -87,6 +87,16 @@ class TestParse:
         # The offending close brace is the final character.
         assert errors[0].span == (text.index("\n") + 1, len(text))
 
+    def test_stray_close_paren_or_bracket_flagged_at_its_span(self):
+        # A Swift member that consumes nothing used to leave the member loop
+        # spinning on the same token forever.
+        for text in (")", "]", "x )", "class A { ) }"):
+            ast = parse_source(SourceFile("T.swift", text, "swift"))
+            errors = [n for n in ast.root.walk() if n.kind == "error"]
+            stray = text.index(")") if ")" in text else text.index("]")
+            assert [e.span for e in errors] == [(stray, stray + 1)], text
+            assert check_span_invariants(ast) == [], text
+
     def test_unclosed_body_produces_error_at_missing_brace_position(self):
         text = "class A { void m() { }"
         ast = parse_source(java(text))

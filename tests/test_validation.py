@@ -408,29 +408,42 @@ class TestExternalTools:
         )
         assert check("WeatherApp/HTTPWeatherClient.swift", syntax_cmd) == (0, "")
 
-    def test_stub_crash_is_tool_error(self, tmp_path):
-        # Deep nesting exhausts the parser's recursion; a crashed check must
-        # end as ToolError, as a crashed checker process does.
-        (tmp_path / "Deep.swift").write_text("{" * 1000)
+    def test_stub_crash_is_tool_error(self, tmp_path, monkeypatch):
+        # A crashed check must end as ToolError, as a crashed checker
+        # process does.
+        from transmigrate.validation import stubcheck
+
+        def crash(path, text):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(stubcheck, "check_syntax", crash)
+        (tmp_path / "Deep.swift").write_text("class Deep {}\n")
         syntax_cmd, _ = stub_tool_commands()
         with pytest.raises(ToolError, match="crashed"):
             run_external_check("Deep.swift", syntax_cmd, cwd=tmp_path)
 
+    def test_stub_reports_deep_nesting_as_a_syntax_error(self, tmp_path):
+        (tmp_path / "Deep.swift").write_text("{" * 1000 + "}" * 1000)
+        syntax_cmd, _ = stub_tool_commands()
+        status, output = run_external_check("Deep.swift", syntax_cmd, cwd=tmp_path)
+        assert status == 1
+        assert output.splitlines() == [
+            "Deep.swift:1:101: error: unbalanced or unparseable declaration structure"
+        ]
+
 
 class TestValidationReport:
-    def test_pass_flag_reflects_error_issues_only(self):
+    def test_error_count_counts_error_issues_only(self):
         report = ValidationReport()
         report.add(IssueRecord("a.swift", 1, 1, "warning", "w", "warn", "lint"))
-        assert report.passes("lint")
+        assert report.error_count() == 0
         report.add(IssueRecord("a.swift", 2, 1, "error", "e", "bad", "syntax"))
-        assert not report.passes("syntax")
-        assert report.pass_flags["lint"] and not report.pass_flags["syntax"]
+        assert report.error_count() == 1
 
     def test_round_trip_serialization(self):
-        report = ValidationReport(round_index=2)
+        report = ValidationReport()
         report.add(IssueRecord("a.swift", 1, 1, "error", None, "msg", "syntax"))
         loaded = ValidationReport.from_dict(report.to_dict())
-        assert loaded.round_index == 2
         assert [i.message for i in loaded.all_issues()] == ["msg"]
 
 
