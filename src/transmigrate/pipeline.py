@@ -3,13 +3,14 @@
 Stage order: analyze -> index -> plan -> translate -> validate -> report.
 Every stage persists its artifacts under the output root before the state
 cursor advances, so an interrupted run resumes without repeating work
-(completed translation units and components are never re-sent to the
-backend). The state file is the stage cursor only: it is written once per
-completed stage. A translation unit is complete when its refinement payload
-exists; that payload is the last file the unit writes. A component is
-complete when its ``translate/components`` file exists. The state file
-hash-guards the source tree and configuration: resuming against modified
-inputs is refused.
+(completed translation units, components and the project prompt are never
+re-sent to the backend). The state file is the stage cursor only: it is
+written once per completed stage. Translate and ``--dry-run`` read what is
+still to send from one function, ``Pipeline._pending``: an item is done once
+the last file it writes exists, whole (a unit's refinement payload, a
+component's ``translate/components`` file, ``translate/project.swift``).
+The state file hash-guards the source tree and configuration: resuming
+against modified inputs is refused.
 
 With the mock backend and crawling disabled the whole run is
 bit-deterministic: no timestamps are written, every collection is sorted,
@@ -46,7 +47,7 @@ from transmigrate.reporting import (
     emit_report,
     sample_size,
 )
-from transmigrate.scheduler import TranslationPlan, build_plan
+from transmigrate.scheduler import ClassPlan, ComponentPlan, TranslationPlan, build_plan
 from transmigrate.sourcemodel.extract import (
     ClassDescriptor,
     declarations_by_span,
@@ -128,6 +129,13 @@ def _read_artifact(path: Path, stage: str, decode=json.loads):
         raise OrderingError(f"missing artifact {path.name!r}: run the {stage!r} stage first") from None
     except (ValueError, LookupError, TypeError, AttributeError) as exc:
         raise IntegrityError(f"corrupt artifact {path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _read_saved(path: Path) -> str:
+    """The text translate saved at ``path``, byte for byte: ``newline=""``
+    keeps any "\\r" that an unfenced reply carried."""
+    with path.open(encoding="utf-8", newline="") as saved:
+        return saved.read()
 
 
 def _class_summaries(text: str) -> list[tuple[str, str, list[str]]]:
@@ -335,8 +343,25 @@ class Pipeline:
 
         return [tool_checks, lambda unit: platform_scan(unit.name, unit.code, rules)]
 
-    def stage_translate(self) -> None:
+    def _pending(self) -> tuple[dict[str, str], list[tuple[ComponentPlan, list[ClassPlan]]], bool]:
+        """What translate still has to send, read from the plan in send
+        order: the unit name of every planned class, each component not yet
+        done with its classes not yet done, and whether the project prompt
+        is not yet done. An item is done once the last file it writes,
+        whole, exists: a class's refinement payload, a component's
+        ``translate/components`` file, the project's ``project.swift``."""
         plan = _read_artifact(self.out / "plan" / "plan.jsonl", "plan", TranslationPlan.from_jsonl)
+        unit_names = self._unit_names([c.name for _, c in plan.iter_classes()])
+        refinement_dir = self.out / "translate" / "refinement"
+        components = [
+            (comp, [c for c in comp.classes if not (refinement_dir / f"{unit_names[c.name]}.json").is_file()])
+            for comp in plan.components
+            if not self._component_path(comp.name).is_file()
+        ]
+        return unit_names, components, not (self.out / "translate" / "project.swift").is_file()
+
+    def stage_translate(self) -> None:
+        unit_names, components, project_pending = self._pending()
         _read_artifact(self.out / "index" / "meta.json", "index")
         class_graph, component_graph = (
             _read_artifact(self.out / "analyze" / f"graph_{g}.json", "analyze", DependencyGraph.from_json)
@@ -355,7 +380,6 @@ class Pipeline:
         backend = self._backend()
         checks = self._unit_checks()
         k = self.config.knowledge.retrieval_k
-        unit_names = self._unit_names([d.qualified_name for d in descriptors])
         _write_json(self.out / "translate" / "unit_names.json", unit_names)
         units_dir = self.out / "translate" / "units"
         refinement_dir = self.out / "translate" / "refinement"
@@ -364,31 +388,20 @@ class Pipeline:
             """Render one level's prompt with the chunks retrieved for
             ``about``, fit it to the budget, dump it when asked, send it, and
             return the code of the reply."""
-            retrieved = query(index, about, k, embedder) if len(index) else []
-            envelope = truncate_context(render_prompt(level, inputs, retrieved), self.config.prompt_budget)
+            envelope = truncate_context(
+                render_prompt(level, inputs, query(index, about, k, embedder)), self.config.prompt_budget
+            )
             if self.config.dump_prompts:
                 safe = label.replace("/", "_").replace(".", "_")
                 _write_text(self.out / "prompts" / f"{self._prompt_ordinal:04d}_{safe}.txt", envelope.rendered_text)
                 self._prompt_ordinal += 1
             return extract_code(backend.translate(envelope))
 
-        component_outputs: dict[str, str] = {}
-        for comp in plan.components:
-            comp_path = self._component_path(comp.name)
-            if comp_path.is_file():
-                # Written whole after every member unit: a resume reads it
-                # back byte for byte (``newline=""`` keeps any "\r").
-                logger.info("skipping completed component %s", comp.name or "(default)")
-                with comp_path.open(encoding="utf-8", newline="") as saved:
-                    component_outputs[comp.name] = saved.read()
-                continue
-            for cls_plan in comp.classes:
+        for comp, classes in components:
+            for cls_plan in classes:
                 qualified = cls_plan.name
                 unit_base = unit_names[qualified]
                 unit_file = f"{unit_base}.swift"
-                if self._unit_complete(unit_base):
-                    logger.info("skipping completed unit %s", qualified)
-                    continue
                 descriptor = by_qualified[qualified]
                 ast = asts[descriptor.source_path]
                 source = ast.source
@@ -416,7 +429,6 @@ class Pipeline:
                         )
                         translated_methods.append(f"// method: {m.name}\n{code}")
 
-                class_node = declarations.get(descriptor.span)
                 initial_code = send(
                     "class",
                     f"class_{qualified}",
@@ -424,7 +436,7 @@ class Pipeline:
                         "class_name": qualified,
                         "class_content": source.data[descriptor.span[0] : descriptor.span[1]].decode("utf-8"),
                         "translated_methods": "\n\n".join(translated_methods) or "none",
-                        "ast": ast_excerpt(class_node, source.data) if class_node else "unavailable",
+                        "ast": ast_excerpt(declarations[descriptor.span], source.data),
                         "dependency": dependency_excerpt(class_graph, qualified),
                     },
                     f"{descriptor.simple_name} {descriptor.component}",
@@ -439,7 +451,7 @@ class Pipeline:
                     {
                         "unit": unit_file,
                         "class": qualified,
-                        "rounds": state.round,
+                        "rounds": state.repair_calls,
                         "degraded": state.degraded,
                         "kept": state.kept,
                         "history": [
@@ -450,7 +462,7 @@ class Pipeline:
                 )
 
             member_units = [
-                f"// class: {c.name}\n" + (units_dir / f"{unit_names[c.name]}.swift").read_text(encoding="utf-8")
+                f"// class: {c.name}\n" + _read_saved(units_dir / f"{unit_names[c.name]}.swift")
                 for c in comp.classes
             ]
             comp_code = send(
@@ -464,33 +476,30 @@ class Pipeline:
                 },
                 comp.name or "project root",
             )
-            _write_text(comp_path, comp_code)
-            component_outputs[comp.name] = comp_code
+            _write_text(self._component_path(comp.name), comp_code)
 
-        project_code = send(
-            "project",
-            "project",
-            {
-                "translated_components": "\n\n".join(
-                    f"// component: {name or '(default)'}\n{code}"
-                    for name, code in sorted(component_outputs.items())
-                )
-                or "none",
-                "dependency": "\n".join(
-                    f"{f} -> {t} ({kind})" for f, t, kind in sorted(component_graph.edges)
-                )
-                or "none",
-                "resource": self._resource_listing(),
-                "configuration": self._configuration_listing(),
-            },
-            self.config.project_name,
-        )
-        _write_text(self.out / "translate" / "project.swift", project_code)
+        if project_pending:
+            # The plan holds every node of the component graph.
+            project_code = send(
+                "project",
+                "project",
+                {
+                    "translated_components": "\n\n".join(
+                        f"// component: {name or '(default)'}\n{_read_saved(self._component_path(name))}"
+                        for name in sorted(component_graph.nodes)
+                    )
+                    or "none",
+                    "dependency": "\n".join(
+                        f"{f} -> {t} ({kind})" for f, t, kind in sorted(component_graph.edges)
+                    )
+                    or "none",
+                    "resource": self._resource_listing(),
+                    "configuration": self._configuration_listing(),
+                },
+                self.config.project_name,
+            )
+            _write_text(self.out / "translate" / "project.swift", project_code)
         self._mark_stage_done("translate")
-
-    def _unit_complete(self, unit_base: str) -> bool:
-        # The refinement payload is the last file a unit writes, whole.
-        return (self.out / "translate" / "refinement" / f"{unit_base}.json").is_file()
 
     def _component_path(self, name: str) -> Path:
         file = (name or "default").replace("/", "_") or "default"
@@ -540,11 +549,16 @@ class Pipeline:
             report.extend(compare_graphs(source_class_graph, translated_graph, unit_names, unit_of))
             return report
 
-        corpora = parse_corpora(initial_units, final_units)
-        before, after = map(corpus_report, corpora)
+        # Every unit's round-0 issues, and its kept round's, each merged with
+        # the corpus report once; a file's issues keep their order.
+        firsts, kepts = ValidationReport(), ValidationReport()
         for (_, first), (_, kept) in rounds.values():
-            before = before.merged_with(first)
-            after = after.merged_with(kept)
+            firsts.extend(first.all_issues())
+            kepts.extend(kept.all_issues())
+        before, after = (
+            corpus_report(corpus).merged_with(units)
+            for corpus, units in zip(parse_corpora(initial_units, final_units), (firsts, kepts))
+        )
 
         def validity(report: ValidationReport) -> dict[str, bool]:
             """A unit is valid without syntax, reference and graph errors."""
@@ -632,16 +646,14 @@ class Pipeline:
 
     def _log_dry_run(self) -> None:
         """Log the units, components and project prompt that translate
-        would send, by the same completion rules translate applies."""
-        plan = _read_artifact(self.out / "plan" / "plan.jsonl", "plan", TranslationPlan.from_jsonl)
-        classes = _read_artifact(self.out / "analyze" / "classes.json", "analyze", _class_summaries)
-        unit_names = self._unit_names([qualified for qualified, _, _ in classes])
-        units = [c.name for _, c in plan.iter_classes() if not self._unit_complete(unit_names[c.name])]
-        components = [c.name or "(default)" for c in plan.components if not self._component_path(c.name).is_file()]
-        for what, names in (("unit", units), ("component", components)):
-            listing = f": {', '.join(names)}" if names else ""
-            logger.info("dry run: %d %s(s) would be translated%s", len(names), what, listing)
-        if "translate" not in self.state.completed_stages:
+        would send: the same pending list translate reads."""
+        _, components, project_pending = self._pending()
+        units = [c.name for _, classes in components for c in classes]
+        names = [comp.name or "(default)" for comp, _ in components]
+        for what, listed in (("unit", units), ("component", names)):
+            listing = f": {', '.join(listed)}" if listed else ""
+            logger.info("dry run: %d %s(s) would be translated%s", len(listed), what, listing)
+        if project_pending:
             logger.info("dry run: the project prompt would be sent")
 
 

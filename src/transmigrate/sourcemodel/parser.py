@@ -410,8 +410,9 @@ class _Parser:
         if tok is not None and tok.kind == PUNCT and tok.text == "}":
             close = self.advance()
             return AstNode("type_body", open_tok.start, close.end, children)
-        # Unclosed body: mark the unconsumed tail as an error region.
-        tail_start = max(self._last_end(), open_tok.end)
+        # Unclosed body: mark the unconsumed tail as an error region, after the
+        # last child (whose own error span can run past the last token).
+        tail_start = max(self._last_end(), open_tok.end, children[-1].end if children else 0)
         children.append(AstNode("error", tail_start, self.eof))
         return AstNode("type_body", open_tok.start, self.eof, children)
 
@@ -739,8 +740,8 @@ class _Parser:
                 continue
             self.advance()
         self.depth -= 1
-        # Unclosed block: the error node covers the unterminated tail.
-        tail_start = max(self._last_end(), open_tok.end)
+        # Unclosed block: the error node covers the unterminated tail after the last child.
+        tail_start = max(self._last_end(), open_tok.end, children[-1].end if children else 0)
         children.append(AstNode("error", tail_start, self.eof))
         return AstNode("block", open_tok.start, self.eof, children)
 

@@ -38,7 +38,6 @@ class TranslationUnit:
 
 @dataclass
 class RefinementState:
-    round: int = 0
     history: list[tuple[str, ValidationReport]] = field(default_factory=list)
     degraded: bool = False
     kept: int = 0  # index into ``history`` of the returned code
@@ -84,7 +83,7 @@ def refine_loop(
     for round_index in range(max_rounds + 1):
         report = run_checks(current, checks)
         state.history.append((current.code, report))
-        state.round = state.kept = round_index
+        state.kept = round_index
         if report.error_count() == 0:
             break
         if round_index == max_rounds:

@@ -251,7 +251,7 @@ def test_criterion_6_refinement_bounds():
         backend = MockBackend([MockRule("BUG", "OK")], max_fixes_per_call=1)
         unit = TranslationUnit(f"unit{i:02d}.swift", "BUG\nBUG\n")
         _, state = refine_loop(unit, backend, [_bug_check], max_rounds=3)
-        assert state.round == 2
+        assert state.repair_calls == 2
         assert state.history[-1][1].error_count() == 0
     passed("6 refinement bounds")
 

@@ -2,7 +2,9 @@
 
 Nesting is bounded (``MAX_NESTING``): a block or type body opened at the
 bound is skipped whole and flagged, so deep input parses instead of
-exhausting the recursion. Arbitrary text raises nothing in either grammar.
+exhausting the recursion. Arbitrary text raises nothing in either grammar,
+and its parse tree nests: every child lies within its parent, after its
+previous sibling.
 """
 
 import json
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import check_span_invariants, make_run_config
+from conftest import FIXTURE_PROJECT, check_span_invariants, make_run_config
 
 from transmigrate.pipeline import Pipeline
 from transmigrate.prompts import ast_excerpt
@@ -130,3 +132,45 @@ def test_swift_parse_and_checks_never_raise(text):
     check_syntax("T.swift", text)
     (corpus,) = parse_corpora({"T.swift": text})
     build_translated_class_graph(corpus)
+
+
+@pytest.mark.parametrize("language", ["java", "swift"])
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=source_text)
+# An unclosed body's or block's tail error overlapped its last child's.
+@example(text="class A {\n    private \n")
+@example(text="{ { //")
+def test_spans_nest_on_any_text(language, text):
+    assert check_span_invariants(parse_source(SourceFile("T." + language, text, language))) == []
+
+
+def span_violations(texts: dict[str, str], language: str) -> list[tuple[str, int, str]]:
+    """(file, cut, first problem) of each prefix and suffix of each text
+    whose parse does not nest."""
+    found = []
+    for name, text in texts.items():
+        for cut in range(len(text) + 1):
+            for piece in (text[:cut], text[cut:]):
+                problems = check_span_invariants(parse_source(SourceFile(name, piece, language)))
+                if problems:
+                    found.append((name, cut, problems[0]))
+    return found
+
+
+def read_exact(paths) -> dict[str, str]:
+    return {p.name: p.read_bytes().decode("utf-8") for p in sorted(paths)}
+
+
+def test_spans_nest_on_every_cut_of_the_fixture_java():
+    texts = read_exact(FIXTURE_PROJECT.rglob("*.java"))
+    assert sum(2 * (len(text) + 1) for text in texts.values()) == 2266
+    assert span_violations(texts, "java") == []
+
+
+def test_spans_nest_on_every_cut_of_the_translated_fixture(fixture_project, tmp_path):
+    pipeline = Pipeline(make_run_config(fixture_project, tmp_path / "out"))
+    for stage in ("analyze", "index", "plan", "translate"):
+        pipeline.run_stage(stage)
+    texts = read_exact((tmp_path / "out" / "translate" / "units").glob("*.swift"))
+    assert sum(2 * (len(text) + 1) for text in texts.values()) == 1726
+    assert span_violations(texts, "swift") == []

@@ -442,6 +442,55 @@ class TestDeterminismAndResume:
             "dry run: the project prompt would be sent",
         ]
 
+    def test_translate_again_on_a_finished_root_sends_nothing(self, run_config, monkeypatch, caplog):
+        from transmigrate.backends import MockBackend
+
+        run_full(run_config)
+        before = output_tree(run_config.output_root)
+        real = MockBackend.translate
+        levels = []
+
+        def counting(self, envelope):
+            levels.append(envelope.level)
+            return real(self, envelope)
+
+        monkeypatch.setattr(MockBackend, "translate", counting)
+        Pipeline(run_config).run_stage("translate")
+        assert levels == []
+        assert output_tree(run_config.output_root) == before
+
+        # The dry run reads the same pending list: nothing is left.
+        run_config.dry_run = True
+        with caplog.at_level("INFO", logger="transmigrate.pipeline"):
+            Pipeline(run_config).run_stage("translate")
+        dry = [r.getMessage() for r in caplog.records if r.getMessage().startswith("dry run:")]
+        assert dry == ["dry run: 0 unit(s) would be translated", "dry run: 0 component(s) would be translated"]
+
+    def test_component_prompt_carries_kept_code_with_carriage_returns(self, run_config, monkeypatch):
+        """An unfenced reply is taken whole, "\\r" included; the component
+        prompt reads each member unit back byte for byte."""
+        from transmigrate.backends import MockBackend, extract_code
+
+        real = MockBackend.translate
+        components = {}
+
+        def crlf_class_reply(self, envelope):
+            reply = real(self, envelope)
+            if envelope.level == "component":
+                components[envelope.slots["component_name"]] = envelope.slots["translated_classes"]
+            if envelope.level == "class" and envelope.slots["class_name"] == "com.example.net.HttpClient":
+                return extract_code(reply).replace("\n", "\r\n")
+            return reply
+
+        monkeypatch.setattr(MockBackend, "translate", crlf_class_reply)
+        run_full(run_config)
+        payload = json.loads(
+            (pathlib.Path(run_config.output_root) / "translate" / "refinement" / "HttpClient.json").read_text()
+        )
+        kept = payload["history"][payload["kept"]]["code"]
+        assert "\r\n" in kept
+        assert f"// class: com.example.net.HttpClient\n{kept}" in components["com.example.net"]
+
 
 class TestParseOnce:
     def test_each_source_text_parsed_once_per_run(self, run_config, fixture_project, monkeypatch):

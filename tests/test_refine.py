@@ -31,7 +31,7 @@ class TestRefineLoop:
         backend = MockBackend([MockRule("BUG", "OK")])
         final, state = refine_loop(unit("let a = 1\n"), backend, [marker_check])
         assert backend.call_count == 0
-        assert state.round == 0
+        assert state.repair_calls == 0
         assert len(state.history) == 1
         assert final.code == "let a = 1\n"
 
@@ -39,7 +39,7 @@ class TestRefineLoop:
         backend = MockBackend([MockRule("BUG", "OK")])
         final, state = refine_loop(unit("BUG BUG\n"), backend, [marker_check])
         assert backend.call_count == 1
-        assert state.round == 1
+        assert state.repair_calls == 1
         assert state.history[-1][1].error_count() == 0
         assert "BUG" not in final.code
 
@@ -48,14 +48,13 @@ class TestRefineLoop:
         final, state = refine_loop(unit("BUG\n"), backend, [marker_check], max_rounds=3)
         assert backend.call_count == 3
         assert state.repair_calls == 3
-        assert state.round == 3
         assert state.history[-1][1].error_count() == 1  # unresolved, reported
         assert "BUG" in final.code
 
     def test_one_fix_per_round_with_two_issues_ends_at_round_two(self):
         backend = MockBackend([MockRule("BUG", "OK")], max_fixes_per_call=1)
         final, state = refine_loop(unit("BUG\nBUG\n"), backend, [marker_check])
-        assert state.round == 2
+        assert state.repair_calls == 2
         assert backend.call_count == 2
         assert state.history[-1][1].error_count() == 0
 
@@ -64,8 +63,8 @@ class TestRefineLoop:
             backend = MockBackend([])
             _, state = refine_loop(unit("BUG\n"), backend, [marker_check], max_rounds=bound)
             assert backend.call_count == bound
-            assert len(state.history) == state.round + 1
-            assert state.kept == state.round
+            assert state.repair_calls == bound and len(state.history) == bound + 1
+            assert state.kept == bound
 
     def test_monotone_backend_strictly_decreases_issue_count(self):
         backend = MockBackend([MockRule("BUG", "OK")], max_fixes_per_call=1)
@@ -110,7 +109,7 @@ class TestRefineLoop:
         final, state = refine_loop(unit("BUG\nBUG\n"), backend, [marker_check], max_rounds=4)
         assert state.degraded
         assert final.code == "BUG"  # single-issue candidate beats the original
-        assert state.kept == 1 and state.round == 1
+        assert state.kept == 1 and state.repair_calls == 1
 
     def test_backend_failure_keeps_earliest_of_tied_candidates(self):
         class SameThenFails:
@@ -124,7 +123,7 @@ class TestRefineLoop:
                 raise RetryableBackendError("gone")
 
         final, state = refine_loop(unit("BUG\n"), SameThenFails(), [marker_check], max_rounds=4)
-        assert state.degraded and state.kept == 0 and state.round == 1
+        assert state.degraded and state.kept == 0 and state.repair_calls == 1
         assert final.code == "BUG\n"
 
 
@@ -140,4 +139,4 @@ class TestRepairEnvelope:
 
     def test_state_defaults(self):
         state = RefinementState()
-        assert state.round == 0 and state.kept == 0 and state.history == [] and not state.degraded
+        assert state.repair_calls == 0 and state.kept == 0 and state.history == [] and not state.degraded
