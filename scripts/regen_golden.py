@@ -4,12 +4,14 @@
 Run after an intentional change to the prompt templates, the mock rule
 table, or the bundled fixture project, then review the diff:
 
-    python scripts/regen_golden.py
+    PYTHONPATH=src python scripts/regen_golden.py
+
+The report comes from the fixture run that ``write_fixture_config.py``
+(beside this script) lays out.
 """
 
 from __future__ import annotations
 
-import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -17,12 +19,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tests"))
 
+import write_fixture_config  # noqa: E402
 from golden_fixtures import ALL_INPUTS, RETRIEVED  # noqa: E402
 
 from transmigrate.config import RunConfig  # noqa: E402
 from transmigrate.pipeline import Pipeline  # noqa: E402
 from transmigrate.prompts import render_prompt  # noqa: E402
-from transmigrate.validation.tools import stub_tool_commands  # noqa: E402
 
 GOLDEN = ROOT / "tests" / "data" / "golden"
 
@@ -37,22 +39,10 @@ def regen_prompts() -> None:
 
 
 def regen_report() -> None:
-    syntax_cmd, lint_cmd = stub_tool_commands()
     with tempfile.TemporaryDirectory() as tmp:
         tmp_path = Path(tmp)
-        shutil.copytree(ROOT / "tests" / "data" / "fixture_project", tmp_path / "project")
-        config = RunConfig.from_dict(
-            {
-                "source_root": str(tmp_path / "project"),
-                "output_root": str(tmp_path / "out"),
-                "backend": "mock",
-                "project_name": "MiniApp",
-                "backend_options": {"rules_file": str(ROOT / "tests" / "data" / "mock_rules.json")},
-                "tools": {"syntax_check_cmd": syntax_cmd, "lint_cmd": lint_cmd},
-                "seed": 7,
-            }
-        )
-        Pipeline(config).run()
+        write_fixture_config.main([tmp])
+        Pipeline(RunConfig.from_file(tmp_path / "config.json")).run()
         for name in ("report.json", "report.md"):
             source = tmp_path / "out" / "report" / name
             target = GOLDEN / name

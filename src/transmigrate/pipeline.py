@@ -299,18 +299,23 @@ class Pipeline:
     # -- translate helpers --
 
     def _unit_names(self, class_names: list[str]) -> dict[str, str]:
-        """Source qualified name -> translated unit base name. Simple names
-        are preferred; collisions fall back to the full dotted name with
-        underscores."""
-        taken: dict[str, str] = {}
-        mapping: dict[str, str] = {}
+        """Source qualified name -> translated unit base name, one-to-one.
+        The first class in sorted order with a given simple name gets that
+        name; every other class, in sorted order, gets its dotted name with
+        underscores, suffixed ``_2``, ``_3``, ... until no class has it."""
+        first: dict[str, str] = {}
         for qualified in sorted(class_names):
-            simple = qualified.rsplit(".", 1)[-1]
-            if simple not in taken:
-                taken[simple] = qualified
-                mapping[qualified] = simple
-            else:
-                mapping[qualified] = qualified.replace(".", "_")
+            first.setdefault(qualified.rsplit(".", 1)[-1], qualified)
+        mapping = {qualified: simple for simple, qualified in first.items()}
+        taken = set(first)
+        for qualified in sorted(set(class_names) - mapping.keys()):
+            base = name = qualified.replace(".", "_")
+            suffix = 1
+            while name in taken:
+                suffix += 1
+                name = f"{base}_{suffix}"
+            taken.add(name)
+            mapping[qualified] = name
         return mapping
 
     def _unit_checks(self):
@@ -367,14 +372,15 @@ class Pipeline:
             _read_artifact(self.out / "analyze" / f"graph_{g}.json", "analyze", DependencyGraph.from_json)
             for g in ("class", "component")
         )
-        # Taken over from analyze and index (or parsed and loaded here when
-        # they ran in an earlier process) and released when this stage
-        # returns. ``is None``: an empty index is falsy.
-        asts, descriptors = self._java_model()
+        # Taken over from analyze and index and released when this stage
+        # returns. When they ran in an earlier process, the Java is parsed
+        # only for a pending class and the index loaded only for a pending
+        # prompt. ``is None``: an empty index is falsy.
+        asts, descriptors = self._java_model() if any(classes for _, classes in components) else ({}, [])
         self._java = None
         by_qualified = {d.qualified_name: d for d in descriptors}
         index, self._index = self._index, None
-        if index is None:
+        if index is None and (components or project_pending):
             index = VectorIndex.load(self.out / "index" / "index.jsonl", self.out / "index" / "chunks.jsonl")
         embedder = self._embedder()
         backend = self._backend()

@@ -1,18 +1,33 @@
-"""Byte-level tokenizer shared by every grammar profile.
+"""Tokenizer shared by every grammar profile.
 
-Offsets are byte positions into the UTF-8 encoding of the source so that
+Offsets are byte positions into the UTF-8 encoding of the source, so that
 substring extraction by span is exact regardless of multi-byte characters.
-Non-ASCII bytes are treated as identifier constituents, which is safe for
-both Java and Swift identifiers and keeps the scanner single-pass.
+Whitespace (space, tab, CR, LF, FF, VT) separates tokens and is not one.
+At each other byte the first of these rules that matches makes the token,
+each built from the markers the profile declares:
 
-The tokenizer never fails: unterminated strings run to end of line,
-unterminated block comments run to end of input, and no token ends past
-the end of input (a literal ending in an escape at end of input stops
-there).
+1. comment: the line-comment marker through the end of its line (the
+   newline excluded), or a block comment through its closing marker or
+   the end of input;
+2. string: a string delimiter tripled through the next triple or the end
+   of input, else a quoted literal (below);
+3. char: a quoted literal opened by the char delimiter;
+4. ident: an ASCII letter, ``_``, ``$`` or byte >= 0x80, then those and
+   digits;
+5. number: a digit, then ASCII letters, digits, ``_``, ``$``, and ``.`` where
+   a digit or the end of input follows it;
+6. punct: any other single byte.
+
+A quoted literal runs through its closing delimiter; a backslash escapes
+the byte after it, and an unescaped newline or the end of input ends an
+unterminated literal. Lexing never fails, and no token ends past the end
+of input.
 """
 
 from __future__ import annotations
 
+import functools
+import re
 from typing import NamedTuple
 
 from transmigrate.sourcemodel.grammar import GrammarProfile
@@ -23,15 +38,6 @@ STRING = "string"
 CHAR = "char"
 COMMENT = "comment"
 PUNCT = "punct"
-
-_IDENT_START = frozenset(
-    list(range(ord("a"), ord("z") + 1))
-    + list(range(ord("A"), ord("Z") + 1))
-    + [ord("_"), ord("$")]
-)
-_IDENT_CONT = _IDENT_START | frozenset(range(ord("0"), ord("9") + 1))
-_DIGITS = frozenset(range(ord("0"), ord("9") + 1))
-_WS = frozenset(b" \t\r\n\f\v")
 
 
 class Token(NamedTuple):
@@ -47,110 +53,50 @@ class Token(NamedTuple):
         return f"Token({self.kind}, {self.start}:{self.end}, {self.text!r})"
 
 
-def _is_ident_start(b: int) -> bool:
-    return b in _IDENT_START or b >= 0x80
+def _quoted(delim: str) -> str:
+    """A quoted literal opened by ``delim``; a trailing backslash at end of
+    input is its last byte."""
+    d = re.escape(delim)
+    return rf"{d}(?:\\.|(?!{d})[^\\\n])*(?:{d}|\\)?"
 
 
-def _is_ident_cont(b: int) -> bool:
-    return b in _IDENT_CONT or b >= 0x80
+@functools.cache
+def _token_pattern(
+    line_comment: str | None,
+    block_comment: tuple[str, str] | None,
+    string_delimiters: tuple[str, ...],
+    char_delimiter: str | None,
+) -> re.Pattern[bytes]:
+    """The token rules of one profile's markers as one pattern, a named
+    group per kind, alternatives in rule order."""
+    comments = []
+    if line_comment:
+        comments.append(re.escape(line_comment) + r"[^\n]*")
+    if block_comment:
+        opener, closer = map(re.escape, block_comment)
+        comments.append(rf"{opener}.*?(?:{closer}|\Z)")
+    strings = [rf"{re.escape(d * 3)}.*?(?:{re.escape(d * 3)}|\Z)|{_quoted(d)}" for d in string_delimiters]
+    rules = [
+        (COMMENT, "|".join(comments)),
+        (STRING, "|".join(strings)),
+        (CHAR, _quoted(char_delimiter) if char_delimiter else ""),
+        (IDENT, r"[A-Za-z_$\x80-\xff][0-9A-Za-z_$\x80-\xff]*"),
+        (NUMBER, r"[0-9](?:[0-9A-Za-z_$]|\.(?=[0-9]|\Z))*"),
+        (PUNCT, r"\S"),
+    ]
+    return re.compile("|".join(f"(?P<{kind}>{rule})" for kind, rule in rules if rule).encode(), re.DOTALL)
 
 
 def tokenize(data: bytes, profile: GrammarProfile) -> list[Token]:
-    """Scan ``data`` into tokens. Comments are emitted as tokens so that
+    """Every token of ``data`` in order. Comments are tokens too, so that
     callers needing comment text (documentation ingestion) can reuse the
     same pass; structural parsing filters them out."""
-    tokens: list[Token] = []
-    n = len(data)
-    i = 0
-    line_comment = profile.line_comment.encode() if profile.line_comment else None
-    block_open = profile.block_comment[0].encode() if profile.block_comment else None
-    block_close = profile.block_comment[1].encode() if profile.block_comment else None
-    string_delims = tuple(d.encode() for d in profile.string_delimiters)
-    char_delim = profile.char_delimiter.encode() if profile.char_delimiter else None
-
-    def emit(kind: str, start: int, end: int) -> None:
-        tokens.append(Token(kind, start, end, data[start:end].decode("utf-8", "replace")))
-
-    while i < n:
-        b = data[i]
-        if b in _WS:
-            i += 1
-            continue
-        if line_comment and data.startswith(line_comment, i):
-            start = i
-            j = data.find(b"\n", i)
-            i = n if j < 0 else j
-            emit(COMMENT, start, i)
-            continue
-        if block_open and data.startswith(block_open, i):
-            start = i
-            j = data.find(block_close, i + len(block_open))
-            i = n if j < 0 else j + len(block_close)
-            emit(COMMENT, start, i)
-            continue
-        matched_string = False
-        for delim in string_delims:
-            if data.startswith(delim, i):
-                start = i
-                # Triple-delimiter multiline strings (Swift """ ... """).
-                triple = delim * 3
-                if data.startswith(triple, i):
-                    j = data.find(triple, i + 3)
-                    i = n if j < 0 else j + 3
-                else:
-                    i += len(delim)
-                    while i < n:
-                        if data[i] == 0x5C:  # backslash escape
-                            i += 2
-                            continue
-                        if data.startswith(delim, i):
-                            i += len(delim)
-                            break
-                        if data[i] == 0x0A:  # unterminated: stop at newline
-                            break
-                        i += 1
-                    i = min(i, n)  # an escape at end of input ends there
-                emit(STRING, start, i)
-                matched_string = True
-                break
-        if matched_string:
-            continue
-        if char_delim and data.startswith(char_delim, i):
-            start = i
-            i += 1
-            while i < n:
-                if data[i] == 0x5C:
-                    i += 2
-                    continue
-                if data.startswith(char_delim, i):
-                    i += 1
-                    break
-                if data[i] == 0x0A:
-                    break
-                i += 1
-            i = min(i, n)
-            emit(CHAR, start, i)
-            continue
-        if _is_ident_start(b):
-            start = i
-            i += 1
-            while i < n and _is_ident_cont(data[i]):
-                i += 1
-            emit(IDENT, start, i)
-            continue
-        if b in _DIGITS:
-            start = i
-            i += 1
-            # Loose numeric scan: hex/binary/float suffixes lumped together.
-            while i < n and (data[i] in _IDENT_CONT or data[i] in b"."):
-                if data[i] in b"." and i + 1 < n and data[i + 1] not in _DIGITS:
-                    break
-                i += 1
-            emit(NUMBER, start, i)
-            continue
-        emit(PUNCT, i, i + 1)
-        i += 1
-    return tokens
+    pattern = _token_pattern(
+        profile.line_comment, profile.block_comment, profile.string_delimiters, profile.char_delimiter
+    )
+    return [
+        Token(m.lastgroup, m.start(), m.end(), m.group().decode("utf-8", "replace")) for m in pattern.finditer(data)
+    ]
 
 
 def line_and_column(data: bytes, offset: int) -> tuple[int, int]:

@@ -26,7 +26,9 @@ def run_config(fixture_project: Path, tmp_path: Path) -> RunConfig:
     return make_run_config(fixture_project, tmp_path / "out")
 
 
-def make_run_config(source_root: Path, output_root: Path, **overrides) -> RunConfig:
+def fixture_config(source_root: Path, output_root: Path, **overrides) -> dict:
+    """The golden run's configuration as JSON, with absolute paths: the mock
+    backend and rule table, the bundled stub checkers, seed 7."""
     syntax_cmd, lint_cmd = stub_tool_commands()
     raw = {
         "source_root": str(source_root),
@@ -38,7 +40,11 @@ def make_run_config(source_root: Path, output_root: Path, **overrides) -> RunCon
         "seed": 7,
     }
     raw.update(overrides)
-    return RunConfig.from_dict(raw)
+    return raw
+
+
+def make_run_config(source_root: Path, output_root: Path, **overrides) -> RunConfig:
+    return RunConfig.from_dict(fixture_config(source_root, output_root, **overrides))
 
 
 def reachable(*roots) -> list:

@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import FIXTURE_PROJECT, GOLDEN_DIR, make_run_config, reachable
+from conftest import FIXTURE_PROJECT, GOLDEN_DIR, fixture_config, make_run_config, reachable
 
 from transmigrate.cli import main as cli_main
 from transmigrate.errors import BackendError, ConfigurationError, IntegrityError, OrderingError, ToolError
@@ -43,6 +43,23 @@ def index_loads(monkeypatch):
 
     monkeypatch.setattr(VectorIndex, "load", classmethod(counting_load))
     return loads
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The sources ``parse_source`` is called for, in call order, through
+    every module that imported it."""
+    sources = []
+    real_parse = parser.parse_source
+
+    def counting_parse(source):
+        sources.append(source)
+        return real_parse(source)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("transmigrate") and getattr(module, "parse_source", None) is real_parse:
+            monkeypatch.setattr(module, "parse_source", counting_parse)
+    return sources
 
 
 def report_bytes(config):
@@ -493,27 +510,18 @@ class TestDeterminismAndResume:
 
 
 class TestParseOnce:
-    def test_each_source_text_parsed_once_per_run(self, run_config, fixture_project, monkeypatch):
-        calls = []
-        in_validate = []
-        real_parse = parser.parse_source
+    def test_each_source_text_parsed_once_per_run(self, run_config, fixture_project, monkeypatch, parses):
+        validate_starts = []
         real_validate = Pipeline.stage_validate
 
-        def counting_parse(source):
-            calls.append((source.language, source.path, source.text, bool(in_validate)))
-            return real_parse(source)
-
         def validate(self):
-            in_validate.append(True)
+            validate_starts.append(len(parses))
             real_validate(self)
 
-        for name, module in list(sys.modules.items()):
-            if name.startswith("transmigrate") and getattr(module, "parse_source", None) is real_parse:
-                monkeypatch.setattr(module, "parse_source", counting_parse)
         monkeypatch.setattr(Pipeline, "stage_validate", validate)
         run_full(run_config)
 
-        java = Counter(path for language, path, _, _ in calls if language == "java")
+        java = Counter(source.path for source in parses if source.language == "java")
         expected_java = {p.relative_to(fixture_project).as_posix() for p in fixture_project.rglob("*.java")}
         assert java == Counter(expected_java)
 
@@ -525,9 +533,10 @@ class TestParseOnce:
             for index in (0, payload["kept"])
         }
         assert len(expected_swift) > len(payloads)  # refinement changed a unit
-        swift = Counter((path, text) for language, path, text, validating in calls if validating)
-        assert all(language == "swift" for language, *_, validating in calls if validating)
-        assert swift == Counter(expected_swift)
+        (start,) = validate_starts
+        validating = parses[start:]
+        assert all(source.language == "swift" for source in validating)
+        assert Counter((source.path, source.text) for source in validating) == Counter(expected_swift)
 
 
     def test_comment_chunks_reuse_the_analyze_parse(self, run_config, fixture_project, tmp_path, monkeypatch):
@@ -561,6 +570,39 @@ class TestParseOnce:
         assert len(asts) == 3 and descriptors
         assert all(ast.tokens == [] and ast.comments == [] for ast in asts.values())
         assert not [o for o in reachable(pipeline._java) if isinstance(o, lexer.Token)]
+
+class TestUnitNames:
+    @pytest.mark.parametrize(
+        "classes,expected",
+        [
+            (["p.C", "q.C", "r.q_C"], {"p.C": "C", "q.C": "q_C_2", "r.q_C": "q_C"}),
+            (["A.D", "a.b_c.D", "a_b.c.D"], {"A.D": "D", "a.b_c.D": "a_b_c_D", "a_b.c.D": "a_b_c_D_2"}),
+            (["x.Only", "y.Once"], {"x.Only": "Only", "y.Once": "Once"}),
+        ],
+    )
+    def test_unit_names_are_one_to_one(self, run_config, classes, expected):
+        pipeline = Pipeline(run_config)
+        assert pipeline._unit_names(classes) == expected
+        assert pipeline._unit_names(classes[::-1]) == expected
+
+    def test_classes_whose_underscored_name_is_taken_get_their_own_units(self, tmp_path):
+        source = tmp_path / "project"
+        for package, name in (("p", "C"), ("q", "C"), ("r", "q_C")):
+            (source / package).mkdir(parents=True)
+            (source / package / f"{name}.java").write_text(
+                f"package {package};\npublic class {name} {{ int size() {{ return 1; }} }}\n", encoding="utf-8"
+            )
+        config = make_run_config(source, tmp_path / "out")
+        run_full(config)
+        translate = tmp_path / "out" / "translate"
+        names = json.loads((translate / "unit_names.json").read_text(encoding="utf-8"))
+        assert names == {"p.C": "C", "q.C": "q_C_2", "r.q_C": "q_C"}
+        for qualified, unit in names.items():
+            payload = json.loads((translate / "refinement" / f"{unit}.json").read_text(encoding="utf-8"))
+            assert (payload["class"], payload["unit"]) == (qualified, f"{unit}.swift")
+        assert sorted(p.name for p in (translate / "units").iterdir()) == ["C.swift", "q_C.swift", "q_C_2.swift"]
+        assert (tmp_path / "out" / "report" / "report.json").is_file()
+
 
 class TestArtifactWrites:
     def test_failed_write_leaves_previous_state_whole(self, run_config, monkeypatch):
@@ -707,24 +749,8 @@ class TestNetworkIsolation:
 
 class TestCli:
     def write_config(self, tmp_path, fixture_project):
-        from conftest import MOCK_RULES
-        from transmigrate.validation.tools import stub_tool_commands
-
-        syntax_cmd, lint_cmd = stub_tool_commands()
         config_path = tmp_path / "config.json"
-        config_path.write_text(
-            json.dumps(
-                {
-                    "source_root": str(fixture_project),
-                    "output_root": str(tmp_path / "out"),
-                    "backend": "mock",
-                    "project_name": "MiniApp",
-                    "backend_options": {"rules_file": str(MOCK_RULES)},
-                    "tools": {"syntax_check_cmd": syntax_cmd, "lint_cmd": lint_cmd},
-                    "seed": 7,
-                }
-            )
-        )
+        config_path.write_text(json.dumps(fixture_config(fixture_project, tmp_path / "out")))
         return config_path
 
     def test_run_subcommand_produces_report(self, fixture_project, tmp_path):
@@ -962,28 +988,10 @@ class TestCliOverrides:
         assert not (out / "translate" / "units").exists()
 
     def test_seed_and_max_rounds_flags_override_config(self, fixture_project, tmp_path):
-        import json as _json
+        from transmigrate.cli import build_arg_parser, load_config
 
-        from conftest import MOCK_RULES
-        from transmigrate.cli import load_config
-        from transmigrate.validation.tools import stub_tool_commands
-
-        syntax_cmd, lint_cmd = stub_tool_commands()
         config_path = tmp_path / "config.json"
-        config_path.write_text(
-            _json.dumps(
-                {
-                    "source_root": str(fixture_project),
-                    "output_root": str(tmp_path / "out"),
-                    "backend": "mock",
-                    "backend_options": {"rules_file": str(MOCK_RULES)},
-                    "tools": {"syntax_check_cmd": syntax_cmd, "lint_cmd": lint_cmd},
-                    "seed": 7,
-                    "max_rounds": 3,
-                }
-            )
-        )
-        from transmigrate.cli import build_arg_parser
+        config_path.write_text(json.dumps(fixture_config(fixture_project, tmp_path / "out", max_rounds=3)))
 
         args = build_arg_parser().parse_args(
             ["run", "--config", str(config_path), "--seed", "99", "--max-rounds", "1", "--dry-run"]
@@ -1081,8 +1089,35 @@ class TestIndexReuse:
         for stage in ("analyze", "plan", "translate"):
             pipeline.run_stage(stage)
         assert index_loads == []
+        (out / "translate" / "project.swift").unlink()  # leave a prompt to send
         Pipeline(run_config).run_stage("translate")
         assert index_loads == [out]
+
+    def test_translate_parses_and_loads_only_for_pending_prompts(self, run_config, monkeypatch, index_loads, parses):
+        from transmigrate.backends import MockBackend
+
+        run_full(run_config)
+        out = run_config_path(run_config.output_root)
+        before = output_tree(out)
+        real = MockBackend.translate
+        levels = []
+
+        def counting(self, envelope):
+            levels.append(envelope.level)
+            return real(self, envelope)
+
+        monkeypatch.setattr(MockBackend, "translate", counting)
+        parses.clear()
+
+        Pipeline(run_config).run_stage("translate")  # nothing pending
+        assert (len(parses), index_loads, levels) == (0, [], [])
+
+        (out / "translate" / "project.swift").unlink()
+        pipeline = Pipeline(run_config)
+        pipeline.run_stage("translate")  # only the project prompt pending
+        assert (len(parses), index_loads, levels) == (0, [out], ["project"])
+        assert (pipeline._java, pipeline._index) == (None, None)
+        assert output_tree(out) == before
 
 
 class TestLiveBackendPipeline:
