@@ -27,8 +27,6 @@ logger = logging.getLogger(__name__)
 CHUNK_SIZE = 1000
 CHUNK_OVERLAP = 100
 
-KINDS = ("readme", "api_doc", "code_comment", "pull_request", "issue", "web_page")
-
 _DOC_SUFFIXES = {".md", ".rst", ".txt", ".adoc", ".html", ".htm"}
 
 
@@ -90,23 +88,25 @@ def infer_kind(rel_path: str) -> str | None:
     return None
 
 
-def ingest_repository(root: str | Path, asts: dict[str, Ast] | None = None) -> list[DocumentChunk]:
-    """Walk ``root`` and chunk every ingestible text file, in sorted path
-    order. Binary files are skipped with a logged notice, never an error.
-    Source files contribute their comments (kind ``code_comment``), lexed
-    with their language's grammar; a file whose parse in ``asts``
-    (by root-relative path) read the same text takes the comment tokens of
-    that parse instead."""
+def ingest_repository(
+    root: str | Path, files: list[str], asts: dict[str, Ast] | None = None
+) -> list[DocumentChunk]:
+    """Chunk every ingestible text file of ``files`` (root-relative POSIX
+    paths, as ``pipeline.hash_source_tree`` lists them), in that order; no
+    directory is walked. Binary files are skipped with a logged notice,
+    never an error. Source files contribute their comments (kind
+    ``code_comment``), lexed with their language's grammar; a file whose
+    parse in ``asts`` (by root-relative path) read the same text takes the
+    comment tokens of that parse instead."""
     root = Path(root)
     asts = asts or {}
     chunks: list[DocumentChunk] = []
-    for path in sorted(p for p in root.rglob("*") if p.is_file()):
-        rel = path.relative_to(root).as_posix()
+    for rel in files:
         kind = infer_kind(rel)
         if kind is None:
             continue
         try:
-            raw = path.read_bytes()
+            raw = (root / rel).read_bytes()
         except OSError as exc:
             logger.warning("skipping unreadable file %s: %s", rel, exc)
             continue

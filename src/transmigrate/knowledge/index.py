@@ -29,7 +29,8 @@ rule nor the file format.
 
 Persistence is line-delimited JSON: a header line with the dimension and
 entry count, then one ``{"id": ..., "v": [...]}`` line per entry. Chunks
-are stored beside the index in line-delimited JSON. A line that does not
+are stored beside the index in line-delimited JSON. Each file is written
+to a temporary file and renamed over its path. A line that does not
 parse, or an id with no saved chunk, is an IntegrityError naming the file
 and line.
 
@@ -48,6 +49,8 @@ those texts; the id goes through ``json.dumps``.
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -121,17 +124,14 @@ class VectorIndex:
     # ---- persistence ----
 
     def save(self, index_path: str | Path, chunks_path: str | Path) -> None:
-        index_path = Path(index_path)
-        chunks_path = Path(chunks_path)
-        index_path.parent.mkdir(parents=True, exist_ok=True)
-        chunks_path.parent.mkdir(parents=True, exist_ok=True)
+        """Write both files, each whole or not at all."""
         rows = max(1, _BLOCK_CELLS // max(self.dimension, 1))
-        with index_path.open("w", encoding="utf-8") as fh:
+        with _replacing(index_path) as fh:
             fh.write(json.dumps({"dimension": self.dimension, "entries": len(self._ids)}) + "\n")
             for start in range(0, len(self._ids), rows):
                 fh.write(_rows_text(self._ids[start : start + rows], self._matrix[start : start + rows]))
         encode = json.JSONEncoder(sort_keys=True).encode
-        with chunks_path.open("w", encoding="utf-8") as fh:
+        with _replacing(chunks_path) as fh:
             for cid in self._ids:
                 c = self._chunks[cid]
                 fh.write(
@@ -190,6 +190,19 @@ class VectorIndex:
                 f"index file corrupt: header says {header['entries']} entries, found {len(chunks)}"
             )
         return cls(chunks, matrix)
+
+
+@contextmanager
+def _replacing(path: str | Path):
+    """A text file to write in place of ``path``: a temporary file beside it
+    that ``os.replace`` moves over it once the block completes, so a kill
+    mid-write leaves the previous version, never half a file."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.tmp")
+    with tmp.open("w", encoding="utf-8") as fh:
+        yield fh
+    os.replace(tmp, path)
 
 
 def _rows_text(ids: list[str], block: np.ndarray) -> str:

@@ -54,7 +54,7 @@ from transmigrate.sourcemodel.extract import (
     extract_classes,
     method_body,
 )
-from transmigrate.sourcemodel.graph import DependencyGraph, build_dependency_graph
+from transmigrate.sourcemodel.graph import DependencyGraph, build_dependency_graph, quotient_graph
 from transmigrate.sourcemodel.parser import Ast, SourceFile, parse_source
 from transmigrate.validation.checks import (
     build_translated_class_graph,
@@ -88,16 +88,29 @@ class PipelineState:
         _write_json(path, vars(self))
 
 
-def hash_source_tree(root: str | Path) -> str:
-    """Content hash over every file under ``root`` (sorted relative paths)."""
+def hash_source_tree(root: str | Path, output_root: str | Path | None = None) -> tuple[str, list[str]]:
+    """Content hash over every regular file under ``root``, and those files'
+    root-relative POSIX paths in the order hashed (``sorted`` of ``Path``).
+    Files under ``output_root`` are left out when it lies strictly inside
+    ``root``. This is the one walk of the source tree: every stage reads
+    the listing instead of walking again."""
     digest = hashlib.sha256()
     root = Path(root)
+    skip: tuple[str, ...] = ()
+    if output_root is not None:
+        out, top = Path(output_root).resolve(), root.resolve()
+        if out != top and out.is_relative_to(top):
+            skip = out.relative_to(top).parts
+    files = []
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
-        rel = path.relative_to(root).as_posix()
-        digest.update(rel.encode("utf-8"))
+        rel = path.relative_to(root)
+        if skip and rel.parts[: len(skip)] == skip:
+            continue
+        files.append(rel.as_posix())
+        digest.update(files[-1].encode("utf-8"))
         digest.update(b"\0")
         digest.update(hashlib.sha256(path.read_bytes()).digest())
-    return digest.hexdigest()
+    return digest.hexdigest(), files
 
 
 def hash_config(config: RunConfig) -> str:
@@ -126,9 +139,13 @@ def _read_artifact(path: Path, stage: str, decode=json.loads):
     try:
         return decode(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
-        raise OrderingError(f"missing artifact {path.name!r}: run the {stage!r} stage first") from None
+        raise _missing(path, stage) from None
     except (ValueError, LookupError, TypeError, AttributeError) as exc:
         raise IntegrityError(f"corrupt artifact {path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _missing(path: str | Path, stage: str) -> OrderingError:
+    return OrderingError(f"missing artifact {Path(path).name!r}: run the {stage!r} stage first")
 
 
 def _read_saved(path: Path) -> str:
@@ -163,15 +180,17 @@ class Pipeline:
         self.config = config
         self.out = Path(config.output_root)
         self.state_path = self.out / "state.json"
+        self._index_files = (self.out / "index" / "index.jsonl", self.out / "index" / "chunks.jsonl")
+        self.source_root = Path(config.source_root)
         self._java: tuple[dict[str, Ast], list[ClassDescriptor]] | None = None
         self._index: VectorIndex | None = None
         self._prompt_ordinal = 0
-        self.state = self._load_or_init_state()
+        input_hash, self._files = hash_source_tree(self.source_root, self.out)
+        self.state = self._load_or_init_state(input_hash)
 
     # ---- state -----------------------------------------------------------
 
-    def _load_or_init_state(self) -> PipelineState:
-        input_hash = hash_source_tree(self.config.source_root)
+    def _load_or_init_state(self, input_hash: str) -> PipelineState:
         config_hash = hash_config(self.config)
         if self.state_path.is_file():
             state = _read_artifact(self.state_path, "analyze", lambda text: PipelineState(**json.loads(text)))
@@ -192,17 +211,16 @@ class Pipeline:
 
     def _java_model(self) -> tuple[dict[str, Ast], list[ClassDescriptor]]:
         """ASTs by repository-relative path, and the class descriptors, of
-        every ``.java`` file under the source root, parsed once per
+        every ``.java`` file in the source listing, parsed once per
         pipeline: analyze leaves them for index (comment chunks) and
         translate, which drops them. Extraction is the last reader of a
         file's tokens and ingest of its comments, so the kept ASTs hold
         none past ingest: only the tree and the source."""
         if self._java is None:
-            root = Path(self.config.source_root)
             asts: dict[str, Ast] = {}
             descriptors: list[ClassDescriptor] = []
-            for path in sorted(root.rglob("*.java")):
-                source = SourceFile.read(path, path.relative_to(root).as_posix(), "java")
+            for rel in [rel for rel in self._files if rel.endswith(".java")]:
+                source = SourceFile.read(self.source_root / rel, rel, "java")
                 ast = parse_source(source)
                 descriptors.extend(extract_classes(ast))
                 ast.tokens = []
@@ -232,7 +250,9 @@ class Pipeline:
             raise ConfigurationError(
                 f"no Java class found under source_root {self.config.source_root!r}: nothing to translate"
             )
-        graphs = {g: build_dependency_graph(descriptors, g) for g in ("method", "class", "component")}
+        graphs = {g: build_dependency_graph(descriptors, g) for g in ("method", "class")}
+        components = {d.qualified_name: d.component for d in descriptors}
+        graphs["component"] = quotient_graph(graphs["class"], components, "component")
         _write_json(self.out / "analyze" / "classes.json", [_descriptor_dict(d) for d in descriptors])
         for name, graph in graphs.items():
             _write_text(self.out / "analyze" / f"graph_{name}.json", graph.to_json() + "\n")
@@ -241,7 +261,7 @@ class Pipeline:
 
     def stage_index(self) -> None:
         meta_path = self.out / "index" / "meta.json"
-        if meta_path.is_file():
+        if meta_path.is_file() and all(path.is_file() for path in self._index_files):
             meta = _read_artifact(meta_path, "index")
             if (
                 meta.get("input_hash") == self.state.input_hash
@@ -254,7 +274,7 @@ class Pipeline:
         # it, ingest lexes the sources instead of parsing them here. Nothing
         # after ingest reads the comments.
         asts = self._java[0] if self._java is not None else {}
-        chunks = ingest_repository(self.config.source_root, asts)
+        chunks = ingest_repository(self.source_root, self._files, asts)
         for ast in asts.values():
             ast.comments = []
         crawl = self.config.knowledge.crawl
@@ -262,7 +282,7 @@ class Pipeline:
             chunks.extend(crawl_site(crawl.start_url, crawl.max_depth, crawl.max_pages))
         embedder = self._embedder()
         index = build_index(chunks, embedder)
-        index.save(self.out / "index" / "index.jsonl", self.out / "index" / "chunks.jsonl")
+        index.save(*self._index_files)
         self._index = index  # taken over by translate in this process
         _write_json(
             meta_path,
@@ -381,7 +401,10 @@ class Pipeline:
         by_qualified = {d.qualified_name: d for d in descriptors}
         index, self._index = self._index, None
         if index is None and (components or project_pending):
-            index = VectorIndex.load(self.out / "index" / "index.jsonl", self.out / "index" / "chunks.jsonl")
+            try:
+                index = VectorIndex.load(*self._index_files)
+            except FileNotFoundError as exc:
+                raise _missing(exc.filename, "index") from None
         embedder = self._embedder()
         backend = self._backend()
         checks = self._unit_checks()
@@ -512,21 +535,16 @@ class Pipeline:
         return self.out / "translate" / "components" / f"{file}.swift"
 
     def _resource_listing(self) -> str:
-        root = Path(self.config.source_root)
-        resources = sorted(
-            p.relative_to(root).as_posix()
-            for p in root.rglob("*")
-            if p.is_file() and "res" in p.relative_to(root).parts
-        )
+        resources = sorted(rel for rel in self._files if "res" in rel.split("/"))
         return "\n".join(resources) or "none"
 
     def _configuration_listing(self) -> str:
-        root = Path(self.config.source_root)
-        parts = []
-        for name in ("AndroidManifest.xml", "build.gradle", "settings.gradle"):
-            for p in sorted(root.rglob(name)):
-                rel = p.relative_to(root).as_posix()
-                parts.append(f"--- {rel}\n{p.read_text(encoding='utf-8', errors='replace')}")
+        parts = [
+            f"--- {rel}\n{(self.source_root / rel).read_text(encoding='utf-8', errors='replace')}"
+            for name in ("AndroidManifest.xml", "build.gradle", "settings.gradle")
+            for rel in self._files
+            if rel.rsplit("/", 1)[-1] == name
+        ]
         return "\n".join(parts) or "none"
 
     def stage_validate(self) -> None:

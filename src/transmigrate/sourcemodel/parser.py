@@ -25,7 +25,6 @@ are ordered and non-overlapping, and the root spans the whole input.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -161,15 +160,10 @@ class _Parser:
     def __init__(self, tokens: list[Token], profile: GrammarProfile, data: bytes) -> None:
         self.toks = tokens
         self.profile = profile
+        self.data = data
         self.eof = len(data)
         self.i = 0
         self.depth = 0  # braces open around the cursor
-        newlines = []
-        pos = data.find(b"\n")
-        while pos >= 0:
-            newlines.append(pos)
-            pos = data.find(b"\n", pos + 1)
-        self._newlines = newlines
         self._member_starts = (
             set(profile.method_keywords)
             | set(profile.field_keywords)
@@ -192,11 +186,9 @@ class _Parser:
         self.i += 1
         return tok
 
-    def line_of(self, offset: int) -> int:
-        return bisect_right(self._newlines, offset - 1) + 1
-
     def _on_later_line(self, tok: Token, end: int) -> bool:
-        return self.line_of(tok.start) > self.line_of(max(end - 1, 0))
+        """Whether a newline lies between the last byte before ``end`` and ``tok``."""
+        return self.data.find(b"\n", max(end - 1, 0), tok.start) >= 0
 
     def _last_end(self) -> int:
         return self.toks[self.i - 1].end if self.i > 0 else 0
@@ -395,26 +387,16 @@ class _Parser:
         return names
 
     def _parse_type_body(self, type_keyword: str, type_name: str | None) -> AstNode:
-        if self.depth >= MAX_NESTING:
-            return self._skip_too_deep("type_body")
-        open_tok = self.advance()  # '{'
-        self.depth += 1
-        children: list[AstNode] = []
-        if type_keyword == "enum" and self.profile.member_style == "c":
-            constants = self._parse_enum_constants()
-            if constants is not None:
-                children.append(constants)
-        children.extend(self.parse_members(stop_at_close=True, enclosing_type=type_name))
-        self.depth -= 1
-        tok = self.peek()
-        if tok is not None and tok.kind == PUNCT and tok.text == "}":
-            close = self.advance()
-            return AstNode("type_body", open_tok.start, close.end, children)
-        # Unclosed body: mark the unconsumed tail as an error region, after the
-        # last child (whose own error span can run past the last token).
-        tail_start = max(self._last_end(), open_tok.end, children[-1].end if children else 0)
-        children.append(AstNode("error", tail_start, self.eof))
-        return AstNode("type_body", open_tok.start, self.eof, children)
+        def members() -> list[AstNode]:
+            children: list[AstNode] = []
+            if type_keyword == "enum" and self.profile.member_style == "c":
+                constants = self._parse_enum_constants()
+                if constants is not None:
+                    children.append(constants)
+            children.extend(self.parse_members(stop_at_close=True, enclosing_type=type_name))
+            return children
+
+        return self._braced("type_body", members)
 
     def _parse_enum_constants(self) -> AstNode | None:
         """Scan the leading constant list of a Java enum body (up to ';' or
@@ -501,12 +483,11 @@ class _Parser:
             self.advance()
         return AstNode("error", start, self._last_end())
 
-    def _parse_c_callable(self, start: int, paren_index: int, enclosing_type: str | None) -> AstNode:
+    def _parse_c_callable(self, start: int, paren_index: int, enclosing_type: str | None) -> AstNode | None:
         name_index = paren_index - 1
         name_tok = self.toks[name_index] if name_index >= self.i else None
         if name_tok is None or name_tok.kind != IDENT:
-            node = self._consume_error(start, paren_index + 1)
-            return node if node is not None else AstNode("error", start, start)
+            return self._consume_error(start, paren_index + 1)
         prefix_tokens = name_index - self.i  # return type etc., 0 for constructors
         while self.i < name_index:
             self.advance()
@@ -622,6 +603,7 @@ class _Parser:
         return AstNode(kind, start, end, children)
 
     def _parse_keyword_field(self, start: int) -> AstNode:
+        opened = self.i
         self.advance()  # let / var
         children: list[AstNode] = []
         end = self._last_end()
@@ -659,43 +641,28 @@ class _Parser:
                 end = ty_end
             if ty_start is not None and ty_end is not None:
                 children.append(AstNode("type_reference", ty_start, ty_end))
-        # Initializer and/or accessor block, ending at ';', a member-starting
-        # token on a later line, or the enclosing close brace.
-        depth = 0
-        while (t2 := self.peek()) is not None:
-            if t2.kind == PUNCT:
-                if t2.text == "{" and depth == 0:
-                    block = self._parse_block()
-                    children.append(block)
-                    end = block.end
-                    continue
-                if t2.text in ("(", "["):
-                    depth += 1
-                elif t2.text in (")", "]"):
-                    if depth == 0:
-                        break
-                    depth -= 1
-                elif t2.text == ";" and depth == 0:
-                    end = self.advance().end
-                    break
-                elif t2.text == "}" and depth == 0:
-                    break
-            if depth == 0 and self._on_later_line(t2, end) and self._starts_member(t2):
-                break
-            end = self.advance().end
+        # Initializer and/or accessor blocks, to the end of the statement.
+        end = self._statement_tail(opened, end, children)
         return AstNode("field_declaration", start, end, children)
 
     def _parse_loose_statement(self, start: int) -> AstNode:
         """Unrecognized top-of-member construct (typealias, expressions at
         file scope): consume a balanced run to the end of the statement."""
-        end = start
+        return AstNode("member", start, max(self._statement_tail(self.i, start, []), start))
+
+    def _statement_tail(self, opened: int, end: int, blocks: list[AstNode]) -> int:
+        """Consume the rest of a statement whose first token has index ``opened``:
+        balanced runs, with each brace run at depth 0 parsed into ``blocks``,
+        through a depth-0 ';', or up to an unmatched close or a token that
+        starts a member on a later line than ``end`` once the statement has
+        consumed a token. Returns the end reached (``end`` if none)."""
         depth = 0
-        consumed = False
         while (tok := self.peek()) is not None:
             if tok.kind == PUNCT:
                 if tok.text == "{" and depth == 0:
-                    end = self._skip_balanced("{", "}")
-                    consumed = True
+                    block = self._parse_block()
+                    blocks.append(block)
+                    end = block.end
                     continue
                 if tok.text in ("(", "["):
                     depth += 1
@@ -704,16 +671,13 @@ class _Parser:
                         break
                     depth -= 1
                 elif tok.text == ";" and depth == 0:
-                    end = self.advance().end
-                    consumed = True
-                    break
+                    return self.advance().end
                 elif tok.text == "}" and depth == 0:
                     break
-            if consumed and depth == 0 and self._on_later_line(tok, end) and self._starts_member(tok):
+            if self.i > opened and depth == 0 and self._on_later_line(tok, end) and self._starts_member(tok):
                 break
             end = self.advance().end
-            consumed = True
-        return AstNode("member", start, max(end, start))
+        return end
 
     def _starts_member(self, tok: Token) -> bool:
         if tok.kind == PUNCT and tok.text in ("@", "}"):
@@ -723,27 +687,35 @@ class _Parser:
     # ---- generic helpers -----------------------------------------------------
 
     def _parse_block(self) -> AstNode:
+        return self._braced("block", self._nested_blocks)
+
+    def _nested_blocks(self) -> list[AstNode]:
+        blocks: list[AstNode] = []
+        while (tok := self.peek()) is not None and not (tok.kind == PUNCT and tok.text == "}"):
+            if tok.kind == PUNCT and tok.text == "{":
+                blocks.append(self._parse_block())
+            else:
+                self.advance()
+        return blocks
+
+    def _braced(self, kind: str, parse_children) -> AstNode:
+        """The ``kind`` node from the current '{' through its matching '}',
+        holding what ``parse_children`` returns (it stops at that '}'). An
+        unclosed one runs to EOF with an error node over the unconsumed tail,
+        after the last child (whose own error span can run past the last
+        token). One opened at ``MAX_NESTING`` is skipped whole."""
         if self.depth >= MAX_NESTING:
-            return self._skip_too_deep("block")
+            return self._skip_too_deep(kind)
         open_tok = self.advance()  # '{'
         self.depth += 1
-        children: list[AstNode] = []
-        while not self.at_end():
-            tok = self.peek()
-            assert tok is not None
-            if tok.kind == PUNCT and tok.text == "}":
-                close = self.advance()
-                self.depth -= 1
-                return AstNode("block", open_tok.start, close.end, children)
-            if tok.kind == PUNCT and tok.text == "{":
-                children.append(self._parse_block())
-                continue
-            self.advance()
+        children = parse_children()
         self.depth -= 1
-        # Unclosed block: the error node covers the unterminated tail after the last child.
+        tok = self.peek()
+        if tok is not None and tok.kind == PUNCT and tok.text == "}":
+            return AstNode(kind, open_tok.start, self.advance().end, children)
         tail_start = max(self._last_end(), open_tok.end, children[-1].end if children else 0)
         children.append(AstNode("error", tail_start, self.eof))
-        return AstNode("block", open_tok.start, self.eof, children)
+        return AstNode(kind, open_tok.start, self.eof, children)
 
     def _skip_too_deep(self, kind: str) -> AstNode:
         """The ``kind`` node of a block or type body opened at the nesting

@@ -37,21 +37,13 @@ class ResidueRule:
     message: str
     severity: str = "error"
 
-    @property
-    def category(self) -> str:
-        return self.rule_id.split(".", 1)[0]
-
     @cached_property
     def compiled(self) -> re.Pattern[str]:
         return re.compile(self.pattern, flags=re.MULTILINE)
 
 
-def default_residue_rules_path() -> Path:
-    return Path(__file__).parent / "residue_rules.json"
-
-
-def load_residue_rules(path: str | Path | None = None) -> list[ResidueRule]:
-    raw = json.loads(Path(path or default_residue_rules_path()).read_text(encoding="utf-8"))
+def load_residue_rules() -> list[ResidueRule]:
+    raw = json.loads((Path(__file__).parent / "residue_rules.json").read_text(encoding="utf-8"))
     return [
         ResidueRule(
             rule_id=e["id"],
@@ -63,9 +55,8 @@ def load_residue_rules(path: str | Path | None = None) -> list[ResidueRule]:
     ]
 
 
-def load_platform_allowlist(path: str | Path | None = None) -> set[str]:
-    p = Path(path) if path else Path(__file__).parent / "platform_allowlist.json"
-    return set(json.loads(p.read_text(encoding="utf-8")))
+def load_platform_allowlist() -> set[str]:
+    return set(json.loads((Path(__file__).parent / "platform_allowlist.json").read_text(encoding="utf-8")))
 
 
 def platform_scan(

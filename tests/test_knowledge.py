@@ -14,7 +14,13 @@ from transmigrate.knowledge.chunks import CHUNK_OVERLAP, CHUNK_SIZE, DocumentChu
 from transmigrate.knowledge.crawl import crawl_site
 from transmigrate.knowledge.embed import HashedTokenEmbedder
 from transmigrate.knowledge.index import VectorIndex, build_index, query
+from transmigrate.pipeline import hash_source_tree
 from transmigrate.sourcemodel.parser import SourceFile, parse_source
+
+
+def listing(root):
+    """The files under ``root`` as the input hash lists them."""
+    return hash_source_tree(root)[1]
 
 
 class TestChunking:
@@ -52,23 +58,23 @@ class TestChunking:
 class TestIngestion:
     def test_readme_kind_inferred(self, tmp_path):
         (tmp_path / "README.md").write_text("Sample project.")
-        chunks = ingest_repository(tmp_path)
+        chunks = ingest_repository(tmp_path, listing(tmp_path))
         assert len(chunks) == 1
         assert chunks[0].kind == "readme"
 
     def test_empty_repository(self, tmp_path):
-        assert ingest_repository(tmp_path) == []
+        assert ingest_repository(tmp_path, listing(tmp_path)) == []
 
     def test_binary_files_skipped_without_error(self, tmp_path):
         (tmp_path / "logo.md").write_bytes(b"\x89PNG\x00\x00binary")
         (tmp_path / "README.md").write_text("text")
-        chunks = ingest_repository(tmp_path)
+        chunks = ingest_repository(tmp_path, listing(tmp_path))
         assert [c.source_uri for c in chunks] == ["README.md"]
 
     def test_source_comments_become_chunks(self, tmp_path):
         src = tmp_path / "A.java"
         src.write_text("// top note\nclass A { /* body comment */ void m(){} }\n")
-        chunks = ingest_repository(tmp_path)
+        chunks = ingest_repository(tmp_path, listing(tmp_path))
         kinds = {c.kind for c in chunks}
         assert kinds == {"code_comment"}
         texts = " ".join(c.text for c in chunks)
@@ -95,10 +101,10 @@ class TestIngestion:
         monkeypatch.setattr(
             chunks_module.lexer, "tokenize", lambda data, profile: lexed.append(data) or real_tokenize(data, profile)
         )
-        fresh = ingest_repository(tmp_path)
+        fresh = ingest_repository(tmp_path, listing(tmp_path))
         assert len(lexed) == 3
         lexed.clear()
-        reused = ingest_repository(tmp_path, asts)
+        reused = ingest_repository(tmp_path, listing(tmp_path), asts)
         assert lexed == [(tmp_path / name).read_bytes() for name in ("B.java", "C.swift")]
         assert reused == fresh
         assert [(c.source_uri, c.text) for c in fresh] == [
@@ -115,15 +121,15 @@ class TestIngestion:
         (tmp_path / "issues" / "42.md").write_text("crash on rotate")
         (tmp_path / "pulls").mkdir()
         (tmp_path / "pulls" / "7.md").write_text("fix rotation")
-        kinds = {c.source_uri: c.kind for c in ingest_repository(tmp_path)}
+        kinds = {c.source_uri: c.kind for c in ingest_repository(tmp_path, listing(tmp_path))}
         assert kinds == {"issues/42.md": "issue", "pulls/7.md": "pull_request"}
 
     def test_ingestion_idempotent(self, tmp_path):
         (tmp_path / "README.md").write_text("alpha beta")
         (tmp_path / "docs").mkdir()
         (tmp_path / "docs" / "api.md").write_text("gamma " * 300)
-        first = ingest_repository(tmp_path)
-        second = ingest_repository(tmp_path)
+        first = ingest_repository(tmp_path, listing(tmp_path))
+        second = ingest_repository(tmp_path, listing(tmp_path))
         assert [(c.chunk_id, c.text) for c in first] == [(c.chunk_id, c.text) for c in second]
 
 

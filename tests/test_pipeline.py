@@ -15,7 +15,7 @@ from transmigrate.cli import main as cli_main
 from transmigrate.errors import BackendError, ConfigurationError, IntegrityError, OrderingError, ToolError
 from transmigrate.knowledge.embed import HashedTokenEmbedder
 from transmigrate.knowledge.index import VectorIndex
-from transmigrate.pipeline import STAGES, Pipeline
+from transmigrate.pipeline import STAGES, Pipeline, hash_source_tree
 from transmigrate.sourcemodel import lexer, parser
 
 
@@ -278,7 +278,7 @@ class TestDeterminismAndResume:
         run_full(make_run_config(tmp_path / "project", tmp_path / "fresh"))
         monkeypatch.undo()
         fresh = output_tree(tmp_path / "fresh")
-        assert len(renames) == 28 and "translate/project.swift" in renames
+        assert len(renames) == 30 and "translate/project.swift" in renames
 
         for at, artifact in enumerate(renames):
             for after in (False, True):
@@ -924,6 +924,24 @@ class TestCli:
         assert "index.jsonl:" in err and "corrupt line" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("name", ["index.jsonl", "chunks.jsonl"])
+    def test_missing_index_file_exits_2_until_index_runs_again(self, fixture_project, tmp_path, capsys, name):
+        config_path = self.write_config(tmp_path, fixture_project)
+        for stage in ("analyze", "index", "plan"):
+            assert cli_main([stage, "--config", str(config_path)]) == 0
+        index_file = tmp_path / "out" / "index" / name
+        saved = index_file.read_bytes()
+        index_file.unlink()
+        capsys.readouterr()
+        assert cli_main(["translate", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"missing artifact {name!r}: run the 'index' stage first" in err
+        assert "Traceback" not in err
+        # The remedy works: no cache hit while a file is missing.
+        assert cli_main(["index", "--config", str(config_path)]) == 0
+        assert index_file.read_bytes() == saved
+        assert cli_main(["translate", "--config", str(config_path)]) == 0
+
     def test_index_id_without_chunk_exits_1(self, fixture_project, tmp_path, capsys):
         def rename_first_entry(text):
             header, first, *rest = text.splitlines(keepends=True)
@@ -1057,6 +1075,53 @@ class TestStageBoundaryResume:
         monkeypatch.setattr(P, "stage_analyze", counting)
         Pipeline(config).run()
         assert calls == []  # analyze not repeated
+
+
+class TestSourceListing:
+    """Every stage reads the one listing the input hash walks: the regular
+    files under the source root, the output root left out when inside."""
+
+    FIXTURE_DIGEST = "7b5698437940d175e7c7c0a228240abf0b1d5c8c8f5a33422083ca7c549e7cf7"
+
+    def assert_golden_report(self, config):
+        _, json_bytes, md_bytes = report_bytes(config)
+        assert json_bytes == (GOLDEN_DIR / "report.json").read_bytes()
+        assert md_bytes == (GOLDEN_DIR / "report.md").read_bytes()
+
+    def test_fixture_digest_is_pinned(self, run_config):
+        assert Pipeline(run_config).state.input_hash == self.FIXTURE_DIGEST
+
+    def test_listing_holds_regular_files_in_path_order(self, tmp_path):
+        for rel in ("a-b/x.md", "a/b.md", "out/state.json", "res/v.xml"):
+            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / rel).write_text(rel)
+        (tmp_path / "Odd.java").mkdir()
+        _, files = hash_source_tree(tmp_path)
+        assert files == ["a/b.md", "a-b/x.md", "out/state.json", "res/v.xml"]
+        _, files = hash_source_tree(tmp_path, tmp_path / "out")
+        assert files == ["a/b.md", "a-b/x.md", "res/v.xml"]
+        # Only an output root strictly inside the source root is left out.
+        assert hash_source_tree(tmp_path, tmp_path) == hash_source_tree(tmp_path)
+        assert hash_source_tree(tmp_path / "a", tmp_path)[1] == ["b.md"]
+
+    @pytest.mark.parametrize("directory", ["src/com/example/Odd.java", "lib/build.gradle"])
+    def test_directory_named_like_a_read_file_is_not_read(self, fixture_project, tmp_path, directory):
+        (fixture_project / directory).mkdir(parents=True)
+        config = make_run_config(fixture_project, tmp_path / "out")
+        run_full(config)
+        self.assert_golden_report(config)
+
+    def test_output_root_inside_the_source_root_is_left_out(self, fixture_project):
+        out = fixture_project / "out"
+        out.mkdir()
+        (out / "README.md").write_text("Notes kept beside the artifacts.\n")
+        config = make_run_config(fixture_project, out)
+        for stage in STAGES:
+            Pipeline(config).run_stage(stage)
+        self.assert_golden_report(config)
+        chunks = [json.loads(line) for line in (out / "index" / "chunks.jsonl").read_text().splitlines()]
+        assert chunks and not [c["source_uri"] for c in chunks if c["source_uri"].startswith("out/")]
+        assert Pipeline(config).state.input_hash == self.FIXTURE_DIGEST
 
 
 class TestIndexReuse:
