@@ -12,20 +12,39 @@ float ulp depending on summation order, and quantizing the comparison
 keeps the id tie-break authoritative regardless of the evaluation path.
 The ranking key of an entry is exactly ``(-round(score, 12), chunk_id)``.
 
+Retrieval runs over blocks of query texts (``query_many``; ``query`` is a
+one-text call of it). A block holds as many texts as keep its score
+matrix near ``_BLOCK_CELLS`` (65,536) cells, texts times entries, at
+least one text: 68 texts against 953 entries, 5 against 12,038, so peak
+memory stays flat as the project grows. Each block makes one
+``embed_many`` call and one ``vectors @ matrix.T`` product. A many-row
+product does not sum in the order of a one-vector product, so a score
+can differ from ``matrix @ v`` in its last bits, and the difference
+depends on the block's row count (a one-row block is bitwise equal to
+``matrix @ v``). Those are the evaluation-path ulps the key's rounding
+absorbs: a difference survives ``round(score, 12)`` only where a score
+lies within an ulp of a rounding half-point. On the benchmark's
+``large-project`` seed 1 (2,521 texts against 953 entries, one OpenBLAS
+thread), 15,911 of the 2,402,513 score cells differ from the one-vector
+product in their last bits and none after rounding, and the output trees
+of every workload are byte-identical to those of one query per text.
+
 A query does not sort every entry. With ``t`` the k-th largest raw score
-(``np.argpartition``), the candidates are the entries scoring at least
-``t - 2e-12``. Every member of the true top-k is a candidate: at least k
-entries score ``>= t``, and ``round`` is monotone, so a member has
-``round(s, 12) >= round(t, 12)``, and ``round`` moves a value by at most
-0.5e-12. Only the candidates get the exact key: ``round`` runs once per
-distinct candidate score, the last rounded value that still reaches the
-top-k is found by partition, and the tied entries at that value are cut
-by an id-rank array computed once per index (the rank of each entry's id,
-insertion order among equal ids, as a stable sort gives). A query that
-shares no token with most chunks makes every zero score a candidate; that
-case stays in numpy too. Ties, prefix order and the returned scores are
-those of a full sort by the key: the selection changes neither the tie
-rule nor the file format.
+of a row (``np.partition`` along the rows), the row's candidates are the
+entries scoring at least ``t - 2e-12``. Every member of the true top-k
+is a candidate: at least k entries score ``>= t``, and ``round`` is
+monotone, so a member has ``round(s, 12) >= round(t, 12)``, and
+``round`` moves a value by at most 0.5e-12. Only the candidates get the
+exact key, found for the whole block at once (``np.nonzero``): ``round``
+runs once per distinct candidate score of the block, and one
+``np.lexsort`` by (row, ``-round(score, 12)``, id rank) orders every
+candidate, the first k of each row being its result. The id rank is
+computed once per index: the rank of each entry's id, insertion order
+among equal ids, as a stable sort gives. A query that shares no token
+with most chunks makes every zero score a candidate; that case stays in
+numpy too, at most one block of cells. Ties, prefix order and the
+returned scores are those of a full sort by the key: the selection
+changes neither the tie rule nor the file format.
 
 Persistence is line-delimited JSON: a header line with the dimension and
 entry count, then one ``{"id": ..., "v": [...]}`` line per entry. Chunks
@@ -58,17 +77,17 @@ import numpy as np
 
 from transmigrate.errors import ArgumentError, IntegrityError
 from transmigrate.knowledge.chunks import DocumentChunk
-from transmigrate.knowledge.embed import EmbeddingVector
 
 # A top-k member scores at least t - 1e-12 (two roundings of at most
 # 0.5e-12 each); the margin doubles that to cover float error.
 _CANDIDATE_MARGIN = 2e-12
 
-# Cells ``save`` formats per block of rows.
+# Cells per block of rows: of the matrix ``save`` formats, and of the score
+# matrix ``query_many`` selects from.
 _BLOCK_CELLS = 65_536
 
 
-@dataclass
+@dataclass(slots=True)
 class RetrievalResult:
     chunk: DocumentChunk
     score: float
@@ -92,34 +111,36 @@ class VectorIndex:
     def __len__(self) -> int:
         return len(self._ids)
 
-    def scores(self, vector: EmbeddingVector) -> np.ndarray:
-        return self._matrix @ vector.values
+    def scores(self, vectors: np.ndarray) -> np.ndarray:
+        """One row of cosine scores per row of ``vectors``, one column per
+        entry."""
+        return vectors @ self._matrix.T
 
     def chunk(self, chunk_id: str) -> DocumentChunk:
         return self._chunks[chunk_id]
 
-    def top_k(self, scores: np.ndarray, k: int) -> list[tuple[str, float]]:
-        """(id, score) of the k best entries under ``(-round(s, 12), id)``,
-        best first; see the module docstring."""
-        n = len(scores)
+    def top_k(self, scores: np.ndarray, k: int) -> list[list[tuple[str, float]]]:
+        """For each row of ``scores``, (id, score) of its k best entries
+        under ``(-round(s, 12), id)``, best first; see the module docstring."""
+        n = scores.shape[1]
         if k < n:
-            kth = scores[np.argpartition(scores, n - k)[n - k]]
-            cand = np.flatnonzero(scores >= kth - _CANDIDATE_MARGIN)
+            kth = np.partition(scores, n - k, axis=1)[:, n - k]
+            rows, cols = np.nonzero(scores >= (kth - _CANDIDATE_MARGIN)[:, None])
         else:
-            cand = np.arange(n)
-        distinct, inverse = np.unique(scores[cand], return_inverse=True)
+            rows, cols = (axis.ravel() for axis in np.indices(scores.shape))
+        values = scores[rows, cols]
+        distinct, inverse = np.unique(values, return_inverse=True)
         rounded = np.array([round(float(v), 12) for v in distinct])[inverse]
-        if len(cand) > k:
-            last = np.partition(rounded, len(cand) - k)[len(cand) - k]
-            above = rounded > last
-            tied = cand[rounded == last]
-            need = k - int(np.count_nonzero(above))
-            if need < len(tied):
-                tied = tied[np.argpartition(self._id_rank[tied], need - 1)[:need]]
-            cand = np.concatenate([cand[above], tied])
-            rounded = np.concatenate([rounded[above], np.full(len(tied), last)])
-        best = cand[np.lexsort((self._id_rank[cand], -rounded))]
-        return [(self._ids[i], float(scores[i])) for i in best]
+        order = np.lexsort((self._id_rank[cols], -rounded, rows))
+        rows, cols, values = rows[order], cols[order], values[order]
+        # Sorted by row first: row r's candidates start at the count of the
+        # rows before it, and its result is the first k of them.
+        counts = np.bincount(rows, minlength=len(scores))
+        kept = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows] < k
+        best: list[list[tuple[str, float]]] = [[] for _ in range(len(scores))]
+        for row, col, value in zip(rows[kept].tolist(), cols[kept].tolist(), values[kept].tolist()):
+            best[row].append((self._ids[col], value))
+        return best
 
     # ---- persistence ----
 
@@ -244,16 +265,27 @@ def build_index(chunks: list[DocumentChunk], embedder) -> VectorIndex:
     return VectorIndex(chunks, embedder.embed_many([c.text for c in chunks]))
 
 
-def query(index: VectorIndex, text: str, k: int, embedder) -> list[RetrievalResult]:
-    """Exact top-k by cosine similarity; ties broken by chunk id ascending."""
+def query_many(index: VectorIndex, texts: list[str], k: int, embedder) -> list[list[RetrievalResult]]:
+    """The exact top-k by cosine similarity of each text, in the order of
+    ``texts``; ties broken by chunk id ascending. Texts are embedded and
+    scored a block at a time; see the module docstring."""
     if k <= 0:
         raise ArgumentError(f"k must be positive, got {k}")
     if len(index) == 0:
-        return []
-    vector = embedder.embed(text)
-    if vector.dimension != index.dimension:
-        raise IntegrityError(
-            f"query dimension {vector.dimension} does not match index dimension {index.dimension}"
-        )
-    scores = index.scores(vector)
-    return [RetrievalResult(chunk=index.chunk(cid), score=s) for cid, s in index.top_k(scores, k)]
+        return [[] for _ in texts]
+    rows = max(1, _BLOCK_CELLS // len(index))
+    results: list[list[RetrievalResult]] = []
+    for start in range(0, len(texts), rows):
+        vectors = embedder.embed_many(texts[start : start + rows])
+        if vectors.shape[1] != index.dimension:
+            raise IntegrityError(
+                f"query dimension {vectors.shape[1]} does not match index dimension {index.dimension}"
+            )
+        for best in index.top_k(index.scores(vectors), k):
+            results.append([RetrievalResult(chunk=index.chunk(cid), score=s) for cid, s in best])
+    return results
+
+
+def query(index: VectorIndex, text: str, k: int, embedder) -> list[RetrievalResult]:
+    """Exact top-k by cosine similarity; ties broken by chunk id ascending."""
+    return query_many(index, [text], k, embedder)[0]

@@ -33,7 +33,7 @@ from transmigrate.errors import ConfigurationError, IntegrityError, OrderingErro
 from transmigrate.knowledge.chunks import ingest_repository
 from transmigrate.knowledge.crawl import crawl_site
 from transmigrate.knowledge.embed import HashedTokenEmbedder, RemoteEmbedder
-from transmigrate.knowledge.index import VectorIndex, build_index, query
+from transmigrate.knowledge.index import VectorIndex, build_index, query_many
 from transmigrate.prompts import (
     ast_excerpt,
     dependency_excerpt,
@@ -91,9 +91,10 @@ class PipelineState:
 def hash_source_tree(root: str | Path, output_root: str | Path | None = None) -> tuple[str, list[str]]:
     """Content hash over every regular file under ``root``, and those files'
     root-relative POSIX paths in the order hashed (``sorted`` of ``Path``).
-    Files under ``output_root`` are left out when it lies strictly inside
-    ``root``. This is the one walk of the source tree: every stage reads
-    the listing instead of walking again."""
+    A path with a ``.git`` component is left out (git rewrites its own
+    files on a mere ``git status``), and so are files under ``output_root``
+    when it lies strictly inside ``root``. This is the one walk of the
+    source tree: every stage reads the listing instead of walking again."""
     digest = hashlib.sha256()
     root = Path(root)
     skip: tuple[str, ...] = ()
@@ -104,7 +105,7 @@ def hash_source_tree(root: str | Path, output_root: str | Path | None = None) ->
     files = []
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
         rel = path.relative_to(root)
-        if skip and rel.parts[: len(skip)] == skip:
+        if ".git" in rel.parts or (skip and rel.parts[: len(skip)] == skip):
             continue
         files.append(rel.as_posix())
         digest.update(files[-1].encode("utf-8"))
@@ -405,10 +406,13 @@ class Pipeline:
                 index = VectorIndex.load(*self._index_files)
             except FileNotFoundError as exc:
                 raise _missing(exc.filename, "index") from None
-        embedder = self._embedder()
+        # Every prompt's retrieval text is known before the first send: each
+        # distinct one is retrieved once, in one blocked pass.
+        abouts = list(dict.fromkeys(self._retrieval_texts(components, by_qualified, project_pending)))
+        k = self.config.knowledge.retrieval_k
+        retrieved = dict(zip(abouts, query_many(index, abouts, k, self._embedder()))) if abouts else {}
         backend = self._backend()
         checks = self._unit_checks()
-        k = self.config.knowledge.retrieval_k
         _write_json(self.out / "translate" / "unit_names.json", unit_names)
         units_dir = self.out / "translate" / "units"
         refinement_dir = self.out / "translate" / "refinement"
@@ -417,9 +421,7 @@ class Pipeline:
             """Render one level's prompt with the chunks retrieved for
             ``about``, fit it to the budget, dump it when asked, send it, and
             return the code of the reply."""
-            envelope = truncate_context(
-                render_prompt(level, inputs, query(index, about, k, embedder)), self.config.prompt_budget
-            )
+            envelope = truncate_context(render_prompt(level, inputs, retrieved[about]), self.config.prompt_budget)
             if self.config.dump_prompts:
                 safe = label.replace("/", "_").replace(".", "_")
                 _write_text(self.out / "prompts" / f"{self._prompt_ordinal:04d}_{safe}.txt", envelope.rendered_text)
@@ -439,12 +441,7 @@ class Pipeline:
                 translated_methods: list[str] = []
                 for method_id in cls_plan.methods:
                     # Overloads share one plan entry; each gets its own prompt.
-                    method_name = method_id[len(qualified) + 1 :]
-                    overloads = sorted(
-                        (m for m in descriptor.constructors + descriptor.methods if m.name == method_name),
-                        key=lambda m: m.span,
-                    )
-                    for m in overloads:
+                    for m in _overloads(descriptor, method_id):
                         code = send(
                             "method",
                             f"method_{method_id}",
@@ -529,6 +526,28 @@ class Pipeline:
             )
             _write_text(self.out / "translate" / "project.swift", project_code)
         self._mark_stage_done("translate")
+
+    def _retrieval_texts(
+        self,
+        components: list[tuple[ComponentPlan, list[ClassPlan]]],
+        by_qualified: dict[str, ClassDescriptor],
+        project_pending: bool,
+    ) -> list[str]:
+        """The text each pending prompt retrieves for, in send order: the
+        class's simple name and the method for each method overload, the
+        class's simple name and component for each class, the component
+        name (or "project root") and the project name."""
+        texts = []
+        for comp, classes in components:
+            for cls_plan in classes:
+                descriptor = by_qualified[cls_plan.name]
+                for method_id in cls_plan.methods:
+                    texts.extend(f"{descriptor.simple_name} {m.name}" for m in _overloads(descriptor, method_id))
+                texts.append(f"{descriptor.simple_name} {descriptor.component}")
+            texts.append(comp.name or "project root")
+        if project_pending:
+            texts.append(self.config.project_name)
+        return texts
 
     def _component_path(self, name: str) -> Path:
         file = (name or "default").replace("/", "_") or "default"
@@ -679,6 +698,13 @@ class Pipeline:
             logger.info("dry run: %d %s(s) would be translated%s", len(listed), what, listing)
         if project_pending:
             logger.info("dry run: the project prompt would be sent")
+
+
+def _overloads(descriptor: ClassDescriptor, method_id: str):
+    """The constructors and methods of ``descriptor`` that plan entry
+    ``method_id`` (``<qualified class>.<name>``) names, in source order."""
+    name = method_id[len(descriptor.qualified_name) + 1 :]
+    return sorted((m for m in descriptor.constructors + descriptor.methods if m.name == name), key=lambda m: m.span)
 
 
 def _descriptor_dict(d: ClassDescriptor) -> dict:

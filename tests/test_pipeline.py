@@ -46,6 +46,21 @@ def index_loads(monkeypatch):
 
 
 @pytest.fixture
+def embedded(monkeypatch):
+    """The texts of each ``HashedTokenEmbedder.embed_many`` call, one list
+    per call, in call order."""
+    calls = []
+    real_embed_many = HashedTokenEmbedder.embed_many
+
+    def counting_embed_many(self, texts):
+        calls.append(list(texts))
+        return real_embed_many(self, texts)
+
+    monkeypatch.setattr(HashedTokenEmbedder, "embed_many", counting_embed_many)
+    return calls
+
+
+@pytest.fixture
 def parses(monkeypatch):
     """The sources ``parse_source`` is called for, in call order, through
     every module that imported it."""
@@ -147,7 +162,7 @@ class TestFullRun:
         assert len(prompts) >= 10  # 6 methods + 3 classes + 3 components + project
         assert any("method_com_example_core_Logger_log" in p.name for p in prompts)
 
-    def test_every_overload_gets_a_method_prompt(self, tmp_path, monkeypatch):
+    def test_every_overload_gets_a_method_prompt(self, tmp_path, monkeypatch, embedded):
         source = tmp_path / "project" / "p"
         source.mkdir(parents=True)
         (source / "Foo.java").write_text(
@@ -161,6 +176,8 @@ class TestFullRun:
             "}\n",
             encoding="utf-8",
         )
+        # A document to index: an empty index needs no query embedded.
+        (tmp_path / "project" / "README.md").write_text("Foo runs its helper.\n", encoding="utf-8")
         sent = []
         real_factory = Pipeline._backend
 
@@ -181,6 +198,9 @@ class TestFullRun:
         (class_prompt,) = [e for e in sent if e.level == "class"]
         translated = class_prompt.slots["translated_methods"]
         assert translated.count("// method: Foo\n") == 2 and translated.count("// method: run\n") == 2
+        # The index build, then one retrieval pass: overloads share a text.
+        assert len(embedded) == 2
+        assert sorted(embedded[1]) == ["Foo Foo", "Foo helper", "Foo p", "Foo run", "MiniApp", "p"]
 
 
 def run_config_path(out):
@@ -1111,6 +1131,32 @@ class TestSourceListing:
         run_full(config)
         self.assert_golden_report(config)
 
+    def test_git_paths_are_left_out_of_listing_and_digest(self, tmp_path):
+        kept = (".github/ci.yml", ".gitignore", "a.md", "sub/x.java")
+        for rel in kept + (".git/index", ".git/objects/ab/cd", "sub/.git", "lib/.git/HEAD"):
+            (tmp_path / "with" / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / "with" / rel).write_text(rel)
+        for rel in kept:
+            (tmp_path / "without" / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / "without" / rel).write_text(rel)
+        digest, files = hash_source_tree(tmp_path / "with")
+        assert files == [".github/ci.yml", ".gitignore", "a.md", "sub/x.java"]
+        assert (digest, files) == hash_source_tree(tmp_path / "without")
+
+    def test_git_index_rewritten_between_stages_still_resumes(self, fixture_project, tmp_path):
+        # A ``git status`` between two stage runs rewrites ``.git/index``.
+        git = fixture_project / ".git"
+        git.mkdir()
+        (git / "HEAD").write_text("ref: refs/heads/main\n")
+        (git / "index").write_bytes(b"DIRC\0\0\0\2")
+        config = make_run_config(fixture_project, tmp_path / "out")
+        Pipeline(config).run_stage("analyze")
+        (git / "index").write_bytes(b"DIRC\0\0\0\2 refreshed stat data")
+        for stage in STAGES[1:]:
+            Pipeline(config).run_stage(stage)
+        self.assert_golden_report(config)
+        assert Pipeline(config).state.input_hash == self.FIXTURE_DIGEST
+
     def test_output_root_inside_the_source_root_is_left_out(self, fixture_project):
         out = fixture_project / "out"
         out.mkdir()
@@ -1183,6 +1229,53 @@ class TestIndexReuse:
         assert (len(parses), index_loads, levels) == (0, [out], ["project"])
         assert (pipeline._java, pipeline._index) == (None, None)
         assert output_tree(out) == before
+
+
+class TestRetrievalPass:
+    """Translate retrieves for every pending prompt in one pass, before the
+    first send: each distinct retrieval text is embedded once."""
+
+    # Send order: each class's methods, the class, then its component;
+    # the project prompt last.
+    FIXTURE_TEXTS = [
+        "Logger Logger", "Logger log", "Logger com.example.core", "com.example.core",
+        "HttpClient HttpClient", "HttpClient fetch", "HttpClient com.example.net", "com.example.net",
+        "MainScreen render", "MainScreen onCreate", "MainScreen com.example.ui", "com.example.ui",
+        "MiniApp",
+    ]
+
+    def test_fresh_translate_embeds_each_retrieval_text_once_before_any_send(
+        self, run_config, monkeypatch, embedded
+    ):
+        from transmigrate.backends import MockBackend
+
+        pipeline = Pipeline(run_config)
+        for stage in ("analyze", "index", "plan"):
+            pipeline.run_stage(stage)
+        embedded.clear()
+        real = MockBackend.translate
+        seen = []  # per prompt sent, repairs left out: the embedding calls made before it
+
+        def recording(self, envelope):
+            if envelope.level != "repair":
+                seen.append(len(embedded))
+            return real(self, envelope)
+
+        monkeypatch.setattr(MockBackend, "translate", recording)
+        pipeline.run_stage("translate")
+        assert embedded == [self.FIXTURE_TEXTS]
+        assert seen == [1] * 13
+
+    def test_resume_embeds_only_the_pending_prompts_texts(self, run_config, embedded, index_loads):
+        run_full(run_config)
+        out = run_config_path(run_config.output_root)
+        embedded.clear()
+        Pipeline(run_config).run_stage("translate")  # nothing pending
+        assert (embedded, index_loads) == ([], [])
+        (out / "translate" / "project.swift").unlink()
+        Pipeline(run_config).run_stage("translate")
+        assert embedded == [[run_config.project_name]]
+        assert index_loads == [out]
 
 
 class TestLiveBackendPipeline:

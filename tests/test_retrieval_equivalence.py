@@ -1,7 +1,9 @@
 """The batched embedding and top-k selection against the plain loops
-they replaced: same vector bits, same ids, same scores, for every k. The
-block index writer, which formats each distinct cell of a block of rows
-once, against the per-entry ``json.dumps`` it replaced: same bytes."""
+they replaced: same vector bits, same ids, same scores, for every k.
+Blocked retrieval (``query_many``) against one ``query`` per text: same
+ids for every k, scores within 1e-12. The block index writer, which
+formats each distinct cell of a block of rows once, against the
+per-entry ``json.dumps`` it replaced: same bytes."""
 
 import hashlib
 import json
@@ -18,9 +20,10 @@ from hypothesis import strategies as st
 
 import transmigrate.knowledge.embed as embed_module
 import transmigrate.knowledge.index as index_module
+from transmigrate.errors import ArgumentError, IntegrityError
 from transmigrate.knowledge.chunks import DocumentChunk
 from transmigrate.knowledge.embed import EmbeddingVector, HashedTokenEmbedder
-from transmigrate.knowledge.index import VectorIndex, build_index, query
+from transmigrate.knowledge.index import VectorIndex, build_index, query, query_many
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -44,7 +47,7 @@ def reference_embed(text: str, dimension: int) -> np.ndarray:
 
 def reference_query(index: VectorIndex, ids: list[str], text: str, k: int, embedder) -> list[tuple[str, float]]:
     """A Python sort of every (id, score) pair by (-round(score, 12), id)."""
-    scores = index.scores(embedder.embed(text))
+    scores = index.scores(embedder.embed(text).values)
     ranked = sorted(zip(ids, scores), key=lambda pair: (-round(float(pair[1]), 12), pair[0]))
     return [(cid, float(s)) for cid, s in ranked[:k]]
 
@@ -65,6 +68,23 @@ class FixedEmbedder:
 
     def embed(self, _text):
         return EmbeddingVector(self.values)
+
+    def embed_many(self, texts):
+        return np.tile(self.values, (len(texts), 1))
+
+
+class TableEmbedder:
+    """Embeds each text as the vector a table gives it."""
+
+    def __init__(self, table):
+        self.table = table
+        self.dimension = len(next(iter(table.values())))
+
+    def embed(self, text):
+        return EmbeddingVector(self.table[text])
+
+    def embed_many(self, texts):
+        return np.array([self.table[t] for t in texts]).reshape(len(texts), self.dimension)
 
 
 WORDS = ["alpha", "beta", "gamma", "fetch", "view", "swift"]
@@ -126,6 +146,93 @@ class TestQueryEquivalence:
         monkeypatch.setattr(index_module, "round", counting_round, raising=False)
         got = [r.chunk.chunk_id for r in query(index, "", 3, embedder)]
         assert got == ["doc0001#0", "doc0002#0", "doc0003#0"]
+        assert len(calls) == 1
+
+
+MANY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def assert_many_matches_each(index, ids, texts, embedder):
+    """For every k, ``query_many`` gives each text the ids ``query`` and the
+    Python sort give it, and scores within 1e-12 of ``query``'s."""
+    for k in range(1, len(index) + 3):
+        many = query_many(index, texts, k, embedder)
+        assert len(many) == len(texts)
+        for text, got in zip(texts, many):
+            one = query(index, text, k, embedder)
+            assert [r.chunk.chunk_id for r in got] == [r.chunk.chunk_id for r in one], (text, k)
+            expected = [cid for cid, _ in reference_query(index, ids, text, k, embedder)]
+            assert [r.chunk.chunk_id for r in got] == expected, (text, k)
+            assert all(abs(a.score - b.score) <= 1e-12 for a, b in zip(got, one)), (text, k)
+
+
+class TestQueryManyEquivalence:
+    @MANY_SETTINGS
+    @given(docs=st.lists(phrase, min_size=1, max_size=12),
+           probes=st.lists(st.one_of(phrase, st.sampled_from(EDGE_TEXTS + ["zzzz qqqq"])), min_size=1, max_size=12),
+           dimension=st.sampled_from([1, 7, 64]), cells=st.sampled_from([1, 5, 17, 65_536]))
+    def test_same_ids_as_one_query_per_text(self, docs, probes, dimension, cells):
+        # Repeated probes, empty and punctuation-only texts, texts sharing no
+        # token with the index; at 1, 5 and 17 cells a block holds a few
+        # texts or one, so most lists cross a block boundary.
+        texts = probes + probes[:3]
+        chunks = [DocumentChunk(f"doc{i:03d}", "api_doc", t) for i, t in reversed(list(enumerate(docs)))]
+        embedder = HashedTokenEmbedder(dimension)
+        index = build_index(chunks, embedder)
+        with mock.patch.object(index_module, "_BLOCK_CELLS", cells):
+            assert_many_matches_each(index, [c.chunk_id for c in chunks], texts, embedder)
+
+    @MANY_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), entries=st.integers(1, 30), copies=st.integers(1, 4),
+           queries=st.integers(1, 40), cells=st.sampled_from([7, 64, 65_536]))
+    def test_dense_vectors_with_equal_rows(self, seed, entries, copies, queries, cells):
+        # Dense vectors, as a remote embedder gives: a many-row product can
+        # differ from a one-vector product in the last bits, and equal rows
+        # of the index tie under the key. Ids are given in reverse order.
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((entries, 8))
+        rows = np.repeat(rows / np.linalg.norm(rows, axis=1, keepdims=True), copies, axis=0)
+        chunks = [DocumentChunk(f"c{i:03d}", "api_doc", "x") for i in range(len(rows), 0, -1)]
+        index = VectorIndex(chunks, rows)
+        table = {f"q{i}": v for i, v in enumerate(rng.standard_normal((queries, 8)))}
+        table["row"] = rows[0]
+        texts = list(table) + ["row", "q0"]
+        with mock.patch.object(index_module, "_BLOCK_CELLS", cells):
+            assert_many_matches_each(index, [c.chunk_id for c in chunks], texts, TableEmbedder(table))
+
+    def test_empty_index_empty_texts_bad_k_and_wrong_width(self):
+        embedder = FixedEmbedder([1.0, 0.0, 0.0, 0.0])
+        empty = VectorIndex([], np.empty((0, 4)))
+        assert query_many(empty, ["a", "", "a"], 2, embedder) == [[], [], []]
+        assert query(empty, "a", 2, embedder) == []
+        index = VectorIndex([DocumentChunk("d", "api_doc", "x")], np.array([[0.5, 0.5, 0.5, 0.5]]))
+        assert query_many(index, [], 2, embedder) == []
+        for target in (empty, index):
+            with pytest.raises(ArgumentError):
+                query_many(target, ["a"], 0, embedder)
+            with pytest.raises(ArgumentError):
+                query(target, "a", 0, embedder)
+        narrow = FixedEmbedder([1.0, 0.0, 0.0])
+        with pytest.raises(IntegrityError, match="query dimension 3 does not match index dimension 4"):
+            query_many(index, ["a", "b"], 1, narrow)
+        with pytest.raises(IntegrityError, match="query dimension 3"):
+            query(index, "a", 1, narrow)
+
+    def test_a_block_of_all_zero_scores_rounds_once(self, monkeypatch):
+        # Every empty text ties every chunk at 0.0: one distinct score in
+        # the block, so the exact key is computed once for all its rows.
+        embedder = HashedTokenEmbedder(16)
+        chunks = [DocumentChunk(f"doc{i:04d}", "api_doc", f"w{i}") for i in range(500, 0, -1)]
+        index = build_index(chunks, embedder)
+        calls = []
+
+        def counting_round(value, ndigits):
+            calls.append(value)
+            return round(value, ndigits)
+
+        monkeypatch.setattr(index_module, "round", counting_round, raising=False)
+        got = query_many(index, [""] * 50, 3, embedder)
+        assert [[r.chunk.chunk_id for r in rs] for rs in got] == [["doc0001#0", "doc0002#0", "doc0003#0"]] * 50
         assert len(calls) == 1
 
 
