@@ -709,7 +709,7 @@ def _overloads(descriptor: ClassDescriptor, method_id: str):
 
 def _descriptor_dict(d: ClassDescriptor) -> dict:
     def method_dict(m) -> dict:
-        return {"name": m.name, "span": list(m.span), "calls": m.calls}
+        return {"name": m.name, "span": list(m.span), "calls": [site.name for site in m.call_sites]}
 
     return {
         "qualified_name": d.qualified_name,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from transmigrate.errors import IntegrityError
 from transmigrate.sourcemodel.grammar import GrammarProfile, load_grammar
-from transmigrate.sourcemodel.lexer import IDENT, PUNCT, Token
+from transmigrate.sourcemodel.lexer import IDENT, Token
 from transmigrate.sourcemodel.parser import (
     TYPE_DECLARATION_KINDS,
     Ast,
@@ -53,7 +53,6 @@ class MethodDescriptor:
     name: str
     owner: str
     span: tuple[int, int]
-    calls: list[str] = field(default_factory=list)
     call_sites: list[CallSite] = field(default_factory=list)
     is_constructor: bool = False
 
@@ -207,7 +206,6 @@ def _extract_method(
         name=name,
         owner=owner,
         span=node.span,
-        calls=[s.name for s in sites],
         call_sites=sites,
         is_constructor=node.kind == "constructor_declaration",
     )
@@ -255,16 +253,12 @@ def _call_sites_in(
         is_ctor = False
         if i >= 1:
             prev = toks[i - 1]
-            if prev.kind == PUNCT and prev.text == "." and i >= 2 and toks[i - 2].kind == IDENT:
+            if prev.text == "." and i >= 2 and toks[i - 2].kind == IDENT:
                 receiver = toks[i - 2].text
-            elif (
-                profile.constructor_keyword
-                and prev.kind == IDENT
-                and prev.text == profile.constructor_keyword
-            ):
+            elif prev.text == profile.constructor_keyword:
                 is_ctor = True
         paren_at = i + 1
-        if paren_at < len(toks) and toks[paren_at].kind == PUNCT and toks[paren_at].text == "<":
+        if paren_at < len(toks) and toks[paren_at].text == "<":
             # Generic constructor/type invocations: name<args>( . Only
             # type-like names take the lookahead, so comparison chains on
             # ordinary variables never masquerade as calls.
@@ -275,7 +269,7 @@ def _call_sites_in(
                 paren_at = after
             else:
                 continue
-        if paren_at >= len(toks) or toks[paren_at].kind != PUNCT or toks[paren_at].text != "(":
+        if paren_at >= len(toks) or toks[paren_at].text != "(":
             continue
         sites.append(CallSite(name=tok.text, receiver=receiver, offset=tok.start, is_constructor=is_ctor))
     return sites

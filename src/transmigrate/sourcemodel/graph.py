@@ -27,8 +27,6 @@ EDGE_INHERITANCE = "inheritance"
 EDGE_IMPORT = "import"
 EDGE_FIELD_TYPE = "field-type"
 
-GRANULARITIES = ("method", "class", "component")
-
 Edge = tuple[str, str, str]  # (from, to, kind)
 
 
@@ -145,18 +143,15 @@ class _Snapshot:
 
 
 def build_dependency_graph(classes: list[ClassDescriptor], granularity: str) -> DependencyGraph:
-    """Build the typed graph at the requested granularity. Unresolved
+    """Build the typed graph at ``"method"`` or ``"class"`` granularity (the
+    component graph is ``quotient_graph`` of the class graph). Unresolved
     references are tallied in ``externals`` rather than added as nodes."""
-    if granularity not in GRANULARITIES:
+    if granularity not in ("method", "class"):
         raise ValueError(f"unknown granularity {granularity!r}")
     snapshot = _Snapshot(classes)
     if granularity == "method":
         return _method_graph(classes, snapshot)
-    class_graph = _class_graph(classes, snapshot)
-    if granularity == "class":
-        return class_graph
-    mapping = {c.qualified_name: c.component for c in classes}
-    return quotient_graph(class_graph, mapping, "component")
+    return _class_graph(classes, snapshot)
 
 
 def _method_graph(classes: list[ClassDescriptor], snapshot: _Snapshot) -> DependencyGraph:

@@ -22,6 +22,13 @@ A quoted literal runs through its closing delimiter; a backslash escapes
 the byte after it, and an unescaped newline or the end of input ends an
 unterminated literal. Lexing never fails, and no token ends past the end
 of input.
+
+Where a token's text can settle its kind, it does, so the parser tests
+texts alone there: no profile's markers start with one of the bytes
+``{}()[];,=<>.:@?!*&``, so a token with one of them as its whole text is
+``punct``; and a profile word (a keyword, modifier, declaration keyword,
+``import``, ``package``, ``extends`` or ``implements``) is a run of
+letters, so a token with one as its whole text is ``ident``.
 """
 
 from __future__ import annotations

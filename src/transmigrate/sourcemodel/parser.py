@@ -21,6 +21,13 @@ Node kinds
 
 Invariants: every child span lies within its parent's span, sibling spans
 are ordered and non-overlapping, and the root spans the whole input.
+
+Two rules keep the token tests short. The parser's own copy of the token
+list ends with two end tokens (kind ``eof``, text ``""``, span at the end
+of input), so a one-token lookahead is always in range and the empty text
+marks the end of input. And where a token's text settles its kind (see the
+``lexer`` module), only the text is tested: a kind is tested only for an
+identifier, which no fixed text names.
 """
 
 from __future__ import annotations
@@ -136,32 +143,40 @@ def generic_arguments_end(toks: list[Token], at: int) -> int | None:
     are allowed inside, which distinguishes generics from comparison
     operators."""
     depth = 0
-    j = at
-    while j < len(toks):
+    for j in range(at, len(toks)):
         tok = toks[j]
-        if tok.kind == PUNCT:
-            if tok.text == "<":
-                depth += 1
-            elif tok.text == ">":
-                depth -= 1
-                if depth == 0:
-                    return j + 1
-            elif tok.text not in _GENERIC_PUNCT:
-                return None
-        elif tok.kind != IDENT:
+        if tok.text == "<":
+            depth += 1
+        elif tok.text == ">":
+            depth -= 1
+            if depth == 0:
+                return j + 1
+        elif tok.text not in _GENERIC_PUNCT and tok.kind != IDENT:
             return None
-        j += 1
     return None
+
+
+# Depth-0 tokens that decide what a Java member is.
+_C_DECIDERS = frozenset({"=", "(", ";", "{", "}"})
+
+# Tokens that may follow a Java enum constant ("" is the end of input).
+_CONSTANT_FOLLOWERS = frozenset({",", ";", "(", "{", "}", ""})
+
+# Tokens that end a Swift field's type annotation.
+_TYPE_ANNOTATION_ENDS = frozenset({"=", "{", ";", "}", ",", ""})
 
 
 class _Parser:
     """Token-stream parser; one instance per file."""
 
     def __init__(self, tokens: list[Token], profile: GrammarProfile, data: bytes) -> None:
-        self.toks = tokens
+        self.eof = len(data)
+        # Two end tokens, so that a lookahead of one stays in the list.
+        end = Token("eof", self.eof, self.eof, "")
+        self.toks = [*tokens, end, end]
+        self.n = len(tokens)  # index of the first end token
         self.profile = profile
         self.data = data
-        self.eof = len(data)
         self.i = 0
         self.depth = 0  # braces open around the cursor
         self._member_starts = (
@@ -169,17 +184,13 @@ class _Parser:
             | set(profile.field_keywords)
             | set(profile.type_keywords)
             | set(profile.modifiers)
-            | {profile.import_keyword}
+            | {profile.import_keyword, "@", "}"}
         )
 
     # ---- cursor helpers -------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token | None:
-        j = self.i + ahead
-        return self.toks[j] if j < len(self.toks) else None
-
-    def at_end(self) -> bool:
-        return self.i >= len(self.toks)
+    def peek(self, ahead: int = 0) -> Token:
+        return self.toks[self.i + ahead]
 
     def advance(self) -> Token:
         tok = self.toks[self.i]
@@ -197,15 +208,13 @@ class _Parser:
 
     def parse_members(self, stop_at_close: bool, enclosing_type: str | None) -> list[AstNode]:
         members: list[AstNode] = []
-        while not self.at_end():
-            tok = self.peek()
-            assert tok is not None
-            if tok.kind == PUNCT and tok.text == "}":
+        while (tok := self.peek()).text:
+            if tok.text == "}":
                 if stop_at_close:
                     break
                 # Unmatched close brace: flag it and keep going.
                 members.append(AstNode("error", tok.start, tok.end))
-                self.advance()
+                self.i += 1
                 continue
             at = self.i
             node = self.parse_member(enclosing_type)
@@ -213,7 +222,7 @@ class _Parser:
                 # A member that consumed nothing (a stray ')' or ']'): flag
                 # the token and step over it, or the loop would never end.
                 members.append(AstNode("error", tok.start, tok.end))
-                self.advance()
+                self.i += 1
             elif node is not None:
                 members.append(node)
         return members
@@ -221,88 +230,69 @@ class _Parser:
     def parse_member(self, enclosing_type: str | None) -> AstNode | None:
         p = self.profile
         start_tok = self.peek()
-        assert start_tok is not None
         start = start_tok.start
 
-        if start_tok.kind == PUNCT and start_tok.text == ";":
-            self.advance()
+        if start_tok.text == ";":
+            self.i += 1
             return None
-
-        if start_tok.kind == IDENT and p.package_keyword and start_tok.text == p.package_keyword:
+        if start_tok.text == p.package_keyword:
             return self._parse_path_statement("package_declaration")
-        if start_tok.kind == IDENT and start_tok.text == p.import_keyword:
+        if start_tok.text == p.import_keyword:
             return self._parse_path_statement("import_declaration")
 
         # Leading annotations / attributes; '@interface' is a declaration.
-        while (tok := self.peek()) is not None and tok.kind == PUNCT and tok.text == "@":
-            nxt = self.peek(1)
-            if nxt is not None and nxt.kind == IDENT and nxt.text == "interface":
-                self.advance()  # '@'
+        while self.peek().text == "@":
+            if self.peek(1).text == "interface":
+                self.i += 1  # '@'
                 return self._parse_type_declaration(start, decl_kind="annotation_declaration")
-            self.advance()
-            if (t := self.peek()) is not None and t.kind == IDENT:
-                self.advance()
-                while (
-                    (dot := self.peek()) is not None
-                    and dot.kind == PUNCT
-                    and dot.text == "."
-                    and (nm := self.peek(1)) is not None
-                    and nm.kind == IDENT
-                ):
-                    self.advance()
-                    self.advance()
-            if (t := self.peek()) is not None and t.kind == PUNCT and t.text == "(":
+            self.i += 1
+            if self.peek().kind == IDENT:
+                self._dotted_name()
+            if self.peek().text == "(":
                 self._skip_balanced("(", ")")
 
-        while (tok := self.peek()) is not None and tok.kind == IDENT and tok.text in p.modifiers:
+        while self.peek().text in p.modifiers:
             # Guard: a modifier word directly followed by '(' is a call, not
             # a modifier (only relevant for fragment inputs).
-            nxt = self.peek(1)
-            if nxt is not None and nxt.kind == PUNCT and nxt.text == "(":
+            if self.peek(1).text == "(":
                 break
-            self.advance()
+            self.i += 1
 
         tok = self.peek()
-        if tok is None:
+        if not tok.text:
             return AstNode("error", start, self.eof) if self._last_end() > start else None
-
-        if tok.kind == IDENT and tok.text in p.type_keywords:
+        if tok.text in p.type_keywords:
             return self._parse_type_declaration(start)
-
-        if p.member_style == "keyword":
-            if tok.kind == IDENT and tok.text in p.method_keywords:
-                return self._parse_keyword_method(start, enclosing_type)
-            if tok.kind == IDENT and tok.text in p.field_keywords:
-                return self._parse_keyword_field(start)
-            if tok.kind == PUNCT and tok.text == "{":
-                block = self._parse_block()
-                return AstNode("initializer_block", start, block.end, [block])
-            return self._parse_loose_statement(start)
-
-        return self._parse_c_member(start, enclosing_type)
+        if p.member_style == "c":
+            return self._parse_c_member(start, enclosing_type)
+        if tok.text in p.method_keywords:
+            return self._parse_keyword_method(start, enclosing_type)
+        if tok.text in p.field_keywords:
+            return self._parse_keyword_field(start)
+        if tok.text == "{":
+            return self._initializer_block(start)
+        return self._parse_loose_statement(start)
 
     def _parse_path_statement(self, kind: str) -> AstNode:
         keyword = self.advance()
-        name_start = None
-        name_end = None
-        tok = self.peek()
-        if tok is not None and tok.kind == IDENT:
-            name_start, name_end = tok.start, tok.end
-            self.advance()
-            while (dot := self.peek()) is not None and dot.kind == PUNCT and dot.text == ".":
-                nxt = self.peek(1)
-                if nxt is not None and (nxt.kind == IDENT or (nxt.kind == PUNCT and nxt.text == "*")):
-                    self.advance()
-                    name_end = self.advance().end
-                else:
-                    break
-        end = name_end if name_end is not None else keyword.end
-        if (tok := self.peek()) is not None and tok.kind == PUNCT and tok.text == ";":
-            end = self.advance().end
+        end = keyword.end
         children = []
-        if name_start is not None and name_end is not None:
-            children.append(AstNode("qualified_name", name_start, name_end))
+        if (name := self.peek()).kind == IDENT:
+            end = self._dotted_name(star=True)
+            children.append(AstNode("qualified_name", name.start, end))
+        if self.peek().text == ";":
+            end = self.advance().end
         return AstNode(kind, keyword.start, end, children)
+
+    def _dotted_name(self, star: bool = False) -> int:
+        """Consume the identifier at the cursor and each '.' name after it
+        (or '.*' when ``star``); returns the end of the last one."""
+        toks = self.toks
+        end = self.advance().end
+        while toks[self.i].text == "." and ((nxt := toks[self.i + 1]).kind == IDENT or (star and nxt.text == "*")):
+            self.i += 2
+            end = nxt.end
+        return end
 
     # ---- type declarations ------------------------------------------------
 
@@ -311,13 +301,14 @@ class _Parser:
         kind = decl_kind or _TYPE_KIND_BY_KEYWORD.get(keyword.text, "class_declaration")
         children: list[AstNode] = []
         end = keyword.end
+        name = None
 
-        name_tok = self.peek()
-        if name_tok is not None and name_tok.kind == IDENT:
-            self.advance()
+        if (name_tok := self.peek()).kind == IDENT:
+            self.i += 1
+            name = name_tok.text
             children.append(AstNode("identifier", name_tok.start, name_tok.end))
             end = name_tok.end
-        if (tok := self.peek()) is not None and tok.kind == PUNCT and tok.text == "<":
+        if self.peek().text == "<":
             end = self._skip_generics()
 
         children.extend(self._parse_supertypes(kind))
@@ -325,14 +316,11 @@ class _Parser:
             end = max(end, children[-1].end)
 
         tok = self.peek()
-        if tok is not None and tok.kind == PUNCT and tok.text == "{":
-            body = self._parse_type_body(
-                keyword.text,
-                name_tok.text if name_tok is not None and name_tok.kind == IDENT else None,
-            )
+        if tok.text == "{":
+            body = self._parse_type_body(keyword.text, name)
             children.append(body)
             end = body.end
-        elif tok is not None and tok.kind == PUNCT and tok.text == ";":
+        elif tok.text == ";":
             end = self.advance().end
         return AstNode(kind, start, end, children)
 
@@ -340,51 +328,43 @@ class _Parser:
         p = self.profile
         refs: list[AstNode] = []
         if p.inheritance_style == "colon":
-            tok = self.peek()
-            if tok is not None and tok.kind == PUNCT and tok.text == ":":
-                self.advance()
-                names = self._parse_type_name_list()
-                for idx, (s, e) in enumerate(names):
+            if self.peek().text == ":":
+                self.i += 1
+                for idx, (s, e) in enumerate(self._parse_type_name_list()):
                     role = "superclass_reference" if idx == 0 and decl_kind == "class_declaration" else "interface_reference"
                     refs.append(AstNode(role, s, e))
             return refs
-        while (tok := self.peek()) is not None and tok.kind == IDENT and tok.text in (p.extends_keyword, p.implements_keyword):
-            clause = tok.text
-            self.advance()
-            names = self._parse_type_name_list()
-            for s, e in names:
-                if clause == p.extends_keyword and decl_kind == "class_declaration":
-                    role = "superclass_reference"
-                else:
-                    role = "interface_reference"
-                refs.append(AstNode(role, s, e))
+        while (clause := self.peek().text) in (p.extends_keyword, p.implements_keyword):
+            self.i += 1
+            if clause == p.extends_keyword and decl_kind == "class_declaration":
+                role = "superclass_reference"
+            else:
+                role = "interface_reference"
+            refs.extend(AstNode(role, s, e) for s, e in self._parse_type_name_list())
         return refs
 
     def _parse_type_name_list(self) -> list[tuple[int, int]]:
         """Comma-separated dotted type names; generic arguments skipped."""
+        toks = self.toks
+        keywords = self.profile.keywords
         names: list[tuple[int, int]] = []
-        current: tuple[int, int] | None = None
-        while (tok := self.peek()) is not None:
-            if tok.kind == IDENT and tok.text not in self.profile.keywords:
-                s = tok.start
-                e = tok.end
-                self.advance()
-                while (t := self.peek()) is not None and t.kind == PUNCT and t.text == ".":
-                    self.advance()
-                    if (t2 := self.peek()) is not None and t2.kind == IDENT:
-                        e = self.advance().end
-                    else:
+        while True:
+            tok = toks[self.i]
+            if tok.kind == IDENT and tok.text not in keywords:
+                self.i += 1
+                end = tok.end
+                while toks[self.i].text == ".":
+                    self.i += 1
+                    if toks[self.i].kind != IDENT:
                         break
-                if (t := self.peek()) is not None and t.kind == PUNCT and t.text == "<":
+                    end = self.advance().end
+                if toks[self.i].text == "<":
                     self._skip_generics()
-                current = (s, e)
-                names.append(current)
-                continue
-            if tok.kind == PUNCT and tok.text == ",":
-                self.advance()
-                continue
-            break
-        return names
+                names.append((tok.start, end))
+            elif tok.text == ",":
+                self.i += 1
+            else:
+                return names
 
     def _parse_type_body(self, type_keyword: str, type_name: str | None) -> AstNode:
         def members() -> list[AstNode]:
@@ -399,39 +379,31 @@ class _Parser:
         return self._braced("type_body", members)
 
     def _parse_enum_constants(self) -> AstNode | None:
-        """Scan the leading constant list of a Java enum body (up to ';' or
-        the closing brace). Constant argument lists and class bodies are
-        skipped; nested declarations inside constant bodies are not modeled."""
+        """Scan the leading constant list of a Java enum body, then an
+        optional ';'. A constant is an identifier followed by ',', ';', '(',
+        '{', '}' or the end of input; its argument list and class body are
+        skipped, and nested declarations inside them are not modeled."""
+        keywords = self.profile.keywords
         idents: list[AstNode] = []
-        start = None
-        end = None
-        while (tok := self.peek()) is not None:
-            if tok.kind == PUNCT and tok.text == "}":
-                break
-            if tok.kind == PUNCT and tok.text == ";":
-                end = self.advance().end
-                break
-            if tok.kind == IDENT and tok.text not in self.profile.keywords:
-                nxt = self.peek(1)
-                # A constant is an identifier followed by ',', ';', '(', '{' or '}'.
-                if nxt is None or (nxt.kind == PUNCT and nxt.text in (",", ";", "(", "{", "}")):
-                    if start is None:
-                        start = tok.start
-                    idents.append(AstNode("identifier", tok.start, tok.end))
-                    end = self.advance().end
-                    if (t := self.peek()) is not None and t.kind == PUNCT and t.text == "(":
-                        end = self._skip_balanced("(", ")")
-                    if (t := self.peek()) is not None and t.kind == PUNCT and t.text == "{":
-                        end = self._skip_balanced("{", "}")
-                    if (t := self.peek()) is not None and t.kind == PUNCT and t.text == ",":
-                        self.advance()
-                    continue
-                break
-            break
+        end = 0  # set by the first constant
+        while (
+            (tok := self.peek()).kind == IDENT
+            and tok.text not in keywords
+            and self.peek(1).text in _CONSTANT_FOLLOWERS
+        ):
+            idents.append(AstNode("identifier", tok.start, tok.end))
+            end = self.advance().end
+            if self.peek().text == "(":
+                end = self._skip_balanced("(", ")")
+            if self.peek().text == "{":
+                end = self._skip_balanced("{", "}")
+            if self.peek().text == ",":
+                self.i += 1
+        if self.peek().text == ";":
+            end = self.advance().end
         if not idents:
             return None
-        assert start is not None and end is not None
-        return AstNode("enum_constants", start, end, idents)
+        return AstNode("enum_constants", idents[0].start, end, idents)
 
     # ---- C-shaped members (Java) -------------------------------------------
 
@@ -439,79 +411,62 @@ class _Parser:
         """Classify a Java member by its first depth-0 decider token:
         '(' method/constructor, '=' field with initializer, ';' field or
         abstract method end, '{' initializer block."""
+        toks = self.toks
         scan = self.i
         depth = 0
-        decider = None
-        decider_index = None
-        while scan < len(self.toks):
-            tok = self.toks[scan]
-            if tok.kind == PUNCT:
-                if depth == 0 and tok.text in ("=", "(", ";", "{", "}"):
-                    decider = tok.text
-                    decider_index = scan
-                    break
-                if tok.text == "[":
-                    depth += 1
-                elif tok.text == "]":
-                    depth -= 1
-                elif tok.text == "<" and depth == 0:
-                    skipped = generic_arguments_end(self.toks, scan)
-                    if skipped is not None:
-                        scan = skipped
-                        continue
+        while text := toks[scan].text:
+            if depth == 0 and text in _C_DECIDERS:
+                break
+            if text == "[":
+                depth += 1
+            elif text == "]":
+                depth -= 1
+            elif text == "<" and depth == 0:
+                skipped = generic_arguments_end(toks, scan)
+                if skipped is not None:
+                    scan = skipped
+                    continue
             scan += 1
-        if decider is None:
-            decider_index = len(self.toks)
 
-        if decider == "(":
-            return self._parse_c_callable(start, decider_index, enclosing_type)
-        if decider in ("=", ";"):
+        if text == "(":
+            return self._parse_c_callable(start, scan, enclosing_type)
+        if text in ("=", ";"):
             return self._parse_c_field(start)
-        if decider == "{":
-            if decider_index == self.i:
-                block = self._parse_block()
-                return AstNode("initializer_block", start, block.end, [block])
-            # Tokens before a bare block with no '(' or '=': unparseable here.
-            return self._consume_error(start, decider_index)
-        # EOF or '}' before any decider: leftover tokens become an error node.
-        return self._consume_error(start, decider_index)
+        if text == "{" and scan == self.i:
+            return self._initializer_block(start)
+        # Tokens before a bare block with no '(' or '=', or a '}' or the end
+        # of input before any decider: the run becomes an error node.
+        return self._consume_error(start, scan)
 
     def _consume_error(self, start: int, until_index: int) -> AstNode | None:
         if until_index <= self.i:
             return None
-        while self.i < until_index:
-            self.advance()
+        self.i = until_index
         return AstNode("error", start, self._last_end())
 
     def _parse_c_callable(self, start: int, paren_index: int, enclosing_type: str | None) -> AstNode | None:
         name_index = paren_index - 1
-        name_tok = self.toks[name_index] if name_index >= self.i else None
-        if name_tok is None or name_tok.kind != IDENT:
+        if name_index < self.i or self.toks[name_index].kind != IDENT:
             return self._consume_error(start, paren_index + 1)
-        prefix_tokens = name_index - self.i  # return type etc., 0 for constructors
-        while self.i < name_index:
-            self.advance()
-        self.advance()  # name
-        params_start = self.toks[self.i].start
-        params_end = self._skip_balanced("(", ")")
+        name_tok = self.toks[name_index]
+        # No return type before the name: a constructor if it names the type.
+        is_constructor = name_index == self.i and enclosing_type is not None and name_tok.text == enclosing_type
+        kind = "constructor_declaration" if is_constructor else "method_declaration"
+        self.i = paren_index
+        params_start = self.toks[paren_index].start
+        end = self._skip_balanced("(", ")")
         children = [
             AstNode("identifier", name_tok.start, name_tok.end),
-            AstNode("parameter_list", params_start, params_end),
+            AstNode("parameter_list", params_start, end),
         ]
-        is_constructor = prefix_tokens == 0 and enclosing_type is not None and name_tok.text == enclosing_type
-        kind = "constructor_declaration" if is_constructor else "method_declaration"
-        end = params_end
-        while (tok := self.peek()) is not None:
-            if tok.kind == PUNCT and tok.text == "{":
+        while (tok := self.peek()).text not in ("", "}"):
+            if tok.text == "{":
                 block = self._parse_block()
                 children.append(block)
                 return AstNode(kind, start, block.end, children)
-            if tok.kind == PUNCT and tok.text == ";":
-                end = self.advance().end
-                return AstNode(kind, start, end, children)
-            if tok.kind == PUNCT and tok.text == "}":
-                break
             end = self.advance().end
+            if tok.text == ";":
+                break
         return AstNode(kind, start, end, children)
 
     def _parse_c_field(self, start: int) -> AstNode | None:
@@ -519,34 +474,36 @@ class _Parser:
         initializers containing balanced parens/braces (lambdas, anonymous
         classes). The run ends at the first depth-0 ';' (or just before the
         enclosing '}' when the terminator is missing)."""
+        toks = self.toks
         segments: list[list[Token]] = [[]]
         depth = 0
         end = self._last_end()
-        while (tok := self.peek()) is not None:
-            if tok.kind == PUNCT:
-                if tok.text in ("(", "[", "{"):
-                    depth += 1
-                elif tok.text in (")", "]", "}"):
-                    if depth == 0 and tok.text == "}":
-                        break
-                    depth -= 1
-                elif tok.text == ";" and depth == 0:
-                    end = self.advance().end
+        while text := (tok := toks[self.i]).text:
+            if text in ("(", "[", "{"):
+                depth += 1
+            elif text in (")", "]", "}"):
+                if depth == 0 and text == "}":
                     break
-                elif tok.text == "," and depth == 0:
-                    segments.append([])
-                    end = self.advance().end
-                    continue
+                depth -= 1
+            elif depth == 0 and text == ";":
+                end = self.advance().end
+                break
+            elif depth == 0 and text == ",":
+                segments.append([])
+                end = self.advance().end
+                continue
             segments[-1].append(tok)
             end = self.advance().end
+
+        keywords = self.profile.keywords
 
         def declarator_name(segment: list[Token]) -> Token | None:
             cut = len(segment)
             for idx, t in enumerate(segment):
-                if t.kind == PUNCT and t.text == "=":
+                if t.text == "=":
                     cut = idx
                     break
-            names = [t for t in segment[:cut] if t.kind == IDENT and t.text not in self.profile.keywords]
+            names = [t for t in segment[:cut] if t.kind == IDENT and t.text not in keywords]
             return names[-1] if names else None
 
         first_name = declarator_name(segments[0])
@@ -568,79 +525,59 @@ class _Parser:
 
     def _parse_keyword_method(self, start: int, enclosing_type: str | None) -> AstNode:
         kw = self.advance()
+        kind = "constructor_declaration" if kw.text == "init" else "method_declaration"
         children: list[AstNode] = []
         end = kw.end
-        if kw.text == "func":
-            name_tok = self.peek()
-            if name_tok is not None and name_tok.kind in (IDENT, PUNCT) and name_tok.text not in ("(", "{"):
-                self.advance()
-                children.append(AstNode("identifier", name_tok.start, name_tok.end))
-                end = name_tok.end
-        else:
+        if kw.text != "func":
             children.append(AstNode("identifier", kw.start, kw.end))
-        while (tok := self.peek()) is not None and tok.kind == PUNCT and tok.text in ("?", "!"):
+        elif (name_tok := self.peek()).kind in (IDENT, PUNCT) and name_tok.text not in ("(", "{"):
+            self.i += 1
+            children.append(AstNode("identifier", name_tok.start, name_tok.end))
+            end = name_tok.end
+        while self.peek().text in ("?", "!"):
             end = self.advance().end
-        if (tok := self.peek()) is not None and tok.kind == PUNCT and tok.text == "<":
+        if self.peek().text == "<":
             end = self._skip_generics()
-        if (tok := self.peek()) is not None and tok.kind == PUNCT and tok.text == "(":
-            params_start = tok.start
-            params_end = self._skip_balanced("(", ")")
-            children.append(AstNode("parameter_list", params_start, params_end))
-            end = params_end
+        if (tok := self.peek()).text == "(":
+            end = self._skip_balanced("(", ")")
+            children.append(AstNode("parameter_list", tok.start, end))
         # Return clause / effects, up to the body or the end of the header line.
-        while (tok := self.peek()) is not None:
-            if tok.kind == PUNCT and tok.text == "{":
+        while (tok := self.peek()).text not in ("", "}"):
+            if tok.text == "{":
                 block = self._parse_block()
                 children.append(block)
-                kind = "constructor_declaration" if kw.text == "init" else "method_declaration"
                 return AstNode(kind, start, block.end, children)
-            if tok.kind == PUNCT and tok.text == "}":
-                break
-            if self._on_later_line(tok, end) and self._starts_member(tok):
+            if tok.text in self._member_starts and self._on_later_line(tok, end):
                 break
             end = self.advance().end
-        kind = "constructor_declaration" if kw.text == "init" else "method_declaration"
         return AstNode(kind, start, end, children)
 
     def _parse_keyword_field(self, start: int) -> AstNode:
         opened = self.i
-        self.advance()  # let / var
+        end = self.advance().end  # let / var
         children: list[AstNode] = []
-        end = self._last_end()
         tok = self.peek()
-        if tok is not None and tok.kind == PUNCT and tok.text == "(":
+        if tok.text == "(":
             # Tuple pattern: every identifier inside binds a name.
-            pattern_start = tok.start
-            close = self._skip_balanced("(", ")")
-            for t in self.toks:
-                if pattern_start < t.start < close and t.kind == IDENT:
-                    children.append(AstNode("identifier", t.start, t.end))
-            end = close
-        elif tok is not None and tok.kind == IDENT:
-            self.advance()
+            end = self._skip_balanced("(", ")")
+            children.extend(
+                AstNode("identifier", t.start, t.end) for t in self.toks[opened + 2 : self.i] if t.kind == IDENT
+            )
+        elif tok.kind == IDENT:
+            self.i += 1
             children.append(AstNode("identifier", tok.start, tok.end))
             end = tok.end
-        if (t := self.peek()) is not None and t.kind == PUNCT and t.text == ":":
-            self.advance()
-            ty_start = None
-            ty_end = None
-            while (t2 := self.peek()) is not None:
-                if t2.kind == PUNCT and t2.text in ("=", "{", ";", "}", ","):
+        if self.peek().text == ":":
+            self.i += 1
+            type_start = None
+            while (tok := self.peek()).text not in _TYPE_ANNOTATION_ENDS:
+                if tok.text in self._member_starts and self._on_later_line(tok, end):
                     break
-                if self._on_later_line(t2, end) and self._starts_member(t2):
-                    break
-                if t2.kind == PUNCT and t2.text == "<":
-                    ty_end = self._skip_generics()
-                    if ty_start is None:
-                        ty_start = t2.start
-                    end = ty_end
-                    continue
-                if ty_start is None:
-                    ty_start = t2.start
-                ty_end = self.advance().end
-                end = ty_end
-            if ty_start is not None and ty_end is not None:
-                children.append(AstNode("type_reference", ty_start, ty_end))
+                if type_start is None:
+                    type_start = tok.start
+                end = self._skip_generics() if tok.text == "<" else self.advance().end
+            if type_start is not None:
+                children.append(AstNode("type_reference", type_start, end))
         # Initializer and/or accessor blocks, to the end of the statement.
         end = self._statement_tail(opened, end, children)
         return AstNode("field_declaration", start, end, children)
@@ -656,46 +593,47 @@ class _Parser:
         through a depth-0 ';', or up to an unmatched close or a token that
         starts a member on a later line than ``end`` once the statement has
         consumed a token. Returns the end reached (``end`` if none)."""
+        toks = self.toks
         depth = 0
-        while (tok := self.peek()) is not None:
-            if tok.kind == PUNCT:
-                if tok.text == "{" and depth == 0:
-                    block = self._parse_block()
-                    blocks.append(block)
-                    end = block.end
-                    continue
-                if tok.text in ("(", "["):
+        while text := (tok := toks[self.i]).text:
+            if depth:
+                if text in ("(", "["):
                     depth += 1
-                elif tok.text in (")", "]"):
-                    if depth == 0:
-                        break
+                elif text in (")", "]"):
                     depth -= 1
-                elif tok.text == ";" and depth == 0:
-                    return self.advance().end
-                elif tok.text == "}" and depth == 0:
-                    break
-            if self.i > opened and depth == 0 and self._on_later_line(tok, end) and self._starts_member(tok):
+            elif text == "{":
+                block = self._parse_block()
+                blocks.append(block)
+                end = block.end
+                continue
+            elif text in ("(", "["):
+                depth = 1
+            elif text in (")", "]", "}"):
+                break
+            elif text == ";":
+                return self.advance().end
+            elif self.i > opened and text in self._member_starts and self._on_later_line(tok, end):
                 break
             end = self.advance().end
         return end
 
-    def _starts_member(self, tok: Token) -> bool:
-        if tok.kind == PUNCT and tok.text in ("@", "}"):
-            return True
-        return tok.kind == IDENT and tok.text in self._member_starts
-
     # ---- generic helpers -----------------------------------------------------
+
+    def _initializer_block(self, start: int) -> AstNode:
+        block = self._parse_block()
+        return AstNode("initializer_block", start, block.end, [block])
 
     def _parse_block(self) -> AstNode:
         return self._braced("block", self._nested_blocks)
 
     def _nested_blocks(self) -> list[AstNode]:
+        toks = self.toks
         blocks: list[AstNode] = []
-        while (tok := self.peek()) is not None and not (tok.kind == PUNCT and tok.text == "}"):
-            if tok.kind == PUNCT and tok.text == "{":
+        while (text := toks[self.i].text) != "}" and text:
+            if text == "{":
                 blocks.append(self._parse_block())
             else:
-                self.advance()
+                self.i += 1
         return blocks
 
     def _braced(self, kind: str, parse_children) -> AstNode:
@@ -710,8 +648,7 @@ class _Parser:
         self.depth += 1
         children = parse_children()
         self.depth -= 1
-        tok = self.peek()
-        if tok is not None and tok.kind == PUNCT and tok.text == "}":
+        if self.peek().text == "}":
             return AstNode(kind, open_tok.start, self.advance().end, children)
         tail_start = max(self._last_end(), open_tok.end, children[-1].end if children else 0)
         children.append(AstNode("error", tail_start, self.eof))
@@ -721,35 +658,32 @@ class _Parser:
         """The ``kind`` node of a block or type body opened at the nesting
         bound: consumed through its matching close, with one error child
         over its whole span."""
-        start = self.toks[self.i].start
+        start = self.peek().start
         end = self._skip_balanced("{", "}")
         return AstNode(kind, start, end, [AstNode("error", start, end)])
 
     def _skip_balanced(self, open_text: str, close_text: str) -> int:
         """Consume from the current opening token through its matching close;
         returns the end offset reached (EOF when unbalanced)."""
+        toks = self.toks
         depth = 0
-        end = self._last_end()
-        while not self.at_end():
-            tok = self.advance()
-            end = tok.end
-            if tok.kind == PUNCT:
-                if tok.text == open_text:
-                    depth += 1
-                elif tok.text == close_text:
-                    depth -= 1
-                    if depth == 0:
-                        return end
+        for j in range(self.i, self.n):
+            text = toks[j].text
+            if text == open_text:
+                depth += 1
+            elif text == close_text:
+                depth -= 1
+                if depth == 0:
+                    self.i = j + 1
+                    return toks[j].end
+        self.i = self.n
         return self.eof
 
     def _skip_generics(self) -> int:
         """Consume a generic argument list if present; best-effort on malformed
         input (single '<' consumed)."""
-        at = self.i
-        end_index = generic_arguments_end(self.toks, at)
+        end_index = generic_arguments_end(self.toks, self.i)
         if end_index is None:
             return self.advance().end
-        end = self.toks[end_index - 1].end
-        while self.i < end_index:
-            self.advance()
-        return end
+        self.i = end_index
+        return self.toks[end_index - 1].end

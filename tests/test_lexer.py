@@ -3,12 +3,16 @@
 Each table row pins the kind, byte span and text of every token of a short
 input. The properties hold on arbitrary bytes: tokens are ordered, do not
 overlap and lie within the input, each token's text is its decoded slice,
-and only whitespace lies outside tokens.
+and only whitespace lies outside tokens. The parser tests token texts alone
+where the text settles the kind, so that rule is checked too, on arbitrary
+input and on the fixture's sources.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import FIXTURE_PROJECT
 
 from transmigrate.sourcemodel import lexer
 from transmigrate.sourcemodel.grammar import load_grammar
@@ -131,6 +135,46 @@ source_bytes = st.one_of(st.binary(max_size=200), _pieces)
 @given(data=source_bytes)
 def test_tokens_cover_every_non_whitespace_byte_in_order(language, data):
     assert token_problems(data, language) == []
+
+
+PUNCT_TEXTS = frozenset("{}()[];,=<>.:@?!*&")
+
+
+def profile_words(language: str) -> frozenset[str]:
+    p = load_grammar(language)
+    words = {p.import_keyword, p.package_keyword, p.extends_keyword, p.implements_keyword}
+    words |= p.keywords | p.modifiers | set(p.type_keywords) | set(p.method_keywords) | set(p.field_keywords)
+    return frozenset(words - {None})
+
+
+def kind_problems(data: bytes, language: str) -> list[tuple[str, int, int, str]]:
+    """Tokens whose text settles a kind other than theirs."""
+    words = profile_words(language)
+    return [
+        (kind, start, end, text)
+        for kind, start, end, text in lex(data, language)
+        if (text in PUNCT_TEXTS and kind != lexer.PUNCT) or (text in words and kind != lexer.IDENT)
+    ]
+
+
+_KIND_PIECES = _PIECES + [w.encode() for w in sorted(PUNCT_TEXTS | profile_words("java") | profile_words("swift"))]
+_kind_pieces = st.lists(st.sampled_from(_KIND_PIECES), max_size=60)
+kind_bytes = st.one_of(st.binary(max_size=200), _kind_pieces.map(b"".join), _kind_pieces.map(b" ".join))
+
+
+@pytest.mark.parametrize("language", ["java", "swift"])
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(data=kind_bytes)
+def test_the_text_settles_the_kind_of_punctuation_and_profile_words(language, data):
+    assert kind_problems(data, language) == []
+
+
+@pytest.mark.parametrize("language", ["java", "swift"])
+def test_the_text_settles_the_kind_in_the_fixture_sources(language):
+    paths = sorted(FIXTURE_PROJECT.rglob("*.java"))
+    assert paths
+    for path in paths:
+        assert kind_problems(path.read_bytes(), language) == [], path.name
 
 
 MB = 1 << 20

@@ -10,6 +10,7 @@ the parser shows any change in them.
 """
 
 import textwrap
+import time
 
 import pytest
 
@@ -560,3 +561,31 @@ TREES = [
 def test_exact_tree(language, name, text, tree):
     ast = parse_source(SourceFile("T." + language, text, language))
     assert dump(ast.root) == textwrap.dedent(tree).strip().splitlines()
+
+
+def bound_names(text: str) -> list[list[str]]:
+    """The identifier texts of each top-level Swift field of ``text``."""
+    ast = parse_source(SourceFile("T.swift", text, "swift"))
+    data = ast.source.data
+    return [
+        [data[c.start : c.end].decode() for c in node.children if c.kind == "identifier"]
+        for node in ast.root.children
+        if node.kind == "field_declaration"
+    ]
+
+
+def test_a_tuple_pattern_binds_every_identifier_inside_it():
+    text = "let (a, (b, _c)) = f(x, y)\nvar (d, e): (Int, Int)\nlet (g, h"
+    assert bound_names(text) == [["a", "b", "_c"], ["d", "e"], ["g", "h"]]
+
+
+def test_tuple_fields_parse_in_linear_time():
+    # Each pattern's names used to be found by a scan of every token of the
+    # file: about 10 s for these 4,000 fields, against 0.1 s now.
+    fields = 4000
+    text = "class A {\n" + "".join(f"    let (a{i}, b{i}) = (1, 2)\n" for i in range(fields)) + "}\n"
+    started = time.perf_counter()
+    ast = parse_source(SourceFile("A.swift", text, "swift"))
+    assert time.perf_counter() - started < 2.0
+    (body,) = [n for n in ast.root.walk() if n.kind == "type_body"]
+    assert len(body.children) == fields

@@ -199,8 +199,8 @@ class TestExtract:
         assert len(descs) == 1
         foo = descs[0]
         assert [m.name for m in foo.methods] == ["a", "b"]
-        assert foo.methods[1].calls == ["a"]
-        assert foo.methods[0].calls == []
+        assert [site.name for site in foo.methods[1].call_sites] == ["a"]
+        assert foo.methods[0].call_sites == []
 
     def test_interface_method_without_body(self):
         ast = parse_source(java("interface I { void x(); }"))
@@ -323,8 +323,10 @@ class TestDependencyGraph:
 
     def test_out_edges_are_the_sorted_edges_from_a_node(self):
         _files, descs = graph_fixture_classes()
-        for granularity in ("method", "class", "component"):
-            graph = build_dependency_graph(descs, granularity)
+        class_graph = build_dependency_graph(descs, "class")
+        mapping = {d.qualified_name: d.component for d in descs}
+        component_graph = quotient_graph(class_graph, mapping, "component")
+        for graph in (build_dependency_graph(descs, "method"), class_graph, component_graph):
             for node in sorted(graph.nodes) + ["not-a-node"]:
                 assert graph.out_edges(node) == sorted(e for e in graph.edges if e[0] == node)
 
@@ -364,12 +366,14 @@ class TestDependencyGraph:
     def test_component_graph_is_quotient_of_class_graph(self):
         _files, descs = graph_fixture_classes()
         class_graph = build_dependency_graph(descs, "class")
-        component_graph = build_dependency_graph(descs, "component")
         mapping = {d.qualified_name: d.component for d in descs}
-        recomputed = quotient_graph(class_graph, mapping, "component")
-        assert component_graph.nodes == recomputed.nodes
-        assert component_graph.edges == recomputed.edges
+        component_graph = quotient_graph(class_graph, mapping, "component")
+        assert component_graph.nodes == {"p.a", "p.b"}
+        assert component_graph.edges == {
+            (mapping[f], mapping[t], k) for f, t, k in class_graph.edges if mapping[f] != mapping[t]
+        }
         # Self-edges removed: Special -> Base is intra-component.
+        assert ("p.b.Special", "p.b.Base", EDGE_INHERITANCE) in class_graph.edges
         assert not any(f == t for f, t, _ in component_graph.edges)
 
     def test_reference_counts_expose_multiplicity(self):
