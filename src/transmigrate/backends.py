@@ -137,13 +137,13 @@ class MockBackend:
         self.call_count = 0
 
     @classmethod
-    def from_rules_file(cls, path: str | Path, max_fixes_per_call: int | None = None) -> "MockBackend":
+    def from_rules_file(cls, path: str | Path) -> "MockBackend":
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
         entries = raw["rules"] if isinstance(raw, dict) else raw
         rules = [
             MockRule(e["pattern"], e["replacement"], e.get("when", "always")) for e in entries
         ]
-        return cls(rules, max_fixes_per_call=max_fixes_per_call)
+        return cls(rules)
 
     def translate(self, envelope: PromptEnvelope) -> str:
         self.call_count += 1

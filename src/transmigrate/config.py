@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import shlex
 import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -28,8 +29,7 @@ _PATH_FIELDS = frozenset({"source_root", "output_root", "rules_file"})
 
 @dataclass
 class CrawlConfig:
-    enabled: bool = False  # networkless by default, for reproducibility
-    start_url: str | None = None
+    start_url: str | None = None  # crawl only when set: networkless by default
     max_depth: int = 1
     max_pages: int = 20
 
@@ -60,9 +60,8 @@ class BackendOptions:
     retry_count: int = 2
     timeout_seconds: float = 60.0
     api_key_env: str = "TRANSMIGRATE_API_KEY"
-    # Mock-backend fields.
+    # Mock-backend field.
     rules_file: str | None = None
-    max_fixes_per_call: int | None = None
 
 
 _JSON_TYPE_NAMES = {
@@ -137,6 +136,15 @@ def _build(cls: type, section, prefix: str, base_dir: Path | None):
     return cls(**values)
 
 
+def _splits(template: str) -> bool:
+    """Whether ``shlex`` can split a checker template (quotes closed)."""
+    try:
+        shlex.split(template)
+    except ValueError:
+        return False
+    return True
+
+
 @dataclass
 class RunConfig:
     source_root: str = ""
@@ -160,7 +168,8 @@ class RunConfig:
             raise ConfigurationError("no backend configured (expected 'mock' or 'live')")
         if self.backend not in ("mock", "live"):
             raise ConfigurationError(f"unknown backend {self.backend!r} (expected 'mock' or 'live')")
-        knowledge, opts = self.knowledge, self.backend_options
+        knowledge, opts, tools = self.knowledge, self.backend_options, self.tools
+        templates = [(f"tools.{name}", getattr(tools, name)) for name in ("syntax_check_cmd", "lint_cmd")]
         for key, value, ok, wanted in (
             ("max_rounds", self.max_rounds, self.max_rounds >= 0, "must be >= 0"),
             ("prompt_budget", self.prompt_budget, self.prompt_budget >= 1, "must be >= 1"),
@@ -186,7 +195,9 @@ class RunConfig:
             ("backend_options.temperature", opts.temperature, 0 <= opts.temperature <= 2, "must be in [0, 2]"),
             ("backend_options.retry_count", opts.retry_count, opts.retry_count >= 0, "must be >= 0"),
             ("backend_options.timeout_seconds", opts.timeout_seconds, opts.timeout_seconds > 0, "must be > 0"),
-            ("tools.timeout_seconds", self.tools.timeout_seconds, self.tools.timeout_seconds > 0, "must be > 0"),
+            ("tools.timeout_seconds", tools.timeout_seconds, tools.timeout_seconds > 0, "must be > 0"),
+            *((key, template, "{file}" in template, "must contain {file}") for key, template in templates),
+            *((key, template, _splits(template), "must split into shell words") for key, template in templates),
         ):
             if not ok:
                 raise ConfigurationError(f"config key {key} {wanted}, got {json.dumps(value)}")

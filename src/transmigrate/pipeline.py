@@ -12,7 +12,7 @@ component's ``translate/components`` file, ``translate/project.swift``).
 The state file hash-guards the source tree and configuration: resuming
 against modified inputs is refused.
 
-With the mock backend and crawling disabled the whole run is
+With the mock backend and no crawl start URL the whole run is
 bit-deterministic: no timestamps are written, every collection is sorted,
 and all randomness flows from the configured seed.
 """
@@ -65,7 +65,7 @@ from transmigrate.validation.checks import (
     platform_scan,
 )
 from transmigrate.validation.issues import IssueRecord, ValidationReport, parse_tool_output
-from transmigrate.validation.refine import TranslationUnit, refine_loop
+from transmigrate.validation.refine import refine_loop
 from transmigrate.validation.tools import run_external_check
 
 logger = logging.getLogger(__name__)
@@ -238,9 +238,7 @@ class Pipeline:
     def _backend(self):
         opts = self.config.backend_options
         if self.config.backend == "mock":
-            if opts.rules_file:
-                return MockBackend.from_rules_file(opts.rules_file, opts.max_fixes_per_call)
-            return MockBackend(max_fixes_per_call=opts.max_fixes_per_call)
+            return MockBackend.from_rules_file(opts.rules_file) if opts.rules_file else MockBackend()
         return LiveBackend(opts)
 
     # ---- stages ------------------------------------------------------------
@@ -279,7 +277,7 @@ class Pipeline:
         for ast in asts.values():
             ast.comments = []
         crawl = self.config.knowledge.crawl
-        if crawl.enabled and crawl.start_url:
+        if crawl.start_url:
             chunks.extend(crawl_site(crawl.start_url, crawl.max_depth, crawl.max_pages))
         embedder = self._embedder()
         index = build_index(chunks, embedder)
@@ -339,35 +337,34 @@ class Pipeline:
             mapping[qualified] = name
         return mapping
 
-    def _unit_checks(self):
-        """Per-unit checks used inside the refinement loop: the external
-        syntax and lint tools, run in that order on one work file written
-        once per round, then the platform residue scan."""
+    def _unit_check(self):
+        """The check of one refinement round, ``check(unit, code)``: it
+        writes the candidate whole to ``translate/units/<unit>``, runs the
+        syntax checker and then the lint checker on that file, and then
+        the platform residue scan. The residue rules are loaded once here."""
         tools = self.config.tools
         rules = load_residue_rules()
-        work_dir = self.out / "translate" / "work"
-        checkers = [(tools.syntax_check_cmd, "syntax"), (tools.lint_cmd, "lint")]
+        checkers = ((tools.syntax_check_cmd, "syntax"), (tools.lint_cmd, "lint"))
 
-        def tool_checks(unit: TranslationUnit) -> list[IssueRecord]:
-            work_dir.mkdir(parents=True, exist_ok=True)
-            work_file = work_dir / unit.name
-            work_file.write_text(unit.code, encoding="utf-8")
-            rel = work_file.relative_to(self.out).as_posix()
-            issues: list[IssueRecord] = []
+        def check(unit: str, code: str) -> ValidationReport:
+            rel = f"translate/units/{unit}"  # relative to the checker's cwd
+            _write_text(self.out / rel, code)
+            report = ValidationReport()
             for template, source in checkers:
                 status, output = run_external_check(rel, template, tools.timeout_seconds, cwd=self.out)
                 found, _skipped = parse_tool_output(output, source)
                 if status != 0 and not found:
                     raise ToolError(
                         f"{source} checker {shlex.split(template)[0]!r} exited {status} without "
-                        f"diagnostics on unit {unit.name}: {output.strip()[-500:]!r}"
+                        f"diagnostics on unit {unit}: {output.strip()[-500:]!r}"
                     )
-                issues.extend(found)
-            for issue in issues:
-                issue.file = unit.name
-            return issues
+                for issue in found:
+                    issue.file = unit
+                report.extend(found)
+            report.extend(platform_scan(unit, code, rules))
+            return report
 
-        return [tool_checks, lambda unit: platform_scan(unit.name, unit.code, rules)]
+        return check
 
     def _pending(self) -> tuple[dict[str, str], list[tuple[ComponentPlan, list[ClassPlan]]], bool]:
         """What translate still has to send, read from the plan in send
@@ -412,7 +409,7 @@ class Pipeline:
         k = self.config.knowledge.retrieval_k
         retrieved = dict(zip(abouts, query_many(index, abouts, k, self._embedder()))) if abouts else {}
         backend = self._backend()
-        checks = self._unit_checks()
+        check = self._unit_check()
         _write_json(self.out / "translate" / "unit_names.json", unit_names)
         units_dir = self.out / "translate" / "units"
         refinement_dir = self.out / "translate" / "refinement"
@@ -468,10 +465,11 @@ class Pipeline:
                     f"{descriptor.simple_name} {descriptor.component}",
                 )
 
-                unit = TranslationUnit(name=unit_file, code=initial_code)
-                final_unit, state = refine_loop(unit, backend, checks, self.config.max_rounds)
-
-                _write_text(units_dir / unit_file, final_unit.code)
+                # Each round's check writes its candidate to units/; a
+                # degraded unit keeps an earlier round, written back here.
+                kept_code, state = refine_loop(unit_file, initial_code, backend, check, self.config.max_rounds)
+                if state.kept != len(state.history) - 1:
+                    _write_text(units_dir / unit_file, kept_code)
                 _write_json(
                     refinement_dir / f"{unit_base}.json",
                     {

@@ -277,6 +277,8 @@ class _Parser:
         keyword = self.advance()
         end = keyword.end
         children = []
+        if self.peek().text in self.profile.modifiers and self.peek(1).kind == IDENT:
+            self.i += 1  # Java's ``import static a.C.f;``
         if (name := self.peek()).kind == IDENT:
             end = self._dotted_name(star=True)
             children.append(AstNode("qualified_name", name.start, end))

@@ -1,6 +1,6 @@
 """Bounded iterative refinement.
 
-Each round runs the configured checks over the current candidate; when
+Each round calls the one check function on the current candidate; when
 error-severity issues remain, a repair prompt is assembled (the issue list
 rendered as canonical diagnostic lines above the prior code, closed by the
 class prompt's output requirements) and the backend produces the next
@@ -14,7 +14,7 @@ the loop returned: validate reads round 0 as the before corpus and round
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from transmigrate.backends import extract_code
@@ -24,16 +24,6 @@ from transmigrate.prompts import PromptEnvelope, output_requirements_for, render
 from transmigrate.validation.issues import IssueRecord, ValidationReport, format_diagnostic_line
 
 logger = logging.getLogger(__name__)
-
-Check = Callable[["TranslationUnit"], list[IssueRecord]]
-
-
-@dataclass(frozen=True)
-class TranslationUnit:
-    """One refinable artifact: a translated class file."""
-
-    name: str
-    code: str
 
 
 @dataclass
@@ -47,62 +37,57 @@ class RefinementState:
         return len(self.history) - 1 if self.history else 0
 
 
-def build_repair_envelope(unit: TranslationUnit, issues: Sequence[IssueRecord]) -> PromptEnvelope:
+def build_repair_envelope(code: str, issues: Sequence[IssueRecord]) -> PromptEnvelope:
     diagnostics = "\n".join(format_diagnostic_line(i) for i in issues) or "none"
     return render_prompt(
         "repair",
         {
             "diagnostics": diagnostics,
-            "prior_code": unit.code,
+            "prior_code": code,
             "output_requirements": output_requirements_for("class"),
         },
     )
 
 
-def run_checks(unit: TranslationUnit, checks: Sequence[Check]) -> ValidationReport:
-    report = ValidationReport()
-    for check in checks:
-        report.extend(check(unit))
-    return report
-
-
 def refine_loop(
-    unit: TranslationUnit,
+    name: str,
+    code: str,
     backend,
-    checks: Sequence[Check],
+    check: Callable[[str, str], ValidationReport],
     max_rounds: int = DEFAULT_MAX_ROUNDS,
-) -> tuple[TranslationUnit, RefinementState]:
-    """Refine ``unit`` until clean or the round budget is spent.
+) -> tuple[str, RefinementState]:
+    """Refine the code of unit ``name`` until ``check(name, code)`` reports
+    no error or the round budget is spent; returns the kept code and the
+    state.
 
     Backend failure mid-loop degrades gracefully: the best candidate seen
     so far (fewest error-severity issues, earliest on ties) is returned
     with the state flagged degraded.
     """
     state = RefinementState()
-    current = unit
     for round_index in range(max_rounds + 1):
-        report = run_checks(current, checks)
-        state.history.append((current.code, report))
+        report = check(name, code)
+        state.history.append((code, report))
         state.kept = round_index
         if report.error_count() == 0:
             break
         if round_index == max_rounds:
             logger.info(
                 "unit %s still has %d error(s) after %d repair round(s)",
-                current.name,
+                name,
                 report.error_count(),
                 max_rounds,
             )
             break
-        envelope = build_repair_envelope(current, report.all_issues())
+        envelope = build_repair_envelope(code, report.all_issues())
         try:
             response = backend.translate(envelope)
         except BackendError as exc:
-            logger.warning("backend failed during refinement of %s: %s", current.name, exc)
+            logger.warning("backend failed during refinement of %s: %s", name, exc)
             state.degraded = True
             state.kept = min(
                 range(len(state.history)), key=lambda index: state.history[index][1].error_count()
             )
-            return replace(current, code=state.history[state.kept][0]), state
-        current = replace(current, code=extract_code(response))
-    return current, state
+            return state.history[state.kept][0], state
+        code = extract_code(response)
+    return code, state

@@ -1,8 +1,11 @@
 """Checker invocation.
 
 Command templates come from configuration (``config.ToolsConfig`` holds
-the defaults, the Swift compiler and SwiftLint) and are substituted into an
-argv, never a shell string. A template whose program is
+the defaults, the Swift compiler and SwiftLint; ``RunConfig.validate``
+refuses a template without ``{file}`` or one ``shlex`` cannot split) and
+are substituted into an argv, never a shell string. The pipeline calls
+``run_external_check`` once per checker per refinement round, on the
+round's candidate in ``translate/units/``. A template whose program is
 ``transmigrate-stubcheck`` runs the bundled stub checker in this process;
 any other template runs as a child process. A nonzero exit with
 diagnostics is a normal outcome. A missing tool, a timeout or a crashed
@@ -39,8 +42,6 @@ def stub_tool_commands() -> tuple[str, str]:
 
 def build_argv(command_template: str, file: str | Path) -> list[str]:
     """Split the template and substitute the ``{file}`` placeholder."""
-    if "{file}" not in command_template:
-        raise ConfigurationError(f"command template lacks {{file}} placeholder: {command_template!r}")
     return [part.replace("{file}", str(file)) for part in shlex.split(command_template)]
 
 

@@ -29,9 +29,10 @@ from transmigrate.reporting import (
     sample_size,
 )
 from transmigrate.scheduler import order_nodes
-from transmigrate.validation.refine import TranslationUnit, refine_loop
+from transmigrate.validation.refine import refine_loop
 from transmigrate.validation.issues import (
     IssueRecord,
+    ValidationReport,
     format_diagnostic_line,
     parse_diagnostic_line,
 )
@@ -229,28 +230,26 @@ def test_criterion_5_retrieval_exactness_at_scale():
     passed(f"5 retrieval exactness ({elapsed:.1f}s)")
 
 
-def _bug_check(unit: TranslationUnit):
-    return [
-        IssueRecord(unit.name, n, 1, "error", "planted", "planted bug", "syntax")
-        for n, line in enumerate(unit.code.splitlines(), start=1)
-        if "BUG" in line
-    ]
+def _bug_check(name: str, code: str) -> ValidationReport:
+    report = ValidationReport()
+    for n, line in enumerate(code.splitlines(), start=1):
+        if "BUG" in line:
+            report.add(IssueRecord(name, n, 1, "error", "planted", "planted bug", "syntax"))
+    return report
 
 
 def test_criterion_6_refinement_bounds():
     # Never-fixing backend: exactly three repair calls for every unit.
     for i in range(20):
         backend = MockBackend([])
-        unit = TranslationUnit(f"unit{i:02d}.swift", f"let x{i} = BUG\n")
-        _, state = refine_loop(unit, backend, [_bug_check], max_rounds=3)
+        _, state = refine_loop(f"unit{i:02d}.swift", f"let x{i} = BUG\n", backend, _bug_check, max_rounds=3)
         assert backend.call_count == 3, f"unit {i} made {backend.call_count} repair calls"
         assert state.history[-1][1].error_count() == 1  # unresolved, still reported
 
     # One fix per round with two planted issues: clean at round two.
     for i in range(20):
         backend = MockBackend([MockRule("BUG", "OK")], max_fixes_per_call=1)
-        unit = TranslationUnit(f"unit{i:02d}.swift", "BUG\nBUG\n")
-        _, state = refine_loop(unit, backend, [_bug_check], max_rounds=3)
+        _, state = refine_loop(f"unit{i:02d}.swift", "BUG\nBUG\n", backend, _bug_check, max_rounds=3)
         assert state.repair_calls == 2
         assert state.history[-1][1].error_count() == 0
     passed("6 refinement bounds")

@@ -4,9 +4,9 @@ Each row pins the kind, start and end of every node of a sample's tree,
 one node a line, children indented under their parent. Together the rows
 reach every node kind the parser makes and each way a member, a body, a
 list or a header can end: complete, cut off at the end of input, or
-malformed. Trees are pinned as they are, odd ones included (a Java
-``import static`` keeps only ``static`` as its name), so that a rewrite of
-the parser shows any change in them.
+malformed. Trees are pinned as they are, odd ones included, so that a
+rewrite of the parser shows any change in them. A Java ``import static``
+reads ``static`` as a modifier and keeps the whole dotted name.
 """
 
 import textwrap
@@ -141,11 +141,8 @@ TREES = [
         "import static a.C.f;\npackage a.b\nimport a.;\nimport",
         """
         program 0 50
-          import_declaration 0 13
-            qualified_name 7 13
-          field_declaration 14 20
-            type_reference 14 18
-            identifier 18 19
+          import_declaration 0 20
+            qualified_name 14 19
           package_declaration 21 32
             qualified_name 29 32
           import_declaration 33 41

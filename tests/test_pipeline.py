@@ -139,21 +139,48 @@ class TestFullRun:
         _, json_after, _ = report_bytes(run_config)
         assert json_before == json_after
 
-    def test_artifacts_laid_out_under_output_root(self, run_config):
-        run_full(run_config)
-        out = run_config.output_root
-        for rel in (
-            "analyze/classes.json",
-            "analyze/graph_class.json",
-            "index/index.jsonl",
-            "plan/plan.jsonl",
-            "translate/units/Logger.swift",
-            "translate/refinement/Logger.json",
-            "validate/before.json",
-            "report/report.json",
-            "state.json",
-        ):
-            assert (run_config_path(out) / rel).is_file(), rel
+    def test_artifacts_laid_out_under_output_root(self, fixture_project, tmp_path):
+        # The whole listing, so a scratch file the pipeline leaves behind shows.
+        config = make_run_config(fixture_project, tmp_path / "out", dump_prompts=True)
+        run_full(config)
+        prompts = [
+            "0000_method_com_example_core_Logger_Logger",
+            "0001_method_com_example_core_Logger_log",
+            "0002_class_com_example_core_Logger",
+            "0003_component_com_example_core",
+            "0004_method_com_example_net_HttpClient_HttpClient",
+            "0005_method_com_example_net_HttpClient_fetch",
+            "0006_class_com_example_net_HttpClient",
+            "0007_component_com_example_net",
+            "0008_method_com_example_ui_MainScreen_render",
+            "0009_method_com_example_ui_MainScreen_onCreate",
+            "0010_class_com_example_ui_MainScreen",
+            "0011_component_com_example_ui",
+            "0012_project",
+        ]
+        units = ("HttpClient", "Logger", "MainScreen")
+        components = ("com.example.core", "com.example.net", "com.example.ui")
+        assert sorted(output_tree(tmp_path / "out")) == sorted(
+            [
+                *(f"analyze/{name}.json" for name in ("classes", "graph_class", "graph_component", "graph_method")),
+                "index/chunks.jsonl",
+                "index/index.jsonl",
+                "index/meta.json",
+                "plan/plan.jsonl",
+                *(f"prompts/{name}.txt" for name in prompts),
+                "report/report.json",
+                "report/report.md",
+                "state.json",
+                *(f"translate/components/{name}.swift" for name in components),
+                "translate/project.swift",
+                *(f"translate/refinement/{name}.json" for name in units),
+                "translate/unit_names.json",
+                *(f"translate/units/{name}.swift" for name in units),
+                "validate/after.json",
+                "validate/before.json",
+                "validate/validity.json",
+            ]
+        )
 
     def test_dump_prompts_writes_envelopes(self, fixture_project, tmp_path):
         config = make_run_config(fixture_project, tmp_path / "out", dump_prompts=True)
@@ -298,7 +325,10 @@ class TestDeterminismAndResume:
         run_full(make_run_config(tmp_path / "project", tmp_path / "fresh"))
         monkeypatch.undo()
         fresh = output_tree(tmp_path / "fresh")
-        assert len(renames) == 30 and "translate/project.swift" in renames
+        # Each refinement round writes its candidate to units/: MainScreen's
+        # four rounds are four kill points whose resume translates it again.
+        assert len(renames) == 34 and "translate/project.swift" in renames
+        assert renames.count("translate/units/MainScreen.swift") == 4
 
         for at, artifact in enumerate(renames):
             for after in (False, True):
@@ -743,6 +773,18 @@ class TestStages:
         pipeline.run_stage("index")
         assert len(calls) == first_count  # zero additional embedding calls
 
+    def test_crawl_runs_exactly_when_a_start_url_is_set(self, fixture_project, tmp_path, monkeypatch):
+        import transmigrate.pipeline as pipeline_module
+
+        crawled = []
+        monkeypatch.setattr(pipeline_module, "crawl_site", lambda url, depth, pages: crawled.append(url) or [])
+        for name, start_url in (("off", None), ("on", "file:///docs/index.html")):
+            config = make_run_config(fixture_project, tmp_path / name, knowledge={"crawl": {"start_url": start_url}})
+            pipeline = Pipeline(config)
+            pipeline.run_stage("analyze")
+            pipeline.run_stage("index")
+        assert crawled == ["file:///docs/index.html"]
+
     def test_missing_backend_fails_before_any_work(self, fixture_project, tmp_path):
         with pytest.raises(ConfigurationError, match="backend"):
             make_run_config(fixture_project, tmp_path / "out", backend="").validate()
@@ -797,6 +839,10 @@ class TestCli:
             "promt_budget",
             # Grammars and templates ship with the package; no setting moves them.
             "grammar_dir",
+            # Crawling runs exactly when knowledge.crawl.start_url is set.
+            "knowledge.crawl.enabled",
+            # Only MockBackend's constructor scripts one fix per call.
+            "backend_options.max_fixes_per_call",
         ],
     )
     def test_unknown_config_key_exits_2(self, fixture_project, tmp_path, capsys, key):
@@ -856,11 +902,22 @@ class TestCli:
             ("backend_options.retry_count", -1, "backend_options.retry_count"),
             ("backend_options.timeout_seconds", 0, "backend_options.timeout_seconds"),
             ("tools.timeout_seconds", 0, "tools.timeout_seconds"),
+            # A checker template is checked here, not when translate first runs it.
+            ("tools.lint_cmd", "swiftlint lint", "tools.lint_cmd"),
+            ("tools.syntax_check_cmd", "swiftc -parse", "tools.syntax_check_cmd"),
+            ("tools.lint_cmd", "swiftlint 'lint {file}", "tools.lint_cmd"),
+            ("tools.syntax_check_cmd", 'swiftc "-parse {file}', "tools.syntax_check_cmd"),
         ],
     )
-    def test_config_value_out_of_range_exits_2(self, fixture_project, tmp_path, capsys, key, value, named):
+    def test_config_value_out_of_range_exits_2(
+        self, fixture_project, tmp_path, capsys, monkeypatch, key, value, named
+    ):
         # Checked whatever the backend, so the mock-backend fixture config
         # also refuses a live-backend setting out of range.
+        from transmigrate.backends import MockBackend
+
+        calls = []
+        monkeypatch.setattr(MockBackend, "translate", lambda self, envelope: calls.append(envelope))
         config_path = self.write_config(tmp_path, fixture_project)
         raw = json.loads(config_path.read_text())
         *sections, name = key.split(".")
@@ -872,6 +929,7 @@ class TestCli:
         assert cli_main(["run", "--config", str(config_path)]) == 2
         assert f"error: config key {named} must" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+        assert calls == []
 
     def test_null_and_integer_accepted_where_they_fit(self, fixture_project, tmp_path):
         config_path = self.write_config(tmp_path, fixture_project)

@@ -212,6 +212,10 @@ class TestExtract:
         assert node.kind == "method_declaration" and node.first("block") is None
         assert method.span[1] > method.span[0]
 
+    def test_import_static_keeps_the_whole_member_path(self):
+        descs = classes_of(java("import static a.C.f;\nimport static a.C.*;\nimport b.D;\nclass E {}"))
+        assert descs[0].imports == ["a.C.f", "a.C.*", "b.D"]
+
     def test_nested_class_gets_dotted_qualified_name(self):
         descs = classes_of(java("class Outer { class Inner {} }"))
         assert [d.qualified_name for d in descs] == ["Outer", "Outer.Inner"]

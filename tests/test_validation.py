@@ -7,6 +7,7 @@ import pytest
 
 from conftest import reachable
 
+from transmigrate.config import RunConfig
 from transmigrate.errors import ArgumentError, ConfigurationError, MappingError, ToolError
 from transmigrate.sourcemodel.extract import extract_classes
 from transmigrate.sourcemodel.lexer import Token
@@ -244,9 +245,13 @@ class TestExternalTools:
     def test_argv_substitution(self):
         assert build_argv("swiftc -parse {file}", "a.swift") == ["swiftc", "-parse", "a.swift"]
 
-    def test_template_without_placeholder_rejected(self):
-        with pytest.raises(ConfigurationError):
-            build_argv("swiftc -parse", "a.swift")
+    def test_template_without_placeholder_rejected(self, tmp_path):
+        # The configuration refuses such a template before any stage runs.
+        config = RunConfig.from_dict(
+            {"source_root": str(tmp_path), "backend": "mock", "tools": {"syntax_check_cmd": "swiftc -parse"}}
+        )
+        with pytest.raises(ConfigurationError, match="tools.syntax_check_cmd must contain"):
+            config.validate()
 
     def test_clean_file_exits_zero_with_no_issues(self, tmp_path):
         f = tmp_path / "Clean.swift"
