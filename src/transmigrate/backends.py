@@ -6,8 +6,10 @@ where messages carry the prompt split into a system part (the template's
 first paragraph) and a user part (everything after it); the reply text is
 the first choice's message content. The mock rewrites the envelope's code
 payload with an ordered regex rule table and returns it fenced, which is
-enough to drive the full pipeline bit-reproducibly and to script
-validation-loop behaviors (fix one issue per round, never fix, and so on).
+enough to drive the full pipeline bit-reproducibly; an empty rule table
+is a backend that never fixes anything. Translate makes every call,
+repair prompts included, from its one send step, so a backend sees each
+prompt exactly as it was fitted to the budget and dumped.
 Either backend's reply is text; ``extract_code`` reduces it to the Swift
 code it carries, which is all a caller keeps of a reply. The live client
 reads its settings from ``config.BackendOptions``, whose ranges
@@ -61,7 +63,6 @@ class LiveBackend:
 
     def __init__(self, options: BackendOptions) -> None:
         self.options = options
-        self.call_count = 0
 
     def build_request_body(self, envelope: PromptEnvelope) -> dict:
         system, user = split_system_user(envelope.rendered_text)
@@ -79,7 +80,6 @@ class LiveBackend:
         return body
 
     def translate(self, envelope: PromptEnvelope) -> str:
-        self.call_count += 1
         body = json.dumps(self.build_request_body(envelope)).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(self.options.api_key_env, "")
@@ -123,18 +123,12 @@ class MockRule:
 
 class MockBackend:
     """Deterministic rewriter. Applies its rule table to the envelope's code
-    payload and returns the result in a single fenced block.
-
-    ``max_fixes_per_call`` caps the total number of replacements per call,
-    which scripts "fix one issue per round" behavior for refinement tests.
-    An empty rule table is a pass-through (a backend that never fixes
-    anything).
+    payload and returns the result in a single fenced block. An empty rule
+    table is a pass-through (a backend that never fixes anything).
     """
 
-    def __init__(self, rules: list[MockRule] | None = None, max_fixes_per_call: int | None = None) -> None:
+    def __init__(self, rules: list[MockRule] | None = None) -> None:
         self.rules = list(rules or [])
-        self.max_fixes_per_call = max_fixes_per_call
-        self.call_count = 0
 
     @classmethod
     def from_rules_file(cls, path: str | Path) -> "MockBackend":
@@ -146,7 +140,6 @@ class MockBackend:
         return cls(rules)
 
     def translate(self, envelope: PromptEnvelope) -> str:
-        self.call_count += 1
         payload = None
         for slot in _PAYLOAD_SLOTS:
             if slot in envelope.slots:
@@ -155,17 +148,10 @@ class MockBackend:
         if payload is None:
             payload = envelope.rendered_text
         mode = "repair" if "prior_code" in envelope.slots else "translate"
-        remaining = self.max_fixes_per_call
         out = payload
         for rule in self.rules:
-            if rule.when not in ("always", mode):
-                continue
-            if remaining is not None and remaining <= 0:
-                break
-            count = 0 if remaining is None else remaining
-            out, n = rule.compiled.subn(rule.replacement, out, count=count)
-            if remaining is not None:
-                remaining -= n
+            if rule.when in ("always", mode):
+                out = rule.compiled.sub(rule.replacement, out)
         return f"```swift\n{out}\n```"
 
 

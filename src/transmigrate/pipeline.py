@@ -65,7 +65,7 @@ from transmigrate.validation.checks import (
     platform_scan,
 )
 from transmigrate.validation.issues import IssueRecord, ValidationReport, parse_tool_output
-from transmigrate.validation.refine import refine_loop
+from transmigrate.validation.refine import refine_loop, repair_inputs
 from transmigrate.validation.tools import run_external_check
 
 logger = logging.getLogger(__name__)
@@ -133,10 +133,18 @@ def _write_json(path: Path, payload) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _read_artifact(path: Path, stage: str, decode=json.loads):
+def _json_object(text: str) -> dict:
+    """The JSON object ``text`` holds; any other JSON value is a TypeError."""
+    value = json.loads(text)
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object, found {type(value).__name__}")
+    return value
+
+
+def _read_artifact(path: Path, stage: str, decode=_json_object):
     """``decode`` applied to the text of an artifact that ``stage`` writes.
-    A missing artifact is an OrderingError; one that does not decode is an
-    IntegrityError naming the file."""
+    A missing artifact is an OrderingError; one that does not decode (to
+    the shape ``decode`` reads) is an IntegrityError naming the file."""
     try:
         return decode(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
@@ -154,6 +162,12 @@ def _read_saved(path: Path) -> str:
     keeps any "\\r" that an unfenced reply carried."""
     with path.open(encoding="utf-8", newline="") as saved:
         return saved.read()
+
+
+def _validity(text: str) -> list[dict[str, bool]]:
+    """The before and after validity flags of ``validate/validity.json``."""
+    validity = json.loads(text)
+    return [dict(validity[side].items()) for side in ("before", "after")]
 
 
 def _class_summaries(text: str) -> list[tuple[str, str, list[str]]]:
@@ -414,11 +428,13 @@ class Pipeline:
         units_dir = self.out / "translate" / "units"
         refinement_dir = self.out / "translate" / "refinement"
 
-        def send(level: str, label: str, inputs: dict[str, str], about: str) -> str:
+        def send(level: str, label: str, inputs: dict[str, str], about: str | None = None) -> str:
             """Render one level's prompt with the chunks retrieved for
-            ``about``, fit it to the budget, dump it when asked, send it, and
-            return the code of the reply."""
-            envelope = truncate_context(render_prompt(level, inputs, retrieved[about]), self.config.prompt_budget)
+            ``about`` (none without it), fit it to the budget, dump it when
+            asked, send it, and return the code of the reply. Every backend
+            call of a run, repair prompts included, is made here."""
+            chunks = retrieved[about] if about is not None else ()
+            envelope = truncate_context(render_prompt(level, inputs, chunks), self.config.prompt_budget)
             if self.config.dump_prompts:
                 safe = label.replace("/", "_").replace(".", "_")
                 _write_text(self.out / "prompts" / f"{self._prompt_ordinal:04d}_{safe}.txt", envelope.rendered_text)
@@ -465,9 +481,12 @@ class Pipeline:
                     f"{descriptor.simple_name} {descriptor.component}",
                 )
 
+                def repair(code: str, issues: list[IssueRecord]) -> str:
+                    return send("repair", f"repair_{unit_base}", repair_inputs(code, issues))
+
                 # Each round's check writes its candidate to units/; a
                 # degraded unit keeps an earlier round, written back here.
-                kept_code, state = refine_loop(unit_file, initial_code, backend, check, self.config.max_rounds)
+                kept_code, state = refine_loop(unit_file, initial_code, repair, check, self.config.max_rounds)
                 if state.kept != len(state.history) - 1:
                     _write_text(units_dir / unit_file, kept_code)
                 _write_json(
@@ -622,15 +641,8 @@ class Pipeline:
             _read_artifact(validate_dir / name, "validate", lambda t: ValidationReport.from_dict(json.loads(t)))
             for name in ("before.json", "after.json")
         )
-        validity = _read_artifact(validate_dir / "validity.json", "validate")
-
-        metrics = compute_project_metrics(
-            self.config.project_name,
-            before,
-            after,
-            validity["before"],
-            validity["after"],
-        )
+        validity_before, validity_after = _read_artifact(validate_dir / "validity.json", "validate", _validity)
+        metrics = compute_project_metrics(self.config.project_name, before, after, validity_before, validity_after)
 
         pool: list[IssueRecord] = []
         seen: set[str] = set()

@@ -200,15 +200,19 @@ def build_plan(
     sequences cross-boundary work).
 
     ``method_owner`` maps each method to its class and ``class_component``
-    each class to its component; a map naming an unknown class or component
-    raises IntegrityError.
+    each class to its component; a map naming an unknown class or component,
+    or missing a class or method of the graphs, raises IntegrityError.
     """
-    for cls, comp in class_component.items():
-        if comp not in component_graph.nodes:
-            raise IntegrityError(f"class {cls!r} rolls up to unknown component {comp!r}")
-    for m, cls in method_owner.items():
-        if cls not in class_graph.nodes:
-            raise IntegrityError(f"method {m!r} rolls up to unknown class {cls!r}")
+    for kind, nodes, rollup, parent, parents in (
+        ("class", class_graph.nodes, class_component, "component", component_graph.nodes),
+        ("method", method_graph.nodes, method_owner, "class", class_graph.nodes),
+    ):
+        for item, up in rollup.items():
+            if up not in parents:
+                raise IntegrityError(f"{kind} {item!r} rolls up to unknown {parent} {up!r}")
+        unmapped = sorted(set(nodes).difference(rollup))
+        if unmapped:
+            raise IntegrityError(f"{kind} {unmapped[0]!r} of the {kind} graph has no {parent}")
 
     class_deps = class_graph.dependencies()
     method_deps = method_graph.dependencies()

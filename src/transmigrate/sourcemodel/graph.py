@@ -238,8 +238,10 @@ def _class_graph(classes: list[ClassDescriptor], snapshot: _Snapshot) -> Depende
             if imp.endswith(".*"):
                 externals[imp] += 1
                 continue
-            if imp in snapshot.by_qualified and imp != src:
-                weights[(src, imp, EDGE_IMPORT)] += 1
+            # A static import (``a.C.f``) names a member: its edge goes to the class.
+            target = imp if imp in snapshot.by_qualified else imp.rpartition(".")[0]
+            if target in snapshot.by_qualified and target != src:
+                weights[(src, target, EDGE_IMPORT)] += 1
         for f in c.fields:
             base = f.base_type()
             if not base:

@@ -1,14 +1,13 @@
 """Bounded iterative refinement.
 
-Each round calls the one check function on the current candidate; when
-error-severity issues remain, a repair prompt is assembled (the issue list
-rendered as canonical diagnostic lines above the prior code, closed by the
-class prompt's output requirements) and the backend produces the next
-candidate. The loop stops as soon as a round is clean or after
-``max_rounds`` repair calls, whichever comes first. The state keeps every
-round's code and report, and ``kept``, the index of the round whose code
-the loop returned: validate reads round 0 as the before corpus and round
-``kept`` as the after corpus.
+Each round calls the one check function on the current candidate; while
+error-severity issues remain, ``repair(code, issues)`` makes the next
+candidate (translate's repair sends a prompt filled from ``repair_inputs``
+through its one send step). The loop stops as soon as a round is clean or
+after ``max_rounds`` repair calls, whichever comes first. The state keeps
+every round's code and report, and ``kept``, the index of the round whose
+code the loop returned: validate reads round 0 as the before corpus and
+round ``kept`` as the after corpus.
 """
 
 from __future__ import annotations
@@ -17,10 +16,9 @@ import logging
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from transmigrate.backends import extract_code
 from transmigrate.config import DEFAULT_MAX_ROUNDS
-from transmigrate.errors import BackendError
-from transmigrate.prompts import PromptEnvelope, output_requirements_for, render_prompt
+from transmigrate.errors import BackendError, BudgetError
+from transmigrate.prompts import output_requirements_for
 from transmigrate.validation.issues import IssueRecord, ValidationReport, format_diagnostic_line
 
 logger = logging.getLogger(__name__)
@@ -37,32 +35,31 @@ class RefinementState:
         return len(self.history) - 1 if self.history else 0
 
 
-def build_repair_envelope(code: str, issues: Sequence[IssueRecord]) -> PromptEnvelope:
-    diagnostics = "\n".join(format_diagnostic_line(i) for i in issues) or "none"
-    return render_prompt(
-        "repair",
-        {
-            "diagnostics": diagnostics,
-            "prior_code": code,
-            "output_requirements": output_requirements_for("class"),
-        },
-    )
+def repair_inputs(code: str, issues: Sequence[IssueRecord]) -> dict[str, str]:
+    """The repair prompt's slot values: the issues as canonical diagnostic
+    lines above ``code``, closed by the class prompt's output requirements."""
+    return {
+        "diagnostics": "\n".join(format_diagnostic_line(i) for i in issues) or "none",
+        "prior_code": code,
+        "output_requirements": output_requirements_for("class"),
+    }
 
 
 def refine_loop(
     name: str,
     code: str,
-    backend,
+    repair: Callable[[str, list[IssueRecord]], str],
     check: Callable[[str, str], ValidationReport],
     max_rounds: int = DEFAULT_MAX_ROUNDS,
 ) -> tuple[str, RefinementState]:
     """Refine the code of unit ``name`` until ``check(name, code)`` reports
-    no error or the round budget is spent; returns the kept code and the
-    state.
+    no error or the round budget is spent; ``repair(code, issues)`` makes
+    each next candidate. Returns the kept code and the state.
 
-    Backend failure mid-loop degrades gracefully: the best candidate seen
-    so far (fewest error-severity issues, earliest on ties) is returned
-    with the state flagged degraded.
+    A repair that fails (the backend fails, or the prompt cannot fit the
+    budget) degrades gracefully: the best candidate seen so far (fewest
+    error-severity issues, earliest on ties) is returned with the state
+    flagged degraded.
     """
     state = RefinementState()
     for round_index in range(max_rounds + 1):
@@ -79,15 +76,13 @@ def refine_loop(
                 max_rounds,
             )
             break
-        envelope = build_repair_envelope(code, report.all_issues())
         try:
-            response = backend.translate(envelope)
-        except BackendError as exc:
-            logger.warning("backend failed during refinement of %s: %s", name, exc)
+            code = repair(code, report.all_issues())
+        except (BackendError, BudgetError) as exc:
+            logger.warning("repair failed during refinement of %s: %s", name, exc)
             state.degraded = True
             state.kept = min(
                 range(len(state.history)), key=lambda index: state.history[index][1].error_count()
             )
             return state.history[state.kept][0], state
-        code = extract_code(response)
     return code, state

@@ -16,7 +16,6 @@ import pytest
 from conftest import FIXTURE_PROJECT, GOLDEN_DIR, make_run_config
 from golden_fixtures import ALL_INPUTS, RETRIEVED
 
-from transmigrate.backends import MockBackend, MockRule
 from transmigrate.knowledge.chunks import DocumentChunk
 from transmigrate.knowledge.embed import HashedTokenEmbedder
 from transmigrate.knowledge.index import build_index, query
@@ -239,17 +238,23 @@ def _bug_check(name: str, code: str) -> ValidationReport:
 
 
 def test_criterion_6_refinement_bounds():
-    # Never-fixing backend: exactly three repair calls for every unit.
+    # Never-fixing repair: exactly three repair calls for every unit.
     for i in range(20):
-        backend = MockBackend([])
-        _, state = refine_loop(f"unit{i:02d}.swift", f"let x{i} = BUG\n", backend, _bug_check, max_rounds=3)
-        assert backend.call_count == 3, f"unit {i} made {backend.call_count} repair calls"
+        calls = []
+
+        def never_fix(code, issues):
+            calls.append(code)
+            return code
+
+        _, state = refine_loop(f"unit{i:02d}.swift", f"let x{i} = BUG\n", never_fix, _bug_check, max_rounds=3)
+        assert len(calls) == 3, f"unit {i} made {len(calls)} repair calls"
         assert state.history[-1][1].error_count() == 1  # unresolved, still reported
 
     # One fix per round with two planted issues: clean at round two.
     for i in range(20):
-        backend = MockBackend([MockRule("BUG", "OK")], max_fixes_per_call=1)
-        _, state = refine_loop(f"unit{i:02d}.swift", "BUG\nBUG\n", backend, _bug_check, max_rounds=3)
+        _, state = refine_loop(
+            f"unit{i:02d}.swift", "BUG\nBUG\n", lambda code, issues: code.replace("BUG", "OK", 1), _bug_check, max_rounds=3
+        )
         assert state.repair_calls == 2
         assert state.history[-1][1].error_count() == 0
     passed("6 refinement bounds")

@@ -45,12 +45,6 @@ class TestMockBackend:
         envelope = method_envelope("unchanged body")
         assert extract_code(mock.translate(envelope)) == "unchanged body"
 
-    def test_max_fixes_per_call_caps_replacements(self):
-        mock = MockBackend([MockRule("BUG", "OK")], max_fixes_per_call=1)
-        envelope = method_envelope("BUG BUG BUG")
-        first = extract_code(mock.translate(envelope))
-        assert first == "OK BUG BUG"
-
     def test_repair_only_rules_skip_initial_translation(self):
         rules = [MockRule("x", "y", when="repair")]
         mock = MockBackend(rules)

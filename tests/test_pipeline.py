@@ -147,16 +147,20 @@ class TestFullRun:
             "0000_method_com_example_core_Logger_Logger",
             "0001_method_com_example_core_Logger_log",
             "0002_class_com_example_core_Logger",
-            "0003_component_com_example_core",
-            "0004_method_com_example_net_HttpClient_HttpClient",
-            "0005_method_com_example_net_HttpClient_fetch",
-            "0006_class_com_example_net_HttpClient",
-            "0007_component_com_example_net",
-            "0008_method_com_example_ui_MainScreen_render",
-            "0009_method_com_example_ui_MainScreen_onCreate",
-            "0010_class_com_example_ui_MainScreen",
-            "0011_component_com_example_ui",
-            "0012_project",
+            "0003_repair_Logger",
+            "0004_component_com_example_core",
+            "0005_method_com_example_net_HttpClient_HttpClient",
+            "0006_method_com_example_net_HttpClient_fetch",
+            "0007_class_com_example_net_HttpClient",
+            "0008_component_com_example_net",
+            "0009_method_com_example_ui_MainScreen_render",
+            "0010_method_com_example_ui_MainScreen_onCreate",
+            "0011_class_com_example_ui_MainScreen",
+            "0012_repair_MainScreen",
+            "0013_repair_MainScreen",
+            "0014_repair_MainScreen",
+            "0015_component_com_example_ui",
+            "0016_project",
         ]
         units = ("HttpClient", "Logger", "MainScreen")
         components = ("com.example.core", "com.example.net", "com.example.ui")
@@ -188,6 +192,46 @@ class TestFullRun:
         prompts = sorted((tmp_path / "out" / "prompts").glob("*.txt"))
         assert len(prompts) >= 10  # 6 methods + 3 classes + 3 components + project
         assert any("method_com_example_core_Logger_log" in p.name for p in prompts)
+
+    def test_dump_holds_every_backend_call_in_send_order(self, fixture_project, tmp_path, monkeypatch):
+        # Repair prompts go through the same send step as the rest: one file
+        # per backend call, each holding exactly the text the backend got.
+        sent = []
+        real_factory = Pipeline._backend
+
+        class Recording:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def translate(self, envelope):
+                sent.append(envelope)
+                return self.inner.translate(envelope)
+
+        monkeypatch.setattr(Pipeline, "_backend", lambda self: Recording(real_factory(self)))
+        run_full(make_run_config(fixture_project, tmp_path / "out", dump_prompts=True))
+        dumps = sorted((tmp_path / "out" / "prompts").iterdir())
+        assert len(dumps) == len(sent) == 17
+        assert [p.read_text(encoding="utf-8") for p in dumps] == [e.rendered_text for e in sent]
+        assert [p.name.split("_", 1)[0] for p in dumps] == [f"{n:04d}" for n in range(17)]
+        levels = [e.level for e in sent]
+        assert levels.count("repair") == 4
+        # Each repair prompt follows its unit's class prompt, or the repair
+        # before it, and carries the code that the unit's last round checked.
+        for at, envelope in enumerate(sent):
+            if envelope.level != "repair":
+                continue
+            cls_at = max(i for i in range(at) if levels[i] == "class")
+            assert set(levels[cls_at + 1 : at]) <= {"repair"}
+            unit = dumps[at].name.split("_repair_", 1)[1].removesuffix(".txt")
+            assert sent[cls_at].slots["class_name"].rsplit(".", 1)[1] == unit
+            history = json.loads((tmp_path / "out" / "translate" / "refinement" / f"{unit}.json").read_text())["history"]
+            assert envelope.slots["prior_code"] == history[at - cls_at - 1]["code"]
+        assert [d.name for d, level in zip(dumps, levels) if level == "repair"] == [
+            "0003_repair_Logger.txt",
+            "0012_repair_MainScreen.txt",
+            "0013_repair_MainScreen.txt",
+            "0014_repair_MainScreen.txt",
+        ]
 
     def test_every_overload_gets_a_method_prompt(self, tmp_path, monkeypatch, embedded):
         source = tmp_path / "project" / "p"
@@ -949,6 +993,33 @@ class TestCli:
         assert cli_main([command, "--config", str(config_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: corrupt artifact {path}: JSONDecodeError")
+
+    @pytest.mark.parametrize(
+        "artifact, content, stage",
+        [
+            ("index/meta.json", "[]", "index"),
+            ("index/meta.json", "null", "index"),
+            ("index/meta.json", "1", "index"),
+            ("translate/unit_names.json", "[]", "validate"),
+            ("translate/unit_names.json", '"Logger"', "validate"),
+            ("validate/validity.json", "{}", "report"),
+            ("validate/validity.json", '{"before": {}}', "report"),
+            ("validate/validity.json", '{"before": [], "after": []}', "report"),
+            ("validate/validity.json", "[]", "report"),
+            ("validate/validity.json", "null", "report"),
+        ],
+    )
+    def test_artifact_of_wrong_shape_exits_1(self, fixture_project, tmp_path, capsys, artifact, content, stage):
+        # Valid JSON of the wrong shape is as corrupt as a truncated file.
+        config_path = self.write_config(tmp_path, fixture_project)
+        assert cli_main(["run", "--config", str(config_path)]) == 0
+        path = tmp_path / "out" / artifact
+        path.write_text(content)
+        capsys.readouterr()
+        assert cli_main([stage, "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: corrupt artifact {path}: ")
+        assert "Traceback" not in err
 
     def test_state_with_unit_status_exits_1(self, fixture_project, tmp_path, capsys):
         # state.json kept per-unit status before units were marked complete

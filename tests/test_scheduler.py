@@ -238,6 +238,22 @@ class TestBuildPlan:
         with pytest.raises(IntegrityError):
             plan_for(method_graph, class_graph, component_graph)
 
+    @pytest.mark.parametrize(
+        "method_owner, class_component, named",
+        [
+            ({}, {}, "class 'p.A'"),  # the analyze/classes.json of an empty project
+            ({"p.A.y": "p.A", "p.B.z": "p.B", "q.C.w": "q.C"}, {"p.A": "p", "p.B": "p", "q.C": "q"}, "method 'p.A.x'"),
+            (
+                {"p.A.x": "p.A", "p.A.y": "p.A", "p.B.z": "p.B", "q.C.w": "q.C"},
+                {"p.A": "p", "p.B": "p"},
+                "class 'q.C'",
+            ),
+        ],
+    )
+    def test_graph_node_missing_from_rollup_is_integrity_error(self, method_owner, class_component, named):
+        with pytest.raises(IntegrityError, match=named):
+            build_plan(*component_fixture(), method_owner=method_owner, class_component=class_component)
+
     def test_plan_jsonl_round_trip(self):
         plan = plan_for(*component_fixture())
         text = plan.to_jsonl()

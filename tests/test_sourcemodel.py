@@ -386,6 +386,16 @@ class TestDependencyGraph:
         assert graph.dependencies()["Foo.b"] == {"Foo.a"}
         assert [w for (f, _, _), w in graph.weights.items() if f == "Foo.b"] == [2]
 
+    def test_static_import_adds_an_edge_to_its_class(self):
+        descs = classes_of(
+            java("package a;\npublic class C { public static void f() {} }", "a/C.java"),
+            java("package b;\nimport static a.C.f;\nclass D {}", "b/D.java"),
+            java("package b;\nimport a.C;\nclass E {}", "b/E.java"),
+            java("package b;\nimport static b.F.g;\nimport static a.Missing.h;\nclass F { static void g() {} }", "b/F.java"),
+        )
+        graph = build_dependency_graph(descs, "class")
+        assert sorted(graph.edges) == [("b.D", "a.C", EDGE_IMPORT), ("b.E", "a.C", EDGE_IMPORT)]
+
     def test_graph_json_round_trip(self):
         _files, descs = graph_fixture_classes()
         graph = build_dependency_graph(descs, "class")
