@@ -43,28 +43,21 @@ class DocumentChunk:
         return f"{self.source_uri}#{self.ordinal}"
 
 
-def chunk_text(
-    source_uri: str,
-    kind: str,
-    text: str,
-    metadata: dict[str, str] | None = None,
-    size: int = CHUNK_SIZE,
-    overlap: int = CHUNK_OVERLAP,
-) -> list[DocumentChunk]:
-    """Split normalized text into overlapping chunks; empty text yields none."""
+def chunk_text(source_uri: str, kind: str, text: str, metadata: dict[str, str]) -> list[DocumentChunk]:
+    """Split normalized text into overlapping chunks, each with its own copy
+    of ``metadata``; empty text yields none."""
     normalized = text.strip()
     if not normalized:
         return []
-    meta = dict(metadata or {})
-    if len(normalized) <= size:
-        return [DocumentChunk(source_uri, kind, normalized, meta, 0)]
-    stride = size - overlap
+    if len(normalized) <= CHUNK_SIZE:
+        return [DocumentChunk(source_uri, kind, normalized, dict(metadata), 0)]
+    stride = CHUNK_SIZE - CHUNK_OVERLAP
     chunks = []
     ordinal = 0
     pos = 0
-    while pos < len(normalized) - overlap:
-        piece = normalized[pos : pos + size]
-        chunks.append(DocumentChunk(source_uri, kind, piece, dict(meta), ordinal))
+    while pos < len(normalized) - CHUNK_OVERLAP:
+        piece = normalized[pos : pos + CHUNK_SIZE]
+        chunks.append(DocumentChunk(source_uri, kind, piece, dict(metadata), ordinal))
         ordinal += 1
         pos += stride
     return chunks
@@ -88,9 +81,7 @@ def infer_kind(rel_path: str) -> str | None:
     return None
 
 
-def ingest_repository(
-    root: str | Path, files: list[str], asts: dict[str, Ast] | None = None
-) -> list[DocumentChunk]:
+def ingest_repository(root: str | Path, files: list[str], asts: dict[str, Ast]) -> list[DocumentChunk]:
     """Chunk every ingestible text file of ``files`` (root-relative POSIX
     paths, as ``pipeline.hash_source_tree`` lists them), in that order; no
     directory is walked. Binary files are skipped with a logged notice,
@@ -99,7 +90,6 @@ def ingest_repository(
     parse in ``asts`` (by root-relative path) read the same text takes the
     comment tokens of that parse instead."""
     root = Path(root)
-    asts = asts or {}
     chunks: list[DocumentChunk] = []
     for rel in files:
         kind = infer_kind(rel)

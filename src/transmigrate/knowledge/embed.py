@@ -6,12 +6,13 @@ randomization) into a fixed number of buckets and the count vector is
 L2-normalized. Text with no alphanumeric token but some characters hashes
 as one token, its whole lowercased text.
 
-Texts are embedded in blocks, one row per text (``embed_many``); ``embed``
-is row 0 of a one-text block. A text is tokenized on its lowered UTF-8
-bytes: a 256-byte table keeps ASCII ``a``-``z`` and ``0``-``9`` and turns
-every other byte into a space, and ``split`` cuts the tokens. Every byte
-of a non-ASCII character is at least 0x80, so the tokens are those of
-``[a-z0-9]+`` on the lowered string, and md5 sees the same bytes.
+Each embedder has one entry point, ``embed(texts)``, which returns one
+row per text, shape ``(len(texts), dimension)``. A text is tokenized on
+its lowered UTF-8 bytes: a 256-byte table keeps ASCII ``a``-``z`` and
+``0``-``9`` and turns every other byte into a space, and ``split`` cuts
+the tokens. Every byte of a non-ASCII character is at least 0x80, so the
+tokens are those of ``[a-z0-9]+`` on the lowered string, and md5 sees the
+same bytes.
 
 Each embedder memoises ``token bytes -> bucket``, so md5 runs once per
 distinct token; documents and queries drawn from one project share most of
@@ -33,12 +34,13 @@ import hashlib
 import json
 import urllib.error
 import urllib.request
-from dataclasses import dataclass
 
 import numpy as np
 
-from transmigrate.config import KnowledgeConfig
 from transmigrate.errors import IntegrityError, RetryableBackendError
+
+# Seconds a remote embedding request may take.
+_REMOTE_TIMEOUT_S = 30.0
 
 # Texts per bincount block: the block's count matrix is rows * dimension
 # integers, 2 MB at the default dimension.
@@ -46,15 +48,6 @@ _BLOCK_ROWS = 1024
 
 # Byte translation table: ASCII a-z and 0-9 stay, every other byte is a space.
 _SEPARATORS = bytes(b if b in b"abcdefghijklmnopqrstuvwxyz0123456789" else 0x20 for b in range(256))
-
-
-@dataclass(frozen=True)
-class EmbeddingVector:
-    values: np.ndarray  # unit norm for non-empty input text
-
-    @property
-    def dimension(self) -> int:
-        return int(self.values.shape[0])
 
 
 class _BucketMemo(dict):
@@ -79,19 +72,15 @@ def _tokens(text: str) -> list[bytes]:
 class HashedTokenEmbedder:
     """Offline bag-of-tokens embedder; bitwise deterministic."""
 
-    def __init__(self, dimension: int = KnowledgeConfig.embedding_dimension) -> None:
+    def __init__(self, dimension: int) -> None:
         if dimension <= 0:
             raise ValueError("embedding dimension must be positive")
         self.dimension = dimension
-        self.call_count = 0
         self._buckets = _BucketMemo(dimension)
 
-    def embed(self, text: str) -> EmbeddingVector:
-        return EmbeddingVector(self.embed_many([text])[0])
-
-    def embed_many(self, texts: list[str]) -> np.ndarray:
-        """One row per text, shape ``(len(texts), dimension)``."""
-        self.call_count += len(texts)
+    def embed(self, texts: list[str]) -> np.ndarray:
+        """One row per text, shape ``(len(texts), dimension)``; a text with
+        characters has a unit-norm row, the empty text a zero row."""
         dim = self.dimension
         out = np.empty((len(texts), dim))
         for start in range(0, len(texts), _BLOCK_ROWS):
@@ -117,38 +106,30 @@ class RemoteEmbedder:
     of the remote service's conventions.
     """
 
-    def __init__(self, endpoint: str, dimension: int, timeout: float = 30.0) -> None:
+    def __init__(self, endpoint: str, dimension: int) -> None:
         self.endpoint = endpoint
         self.dimension = dimension
-        self.timeout = timeout
-        self.call_count = 0
 
-    def embed(self, text: str) -> EmbeddingVector:
-        self.call_count += 1
-        body = json.dumps({"input": text}).encode("utf-8")
-        req = urllib.request.Request(
-            self.endpoint, data=body, headers={"Content-Type": "application/json"}
-        )
-        try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                payload = json.loads(resp.read().decode("utf-8"))
-        except (urllib.error.URLError, OSError, ValueError) as exc:
-            raise RetryableBackendError(f"embedding provider failed: {exc}") from exc
-        values = np.asarray(payload["embedding"], dtype=np.float64)
-        norm = float(np.linalg.norm(values))
-        if norm > 0.0:
-            values = values / norm
-        return EmbeddingVector(values)
-
-    def embed_many(self, texts: list[str]) -> np.ndarray:
-        """One request per text, one row per response; a response of another
-        dimension than the configured one is an IntegrityError."""
+    def embed(self, texts: list[str]) -> np.ndarray:
+        """One request per text, one re-normalized row per response; a
+        response of another dimension than the configured one is an
+        IntegrityError."""
         out = np.empty((len(texts), self.dimension))
         for row, text in enumerate(texts):
-            values = self.embed(text).values
+            body = json.dumps({"input": text}).encode("utf-8")
+            req = urllib.request.Request(
+                self.endpoint, data=body, headers={"Content-Type": "application/json"}
+            )
+            try:
+                with urllib.request.urlopen(req, timeout=_REMOTE_TIMEOUT_S) as resp:
+                    payload = json.loads(resp.read().decode("utf-8"))
+            except (urllib.error.URLError, OSError, ValueError) as exc:
+                raise RetryableBackendError(f"embedding provider failed: {exc}") from exc
+            values = np.asarray(payload["embedding"], dtype=np.float64)
             if values.shape != (self.dimension,):
                 raise IntegrityError(
                     f"vector dimension {values.size} does not match index dimension {self.dimension}"
                 )
-            out[row] = values
+            norm = float(np.linalg.norm(values))
+            out[row] = values / norm if norm > 0.0 else values
         return out

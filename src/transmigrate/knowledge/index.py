@@ -2,7 +2,7 @@
 
 An index is built whole, from its chunks and one ``(entries, dimension)``
 matrix holding their vectors, row i the vector of chunk i: ``build_index``
-embeds every chunk in one ``embed_many`` call and ``load`` fills a matrix
+embeds every chunk in one ``embed`` call and ``load`` fills a matrix
 allocated from the header's entry count. Entries never change afterwards.
 Query results are the exact top-k by cosine score with ties broken by
 chunk id ascending, so retrieval is reproducible and, for any k1 < k2,
@@ -16,8 +16,8 @@ Retrieval runs over blocks of query texts (``query_many``; ``query`` is a
 one-text call of it). A block holds as many texts as keep its score
 matrix near ``_BLOCK_CELLS`` (65,536) cells, texts times entries, at
 least one text: 68 texts against 953 entries, 5 against 12,038, so peak
-memory stays flat as the project grows. Each block makes one
-``embed_many`` call and one ``vectors @ matrix.T`` product. A many-row
+memory stays flat as the project grows. Each block makes one ``embed``
+call and one ``vectors @ matrix.T`` product. A many-row
 product does not sum in the order of a one-vector product, so a score
 can differ from ``matrix @ v`` in its last bits, and the difference
 depends on the block's row count (a one-row block is bitwise equal to
@@ -261,8 +261,8 @@ def _jsonl_records(path: Path):
 
 
 def build_index(chunks: list[DocumentChunk], embedder) -> VectorIndex:
-    """Embed every chunk, in one ``embed_many`` call, and return the index."""
-    return VectorIndex(chunks, embedder.embed_many([c.text for c in chunks]))
+    """Embed every chunk, in one ``embed`` call, and return the index."""
+    return VectorIndex(chunks, embedder.embed([c.text for c in chunks]))
 
 
 def query_many(index: VectorIndex, texts: list[str], k: int, embedder) -> list[list[RetrievalResult]]:
@@ -276,7 +276,7 @@ def query_many(index: VectorIndex, texts: list[str], k: int, embedder) -> list[l
     rows = max(1, _BLOCK_CELLS // len(index))
     results: list[list[RetrievalResult]] = []
     for start in range(0, len(texts), rows):
-        vectors = embedder.embed_many(texts[start : start + rows])
+        vectors = embedder.embed(texts[start : start + rows])
         if vectors.shape[1] != index.dimension:
             raise IntegrityError(
                 f"query dimension {vectors.shape[1]} does not match index dimension {index.dimension}"

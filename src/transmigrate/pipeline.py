@@ -20,6 +20,7 @@ and all randomness flows from the configured seed.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
 import os
@@ -60,7 +61,6 @@ from transmigrate.validation.checks import (
     build_translated_class_graph,
     check_references,
     compare_graphs,
-    load_residue_rules,
     parse_corpora,
     platform_scan,
 )
@@ -82,13 +82,12 @@ class PipelineState:
     completed_stages: list[str] = field(default_factory=list)
     input_hash: str = ""
     config_hash: str = ""
-    seed: int = 0
 
     def save(self, path: Path) -> None:
         _write_json(path, vars(self))
 
 
-def hash_source_tree(root: str | Path, output_root: str | Path | None = None) -> tuple[str, list[str]]:
+def hash_source_tree(root: str | Path, output_root: str | Path) -> tuple[str, list[str]]:
     """Content hash over every regular file under ``root``, and those files'
     root-relative POSIX paths in the order hashed (``sorted`` of ``Path``).
     A path with a ``.git`` component is left out (git rewrites its own
@@ -98,10 +97,9 @@ def hash_source_tree(root: str | Path, output_root: str | Path | None = None) ->
     digest = hashlib.sha256()
     root = Path(root)
     skip: tuple[str, ...] = ()
-    if output_root is not None:
-        out, top = Path(output_root).resolve(), root.resolve()
-        if out != top and out.is_relative_to(top):
-            skip = out.relative_to(top).parts
+    out, top = Path(output_root).resolve(), root.resolve()
+    if out != top and out.is_relative_to(top):
+        skip = out.relative_to(top).parts
     files = []
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
         rel = path.relative_to(root)
@@ -164,6 +162,17 @@ def _read_saved(path: Path) -> str:
         return saved.read()
 
 
+def _unit_names_map(text: str) -> dict[str, str]:
+    """Source qualified name -> unit base name, from
+    ``translate/unit_names.json``; a value that is not a string is a
+    TypeError (JSON object keys always are strings)."""
+    names = _json_object(text)
+    for qualified, base in names.items():
+        if not isinstance(base, str):
+            raise TypeError(f"unit name of {qualified!r} is not a string: {base!r}")
+    return names
+
+
 def _validity(text: str) -> list[dict[str, bool]]:
     """The before and after validity flags of ``validate/validity.json``."""
     validity = json.loads(text)
@@ -199,7 +208,6 @@ class Pipeline:
         self.source_root = Path(config.source_root)
         self._java: tuple[dict[str, Ast], list[ClassDescriptor]] | None = None
         self._index: VectorIndex | None = None
-        self._prompt_ordinal = 0
         input_hash, self._files = hash_source_tree(self.source_root, self.out)
         self.state = self._load_or_init_state(input_hash)
 
@@ -215,7 +223,7 @@ class Pipeline:
                     "saved state was written (delete the output root to start over)"
                 )
             return state
-        return PipelineState(input_hash=input_hash, config_hash=config_hash, seed=self.config.seed)
+        return PipelineState(input_hash=input_hash, config_hash=config_hash)
 
     def _mark_stage_done(self, stage: str) -> None:
         if stage not in self.state.completed_stages:
@@ -293,18 +301,12 @@ class Pipeline:
         crawl = self.config.knowledge.crawl
         if crawl.start_url:
             chunks.extend(crawl_site(crawl.start_url, crawl.max_depth, crawl.max_pages))
-        embedder = self._embedder()
-        index = build_index(chunks, embedder)
+        index = build_index(chunks, self._embedder())
         index.save(*self._index_files)
         self._index = index  # taken over by translate in this process
         _write_json(
             meta_path,
-            {
-                "input_hash": self.state.input_hash,
-                "dimension": index.dimension,
-                "entries": len(index),
-                "embed_calls": getattr(embedder, "call_count", None),
-            },
+            {"input_hash": self.state.input_hash, "dimension": index.dimension, "entries": len(index)},
         )
         logger.info("indexed %d chunks", len(index))
         self._mark_stage_done("index")
@@ -355,9 +357,8 @@ class Pipeline:
         """The check of one refinement round, ``check(unit, code)``: it
         writes the candidate whole to ``translate/units/<unit>``, runs the
         syntax checker and then the lint checker on that file, and then
-        the platform residue scan. The residue rules are loaded once here."""
+        the platform residue scan."""
         tools = self.config.tools
-        rules = load_residue_rules()
         checkers = ((tools.syntax_check_cmd, "syntax"), (tools.lint_cmd, "lint"))
 
         def check(unit: str, code: str) -> ValidationReport:
@@ -365,8 +366,8 @@ class Pipeline:
             _write_text(self.out / rel, code)
             report = ValidationReport()
             for template, source in checkers:
-                status, output = run_external_check(rel, template, tools.timeout_seconds, cwd=self.out)
-                found, _skipped = parse_tool_output(output, source)
+                status, output = run_external_check(rel, template, tools.timeout_seconds, self.out)
+                found = parse_tool_output(output, source)
                 if status != 0 and not found:
                     raise ToolError(
                         f"{source} checker {shlex.split(template)[0]!r} exited {status} without "
@@ -375,7 +376,7 @@ class Pipeline:
                 for issue in found:
                     issue.file = unit
                 report.extend(found)
-            report.extend(platform_scan(unit, code, rules))
+            report.extend(platform_scan(unit, code))
             return report
 
         return check
@@ -427,6 +428,8 @@ class Pipeline:
         _write_json(self.out / "translate" / "unit_names.json", unit_names)
         units_dir = self.out / "translate" / "units"
         refinement_dir = self.out / "translate" / "refinement"
+        # A resumed translate continues the dump series of the run before it.
+        ordinals = itertools.count(_next_dump_ordinal(self.out / "prompts"))
 
         def send(level: str, label: str, inputs: dict[str, str], about: str | None = None) -> str:
             """Render one level's prompt with the chunks retrieved for
@@ -437,8 +440,7 @@ class Pipeline:
             envelope = truncate_context(render_prompt(level, inputs, chunks), self.config.prompt_budget)
             if self.config.dump_prompts:
                 safe = label.replace("/", "_").replace(".", "_")
-                _write_text(self.out / "prompts" / f"{self._prompt_ordinal:04d}_{safe}.txt", envelope.rendered_text)
-                self._prompt_ordinal += 1
+                _write_text(self.out / "prompts" / f"{next(ordinals):04d}_{safe}.txt", envelope.rendered_text)
             return extract_code(backend.translate(envelope))
 
         for comp, classes in components:
@@ -494,7 +496,6 @@ class Pipeline:
                     {
                         "unit": unit_file,
                         "class": qualified,
-                        "rounds": state.repair_calls,
                         "degraded": state.degraded,
                         "kept": state.kept,
                         "history": [
@@ -585,7 +586,7 @@ class Pipeline:
 
     def stage_validate(self) -> None:
         translate_dir = self.out / "translate"
-        unit_names = _read_artifact(translate_dir / "unit_names.json", "translate")
+        unit_names = _read_artifact(translate_dir / "unit_names.json", "translate", _unit_names_map)
         classes = _read_artifact(self.out / "analyze" / "classes.json", "analyze", _class_summaries)
         project_symbols = {qualified.rsplit(".", 1)[-1] for qualified, _, _ in classes}
         project_symbols.update(m for _, _, members in classes for m in members)
@@ -708,6 +709,13 @@ class Pipeline:
             logger.info("dry run: %d %s(s) would be translated%s", len(listed), what, listing)
         if project_pending:
             logger.info("dry run: the project prompt would be sent")
+
+
+def _next_dump_ordinal(prompts_dir: Path) -> int:
+    """One past the highest ordinal of the prompt dumps (``NNNN_<label>.txt``)
+    in ``prompts_dir``; 0 when it holds none."""
+    prefixes = (path.name.partition("_")[0] for path in prompts_dir.glob("*_*.txt"))
+    return max((int(prefix) for prefix in prefixes if prefix.isdecimal()), default=-1) + 1
 
 
 def _overloads(descriptor: ClassDescriptor, method_id: str):

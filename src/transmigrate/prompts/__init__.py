@@ -14,11 +14,13 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from transmigrate.errors import AssemblyError, BudgetError
-from transmigrate.knowledge.index import RetrievalResult
-from transmigrate.sourcemodel.parser import AstNode
+
+if TYPE_CHECKING:  # annotations only: importing the index would load numpy
+    from transmigrate.knowledge.index import RetrievalResult
+    from transmigrate.sourcemodel.parser import AstNode
 
 LEVELS = ("method", "class", "component", "project", "repair")
 

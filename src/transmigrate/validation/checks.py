@@ -6,10 +6,14 @@ Three corpus-level checks mirror the source-side analysis:
   must be defined somewhere in the translated set (or be allowlisted
   platform symbols);
 * graph comparison: every source class-dependency edge must survive, under
-  a (default identity) name mapping: missing images are errors, edges
-  with no source counterpart are warnings;
+  the class-name mapping to translated names: missing images are errors,
+  edges with no source counterpart are warnings;
 * platform residue scan: pattern rules over translated text flag source
   platform constructs that survived translation.
+
+The residue rules and the platform allowlist ship beside this module.
+Each is read once per process (``functools.cache``) into an immutable
+value that every check shares.
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
-from typing import Collection, Mapping, NamedTuple, Sequence
+from typing import Collection, Mapping, NamedTuple
 
 from transmigrate.errors import ArgumentError, MappingError
 from transmigrate.sourcemodel.extract import ClassDescriptor, extract_classes
@@ -35,16 +39,18 @@ class ResidueRule:
     rule_id: str
     pattern: str
     message: str
-    severity: str = "error"
+    severity: str
 
     @cached_property
     def compiled(self) -> re.Pattern[str]:
         return re.compile(self.pattern, flags=re.MULTILINE)
 
 
-def load_residue_rules() -> list[ResidueRule]:
+@cache
+def load_residue_rules() -> tuple[ResidueRule, ...]:
+    """The shipped residue rules, in file order."""
     raw = json.loads((Path(__file__).parent / "residue_rules.json").read_text(encoding="utf-8"))
-    return [
+    return tuple(
         ResidueRule(
             rule_id=e["id"],
             pattern=e["pattern"],
@@ -52,21 +58,20 @@ def load_residue_rules() -> list[ResidueRule]:
             severity=e.get("severity", "error"),
         )
         for e in raw["rules"]
-    ]
+    )
 
 
-def load_platform_allowlist() -> set[str]:
-    return set(json.loads((Path(__file__).parent / "platform_allowlist.json").read_text(encoding="utf-8")))
+@cache
+def load_platform_allowlist() -> frozenset[str]:
+    """The shipped platform names a reference check never flags."""
+    return frozenset(json.loads((Path(__file__).parent / "platform_allowlist.json").read_text(encoding="utf-8")))
 
 
-def platform_scan(
-    unit_name: str, code: str, rules: Sequence[ResidueRule] | None = None
-) -> list[IssueRecord]:
-    """One platform issue per rule match, carrying the matched pattern id."""
-    if rules is None:
-        rules = load_residue_rules()
+def platform_scan(unit_name: str, code: str) -> list[IssueRecord]:
+    """One platform issue per match of a shipped residue rule, carrying the
+    matched pattern id."""
     issues: list[IssueRecord] = []
-    for rule in rules:
+    for rule in load_residue_rules():
         for match in rule.compiled.finditer(code):
             line = code.count("\n", 0, match.start()) + 1
             col = match.start() - (code.rfind("\n", 0, match.start()) + 1) + 1
@@ -139,18 +144,14 @@ def translated_definitions(corpus: Mapping[str, ParsedUnit]) -> set[str]:
     return defined
 
 
-def check_references(
-    corpus: Mapping[str, ParsedUnit],
-    project_symbols: Collection[str],
-    allowlist: set[str] | None = None,
-) -> list[IssueRecord]:
+def check_references(corpus: Mapping[str, ParsedUnit], project_symbols: Collection[str]) -> list[IssueRecord]:
     """Flag references to project symbols (source class simple names and
     constructor and method names, as in ``analyze/classes.json``) that have
-    no definition in the parsed translated corpus and are not allowlisted
-    platform names. One issue per (unit, symbol), anchored at the symbol's
-    first occurrence, which the parse recorded; only a reported symbol's
-    offset is turned into a line and column."""
-    allow = load_platform_allowlist() if allowlist is None else set(allowlist)
+    no definition in the parsed translated corpus and are not in the shipped
+    platform allowlist. One issue per (unit, symbol), anchored at the
+    symbol's first occurrence, which the parse recorded; only a reported
+    symbol's offset is turned into a line and column."""
+    allow = load_platform_allowlist()
     defined = translated_definitions(corpus)
 
     issues: list[IssueRecord] = []
@@ -208,13 +209,14 @@ def build_translated_class_graph(corpus: Mapping[str, ParsedUnit]) -> Dependency
 def compare_graphs(
     source_graph: DependencyGraph,
     translated_graph: DependencyGraph,
-    mapping: Mapping[str, str] | None = None,
-    unit_of: Mapping[str, str] | None = None,
+    mapping: Mapping[str, str],
+    unit_of: Mapping[str, str],
 ) -> list[IssueRecord]:
     """Compare dependency structure across the translation boundary.
 
-    ``mapping`` takes source class names to translated ones (identity by
-    default) and must be injective. A source edge whose endpoint pair has
+    ``mapping`` takes source class names to translated ones and must be
+    injective; ``unit_of`` names the unit each translated name of
+    ``mapping`` is reported against. A source edge whose endpoint pair has
     no edge at all in the translated graph is a missing-dependency error;
     a translated edge between mapped classes with no source counterpart is
     a warning. Edge kinds are reported but do not constrain matching,
@@ -223,8 +225,6 @@ def compare_graphs(
     """
     if source_graph.granularity != "class" or translated_graph.granularity != "class":
         raise ArgumentError("graph comparison requires class-granularity graphs")
-    if mapping is None:
-        mapping = {n: n for n in source_graph.nodes}
     values = list(mapping.values())
     if len(set(values)) != len(values):
         raise MappingError("class-name mapping is not injective")
@@ -234,11 +234,6 @@ def compare_graphs(
         translated_pairs.setdefault((f, t), set()).add(k)
     source_pairs = {(mapping[f], mapping[t]) for f, t, _ in source_graph.edges if f in mapping and t in mapping}
 
-    def unit_for(translated_class: str) -> str:
-        if unit_of and translated_class in unit_of:
-            return unit_of[translated_class]
-        return translated_class
-
     issues: list[IssueRecord] = []
     for f, t, k in sorted(source_graph.edges):
         if f not in mapping or t not in mapping:
@@ -247,7 +242,7 @@ def compare_graphs(
         if (tf, tt) not in translated_pairs:
             issues.append(
                 IssueRecord(
-                    file=unit_for(tf),
+                    file=unit_of[tf],
                     line=None,
                     column=None,
                     severity="error",
@@ -261,7 +256,7 @@ def compare_graphs(
         if tf in mapped_targets and tt in mapped_targets and (tf, tt) not in source_pairs:
             issues.append(
                 IssueRecord(
-                    file=unit_for(tf),
+                    file=unit_of[tf],
                     line=None,
                     column=None,
                     severity="warning",

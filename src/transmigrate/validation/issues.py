@@ -43,9 +43,9 @@ class IssueRecord:
         )
 
 
-def parse_diagnostic_line(line: str, source: str = "lint") -> IssueRecord | None:
+def parse_diagnostic_line(line: str, source: str) -> IssueRecord | None:
     """Parse one tool-output line; unrecognized shapes yield None so the
-    caller can skip and count them."""
+    caller can skip them."""
     m = _DIAG_RE.match(line.strip())
     if m is None:
         return None
@@ -76,19 +76,15 @@ def format_diagnostic_line(issue: IssueRecord) -> str:
     return text
 
 
-def parse_tool_output(output: str, source: str) -> tuple[list[IssueRecord], int]:
-    """Parse every recognizable diagnostic line; returns (issues, skipped)."""
-    issues: list[IssueRecord] = []
-    skipped = 0
+def parse_tool_output(output: str, source: str) -> list[IssueRecord]:
+    """The issues of every recognizable diagnostic line; other lines are
+    skipped."""
+    issues = []
     for line in output.splitlines():
-        if not line.strip():
-            continue
-        record = parse_diagnostic_line(line, source=source)
-        if record is None:
-            skipped += 1
-        else:
+        record = parse_diagnostic_line(line, source)
+        if record is not None:
             issues.append(record)
-    return issues, skipped
+    return issues
 
 
 @dataclass

@@ -16,7 +16,6 @@ import logging
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from transmigrate.config import DEFAULT_MAX_ROUNDS
 from transmigrate.errors import BackendError, BudgetError
 from transmigrate.prompts import output_requirements_for
 from transmigrate.validation.issues import IssueRecord, ValidationReport, format_diagnostic_line
@@ -50,7 +49,7 @@ def refine_loop(
     code: str,
     repair: Callable[[str, list[IssueRecord]], str],
     check: Callable[[str, str], ValidationReport],
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
+    max_rounds: int,
 ) -> tuple[str, RefinementState]:
     """Refine the code of unit ``name`` until ``check(name, code)`` reports
     no error or the round budget is spent; ``repair(code, issues)`` makes

@@ -64,7 +64,7 @@ def check_lint(path: str, text: str) -> list[str]:
     return diagnostics
 
 
-def run(args: Sequence[str], cwd: str | Path | None = None) -> tuple[int, str]:
+def run(args: Sequence[str], cwd: str | Path) -> tuple[int, str]:
     """Check one file the way a checker process would: ``args`` is
     ``[mode, file]``, ``file`` is read relative to ``cwd``, and the result
     is (exit status, output). Status 1 means syntax errors were found,
@@ -73,7 +73,7 @@ def run(args: Sequence[str], cwd: str | Path | None = None) -> tuple[int, str]:
         return 2, "usage: transmigrate-stubcheck <syntax|lint> <file>\n"
     mode, file_arg = args
     try:
-        text = Path(cwd or ".", file_arg).read_text(encoding="utf-8", errors="replace")
+        text = Path(cwd, file_arg).read_text(encoding="utf-8", errors="replace")
     except OSError as exc:
         return 2, f"stubcheck: cannot read {file_arg}: {exc}\n"
     checker = check_syntax if mode == "syntax" else check_lint

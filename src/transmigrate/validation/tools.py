@@ -5,10 +5,11 @@ the defaults, the Swift compiler and SwiftLint; ``RunConfig.validate``
 refuses a template without ``{file}`` or one ``shlex`` cannot split) and
 are substituted into an argv, never a shell string. The pipeline calls
 ``run_external_check`` once per checker per refinement round, on the
-round's candidate in ``translate/units/``. A template whose program is
-``transmigrate-stubcheck`` runs the bundled stub checker in this process;
-any other template runs as a child process. A nonzero exit with
-diagnostics is a normal outcome. A missing tool, a timeout or a crashed
+round's candidate in ``translate/units/``, with the configured
+``tools.timeout_seconds`` and the output root as the working directory.
+A template whose program is ``transmigrate-stubcheck`` runs the bundled
+stub checker in this process; any other template runs as a child
+process. A nonzero exit with diagnostics is a normal outcome. A missing tool, a timeout or a crashed
 stub raises here. A child runs in a session of its own; a timeout, or an
 interrupt while it runs, kills that whole process group, so a checker's
 own children (``swiftc`` starts ``swift-frontend``) die with it. The
@@ -26,7 +27,6 @@ import subprocess
 import threading
 from pathlib import Path
 
-from transmigrate.config import ToolsConfig
 from transmigrate.errors import ConfigurationError, ToolError
 from transmigrate.validation import stubcheck
 
@@ -46,15 +46,13 @@ def build_argv(command_template: str, file: str | Path) -> list[str]:
 
 
 def run_external_check(
-    file: str | Path,
-    command_template: str,
-    timeout: float = ToolsConfig.timeout_seconds,
-    cwd: str | Path | None = None,
+    file: str | Path, command_template: str, timeout: float, cwd: str | Path
 ) -> tuple[int, str]:
     """Run one checker over one file; returns (exit status, combined output).
 
-    ``cwd`` lets callers pass repository-relative paths so diagnostics come
-    back with stable, machine-independent file names. ``timeout`` bounds
+    The checker runs in ``cwd`` and gets ``file`` as given, so a path
+    relative to ``cwd`` gives diagnostics with stable, machine-independent
+    file names. ``timeout`` bounds
     child processes only; the in-process stub has none. The child's output
     is read by a blocking ``communicate()``, which reaps it with a blocking
     wait (a timeout on ``communicate`` would reap by sleep-polling, a
@@ -72,7 +70,7 @@ def run_external_check(
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,
-            cwd=str(cwd) if cwd is not None else None,
+            cwd=cwd,
             start_new_session=True,
         )
     except FileNotFoundError as exc:

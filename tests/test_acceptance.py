@@ -16,6 +16,7 @@ import pytest
 from conftest import FIXTURE_PROJECT, GOLDEN_DIR, make_run_config
 from golden_fixtures import ALL_INPUTS, RETRIEVED
 
+from transmigrate.config import KnowledgeConfig
 from transmigrate.knowledge.chunks import DocumentChunk
 from transmigrate.knowledge.embed import HashedTokenEmbedder
 from transmigrate.knowledge.index import build_index, query
@@ -83,7 +84,7 @@ def test_criterion_3_diagnostic_parse_and_reformat():
         ),
     ]
     for line, expected in listings:
-        record = parse_diagnostic_line(line)
+        record = parse_diagnostic_line(line, "lint")
         assert record is not None
         assert (record.file, record.line, record.column, record.severity, record.rule) == expected
         assert format_diagnostic_line(record) == line
@@ -204,13 +205,13 @@ def test_criterion_5_retrieval_exactness_at_scale():
         DocumentChunk(f"c{i:04d}", "api_doc", " ".join(rng.choices(vocabulary, k=rng.randint(4, 40))))
         for i in range(1000)
     ]
-    embedder = HashedTokenEmbedder()  # default dimension
+    embedder = HashedTokenEmbedder(KnowledgeConfig.embedding_dimension)
     index = build_index(chunks, embedder)
 
-    vectors = {c.chunk_id: embedder.embed(c.text).values for c in chunks}
+    vectors = {c.chunk_id: embedder.embed([c.text])[0] for c in chunks}
 
     def oracle(text, k):
-        q = embedder.embed(text).values
+        q = embedder.embed([text])[0]
         qn = math.sqrt(float(q @ q))
         scored = []
         for cid, v in vectors.items():

@@ -19,36 +19,37 @@ from transmigrate.sourcemodel.parser import SourceFile, parse_source
 
 
 def listing(root):
-    """The files under ``root`` as the input hash lists them."""
-    return hash_source_tree(root)[1]
+    """The files under ``root`` as the input hash lists them, for an output
+    root outside it."""
+    return hash_source_tree(root, root.parent / f"{root.name}-out")[1]
 
 
 class TestChunking:
     def test_short_document_single_chunk(self):
-        chunks = chunk_text("README.md", "readme", "x" * 250)
+        chunks = chunk_text("README.md", "readme", "x" * 250, {})
         assert len(chunks) == 1
         assert chunks[0].chunk_id == "README.md#0"
 
     def test_chunk_count_matches_overlap_arithmetic(self):
         n = 2500
-        chunks = chunk_text("doc.md", "api_doc", "a" * n)
+        chunks = chunk_text("doc.md", "api_doc", "a" * n, {})
         expected = math.ceil((n - CHUNK_OVERLAP) / (CHUNK_SIZE - CHUNK_OVERLAP))
         assert len(chunks) == expected == 3
 
     def test_consecutive_chunks_overlap_by_100(self):
         text = "".join(chr(ord("a") + i % 26) for i in range(2500))
-        chunks = chunk_text("doc.md", "api_doc", text)
+        chunks = chunk_text("doc.md", "api_doc", text, {})
         for left, right in zip(chunks, chunks[1:]):
             assert left.text[-CHUNK_OVERLAP:] == right.text[:CHUNK_OVERLAP]
 
     def test_empty_text_yields_nothing(self):
-        assert chunk_text("x", "api_doc", "   \n  ") == []
+        assert chunk_text("x", "api_doc", "   \n  ", {}) == []
 
     @pytest.mark.parametrize(
         "size", [CHUNK_SIZE - 1, CHUNK_SIZE, CHUNK_SIZE + 1, 2 * CHUNK_SIZE]
     )
     def test_boundary_sizes(self, size):
-        chunks = chunk_text("d", "api_doc", "y" * size)
+        chunks = chunk_text("d", "api_doc", "y" * size, {})
         if size <= CHUNK_SIZE:
             assert len(chunks) == 1
         else:
@@ -58,23 +59,23 @@ class TestChunking:
 class TestIngestion:
     def test_readme_kind_inferred(self, tmp_path):
         (tmp_path / "README.md").write_text("Sample project.")
-        chunks = ingest_repository(tmp_path, listing(tmp_path))
+        chunks = ingest_repository(tmp_path, listing(tmp_path), {})
         assert len(chunks) == 1
         assert chunks[0].kind == "readme"
 
     def test_empty_repository(self, tmp_path):
-        assert ingest_repository(tmp_path, listing(tmp_path)) == []
+        assert ingest_repository(tmp_path, listing(tmp_path), {}) == []
 
     def test_binary_files_skipped_without_error(self, tmp_path):
         (tmp_path / "logo.md").write_bytes(b"\x89PNG\x00\x00binary")
         (tmp_path / "README.md").write_text("text")
-        chunks = ingest_repository(tmp_path, listing(tmp_path))
+        chunks = ingest_repository(tmp_path, listing(tmp_path), {})
         assert [c.source_uri for c in chunks] == ["README.md"]
 
     def test_source_comments_become_chunks(self, tmp_path):
         src = tmp_path / "A.java"
         src.write_text("// top note\nclass A { /* body comment */ void m(){} }\n")
-        chunks = ingest_repository(tmp_path, listing(tmp_path))
+        chunks = ingest_repository(tmp_path, listing(tmp_path), {})
         kinds = {c.kind for c in chunks}
         assert kinds == {"code_comment"}
         texts = " ".join(c.text for c in chunks)
@@ -101,7 +102,7 @@ class TestIngestion:
         monkeypatch.setattr(
             chunks_module.lexer, "tokenize", lambda data, profile: lexed.append(data) or real_tokenize(data, profile)
         )
-        fresh = ingest_repository(tmp_path, listing(tmp_path))
+        fresh = ingest_repository(tmp_path, listing(tmp_path), {})
         assert len(lexed) == 3
         lexed.clear()
         reused = ingest_repository(tmp_path, listing(tmp_path), asts)
@@ -121,28 +122,28 @@ class TestIngestion:
         (tmp_path / "issues" / "42.md").write_text("crash on rotate")
         (tmp_path / "pulls").mkdir()
         (tmp_path / "pulls" / "7.md").write_text("fix rotation")
-        kinds = {c.source_uri: c.kind for c in ingest_repository(tmp_path, listing(tmp_path))}
+        kinds = {c.source_uri: c.kind for c in ingest_repository(tmp_path, listing(tmp_path), {})}
         assert kinds == {"issues/42.md": "issue", "pulls/7.md": "pull_request"}
 
     def test_ingestion_idempotent(self, tmp_path):
         (tmp_path / "README.md").write_text("alpha beta")
         (tmp_path / "docs").mkdir()
         (tmp_path / "docs" / "api.md").write_text("gamma " * 300)
-        first = ingest_repository(tmp_path, listing(tmp_path))
-        second = ingest_repository(tmp_path, listing(tmp_path))
+        first = ingest_repository(tmp_path, listing(tmp_path), {})
+        second = ingest_repository(tmp_path, listing(tmp_path), {})
         assert [(c.chunk_id, c.text) for c in first] == [(c.chunk_id, c.text) for c in second]
 
 
 class TestEmbedding:
     def test_deterministic_bitwise(self):
         e = HashedTokenEmbedder(64)
-        a, b = e.embed("the weather app fetches data"), e.embed("the weather app fetches data")
-        assert np.array_equal(a.values, b.values)
+        a, b = e.embed(["the weather app fetches data"])[0], e.embed(["the weather app fetches data"])[0]
+        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("text", ["hello world", "a", "!!!", "Ünïcode tøkens", "x " * 500])
     def test_unit_norm_for_nonempty_text(self, text):
         e = HashedTokenEmbedder(32)
-        assert abs(float(np.linalg.norm(e.embed(text).values)) - 1.0) < 1e-9
+        assert abs(float(np.linalg.norm(e.embed([text])[0])) - 1.0) < 1e-9
 
     def test_bag_of_tokens_order_invariance(self):
         # Reference oracle: independently tokenize, hash, count, normalize.
@@ -157,14 +158,14 @@ class TestEmbedding:
             norm = math.sqrt(sum(c * c for c in counts))
             return [c / norm for c in counts]
 
-        a = e.embed("alpha beta")
-        b = e.embed("beta alpha")
-        assert np.array_equal(a.values, b.values)
-        assert np.allclose(a.values, oracle("alpha beta"), atol=1e-12)
+        a = e.embed(["alpha beta"])[0]
+        b = e.embed(["beta alpha"])[0]
+        assert np.array_equal(a, b)
+        assert np.allclose(a, oracle("alpha beta"), atol=1e-12)
 
     def test_empty_text_zero_vector(self):
         e = HashedTokenEmbedder(16)
-        assert float(np.linalg.norm(e.embed("").values)) == 0.0
+        assert float(np.linalg.norm(e.embed([""])[0])) == 0.0
 
 
 def random_chunks(count: int, rng: random.Random) -> list[DocumentChunk]:
@@ -177,11 +178,11 @@ def random_chunks(count: int, rng: random.Random) -> list[DocumentChunk]:
 
 def brute_force_top_k(chunks, text, k, embedder):
     """Oracle: cosine from raw dot products and norms, python-side sort."""
-    q = embedder.embed(text).values
+    q = embedder.embed([text])[0]
     qn = math.sqrt(float(sum(x * x for x in q)))
     scored = []
     for chunk in chunks:
-        v = embedder.embed(chunk.text).values
+        v = embedder.embed([chunk.text])[0]
         vn = math.sqrt(float(sum(x * x for x in v)))
         cos = float(sum(a * b for a, b in zip(q, v))) / (qn * vn)
         scored.append((chunk.chunk_id, cos))
@@ -236,7 +237,7 @@ class TestIndexAndQuery:
         e = HashedTokenEmbedder(16)
         chunks = random_chunks(3, random.Random(1))
         with pytest.raises(IntegrityError):
-            VectorIndex(chunks, e.embed_many([c.text for c in chunks[:2]]))
+            VectorIndex(chunks, e.embed([c.text for c in chunks[:2]]))
         with pytest.raises(IntegrityError):
             VectorIndex(chunks, np.zeros(3))
 
@@ -363,20 +364,23 @@ class TestRemoteEmbedder:
         try:
             endpoint = f"http://127.0.0.1:{server.server_address[1]}/embed"
             embedder = RemoteEmbedder(endpoint, dimension=2)
-            vector = embedder.embed("hello world")
+            matrix = embedder.embed(["hello world"])
             assert received == [{"input": "hello world"}]
-            assert np.allclose(vector.values, [0.6, 0.8])  # re-normalized
+            assert np.allclose(matrix, [[0.6, 0.8]])  # re-normalized
         finally:
             server.shutdown()
 
-    def test_embed_many_fills_rows_and_rejects_another_dimension(self):
+    def test_embed_fills_rows_and_rejects_another_dimension(self):
         from transmigrate.knowledge.embed import RemoteEmbedder
+
+        requests = []  # the text of each request the server got
 
         class Handler(BaseHTTPRequestHandler):
             def do_POST(self):
                 import json as _json
 
                 text = _json.loads(self.rfile.read(int(self.headers["Content-Length"])))["input"]
+                requests.append(text)
                 payload = _json.dumps({"embedding": [3.0, 4.0] if text == "ok" else [1.0, 0.0, 0.0]}).encode()
                 self.send_response(200)
                 self.send_header("Content-Type", "application/json")
@@ -391,11 +395,11 @@ class TestRemoteEmbedder:
         threading.Thread(target=server.serve_forever, daemon=True).start()
         try:
             embedder = RemoteEmbedder(f"http://127.0.0.1:{server.server_address[1]}/embed", dimension=2)
-            matrix = embedder.embed_many(["ok", "ok"])
+            matrix = embedder.embed(["ok", "ok"])
             assert matrix.shape == (2, 2) and np.allclose(matrix, [[0.6, 0.8], [0.6, 0.8]])
-            assert embedder.call_count == 2
+            assert requests == ["ok", "ok"]
             with pytest.raises(IntegrityError, match="dimension 3"):
-                embedder.embed_many(["ok", "wrong"])
+                embedder.embed(["ok", "wrong"])
         finally:
             server.shutdown()
 
@@ -403,6 +407,6 @@ class TestRemoteEmbedder:
         from transmigrate.errors import RetryableBackendError
         from transmigrate.knowledge.embed import RemoteEmbedder
 
-        embedder = RemoteEmbedder("http://127.0.0.1:9/embed", dimension=4, timeout=0.5)
+        embedder = RemoteEmbedder("http://127.0.0.1:9/embed", dimension=4)
         with pytest.raises(RetryableBackendError):
-            embedder.embed("text")
+            embedder.embed(["text"])

@@ -47,16 +47,16 @@ def index_loads(monkeypatch):
 
 @pytest.fixture
 def embedded(monkeypatch):
-    """The texts of each ``HashedTokenEmbedder.embed_many`` call, one list
-    per call, in call order."""
+    """The texts of each ``HashedTokenEmbedder.embed`` call, one list per
+    call, in call order."""
     calls = []
-    real_embed_many = HashedTokenEmbedder.embed_many
+    real_embed = HashedTokenEmbedder.embed
 
-    def counting_embed_many(self, texts):
+    def counting_embed(self, texts):
         calls.append(list(texts))
-        return real_embed_many(self, texts)
+        return real_embed(self, texts)
 
-    monkeypatch.setattr(HashedTokenEmbedder, "embed_many", counting_embed_many)
+    monkeypatch.setattr(HashedTokenEmbedder, "embed", counting_embed)
     return calls
 
 
@@ -232,6 +232,18 @@ class TestFullRun:
             "0013_repair_MainScreen.txt",
             "0014_repair_MainScreen.txt",
         ]
+
+    def test_resumed_translate_continues_the_dump_series(self, fixture_project, tmp_path):
+        # The project prompt is sent again once its file is gone; its dump
+        # takes the next ordinal instead of starting the series over at 0.
+        config = make_run_config(fixture_project, tmp_path / "out", dump_prompts=True)
+        run_full(config)
+        (tmp_path / "out" / "translate" / "project.swift").unlink()
+        Pipeline(config).run_stage("translate")
+        names = sorted(p.name for p in (tmp_path / "out" / "prompts").iterdir())
+        ordinals = [name.split("_", 1)[0] for name in names]
+        assert len(set(ordinals)) == len(ordinals) == 18
+        assert names[-2:] == ["0016_project.txt", "0017_project.txt"]
 
     def test_every_overload_gets_a_method_prompt(self, tmp_path, monkeypatch, embedded):
         source = tmp_path / "project" / "p"
@@ -803,13 +815,13 @@ class TestStages:
 
     def test_index_second_run_is_cache_hit(self, run_config, monkeypatch):
         calls = []  # one entry per embedded text
-        real_embed_many = HashedTokenEmbedder.embed_many
+        real_embed = HashedTokenEmbedder.embed
 
-        def counting_embed_many(self, texts):
+        def counting_embed(self, texts):
             calls.extend(texts)
-            return real_embed_many(self, texts)
+            return real_embed(self, texts)
 
-        monkeypatch.setattr(HashedTokenEmbedder, "embed_many", counting_embed_many)
+        monkeypatch.setattr(HashedTokenEmbedder, "embed", counting_embed)
         pipeline = Pipeline(run_config)
         pipeline.run_stage("index")
         first_count = len(calls)
@@ -1002,6 +1014,7 @@ class TestCli:
             ("index/meta.json", "1", "index"),
             ("translate/unit_names.json", "[]", "validate"),
             ("translate/unit_names.json", '"Logger"', "validate"),
+            ("translate/unit_names.json", '{"com.example.core.Logger": ["Logger"]}', "validate"),
             ("validate/validity.json", "{}", "report"),
             ("validate/validity.json", '{"before": {}}', "report"),
             ("validate/validity.json", '{"before": [], "after": []}', "report"),
@@ -1245,12 +1258,13 @@ class TestSourceListing:
             (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
             (tmp_path / rel).write_text(rel)
         (tmp_path / "Odd.java").mkdir()
-        _, files = hash_source_tree(tmp_path)
+        outside = tmp_path.parent / f"{tmp_path.name}-out"
+        _, files = hash_source_tree(tmp_path, outside)
         assert files == ["a/b.md", "a-b/x.md", "out/state.json", "res/v.xml"]
         _, files = hash_source_tree(tmp_path, tmp_path / "out")
         assert files == ["a/b.md", "a-b/x.md", "res/v.xml"]
         # Only an output root strictly inside the source root is left out.
-        assert hash_source_tree(tmp_path, tmp_path) == hash_source_tree(tmp_path)
+        assert hash_source_tree(tmp_path, tmp_path) == hash_source_tree(tmp_path, outside)
         assert hash_source_tree(tmp_path / "a", tmp_path)[1] == ["b.md"]
 
     @pytest.mark.parametrize("directory", ["src/com/example/Odd.java", "lib/build.gradle"])
@@ -1268,9 +1282,9 @@ class TestSourceListing:
         for rel in kept:
             (tmp_path / "without" / rel).parent.mkdir(parents=True, exist_ok=True)
             (tmp_path / "without" / rel).write_text(rel)
-        digest, files = hash_source_tree(tmp_path / "with")
+        digest, files = hash_source_tree(tmp_path / "with", tmp_path / "out")
         assert files == [".github/ci.yml", ".gitignore", "a.md", "sub/x.java"]
-        assert (digest, files) == hash_source_tree(tmp_path / "without")
+        assert (digest, files) == hash_source_tree(tmp_path / "without", tmp_path / "out")
 
     def test_git_index_rewritten_between_stages_still_resumes(self, fixture_project, tmp_path):
         # A ``git status`` between two stage runs rewrites ``.git/index``.

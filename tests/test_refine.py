@@ -1,5 +1,6 @@
 import pytest
 
+from transmigrate.config import DEFAULT_MAX_ROUNDS
 from transmigrate.errors import BudgetError, RetryableBackendError
 from transmigrate.prompts import render_prompt
 from transmigrate.validation.refine import RefinementState, refine_loop, repair_inputs
@@ -39,8 +40,8 @@ def never_fixes() -> Repair:
     return Repair(new="BUG")
 
 
-def refine(code: str, repair, check, **kwargs):
-    return refine_loop("U.swift", code, repair, check, **kwargs)
+def refine(code: str, repair, check, max_rounds: int = DEFAULT_MAX_ROUNDS):
+    return refine_loop("U.swift", code, repair, check, max_rounds)
 
 
 class TestRefineLoop:
@@ -98,7 +99,7 @@ class TestRefineLoop:
             return marker_check(name, code)
 
         repair = Repair(per_call=1)
-        final, state = refine_loop("A.swift", "BUG\nBUG\n", repair, recording_check)
+        final, state = refine_loop("A.swift", "BUG\nBUG\n", repair, recording_check, DEFAULT_MAX_ROUNDS)
         assert seen == [("A.swift", code) for code, _ in state.history]
         assert len(seen) == 3 and seen[-1][1] == final
 

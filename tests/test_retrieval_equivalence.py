@@ -22,7 +22,7 @@ import transmigrate.knowledge.embed as embed_module
 import transmigrate.knowledge.index as index_module
 from transmigrate.errors import ArgumentError, IntegrityError
 from transmigrate.knowledge.chunks import DocumentChunk
-from transmigrate.knowledge.embed import EmbeddingVector, HashedTokenEmbedder
+from transmigrate.knowledge.embed import HashedTokenEmbedder
 from transmigrate.knowledge.index import VectorIndex, build_index, query, query_many
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -47,7 +47,7 @@ def reference_embed(text: str, dimension: int) -> np.ndarray:
 
 def reference_query(index: VectorIndex, ids: list[str], text: str, k: int, embedder) -> list[tuple[str, float]]:
     """A Python sort of every (id, score) pair by (-round(score, 12), id)."""
-    scores = index.scores(embedder.embed(text).values)
+    scores = index.scores(embedder.embed([text])[0])
     ranked = sorted(zip(ids, scores), key=lambda pair: (-round(float(pair[1]), 12), pair[0]))
     return [(cid, float(s)) for cid, s in ranked[:k]]
 
@@ -66,10 +66,7 @@ class FixedEmbedder:
         self.values = np.asarray(values, dtype=np.float64)
         self.dimension = len(self.values)
 
-    def embed(self, _text):
-        return EmbeddingVector(self.values)
-
-    def embed_many(self, texts):
+    def embed(self, texts):
         return np.tile(self.values, (len(texts), 1))
 
 
@@ -80,10 +77,7 @@ class TableEmbedder:
         self.table = table
         self.dimension = len(next(iter(table.values())))
 
-    def embed(self, text):
-        return EmbeddingVector(self.table[text])
-
-    def embed_many(self, texts):
+    def embed(self, texts):
         return np.array([self.table[t] for t in texts]).reshape(len(texts), self.dimension)
 
 
@@ -243,34 +237,41 @@ class TestEmbedEquivalence:
         warm = HashedTokenEmbedder(dimension)
         for text in texts + texts:
             expected = reference_embed(text, dimension)
-            assert warm.embed(text).values.tobytes() == expected.tobytes()
-            assert HashedTokenEmbedder(dimension).embed(text).values.tobytes() == expected.tobytes()
+            assert warm.embed([text])[0].tobytes() == expected.tobytes()
+            assert HashedTokenEmbedder(dimension).embed([text])[0].tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("text", ["", "!!!", "Ünïcode tøkens", "x " * 500, "a1 b2 a1"])
     def test_edge_texts(self, text):
         for dimension in (1, 7, 256):
-            got = HashedTokenEmbedder(dimension).embed(text).values
+            got = HashedTokenEmbedder(dimension).embed([text])[0]
             assert got.tobytes() == reference_embed(text, dimension).tobytes()
 
     @SETTINGS
     @given(texts=st.lists(st.one_of(st.sampled_from(EDGE_TEXTS), st.text(max_size=60)), max_size=12),
            dimension=st.sampled_from([1, 7, 256]), block=st.sampled_from([1, 3, 1024]))
-    def test_embed_many_rows_equal_reference(self, texts, dimension, block):
+    def test_embed_rows_equal_reference(self, texts, dimension, block):
         # Blocks of 1 and 3 texts make most lists span several blocks.
         embedder = HashedTokenEmbedder(dimension)
+        embedded = []  # every text embedded, through a wrapper around embed
+        real_embed = embedder.embed
+
+        def counting_embed(batch):
+            embedded.extend(batch)
+            return real_embed(batch)
+
+        embedder.embed = counting_embed
         with mock.patch.object(embed_module, "_BLOCK_ROWS", block):
-            matrix = embedder.embed_many(texts)
+            matrix = embedder.embed(texts)
         assert matrix.shape == (len(texts), dimension)
         for row, text in zip(matrix, texts):
             assert row.tobytes() == reference_embed(text, dimension).tobytes(), text
-        for text in texts:
-            assert embedder.embed(text).values.tobytes() == embedder.embed_many([text])[0].tobytes()
-        assert embedder.call_count == 3 * len(texts)
+            assert embedder.embed([text])[0].tobytes() == row.tobytes()
+        assert len(embedded) == 2 * len(texts)
 
     def test_more_texts_than_one_block(self):
         texts = [f"w{i % 97} shared Kelvin \u212a{i}" if i % 5 else "" for i in range(2 * 1024 + 5)]
         for dimension in (7, 256):
-            matrix = HashedTokenEmbedder(dimension).embed_many(texts)
+            matrix = HashedTokenEmbedder(dimension).embed(texts)
             expected = np.array([reference_embed(text, dimension) for text in texts]).reshape(len(texts), dimension)
             assert matrix.tobytes() == expected.tobytes()
 

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import shlex
 import subprocess
@@ -7,7 +8,7 @@ import pytest
 
 from conftest import reachable
 
-from transmigrate.config import RunConfig
+from transmigrate.config import RunConfig, ToolsConfig
 from transmigrate.errors import ArgumentError, ConfigurationError, MappingError, ToolError
 from transmigrate.sourcemodel.extract import extract_classes
 from transmigrate.sourcemodel.lexer import Token
@@ -16,6 +17,7 @@ from transmigrate.validation.checks import (
     build_translated_class_graph,
     check_references,
     compare_graphs,
+    load_platform_allowlist,
     load_residue_rules,
     parse_corpora,
     platform_scan,
@@ -29,6 +31,8 @@ from transmigrate.validation.issues import (
 )
 from transmigrate.validation.tools import build_argv, run_external_check, stub_tool_commands
 
+CHECK_TIMEOUT = ToolsConfig.timeout_seconds
+
 LINT_LISTING_1 = (
     "WeatherApp/HTTPWeatherClient.swift:68:1: warning: Trailing Whitespace Violation: "
     "Lines should not have trailing whitespace (trailing_whitespace)"
@@ -41,7 +45,7 @@ LINT_LISTING_2 = (
 
 class TestDiagnosticParsing:
     def test_trailing_whitespace_listing(self):
-        record = parse_diagnostic_line(LINT_LISTING_1)
+        record = parse_diagnostic_line(LINT_LISTING_1, "lint")
         assert record is not None
         assert (record.file, record.line, record.column, record.severity, record.rule) == (
             "WeatherApp/HTTPWeatherClient.swift",
@@ -52,7 +56,7 @@ class TestDiagnosticParsing:
         )
 
     def test_line_length_listing(self):
-        record = parse_diagnostic_line(LINT_LISTING_2)
+        record = parse_diagnostic_line(LINT_LISTING_2, "lint")
         assert record is not None
         assert (record.file, record.line, record.column, record.severity, record.rule) == (
             "AndroidTvMovie/GlideBackgroundManager.swift",
@@ -64,11 +68,11 @@ class TestDiagnosticParsing:
 
     @pytest.mark.parametrize("listing", [LINT_LISTING_1, LINT_LISTING_2])
     def test_round_trip_formatting_is_byte_identical(self, listing):
-        record = parse_diagnostic_line(listing)
+        record = parse_diagnostic_line(listing, "lint")
         assert format_diagnostic_line(record) == listing
 
     def test_unrecognized_line_returns_none(self):
-        assert parse_diagnostic_line("random text") is None
+        assert parse_diagnostic_line("random text", "lint") is None
 
     def test_compiler_error_without_rule_id(self):
         line = "a.swift:3:10: error: expected '}' at end of brace statement"
@@ -76,10 +80,10 @@ class TestDiagnosticParsing:
         assert record.rule is None and record.severity == "error" and record.source == "syntax"
         assert format_diagnostic_line(record) == line
 
-    def test_parse_tool_output_counts_skipped(self):
+    def test_parse_tool_output_skips_other_lines(self):
         output = f"{LINT_LISTING_1}\nnoise here\n{LINT_LISTING_2}\n"
-        issues, skipped = parse_tool_output(output, source="lint")
-        assert len(issues) == 2 and skipped == 1
+        issues = parse_tool_output(output, source="lint")
+        assert [format_diagnostic_line(i) for i in issues] == [LINT_LISTING_1, LINT_LISTING_2]
 
 
 def swift_units(**units):
@@ -120,10 +124,11 @@ class Service {
         assert check_references(units, project_symbols(self.SOURCE)) == []
 
     def test_allowlisted_platform_symbol_not_flagged(self):
-        source = project_symbols("package p; class Service { void Helper() {} }")
-        units = swift_units(**{"A.swift": "class A { func go() { Helper() } }"})
-        assert len(check_references(units, source)) == 1
-        assert check_references(units, source, allowlist={"Helper"}) == []
+        # Both names are project symbols; only Timer is a shipped platform name.
+        source = project_symbols("package p; class Service { void Helper() {} void Timer() {} }")
+        assert "Timer" in load_platform_allowlist() and "Helper" not in load_platform_allowlist()
+        units = swift_units(**{"A.swift": "class A { func go() { Helper(); Timer() } }"})
+        assert [i.message.split("'")[1] for i in check_references(units, source)] == ["Helper"]
 
     def test_issue_anchored_at_first_occurrence(self):
         units = swift_units(**{
@@ -161,13 +166,20 @@ def class_graph_of(*java_sources):
     return build_dependency_graph(descs, "class")
 
 
+def identity(graph):
+    """The mapping of each class of ``graph`` to itself, and each class
+    reported against a unit of its own name."""
+    names = {n: n for n in graph.nodes}
+    return names, names
+
+
 class TestGraphComparison:
     def test_missing_edge_is_error(self):
         source = class_graph_of("class A { B b; void go() { b.run(); } }", "class B { void run() {} }")
         translated = build_translated_class_graph(
             swift_units(**{"A.swift": "class A { }", "B.swift": "class B { func run() {} }"})
         )
-        issues = compare_graphs(source, translated)
+        issues = compare_graphs(source, translated, *identity(source))
         errors = [i for i in issues if i.severity == "error"]
         assert len(errors) >= 1
         assert all(i.source == "graph_diff" and i.rule == "missing_edge" for i in errors)
@@ -177,14 +189,14 @@ class TestGraphComparison:
         translated = build_translated_class_graph(
             swift_units(**{"A.swift": "class A { var b: B }", "B.swift": "class B { }"})
         )
-        assert compare_graphs(source, translated) == []
+        assert compare_graphs(source, translated, *identity(source)) == []
 
     def test_extra_translated_edge_is_warning(self):
         source = class_graph_of("class A { }", "class B { }")
         translated = build_translated_class_graph(
             swift_units(**{"A.swift": "class A { var b: B }", "B.swift": "class B { }"})
         )
-        issues = compare_graphs(source, translated)
+        issues = compare_graphs(source, translated, *identity(source))
         assert [i.severity for i in issues] == ["warning"]
         assert issues[0].rule == "extra_edge"
 
@@ -192,7 +204,7 @@ class TestGraphComparison:
         source = class_graph_of("class A { }", "class B { }")
         translated = build_translated_class_graph(swift_units(**{"C.swift": "class C { }"}))
         with pytest.raises(MappingError):
-            compare_graphs(source, translated, mapping={"A": "C", "B": "C"})
+            compare_graphs(source, translated, {"A": "C", "B": "C"}, {"C": "C.swift"})
 
     def test_requires_class_granularity(self):
         from transmigrate.sourcemodel.graph import DependencyGraph
@@ -200,7 +212,7 @@ class TestGraphComparison:
         wrong = DependencyGraph("method", frozenset(), frozenset())
         ok = DependencyGraph("class", frozenset(), frozenset())
         with pytest.raises(ArgumentError):
-            compare_graphs(wrong, ok)
+            compare_graphs(wrong, ok, {}, {})
 
 
 class TestPlatformScan:
@@ -240,6 +252,13 @@ class Weather {
         rule = load_residue_rules()[0]
         assert rule.compiled is rule.compiled
 
+    def test_shipped_tables_read_once_into_immutable_values(self):
+        rules, allowlist = load_residue_rules(), load_platform_allowlist()
+        assert load_residue_rules() is rules and load_platform_allowlist() is allowlist
+        assert isinstance(rules, tuple) and isinstance(allowlist, frozenset)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rules[0].pattern = "x"
+
 
 class TestExternalTools:
     def test_argv_substitution(self):
@@ -257,20 +276,29 @@ class TestExternalTools:
         f = tmp_path / "Clean.swift"
         f.write_text("class Clean {\n    func ok() {\n    }\n}\n")
         syntax_cmd, _ = stub_tool_commands()
-        status, output = run_external_check(f, syntax_cmd)
-        issues, _ = parse_tool_output(output, "syntax")
+        status, output = run_external_check(f, syntax_cmd, CHECK_TIMEOUT, tmp_path)
+        issues = parse_tool_output(output, "syntax")
         assert status == 0 and issues == []
 
     def test_planted_defect_reported_at_its_line(self, tmp_path):
         f = tmp_path / "Bad.swift"
         f.write_text("class Bad {\n    let init = 0\n}\n")
         syntax_cmd, _ = stub_tool_commands()
-        status, output = run_external_check(f, syntax_cmd)
-        issues, _ = parse_tool_output(output, "syntax")
+        status, output = run_external_check(f, syntax_cmd, CHECK_TIMEOUT, tmp_path)
+        issues = parse_tool_output(output, "syntax")
         assert status == 1
         assert len(issues) == 1 and issues[0].line == 2 and issues[0].severity == "error"
 
-    @pytest.mark.parametrize("module", ["transmigrate.validation.stubcheck", "transmigrate.config"])
+    @pytest.mark.parametrize(
+        "module",
+        [
+            "transmigrate.validation.stubcheck",
+            "transmigrate.config",
+            "transmigrate.prompts",
+            "transmigrate.backends",
+            "transmigrate.validation.refine",
+        ],
+    )
     def test_import_loads_no_numpy(self, module):
         import transmigrate
 
@@ -283,14 +311,14 @@ class TestExternalTools:
         f = tmp_path / "a.swift"
         f.write_text("class A {}")
         with pytest.raises(ConfigurationError):
-            run_external_check(f, "definitely-not-a-real-tool-9x {file}")
+            run_external_check(f, "definitely-not-a-real-tool-9x {file}", CHECK_TIMEOUT, tmp_path)
 
     def test_timeout_is_tool_error(self, tmp_path):
         f = tmp_path / "a.swift"
         f.write_text("class A {}")
         slow = f"{shlex.quote(sys.executable)} -c \"import time, sys; time.sleep(5)\" {{file}}"
         with pytest.raises(ToolError):
-            run_external_check(f, slow, timeout=0.3)
+            run_external_check(f, slow, 0.3, tmp_path)
 
     def test_child_check_never_sleeps(self, tmp_path, monkeypatch):
         # A child is reaped by a blocking wait, not by polling with sleeps.
@@ -302,14 +330,14 @@ class TestExternalTools:
         f = tmp_path / "a.swift"
         f.write_text("class A {}")
         monkeypatch.setattr(time, "sleep", no_sleep)
-        assert run_external_check(f, "true {file}") == (0, "")
+        assert run_external_check(f, "true {file}", CHECK_TIMEOUT, tmp_path) == (0, "")
 
     def test_child_diagnostic_and_status_returned(self, tmp_path):
         (tmp_path / "a.swift").write_text("class A {}")
         line = "a.swift:1:1: error: expected declaration"
         code = f"import sys; print({line!r}); sys.exit(1)"
         template = f"{shlex.quote(sys.executable)} -c {shlex.quote(code)} {{file}}"
-        assert run_external_check("a.swift", template, cwd=tmp_path) == (1, line + "\n")
+        assert run_external_check("a.swift", template, CHECK_TIMEOUT, tmp_path) == (1, line + "\n")
 
     def test_timeout_kills_the_checkers_process_group(self, tmp_path):
         # The checker starts one grandchild that keeps the output pipe open
@@ -326,7 +354,7 @@ class TestExternalTools:
         timeout = 1.0
         started = time.monotonic()
         with pytest.raises(ToolError, match="timed out"):
-            run_external_check(f, template, timeout=timeout)
+            run_external_check(f, template, timeout, tmp_path)
         assert time.monotonic() - started < timeout + 2
         pid = int(pid_file.read_text())
         # The killed grandchild is an orphan until the init process reaps
@@ -355,7 +383,7 @@ class TestExternalTools:
         monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
         slow = f"{shlex.quote(sys.executable)} -c \"import time; time.sleep(30)\" {{file}}"
         with pytest.raises(KeyboardInterrupt):
-            run_external_check(f, slow)
+            run_external_check(f, slow, CHECK_TIMEOUT, tmp_path)
         (child,) = children
         assert child.returncode == -signal.SIGKILL
 
@@ -368,7 +396,7 @@ class TestExternalTools:
         target.write_text("\n".join(lines) + "\n")
         _, lint_cmd = stub_tool_commands()
         status, output = run_external_check(
-            "WeatherApp/HTTPWeatherClient.swift", lint_cmd, cwd=tmp_path
+            "WeatherApp/HTTPWeatherClient.swift", lint_cmd, CHECK_TIMEOUT, tmp_path
         )
         assert output.splitlines() == [LINT_LISTING_1]
 
@@ -381,7 +409,7 @@ class TestExternalTools:
         target.write_text("\n".join(lines) + "\n")
         _, lint_cmd = stub_tool_commands()
         _, output = run_external_check(
-            "AndroidTvMovie/GlideBackgroundManager.swift", lint_cmd, cwd=tmp_path
+            "AndroidTvMovie/GlideBackgroundManager.swift", lint_cmd, CHECK_TIMEOUT, tmp_path
         )
         assert output.splitlines() == [LINT_LISTING_2]
 
@@ -403,7 +431,7 @@ class TestExternalTools:
         syntax_cmd, lint_cmd = stub_tool_commands()
 
         def check(file, template):
-            return run_external_check(file, template, cwd=tmp_path)
+            return run_external_check(file, template, CHECK_TIMEOUT, tmp_path)
 
         assert check("WeatherApp/HTTPWeatherClient.swift", lint_cmd) == (0, LINT_LISTING_1 + "\n")
         assert check("AndroidTvMovie/GlideBackgroundManager.swift", lint_cmd) == (0, LINT_LISTING_2 + "\n")
@@ -425,12 +453,12 @@ class TestExternalTools:
         (tmp_path / "Deep.swift").write_text("class Deep {}\n")
         syntax_cmd, _ = stub_tool_commands()
         with pytest.raises(ToolError, match="crashed"):
-            run_external_check("Deep.swift", syntax_cmd, cwd=tmp_path)
+            run_external_check("Deep.swift", syntax_cmd, CHECK_TIMEOUT, tmp_path)
 
     def test_stub_reports_deep_nesting_as_a_syntax_error(self, tmp_path):
         (tmp_path / "Deep.swift").write_text("{" * 1000 + "}" * 1000)
         syntax_cmd, _ = stub_tool_commands()
-        status, output = run_external_check("Deep.swift", syntax_cmd, cwd=tmp_path)
+        status, output = run_external_check("Deep.swift", syntax_cmd, CHECK_TIMEOUT, tmp_path)
         assert status == 1
         assert output.splitlines() == [
             "Deep.swift:1:101: error: unbalanced or unparseable declaration structure"
