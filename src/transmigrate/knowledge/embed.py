@@ -112,8 +112,8 @@ class RemoteEmbedder:
 
     def embed(self, texts: list[str]) -> np.ndarray:
         """One request per text, one re-normalized row per response; a
-        response of another dimension than the configured one is an
-        IntegrityError."""
+        response without an ``embedding`` list of numbers, or of another
+        dimension than the configured one, is an IntegrityError."""
         out = np.empty((len(texts), self.dimension))
         for row, text in enumerate(texts):
             body = json.dumps({"input": text}).encode("utf-8")
@@ -125,7 +125,13 @@ class RemoteEmbedder:
                     payload = json.loads(resp.read().decode("utf-8"))
             except (urllib.error.URLError, OSError, ValueError) as exc:
                 raise RetryableBackendError(f"embedding provider failed: {exc}") from exc
-            values = np.asarray(payload["embedding"], dtype=np.float64)
+            try:
+                values = np.asarray(payload["embedding"], dtype=np.float64)
+            except (LookupError, TypeError, ValueError) as exc:  # e.g. no "embedding" key, or a JSON list
+                raise IntegrityError(
+                    f"embedding provider {self.endpoint} answered without an \"embedding\" list of numbers: "
+                    f"{type(exc).__name__}: {exc}"
+                ) from exc
             if values.shape != (self.dimension,):
                 raise IntegrityError(
                     f"vector dimension {values.size} does not match index dimension {self.dimension}"

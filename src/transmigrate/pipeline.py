@@ -25,6 +25,7 @@ import json
 import logging
 import os
 import shlex
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -66,7 +67,7 @@ from transmigrate.validation.checks import (
 )
 from transmigrate.validation.issues import IssueRecord, ValidationReport, parse_tool_output
 from transmigrate.validation.refine import refine_loop, repair_inputs
-from transmigrate.validation.tools import run_external_check
+from transmigrate.validation.tools import kill_running_checkers, run_external_check
 
 logger = logging.getLogger(__name__)
 
@@ -353,33 +354,34 @@ class Pipeline:
             mapping[qualified] = name
         return mapping
 
-    def _unit_check(self):
-        """The check of one refinement round, ``check(unit, code)``: it
-        writes the candidate whole to ``translate/units/<unit>``, runs the
-        syntax checker and then the lint checker on that file, and then
-        the platform residue scan."""
+    def _run_checkers(self, unit: str) -> ValidationReport:
+        """The syntax checker's and then the lint checker's issues on
+        ``translate/units/<unit>``. It reads that file and writes none, so
+        translate runs round 0 of a component's units on its thread pool."""
         tools = self.config.tools
-        checkers = ((tools.syntax_check_cmd, "syntax"), (tools.lint_cmd, "lint"))
+        rel = f"translate/units/{unit}"  # relative to the checker's cwd
+        report = ValidationReport()
+        for template, source in ((tools.syntax_check_cmd, "syntax"), (tools.lint_cmd, "lint")):
+            status, output = run_external_check(rel, template, tools.timeout_seconds, self.out)
+            found = parse_tool_output(output, source)
+            if status != 0 and not found:
+                raise ToolError(
+                    f"{source} checker {shlex.split(template)[0]!r} exited {status} without "
+                    f"diagnostics on unit {unit}: {output.strip()[-500:]!r}"
+                )
+            for issue in found:
+                issue.file = unit
+            report.extend(found)
+        return report
 
-        def check(unit: str, code: str) -> ValidationReport:
-            rel = f"translate/units/{unit}"  # relative to the checker's cwd
-            _write_text(self.out / rel, code)
-            report = ValidationReport()
-            for template, source in checkers:
-                status, output = run_external_check(rel, template, tools.timeout_seconds, self.out)
-                found = parse_tool_output(output, source)
-                if status != 0 and not found:
-                    raise ToolError(
-                        f"{source} checker {shlex.split(template)[0]!r} exited {status} without "
-                        f"diagnostics on unit {unit}: {output.strip()[-500:]!r}"
-                    )
-                for issue in found:
-                    issue.file = unit
-                report.extend(found)
-            report.extend(platform_scan(unit, code))
-            return report
-
-        return check
+    def _check_unit(self, unit: str, code: str) -> ValidationReport:
+        """The check of one repair round, ``check(unit, code)``: it writes
+        the candidate whole to ``translate/units/<unit>``, runs the
+        checkers on that file, and then the platform residue scan."""
+        _write_text(self.out / "translate" / "units" / unit, code)
+        report = self._run_checkers(unit)
+        report.extend(platform_scan(unit, code))
+        return report
 
     def _pending(self) -> tuple[dict[str, str], list[tuple[ComponentPlan, list[ClassPlan]]], bool]:
         """What translate still has to send, read from the plan in send
@@ -424,7 +426,6 @@ class Pipeline:
         k = self.config.knowledge.retrieval_k
         retrieved = dict(zip(abouts, query_many(index, abouts, k, self._embedder()))) if abouts else {}
         backend = self._backend()
-        check = self._unit_check()
         _write_json(self.out / "translate" / "unit_names.json", unit_names)
         units_dir = self.out / "translate" / "units"
         refinement_dir = self.out / "translate" / "refinement"
@@ -443,84 +444,111 @@ class Pipeline:
                 _write_text(self.out / "prompts" / f"{next(ordinals):04d}_{safe}.txt", envelope.rendered_text)
             return extract_code(backend.translate(envelope))
 
-        for comp, classes in components:
-            for cls_plan in classes:
-                qualified = cls_plan.name
-                unit_base = unit_names[qualified]
-                unit_file = f"{unit_base}.swift"
-                descriptor = by_qualified[qualified]
-                ast = asts[descriptor.source_path]
-                source = ast.source
-                declarations = declarations_by_span(ast)
+        def unit_code(cls_plan: ClassPlan) -> str:
+            """Send the method prompts and then the class prompt of one
+            class; returns the class prompt's code, the unit's round 0."""
+            qualified = cls_plan.name
+            descriptor = by_qualified[qualified]
+            ast = asts[descriptor.source_path]
+            source = ast.source
+            declarations = declarations_by_span(ast)
 
-                translated_methods: list[str] = []
-                for method_id in cls_plan.methods:
-                    # Overloads share one plan entry; each gets its own prompt.
-                    for m in _overloads(descriptor, method_id):
-                        code = send(
-                            "method",
-                            f"method_{method_id}",
-                            {
-                                "method_name": m.name,
-                                "file_name": descriptor.source_path,
-                                "method_code": method_body(source, m),
-                                "ast": ast_excerpt(declarations[m.span], source.data),
-                            },
-                            f"{descriptor.simple_name} {m.name}",
-                        )
-                        translated_methods.append(f"// method: {m.name}\n{code}")
+            translated_methods: list[str] = []
+            for method_id in cls_plan.methods:
+                # Overloads share one plan entry; each gets its own prompt.
+                for m in _overloads(descriptor, method_id):
+                    code = send(
+                        "method",
+                        f"method_{method_id}",
+                        {
+                            "method_name": m.name,
+                            "file_name": descriptor.source_path,
+                            "method_code": method_body(source, m),
+                            "ast": ast_excerpt(declarations[m.span], source.data),
+                        },
+                        f"{descriptor.simple_name} {m.name}",
+                    )
+                    translated_methods.append(f"// method: {m.name}\n{code}")
 
-                initial_code = send(
-                    "class",
-                    f"class_{qualified}",
-                    {
-                        "class_name": qualified,
-                        "class_content": source.data[descriptor.span[0] : descriptor.span[1]].decode("utf-8"),
-                        "translated_methods": "\n\n".join(translated_methods) or "none",
-                        "ast": ast_excerpt(declarations[descriptor.span], source.data),
-                        "dependency": dependency_excerpt(class_graph, qualified),
-                    },
-                    f"{descriptor.simple_name} {descriptor.component}",
-                )
-
-                def repair(code: str, issues: list[IssueRecord]) -> str:
-                    return send("repair", f"repair_{unit_base}", repair_inputs(code, issues))
-
-                # Each round's check writes its candidate to units/; a
-                # degraded unit keeps an earlier round, written back here.
-                kept_code, state = refine_loop(unit_file, initial_code, repair, check, self.config.max_rounds)
-                if state.kept != len(state.history) - 1:
-                    _write_text(units_dir / unit_file, kept_code)
-                _write_json(
-                    refinement_dir / f"{unit_base}.json",
-                    {
-                        "unit": unit_file,
-                        "class": qualified,
-                        "degraded": state.degraded,
-                        "kept": state.kept,
-                        "history": [
-                            {"code": code, "report": report.to_dict()}
-                            for code, report in state.history
-                        ],
-                    },
-                )
-
-            member_units = [
-                f"// class: {c.name}\n" + _read_saved(units_dir / f"{unit_names[c.name]}.swift")
-                for c in comp.classes
-            ]
-            comp_code = send(
-                "component",
-                f"component_{comp.name or 'default'}",
+            return send(
+                "class",
+                f"class_{qualified}",
                 {
-                    "component_name": comp.name or "(default)",
-                    "translated_classes": "\n\n".join(member_units) or "none",
-                    "ast": "\n".join(f"(class_declaration {c.name})" for c in comp.classes) or "none",
-                    "dependency": dependency_excerpt(component_graph, comp.name),
+                    "class_name": qualified,
+                    "class_content": source.data[descriptor.span[0] : descriptor.span[1]].decode("utf-8"),
+                    "translated_methods": "\n\n".join(translated_methods) or "none",
+                    "ast": ast_excerpt(declarations[descriptor.span], source.data),
+                    "dependency": dependency_excerpt(class_graph, qualified),
                 },
-                comp.name or "project root",
+                f"{descriptor.simple_name} {descriptor.component}",
             )
-            _write_text(self._component_path(comp.name), comp_code)
+
+        # Round 0 of a component's units is checked on a thread pool, while
+        # this thread sends the next units' prompts. This thread sends every
+        # prompt and writes every file, so their order is the plan's.
+        pool = ThreadPoolExecutor()
+        checks: list[Future] = []
+        try:
+            for comp, classes in components:
+                firsts = []
+                for cls_plan in classes:
+                    unit_base = unit_names[cls_plan.name]
+                    initial_code = unit_code(cls_plan)
+                    _write_text(units_dir / f"{unit_base}.swift", initial_code)
+                    checks.append(pool.submit(self._run_checkers, f"{unit_base}.swift"))
+                    firsts.append((cls_plan.name, unit_base, initial_code, checks[-1]))
+
+                # A check that failed raises here, the first in plan order.
+                for qualified, unit_base, initial_code, first in firsts:
+                    unit_file = f"{unit_base}.swift"
+                    report = first.result()
+                    report.extend(platform_scan(unit_file, initial_code))
+
+                    def repair(code: str, issues: list[IssueRecord]) -> str:
+                        return send("repair", f"repair_{unit_base}", repair_inputs(code, issues))
+
+                    # Each repair round's check writes its candidate to units/;
+                    # a degraded unit keeps an earlier round, written back here.
+                    kept_code, state = refine_loop(
+                        unit_file, initial_code, report, repair, self._check_unit, self.config.max_rounds
+                    )
+                    if state.kept != len(state.history) - 1:
+                        _write_text(units_dir / unit_file, kept_code)
+                    _write_json(
+                        refinement_dir / f"{unit_base}.json",
+                        {
+                            "unit": unit_file,
+                            "class": qualified,
+                            "degraded": state.degraded,
+                            "kept": state.kept,
+                            "history": [
+                                {"code": code, "report": report.to_dict()}
+                                for code, report in state.history
+                            ],
+                        },
+                    )
+
+                member_units = [
+                    f"// class: {c.name}\n" + _read_saved(units_dir / f"{unit_names[c.name]}.swift")
+                    for c in comp.classes
+                ]
+                comp_code = send(
+                    "component",
+                    f"component_{comp.name or 'default'}",
+                    {
+                        "component_name": comp.name or "(default)",
+                        "translated_classes": "\n\n".join(member_units) or "none",
+                        "ast": "\n".join(f"(class_declaration {c.name})" for c in comp.classes) or "none",
+                        "dependency": dependency_excerpt(component_graph, comp.name),
+                    },
+                    comp.name or "project root",
+                )
+                _write_text(self._component_path(comp.name), comp_code)
+        except BaseException:
+            _stop_checks(pool, checks)
+            raise
+        finally:
+            pool.shutdown()
 
         if project_pending:
             # The plan holds every node of the component graph.
@@ -709,6 +737,18 @@ class Pipeline:
             logger.info("dry run: %d %s(s) would be translated%s", len(listed), what, listing)
         if project_pending:
             logger.info("dry run: the project prompt would be sent")
+
+
+def _stop_checks(pool: ThreadPoolExecutor, checks: list[Future]) -> None:
+    """Cancel the checks not yet started and kill the running ones' checker
+    processes until every check has ended. The kill repeats, because a
+    check may start its process just after a kill (or go on from syntax to
+    lint)."""
+    pool.shutdown(wait=False, cancel_futures=True)
+    running = [check for check in checks if not check.done()]
+    while running:
+        kill_running_checkers()
+        running = list(wait(running, timeout=0.05).not_done)
 
 
 def _next_dump_ordinal(prompts_dir: Path) -> int:

@@ -165,6 +165,10 @@ _CONSTANT_FOLLOWERS = frozenset({",", ";", "(", "{", "}", ""})
 # Tokens that end a Swift field's type annotation.
 _TYPE_ANNOTATION_ENDS = frozenset({"=", "{", ";", "}", ",", ""})
 
+# What ends a type header's ``where`` clause (a stray "}" or the end of
+# input ends it too).
+_WHERE_CLAUSE_ENDS = frozenset({"{", ";", "}", ""})
+
 
 class _Parser:
     """Token-stream parser; one instance per file."""
@@ -316,6 +320,10 @@ class _Parser:
         children.extend(self._parse_supertypes(kind))
         if children:
             end = max(end, children[-1].end)
+        if self.peek().text == "where":  # Swift's generic constraints end the header
+            while self.peek(1).text not in _WHERE_CLAUSE_ENDS:
+                self.i += 1
+            end = self.advance().end
 
         tok = self.peek()
         if tok.text == "{":

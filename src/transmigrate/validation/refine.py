@@ -1,10 +1,12 @@
 """Bounded iterative refinement.
 
-Each round calls the one check function on the current candidate; while
+The caller checks round 0 (translate checks a component's initial
+candidates together, on its thread pool) and hands its report in. While
 error-severity issues remain, ``repair(code, issues)`` makes the next
 candidate (translate's repair sends a prompt filled from ``repair_inputs``
-through its one send step). The loop stops as soon as a round is clean or
-after ``max_rounds`` repair calls, whichever comes first. The state keeps
+through its one send step), and the one check function checks it, on the
+caller's thread. The loop stops as soon as a round is clean or after
+``max_rounds`` repair calls, whichever comes first. The state keeps
 every round's code and report, and ``kept``, the index of the round whose
 code the loop returned: validate reads round 0 as the before corpus and
 round ``kept`` as the after corpus.
@@ -47,27 +49,24 @@ def repair_inputs(code: str, issues: Sequence[IssueRecord]) -> dict[str, str]:
 def refine_loop(
     name: str,
     code: str,
+    report: ValidationReport,
     repair: Callable[[str, list[IssueRecord]], str],
     check: Callable[[str, str], ValidationReport],
     max_rounds: int,
 ) -> tuple[str, RefinementState]:
-    """Refine the code of unit ``name`` until ``check(name, code)`` reports
-    no error or the round budget is spent; ``repair(code, issues)`` makes
-    each next candidate. Returns the kept code and the state.
+    """Refine the code of unit ``name``, given round 0's ``report`` on it,
+    until a round reports no error or the round budget is spent;
+    ``repair(code, issues)`` makes each next candidate and
+    ``check(name, code)`` checks it. Returns the kept code and the state.
 
     A repair that fails (the backend fails, or the prompt cannot fit the
     budget) degrades gracefully: the best candidate seen so far (fewest
     error-severity issues, earliest on ties) is returned with the state
     flagged degraded.
     """
-    state = RefinementState()
-    for round_index in range(max_rounds + 1):
-        report = check(name, code)
-        state.history.append((code, report))
-        state.kept = round_index
-        if report.error_count() == 0:
-            break
-        if round_index == max_rounds:
+    state = RefinementState(history=[(code, report)])
+    while report.error_count():
+        if state.kept == max_rounds:
             logger.info(
                 "unit %s still has %d error(s) after %d repair round(s)",
                 name,
@@ -84,4 +83,7 @@ def refine_loop(
                 range(len(state.history)), key=lambda index: state.history[index][1].error_count()
             )
             return state.history[state.kept][0], state
+        report = check(name, code)
+        state.history.append((code, report))
+        state.kept += 1
     return code, state

@@ -7,15 +7,20 @@ are substituted into an argv, never a shell string. The pipeline calls
 ``run_external_check`` once per checker per refinement round, on the
 round's candidate in ``translate/units/``, with the configured
 ``tools.timeout_seconds`` and the output root as the working directory.
-A template whose program is ``transmigrate-stubcheck`` runs the bundled
-stub checker in this process; any other template runs as a child
-process. A nonzero exit with diagnostics is a normal outcome. A missing tool, a timeout or a crashed
+Round 0's checks run on translate's thread pool, so several may run at
+once; they read files and write none. A template whose program is
+``transmigrate-stubcheck`` runs the bundled stub checker in this process;
+any other template runs as a child process. A nonzero exit with
+diagnostics is a normal outcome. A missing tool, a timeout or a crashed
 stub raises here. A child runs in a session of its own; a timeout, or an
 interrupt while it runs, kills that whole process group, so a checker's
-own children (``swiftc`` starts ``swift-frontend``) die with it. The
-pipeline also raises ``ToolError`` for a nonzero exit whose output holds
-no diagnostic line: that checker never ran, and its silence must not read
-as a clean file.
+own children (``swiftc`` starts ``swift-frontend``) die with it. Every
+running child is listed in a lock-guarded registry, and
+``kill_running_checkers`` kills all their groups: translate calls it when
+it leaves the stage by an exception, so no checker outlives the stage.
+The pipeline also raises ``ToolError`` for a nonzero exit whose output
+holds no diagnostic line: that checker never ran, and its silence must
+not read as a clean file.
 """
 
 from __future__ import annotations
@@ -31,6 +36,10 @@ from transmigrate.errors import ConfigurationError, ToolError
 from transmigrate.validation import stubcheck
 
 STUB_PROGRAM = "transmigrate-stubcheck"
+
+# The checker children running now, from any thread.
+_running: set[subprocess.Popen] = set()
+_running_lock = threading.Lock()
 
 
 def stub_tool_commands() -> tuple[str, str]:
@@ -52,12 +61,11 @@ def run_external_check(
 
     The checker runs in ``cwd`` and gets ``file`` as given, so a path
     relative to ``cwd`` gives diagnostics with stable, machine-independent
-    file names. ``timeout`` bounds
-    child processes only; the in-process stub has none. The child's output
-    is read by a blocking ``communicate()``, which reaps it with a blocking
-    wait (a timeout on ``communicate`` would reap by sleep-polling, a
-    millisecond or more per check); a watchdog thread kills the group when
-    ``timeout`` runs out, which ends the read."""
+    file names. ``timeout`` bounds child processes only; the in-process
+    stub has none. The child's output is read by ``communicate`` under
+    ``timeout``, which reaps the child by polling with short sleeps (off
+    the thread that sends prompts, for round 0); when ``timeout`` runs out
+    the group is killed and the check raises ``ToolError``."""
     argv = build_argv(command_template, file)
     if argv[0] == STUB_PROGRAM:
         try:
@@ -75,26 +83,29 @@ def run_external_check(
         )
     except FileNotFoundError as exc:
         raise ConfigurationError(f"checker tool not found: {argv[0]!r}") from exc
-    timed_out = threading.Event()
-
-    def expire() -> None:
-        timed_out.set()
-        _kill_group(proc)
-
-    watchdog = threading.Timer(timeout, expire)
-    watchdog.start()
+    with _running_lock:
+        _running.add(proc)
     try:
-        output, _ = proc.communicate()
-    except BaseException:  # e.g. KeyboardInterrupt: leave no checker behind
+        output, _ = proc.communicate(timeout=timeout)
+    except BaseException as exc:  # a timeout, or e.g. KeyboardInterrupt: leave no checker behind
         _kill_group(proc)
         proc.stdout.close()
         proc.wait()
+        if isinstance(exc, subprocess.TimeoutExpired):
+            raise ToolError(f"checker timed out after {timeout}s: {' '.join(argv)}") from None
         raise
     finally:
-        watchdog.cancel()
-    if timed_out.is_set():
-        raise ToolError(f"checker timed out after {timeout}s: {' '.join(argv)}")
+        with _running_lock:
+            _running.discard(proc)
     return proc.returncode, output
+
+
+def kill_running_checkers() -> None:
+    """SIGKILL the process group of every checker child that runs now; the
+    threads waiting on them then return or raise as for any killed child."""
+    with _running_lock:
+        for proc in _running:
+            _kill_group(proc)
 
 
 def _kill_group(proc: subprocess.Popen) -> None:

@@ -247,14 +247,21 @@ def test_criterion_6_refinement_bounds():
             calls.append(code)
             return code
 
-        _, state = refine_loop(f"unit{i:02d}.swift", f"let x{i} = BUG\n", never_fix, _bug_check, max_rounds=3)
+        name, code = f"unit{i:02d}.swift", f"let x{i} = BUG\n"
+        _, state = refine_loop(name, code, _bug_check(name, code), never_fix, _bug_check, max_rounds=3)
         assert len(calls) == 3, f"unit {i} made {len(calls)} repair calls"
         assert state.history[-1][1].error_count() == 1  # unresolved, still reported
 
     # One fix per round with two planted issues: clean at round two.
     for i in range(20):
+        name = f"unit{i:02d}.swift"
         _, state = refine_loop(
-            f"unit{i:02d}.swift", "BUG\nBUG\n", lambda code, issues: code.replace("BUG", "OK", 1), _bug_check, max_rounds=3
+            name,
+            "BUG\nBUG\n",
+            _bug_check(name, "BUG\nBUG\n"),
+            lambda code, issues: code.replace("BUG", "OK", 1),
+            _bug_check,
+            max_rounds=3,
         )
         assert state.repair_calls == 2
         assert state.history[-1][1].error_count() == 0

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -400,6 +401,32 @@ class TestRemoteEmbedder:
             assert requests == ["ok", "ok"]
             with pytest.raises(IntegrityError, match="dimension 3"):
                 embedder.embed(["ok", "wrong"])
+        finally:
+            server.shutdown()
+
+    @pytest.mark.parametrize("reply", [{"vector": [1.0, 0.0]}, [1.0, 0.0], {"embedding": ["a", "b"]}])
+    def test_reply_without_embedding_list_is_integrity_error(self, reply):
+        from transmigrate.knowledge.embed import RemoteEmbedder
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                payload = json.dumps(reply).encode()
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(payload)))
+                self.end_headers()
+                self.wfile.write(payload)
+
+            def log_message(self, *args):
+                pass
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            endpoint = f"http://127.0.0.1:{server.server_address[1]}/embed"
+            with pytest.raises(IntegrityError, match=re.escape(endpoint)):
+                RemoteEmbedder(endpoint, dimension=2).embed(["text"])
         finally:
             server.shutdown()
 

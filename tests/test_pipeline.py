@@ -790,6 +790,119 @@ class TestCheckerFailure:
         assert state["completed_stages"] == ["analyze", "index", "plan"]
 
 
+def one_package_project(root, repaired=("A", "B", "C")):
+    """A project of classes A, B and C in package ``p``, planned in that
+    order, so one component holds three units. The classes named in
+    ``repaired`` declare a field ``init``, which the mock backend keeps and
+    the stub syntax checker flags, so those units need one repair."""
+    for name in "ABC":
+        field = "    private int init = 0;\n\n" if name in repaired else ""
+        source = f"package p;\n\npublic class {name} {{\n{field}    public void run{name}() {{\n    }}\n}}\n"
+        (root / "src" / "p").mkdir(parents=True, exist_ok=True)
+        (root / "src" / "p" / f"{name}.java").write_text(source)
+    return root
+
+
+def python_command(code: str) -> str:
+    """A checker template that runs ``code`` with the file as argv[1]."""
+    return f"{shlex.quote(sys.executable)} -c {shlex.quote(code)} {{file}}"
+
+
+class TestConcurrentChecks:
+    """Round 0 of a component's units is checked on a thread pool while
+    translate sends the next units' prompts."""
+
+    def test_first_failing_unit_in_plan_order_fails_the_stage_and_a_resume_finishes(self, tmp_path):
+        import re
+
+        project = one_package_project(tmp_path / "project")
+        failing = tmp_path / "lint-fails"
+        failing.touch()
+        # While the marker exists, lint fails silently on B (slowly) and on C
+        # (at once): C's check ends first, but B comes first in plan order.
+        lint = python_command(
+            "import os, sys, time\n"
+            "unit = os.path.basename(sys.argv[1])\n"
+            f"if os.path.exists({str(failing)!r}) and unit in ('B.swift', 'C.swift'):\n"
+            "    time.sleep(0.5 if unit == 'B.swift' else 0)\n"
+            "    sys.exit(3)\n"
+        )
+        fresh = make_run_config(project, tmp_path / "fresh")
+        config = make_run_config(project, tmp_path / "out")
+        for c in (fresh, config):
+            c.tools.lint_cmd = lint
+        with pytest.raises(ToolError, match=re.escape("exited 3 without diagnostics on unit B.swift")):
+            run_full(config)
+        refinement = tmp_path / "out" / "translate" / "refinement"
+        assert sorted(p.name for p in refinement.iterdir()) == ["A.json"]
+
+        failing.unlink()
+        run_full(config)
+        run_full(fresh)
+        assert output_tree(tmp_path / "out") == output_tree(tmp_path / "fresh")
+
+    def test_interrupt_kills_the_checker_in_flight(self, tmp_path, monkeypatch):
+        import time
+
+        from transmigrate.backends import MockBackend
+
+        project = one_package_project(tmp_path / "project")
+        pid_file = tmp_path / "grandchild.pid"
+        # The syntax checker starts a grandchild that records its pid and
+        # sleeps 30 s, holding the output pipe open.
+        grandchild = f"import os, time; open({str(pid_file)!r}, 'w').write(str(os.getpid())); time.sleep(30)"
+        config = make_run_config(project, tmp_path / "out")
+        config.tools.syntax_check_cmd = python_command(
+            f"import subprocess, sys; subprocess.Popen([sys.executable, '-c', {grandchild!r}]).wait()"
+        )
+        real = MockBackend.translate
+        interrupted = []
+
+        def interrupting(self, envelope):
+            # B's class prompt is sent while A's check sleeps in the pool.
+            if envelope.level == "class" and envelope.slots["class_name"] == "p.B":
+                deadline = time.monotonic() + 10
+                while not pid_file.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                interrupted.append(time.monotonic())
+                raise KeyboardInterrupt
+            return real(self, envelope)
+
+        monkeypatch.setattr(MockBackend, "translate", interrupting)
+        with pytest.raises(KeyboardInterrupt):
+            run_full(config)
+        assert time.monotonic() - interrupted[0] < 5
+        pid = int(pid_file.read_text())
+        # The killed grandchild is an orphan until the init process reaps
+        # it, which can take a second or two; unkilled, it would sleep 30 s.
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline:
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                break
+            time.sleep(0.05)
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+    def test_component_class_prompts_are_dumped_before_its_repair_prompts(self, tmp_path):
+        project = one_package_project(tmp_path / "project", repaired=("A", "C"))
+        run_full(make_run_config(project, tmp_path / "out", dump_prompts=True))
+        labels = [p.name[5:-4] for p in sorted((tmp_path / "out" / "prompts").iterdir())]
+        assert labels == [
+            "method_p_A_runA",
+            "class_p_A",
+            "method_p_B_runB",
+            "class_p_B",
+            "method_p_C_runC",
+            "class_p_C",
+            "repair_A",
+            "repair_C",
+            "component_p",
+            "project",
+        ]
+
+
 class TestStages:
     def test_stage_before_prerequisite_is_ordering_error(self, run_config):
         pipeline = Pipeline(run_config)

@@ -41,7 +41,8 @@ def never_fixes() -> Repair:
 
 
 def refine(code: str, repair, check, max_rounds: int = DEFAULT_MAX_ROUNDS):
-    return refine_loop("U.swift", code, repair, check, max_rounds)
+    """Refine unit U.swift as translate does: round 0 checked first."""
+    return refine_loop("U.swift", code, check("U.swift", code), repair, check, max_rounds)
 
 
 class TestRefineLoop:
@@ -99,7 +100,9 @@ class TestRefineLoop:
             return marker_check(name, code)
 
         repair = Repair(per_call=1)
-        final, state = refine_loop("A.swift", "BUG\nBUG\n", repair, recording_check, DEFAULT_MAX_ROUNDS)
+        code = "BUG\nBUG\n"
+        report = recording_check("A.swift", code)
+        final, state = refine_loop("A.swift", code, report, repair, recording_check, DEFAULT_MAX_ROUNDS)
         assert seen == [("A.swift", code) for code, _ in state.history]
         assert len(seen) == 3 and seen[-1][1] == final
 

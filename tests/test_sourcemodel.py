@@ -216,6 +216,18 @@ class TestExtract:
         descs = classes_of(java("import static a.C.f;\nimport static a.C.*;\nimport b.D;\nclass E {}"))
         assert descs[0].imports == ["a.C.f", "a.C.*", "b.D"]
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("class B<T>: P where T: Q { func f() {} }", [("B", ["f"])]),
+            ("struct S<T> where T: Q { func g() {} }", [("S", ["g"])]),
+        ],
+    )
+    def test_swift_type_header_where_clause_keeps_the_body(self, text, expected):
+        ast = parse_source(SourceFile("T.swift", text, "swift"))
+        assert [(d.simple_name, [m.name for m in d.methods]) for d in extract_classes(ast)] == expected
+        assert check_span_invariants(ast) == []
+
     def test_nested_class_gets_dotted_qualified_name(self):
         descs = classes_of(java("class Outer { class Inner {} }"))
         assert [d.qualified_name for d in descs] == ["Outer", "Outer.Inner"]

@@ -29,7 +29,12 @@ from transmigrate.validation.issues import (
     parse_diagnostic_line,
     parse_tool_output,
 )
-from transmigrate.validation.tools import build_argv, run_external_check, stub_tool_commands
+from transmigrate.validation.tools import (
+    build_argv,
+    kill_running_checkers,
+    run_external_check,
+    stub_tool_commands,
+)
 
 CHECK_TIMEOUT = ToolsConfig.timeout_seconds
 
@@ -320,17 +325,55 @@ class TestExternalTools:
         with pytest.raises(ToolError):
             run_external_check(f, slow, 0.3, tmp_path)
 
-    def test_child_check_never_sleeps(self, tmp_path, monkeypatch):
-        # A child is reaped by a blocking wait, not by polling with sleeps.
-        import time
+    def test_child_check_starts_no_thread(self, tmp_path, monkeypatch):
+        # The timeout is kept by ``communicate`` itself, not by a watchdog
+        # thread per check.
+        import threading
 
-        def no_sleep(seconds):
-            raise AssertionError(f"slept {seconds}s waiting for a checker")
+        def no_thread(self):
+            raise AssertionError("a check started a thread")
 
         f = tmp_path / "a.swift"
         f.write_text("class A {}")
-        monkeypatch.setattr(time, "sleep", no_sleep)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
         assert run_external_check(f, "true {file}", CHECK_TIMEOUT, tmp_path) == (0, "")
+
+    def test_concurrent_checks_and_kills_leave_no_child_listed(self, tmp_path):
+        # Eight threads on a 2-core host run checks while this thread kills
+        # every running checker, under a short switch interval: the registry
+        # of running children never breaks mid-kill and ends empty.
+        import signal
+        import threading
+
+        from transmigrate.validation import tools
+
+        f = tmp_path / "a.swift"
+        f.write_text("class A {}")
+        results, errors = [], []
+
+        def checks():
+            try:
+                for _ in range(20):
+                    results.append(run_external_check(f, "true {file}", CHECK_TIMEOUT, tmp_path))
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=checks) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            while any(thread.is_alive() for thread in threads):
+                kill_running_checkers()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and len(results) == 160
+        assert set(results) <= {(0, ""), (-signal.SIGKILL, "")}
+        assert tools._running == set()
 
     def test_child_diagnostic_and_status_returned(self, tmp_path):
         (tmp_path / "a.swift").write_text("class A {}")
