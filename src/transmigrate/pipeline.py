@@ -430,7 +430,7 @@ class Pipeline:
         units_dir = self.out / "translate" / "units"
         refinement_dir = self.out / "translate" / "refinement"
         # A resumed translate continues the dump series of the run before it.
-        ordinals = itertools.count(_next_dump_ordinal(self.out / "prompts"))
+        ordinals = itertools.count(_resume_dumps(self.out / "prompts"))
 
         def send(level: str, label: str, inputs: dict[str, str], about: str | None = None) -> str:
             """Render one level's prompt with the chunks retrieved for
@@ -751,9 +751,12 @@ def _stop_checks(pool: ThreadPoolExecutor, checks: list[Future]) -> None:
         running = list(wait(running, timeout=0.05).not_done)
 
 
-def _next_dump_ordinal(prompts_dir: Path) -> int:
-    """One past the highest ordinal of the prompt dumps (``NNNN_<label>.txt``)
-    in ``prompts_dir``; 0 when it holds none."""
+def _resume_dumps(prompts_dir: Path) -> int:
+    """Remove the temporary file of a dump that a kill left unrenamed (its
+    ordinal is never reused), and return one past the highest ordinal of
+    the prompt dumps (``NNNN_<label>.txt``) in ``prompts_dir``; 0 if none."""
+    for stale in prompts_dir.glob(".*.tmp"):
+        stale.unlink()
     prefixes = (path.name.partition("_")[0] for path in prompts_dir.glob("*_*.txt"))
     return max((int(prefix) for prefix in prefixes if prefix.isdecimal()), default=-1) + 1
 

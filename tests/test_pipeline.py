@@ -408,6 +408,66 @@ class TestDeterminismAndResume:
                 run_full(config)
                 assert output_tree(out) == fresh, (artifact, "after" if after else "before")
 
+    @pytest.mark.parametrize("dump_prompts", [False, True])
+    def test_kill_at_any_rename_within_a_component_resumes_to_a_fresh_run(self, tmp_path, monkeypatch, dump_prompts):
+        """The fixture sweep on components of several units: a kill lands
+        while round 0's checks overlap and between two units' repairs. With
+        dumps, a resume sends again what was not done and numbers its dumps
+        on, so it holds every fresh dump among its own; all else is the fresh
+        tree. No run leaves a temporary file behind."""
+
+        class Killed(BaseException):
+            pass
+
+        project = one_package_project(tmp_path / "project", ("A", "B", "D"), (("p", "ABC"), ("q", "DE")))
+        real_replace = os.replace
+        renames = []
+
+        def counting_replace(src, dst):
+            renames.append(pathlib.Path(dst).relative_to(tmp_path / "fresh").as_posix())
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", counting_replace)
+        run_full(make_run_config(project, tmp_path / "fresh", dump_prompts=dump_prompts))
+        monkeypatch.undo()
+        fresh = output_tree(tmp_path / "fresh")
+        assert len(renames) == (52 if dump_prompts else 36)
+
+        def split(tree):
+            """The tree outside ``prompts/``, and the dumps' contents."""
+            dumps = [data for path, data in tree.items() if path.startswith("prompts/")]
+            return {path: data for path, data in tree.items() if not path.startswith("prompts/")}, dumps
+
+        fresh_rest, fresh_dumps = split(fresh)
+        for at, artifact in enumerate(renames):
+            for after in (False, True):
+                out = tmp_path / f"kill{at:02d}{'after' if after else 'before'}"
+                config = make_run_config(project, out, dump_prompts=dump_prompts)
+                count = [0]
+
+                def killing_replace(src, dst):
+                    count[0] += 1
+                    if count[0] <= at:
+                        real_replace(src, dst)
+                        return
+                    if after:
+                        real_replace(src, dst)
+                    raise Killed(dst)
+
+                monkeypatch.setattr(os, "replace", killing_replace)
+                with pytest.raises(Killed):
+                    run_full(config)
+                monkeypatch.undo()
+                run_full(config)
+                where = (artifact, "after" if after else "before")
+                assert [p.name for p in out.rglob(".*")] == [], where
+                if dump_prompts:
+                    rest, dumps = split(output_tree(out))
+                    assert rest == fresh_rest, where
+                    assert all(dump in dumps for dump in fresh_dumps), where
+                else:
+                    assert output_tree(out) == fresh, where
+
     def test_resume_after_failed_project_prompt_sends_no_component_prompt(
         self, fixture_project, tmp_path, monkeypatch
     ):
@@ -790,16 +850,18 @@ class TestCheckerFailure:
         assert state["completed_stages"] == ["analyze", "index", "plan"]
 
 
-def one_package_project(root, repaired=("A", "B", "C")):
+def one_package_project(root, repaired=("A", "B", "C"), packages=(("p", "ABC"),)):
     """A project of classes A, B and C in package ``p``, planned in that
-    order, so one component holds three units. The classes named in
-    ``repaired`` declare a field ``init``, which the mock backend keeps and
-    the stub syntax checker flags, so those units need one repair."""
-    for name in "ABC":
-        field = "    private int init = 0;\n\n" if name in repaired else ""
-        source = f"package p;\n\npublic class {name} {{\n{field}    public void run{name}() {{\n    }}\n}}\n"
-        (root / "src" / "p").mkdir(parents=True, exist_ok=True)
-        (root / "src" / "p" / f"{name}.java").write_text(source)
+    order, so one component holds three units (``packages`` lists other
+    packages and their classes). The classes named in ``repaired`` declare a
+    field ``init``, which the mock backend keeps and the stub syntax checker
+    flags, so those units need one repair."""
+    for package, names in packages:
+        for name in names:
+            field = "    private int init = 0;\n\n" if name in repaired else ""
+            source = f"package {package};\n\npublic class {name} {{\n{field}    public void run{name}() {{\n    }}\n}}\n"
+            (root / "src" / package).mkdir(parents=True, exist_ok=True)
+            (root / "src" / package / f"{name}.java").write_text(source)
     return root
 
 
