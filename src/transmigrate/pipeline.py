@@ -420,9 +420,30 @@ class Pipeline:
                 index = VectorIndex.load(*self._index_files)
             except FileNotFoundError as exc:
                 raise _missing(exc.filename, "index") from None
-        # Every prompt's retrieval text is known before the first send: each
-        # distinct one is retrieved once, in one blocked pass.
-        abouts = list(dict.fromkeys(self._retrieval_texts(components, by_qualified, project_pending)))
+        # Each pending prompt's retrieval text, fixed once in send order: the
+        # sends read it from ``pending``, and each distinct text is retrieved
+        # once, in one blocked pass, before the first send.
+        pending, abouts = [], []
+        for comp, classes in components:
+            units = []
+            for cls_plan in classes:
+                d = by_qualified[cls_plan.name]
+                # Overloads share one plan entry; each gets its own prompt.
+                methods = [
+                    (f"method_{method_id}", m, f"{d.simple_name} {m.name}")
+                    for method_id in cls_plan.methods
+                    for m in _overloads(d, method_id)
+                ]
+                class_about = f"{d.simple_name} {d.component}"
+                units.append((d, methods, class_about))
+                abouts += [about for _, _, about in methods] + [class_about]
+            comp_about = comp.name or "project root"
+            pending.append((comp, units, comp_about))
+            abouts.append(comp_about)
+        project_about = self.config.project_name
+        if project_pending:
+            abouts.append(project_about)
+        abouts = list(dict.fromkeys(abouts))
         k = self.config.knowledge.retrieval_k
         retrieved = dict(zip(abouts, query_many(index, abouts, k, self._embedder()))) if abouts else {}
         backend = self._backend()
@@ -444,31 +465,28 @@ class Pipeline:
                 _write_text(self.out / "prompts" / f"{next(ordinals):04d}_{safe}.txt", envelope.rendered_text)
             return extract_code(backend.translate(envelope))
 
-        def unit_code(cls_plan: ClassPlan) -> str:
+        def unit_code(descriptor: ClassDescriptor, methods: list, class_about: str) -> str:
             """Send the method prompts and then the class prompt of one
             class; returns the class prompt's code, the unit's round 0."""
-            qualified = cls_plan.name
-            descriptor = by_qualified[qualified]
+            qualified = descriptor.qualified_name
             ast = asts[descriptor.source_path]
             source = ast.source
             declarations = declarations_by_span(ast)
 
             translated_methods: list[str] = []
-            for method_id in cls_plan.methods:
-                # Overloads share one plan entry; each gets its own prompt.
-                for m in _overloads(descriptor, method_id):
-                    code = send(
-                        "method",
-                        f"method_{method_id}",
-                        {
-                            "method_name": m.name,
-                            "file_name": descriptor.source_path,
-                            "method_code": method_body(source, m),
-                            "ast": ast_excerpt(declarations[m.span], source.data),
-                        },
-                        f"{descriptor.simple_name} {m.name}",
-                    )
-                    translated_methods.append(f"// method: {m.name}\n{code}")
+            for label, m, about in methods:
+                code = send(
+                    "method",
+                    label,
+                    {
+                        "method_name": m.name,
+                        "file_name": descriptor.source_path,
+                        "method_code": method_body(source, m),
+                        "ast": ast_excerpt(declarations[m.span], source.data),
+                    },
+                    about,
+                )
+                translated_methods.append(f"// method: {m.name}\n{code}")
 
             return send(
                 "class",
@@ -480,7 +498,7 @@ class Pipeline:
                     "ast": ast_excerpt(declarations[descriptor.span], source.data),
                     "dependency": dependency_excerpt(class_graph, qualified),
                 },
-                f"{descriptor.simple_name} {descriptor.component}",
+                class_about,
             )
 
         # Round 0 of a component's units is checked on a thread pool, while
@@ -489,14 +507,14 @@ class Pipeline:
         pool = ThreadPoolExecutor()
         checks: list[Future] = []
         try:
-            for comp, classes in components:
+            for comp, units, comp_about in pending:
                 firsts = []
-                for cls_plan in classes:
-                    unit_base = unit_names[cls_plan.name]
-                    initial_code = unit_code(cls_plan)
+                for descriptor, methods, class_about in units:
+                    unit_base = unit_names[descriptor.qualified_name]
+                    initial_code = unit_code(descriptor, methods, class_about)
                     _write_text(units_dir / f"{unit_base}.swift", initial_code)
                     checks.append(pool.submit(self._run_checkers, f"{unit_base}.swift"))
-                    firsts.append((cls_plan.name, unit_base, initial_code, checks[-1]))
+                    firsts.append((descriptor.qualified_name, unit_base, initial_code, checks[-1]))
 
                 # A check that failed raises here, the first in plan order.
                 for qualified, unit_base, initial_code, first in firsts:
@@ -541,7 +559,7 @@ class Pipeline:
                         "ast": "\n".join(f"(class_declaration {c.name})" for c in comp.classes) or "none",
                         "dependency": dependency_excerpt(component_graph, comp.name),
                     },
-                    comp.name or "project root",
+                    comp_about,
                 )
                 _write_text(self._component_path(comp.name), comp_code)
         except BaseException:
@@ -568,32 +586,10 @@ class Pipeline:
                     "resource": self._resource_listing(),
                     "configuration": self._configuration_listing(),
                 },
-                self.config.project_name,
+                project_about,
             )
             _write_text(self.out / "translate" / "project.swift", project_code)
         self._mark_stage_done("translate")
-
-    def _retrieval_texts(
-        self,
-        components: list[tuple[ComponentPlan, list[ClassPlan]]],
-        by_qualified: dict[str, ClassDescriptor],
-        project_pending: bool,
-    ) -> list[str]:
-        """The text each pending prompt retrieves for, in send order: the
-        class's simple name and the method for each method overload, the
-        class's simple name and component for each class, the component
-        name (or "project root") and the project name."""
-        texts = []
-        for comp, classes in components:
-            for cls_plan in classes:
-                descriptor = by_qualified[cls_plan.name]
-                for method_id in cls_plan.methods:
-                    texts.extend(f"{descriptor.simple_name} {m.name}" for m in _overloads(descriptor, method_id))
-                texts.append(f"{descriptor.simple_name} {descriptor.component}")
-            texts.append(comp.name or "project root")
-        if project_pending:
-            texts.append(self.config.project_name)
-        return texts
 
     def _component_path(self, name: str) -> Path:
         file = (name or "default").replace("/", "_") or "default"
