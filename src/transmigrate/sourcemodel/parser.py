@@ -165,6 +165,12 @@ _CONSTANT_FOLLOWERS = frozenset({",", ";", "(", "{", "}", ""})
 # Tokens that end a Swift field's type annotation.
 _TYPE_ANNOTATION_ENDS = frozenset({"=", "{", ";", "}", ",", ""})
 
+# Tokens that carry a Swift method header without a body on to a later
+# line: at the start of that line ("-" opens "->"), or at the end of the
+# line before it (as does "->" itself).
+_HEADER_LINE_STARTS = frozenset({"-", "async", "throws", "rethrows", "where", ".", ","})
+_HEADER_LINE_ENDS = frozenset({"where", ".", ","})
+
 # What ends a type header's ``where`` clause (a stray "}" or the end of
 # input ends it too).
 _WHERE_CLAUSE_ENDS = frozenset({"{", ";", "}", ""})
@@ -551,16 +557,23 @@ class _Parser:
         if (tok := self.peek()).text == "(":
             end = self._skip_balanced("(", ")")
             children.append(AstNode("parameter_list", tok.start, end))
-        # Return clause / effects, up to the body or the end of the header line.
+        # Return clause / effects, up to the body; without one, up to the end
+        # of the last line that the header goes on to.
         while (tok := self.peek()).text not in ("", "}"):
             if tok.text == "{":
                 block = self._parse_block()
                 children.append(block)
                 return AstNode(kind, start, block.end, children)
-            if tok.text in self._member_starts and self._on_later_line(tok, end):
+            if self._on_later_line(tok, end) and not self._header_goes_on(tok):
                 break
             end = self.advance().end
         return AstNode(kind, start, end, children)
+
+    def _header_goes_on(self, tok: Token) -> bool:
+        """Whether ``tok``, the first token of a later line, continues the
+        method header before it."""
+        before, last = self.toks[self.i - 2].text, self.toks[self.i - 1].text
+        return tok.text in _HEADER_LINE_STARTS or last in _HEADER_LINE_ENDS or (before, last) == ("-", ">")
 
     def _parse_keyword_field(self, start: int) -> AstNode:
         opened = self.i

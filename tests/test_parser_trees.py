@@ -64,7 +64,11 @@ import Foundation
     struct S {}
 }
 extension Box: P {}
-protocol P { func m() }
+protocol P {
+    func m() async throws
+        -> Int
+    associatedtype K
+}
 enum E: Int { case a = 1, b }
 { top() }
 """
@@ -374,7 +378,7 @@ TREES = [
         "members of every kind",
         SWIFT_DECLARATIONS,
         """
-        program 0 607
+        program 0 660
           import_declaration 0 17
             qualified_name 7 17
           class_declaration 18 522
@@ -442,19 +446,20 @@ TREES = [
             identifier 533 536
             interface_reference 538 539
             type_body 540 542
-          protocol_declaration 543 566
+          protocol_declaration 543 619
             identifier 552 553
-            type_body 554 566
-              method_declaration 556 564
-                identifier 561 562
-                parameter_list 562 564
-          enum_declaration 567 596
-            identifier 572 573
-            interface_reference 575 578
-            type_body 579 596
-              member 581 594
-          initializer_block 597 606
-            block 597 606
+            type_body 554 619
+              method_declaration 560 596
+                identifier 565 566
+                parameter_list 566 568
+              member 601 617
+          enum_declaration 620 649
+            identifier 625 626
+            interface_reference 628 631
+            type_body 632 649
+              member 634 647
+          initializer_block 650 659
+            block 650 659
         """,
     ),
     (

@@ -1562,17 +1562,46 @@ class TestRetrievalPass:
         "MiniApp",
     ]
 
-    def test_fresh_translate_embeds_each_retrieval_text_once_before_any_send(
-        self, run_config, monkeypatch, embedded
-    ):
+    # Components "", p and q in plan order. A.run is overloaded, so its two
+    # prompts share one text. A class of the default package retrieves for
+    # "<Simple> " and its component for "project root".
+    PACKAGES_TEXTS = [
+        "Main start", "Main ", "project root",
+        "A run", "A p", "p",
+        "B go", "B q", "C stop", "C q", "q",
+        "MiniApp",
+    ]
+
+    @pytest.fixture
+    def packages_project(self, tmp_path):
+        """Main in the default package, A in ``p`` and B and C in ``q``."""
+        root = tmp_path / "project"
+        sources = {
+            "Main.java": "public class Main {\n    public void start() { }\n}\n",
+            "p/A.java": "package p;\n\npublic class A {\n    public void run() { }\n    public void run(int times) { }\n}\n",
+            "q/B.java": "package q;\n\npublic class B {\n    public void go() { }\n}\n",
+            "q/C.java": "package q;\n\npublic class C {\n    public void stop() { }\n}\n",
+            # A document to index: an empty index needs no query embedded.
+            "README.md": "A runs.\n",
+        }
+        for rel, text in sources.items():
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_text(text, encoding="utf-8")
+        return root
+
+    @staticmethod
+    def translate_after_plan(config, monkeypatch, embedded) -> list[int]:
+        """Run analyze, index and plan, forget their embedding, then run
+        translate. Returns, per prompt sent other than a repair, the number
+        of embedding calls made before it."""
         from transmigrate.backends import MockBackend
 
-        pipeline = Pipeline(run_config)
+        pipeline = Pipeline(config)
         for stage in ("analyze", "index", "plan"):
             pipeline.run_stage(stage)
         embedded.clear()
         real = MockBackend.translate
-        seen = []  # per prompt sent, repairs left out: the embedding calls made before it
+        seen = []
 
         def recording(self, envelope):
             if envelope.level != "repair":
@@ -1581,8 +1610,48 @@ class TestRetrievalPass:
 
         monkeypatch.setattr(MockBackend, "translate", recording)
         pipeline.run_stage("translate")
+        return seen
+
+    def test_fresh_translate_embeds_each_retrieval_text_once_before_any_send(
+        self, run_config, monkeypatch, embedded
+    ):
+        seen = self.translate_after_plan(run_config, monkeypatch, embedded)
         assert embedded == [self.FIXTURE_TEXTS]
         assert seen == [1] * 13
+
+    def test_fresh_translate_of_several_packages_embeds_their_texts_in_send_order(
+        self, packages_project, tmp_path, monkeypatch, embedded
+    ):
+        config = make_run_config(packages_project, tmp_path / "out")
+        seen = self.translate_after_plan(config, monkeypatch, embedded)
+        assert embedded == [self.PACKAGES_TEXTS]
+        assert seen == [1] * 13
+
+    def test_resume_after_a_kill_mid_component_embeds_the_pending_prompts_texts(
+        self, packages_project, tmp_path, monkeypatch, embedded
+    ):
+        from transmigrate import pipeline as pipeline_module
+
+        class Killed(BaseException):
+            pass
+
+        config = make_run_config(packages_project, tmp_path / "out")
+        real_write_json = pipeline_module._write_json
+
+        def killed_before_c_payload(path, payload):
+            if path.name == "C.json":
+                raise Killed(path)
+            real_write_json(path, payload)
+
+        monkeypatch.setattr(pipeline_module, "_write_json", killed_before_c_payload)
+        with pytest.raises(Killed):
+            run_full(config)
+        monkeypatch.setattr(pipeline_module, "_write_json", real_write_json)
+        refinement = tmp_path / "out" / "translate" / "refinement"
+        assert sorted(p.name for p in refinement.iterdir()) == ["A.json", "B.json", "Main.json"]
+        embedded.clear()
+        Pipeline(config).run_stage("translate")
+        assert embedded == [["C stop", "C q", "q", "MiniApp"]]
 
     def test_resume_embeds_only_the_pending_prompts_texts(self, run_config, embedded, index_loads):
         run_full(run_config)
