@@ -851,11 +851,11 @@ class TestCheckerFailure:
 
 
 def one_package_project(root, repaired=("A", "B", "C"), packages=(("p", "ABC"),)):
-    """A project of classes A, B and C in package ``p``, planned in that
-    order, so one component holds three units (``packages`` lists other
-    packages and their classes). The classes named in ``repaired`` declare a
-    field ``init``, which the mock backend keeps and the stub syntax checker
-    flags, so those units need one repair."""
+    """A project of the classes that ``packages`` lists per package,
+    planned in that order; by default A, B and C in package ``p``, so one
+    component holds three units. The classes named in ``repaired`` declare
+    a field ``init``, which the mock backend keeps and the stub syntax
+    checker flags, so those units need one repair."""
     for package, names in packages:
         for name in names:
             field = "    private int init = 0;\n\n" if name in repaired else ""
