@@ -24,8 +24,6 @@ import logging
 import os
 import re
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -80,6 +78,11 @@ class LiveBackend:
         return body
 
     def translate(self, envelope: PromptEnvelope) -> str:
+        # Imported here: urllib.request pulls in http.client, ssl and email,
+        # which a run with the mock backend never needs.
+        import urllib.error
+        import urllib.request
+
         body = json.dumps(self.build_request_body(envelope)).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(self.options.api_key_env, "")

@@ -8,8 +8,6 @@ local HTTP server. Markup is stripped to text before chunking.
 from __future__ import annotations
 
 import logging
-import urllib.error
-import urllib.request
 from html.parser import HTMLParser
 from urllib.parse import urldefrag, urljoin, urlsplit
 
@@ -62,6 +60,10 @@ class _PageParser(HTMLParser):
 
 
 def _fetch(url: str) -> str:
+    # Imported here: urllib.request pulls in http.client, ssl and email,
+    # which a run that crawls nothing never needs.
+    import urllib.request
+
     with urllib.request.urlopen(url, timeout=_FETCH_TIMEOUT) as resp:
         raw = resp.read()
     return raw.decode("utf-8", errors="replace")
@@ -87,7 +89,7 @@ def crawl_site(start_url: str, max_depth: int, max_pages: int) -> list[DocumentC
         url, depth = queue.pop(0)
         try:
             body = _fetch(url)
-        except (urllib.error.URLError, OSError, ValueError) as exc:
+        except (OSError, ValueError) as exc:  # urllib's URLError and HTTPError are OSErrors
             if fetched == 0 and url == start_url:
                 raise CrawlError(f"start url unreachable: {url} ({exc})") from exc
             logger.warning("skipping page %s: %s", url, exc)

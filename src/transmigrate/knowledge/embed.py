@@ -32,8 +32,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import urllib.error
-import urllib.request
 
 import numpy as np
 
@@ -112,8 +110,12 @@ class RemoteEmbedder:
 
     def embed(self, texts: list[str]) -> np.ndarray:
         """One request per text, one re-normalized row per response; a
-        response without an ``embedding`` list of numbers, or of another
-        dimension than the configured one, is an IntegrityError."""
+        response without an ``embedding`` list of finite numbers, or of
+        another dimension than the configured one, is an IntegrityError."""
+        # Imported here: urllib.request pulls in http.client, ssl and email,
+        # which the offline embedder never needs.
+        import urllib.request
+
         out = np.empty((len(texts), self.dimension))
         for row, text in enumerate(texts):
             body = json.dumps({"input": text}).encode("utf-8")
@@ -123,7 +125,7 @@ class RemoteEmbedder:
             try:
                 with urllib.request.urlopen(req, timeout=_REMOTE_TIMEOUT_S) as resp:
                     payload = json.loads(resp.read().decode("utf-8"))
-            except (urllib.error.URLError, OSError, ValueError) as exc:
+            except (OSError, ValueError) as exc:  # urllib's URLError is an OSError
                 raise RetryableBackendError(f"embedding provider failed: {exc}") from exc
             try:
                 values = np.asarray(payload["embedding"], dtype=np.float64)
@@ -132,6 +134,12 @@ class RemoteEmbedder:
                     f"embedding provider {self.endpoint} answered without an \"embedding\" list of numbers: "
                     f"{type(exc).__name__}: {exc}"
                 ) from exc
+            # json.loads reads the NaN and Infinity literals, and one such
+            # cell would make every score it touches NaN or infinite.
+            if not np.isfinite(values).all():
+                raise IntegrityError(
+                    f"embedding provider {self.endpoint} answered with a value that is not a finite number"
+                )
             if values.shape != (self.dimension,):
                 raise IntegrityError(
                     f"vector dimension {values.size} does not match index dimension {self.dimension}"

@@ -1,33 +1,50 @@
 """Exact (flat) cosine-similarity index.
 
-An index is built whole, from its chunks and one ``(entries, dimension)``
-matrix holding their vectors, row i the vector of chunk i: ``build_index``
-embeds every chunk in one ``embed`` call and ``load`` fills a matrix
-allocated from the header's entry count. Entries never change afterwards.
-Query results are the exact top-k by cosine score with ties broken by
-chunk id ascending, so retrieval is reproducible and, for any k1 < k2,
-query(k1) is a prefix of query(k2). For tie-breaking, scores compare at
-1e-12 granularity: mathematically equal cosines can differ in the last
-float ulp depending on summation order, and quantizing the comparison
-keeps the id tie-break authoritative regardless of the evaluation path.
-The ranking key of an entry is exactly ``(-round(score, 12), chunk_id)``.
+An index is built whole, from its chunks and their vectors, vector i
+belonging to chunk i, and never changes afterwards. Query results are the
+exact top-k by cosine score with ties broken by chunk id ascending, so
+retrieval is reproducible and, for any k1 < k2, query(k1) is a prefix of
+query(k2). For tie-breaking, scores compare at 1e-12 granularity:
+mathematically equal cosines can differ in the last float ulp depending on
+summation order, and quantizing the comparison keeps the id tie-break
+authoritative regardless of the evaluation path. The ranking key of an
+entry is exactly ``(-round(score, 12), chunk_id)``.
+
+Storage. The vectors are kept as bucket-major postings, never as one dense
+matrix: a hashed count vector has few nonzero cells (about a quarter of
+them on a 256-bucket index of 1,000-character chunks), and a posting takes
+12 bytes where a dense row takes 8 per cell. The entries are cut into row
+blocks of ``_BLOCK_CELLS // dimension`` rows (256 at the default dimension
+of 256). Two arrays hold, row block after row block and, within a block,
+bucket after bucket, the ascending int32 rows whose cell bits are nonzero
+and those cells' float64 values; a small table holds where each bucket of
+each block starts. Zero is positive zero only, so -0.0, NaN and every
+other stored bit pattern survive. ``build_index`` embeds one row block at
+a time and ``load`` parses one row block of lines at a time, each
+appending it to the two arrays, which grow in place, so neither holds more
+than one block of dense cells or a second copy of the postings;
+``VectorIndex(chunks, matrix)`` takes a dense matrix the same way.
+
+Scoring. The score of an entry for a query vector is the sum, over the
+buckets where both are nonzero, in ascending bucket order, of query cell
+times entry cell, starting from 0.0. One ``np.bincount`` adds the products
+of a block of texts, each text's buckets in ascending order, and bincount
+adds its weights in input order. A cell's sum thus depends only on its
+own text and entry, never on which texts share its block, how many texts
+a block holds or how many threads BLAS runs (no BLAS is called): a text's
+scores in ``query_many`` are bitwise the scores of a one-text ``query``.
+A block whose products pass ``_BLOCK_CELLS`` is summed in groups, each of
+whole (text, row block) units; a unit's products fall on its own cells
+only, so the sums stay the same, and a dense remote vector against a dense
+index costs at most about two row blocks of products at a time. For
+finite vectors the scores equal the dense product ``vectors @ matrix.T``
+up to summation order, within 1e-12 for unit vectors.
 
 Retrieval runs over blocks of query texts (``query_many``; ``query`` is a
 one-text call of it). A block holds as many texts as keep its score
-matrix near ``_BLOCK_CELLS`` (65,536) cells, texts times entries, at
-least one text: 68 texts against 953 entries, 5 against 12,038, so peak
-memory stays flat as the project grows. Each block makes one ``embed``
-call and one ``vectors @ matrix.T`` product. A many-row
-product does not sum in the order of a one-vector product, so a score
-can differ from ``matrix @ v`` in its last bits, and the difference
-depends on the block's row count (a one-row block is bitwise equal to
-``matrix @ v``). Those are the evaluation-path ulps the key's rounding
-absorbs: a difference survives ``round(score, 12)`` only where a score
-lies within an ulp of a rounding half-point. On the benchmark's
-``large-project`` seed 1 (2,521 texts against 953 entries, one OpenBLAS
-thread), 15,911 of the 2,402,513 score cells differ from the one-vector
-product in their last bits and none after rounding, and the output trees
-of every workload are byte-identical to those of one query per text.
+matrix near ``_BLOCK_CELLS`` cells, texts times entries, at least one
+text: 68 texts against 953 entries, 5 against 12,038, so peak memory
+stays flat as the project grows. Each block makes one ``embed`` call.
 
 A query does not sort every entry. With ``t`` the k-th largest raw score
 of a row (``np.partition`` along the rows), the row's candidates are the
@@ -54,12 +71,12 @@ parse, or an id with no saved chunk, is an IntegrityError naming the file
 and line.
 
 ``save`` writes the bytes ``json.dumps({"id": id, "v": [floats]})`` gives,
-but formats a block of rows at a time, about 65,536 cells, so the writer's
-memory stays small for dense vectors too. A cell whose bits are 0 (positive
-zero, most cells of a count vector) is written as ``0.0`` without sorting.
-The other cells of the block are formatted once per distinct float64 bit
-pattern (``np.unique`` on the bits), with ``float.__repr__``, the encoder's
-text for a finite float, or ``json.dumps`` when the block holds NaN or an
+one row block at a time: the block's dense rows are rebuilt from its
+postings (every other cell positive zero) and formatted by ``_rows_text``.
+A cell whose bits are 0 is written as ``0.0`` without sorting. The other
+cells of the block are formatted once per distinct float64 bit pattern
+(``np.unique`` on the bits), with ``float.__repr__``, the encoder's text
+for a finite float, or ``json.dumps`` when the block holds NaN or an
 infinity. The key is the bits, not the float: the float would merge
 ``-0.0`` with ``0.0``. Each row is then joined from an object array of
 those texts; the id goes through ``json.dumps``.
@@ -82,8 +99,9 @@ from transmigrate.knowledge.chunks import DocumentChunk
 # 0.5e-12 each); the margin doubles that to cover float error.
 _CANDIDATE_MARGIN = 2e-12
 
-# Cells per block of rows: of the matrix ``save`` formats, and of the score
-# matrix ``query_many`` selects from.
+# Cells per block: of the dense rows ``build_index`` embeds, ``load`` parses
+# and ``save`` formats at a time (one row block), of the score matrix
+# ``query_many`` selects from, and of the products one bincount adds.
 _BLOCK_CELLS = 65_536
 
 
@@ -97,12 +115,27 @@ class VectorIndex:
     def __init__(self, chunks: list[DocumentChunk], matrix: np.ndarray) -> None:
         """An index over ``chunks``; row i of ``matrix`` is the vector of
         chunk i. A chunk id given twice maps to its last chunk."""
+        matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != len(chunks):
             raise IntegrityError(f"index matrix of shape {matrix.shape} does not hold {len(chunks)} rows")
-        self.dimension = int(matrix.shape[1])
+        rows = _block_rows(matrix.shape[1])
+        blocks = (matrix[start : start + rows] for start in range(0, len(chunks), rows))
+        self._setup(chunks, matrix.shape[1], _postings(matrix.shape[1], blocks))
+
+    @classmethod
+    def _from_postings(cls, chunks: list[DocumentChunk], dimension: int, postings) -> "VectorIndex":
+        index = cls.__new__(cls)
+        index._setup(chunks, dimension, postings)
+        return index
+
+    def _setup(self, chunks: list[DocumentChunk], dimension: int, postings) -> None:
+        """``postings``: what ``_postings`` returns for row blocks of
+        ``_block_rows(dimension)`` rows."""
+        self.dimension = dimension
+        self._block_rows = _block_rows(dimension)
+        self._rows, self._values, self._starts = postings
         self._ids = [c.chunk_id for c in chunks]
         self._chunks = dict(zip(self._ids, chunks))
-        self._matrix = np.ascontiguousarray(matrix, dtype=np.float64)
         # sorted() is stable, so equal ids keep their insertion order.
         by_id = sorted(range(len(self._ids)), key=self._ids.__getitem__)
         self._id_rank = np.empty(len(by_id), dtype=np.intp)
@@ -113,8 +146,34 @@ class VectorIndex:
 
     def scores(self, vectors: np.ndarray) -> np.ndarray:
         """One row of cosine scores per row of ``vectors``, one column per
-        entry."""
-        return vectors @ self._matrix.T
+        entry, each summed in ascending bucket order; see the module
+        docstring."""
+        count, entries = len(vectors), len(self._ids)
+        texts, buckets = np.nonzero(vectors)  # by text, then by bucket
+        # One segment per row block and (text, bucket) pair, block after
+        # block: the postings of that bucket in that block.
+        blocks = len(self._starts)
+        first = self._starts[:, buckets].ravel()
+        lengths = self._starts[:, buckets + 1].ravel() - first
+        ends = np.cumsum(lengths)
+        if not ends.size or not ends[-1]:  # no query cell meets a stored one
+            return np.zeros((count, entries))
+        owners = np.tile(texts * entries, blocks)  # each segment's text's first score cell
+        weights = np.tile(vectors[texts, buckets], blocks)
+        cuts = [0, len(owners)] if ends[-1] <= _BLOCK_CELLS else _group_cuts(texts, blocks, ends - lengths)
+        out = None
+        for lo, hi in zip(cuts, cuts[1:]):
+            size = lengths[lo:hi]
+            done = ends[lo] - size[0]
+            # Product j of segment i reads posting first[i] + j.
+            take = np.arange(ends[hi - 1] - done) + np.repeat(first[lo:hi] - (ends[lo:hi] - size - done), size)
+            cells = np.repeat(owners[lo:hi], size) + self._rows[take]
+            products = np.repeat(weights[lo:hi], size) * self._values[take]
+            sums = np.bincount(cells, weights=products, minlength=count * entries)
+            # Each cell takes its whole sum from one group and 0.0 from the
+            # others, which keeps it: a bincount sum is never -0.0.
+            out = sums if out is None else np.add(out, sums, out=out)
+        return out.reshape(count, entries)
 
     def chunk(self, chunk_id: str) -> DocumentChunk:
         return self._chunks[chunk_id]
@@ -146,11 +205,16 @@ class VectorIndex:
 
     def save(self, index_path: str | Path, chunks_path: str | Path) -> None:
         """Write both files, each whole or not at all."""
-        rows = max(1, _BLOCK_CELLS // max(self.dimension, 1))
+        rows = self._block_rows
         with _replacing(index_path) as fh:
             fh.write(json.dumps({"dimension": self.dimension, "entries": len(self._ids)}) + "\n")
-            for start in range(0, len(self._ids), rows):
-                fh.write(_rows_text(self._ids[start : start + rows], self._matrix[start : start + rows]))
+            # Each row block's dense rows, rebuilt from its postings.
+            for start, starts in zip(range(0, len(self._ids), rows), self._starts):
+                ids = self._ids[start : start + rows]
+                block = np.zeros((len(ids), self.dimension))
+                cells = slice(starts[0], starts[-1])
+                block[self._rows[cells] - start, np.repeat(np.arange(self.dimension), np.diff(starts))] = self._values[cells]
+                fh.write(_rows_text(ids, block))
         encode = json.JSONEncoder(sort_keys=True).encode
         with _replacing(chunks_path) as fh:
             for cid in self._ids:
@@ -187,30 +251,40 @@ class VectorIndex:
             dimension, entries = int(header["dimension"]), int(header["entries"])
         except (TypeError, ValueError) as exc:
             raise IntegrityError(f"{index_path}:{lineno}: corrupt index header: {exc}") from exc
-        # Every cell takes more than one byte, so a header promising more
-        # cells than the file has bytes is corrupt: it gets no matrix, and
-        # the entry count check below reports it.
-        fits = 0 <= entries and entries * max(dimension, 1) <= index_path.stat().st_size
-        matrix = np.empty((entries if fits else 0, max(dimension, 0)))
+        rows = _block_rows(dimension)
         chunks: list[DocumentChunk] = []
-        for lineno, rec in records:
-            chunk = by_id.get(rec.get("id"))
-            if chunk is None:
-                raise IntegrityError(f"{index_path}:{lineno}: id {rec.get('id')!r} has no chunk in {chunks_path}")
-            try:
-                values = np.asarray(rec["v"], dtype=np.float64)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise IntegrityError(f"{index_path}:{lineno}: corrupt vector: {exc!r}") from exc
-            if values.shape != (dimension,):
-                raise IntegrityError(f"vector dimension {values.size} does not match index dimension {dimension}")
-            if len(chunks) < len(matrix):
-                matrix[len(chunks)] = values
-            chunks.append(chunk)
+
+        def blocks():
+            block, filled = None, 0
+            for lineno, rec in records:
+                chunk = by_id.get(rec.get("id"))
+                if chunk is None:
+                    raise IntegrityError(f"{index_path}:{lineno}: id {rec.get('id')!r} has no chunk in {chunks_path}")
+                try:
+                    values = np.asarray(rec["v"], dtype=np.float64)
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise IntegrityError(f"{index_path}:{lineno}: corrupt vector: {exc!r}") from exc
+                if values.shape != (dimension,):
+                    raise IntegrityError(
+                        f"vector dimension {values.size} does not match index dimension {dimension}"
+                    )
+                chunks.append(chunk)
+                if block is None:  # allocated once a line has shown the dimension
+                    block = np.empty((rows, dimension))
+                block[filled] = values
+                filled += 1
+                if filled == rows:
+                    yield block
+                    filled = 0
+            if filled:
+                yield block[:filled]
+
+        postings = _postings(dimension, blocks())
         if len(chunks) != entries:
             raise IntegrityError(
                 f"index file corrupt: header says {header['entries']} entries, found {len(chunks)}"
             )
-        return cls(chunks, matrix)
+        return cls._from_postings(chunks, dimension, postings)
 
 
 @contextmanager
@@ -224,6 +298,50 @@ def _replacing(path: str | Path):
     with tmp.open("w", encoding="utf-8") as fh:
         yield fh
     os.replace(tmp, path)
+
+
+def _block_rows(dimension: int) -> int:
+    """Rows per row block: about ``_BLOCK_CELLS`` cells, at least one row."""
+    return max(1, _BLOCK_CELLS // max(dimension, 1))
+
+
+def _postings(dimension: int, blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The postings of the row blocks of dense rows that ``blocks`` yields,
+    in order: ``rows`` (int32) and ``values`` hold, block after block and,
+    within a block, bucket after bucket, the ascending rows whose cell bits
+    are nonzero and those cells; block k's cells of a bucket start at
+    ``starts[k, bucket]`` and the block's end at ``starts[k, dimension]``."""
+    rows, values = np.empty(0, dtype=np.int32), np.empty(0)
+    starts, size, first_row = [], 0, 0
+    for block in blocks:
+        cells = block.T
+        buckets, at = np.nonzero(cells.view(np.int64))
+        end = size + len(at)
+        if end > len(rows):
+            # Doubled in place (realloc): no list of block arrays and no
+            # final concatenation holds the postings twice.
+            rows.resize(max(end, 2 * len(rows)), refcheck=False)
+            values.resize(len(rows), refcheck=False)
+        rows[size:end] = at + first_row
+        values[size:end] = cells[buckets, at]
+        starts.append(size + np.searchsorted(buckets, np.arange(dimension + 1)))
+        size, first_row = end, first_row + len(block)
+    rows.resize(size, refcheck=False)
+    values.resize(size, refcheck=False)
+    return rows, values, np.array(starts, dtype=np.intp).reshape(len(starts), dimension + 1)
+
+
+def _group_cuts(texts: np.ndarray, blocks: int, before: np.ndarray) -> list[int]:
+    """Where ``scores`` cuts its segments (block after block, each block's
+    in (text, bucket) order; ``before[i]`` products precede segment i) into
+    groups of whole units. A unit, one text's segments in one row block,
+    adds at most one row block of products, all to its own cells. A group
+    starts at the first unit past the next multiple of ``_BLOCK_CELLS``
+    products, so it holds at most one unit more than that."""
+    text_starts = np.flatnonzero(np.diff(texts, prepend=-1))
+    units = (np.arange(blocks)[:, None] * len(texts) + text_starts).ravel()
+    group = before[units] // _BLOCK_CELLS
+    return [*units[np.flatnonzero(np.diff(group, prepend=-1))].tolist(), len(before)]
 
 
 def _rows_text(ids: list[str], block: np.ndarray) -> str:
@@ -261,8 +379,22 @@ def _jsonl_records(path: Path):
 
 
 def build_index(chunks: list[DocumentChunk], embedder) -> VectorIndex:
-    """Embed every chunk, in one ``embed`` call, and return the index."""
-    return VectorIndex(chunks, embedder.embed([c.text for c in chunks]))
+    """Embed the chunks one row block at a time, one ``embed`` call each,
+    and return the index."""
+    dimension = embedder.dimension
+    rows = _block_rows(dimension)
+
+    def blocks():
+        for start in range(0, len(chunks), rows):
+            texts = [c.text for c in chunks[start : start + rows]]
+            vectors = np.asarray(embedder.embed(texts), dtype=np.float64)
+            if vectors.shape != (len(texts), dimension):
+                raise IntegrityError(
+                    f"embedding of shape {vectors.shape} does not hold {len(texts)} rows of dimension {dimension}"
+                )
+            yield vectors
+
+    return VectorIndex._from_postings(chunks, dimension, _postings(dimension, blocks()))
 
 
 def query_many(index: VectorIndex, texts: list[str], k: int, embedder) -> list[list[RetrievalResult]]:

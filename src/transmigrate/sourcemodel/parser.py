@@ -171,6 +171,14 @@ _TYPE_ANNOTATION_ENDS = frozenset({"=", "{", ";", "}", ",", ""})
 _HEADER_LINE_STARTS = frozenset({"-", "async", "throws", "rethrows", "where", ".", ","})
 _HEADER_LINE_ENDS = frozenset({"where", ".", ","})
 
+# Tokens that carry a Swift field declaration or statement on to a later
+# line outside brackets: at the start of that line, or at the end of the
+# line before it. Besides '.', ',' and '=', a binary operator does: no
+# member starts with one. A type may end a line in '?', '!' or '>'.
+_BINARY_OPERATORS = frozenset({"+", "-", "*", "/", "%", "&", "|", "^"})
+_STATEMENT_LINE_STARTS = _BINARY_OPERATORS | {".", ",", "=", "?", ":"}
+_STATEMENT_LINE_ENDS = _BINARY_OPERATORS | {".", ",", "=", ":"}
+
 # What ends a type header's ``where`` clause (a stray "}" or the end of
 # input ends it too).
 _WHERE_CLAUSE_ENDS = frozenset({"{", ";", "}", ""})
@@ -575,6 +583,14 @@ class _Parser:
         before, last = self.toks[self.i - 2].text, self.toks[self.i - 1].text
         return tok.text in _HEADER_LINE_STARTS or last in _HEADER_LINE_ENDS or (before, last) == ("-", ">")
 
+    def _statement_goes_on(self, tok: Token) -> bool:
+        """Whether ``tok``, the first token of a later line, continues the
+        field declaration or statement before it; a word that starts a
+        member never does."""
+        if tok.text in self._member_starts:
+            return False
+        return tok.text in _STATEMENT_LINE_STARTS or self.toks[self.i - 1].text in _STATEMENT_LINE_ENDS
+
     def _parse_keyword_field(self, start: int) -> AstNode:
         opened = self.i
         end = self.advance().end  # let / var
@@ -594,7 +610,7 @@ class _Parser:
             self.i += 1
             type_start = None
             while (tok := self.peek()).text not in _TYPE_ANNOTATION_ENDS:
-                if tok.text in self._member_starts and self._on_later_line(tok, end):
+                if self._on_later_line(tok, end) and not self._statement_goes_on(tok):
                     break
                 if type_start is None:
                     type_start = tok.start
@@ -615,7 +631,9 @@ class _Parser:
         balanced runs, with each brace run at depth 0 parsed into ``blocks``,
         through a depth-0 ';', or up to an unmatched close or a token that
         starts a member on a later line than ``end`` once the statement has
-        consumed a token. Returns the end reached (``end`` if none)."""
+        consumed a token, or, outside brackets, at the end of a line that
+        the next one does not continue. Returns the end reached (``end`` if
+        none)."""
         toks = self.toks
         depth = 0
         while text := (tok := toks[self.i]).text:
@@ -635,7 +653,7 @@ class _Parser:
                 break
             elif text == ";":
                 return self.advance().end
-            elif self.i > opened and text in self._member_starts and self._on_later_line(tok, end):
+            elif self.i > opened and self._on_later_line(tok, end) and not self._statement_goes_on(tok):
                 break
             end = self.advance().end
         return end

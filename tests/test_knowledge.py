@@ -254,6 +254,36 @@ class TestIndexAndQuery:
             assert before == after
 
 
+    def test_build_save_and_load_never_hold_every_cell(self, tmp_path):
+        # 6,000 vectors of 256 float64 cells take 12.3 MB as one dense
+        # matrix; each step holds one row block of dense cells at a time,
+        # the postings of short texts and the chunks themselves.
+        import tracemalloc
+
+        entries, dimension = 6000, 256
+        chunks = [DocumentChunk(f"d{i}", "api_doc", f"alpha w{i % 97} beta") for i in range(entries)]
+        embedder = HashedTokenEmbedder(dimension)
+        paths = (tmp_path / "index.jsonl", tmp_path / "chunks.jsonl")
+        steps = {
+            "build": lambda: build_index(chunks, embedder),
+            "save": lambda: index.save(*paths),
+            "load": lambda: VectorIndex.load(*paths),
+        }
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for name, step in steps.items():
+                tracemalloc.reset_peak()
+                held = tracemalloc.get_traced_memory()[0]
+                result = step()
+                peaks[name] = tracemalloc.get_traced_memory()[1] - held
+                if name == "build":
+                    index = result
+        finally:
+            tracemalloc.stop()
+        assert max(peaks.values()) < entries * dimension * 8, peaks
+        assert len(result) == entries
+
     @pytest.mark.parametrize(
         "header, message",
         [
@@ -404,7 +434,12 @@ class TestRemoteEmbedder:
         finally:
             server.shutdown()
 
-    @pytest.mark.parametrize("reply", [{"vector": [1.0, 0.0]}, [1.0, 0.0], {"embedding": ["a", "b"]}])
+    @pytest.mark.parametrize(
+        "reply",
+        # json.dumps writes NaN and Infinity as literals that json.loads reads.
+        [{"vector": [1.0, 0.0]}, [1.0, 0.0], {"embedding": ["a", "b"]}, {"embedding": [math.nan, 1.0]},
+         {"embedding": [1.0, -math.inf]}],
+    )
     def test_reply_without_embedding_list_is_integrity_error(self, reply):
         from transmigrate.knowledge.embed import RemoteEmbedder
 

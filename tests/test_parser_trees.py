@@ -436,9 +436,10 @@ TREES = [
               method_declaration 444 460
                 identifier 449 451
                 parameter_list 451 453
-              field_declaration 465 504
+              field_declaration 465 482
                 identifier 475 477
-                type_reference 479 498
+                type_reference 479 482
+              member 487 504
               struct_declaration 509 520
                 identifier 516 517
                 type_body 518 520
@@ -460,6 +461,40 @@ TREES = [
               member 634 647
           initializer_block 650 659
             block 650 659
+        """,
+    ),
+    (
+        "swift",
+        "fields end at a line's end unless the next line goes on",
+        # A word outside the member keywords (case, typealias) starts its own
+        # statement; '.', ',', '=', a binary operator or a ternary's '?' and
+        # ':' at either side of the break, and an open bracket, carry a field
+        # on to the next line. An optional type's '?' ends it.
+        "enum E {\n    var x = 1\n    case k\n    let y = foo\n        .bar()\n    let z =\n        1\n"
+        "    let w = [1,\n        2], v: Int\n        , u = 3\n    let t = a +\n        b\n        - c\n"
+        "    let r = p\n        ? q\n        : s\n    var o: Int?\n    typealias T = Int\n}\n",
+        """
+        program 0 254
+          enum_declaration 0 253
+            identifier 5 6
+            type_body 7 253
+              field_declaration 13 22
+                identifier 17 18
+              member 27 33
+              field_declaration 38 64
+                identifier 42 43
+              field_declaration 69 86
+                identifier 73 74
+              field_declaration 91 137
+                identifier 95 96
+              field_declaration 142 175
+                identifier 146 147
+              field_declaration 180 213
+                identifier 184 185
+              field_declaration 218 229
+                identifier 222 223
+                type_reference 225 229
+              member 234 251
         """,
     ),
     (

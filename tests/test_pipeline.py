@@ -1039,6 +1039,22 @@ class TestNetworkIsolation:
             monkeypatch.setattr(socket.socket, "connect", real_connect)
         assert (run_config_path(run_config.output_root) / "report" / "report.json").is_file()
 
+    def test_import_loads_no_http_client(self):
+        # urllib.request pulls in http.client, ssl and email; only a live
+        # backend, a remote embedder or a crawl needs them, and each imports
+        # it when it runs.
+        import subprocess
+
+        import transmigrate
+
+        probe = (
+            "import sys, transmigrate.pipeline; "
+            "print([m for m in ('urllib.request', 'http.client', 'ssl') if m in sys.modules])"
+        )
+        env = {"PYTHONPATH": str(pathlib.Path(transmigrate.__file__).parents[1]), "PATH": ""}
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+        assert result.stdout == "[]\n", result.stderr
+
 
 class TestCli:
     def write_config(self, tmp_path, fixture_project):
