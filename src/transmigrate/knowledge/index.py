@@ -22,8 +22,7 @@ each block starts. Zero is positive zero only, so -0.0, NaN and every
 other stored bit pattern survive. ``build_index`` embeds one row block at
 a time and ``load`` parses one row block of lines at a time, each
 appending it to the two arrays, which grow in place, so neither holds more
-than one block of dense cells or a second copy of the postings;
-``VectorIndex(chunks, matrix)`` takes a dense matrix the same way.
+than one block of dense cells or a second copy of the postings.
 
 Scoring. The score of an entry for a query vector is the sum, over the
 buckets where both are nonzero, in ascending bucket order, of query cell
@@ -85,13 +84,12 @@ those texts; the id goes through ``json.dumps``.
 from __future__ import annotations
 
 import json
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from transmigrate.artifacts import replacing
 from transmigrate.errors import ArgumentError, IntegrityError
 from transmigrate.knowledge.chunks import DocumentChunk
 
@@ -112,25 +110,11 @@ class RetrievalResult:
 
 
 class VectorIndex:
-    def __init__(self, chunks: list[DocumentChunk], matrix: np.ndarray) -> None:
-        """An index over ``chunks``; row i of ``matrix`` is the vector of
-        chunk i. A chunk id given twice maps to its last chunk."""
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[0] != len(chunks):
-            raise IntegrityError(f"index matrix of shape {matrix.shape} does not hold {len(chunks)} rows")
-        rows = _block_rows(matrix.shape[1])
-        blocks = (matrix[start : start + rows] for start in range(0, len(chunks), rows))
-        self._setup(chunks, matrix.shape[1], _postings(matrix.shape[1], blocks))
-
-    @classmethod
-    def _from_postings(cls, chunks: list[DocumentChunk], dimension: int, postings) -> "VectorIndex":
-        index = cls.__new__(cls)
-        index._setup(chunks, dimension, postings)
-        return index
-
-    def _setup(self, chunks: list[DocumentChunk], dimension: int, postings) -> None:
-        """``postings``: what ``_postings`` returns for row blocks of
-        ``_block_rows(dimension)`` rows."""
+    def __init__(self, chunks: list[DocumentChunk], dimension: int, postings) -> None:
+        """An index over ``chunks``, whose vectors ``postings`` holds, row i
+        the vector of chunk i: what ``_postings`` returns for row blocks of
+        ``_block_rows(dimension)`` rows. A chunk id given twice maps to its
+        last chunk."""
         self.dimension = dimension
         self._block_rows = _block_rows(dimension)
         self._rows, self._values, self._starts = postings
@@ -206,7 +190,7 @@ class VectorIndex:
     def save(self, index_path: str | Path, chunks_path: str | Path) -> None:
         """Write both files, each whole or not at all."""
         rows = self._block_rows
-        with _replacing(index_path) as fh:
+        with replacing(index_path) as fh:
             fh.write(json.dumps({"dimension": self.dimension, "entries": len(self._ids)}) + "\n")
             # Each row block's dense rows, rebuilt from its postings.
             for start, starts in zip(range(0, len(self._ids), rows), self._starts):
@@ -216,7 +200,7 @@ class VectorIndex:
                 block[self._rows[cells] - start, np.repeat(np.arange(self.dimension), np.diff(starts))] = self._values[cells]
                 fh.write(_rows_text(ids, block))
         encode = json.JSONEncoder(sort_keys=True).encode
-        with _replacing(chunks_path) as fh:
+        with replacing(chunks_path) as fh:
             for cid in self._ids:
                 c = self._chunks[cid]
                 fh.write(
@@ -284,20 +268,7 @@ class VectorIndex:
             raise IntegrityError(
                 f"index file corrupt: header says {header['entries']} entries, found {len(chunks)}"
             )
-        return cls._from_postings(chunks, dimension, postings)
-
-
-@contextmanager
-def _replacing(path: str | Path):
-    """A text file to write in place of ``path``: a temporary file beside it
-    that ``os.replace`` moves over it once the block completes, so a kill
-    mid-write leaves the previous version, never half a file."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.tmp")
-    with tmp.open("w", encoding="utf-8") as fh:
-        yield fh
-    os.replace(tmp, path)
+        return cls(chunks, dimension, postings)
 
 
 def _block_rows(dimension: int) -> int:
@@ -394,7 +365,7 @@ def build_index(chunks: list[DocumentChunk], embedder) -> VectorIndex:
                 )
             yield vectors
 
-    return VectorIndex._from_postings(chunks, dimension, _postings(dimension, blocks()))
+    return VectorIndex(chunks, dimension, _postings(dimension, blocks()))
 
 
 def query_many(index: VectorIndex, texts: list[str], k: int, embedder) -> list[list[RetrievalResult]]:

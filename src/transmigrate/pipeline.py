@@ -9,6 +9,7 @@ written once per completed stage. Translate and ``--dry-run`` read what is
 still to send from one function, ``Pipeline._pending``: an item is done once
 the last file it writes exists, whole (a unit's refinement payload, a
 component's ``translate/components`` file, ``translate/project.swift``).
+The agent chain that sends those prompts is ``transmigrate.translate``.
 The state file hash-guards the source tree and configuration: resuming
 against modified inputs is refused.
 
@@ -20,28 +21,19 @@ and all randomness flows from the configured seed.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import logging
-import os
-import shlex
-from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from transmigrate.backends import LiveBackend, MockBackend, extract_code
+from transmigrate.artifacts import write_json, write_text
+from transmigrate.backends import LiveBackend, MockBackend
 from transmigrate.config import RunConfig
-from transmigrate.errors import ConfigurationError, IntegrityError, OrderingError, ToolError
+from transmigrate.errors import ConfigurationError, IntegrityError, OrderingError
 from transmigrate.knowledge.chunks import ingest_repository
 from transmigrate.knowledge.crawl import crawl_site
 from transmigrate.knowledge.embed import HashedTokenEmbedder, RemoteEmbedder
-from transmigrate.knowledge.index import VectorIndex, build_index, query_many
-from transmigrate.prompts import (
-    ast_excerpt,
-    dependency_excerpt,
-    render_prompt,
-    truncate_context,
-)
+from transmigrate.knowledge.index import VectorIndex, build_index
 from transmigrate.reporting import (
     classify_issue,
     compute_project_metrics,
@@ -50,24 +42,19 @@ from transmigrate.reporting import (
     sample_size,
 )
 from transmigrate.scheduler import ClassPlan, ComponentPlan, TranslationPlan, build_plan
-from transmigrate.sourcemodel.extract import (
-    ClassDescriptor,
-    declarations_by_span,
-    extract_classes,
-    method_body,
-)
+from transmigrate.sourcemodel.extract import ClassDescriptor, extract_classes
 from transmigrate.sourcemodel.graph import DependencyGraph, build_dependency_graph, quotient_graph
 from transmigrate.sourcemodel.parser import Ast, SourceFile, parse_source
+# Loaded with this module, not when the stage runs: the benchmark tracer
+# replaces functions imported by name only in modules loaded when it installs.
+from transmigrate.translate import component_path, first_and_kept_rounds, translate
 from transmigrate.validation.checks import (
     build_translated_class_graph,
     check_references,
     compare_graphs,
     parse_corpora,
-    platform_scan,
 )
-from transmigrate.validation.issues import IssueRecord, ValidationReport, parse_tool_output
-from transmigrate.validation.refine import refine_loop, repair_inputs
-from transmigrate.validation.tools import kill_running_checkers, run_external_check
+from transmigrate.validation.issues import IssueRecord, ValidationReport
 
 logger = logging.getLogger(__name__)
 
@@ -85,7 +72,7 @@ class PipelineState:
     config_hash: str = ""
 
     def save(self, path: Path) -> None:
-        _write_json(path, vars(self))
+        write_json(path, vars(self))
 
 
 def hash_source_tree(root: str | Path, output_root: str | Path) -> tuple[str, list[str]]:
@@ -118,20 +105,6 @@ def hash_config(config: RunConfig) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write ``path`` whole or not at all: the text goes to a temporary
-    file beside it, which ``os.replace`` then moves over it, so a kill
-    mid-write leaves the previous version for a resume, never half a file."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
-def _write_json(path: Path, payload) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def _json_object(text: str) -> dict:
     """The JSON object ``text`` holds; any other JSON value is a TypeError."""
     value = json.loads(text)
@@ -154,13 +127,6 @@ def _read_artifact(path: Path, stage: str, decode=_json_object):
 
 def _missing(path: str | Path, stage: str) -> OrderingError:
     return OrderingError(f"missing artifact {Path(path).name!r}: run the {stage!r} stage first")
-
-
-def _read_saved(path: Path) -> str:
-    """The text translate saved at ``path``, byte for byte: ``newline=""``
-    keeps any "\\r" that an unfenced reply carried."""
-    with path.open(encoding="utf-8", newline="") as saved:
-        return saved.read()
 
 
 def _unit_names_map(text: str) -> dict[str, str]:
@@ -186,16 +152,6 @@ def _class_summaries(text: str) -> list[tuple[str, str, list[str]]]:
     return [
         (c["qualified_name"], c["component"], [m["name"] for m in c["constructors"] + c["methods"]])
         for c in json.loads(text)
-    ]
-
-
-def _first_and_kept_rounds(text: str) -> list[tuple[str, ValidationReport]]:
-    """Code and report of round 0 and of the kept round of a
-    ``translate/refinement`` payload."""
-    payload = json.loads(text)
-    return [
-        (entry["code"], ValidationReport.from_dict(entry["report"]))
-        for entry in (payload["history"][0], payload["history"][payload["kept"]])
     ]
 
 
@@ -275,9 +231,9 @@ class Pipeline:
         graphs = {g: build_dependency_graph(descriptors, g) for g in ("method", "class")}
         components = {d.qualified_name: d.component for d in descriptors}
         graphs["component"] = quotient_graph(graphs["class"], components, "component")
-        _write_json(self.out / "analyze" / "classes.json", [_descriptor_dict(d) for d in descriptors])
+        write_json(self.out / "analyze" / "classes.json", [_descriptor_dict(d) for d in descriptors])
         for name, graph in graphs.items():
-            _write_text(self.out / "analyze" / f"graph_{name}.json", graph.to_json() + "\n")
+            write_text(self.out / "analyze" / f"graph_{name}.json", graph.to_json() + "\n")
         logger.info("analyzed %d files, %d classes", len(asts), len(descriptors))
         self._mark_stage_done("analyze")
 
@@ -305,7 +261,7 @@ class Pipeline:
         index = build_index(chunks, self._embedder())
         index.save(*self._index_files)
         self._index = index  # taken over by translate in this process
-        _write_json(
+        write_json(
             meta_path,
             {"input_hash": self.state.input_hash, "dimension": index.dimension, "entries": len(index)},
         )
@@ -328,7 +284,7 @@ class Pipeline:
             method_owner=method_owner,
             class_component=class_component,
         )
-        _write_text(self.out / "plan" / "plan.jsonl", plan.to_jsonl())
+        write_text(self.out / "plan" / "plan.jsonl", plan.to_jsonl())
         logger.info("plan covers %s components/classes/methods", plan.item_counts())
         self._mark_stage_done("plan")
 
@@ -354,56 +310,26 @@ class Pipeline:
             mapping[qualified] = name
         return mapping
 
-    def _run_checkers(self, unit: str) -> ValidationReport:
-        """The syntax checker's and then the lint checker's issues on
-        ``translate/units/<unit>``. It reads that file and writes none, so
-        translate runs round 0 of a component's units on its thread pool."""
-        tools = self.config.tools
-        rel = f"translate/units/{unit}"  # relative to the checker's cwd
-        report = ValidationReport()
-        for template, source in ((tools.syntax_check_cmd, "syntax"), (tools.lint_cmd, "lint")):
-            status, output = run_external_check(rel, template, tools.timeout_seconds, self.out)
-            found = parse_tool_output(output, source)
-            if status != 0 and not found:
-                raise ToolError(
-                    f"{source} checker {shlex.split(template)[0]!r} exited {status} without "
-                    f"diagnostics on unit {unit}: {output.strip()[-500:]!r}"
-                )
-            for issue in found:
-                issue.file = unit
-            report.extend(found)
-        return report
-
-    def _check_unit(self, unit: str, code: str) -> ValidationReport:
-        """The check of one repair round, ``check(unit, code)``: it writes
-        the candidate whole to ``translate/units/<unit>``, runs the
-        checkers on that file, and then the platform residue scan."""
-        _write_text(self.out / "translate" / "units" / unit, code)
-        report = self._run_checkers(unit)
-        report.extend(platform_scan(unit, code))
-        return report
-
     def _pending(self) -> tuple[dict[str, str], list[tuple[ComponentPlan, list[ClassPlan]]], bool]:
         """What translate still has to send, read from the plan in send
         order: the unit name of every planned class, each component not yet
         done with its classes not yet done, and whether the project prompt
-        is not yet done. An item is done once the last file it writes,
-        whole, exists: a class's refinement payload, a component's
-        ``translate/components`` file, the project's ``project.swift``."""
+        is not yet done; see the module docstring."""
         plan = _read_artifact(self.out / "plan" / "plan.jsonl", "plan", TranslationPlan.from_jsonl)
         unit_names = self._unit_names([c.name for _, c in plan.iter_classes()])
         refinement_dir = self.out / "translate" / "refinement"
         components = [
             (comp, [c for c in comp.classes if not (refinement_dir / f"{unit_names[c.name]}.json").is_file()])
             for comp in plan.components
-            if not self._component_path(comp.name).is_file()
+            if not component_path(self.out, comp.name).is_file()
         ]
         return unit_names, components, not (self.out / "translate" / "project.swift").is_file()
 
     def stage_translate(self) -> None:
-        unit_names, components, project_pending = self._pending()
+        pending = self._pending()
+        unit_names, components, project_pending = pending
         _read_artifact(self.out / "index" / "meta.json", "index")
-        class_graph, component_graph = (
+        graphs = tuple(
             _read_artifact(self.out / "analyze" / f"graph_{g}.json", "analyze", DependencyGraph.from_json)
             for g in ("class", "component")
         )
@@ -411,202 +337,17 @@ class Pipeline:
         # returns. When they ran in an earlier process, the Java is parsed
         # only for a pending class and the index loaded only for a pending
         # prompt. ``is None``: an empty index is falsy.
-        asts, descriptors = self._java_model() if any(classes for _, classes in components) else ({}, [])
+        java = self._java_model() if any(classes for _, classes in components) else ({}, [])
         self._java = None
-        by_qualified = {d.qualified_name: d for d in descriptors}
         index, self._index = self._index, None
         if index is None and (components or project_pending):
             try:
                 index = VectorIndex.load(*self._index_files)
             except FileNotFoundError as exc:
                 raise _missing(exc.filename, "index") from None
-        # Each pending prompt's retrieval text, fixed once in send order: the
-        # sends read it from ``pending``, and each distinct text is retrieved
-        # once, in one blocked pass, before the first send.
-        pending, abouts = [], []
-        for comp, classes in components:
-            units = []
-            for cls_plan in classes:
-                d = by_qualified[cls_plan.name]
-                # Overloads share one plan entry; each gets its own prompt.
-                methods = [
-                    (f"method_{method_id}", m, f"{d.simple_name} {m.name}")
-                    for method_id in cls_plan.methods
-                    for m in _overloads(d, method_id)
-                ]
-                class_about = f"{d.simple_name} {d.component}"
-                units.append((d, methods, class_about))
-                abouts += [about for _, _, about in methods] + [class_about]
-            comp_about = comp.name or "project root"
-            pending.append((comp, units, comp_about))
-            abouts.append(comp_about)
-        project_about = self.config.project_name
-        if project_pending:
-            abouts.append(project_about)
-        abouts = list(dict.fromkeys(abouts))
-        k = self.config.knowledge.retrieval_k
-        retrieved = dict(zip(abouts, query_many(index, abouts, k, self._embedder()))) if abouts else {}
-        backend = self._backend()
-        _write_json(self.out / "translate" / "unit_names.json", unit_names)
-        units_dir = self.out / "translate" / "units"
-        refinement_dir = self.out / "translate" / "refinement"
-        # A resumed translate continues the dump series of the run before it.
-        ordinals = itertools.count(_resume_dumps(self.out / "prompts"))
-
-        def send(level: str, label: str, inputs: dict[str, str], about: str | None = None) -> str:
-            """Render one level's prompt with the chunks retrieved for
-            ``about`` (none without it), fit it to the budget, dump it when
-            asked, send it, and return the code of the reply. Every backend
-            call of a run, repair prompts included, is made here."""
-            chunks = retrieved[about] if about is not None else ()
-            envelope = truncate_context(render_prompt(level, inputs, chunks), self.config.prompt_budget)
-            if self.config.dump_prompts:
-                safe = label.replace("/", "_").replace(".", "_")
-                _write_text(self.out / "prompts" / f"{next(ordinals):04d}_{safe}.txt", envelope.rendered_text)
-            return extract_code(backend.translate(envelope))
-
-        def unit_code(descriptor: ClassDescriptor, methods: list, class_about: str) -> str:
-            """Send the method prompts and then the class prompt of one
-            class; returns the class prompt's code, the unit's round 0."""
-            qualified = descriptor.qualified_name
-            ast = asts[descriptor.source_path]
-            source = ast.source
-            declarations = declarations_by_span(ast)
-
-            translated_methods: list[str] = []
-            for label, m, about in methods:
-                code = send(
-                    "method",
-                    label,
-                    {
-                        "method_name": m.name,
-                        "file_name": descriptor.source_path,
-                        "method_code": method_body(source, m),
-                        "ast": ast_excerpt(declarations[m.span], source.data),
-                    },
-                    about,
-                )
-                translated_methods.append(f"// method: {m.name}\n{code}")
-
-            return send(
-                "class",
-                f"class_{qualified}",
-                {
-                    "class_name": qualified,
-                    "class_content": source.data[descriptor.span[0] : descriptor.span[1]].decode("utf-8"),
-                    "translated_methods": "\n\n".join(translated_methods) or "none",
-                    "ast": ast_excerpt(declarations[descriptor.span], source.data),
-                    "dependency": dependency_excerpt(class_graph, qualified),
-                },
-                class_about,
-            )
-
-        # Round 0 of a component's units is checked on a thread pool, while
-        # this thread sends the next units' prompts. This thread sends every
-        # prompt and writes every file, so their order is the plan's.
-        pool = ThreadPoolExecutor()
-        checks: list[Future] = []
-        try:
-            for comp, units, comp_about in pending:
-                firsts = []
-                for descriptor, methods, class_about in units:
-                    unit_base = unit_names[descriptor.qualified_name]
-                    initial_code = unit_code(descriptor, methods, class_about)
-                    _write_text(units_dir / f"{unit_base}.swift", initial_code)
-                    checks.append(pool.submit(self._run_checkers, f"{unit_base}.swift"))
-                    firsts.append((descriptor.qualified_name, unit_base, initial_code, checks[-1]))
-
-                # A check that failed raises here, the first in plan order.
-                for qualified, unit_base, initial_code, first in firsts:
-                    unit_file = f"{unit_base}.swift"
-                    report = first.result()
-                    report.extend(platform_scan(unit_file, initial_code))
-
-                    def repair(code: str, issues: list[IssueRecord]) -> str:
-                        return send("repair", f"repair_{unit_base}", repair_inputs(code, issues))
-
-                    # Each repair round's check writes its candidate to units/;
-                    # a degraded unit keeps an earlier round, written back here.
-                    kept_code, state = refine_loop(
-                        unit_file, initial_code, report, repair, self._check_unit, self.config.max_rounds
-                    )
-                    if state.kept != len(state.history) - 1:
-                        _write_text(units_dir / unit_file, kept_code)
-                    _write_json(
-                        refinement_dir / f"{unit_base}.json",
-                        {
-                            "unit": unit_file,
-                            "class": qualified,
-                            "degraded": state.degraded,
-                            "kept": state.kept,
-                            "history": [
-                                {"code": code, "report": report.to_dict()}
-                                for code, report in state.history
-                            ],
-                        },
-                    )
-
-                member_units = [
-                    f"// class: {c.name}\n" + _read_saved(units_dir / f"{unit_names[c.name]}.swift")
-                    for c in comp.classes
-                ]
-                comp_code = send(
-                    "component",
-                    f"component_{comp.name or 'default'}",
-                    {
-                        "component_name": comp.name or "(default)",
-                        "translated_classes": "\n\n".join(member_units) or "none",
-                        "ast": "\n".join(f"(class_declaration {c.name})" for c in comp.classes) or "none",
-                        "dependency": dependency_excerpt(component_graph, comp.name),
-                    },
-                    comp_about,
-                )
-                _write_text(self._component_path(comp.name), comp_code)
-        except BaseException:
-            _stop_checks(pool, checks)
-            raise
-        finally:
-            pool.shutdown()
-
-        if project_pending:
-            # The plan holds every node of the component graph.
-            project_code = send(
-                "project",
-                "project",
-                {
-                    "translated_components": "\n\n".join(
-                        f"// component: {name or '(default)'}\n{_read_saved(self._component_path(name))}"
-                        for name in sorted(component_graph.nodes)
-                    )
-                    or "none",
-                    "dependency": "\n".join(
-                        f"{f} -> {t} ({kind})" for f, t, kind in sorted(component_graph.edges)
-                    )
-                    or "none",
-                    "resource": self._resource_listing(),
-                    "configuration": self._configuration_listing(),
-                },
-                project_about,
-            )
-            _write_text(self.out / "translate" / "project.swift", project_code)
+        write_json(self.out / "translate" / "unit_names.json", unit_names)
+        translate(self.config, self.out, self._files, self._backend(), self._embedder(), index, java, graphs, pending)
         self._mark_stage_done("translate")
-
-    def _component_path(self, name: str) -> Path:
-        file = (name or "default").replace("/", "_") or "default"
-        return self.out / "translate" / "components" / f"{file}.swift"
-
-    def _resource_listing(self) -> str:
-        resources = sorted(rel for rel in self._files if "res" in rel.split("/"))
-        return "\n".join(resources) or "none"
-
-    def _configuration_listing(self) -> str:
-        parts = [
-            f"--- {rel}\n{(self.source_root / rel).read_text(encoding='utf-8', errors='replace')}"
-            for name in ("AndroidManifest.xml", "build.gradle", "settings.gradle")
-            for rel in self._files
-            if rel.rsplit("/", 1)[-1] == name
-        ]
-        return "\n".join(parts) or "none"
 
     def stage_validate(self) -> None:
         translate_dir = self.out / "translate"
@@ -621,7 +362,7 @@ class Pipeline:
         # Each unit's payload holds its first and kept rounds: the code
         # exactly as translate wrote it and that round's checks.
         rounds = {
-            unit: _read_artifact(translate_dir / "refinement" / f"{base}.json", "translate", _first_and_kept_rounds)
+            unit: _read_artifact(translate_dir / "refinement" / f"{base}.json", "translate", first_and_kept_rounds)
             for base, unit in sorted(unit_of.items(), key=lambda item: item[1])
         }
         initial_units = {unit: code for unit, ((code, _), _) in rounds.items()}
@@ -655,9 +396,9 @@ class Pipeline:
                 for unit in rounds
             }
 
-        _write_json(self.out / "validate" / "before.json", before.to_dict())
-        _write_json(self.out / "validate" / "after.json", after.to_dict())
-        _write_json(self.out / "validate" / "validity.json", {"before": validity(before), "after": validity(after)})
+        write_json(self.out / "validate" / "before.json", before.to_dict())
+        write_json(self.out / "validate" / "after.json", after.to_dict())
+        write_json(self.out / "validate" / "validity.json", {"before": validity(before), "after": validity(after)})
         self._mark_stage_done("validate")
 
     def stage_report(self) -> None:
@@ -690,8 +431,8 @@ class Pipeline:
         labels = [classify_issue(i) for i in pool]
 
         report_dir = self.out / "report"
-        _write_text(report_dir / "report.json", emit_report([metrics], labels, "json", extras))
-        _write_text(report_dir / "report.md", emit_report([metrics], labels, "markdown", extras))
+        write_text(report_dir / "report.json", emit_report([metrics], labels, "json", extras))
+        write_text(report_dir / "report.md", emit_report([metrics], labels, "markdown", extras))
         self._mark_stage_done("report")
 
     # ---- drivers -----------------------------------------------------------
@@ -733,35 +474,6 @@ class Pipeline:
             logger.info("dry run: %d %s(s) would be translated%s", len(listed), what, listing)
         if project_pending:
             logger.info("dry run: the project prompt would be sent")
-
-
-def _stop_checks(pool: ThreadPoolExecutor, checks: list[Future]) -> None:
-    """Cancel the checks not yet started and kill the running ones' checker
-    processes until every check has ended. The kill repeats, because a
-    check may start its process just after a kill (or go on from syntax to
-    lint)."""
-    pool.shutdown(wait=False, cancel_futures=True)
-    running = [check for check in checks if not check.done()]
-    while running:
-        kill_running_checkers()
-        running = list(wait(running, timeout=0.05).not_done)
-
-
-def _resume_dumps(prompts_dir: Path) -> int:
-    """Remove the temporary file of a dump that a kill left unrenamed (its
-    ordinal is never reused), and return one past the highest ordinal of
-    the prompt dumps (``NNNN_<label>.txt``) in ``prompts_dir``; 0 if none."""
-    for stale in prompts_dir.glob(".*.tmp"):
-        stale.unlink()
-    prefixes = (path.name.partition("_")[0] for path in prompts_dir.glob("*_*.txt"))
-    return max((int(prefix) for prefix in prefixes if prefix.isdecimal()), default=-1) + 1
-
-
-def _overloads(descriptor: ClassDescriptor, method_id: str):
-    """The constructors and methods of ``descriptor`` that plan entry
-    ``method_id`` (``<qualified class>.<name>``) names, in source order."""
-    name = method_id[len(descriptor.qualified_name) + 1 :]
-    return sorted((m for m in descriptor.constructors + descriptor.methods if m.name == name), key=lambda m: m.span)
 
 
 def _descriptor_dict(d: ClassDescriptor) -> dict:

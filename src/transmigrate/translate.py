@@ -1,0 +1,265 @@
+"""The agent chain of the translate stage.
+
+Each class is translated bottom-up: one prompt per method, then the class
+prompt with those translations, whose code is the unit's round 0; a
+component prompt carries its classes' kept code, and the project prompt
+its components'. One function builds each level's slot values, every
+prompt, repair prompts included, goes through one send step
+(``_Chain.send``), and every refinement round is checked by
+``_Chain.check``. This thread sends every prompt and writes every file, so
+their order is the plan's. A unit is done once its refinement payload,
+``translate/refinement/<unit>.json``, exists: this module writes it and
+reads it back for validate.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+import shlex
+from concurrent.futures import Future, ThreadPoolExecutor, wait
+from pathlib import Path
+from typing import Callable
+
+from transmigrate.artifacts import read_saved, remove_temporaries, write_json, write_text
+from transmigrate.backends import extract_code
+from transmigrate.config import RunConfig
+from transmigrate.errors import ToolError
+from transmigrate.knowledge.index import query_many
+from transmigrate.prompts import ast_excerpt, dependency_excerpt, render_prompt, truncate_context
+from transmigrate.sourcemodel.extract import ClassDescriptor, declarations_by_span, method_body
+from transmigrate.validation.checks import platform_scan
+from transmigrate.validation.issues import ValidationReport, parse_tool_output
+from transmigrate.validation.refine import refine_loop, repair_inputs
+from transmigrate.validation.tools import kill_running_checkers, run_external_check
+
+
+def translate(config: RunConfig, out: Path, files, backend, embedder, index, java, graphs, pending) -> None:
+    """Send every pending prompt in plan order and write what each returns.
+    ``pending`` is what ``Pipeline._pending`` returns; ``java`` the Java
+    trees by path and the descriptors of every pending class; ``graphs``
+    the source class and component graphs; ``files`` the source listing;
+    ``index`` is None only when nothing is pending."""
+    unit_names, components, project_pending = pending
+    asts, descriptors = java
+    class_graph, component_graph = graphs
+    by_qualified = {d.qualified_name: d for d in descriptors}
+    # The pending prompts in send order, each with its retrieval text; each
+    # distinct text is retrieved once, in one blocked pass, before the first send.
+    prompts, abouts = [], []
+    for comp, classes in components:
+        units = []
+        for cls_plan in classes:
+            d = by_qualified[cls_plan.name]
+            # Overloads share one plan entry; each gets its own prompt.
+            methods = [
+                (f"method_{method_id}", m, f"{d.simple_name} {m.name}")
+                for method_id in cls_plan.methods
+                for m in _overloads(d, method_id)
+            ]
+            class_about = f"{d.simple_name} {d.component}"
+            units.append((d, methods, class_about))
+            abouts += [about for _, _, about in methods] + [class_about]
+        comp_about = comp.name or "project root"
+        prompts.append((comp, units, comp_about))
+        abouts.append(comp_about)
+    if project_pending:
+        abouts.append(config.project_name)
+    abouts = list(dict.fromkeys(abouts))
+    retrieved = dict(zip(abouts, query_many(index, abouts, config.knowledge.retrieval_k, embedder))) if abouts else {}
+
+    chain = _Chain(config, out, backend, retrieved)
+    try:
+        for comp, units, comp_about in prompts:
+            waits = []
+            for d, methods, class_about in units:
+                ast = asts[d.source_path]
+                declarations = declarations_by_span(ast)
+                method_codes = [
+                    (m.name, chain.send("method", label, _method_slots(d, m, ast, declarations), about))
+                    for label, m, about in methods
+                ]
+                slots = _class_slots(d, ast, declarations, method_codes, class_graph)
+                code = chain.send("class", f"class_{d.qualified_name}", slots, class_about)
+                base = unit_names[d.qualified_name]
+                waits.append((d.qualified_name, base, code, chain.check(f"{base}.swift", code)))
+            # A check that failed raises here, the first in plan order.
+            for qualified, base, code, report in waits:
+                chain.refine(qualified, base, code, report())
+            slots = _component_slots(out, comp, unit_names, component_graph)
+            code = chain.send("component", f"component_{comp.name or 'default'}", slots, comp_about)
+            write_text(component_path(out, comp.name), code)
+    except BaseException:
+        chain.stop()
+        raise
+    finally:
+        chain.pool.shutdown()
+    if project_pending:
+        slots = _project_slots(config, out, files, component_graph)
+        write_text(out / "translate" / "project.swift", chain.send("project", "project", slots, config.project_name))
+
+
+class _Chain:
+    """The send step and the check pool of one translate stage."""
+
+    def __init__(self, config: RunConfig, out: Path, backend, retrieved: dict) -> None:
+        self.config, self.out, self.backend, self.retrieved = config, out, backend, retrieved
+        # A resumed translate continues the dump series of the run before it,
+        # so a dump's temporary file that a kill left is never renamed: remove it.
+        remove_temporaries(out / "prompts")
+        prefixes = (path.name.partition("_")[0] for path in (out / "prompts").glob("*_*.txt"))
+        self.ordinals = itertools.count(max((int(p) for p in prefixes if p.isdecimal()), default=-1) + 1)
+        self.pool = ThreadPoolExecutor()
+        self.checks: list[Future] = []
+
+    def send(self, level: str, label: str, slots: dict[str, str], about: str | None = None) -> str:
+        """Render one level's prompt with the chunks retrieved for
+        ``about`` (none without it), fit it to the budget, dump it when
+        asked, send it, and return the code of the reply. Every backend
+        call of a run, repair prompts included, is made here."""
+        chunks = self.retrieved[about] if about is not None else ()
+        envelope = truncate_context(render_prompt(level, slots, chunks), self.config.prompt_budget)
+        if self.config.dump_prompts:
+            safe = label.replace("/", "_").replace(".", "_")
+            write_text(self.out / "prompts" / f"{next(self.ordinals):04d}_{safe}.txt", envelope.rendered_text)
+        return extract_code(self.backend.translate(envelope))
+
+    def check(self, unit: str, code: str) -> Callable[[], ValidationReport]:
+        """The check of one refinement round: write ``code`` whole to
+        ``translate/units/<unit>``, submit its checkers to the pool, scan
+        it for platform residue, and return what waits for the report: the
+        checkers' issues, then the scan's. A failed checker raises there."""
+        write_text(self.out / "translate" / "units" / unit, code)
+        checked = self.pool.submit(self._run_checkers, unit)
+        self.checks.append(checked)
+        scan = platform_scan(unit, code)
+
+        def report() -> ValidationReport:
+            report = checked.result()
+            report.extend(scan)
+            return report
+
+        return report
+
+    def stop(self) -> None:
+        """Cancel the checks not yet started and kill the running ones' checker
+        processes until every check has ended: a check may start its process
+        just after a kill, or go on from syntax to lint."""
+        self.pool.shutdown(wait=False, cancel_futures=True)
+        running = [check for check in self.checks if not check.done()]
+        while running:
+            kill_running_checkers()
+            running = list(wait(running, timeout=0.05).not_done)
+
+    def _run_checkers(self, unit: str) -> ValidationReport:
+        """The syntax checker's and then the lint checker's issues on
+        ``translate/units/<unit>``, which it reads and does not write."""
+        tools = self.config.tools
+        rel = f"translate/units/{unit}"  # relative to the checker's cwd
+        report = ValidationReport()
+        for template, source in ((tools.syntax_check_cmd, "syntax"), (tools.lint_cmd, "lint")):
+            status, output = run_external_check(rel, template, tools.timeout_seconds, self.out)
+            found = parse_tool_output(output, source)
+            if status != 0 and not found:
+                raise ToolError(
+                    f"{source} checker {shlex.split(template)[0]!r} exited {status} without "
+                    f"diagnostics on unit {unit}: {output.strip()[-500:]!r}"
+                )
+            for issue in found:
+                issue.file = unit
+            report.extend(found)
+        return report
+
+    def refine(self, qualified: str, base: str, code: str, report: ValidationReport) -> None:
+        """Refine unit ``<base>.swift`` from round 0's ``code`` and
+        ``report``, then write its refinement payload: every round's code
+        and report, and ``kept``, the round that ``units/`` holds."""
+        unit = f"{base}.swift"
+        kept_code, state = refine_loop(
+            unit,
+            code,
+            report,
+            lambda code, issues: self.send("repair", f"repair_{base}", repair_inputs(code, issues)),
+            lambda unit, code: self.check(unit, code)(),
+            self.config.max_rounds,
+        )
+        if state.kept != len(state.history) - 1:  # a degraded unit keeps an earlier round
+            write_text(self.out / "translate" / "units" / unit, kept_code)
+        history = [{"code": code, "report": report.to_dict()} for code, report in state.history]
+        payload = {"unit": unit, "class": qualified, "degraded": state.degraded, "kept": state.kept}
+        write_json(self.out / "translate" / "refinement" / f"{base}.json", {**payload, "history": history})
+
+
+def first_and_kept_rounds(text: str) -> list[tuple[str, ValidationReport]]:
+    """Code and report of round 0 and of the kept round of a
+    ``translate/refinement`` payload."""
+    payload = json.loads(text)
+    return [
+        (entry["code"], ValidationReport.from_dict(entry["report"]))
+        for entry in (payload["history"][0], payload["history"][payload["kept"]])
+    ]
+
+
+def component_path(out: Path, name: str) -> Path:
+    file = (name or "default").replace("/", "_") or "default"
+    return out / "translate" / "components" / f"{file}.swift"
+
+
+def _method_slots(d: ClassDescriptor, m, ast, declarations) -> dict[str, str]:
+    return {
+        "method_name": m.name,
+        "file_name": d.source_path,
+        "method_code": method_body(ast.source, m),
+        "ast": ast_excerpt(declarations[m.span], ast.source.data),
+    }
+
+
+def _class_slots(d: ClassDescriptor, ast, declarations, method_codes, class_graph) -> dict[str, str]:
+    """``method_codes``: the name and translated code of each method."""
+    return {
+        "class_name": d.qualified_name,
+        "class_content": ast.source.data[d.span[0] : d.span[1]].decode("utf-8"),
+        "translated_methods": "\n\n".join(f"// method: {name}\n{code}" for name, code in method_codes) or "none",
+        "ast": ast_excerpt(declarations[d.span], ast.source.data),
+        "dependency": dependency_excerpt(class_graph, d.qualified_name),
+    }
+
+
+def _component_slots(out: Path, comp, unit_names: dict[str, str], component_graph) -> dict[str, str]:
+    """The kept code of the component's classes, read back as saved."""
+    units = out / "translate" / "units"
+    member_units = [f"// class: {c.name}\n" + read_saved(units / f"{unit_names[c.name]}.swift") for c in comp.classes]
+    return {
+        "component_name": comp.name or "(default)",
+        "translated_classes": "\n\n".join(member_units) or "none",
+        "ast": "\n".join(f"(class_declaration {c.name})" for c in comp.classes) or "none",
+        "dependency": dependency_excerpt(component_graph, comp.name),
+    }
+
+
+def _project_slots(config: RunConfig, out: Path, files: list[str], component_graph) -> dict[str, str]:
+    """Every component's code as saved (the plan holds every node of the
+    component graph), and the resource and configuration files listed."""
+    configuration = [
+        f"--- {rel}\n{(Path(config.source_root) / rel).read_text(encoding='utf-8', errors='replace')}"
+        for name in ("AndroidManifest.xml", "build.gradle", "settings.gradle")
+        for rel in files
+        if rel.rsplit("/", 1)[-1] == name
+    ]
+    components = [
+        f"// component: {name or '(default)'}\n{read_saved(component_path(out, name))}"
+        for name in sorted(component_graph.nodes)
+    ]
+    return {
+        "translated_components": "\n\n".join(components) or "none",
+        "dependency": "\n".join(f"{f} -> {t} ({kind})" for f, t, kind in sorted(component_graph.edges)) or "none",
+        "resource": "\n".join(sorted(rel for rel in files if "res" in rel.split("/"))) or "none",
+        "configuration": "\n".join(configuration) or "none",
+    }
+
+
+def _overloads(descriptor: ClassDescriptor, method_id: str):
+    """The constructors and methods of ``descriptor`` that plan entry
+    ``method_id`` (``<qualified class>.<name>``) names, in source order."""
+    name = method_id[len(descriptor.qualified_name) + 1 :]
+    return sorted((m for m in descriptor.constructors + descriptor.methods if m.name == name), key=lambda m: m.span)

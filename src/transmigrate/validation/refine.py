@@ -1,11 +1,10 @@
 """Bounded iterative refinement.
 
-The caller checks round 0 (translate checks a component's initial
-candidates together, on its thread pool) and hands its report in. While
-error-severity issues remain, ``repair(code, issues)`` makes the next
-candidate (translate's repair sends a prompt filled from ``repair_inputs``
-through its one send step), and the one check function checks it, on the
-caller's thread. The loop stops as soon as a round is clean or after
+The caller checks round 0 and hands its report in. While error-severity
+issues remain, ``repair(code, issues)`` makes the next candidate
+(translate's repair sends a prompt filled from ``repair_inputs`` through
+its one send step), and ``check(name, code)`` checks it, with the same
+check as round 0's. The loop stops as soon as a round is clean or after
 ``max_rounds`` repair calls, whichever comes first. The state keeps
 every round's code and report, and ``kept``, the index of the round whose
 code the loop returned: validate reads round 0 as the before corpus and

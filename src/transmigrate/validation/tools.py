@@ -7,8 +7,8 @@ are substituted into an argv, never a shell string. The pipeline calls
 ``run_external_check`` once per checker per refinement round, on the
 round's candidate in ``translate/units/``, with the configured
 ``tools.timeout_seconds`` and the output root as the working directory.
-Round 0's checks run on translate's thread pool, so several may run at
-once; they read files and write none. A template whose program is
+Every round's checks run on translate's thread pool, so several may run
+at once; they read files and write none. A template whose program is
 ``transmigrate-stubcheck`` runs the bundled stub checker in this process;
 any other template runs as a child process. A nonzero exit with
 diagnostics is a normal outcome. A missing tool, a timeout or a crashed
@@ -64,7 +64,7 @@ def run_external_check(
     file names. ``timeout`` bounds child processes only; the in-process
     stub has none. The child's output is read by ``communicate`` under
     ``timeout``, which reaps the child by polling with short sleeps (off
-    the thread that sends prompts, for round 0); when ``timeout`` runs out
+    the thread that sends prompts); when ``timeout`` runs out
     the group is killed and the check raises ``ToolError``."""
     argv = build_argv(command_template, file)
     if argv[0] == STUB_PROGRAM:

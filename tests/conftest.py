@@ -2,9 +2,11 @@ import gc
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from transmigrate.config import RunConfig
+from transmigrate.knowledge.index import build_index
 from transmigrate.validation.tools import stub_tool_commands
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -45,6 +47,26 @@ def fixture_config(source_root: Path, output_root: Path, **overrides) -> dict:
 
 def make_run_config(source_root: Path, output_root: Path, **overrides) -> RunConfig:
     return RunConfig.from_dict(fixture_config(source_root, output_root, **overrides))
+
+
+class RowsEmbedder:
+    """An embedder whose ``embed`` calls return the rows of ``matrix`` in
+    order, one row per text, whatever the texts."""
+
+    def __init__(self, matrix) -> None:
+        self.rows = np.asarray(matrix, dtype=np.float64)
+        self.dimension = self.rows.shape[-1]
+        self.given = 0
+
+    def embed(self, texts):
+        block = self.rows[self.given : self.given + len(texts)]
+        self.given += len(texts)
+        return block
+
+
+def index_of(chunks, matrix):
+    """The index whose chunk i has row i of ``matrix`` as its vector."""
+    return build_index(chunks, RowsEmbedder(matrix))
 
 
 def reachable(*roots) -> list:

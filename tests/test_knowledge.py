@@ -9,6 +9,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 
+from conftest import index_of
+
 import transmigrate.knowledge.chunks as chunks_module
 from transmigrate.errors import ArgumentError, CrawlError, IntegrityError
 from transmigrate.knowledge.chunks import CHUNK_OVERLAP, CHUNK_SIZE, DocumentChunk, chunk_text, ingest_repository
@@ -238,9 +240,9 @@ class TestIndexAndQuery:
         e = HashedTokenEmbedder(16)
         chunks = random_chunks(3, random.Random(1))
         with pytest.raises(IntegrityError):
-            VectorIndex(chunks, e.embed([c.text for c in chunks[:2]]))
+            index_of(chunks, e.embed([c.text for c in chunks[:2]]))
         with pytest.raises(IntegrityError):
-            VectorIndex(chunks, np.zeros(3))
+            index_of(chunks, np.zeros(3))
 
     def test_save_load_round_trip(self, tmp_path):
         e = HashedTokenEmbedder(24)

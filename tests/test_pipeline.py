@@ -505,17 +505,17 @@ class TestDeterminismAndResume:
             Pipeline(config)
 
     def test_unit_without_refinement_payload_is_translated_again(self, fixture_project, tmp_path, monkeypatch):
-        import transmigrate.pipeline as pipeline_module
+        import transmigrate.translate as translate_module
 
         config = make_run_config(fixture_project, tmp_path / "out")
-        real_write_json = pipeline_module._write_json
+        real_write_json = translate_module.write_json
 
         def killed_before_payload(path, payload):
             if path.name == "HttpClient.json" and path.parent.name == "refinement":
                 raise RuntimeError("simulated kill")
             real_write_json(path, payload)
 
-        monkeypatch.setattr(pipeline_module, "_write_json", killed_before_payload)
+        monkeypatch.setattr(translate_module, "write_json", killed_before_payload)
         with pytest.raises(RuntimeError, match="simulated kill"):
             run_full(config)
         monkeypatch.undo()
@@ -938,6 +938,57 @@ class TestConcurrentChecks:
         # The killed grandchild is an orphan until the init process reaps
         # it, which can take a second or two; unkilled, it would sleep 30 s.
         deadline = time.monotonic() + 10
+        while time.monotonic() < deadline:
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                break
+            time.sleep(0.05)
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+    def test_interrupt_during_a_repair_round_kills_its_checker(self, tmp_path):
+        import signal
+        import threading
+        import time
+
+        project = one_package_project(tmp_path / "project", repaired=("A",))
+        pid_file = tmp_path / "grandchild.pid"
+        grandchild = f"import os, time; open({str(pid_file)!r}, 'w').write(str(os.getpid())); time.sleep(30)"
+        # The syntax checker flags the ``init`` field of round 0, and on A's
+        # repaired candidate only it starts a grandchild that records its
+        # pid and sleeps 30 s, holding the output pipe open.
+        config = make_run_config(project, tmp_path / "out")
+        config.tools.syntax_check_cmd = python_command(
+            "import subprocess, sys\n"
+            "code = open(sys.argv[1]).read()\n"
+            "if 'let init ' in code:\n"
+            "    print(sys.argv[1] + ':1:1: error: init field')\n"
+            "elif sys.argv[1].endswith('/A.swift') and 'initialValue' in code:\n"
+            f"    subprocess.Popen([sys.executable, '-c', {grandchild!r}]).wait()\n"
+        )
+        interrupted = []
+
+        def interrupt_once_the_grandchild_runs():
+            deadline = time.monotonic() + 10
+            while not pid_file.exists():
+                if time.monotonic() > deadline:
+                    return  # no signal: the run then ends without KeyboardInterrupt
+                time.sleep(0.01)
+            interrupted.append(time.monotonic())
+            os.kill(os.getpid(), signal.SIGINT)
+
+        helper = threading.Thread(target=interrupt_once_the_grandchild_runs)
+        helper.start()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_full(config)
+        finally:
+            helper.join(timeout=15)
+        assert not helper.is_alive()
+        assert time.monotonic() - interrupted[0] < 5
+        pid = int(pid_file.read_text())
+        deadline = time.monotonic() + 10  # an orphan until the init process reaps it
         while time.monotonic() < deadline:
             try:
                 os.kill(pid, 0)
@@ -1646,23 +1697,23 @@ class TestRetrievalPass:
     def test_resume_after_a_kill_mid_component_embeds_the_pending_prompts_texts(
         self, packages_project, tmp_path, monkeypatch, embedded
     ):
-        from transmigrate import pipeline as pipeline_module
+        from transmigrate import translate as translate_module
 
         class Killed(BaseException):
             pass
 
         config = make_run_config(packages_project, tmp_path / "out")
-        real_write_json = pipeline_module._write_json
+        real_write_json = translate_module.write_json
 
         def killed_before_c_payload(path, payload):
             if path.name == "C.json":
                 raise Killed(path)
             real_write_json(path, payload)
 
-        monkeypatch.setattr(pipeline_module, "_write_json", killed_before_c_payload)
+        monkeypatch.setattr(translate_module, "write_json", killed_before_c_payload)
         with pytest.raises(Killed):
             run_full(config)
-        monkeypatch.setattr(pipeline_module, "_write_json", real_write_json)
+        monkeypatch.setattr(translate_module, "write_json", real_write_json)
         refinement = tmp_path / "out" / "translate" / "refinement"
         assert sorted(p.name for p in refinement.iterdir()) == ["A.json", "B.json", "Main.json"]
         embedded.clear()

@@ -22,6 +22,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import index_of
+
 import transmigrate.knowledge.embed as embed_module
 import transmigrate.knowledge.index as index_module
 from transmigrate.errors import ArgumentError, IntegrityError
@@ -116,7 +118,7 @@ class TestQueryEquivalence:
         half_point = (step + 0.5) * 1e-12
         entries = list(reversed(list(enumerate(offsets))))
         chunks = [DocumentChunk(f"c{i:02d}", "api_doc", "x") for i, _ in entries]
-        index = VectorIndex(chunks, np.array([[sign * (half_point + off * scale)] for _, off in entries]))
+        index = index_of(chunks, np.array([[sign * (half_point + off * scale)] for _, off in entries]))
         ids = [c.chunk_id for c in chunks]
         assert_every_k_matches(index, ids, ["q"], FixedEmbedder([1.0]))
 
@@ -192,7 +194,7 @@ class TestQueryManyEquivalence:
         rows = rng.standard_normal((entries, 8))
         rows = np.repeat(rows / np.linalg.norm(rows, axis=1, keepdims=True), copies, axis=0)
         chunks = [DocumentChunk(f"c{i:03d}", "api_doc", "x") for i in range(len(rows), 0, -1)]
-        index = VectorIndex(chunks, rows)
+        index = index_of(chunks, rows)
         table = {f"q{i}": v for i, v in enumerate(rng.standard_normal((queries, 8)))}
         table["row"] = rows[0]
         texts = list(table) + ["row", "q0"]
@@ -201,10 +203,10 @@ class TestQueryManyEquivalence:
 
     def test_empty_index_empty_texts_bad_k_and_wrong_width(self):
         embedder = FixedEmbedder([1.0, 0.0, 0.0, 0.0])
-        empty = VectorIndex([], np.empty((0, 4)))
+        empty = index_of([], np.empty((0, 4)))
         assert query_many(empty, ["a", "", "a"], 2, embedder) == [[], [], []]
         assert query(empty, "a", 2, embedder) == []
-        index = VectorIndex([DocumentChunk("d", "api_doc", "x")], np.array([[0.5, 0.5, 0.5, 0.5]]))
+        index = index_of([DocumentChunk("d", "api_doc", "x")], np.array([[0.5, 0.5, 0.5, 0.5]]))
         assert query_many(index, [], 2, embedder) == []
         for target in (empty, index):
             with pytest.raises(ArgumentError):
@@ -258,7 +260,7 @@ class TestPostingsScores:
         chunks = [DocumentChunk(f"c{i:03d}", "api_doc", "x") for i in range(entries, 0, -1)]
         ids = [c.chunk_id for c in chunks]
         with mock.patch.object(index_module, "_BLOCK_CELLS", cells):
-            index = VectorIndex(chunks, dense)
+            index = index_of(chunks, dense)
             scores = index.scores(vectors)
         assert scores.shape == (queries, entries)
         assert np.abs(scores - vectors @ dense.T).max() <= 1e-12
@@ -324,7 +326,7 @@ def reference_index_text(dimension: int, entries: list[tuple[str, np.ndarray]]) 
 
 def saved_index_bytes(dimension: int, entries: list[tuple[str, np.ndarray]]) -> bytes:
     chunks = [DocumentChunk(uri, "api_doc", "text", {}, ordinal) for ordinal, (uri, _) in enumerate(entries)]
-    index = VectorIndex(chunks, np.array([vec for _, vec in entries]).reshape(len(entries), dimension))
+    index = index_of(chunks, np.array([vec for _, vec in entries]).reshape(len(entries), dimension))
     with tempfile.TemporaryDirectory() as tmp:
         index.save(Path(tmp) / "index.jsonl", Path(tmp) / "chunks.jsonl")
         return (Path(tmp) / "index.jsonl").read_bytes()
