@@ -7,9 +7,9 @@ retrieval tie-breaks deterministic.
 
 Source files contribute their comments. A file the caller has already
 parsed gives its comment tokens from that parse (``Ast.comments``) when
-the parse read the same text: ``SourceFile.read`` translates newlines,
-and ingest decodes the raw bytes, so a file with a carriage return is
-lexed again, as is a source file with no parse (a ``.swift`` file).
+the parse read the same bytes: ``SourceFile.read`` translates newlines
+and replaces invalid UTF-8, and ingest reads the raw bytes, so such a
+file is lexed again, as is a source file with no parse (a ``.swift``).
 """
 
 from __future__ import annotations
@@ -30,8 +30,10 @@ CHUNK_OVERLAP = 100
 _DOC_SUFFIXES = {".md", ".rst", ".txt", ".adoc", ".html", ".htm"}
 
 
-@dataclass
+@dataclass(slots=True)
 class DocumentChunk:
+    """One chunk of a document; slotted, as a project yields thousands."""
+
     source_uri: str
     kind: str
     text: str
@@ -44,20 +46,20 @@ class DocumentChunk:
 
 
 def chunk_text(source_uri: str, kind: str, text: str, metadata: dict[str, str]) -> list[DocumentChunk]:
-    """Split normalized text into overlapping chunks, each with its own copy
-    of ``metadata``; empty text yields none."""
+    """Split normalized text into overlapping chunks, which all share
+    ``metadata`` (nothing mutates it); empty text yields none."""
     normalized = text.strip()
     if not normalized:
         return []
     if len(normalized) <= CHUNK_SIZE:
-        return [DocumentChunk(source_uri, kind, normalized, dict(metadata), 0)]
+        return [DocumentChunk(source_uri, kind, normalized, metadata, 0)]
     stride = CHUNK_SIZE - CHUNK_OVERLAP
     chunks = []
     ordinal = 0
     pos = 0
     while pos < len(normalized) - CHUNK_OVERLAP:
         piece = normalized[pos : pos + CHUNK_SIZE]
-        chunks.append(DocumentChunk(source_uri, kind, piece, dict(metadata), ordinal))
+        chunks.append(DocumentChunk(source_uri, kind, piece, metadata, ordinal))
         ordinal += 1
         pos += stride
     return chunks
@@ -87,7 +89,7 @@ def ingest_repository(root: str | Path, files: list[str], asts: dict[str, Ast]) 
     directory is walked. Binary files are skipped with a logged notice,
     never an error. Source files contribute their comments (kind
     ``code_comment``), lexed with their language's grammar; a file whose
-    parse in ``asts`` (by root-relative path) read the same text takes the
+    parse in ``asts`` (by root-relative path) read the same bytes takes the
     comment tokens of that parse instead."""
     root = Path(root)
     chunks: list[DocumentChunk] = []
@@ -109,15 +111,14 @@ def ingest_repository(root: str | Path, files: list[str], asts: dict[str, Ast]) 
             if profile is None:
                 continue
             ast = asts.get(rel)
-            if ast is not None and ast.source.text == text:
-                data, comments = ast.source.data, ast.comments
+            if ast is not None and ast.source.data == raw:
+                data, comments = raw, ast.comments
             else:
                 data = text.encode("utf-8")
                 comments = [t for t in lexer.tokenize(data, profile) if t.kind == lexer.COMMENT]
+            metadata = {"path": rel}  # one dict for every comment block of the file
             for i, comment in enumerate(_comment_blocks(comments, data, profile)):
-                chunks.extend(
-                    chunk_text(f"{rel}:comment{i}", "code_comment", comment, {"path": rel})
-                )
+                chunks.extend(chunk_text(f"{rel}:comment{i}", "code_comment", comment, metadata))
         else:
             chunks.extend(chunk_text(rel, kind, text, {"path": rel}))
     return chunks

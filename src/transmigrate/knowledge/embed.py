@@ -17,11 +17,12 @@ same bytes.
 Each embedder memoises ``token bytes -> bucket``, so md5 runs once per
 distinct token; documents and queries drawn from one project share most of
 their vocabulary. The memo lives as long as the embedder and holds one
-entry per distinct token it has seen. A block of texts makes one
-``np.bincount`` over ``row * dimension + bucket``. The counts are exact
-small integers and so are their squared sums (below 2**53), so each row,
-and its norm, is bitwise what a per-token ``counts[bucket] += 1.0`` loop
-and ``np.linalg.norm`` give.
+entry per distinct token it has seen. Each ``embed`` call makes one
+``np.bincount`` over ``row * dimension + bucket``; the index passes at
+most one row block of cells per call (see ``knowledge.index``). The
+counts are exact small integers and so are their squared sums (below
+2**53), so each row, and its norm, is bitwise what a per-token
+``counts[bucket] += 1.0`` loop and ``np.linalg.norm`` give.
 
 A remote provider with the same contract can be swapped in through
 configuration; its wire format is a JSON POST of ``{"input": <text>}``
@@ -39,10 +40,6 @@ from transmigrate.errors import IntegrityError, RetryableBackendError
 
 # Seconds a remote embedding request may take.
 _REMOTE_TIMEOUT_S = 30.0
-
-# Texts per bincount block: the block's count matrix is rows * dimension
-# integers, 2 MB at the default dimension.
-_BLOCK_ROWS = 1024
 
 # Byte translation table: ASCII a-z and 0-9 stay, every other byte is a space.
 _SEPARATORS = bytes(b if b in b"abcdefghijklmnopqrstuvwxyz0123456789" else 0x20 for b in range(256))
@@ -80,21 +77,18 @@ class HashedTokenEmbedder:
         """One row per text, shape ``(len(texts), dimension)``; a text with
         characters has a unit-norm row, the empty text a zero row."""
         dim = self.dimension
-        out = np.empty((len(texts), dim))
-        for start in range(0, len(texts), _BLOCK_ROWS):
-            lengths: list[int] = []
-            buckets: list[int] = []
-            for text in texts[start : start + _BLOCK_ROWS]:
-                tokens = _tokens(text)
-                lengths.append(len(tokens))
-                buckets.extend(map(self._buckets.__getitem__, tokens))
-            rows = len(lengths)
-            cells = np.repeat(np.arange(0, rows * dim, dim), lengths) + np.array(buckets, dtype=np.intp)
-            counts = np.bincount(cells, minlength=rows * dim).reshape(rows, dim)
-            norms = np.sqrt(np.square(counts).sum(axis=1))
-            # A text with no token keeps its zero row; any other norm is >= 1.
-            np.divide(counts, np.maximum(norms, 1.0)[:, None], out=out[start : start + rows])
-        return out
+        lengths: list[int] = []
+        buckets: list[int] = []
+        for text in texts:
+            tokens = _tokens(text)
+            lengths.append(len(tokens))
+            buckets.extend(map(self._buckets.__getitem__, tokens))
+        rows = len(texts)
+        cells = np.repeat(np.arange(0, rows * dim, dim), lengths) + np.array(buckets, dtype=np.intp)
+        counts = np.bincount(cells, minlength=rows * dim).reshape(rows, dim)
+        norms = np.sqrt(np.square(counts).sum(axis=1))
+        # A text with no token keeps its zero row; any other norm is >= 1.
+        return counts / np.maximum(norms, 1.0)[:, None]
 
 
 class RemoteEmbedder:

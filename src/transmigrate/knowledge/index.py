@@ -1,7 +1,8 @@
 """Exact (flat) cosine-similarity index.
 
-An index is built whole, from its chunks and their vectors, vector i
-belonging to chunk i, and never changes afterwards. Query results are the
+An index is built whole, from its chunks, kept in one list in row order,
+and their vectors, vector i belonging to chunk i, and never changes
+afterwards; a query result carries its row's chunk. Query results are the
 exact top-k by cosine score with ties broken by chunk id ascending, so
 retrieval is reproducible and, for any k1 < k2, query(k1) is a prefix of
 query(k2). For tie-breaking, scores compare at 1e-12 granularity:
@@ -40,10 +41,11 @@ finite vectors the scores equal the dense product ``vectors @ matrix.T``
 up to summation order, within 1e-12 for unit vectors.
 
 Retrieval runs over blocks of query texts (``query_many``; ``query`` is a
-one-text call of it). A block holds as many texts as keep its score
-matrix near ``_BLOCK_CELLS`` cells, texts times entries, at least one
-text: 68 texts against 953 entries, 5 against 12,038, so peak memory
-stays flat as the project grows. Each block makes one ``embed`` call.
+one-text call of it). A block holds as many texts as keep its score cells
+(texts times entries) and its query cells (texts times dimension) within
+``_BLOCK_CELLS``, at least one text: 68 texts against 953 entries, 5
+against 12,038, so peak memory stays flat as the project grows. Each
+block makes one ``embed`` call, of at most one row block of cells.
 
 A query does not sort every entry. With ``t`` the k-th largest raw score
 of a row (``np.partition`` along the rows), the row's candidates are the
@@ -63,11 +65,13 @@ returned scores are those of a full sort by the key: the selection
 changes neither the tie rule nor the file format.
 
 Persistence is line-delimited JSON: a header line with the dimension and
-entry count, then one ``{"id": ..., "v": [...]}`` line per entry. Chunks
-are stored beside the index in line-delimited JSON. Each file is written
-to a temporary file and renamed over its path. A line that does not
-parse, or an id with no saved chunk, is an IntegrityError naming the file
-and line.
+entry count, then one ``{"id": ..., "v": [...]}`` line per entry, and
+beside it one line per chunk. The files pair by row: entry line i holds
+the id and vector of chunk line i, and ``load`` reads the two together.
+Each file is written to a temporary file and renamed over its path. A
+line that does not parse, an id that is not its chunk line's, a chunk
+line missing or left over, or a NaN or infinite cell is an IntegrityError
+naming the file and line.
 
 ``save`` writes the bytes ``json.dumps({"id": id, "v": [floats]})`` gives,
 one row block at a time: the block's dense rows are rebuilt from its
@@ -85,6 +89,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -98,8 +103,8 @@ from transmigrate.knowledge.chunks import DocumentChunk
 _CANDIDATE_MARGIN = 2e-12
 
 # Cells per block: of the dense rows ``build_index`` embeds, ``load`` parses
-# and ``save`` formats at a time (one row block), of the score matrix
-# ``query_many`` selects from, and of the products one bincount adds.
+# and ``save`` formats at a time (one row block), of the score and query
+# cells of a ``query_many`` block, and of the products one bincount adds.
 _BLOCK_CELLS = 65_536
 
 
@@ -113,26 +118,23 @@ class VectorIndex:
     def __init__(self, chunks: list[DocumentChunk], dimension: int, postings) -> None:
         """An index over ``chunks``, whose vectors ``postings`` holds, row i
         the vector of chunk i: what ``_postings`` returns for row blocks of
-        ``_block_rows(dimension)`` rows. A chunk id given twice maps to its
-        last chunk."""
+        ``_block_rows(dimension)`` rows."""
         self.dimension = dimension
-        self._block_rows = _block_rows(dimension)
         self._rows, self._values, self._starts = postings
-        self._ids = [c.chunk_id for c in chunks]
-        self._chunks = dict(zip(self._ids, chunks))
+        self._chunks = chunks
         # sorted() is stable, so equal ids keep their insertion order.
-        by_id = sorted(range(len(self._ids)), key=self._ids.__getitem__)
+        by_id = sorted(range(len(chunks)), key=lambda row: chunks[row].chunk_id)
         self._id_rank = np.empty(len(by_id), dtype=np.intp)
         self._id_rank[by_id] = np.arange(len(by_id))
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self._chunks)
 
     def scores(self, vectors: np.ndarray) -> np.ndarray:
         """One row of cosine scores per row of ``vectors``, one column per
         entry, each summed in ascending bucket order; see the module
         docstring."""
-        count, entries = len(vectors), len(self._ids)
+        count, entries = len(vectors), len(self._chunks)
         texts, buckets = np.nonzero(vectors)  # by text, then by bucket
         # One segment per row block and (text, bucket) pair, block after
         # block: the postings of that bucket in that block.
@@ -159,18 +161,13 @@ class VectorIndex:
             out = sums if out is None else np.add(out, sums, out=out)
         return out.reshape(count, entries)
 
-    def chunk(self, chunk_id: str) -> DocumentChunk:
-        return self._chunks[chunk_id]
-
-    def top_k(self, scores: np.ndarray, k: int) -> list[list[tuple[str, float]]]:
-        """For each row of ``scores``, (id, score) of its k best entries
+    def top_k(self, scores: np.ndarray, k: int) -> list[list[tuple[DocumentChunk, float]]]:
+        """For each row of ``scores``, (chunk, score) of its k best entries
         under ``(-round(s, 12), id)``, best first; see the module docstring."""
         n = scores.shape[1]
-        if k < n:
-            kth = np.partition(scores, n - k, axis=1)[:, n - k]
-            rows, cols = np.nonzero(scores >= (kth - _CANDIDATE_MARGIN)[:, None])
-        else:
-            rows, cols = (axis.ravel() for axis in np.indices(scores.shape))
+        k = min(k, n)
+        kth = np.partition(scores, n - k, axis=1)[:, n - k]
+        rows, cols = np.nonzero(scores >= (kth - _CANDIDATE_MARGIN)[:, None])
         values = scores[rows, cols]
         distinct, inverse = np.unique(values, return_inverse=True)
         rounded = np.array([round(float(v), 12) for v in distinct])[inverse]
@@ -180,29 +177,28 @@ class VectorIndex:
         # rows before it, and its result is the first k of them.
         counts = np.bincount(rows, minlength=len(scores))
         kept = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows] < k
-        best: list[list[tuple[str, float]]] = [[] for _ in range(len(scores))]
+        best: list[list[tuple[DocumentChunk, float]]] = [[] for _ in range(len(scores))]
         for row, col, value in zip(rows[kept].tolist(), cols[kept].tolist(), values[kept].tolist()):
-            best[row].append((self._ids[col], value))
+            best[row].append((self._chunks[col], value))
         return best
 
     # ---- persistence ----
 
     def save(self, index_path: str | Path, chunks_path: str | Path) -> None:
         """Write both files, each whole or not at all."""
-        rows = self._block_rows
+        rows = _block_rows(self.dimension)
         with replacing(index_path) as fh:
-            fh.write(json.dumps({"dimension": self.dimension, "entries": len(self._ids)}) + "\n")
+            fh.write(json.dumps({"dimension": self.dimension, "entries": len(self._chunks)}) + "\n")
             # Each row block's dense rows, rebuilt from its postings.
-            for start, starts in zip(range(0, len(self._ids), rows), self._starts):
-                ids = self._ids[start : start + rows]
-                block = np.zeros((len(ids), self.dimension))
+            for start, starts in zip(range(0, len(self._chunks), rows), self._starts):
+                chunks = self._chunks[start : start + rows]
+                block = np.zeros((len(chunks), self.dimension))
                 cells = slice(starts[0], starts[-1])
                 block[self._rows[cells] - start, np.repeat(np.arange(self.dimension), np.diff(starts))] = self._values[cells]
-                fh.write(_rows_text(ids, block))
+                fh.write(_rows_text([c.chunk_id for c in chunks], block))
         encode = json.JSONEncoder(sort_keys=True).encode
         with replacing(chunks_path) as fh:
-            for cid in self._ids:
-                c = self._chunks[cid]
+            for c in self._chunks:
                 fh.write(
                     encode(
                         {
@@ -220,13 +216,6 @@ class VectorIndex:
     def load(cls, index_path: str | Path, chunks_path: str | Path) -> "VectorIndex":
         index_path = Path(index_path)
         chunks_path = Path(chunks_path)
-        by_id = {}
-        for lineno, rec in _jsonl_records(chunks_path):
-            try:
-                chunk = DocumentChunk(**rec)
-            except TypeError as exc:
-                raise IntegrityError(f"{chunks_path}:{lineno}: corrupt chunk: {exc}") from exc
-            by_id[chunk.chunk_id] = chunk
         records = _jsonl_records(index_path)
         lineno, header = next(records, (1, {}))
         if "dimension" not in header or "entries" not in header:
@@ -236,14 +225,20 @@ class VectorIndex:
         except (TypeError, ValueError) as exc:
             raise IntegrityError(f"{index_path}:{lineno}: corrupt index header: {exc}") from exc
         rows = _block_rows(dimension)
+        chunk_records = _jsonl_records(chunks_path)
         chunks: list[DocumentChunk] = []
 
         def blocks():
             block, filled = None, 0
             for lineno, rec in records:
-                chunk = by_id.get(rec.get("id"))
-                if chunk is None:
-                    raise IntegrityError(f"{index_path}:{lineno}: id {rec.get('id')!r} has no chunk in {chunks_path}")
+                chunk_lineno, chunk_rec = next(chunk_records, (None, None))
+                try:
+                    chunk = None if chunk_rec is None else DocumentChunk(**chunk_rec)
+                except TypeError as exc:
+                    raise IntegrityError(f"{chunks_path}:{chunk_lineno}: corrupt chunk: {exc}") from exc
+                if chunk is None or chunk.chunk_id != rec.get("id"):
+                    found = "ends before it" if chunk is None else f"line {chunk_lineno} holds {chunk.chunk_id!r}"
+                    raise IntegrityError(f"{index_path}:{lineno}: id {rec.get('id')!r} has no chunk: {chunks_path} {found}")
                 try:
                     values = np.asarray(rec["v"], dtype=np.float64)
                 except (KeyError, TypeError, ValueError) as exc:
@@ -264,10 +259,17 @@ class VectorIndex:
                 yield block[:filled]
 
         postings = _postings(dimension, blocks())
+        if (left_over := next(chunk_records, None)) is not None:
+            raise IntegrityError(f"{chunks_path}:{left_over[0]}: chunk line has no entry in {index_path}")
         if len(chunks) != entries:
             raise IntegrityError(
                 f"index file corrupt: header says {header['entries']} entries, found {len(chunks)}"
             )
+        # json.loads reads the NaN and Infinity literals, and one such cell
+        # would make every score it touches NaN or infinite.
+        if (bad := np.flatnonzero(~np.isfinite(postings[1]))).size:
+            lineno, _ = next(islice(_jsonl_records(index_path), postings[0][bad].min() + 1, None))
+            raise IntegrityError(f"{index_path}:{lineno}: vector cell is not a finite number")
         return cls(chunks, dimension, postings)
 
 
@@ -376,7 +378,7 @@ def query_many(index: VectorIndex, texts: list[str], k: int, embedder) -> list[l
         raise ArgumentError(f"k must be positive, got {k}")
     if len(index) == 0:
         return [[] for _ in texts]
-    rows = max(1, _BLOCK_CELLS // len(index))
+    rows = max(1, _BLOCK_CELLS // max(len(index), index.dimension))
     results: list[list[RetrievalResult]] = []
     for start in range(0, len(texts), rows):
         vectors = embedder.embed(texts[start : start + rows])
@@ -385,7 +387,7 @@ def query_many(index: VectorIndex, texts: list[str], k: int, embedder) -> list[l
                 f"query dimension {vectors.shape[1]} does not match index dimension {index.dimension}"
             )
         for best in index.top_k(index.scores(vectors), k):
-            results.append([RetrievalResult(chunk=index.chunk(cid), score=s) for cid, s in best])
+            results.append([RetrievalResult(chunk, score) for chunk, score in best])
     return results
 
 

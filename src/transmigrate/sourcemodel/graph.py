@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from collections.abc import KeysView
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -32,13 +33,18 @@ Edge = tuple[str, str, str]  # (from, to, kind)
 
 @dataclass
 class DependencyGraph:
+    """``weights``, the one edge store, maps each edge to its occurrence
+    multiplicity, so distinct-target and total reference counts are both
+    derivable (schedulers pick one); ``edges`` is a view of its keys."""
+
     granularity: str
     nodes: frozenset[str]
-    edges: frozenset[Edge]
-    # Occurrence multiplicity per edge; distinct-target counts and total
-    # reference counts are both derivable (schedulers pick one).
     weights: dict[Edge, int] = field(default_factory=dict)
     externals: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def edges(self) -> KeysView[Edge]:
+        return self.weights.keys()
 
     def out_edges(self, node: str) -> list[Edge]:
         return list(self._out_edges.get(node, ()))
@@ -64,8 +70,8 @@ class DependencyGraph:
             "granularity": self.granularity,
             "nodes": sorted(self.nodes),
             "edges": [
-                {"from": f, "to": t, "kind": k, "weight": self.weights.get((f, t, k), 1)}
-                for f, t, k in sorted(self.edges)
+                {"from": f, "to": t, "kind": k, "weight": weight}
+                for (f, t, k), weight in sorted(self.weights.items())
             ],
             "externals": dict(sorted(self.externals.items())),
         }
@@ -74,12 +80,10 @@ class DependencyGraph:
     @classmethod
     def from_json(cls, text: str) -> "DependencyGraph":
         payload = json.loads(text)
-        edges = frozenset((e["from"], e["to"], e["kind"]) for e in payload["edges"])
         weights = {(e["from"], e["to"], e["kind"]): e.get("weight", 1) for e in payload["edges"]}
         return cls(
             granularity=payload["granularity"],
             nodes=frozenset(payload["nodes"]),
-            edges=edges,
             weights=weights,
             externals=dict(payload.get("externals", {})),
         )
@@ -178,11 +182,9 @@ def _method_graph(classes: list[ClassDescriptor], snapshot: _Snapshot) -> Depend
                         if am.name == m.name:
                             weights[(m.node_id, am.node_id, EDGE_INHERITANCE)] += 1
 
-    edges = frozenset(weights)
     return DependencyGraph(
         granularity="method",
         nodes=frozenset(nodes),
-        edges=edges,
         weights=dict(weights),
         externals=dict(externals),
     )
@@ -268,7 +270,6 @@ def _class_graph(classes: list[ClassDescriptor], snapshot: _Snapshot) -> Depende
     return DependencyGraph(
         granularity="class",
         nodes=nodes,
-        edges=frozenset(weights),
         weights=dict(weights),
         externals=dict(externals),
     )
@@ -286,7 +287,6 @@ def quotient_graph(graph: DependencyGraph, mapping: dict[str, str], granularity:
     return DependencyGraph(
         granularity=granularity,
         nodes=nodes,
-        edges=frozenset(weights),
         weights=dict(weights),
         externals=dict(graph.externals),
     )

@@ -33,7 +33,6 @@ identifier, which no fixed text names.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 from transmigrate.errors import ConfigurationError
@@ -59,21 +58,22 @@ TYPE_DECLARATION_KINDS = frozenset(_TYPE_KIND_BY_KEYWORD.values()) | {"annotatio
 MAX_NESTING = 100
 
 
-@dataclass(frozen=True)
 class SourceFile:
-    """One file of a codebase snapshot; ``path`` is repository-relative."""
+    """One file of a codebase snapshot; ``path`` is repository-relative. It
+    keeps only ``data``, its text's UTF-8 bytes; ``text`` decodes them."""
 
-    path: str
-    text: str
-    language: str
+    __slots__ = ("path", "data", "language")
 
-    def __post_init__(self) -> None:
-        if self.language not in LANGUAGES:
-            raise ConfigurationError(f"unsupported language {self.language!r} for {self.path}")
+    def __init__(self, path: str, text: str, language: str) -> None:
+        if language not in LANGUAGES:
+            raise ConfigurationError(f"unsupported language {language!r} for {path}")
+        self.path = path
+        self.data = text.encode("utf-8")
+        self.language = language
 
-    @cached_property
-    def data(self) -> bytes:
-        return self.text.encode("utf-8")
+    @property
+    def text(self) -> str:
+        return self.data.decode("utf-8")
 
     @classmethod
     def read(cls, path: str | Path, repo_relative: str, language: str | None = None) -> "SourceFile":

@@ -17,7 +17,7 @@ import logging
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from transmigrate.errors import BackendError, BudgetError
+from transmigrate.errors import BackendError, BudgetError, ExtractionError
 from transmigrate.prompts import output_requirements_for
 from transmigrate.validation.issues import IssueRecord, ValidationReport, format_diagnostic_line
 
@@ -58,10 +58,10 @@ def refine_loop(
     ``repair(code, issues)`` makes each next candidate and
     ``check(name, code)`` checks it. Returns the kept code and the state.
 
-    A repair that fails (the backend fails, or the prompt cannot fit the
-    budget) degrades gracefully: the best candidate seen so far (fewest
-    error-severity issues, earliest on ties) is returned with the state
-    flagged degraded.
+    A repair that fails (the backend fails, the prompt cannot fit the
+    budget, or the reply is empty) degrades gracefully: the best candidate
+    seen so far (fewest error-severity issues, earliest on ties) is
+    returned with the state flagged degraded.
     """
     state = RefinementState(history=[(code, report)])
     while report.error_count():
@@ -75,7 +75,7 @@ def refine_loop(
             break
         try:
             code = repair(code, report.all_issues())
-        except (BackendError, BudgetError) as exc:
+        except (BackendError, BudgetError, ExtractionError) as exc:
             logger.warning("repair failed during refinement of %s: %s", name, exc)
             state.degraded = True
             state.kept = min(

@@ -9,7 +9,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 
-from conftest import index_of
+from conftest import index_of, reachable
 
 import transmigrate.knowledge.chunks as chunks_module
 from transmigrate.errors import ArgumentError, CrawlError, IntegrityError
@@ -32,6 +32,13 @@ class TestChunking:
         chunks = chunk_text("README.md", "readme", "x" * 250, {})
         assert len(chunks) == 1
         assert chunks[0].chunk_id == "README.md#0"
+
+    def test_chunks_of_one_text_share_its_metadata(self):
+        metadata = {"path": "doc.md"}
+        chunks = chunk_text("doc.md", "api_doc", "word " * 500, metadata)
+        assert len(chunks) == 3
+        assert all(c.metadata is metadata for c in chunks)
+        assert not any(hasattr(c, "__dict__") for c in chunks)
 
     def test_chunk_count_matches_overlap_arithmetic(self):
         n = 2500
@@ -303,6 +310,32 @@ class TestIndexAndQuery:
         (tmp_path / "index.jsonl").write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
         with pytest.raises(IntegrityError, match=message):
             VectorIndex.load(tmp_path / "index.jsonl", tmp_path / "chunks.jsonl")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda lines: lines[:-1], r"index\.jsonl:4: id 'doc0002#0' has no chunk: \S*chunks\.jsonl ends before it"),
+            (lambda lines: lines + lines[:1], r"chunks\.jsonl:4: chunk line has no entry in \S*index\.jsonl"),
+        ],
+        ids=["missing", "left-over"],
+    )
+    def test_load_pairs_each_entry_with_its_chunk_line(self, tmp_path, edit, message):
+        index = build_index(random_chunks(3, random.Random(9)), HashedTokenEmbedder(24))
+        index.save(tmp_path / "index.jsonl", tmp_path / "chunks.jsonl")
+        lines = (tmp_path / "chunks.jsonl").read_text().splitlines(keepends=True)
+        (tmp_path / "chunks.jsonl").write_text("".join(edit(lines)))
+        with pytest.raises(IntegrityError, match=message):
+            VectorIndex.load(tmp_path / "index.jsonl", tmp_path / "chunks.jsonl")
+
+    def test_index_keeps_chunks_by_row_and_no_copy_of_their_ids(self):
+        chunks = random_chunks(20, random.Random(3))
+        index = build_index(chunks, HashedTokenEmbedder(16))
+        assert not hasattr(index, "chunk")
+        ids = {c.chunk_id for c in chunks}
+        kept = reachable(index)
+        assert not [o for o in kept if isinstance(o, str) and o in ids]
+        assert [o for o in kept if isinstance(o, list) and o and isinstance(o[0], DocumentChunk)] == [chunks]
+
 
 SITE = {
     "index.html": '<html><title>Home</title><body>Welcome to MiniApp docs. '

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import shlex
 import shutil
 import socket
@@ -130,6 +131,31 @@ class TestFullRun:
         assert (translate / "units" / "Logger.swift").read_text(encoding="utf-8") == payload["history"][0]["code"]
         row = report_bytes(run_config)[0]["projects"][0]
         assert row["syntax_before"] == 1 and row["syntax_after"] == 1
+
+    def test_empty_repair_replies_degrade_their_units(self, run_config, monkeypatch):
+        # An empty reply to a repair prompt fails that repair as a backend
+        # error does: each refined unit keeps round 0 and the run finishes.
+        real_factory = Pipeline._backend
+
+        class BlankRepairs:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def translate(self, envelope):
+                return " \n\t" if envelope.level == "repair" else self.inner.translate(envelope)
+
+        monkeypatch.setattr(Pipeline, "_backend", lambda self: BlankRepairs(real_factory(self)))
+        run_full(run_config)
+        out = run_config_path(run_config.output_root)
+        degraded = {}
+        for name in json.loads((out / "translate" / "unit_names.json").read_text(encoding="utf-8")).values():
+            payload = json.loads((out / "translate" / "refinement" / f"{name}.json").read_text(encoding="utf-8"))
+            degraded[name] = (payload["degraded"], payload["kept"], len(payload["history"]))
+        assert {name: d for name, d in degraded.items() if d[0]} == {
+            "Logger": (True, 0, 1),
+            "MainScreen": (True, 0, 1),
+        }
+        assert (out / "report" / "report.json").is_file()
 
     def test_rerun_skips_completed_stages_and_preserves_report(self, run_config):
         pipeline = run_full(run_config)
@@ -1102,7 +1128,11 @@ class TestNetworkIsolation:
             "import sys, transmigrate.pipeline; "
             "print([m for m in ('urllib.request', 'http.client', 'ssl') if m in sys.modules])"
         )
-        env = {"PYTHONPATH": str(pathlib.Path(transmigrate.__file__).parents[1]), "PATH": ""}
+        env = {
+            "PYTHONPATH": str(pathlib.Path(transmigrate.__file__).parents[1]),
+            "PATH": "",
+            "PYTHONDONTWRITEBYTECODE": "1",
+        }
         result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
         assert result.stdout == "[]\n", result.stderr
 
@@ -1310,11 +1340,11 @@ class TestCli:
         assert calls == []
         assert not (tmp_path / "out" / "translate" / "units").exists()
 
-    def corrupt_index_then_translate(self, tmp_path, fixture_project, capsys, corrupt):
+    def corrupt_index_then_translate(self, tmp_path, fixture_project, capsys, corrupt, name="index.jsonl"):
         config_path = self.write_config(tmp_path, fixture_project)
         for stage in ("analyze", "index", "plan"):
             assert cli_main([stage, "--config", str(config_path)]) == 0
-        index_path = tmp_path / "out" / "index" / "index.jsonl"
+        index_path = tmp_path / "out" / "index" / name
         index_path.write_text(corrupt(index_path.read_text()))
         capsys.readouterr()
         assert cli_main(["translate", "--config", str(config_path)]) == 1
@@ -1326,6 +1356,30 @@ class TestCli:
         )
         assert err.startswith("error: ")
         assert "index.jsonl:" in err and "corrupt line" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("cell", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_vector_cell_exits_1(self, fixture_project, tmp_path, capsys, cell):
+        def poison_second_entry(text):
+            lines = text.splitlines(keepends=True)
+            entry = json.loads(lines[2])
+            entry["v"][0] = cell
+            lines[2] = json.dumps(entry) + "\n"
+            return "".join(lines)
+
+        err = self.corrupt_index_then_translate(tmp_path, fixture_project, capsys, poison_second_entry)
+        assert err.startswith("error: ")
+        assert "index.jsonl:3: vector cell is not a finite number" in err
+        assert "Traceback" not in err
+
+    def test_swapped_chunk_lines_exit_1(self, fixture_project, tmp_path, capsys):
+        def swap_first_two(text):
+            first, second, *rest = text.splitlines(keepends=True)
+            return "".join([second, first, *rest])
+
+        err = self.corrupt_index_then_translate(tmp_path, fixture_project, capsys, swap_first_two, "chunks.jsonl")
+        assert err.startswith("error: ")
+        assert re.search(r"index\.jsonl:2: id '[^']+' has no chunk: \S*chunks\.jsonl line 1 holds '[^']+'", err), err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("name", ["index.jsonl", "chunks.jsonl"])

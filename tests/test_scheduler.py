@@ -15,12 +15,10 @@ def compute_degrees(graph: DependencyGraph) -> dict[str, int]:
 
 
 def make_graph(granularity, nodes, edges):
-    edge_set = frozenset(edges)
     return DependencyGraph(
         granularity=granularity,
         nodes=frozenset(nodes),
-        edges=edge_set,
-        weights={e: 1 for e in edge_set},
+        weights={e: 1 for e in frozenset(edges)},
     )
 
 

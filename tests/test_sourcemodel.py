@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from transmigrate.errors import ConfigurationError, IntegrityError, StructuralError
-from conftest import FIXTURE_PROJECT, check_span_invariants
+from conftest import FIXTURE_PROJECT, check_span_invariants, reachable
 
 from transmigrate.sourcemodel import lexer
 from transmigrate.sourcemodel.extract import TokenRuns, declarations_by_span, extract_classes, method_body
@@ -167,6 +167,13 @@ class TestTokenRecords:
         assert ast.tokens and ast.comments
         assert not any(hasattr(t, "__dict__") for t in ast.tokens + ast.comments)
         assert not any(hasattr(n, "__dict__") for n in ast.root.walk())
+
+    def test_source_file_keeps_only_its_bytes(self):
+        text = "class \u00c9t\u00e9 { } // caf\u00e9"
+        file = java(text)
+        assert not hasattr(file, "__dict__")
+        assert file.data == text.encode("utf-8") and file.text == text
+        assert not [o for o in reachable(file) if isinstance(o, str) and o == text]
 
     @pytest.mark.parametrize("path", sorted(FIXTURE_PROJECT.rglob("*.java")), ids=lambda p: p.name)
     def test_parse_returns_every_token(self, path):

@@ -214,8 +214,8 @@ class TestGraphComparison:
     def test_requires_class_granularity(self):
         from transmigrate.sourcemodel.graph import DependencyGraph
 
-        wrong = DependencyGraph("method", frozenset(), frozenset())
-        ok = DependencyGraph("class", frozenset(), frozenset())
+        wrong = DependencyGraph("method", frozenset(), {})
+        ok = DependencyGraph("class", frozenset(), {})
         with pytest.raises(ArgumentError):
             compare_graphs(wrong, ok, {}, {})
 
@@ -308,7 +308,7 @@ class TestExternalTools:
         import transmigrate
 
         probe = f"import sys, {module}; print('numpy' in sys.modules)"
-        env = {"PYTHONPATH": str(Path(transmigrate.__file__).parents[1]), "PATH": ""}
+        env = {"PYTHONPATH": str(Path(transmigrate.__file__).parents[1]), "PATH": "", "PYTHONDONTWRITEBYTECODE": "1"}
         result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
         assert result.stdout == "False\n", result.stderr
 
