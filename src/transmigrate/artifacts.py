@@ -1,4 +1,4 @@
-"""Artifacts written whole or not at all.
+"""Artifacts written whole or not at all, and read back.
 
 Each file goes first to a temporary file beside it, ``.<name>.tmp``, which
 ``os.replace`` then moves over it, so a kill mid-write leaves the previous
@@ -11,6 +11,8 @@ import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
+
+from transmigrate.errors import IntegrityError, OrderingError
 
 
 def _temporary(path: Path) -> Path:
@@ -49,3 +51,19 @@ def read_saved(path: Path) -> str:
     "\\r" that an unfenced reply carried."""
     with path.open(encoding="utf-8", newline="") as saved:
         return saved.read()
+
+
+def read_artifact(path: Path, stage: str, decode):
+    """``decode`` applied to the text of an artifact that ``stage`` writes.
+    A missing artifact is an OrderingError; one that does not decode (to
+    the shape ``decode`` reads) is an IntegrityError naming the file."""
+    try:
+        return decode(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise missing(path, stage) from None
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise IntegrityError(f"corrupt artifact {path}: {type(exc).__name__}: {exc}") from exc
+
+
+def missing(path: str | Path, stage: str) -> OrderingError:
+    return OrderingError(f"missing artifact {Path(path).name!r}: run the {stage!r} stage first")

@@ -70,8 +70,11 @@ beside it one line per chunk. The files pair by row: entry line i holds
 the id and vector of chunk line i, and ``load`` reads the two together.
 Each file is written to a temporary file and renamed over its path. A
 line that does not parse, an id that is not its chunk line's, a chunk
-line missing or left over, or a NaN or infinite cell is an IntegrityError
-naming the file and line.
+line missing or left over, a vector of another dimension than the
+header's, an entry count other than the header's (named at the header
+line), or a NaN or infinite cell is an IntegrityError naming the file and
+line. Consecutive chunk lines with equal metadata share one dict, as
+ingest builds them.
 
 ``save`` writes the bytes ``json.dumps({"id": id, "v": [floats]})`` gives,
 one row block at a time: the block's dense rows are rebuilt from its
@@ -217,13 +220,13 @@ class VectorIndex:
         index_path = Path(index_path)
         chunks_path = Path(chunks_path)
         records = _jsonl_records(index_path)
-        lineno, header = next(records, (1, {}))
+        header_line, header = next(records, (1, {}))
         if "dimension" not in header or "entries" not in header:
-            raise IntegrityError(f"{index_path}:{lineno}: index header has no dimension and entry count")
+            raise IntegrityError(f"{index_path}:{header_line}: index header has no dimension and entry count")
         try:
             dimension, entries = int(header["dimension"]), int(header["entries"])
         except (TypeError, ValueError) as exc:
-            raise IntegrityError(f"{index_path}:{lineno}: corrupt index header: {exc}") from exc
+            raise IntegrityError(f"{index_path}:{header_line}: corrupt index header: {exc}") from exc
         rows = _block_rows(dimension)
         chunk_records = _jsonl_records(chunks_path)
         chunks: list[DocumentChunk] = []
@@ -245,8 +248,11 @@ class VectorIndex:
                     raise IntegrityError(f"{index_path}:{lineno}: corrupt vector: {exc!r}") from exc
                 if values.shape != (dimension,):
                     raise IntegrityError(
-                        f"vector dimension {values.size} does not match index dimension {dimension}"
+                        f"{index_path}:{lineno}: vector dimension {values.size} "
+                        f"does not match index dimension {dimension}"
                     )
+                if chunks and chunk.metadata == chunks[-1].metadata:
+                    chunk.metadata = chunks[-1].metadata  # one dict per file, as ingest builds them
                 chunks.append(chunk)
                 if block is None:  # allocated once a line has shown the dimension
                     block = np.empty((rows, dimension))
@@ -263,7 +269,8 @@ class VectorIndex:
             raise IntegrityError(f"{chunks_path}:{left_over[0]}: chunk line has no entry in {index_path}")
         if len(chunks) != entries:
             raise IntegrityError(
-                f"index file corrupt: header says {header['entries']} entries, found {len(chunks)}"
+                f"{index_path}:{header_line}: index file corrupt: "
+                f"header says {header['entries']} entries, found {len(chunks)}"
             )
         # json.loads reads the NaN and Infinity literals, and one such cell
         # would make every score it touches NaN or infinite.

@@ -5,13 +5,12 @@ Every stage persists its artifacts under the output root before the state
 cursor advances, so an interrupted run resumes without repeating work
 (completed translation units, components and the project prompt are never
 re-sent to the backend). The state file is the stage cursor only: it is
-written once per completed stage. Translate and ``--dry-run`` read what is
-still to send from one function, ``Pipeline._pending``: an item is done once
-the last file it writes exists, whole (a unit's refinement payload, a
-component's ``translate/components`` file, ``translate/project.swift``).
-The agent chain that sends those prompts is ``transmigrate.translate``.
-The state file hash-guards the source tree and configuration: resuming
-against modified inputs is refused.
+written once per completed stage. ``transmigrate.translate`` owns what the
+translate stage writes: its agent chain, its file layout and its rule for
+what is done, which translate, ``--dry-run`` and validate all read from the
+plan. The state file hash-guards the source tree and configuration:
+resuming against modified inputs is refused. So a completed index stage
+whose two files exist is a cache hit: they were built from these inputs.
 
 With the mock backend and no crawl start URL the whole run is
 bit-deterministic: no timestamps are written, every collection is sorted,
@@ -26,10 +25,10 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from transmigrate.artifacts import write_json, write_text
+from transmigrate.artifacts import missing, read_artifact, write_json, write_text
 from transmigrate.backends import LiveBackend, MockBackend
 from transmigrate.config import RunConfig
-from transmigrate.errors import ConfigurationError, IntegrityError, OrderingError
+from transmigrate.errors import ConfigurationError, IntegrityError
 from transmigrate.knowledge.chunks import ingest_repository
 from transmigrate.knowledge.crawl import crawl_site
 from transmigrate.knowledge.embed import HashedTokenEmbedder, RemoteEmbedder
@@ -41,13 +40,13 @@ from transmigrate.reporting import (
     emit_report,
     sample_size,
 )
-from transmigrate.scheduler import ClassPlan, ComponentPlan, TranslationPlan, build_plan
+from transmigrate.scheduler import TranslationPlan, build_plan
 from transmigrate.sourcemodel.extract import ClassDescriptor, extract_classes
 from transmigrate.sourcemodel.graph import DependencyGraph, build_dependency_graph, quotient_graph
 from transmigrate.sourcemodel.parser import Ast, SourceFile, parse_source
 # Loaded with this module, not when the stage runs: the benchmark tracer
 # replaces functions imported by name only in modules loaded when it installs.
-from transmigrate.translate import component_path, first_and_kept_rounds, translate
+from transmigrate.translate import pending, translate, translated_rounds
 from transmigrate.validation.checks import (
     build_translated_class_graph,
     check_references,
@@ -105,41 +104,6 @@ def hash_config(config: RunConfig) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _json_object(text: str) -> dict:
-    """The JSON object ``text`` holds; any other JSON value is a TypeError."""
-    value = json.loads(text)
-    if not isinstance(value, dict):
-        raise TypeError(f"expected a JSON object, found {type(value).__name__}")
-    return value
-
-
-def _read_artifact(path: Path, stage: str, decode=_json_object):
-    """``decode`` applied to the text of an artifact that ``stage`` writes.
-    A missing artifact is an OrderingError; one that does not decode (to
-    the shape ``decode`` reads) is an IntegrityError naming the file."""
-    try:
-        return decode(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise _missing(path, stage) from None
-    except (ValueError, LookupError, TypeError, AttributeError) as exc:
-        raise IntegrityError(f"corrupt artifact {path}: {type(exc).__name__}: {exc}") from exc
-
-
-def _missing(path: str | Path, stage: str) -> OrderingError:
-    return OrderingError(f"missing artifact {Path(path).name!r}: run the {stage!r} stage first")
-
-
-def _unit_names_map(text: str) -> dict[str, str]:
-    """Source qualified name -> unit base name, from
-    ``translate/unit_names.json``; a value that is not a string is a
-    TypeError (JSON object keys always are strings)."""
-    names = _json_object(text)
-    for qualified, base in names.items():
-        if not isinstance(base, str):
-            raise TypeError(f"unit name of {qualified!r} is not a string: {base!r}")
-    return names
-
-
 def _validity(text: str) -> list[dict[str, bool]]:
     """The before and after validity flags of ``validate/validity.json``."""
     validity = json.loads(text)
@@ -173,7 +137,7 @@ class Pipeline:
     def _load_or_init_state(self, input_hash: str) -> PipelineState:
         config_hash = hash_config(self.config)
         if self.state_path.is_file():
-            state = _read_artifact(self.state_path, "analyze", lambda text: PipelineState(**json.loads(text)))
+            state = read_artifact(self.state_path, "analyze", lambda text: PipelineState(**json.loads(text)))
             if state.input_hash != input_hash or state.config_hash != config_hash:
                 raise IntegrityError(
                     "refusing to resume: source tree or configuration changed since the "
@@ -238,16 +202,10 @@ class Pipeline:
         self._mark_stage_done("analyze")
 
     def stage_index(self) -> None:
-        meta_path = self.out / "index" / "meta.json"
-        if meta_path.is_file() and all(path.is_file() for path in self._index_files):
-            meta = _read_artifact(meta_path, "index")
-            if (
-                meta.get("input_hash") == self.state.input_hash
-                and meta.get("dimension") == self.config.knowledge.embedding_dimension
-            ):
-                logger.info("index cache hit; skipping embedding")
-                self._mark_stage_done("index")
-                return
+        if "index" in self.state.completed_stages and all(path.is_file() for path in self._index_files):
+            logger.info("index cache hit; skipping embedding")
+            self._mark_stage_done("index")
+            return
         # Comment chunks reuse the parse analyze left in this process; without
         # it, ingest lexes the sources instead of parsing them here. Nothing
         # after ingest reads the comments.
@@ -261,20 +219,16 @@ class Pipeline:
         index = build_index(chunks, self._embedder())
         index.save(*self._index_files)
         self._index = index  # taken over by translate in this process
-        write_json(
-            meta_path,
-            {"input_hash": self.state.input_hash, "dimension": index.dimension, "entries": len(index)},
-        )
         logger.info("indexed %d chunks", len(index))
         self._mark_stage_done("index")
 
     def stage_plan(self) -> None:
         analyze_dir = self.out / "analyze"
         graphs = {
-            g: _read_artifact(analyze_dir / f"graph_{g}.json", "analyze", DependencyGraph.from_json)
+            g: read_artifact(analyze_dir / f"graph_{g}.json", "analyze", DependencyGraph.from_json)
             for g in ("method", "class", "component")
         }
-        classes = _read_artifact(analyze_dir / "classes.json", "analyze", _class_summaries)
+        classes = read_artifact(analyze_dir / "classes.json", "analyze", _class_summaries)
         method_owner = {f"{qualified}.{m}": qualified for qualified, _, members in classes for m in members}
         class_component = {qualified: component for qualified, component, _ in classes}
         plan = build_plan(
@@ -288,49 +242,15 @@ class Pipeline:
         logger.info("plan covers %s components/classes/methods", plan.item_counts())
         self._mark_stage_done("plan")
 
-    # -- translate helpers --
-
-    def _unit_names(self, class_names: list[str]) -> dict[str, str]:
-        """Source qualified name -> translated unit base name, one-to-one.
-        The first class in sorted order with a given simple name gets that
-        name; every other class, in sorted order, gets its dotted name with
-        underscores, suffixed ``_2``, ``_3``, ... until no class has it."""
-        first: dict[str, str] = {}
-        for qualified in sorted(class_names):
-            first.setdefault(qualified.rsplit(".", 1)[-1], qualified)
-        mapping = {qualified: simple for simple, qualified in first.items()}
-        taken = set(first)
-        for qualified in sorted(set(class_names) - mapping.keys()):
-            base = name = qualified.replace(".", "_")
-            suffix = 1
-            while name in taken:
-                suffix += 1
-                name = f"{base}_{suffix}"
-            taken.add(name)
-            mapping[qualified] = name
-        return mapping
-
-    def _pending(self) -> tuple[dict[str, str], list[tuple[ComponentPlan, list[ClassPlan]]], bool]:
-        """What translate still has to send, read from the plan in send
-        order: the unit name of every planned class, each component not yet
-        done with its classes not yet done, and whether the project prompt
-        is not yet done; see the module docstring."""
-        plan = _read_artifact(self.out / "plan" / "plan.jsonl", "plan", TranslationPlan.from_jsonl)
-        unit_names = self._unit_names([c.name for _, c in plan.iter_classes()])
-        refinement_dir = self.out / "translate" / "refinement"
-        components = [
-            (comp, [c for c in comp.classes if not (refinement_dir / f"{unit_names[c.name]}.json").is_file()])
-            for comp in plan.components
-            if not component_path(self.out, comp.name).is_file()
-        ]
-        return unit_names, components, not (self.out / "translate" / "project.swift").is_file()
+    def _plan(self, stage: str = "plan") -> TranslationPlan:
+        """The saved plan; a missing one is an OrderingError naming ``stage``."""
+        return read_artifact(self.out / "plan" / "plan.jsonl", stage, TranslationPlan.from_jsonl)
 
     def stage_translate(self) -> None:
-        pending = self._pending()
-        unit_names, components, project_pending = pending
-        _read_artifact(self.out / "index" / "meta.json", "index")
+        todo = pending(self.out, self._plan())
+        _, components, project_pending = todo
         graphs = tuple(
-            _read_artifact(self.out / "analyze" / f"graph_{g}.json", "analyze", DependencyGraph.from_json)
+            read_artifact(self.out / "analyze" / f"graph_{g}.json", "analyze", DependencyGraph.from_json)
             for g in ("class", "component")
         )
         # Taken over from analyze and index and released when this stage
@@ -344,27 +264,19 @@ class Pipeline:
             try:
                 index = VectorIndex.load(*self._index_files)
             except FileNotFoundError as exc:
-                raise _missing(exc.filename, "index") from None
-        write_json(self.out / "translate" / "unit_names.json", unit_names)
-        translate(self.config, self.out, self._files, self._backend(), self._embedder(), index, java, graphs, pending)
+                raise missing(exc.filename, "index") from None
+        translate(self.config, self.out, self._files, self._backend(), self._embedder(), index, java, graphs, todo)
         self._mark_stage_done("translate")
 
     def stage_validate(self) -> None:
-        translate_dir = self.out / "translate"
-        unit_names = _read_artifact(translate_dir / "unit_names.json", "translate", _unit_names_map)
-        classes = _read_artifact(self.out / "analyze" / "classes.json", "analyze", _class_summaries)
+        # Validate reads what translate wrote for each planned class; with
+        # no plan, translate has not run either.
+        unit_names, rounds = translated_rounds(self.out, self._plan("translate"))
+        classes = read_artifact(self.out / "analyze" / "classes.json", "analyze", _class_summaries)
         project_symbols = {qualified.rsplit(".", 1)[-1] for qualified, _, _ in classes}
         project_symbols.update(m for _, _, members in classes for m in members)
-        source_class_graph = _read_artifact(
-            self.out / "analyze" / "graph_class.json", "analyze", DependencyGraph.from_json
-        )
+        source_graph = read_artifact(self.out / "analyze" / "graph_class.json", "analyze", DependencyGraph.from_json)
         unit_of = {base: f"{base}.swift" for base in unit_names.values()}
-        # Each unit's payload holds its first and kept rounds: the code
-        # exactly as translate wrote it and that round's checks.
-        rounds = {
-            unit: _read_artifact(translate_dir / "refinement" / f"{base}.json", "translate", first_and_kept_rounds)
-            for base, unit in sorted(unit_of.items(), key=lambda item: item[1])
-        }
         initial_units = {unit: code for unit, ((code, _), _) in rounds.items()}
         final_units = {unit: code for unit, (_, (code, _)) in rounds.items()}
 
@@ -372,7 +284,7 @@ class Pipeline:
             report = ValidationReport()
             report.extend(check_references(corpus, project_symbols))
             translated_graph = build_translated_class_graph(corpus)
-            report.extend(compare_graphs(source_class_graph, translated_graph, unit_names, unit_of))
+            report.extend(compare_graphs(source_graph, translated_graph, unit_names, unit_of))
             return report
 
         # Every unit's round-0 issues, and its kept round's, each merged with
@@ -404,10 +316,10 @@ class Pipeline:
     def stage_report(self) -> None:
         validate_dir = self.out / "validate"
         before, after = (
-            _read_artifact(validate_dir / name, "validate", lambda t: ValidationReport.from_dict(json.loads(t)))
+            read_artifact(validate_dir / name, "validate", lambda t: ValidationReport.from_dict(json.loads(t)))
             for name in ("before.json", "after.json")
         )
-        validity_before, validity_after = _read_artifact(validate_dir / "validity.json", "validate", _validity)
+        validity_before, validity_after = read_artifact(validate_dir / "validity.json", "validate", _validity)
         metrics = compute_project_metrics(self.config.project_name, before, after, validity_before, validity_after)
 
         pool: list[IssueRecord] = []
@@ -438,20 +350,12 @@ class Pipeline:
     # ---- drivers -----------------------------------------------------------
 
     def run_stage(self, name: str) -> None:
-        runner = {
-            "analyze": self.stage_analyze,
-            "index": self.stage_index,
-            "plan": self.stage_plan,
-            "translate": self.stage_translate,
-            "validate": self.stage_validate,
-            "report": self.stage_report,
-        }.get(name)
-        if runner is None:
+        if name not in STAGES:
             raise ConfigurationError(f"unknown stage {name!r}")
         if self.config.dry_run and name not in _DRY_RUN_STAGES:
             self._log_dry_run()
         else:
-            runner()
+            getattr(self, f"stage_{name}")()
 
     def run(self) -> None:
         for stage in STAGES:
@@ -466,7 +370,7 @@ class Pipeline:
     def _log_dry_run(self) -> None:
         """Log the units, components and project prompt that translate
         would send: the same pending list translate reads."""
-        _, components, project_pending = self._pending()
+        _, components, project_pending = pending(self.out, self._plan())
         units = [c.name for _, classes in components for c in classes]
         names = [comp.name or "(default)" for comp, _ in components]
         for what, listed in (("unit", units), ("component", names)):

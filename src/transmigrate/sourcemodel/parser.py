@@ -204,6 +204,8 @@ class _Parser:
             | set(profile.modifiers)
             | {profile.import_keyword, "@", "}"}
         )
+        # Swift's "class" before a member keyword (``class func``) is a modifier.
+        self._member_keywords = {*profile.method_keywords, *profile.field_keywords}
 
     # ---- cursor helpers -------------------------------------------------
 
@@ -269,7 +271,9 @@ class _Parser:
             if self.peek().text == "(":
                 self._skip_balanced("(", ")")
 
-        while self.peek().text in p.modifiers:
+        while (word := self.peek().text) in p.modifiers or (
+            word == "class" and self.peek(1).text in self._member_keywords
+        ):
             # Guard: a modifier word directly followed by '(' is a call, not
             # a modifier (only relevant for fragment inputs).
             if self.peek(1).text == "(":
@@ -494,10 +498,11 @@ class _Parser:
         return AstNode(kind, start, end, children)
 
     def _parse_c_field(self, start: int) -> AstNode | None:
-        """Field declaration; handles multiple comma-separated declarators and
-        initializers containing balanced parens/braces (lambdas, anonymous
-        classes). The run ends at the first depth-0 ';' (or just before the
-        enclosing '}' when the terminator is missing)."""
+        """Field declaration; handles multiple comma-separated declarators,
+        generic argument lists and initializers containing balanced
+        parens/braces (lambdas, anonymous classes). The run ends at the first
+        depth-0 ';' (or just before the enclosing '}' when the terminator is
+        missing)."""
         toks = self.toks
         segments: list[list[Token]] = [[]]
         depth = 0
@@ -512,6 +517,12 @@ class _Parser:
             elif depth == 0 and text == ";":
                 end = self.advance().end
                 break
+            elif depth == 0 and text == "<" and (skipped := generic_arguments_end(toks, self.i)) is not None:
+                # A generic argument list, whose commas split no declarators.
+                segments[-1].extend(toks[self.i : skipped])
+                self.i = skipped
+                end = toks[skipped - 1].end
+                continue
             elif depth == 0 and text == ",":
                 segments.append([])
                 end = self.advance().end

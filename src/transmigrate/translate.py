@@ -1,4 +1,4 @@
-"""The agent chain of the translate stage.
+"""The translate stage: its agent chain and the layout of what it writes.
 
 Each class is translated bottom-up: one prompt per method, then the class
 prompt with those translations, whose code is the unit's round 0; a
@@ -7,9 +7,11 @@ its components'. One function builds each level's slot values, every
 prompt, repair prompts included, goes through one send step
 (``_Chain.send``), and every refinement round is checked by
 ``_Chain.check``. This thread sends every prompt and writes every file, so
-their order is the plan's. A unit is done once its refinement payload,
-``translate/refinement/<unit>.json``, exists: this module writes it and
-reads it back for validate.
+their order is the plan's. Only this module builds paths under
+``translate/``. An item is done once the last file it writes exists: a
+unit's refinement payload (``unit_names`` names the unit from the plan,
+and the payload records both names), a component's file, or
+``project.swift``. ``pending`` and ``translated_rounds`` read them back.
 """
 
 from __future__ import annotations
@@ -21,12 +23,13 @@ from concurrent.futures import Future, ThreadPoolExecutor, wait
 from pathlib import Path
 from typing import Callable
 
-from transmigrate.artifacts import read_saved, remove_temporaries, write_json, write_text
+from transmigrate.artifacts import read_artifact, read_saved, remove_temporaries, write_json, write_text
 from transmigrate.backends import extract_code
 from transmigrate.config import RunConfig
 from transmigrate.errors import ToolError
 from transmigrate.knowledge.index import query_many
 from transmigrate.prompts import ast_excerpt, dependency_excerpt, render_prompt, truncate_context
+from transmigrate.scheduler import TranslationPlan
 from transmigrate.sourcemodel.extract import ClassDescriptor, declarations_by_span, method_body
 from transmigrate.validation.checks import platform_scan
 from transmigrate.validation.issues import ValidationReport, parse_tool_output
@@ -34,13 +37,60 @@ from transmigrate.validation.refine import refine_loop, repair_inputs
 from transmigrate.validation.tools import kill_running_checkers, run_external_check
 
 
-def translate(config: RunConfig, out: Path, files, backend, embedder, index, java, graphs, pending) -> None:
+def unit_names(class_names: list[str]) -> dict[str, str]:
+    """Source qualified name -> translated unit base name, one-to-one.
+    The first class in sorted order with a given simple name gets that
+    name; every other class, in sorted order, gets its dotted name with
+    underscores, suffixed ``_2``, ``_3``, ... until no class has it."""
+    first: dict[str, str] = {}
+    for qualified in sorted(class_names):
+        first.setdefault(qualified.rsplit(".", 1)[-1], qualified)
+    mapping = {qualified: simple for simple, qualified in first.items()}
+    taken = set(first)
+    for qualified in sorted(set(class_names) - mapping.keys()):
+        base = name = qualified.replace(".", "_")
+        suffix = 1
+        while name in taken:
+            suffix += 1
+            name = f"{base}_{suffix}"
+        taken.add(name)
+        mapping[qualified] = name
+    return mapping
+
+
+def pending(out: Path, plan: TranslationPlan):
+    """What translate still has to send, in the plan's send order: the unit
+    name of every planned class, each component not yet done with its
+    classes not yet done, and whether the project prompt is not yet done."""
+    names = unit_names([c.name for _, c in plan.iter_classes()])
+    components = [
+        (comp, [c for c in comp.classes if not _payload_path(out, names[c.name]).is_file()])
+        for comp in plan.components
+        if not _component_path(out, comp.name).is_file()
+    ]
+    return names, components, not (out / "translate" / "project.swift").is_file()
+
+
+def translated_rounds(out: Path, plan: TranslationPlan):
+    """The unit name of every planned class, and by unit file, in file
+    name order, the code exactly as translate wrote it and the report of
+    the unit's round 0 and of its kept round. A missing payload is an
+    OrderingError naming the translate stage."""
+    names = unit_names([c.name for _, c in plan.iter_classes()])
+    rounds = {
+        unit: read_artifact(_payload_path(out, base), "translate", _first_and_kept_rounds)
+        for unit, base in sorted((f"{base}.swift", base) for base in names.values())
+    }
+    return names, rounds
+
+
+def translate(config: RunConfig, out: Path, files, backend, embedder, index, java, graphs, todo) -> None:
     """Send every pending prompt in plan order and write what each returns.
-    ``pending`` is what ``Pipeline._pending`` returns; ``java`` the Java
-    trees by path and the descriptors of every pending class; ``graphs``
-    the source class and component graphs; ``files`` the source listing;
-    ``index`` is None only when nothing is pending."""
-    unit_names, components, project_pending = pending
+    ``todo`` is what ``pending`` returns; ``java`` the Java trees by path
+    and the descriptors of every pending class; ``graphs`` the source
+    class and component graphs; ``files`` the source listing; ``index`` is
+    None only when nothing is pending."""
+    names, components, project_pending = todo
     asts, descriptors = java
     class_graph, component_graph = graphs
     by_qualified = {d.qualified_name: d for d in descriptors}
@@ -81,14 +131,14 @@ def translate(config: RunConfig, out: Path, files, backend, embedder, index, jav
                 ]
                 slots = _class_slots(d, ast, declarations, method_codes, class_graph)
                 code = chain.send("class", f"class_{d.qualified_name}", slots, class_about)
-                base = unit_names[d.qualified_name]
+                base = names[d.qualified_name]
                 waits.append((d.qualified_name, base, code, chain.check(f"{base}.swift", code)))
             # A check that failed raises here, the first in plan order.
             for qualified, base, code, report in waits:
                 chain.refine(qualified, base, code, report())
-            slots = _component_slots(out, comp, unit_names, component_graph)
+            slots = _component_slots(out, comp, names, component_graph)
             code = chain.send("component", f"component_{comp.name or 'default'}", slots, comp_about)
-            write_text(component_path(out, comp.name), code)
+            write_text(_component_path(out, comp.name), code)
     except BaseException:
         chain.stop()
         raise
@@ -187,12 +237,16 @@ class _Chain:
             write_text(self.out / "translate" / "units" / unit, kept_code)
         history = [{"code": code, "report": report.to_dict()} for code, report in state.history]
         payload = {"unit": unit, "class": qualified, "degraded": state.degraded, "kept": state.kept}
-        write_json(self.out / "translate" / "refinement" / f"{base}.json", {**payload, "history": history})
+        write_json(_payload_path(self.out, base), {**payload, "history": history})
 
 
-def first_and_kept_rounds(text: str) -> list[tuple[str, ValidationReport]]:
-    """Code and report of round 0 and of the kept round of a
-    ``translate/refinement`` payload."""
+def _payload_path(out: Path, base: str) -> Path:
+    return out / "translate" / "refinement" / f"{base}.json"
+
+
+def _first_and_kept_rounds(text: str) -> list[tuple[str, ValidationReport]]:
+    """Code and report of round 0 and of the kept round of a refinement
+    payload."""
     payload = json.loads(text)
     return [
         (entry["code"], ValidationReport.from_dict(entry["report"]))
@@ -200,7 +254,7 @@ def first_and_kept_rounds(text: str) -> list[tuple[str, ValidationReport]]:
     ]
 
 
-def component_path(out: Path, name: str) -> Path:
+def _component_path(out: Path, name: str) -> Path:
     file = (name or "default").replace("/", "_") or "default"
     return out / "translate" / "components" / f"{file}.swift"
 
@@ -225,10 +279,10 @@ def _class_slots(d: ClassDescriptor, ast, declarations, method_codes, class_grap
     }
 
 
-def _component_slots(out: Path, comp, unit_names: dict[str, str], component_graph) -> dict[str, str]:
+def _component_slots(out: Path, comp, names: dict[str, str], component_graph) -> dict[str, str]:
     """The kept code of the component's classes, read back as saved."""
     units = out / "translate" / "units"
-    member_units = [f"// class: {c.name}\n" + read_saved(units / f"{unit_names[c.name]}.swift") for c in comp.classes]
+    member_units = [f"// class: {c.name}\n" + read_saved(units / f"{names[c.name]}.swift") for c in comp.classes]
     return {
         "component_name": comp.name or "(default)",
         "translated_classes": "\n\n".join(member_units) or "none",
@@ -247,7 +301,7 @@ def _project_slots(config: RunConfig, out: Path, files: list[str], component_gra
         if rel.rsplit("/", 1)[-1] == name
     ]
     components = [
-        f"// component: {name or '(default)'}\n{read_saved(component_path(out, name))}"
+        f"// component: {name or '(default)'}\n{read_saved(_component_path(out, name))}"
         for name in sorted(component_graph.nodes)
     ]
     return {

@@ -296,10 +296,13 @@ class TestIndexAndQuery:
     @pytest.mark.parametrize(
         "header, message",
         [
-            ({"dimension": 24, "entries": 2}, "header says 2 entries, found 3"),
-            ({"dimension": 24, "entries": 4}, "header says 4 entries, found 3"),
-            ({"dimension": 24, "entries": 10**15}, "header says 1000000000000000 entries, found 3"),
-            ({"dimension": 23, "entries": 3}, "vector dimension 24 does not match index dimension 23"),
+            ({"dimension": 24, "entries": 2}, "index.jsonl:1: index file corrupt: header says 2 entries, found 3"),
+            ({"dimension": 24, "entries": 4}, "index.jsonl:1: index file corrupt: header says 4 entries, found 3"),
+            (
+                {"dimension": 24, "entries": 10**15},
+                "index.jsonl:1: index file corrupt: header says 1000000000000000 entries, found 3",
+            ),
+            ({"dimension": 23, "entries": 3}, "index.jsonl:2: vector dimension 24 does not match index dimension 23"),
             ({"dimension": "x", "entries": 3}, "index.jsonl:1: corrupt index header"),
         ],
     )
@@ -326,6 +329,20 @@ class TestIndexAndQuery:
         (tmp_path / "chunks.jsonl").write_text("".join(edit(lines)))
         with pytest.raises(IntegrityError, match=message):
             VectorIndex.load(tmp_path / "index.jsonl", tmp_path / "chunks.jsonl")
+
+    def test_loaded_chunks_of_one_file_share_its_metadata(self, tmp_path):
+        (tmp_path / "README.md").write_text("word " * 600)  # four chunks
+        (tmp_path / "A.java").write_text("/** one */\nclass A {\n    // two\n    void f() {}\n    /* three */\n}\n")
+        built = ingest_repository(tmp_path, ["A.java", "README.md"], {})
+        build_index(built, HashedTokenEmbedder(16)).save(tmp_path / "index.jsonl", tmp_path / "chunks.jsonl")
+        loaded = VectorIndex.load(tmp_path / "index.jsonl", tmp_path / "chunks.jsonl")._chunks
+        assert [(c.chunk_id, c.text, c.metadata) for c in loaded] == [(c.chunk_id, c.text, c.metadata) for c in built]
+        by_path = {}
+        for c in loaded:
+            by_path.setdefault(c.metadata["path"], []).append(id(c.metadata))
+        # (chunks, distinct metadata dicts) of each file
+        counts = {path: (len(ids), len(set(ids))) for path, ids in by_path.items()}
+        assert counts == {"A.java": (3, 1), "README.md": (4, 1)}
 
     def test_index_keeps_chunks_by_row_and_no_copy_of_their_ids(self):
         chunks = random_chunks(20, random.Random(3))

@@ -6,7 +6,8 @@ reach every node kind the parser makes and each way a member, a body, a
 list or a header can end: complete, cut off at the end of input, or
 malformed. Trees are pinned as they are, odd ones included, so that a
 rewrite of the parser shows any change in them. A Java ``import static``
-reads ``static`` as a modifier and keeps the whole dotted name.
+reads ``static`` as a modifier and keeps the whole dotted name, and a
+Swift ``class func`` reads ``class`` as a modifier.
 """
 
 import textwrap
@@ -589,6 +590,35 @@ TREES = [
                 block 19 21
                   error 20 21
               error 21 21
+        """,
+    ),
+    (
+        "java",
+        "a comma inside a field's generic arguments",
+        "class A { Map<String, List<Integer>> m; }",
+        """
+        program 0 41
+          class_declaration 0 41
+            identifier 6 7
+            type_body 8 41
+              field_declaration 10 39
+                type_reference 10 37
+                identifier 37 38
+        """,
+    ),
+    (
+        "swift",
+        "a class method",
+        "class A { class func f() {} }",
+        """
+        program 0 29
+          class_declaration 0 29
+            identifier 6 7
+            type_body 8 29
+              method_declaration 10 27
+                identifier 21 22
+                parameter_list 22 24
+                block 25 27
         """,
     ),
 ]

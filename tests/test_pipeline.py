@@ -6,6 +6,7 @@ import shlex
 import shutil
 import socket
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -18,6 +19,7 @@ from transmigrate.knowledge.embed import HashedTokenEmbedder
 from transmigrate.knowledge.index import VectorIndex
 from transmigrate.pipeline import STAGES, Pipeline, hash_source_tree
 from transmigrate.sourcemodel import lexer, parser
+from transmigrate.translate import unit_names
 
 
 def run_full(config):
@@ -30,6 +32,24 @@ def output_tree(root):
     """Relative path -> bytes of every file under ``root``."""
     root = pathlib.Path(root)
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def process_left(pid: int, seconds: float) -> str | None:
+    """None once process ``pid`` is gone, polled for ``seconds``; else its
+    state from ``/proc/<pid>/stat`` ("Z": a zombie that nothing has reaped)."""
+    deadline = time.monotonic() + seconds
+    while True:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return None
+        if time.monotonic() >= deadline:
+            break
+        time.sleep(0.05)
+    try:
+        return pathlib.Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except OSError:
+        return "unknown"
 
 
 @pytest.fixture
@@ -148,9 +168,9 @@ class TestFullRun:
         run_full(run_config)
         out = run_config_path(run_config.output_root)
         degraded = {}
-        for name in json.loads((out / "translate" / "unit_names.json").read_text(encoding="utf-8")).values():
-            payload = json.loads((out / "translate" / "refinement" / f"{name}.json").read_text(encoding="utf-8"))
-            degraded[name] = (payload["degraded"], payload["kept"], len(payload["history"]))
+        for path in (out / "translate" / "refinement").iterdir():
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            degraded[path.stem] = (payload["degraded"], payload["kept"], len(payload["history"]))
         assert {name: d for name, d in degraded.items() if d[0]} == {
             "Logger": (True, 0, 1),
             "MainScreen": (True, 0, 1),
@@ -195,7 +215,6 @@ class TestFullRun:
                 *(f"analyze/{name}.json" for name in ("classes", "graph_class", "graph_component", "graph_method")),
                 "index/chunks.jsonl",
                 "index/index.jsonl",
-                "index/meta.json",
                 "plan/plan.jsonl",
                 *(f"prompts/{name}.txt" for name in prompts),
                 "report/report.json",
@@ -204,7 +223,6 @@ class TestFullRun:
                 *(f"translate/components/{name}.swift" for name in components),
                 "translate/project.swift",
                 *(f"translate/refinement/{name}.json" for name in units),
-                "translate/unit_names.json",
                 *(f"translate/units/{name}.swift" for name in units),
                 "validate/after.json",
                 "validate/before.json",
@@ -409,7 +427,7 @@ class TestDeterminismAndResume:
         fresh = output_tree(tmp_path / "fresh")
         # Each refinement round writes its candidate to units/: MainScreen's
         # four rounds are four kill points whose resume translates it again.
-        assert len(renames) == 34 and "translate/project.swift" in renames
+        assert len(renames) == 32 and "translate/project.swift" in renames
         assert renames.count("translate/units/MainScreen.swift") == 4
 
         for at, artifact in enumerate(renames):
@@ -457,7 +475,7 @@ class TestDeterminismAndResume:
         run_full(make_run_config(project, tmp_path / "fresh", dump_prompts=dump_prompts))
         monkeypatch.undo()
         fresh = output_tree(tmp_path / "fresh")
-        assert len(renames) == (52 if dump_prompts else 36)
+        assert len(renames) == (50 if dump_prompts else 34)
 
         def split(tree):
             """The tree outside ``prompts/``, and the dumps' contents."""
@@ -772,10 +790,9 @@ class TestUnitNames:
             (["x.Only", "y.Once"], {"x.Only": "Only", "y.Once": "Once"}),
         ],
     )
-    def test_unit_names_are_one_to_one(self, run_config, classes, expected):
-        pipeline = Pipeline(run_config)
-        assert pipeline._unit_names(classes) == expected
-        assert pipeline._unit_names(classes[::-1]) == expected
+    def test_unit_names_are_one_to_one(self, classes, expected):
+        assert unit_names(classes) == expected
+        assert unit_names(classes[::-1]) == expected
 
     def test_classes_whose_underscored_name_is_taken_get_their_own_units(self, tmp_path):
         source = tmp_path / "project"
@@ -787,11 +804,11 @@ class TestUnitNames:
         config = make_run_config(source, tmp_path / "out")
         run_full(config)
         translate = tmp_path / "out" / "translate"
-        names = json.loads((translate / "unit_names.json").read_text(encoding="utf-8"))
+        payloads = {p.stem: json.loads(p.read_text(encoding="utf-8")) for p in (translate / "refinement").iterdir()}
+        names = {payload["class"]: unit for unit, payload in payloads.items()}
         assert names == {"p.C": "C", "q.C": "q_C_2", "r.q_C": "q_C"}
         for qualified, unit in names.items():
-            payload = json.loads((translate / "refinement" / f"{unit}.json").read_text(encoding="utf-8"))
-            assert (payload["class"], payload["unit"]) == (qualified, f"{unit}.swift")
+            assert (payloads[unit]["class"], payloads[unit]["unit"]) == (qualified, f"{unit}.swift")
         assert sorted(p.name for p in (translate / "units").iterdir()) == ["C.swift", "q_C.swift", "q_C_2.swift"]
         assert (tmp_path / "out" / "report" / "report.json").is_file()
 
@@ -930,8 +947,6 @@ class TestConcurrentChecks:
         assert output_tree(tmp_path / "out") == output_tree(tmp_path / "fresh")
 
     def test_interrupt_kills_the_checker_in_flight(self, tmp_path, monkeypatch):
-        import time
-
         from transmigrate.backends import MockBackend
 
         project = one_package_project(tmp_path / "project")
@@ -963,20 +978,11 @@ class TestConcurrentChecks:
         pid = int(pid_file.read_text())
         # The killed grandchild is an orphan until the init process reaps
         # it, which can take a second or two; unkilled, it would sleep 30 s.
-        deadline = time.monotonic() + 10
-        while time.monotonic() < deadline:
-            try:
-                os.kill(pid, 0)
-            except ProcessLookupError:
-                break
-            time.sleep(0.05)
-        with pytest.raises(ProcessLookupError):
-            os.kill(pid, 0)
+        assert (state := process_left(pid, 10)) is None, f"grandchild {pid} still present, state {state}"
 
     def test_interrupt_during_a_repair_round_kills_its_checker(self, tmp_path):
         import signal
         import threading
-        import time
 
         project = one_package_project(tmp_path / "project", repaired=("A",))
         pid_file = tmp_path / "grandchild.pid"
@@ -993,36 +999,36 @@ class TestConcurrentChecks:
             "elif sys.argv[1].endswith('/A.swift') and 'initialValue' in code:\n"
             f"    subprocess.Popen([sys.executable, '-c', {grandchild!r}]).wait()\n"
         )
-        interrupted = []
+        interrupted = []  # when the SIGINT was sent
+        waited = []  # how long the helper waited for the pid file
 
         def interrupt_once_the_grandchild_runs():
-            deadline = time.monotonic() + 10
+            started = time.monotonic()
             while not pid_file.exists():
-                if time.monotonic() > deadline:
+                if time.monotonic() - started > 10:
+                    waited.append(time.monotonic() - started)
                     return  # no signal: the run then ends without KeyboardInterrupt
                 time.sleep(0.01)
             interrupted.append(time.monotonic())
+            waited.append(interrupted[0] - started)
             os.kill(os.getpid(), signal.SIGINT)
 
         helper = threading.Thread(target=interrupt_once_the_grandchild_runs)
         helper.start()
+        raised = None
         try:
-            with pytest.raises(KeyboardInterrupt):
-                run_full(config)
+            run_full(config)
+        except KeyboardInterrupt:
+            raised = time.monotonic()
         finally:
             helper.join(timeout=15)
         assert not helper.is_alive()
-        assert time.monotonic() - interrupted[0] < 5
+        assert interrupted, f"no SIGINT sent: no pid file after {waited[0]:.2f} s; the run ended uninterrupted"
+        assert raised is not None, f"no KeyboardInterrupt; SIGINT sent after {waited[0]:.2f} s of waiting for the pid file"
+        assert raised - interrupted[0] < 5, f"KeyboardInterrupt came {raised - interrupted[0]:.2f} s after the SIGINT"
         pid = int(pid_file.read_text())
-        deadline = time.monotonic() + 10  # an orphan until the init process reaps it
-        while time.monotonic() < deadline:
-            try:
-                os.kill(pid, 0)
-            except ProcessLookupError:
-                break
-            time.sleep(0.05)
-        with pytest.raises(ProcessLookupError):
-            os.kill(pid, 0)
+        # An orphan until the init process reaps it.
+        assert (state := process_left(pid, 10)) is None, f"grandchild {pid} still present after 10 s, state {state}"
 
     def test_component_class_prompts_are_dumped_before_its_repair_prompts(self, tmp_path):
         project = one_package_project(tmp_path / "project", repaired=("A", "C"))
@@ -1080,6 +1086,28 @@ class TestStages:
         assert first_count > 0
         pipeline.run_stage("index")
         assert len(calls) == first_count  # zero additional embedding calls
+
+    def test_index_files_without_a_completed_index_stage_are_built_again(self, run_config, embedded):
+        # As after a kill between saving the files and recording the stage:
+        # the files' inputs are unknown, so they are no cache hit.
+        Pipeline(run_config).run_stage("index")
+        (run_config_path(run_config.output_root) / "state.json").unlink()
+        embedded.clear()
+        Pipeline(run_config).run_stage("index")
+        assert embedded
+
+    def test_stale_files_of_an_older_output_root_are_never_read(self, run_config):
+        # An older version also wrote index/meta.json and
+        # translate/unit_names.json; a root that still holds them resumes.
+        out = run_config_path(run_config.output_root)
+        run_full(run_config)
+        for stale in ("index/meta.json", "translate/unit_names.json"):
+            (out / stale).write_text("not JSON")
+        (out / "translate" / "project.swift").unlink()
+        pipeline = Pipeline(run_config)
+        for stage in ("index", "translate", "validate", "report"):
+            pipeline.run_stage(stage)
+        assert report_bytes(run_config)[1] == (GOLDEN_DIR / "report.json").read_bytes()
 
     def test_crawl_runs_exactly_when_a_start_url_is_set(self, fixture_project, tmp_path, monkeypatch):
         import transmigrate.pipeline as pipeline_module
@@ -1281,12 +1309,6 @@ class TestCli:
     @pytest.mark.parametrize(
         "artifact, content, stage",
         [
-            ("index/meta.json", "[]", "index"),
-            ("index/meta.json", "null", "index"),
-            ("index/meta.json", "1", "index"),
-            ("translate/unit_names.json", "[]", "validate"),
-            ("translate/unit_names.json", '"Logger"', "validate"),
-            ("translate/unit_names.json", '{"com.example.core.Logger": ["Logger"]}', "validate"),
             ("validate/validity.json", "{}", "report"),
             ("validate/validity.json", '{"before": {}}', "report"),
             ("validate/validity.json", '{"before": [], "after": []}', "report"),

@@ -255,6 +255,25 @@ class TestExtract:
         fields = {f.name: f.declared_type for f in descs[0].fields}
         assert fields == {"a": "int", "b": "int", "name": "String"}
 
+    def test_commas_inside_generic_arguments_split_no_declarators(self):
+        text = "class F { Map<String, List<Integer>> m; Map<K, V> x = new HashMap<K, V>(), y; boolean b = i < j, c; }"
+        fields = [(f.name, f.declared_type) for f in classes_of(java(text))[0].fields]
+        assert fields == [
+            ("m", "Map<String, List<Integer>>"),
+            ("x", "Map<K, V>"),
+            ("y", "Map<K, V>"),
+            ("b", "boolean"),
+            ("c", "boolean"),
+        ]
+
+    def test_swift_class_members_stay_in_their_class(self):
+        text = "class A {\n    class func f() {}\n    class var v: Int { 1 }\n    class B {}\n}\n"
+        descs = extract_classes(parse_source(SourceFile("A.swift", text, "swift")))
+        assert [(d.qualified_name, [m.name for m in d.methods], [f.name for f in d.fields]) for d in descs] == [
+            ("A", ["f"], ["v"]),
+            ("A.B", [], []),
+        ]
+
     def test_enum_kind_and_constants_not_methods(self):
         descs = classes_of(java("enum Color { RED, GREEN; int code; Color() {} }"))
         assert descs[0].kind == "enum"
