@@ -15,13 +15,14 @@ from pathlib import Path
 from transmigrate.errors import IntegrityError, OrderingError
 
 
-def _temporary(path: Path) -> Path:
+def temporary(path: Path) -> Path:
+    """The temporary file that is moved over ``path``; its directory is made."""
     path.parent.mkdir(parents=True, exist_ok=True)
     return path.with_name(f".{path.name}.tmp")
 
 
 def write_text(path: Path, text: str) -> None:
-    tmp = _temporary(path)
+    tmp = temporary(path)
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
 
@@ -34,7 +35,7 @@ def write_json(path: Path, payload) -> None:
 def replacing(path: str | Path):
     """A text file to write in place of ``path``, moved over it when the block ends."""
     path = Path(path)
-    tmp = _temporary(path)
+    tmp = temporary(path)
     with tmp.open("w", encoding="utf-8") as fh:
         yield fh
     os.replace(tmp, path)

@@ -1,29 +1,35 @@
 """Exact (flat) cosine-similarity index.
 
-An index is built whole, from its chunks, kept in one list in row order,
-and their vectors, vector i belonging to chunk i, and never changes
-afterwards; a query result carries its row's chunk. Query results are the
-exact top-k by cosine score with ties broken by chunk id ascending, so
-retrieval is reproducible and, for any k1 < k2, query(k1) is a prefix of
-query(k2). For tie-breaking, scores compare at 1e-12 granularity:
-mathematically equal cosines can differ in the last float ulp depending on
-summation order, and quantizing the comparison keeps the id tie-break
-authoritative regardless of the evaluation path. The ranking key of an
-entry is exactly ``(-round(score, 12), chunk_id)``.
+An index is built once, from a stream of chunks, and never changes
+afterwards: entry i is the i-th chunk, its id and its vector. Query
+results are the exact top-k by cosine score with ties broken by chunk id
+ascending, so retrieval is reproducible and, for any k1 < k2, query(k1) is
+a prefix of query(k2). For tie-breaking, scores compare at 1e-12
+granularity: mathematically equal cosines can differ in the last float ulp
+depending on summation order, and quantizing the comparison keeps the id
+tie-break authoritative regardless of the evaluation path. The ranking key
+of an entry is exactly ``(-round(score, 12), chunk_id)``.
 
-Storage. The vectors are kept as bucket-major postings, never as one dense
-matrix: a hashed count vector has few nonzero cells (about a quarter of
-them on a 256-bucket index of 1,000-character chunks), and a posting takes
-12 bytes where a dense row takes 8 per cell. The entries are cut into row
-blocks of ``_BLOCK_CELLS // dimension`` rows (256 at the default dimension
-of 256). Two arrays hold, row block after row block and, within a block,
-bucket after bucket, the ascending int32 rows whose cell bits are nonzero
-and those cells' float64 values; a small table holds where each bucket of
-each block starts. Zero is positive zero only, so -0.0, NaN and every
-other stored bit pattern survive. ``build_index`` embeds one row block at
-a time and ``load`` parses one row block of lines at a time, each
-appending it to the two arrays, which grow in place, so neither holds more
-than one block of dense cells or a second copy of the postings.
+Storage. An index holds its vectors, its ids in row order, the rank of
+each id, and one byte offset per entry: where the entry's chunk line
+starts in its chunks file (or in the bytes that hold the lines of an index
+built without one). It holds no chunk and no chunk text: a query result's
+chunk is built from its line when a query returns it (``chunks``). The
+vectors are kept as bucket-major postings, never as one dense matrix: a
+hashed count vector has few nonzero cells (about a quarter of them on a
+256-bucket index of 1,000-character chunks), and a posting takes 12 bytes
+where a dense row takes 8 per cell. The entries are cut into row blocks of
+``_BLOCK_CELLS // dimension`` rows (256 at the default dimension of 256).
+Two arrays hold, row block after row block and, within a block, bucket
+after bucket, the ascending int32 rows whose cell bits are nonzero and
+those cells' float64 values; a small table holds where each bucket of each
+block starts. Zero is positive zero only, so -0.0, NaN and every other
+stored bit pattern survive. ``build_index`` takes one row block of chunks
+at a time from its stream: it embeds their texts, appends the postings,
+writes their chunk lines, records the lines' offsets and drops the chunks.
+``load`` parses one row block of lines at a time. Both append each block
+to the two arrays, which grow in place, so neither holds more than one
+block of dense cells or of chunks, or a second copy of the postings.
 
 Scoring. The score of an entry for a query vector is the sum, over the
 buckets where both are nonzero, in ascending bucket order, of query cell
@@ -66,15 +72,26 @@ changes neither the tie rule nor the file format.
 
 Persistence is line-delimited JSON: a header line with the dimension and
 entry count, then one ``{"id": ..., "v": [...]}`` line per entry, and
-beside it one line per chunk. The files pair by row: entry line i holds
-the id and vector of chunk line i, and ``load`` reads the two together.
-Each file is written to a temporary file and renamed over its path. A
-line that does not parse, an id that is not its chunk line's, a chunk
-line missing or left over, a vector of another dimension than the
+beside it one line per chunk, as ``json.JSONEncoder(sort_keys=True)``
+encodes its fields. The encoder escapes every non-ASCII character, so a
+block's lines are encoded to bytes once and their offsets are the running
+sum of their lengths. The files pair by row: entry line i holds the id
+and vector of chunk line i. ``build_index`` writes the chunk lines to the
+temporary file beside the chunks path it is given; ``save`` writes
+``index.jsonl`` to its own temporary file, then renames both over their
+paths, index first (an index built without a path, or saved to another
+one, has its lines copied out first). A kill before both renames leaves
+at most a ``.tmp`` file that the index stage removes, or a pair that
+``load`` checks. ``load`` reads the two files together: a line that does
+not parse, a chunk line that holds no chunk or another id than its entry,
+a chunk line missing or left over, a vector of another dimension than the
 header's, an entry count other than the header's (named at the header
 line), or a NaN or infinite cell is an IntegrityError naming the file and
-line. Consecutive chunk lines with equal metadata share one dict, as
-ingest builds them.
+line. It builds no chunk and keeps each chunk line's offset. ``chunks``
+reads the lines of the rows one ``query_many`` call returns in one pass,
+in file order; a line that no longer holds its row's chunk (the file was
+edited after the index was read) is an IntegrityError naming the file
+and line.
 
 ``save`` writes the bytes ``json.dumps({"id": id, "v": [floats]})`` gives,
 one row block at a time: the block's dense rows are rebuilt from its
@@ -90,14 +107,18 @@ those texts; the id goes through ``json.dumps``.
 
 from __future__ import annotations
 
+import io
 import json
-from dataclasses import dataclass
+import os
+import shutil
+from collections.abc import Iterable
+from dataclasses import dataclass, fields
 from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from transmigrate.artifacts import replacing
+from transmigrate.artifacts import replacing, temporary
 from transmigrate.errors import ArgumentError, IntegrityError
 from transmigrate.knowledge.chunks import DocumentChunk
 
@@ -110,6 +131,10 @@ _CANDIDATE_MARGIN = 2e-12
 # cells of a ``query_many`` block, and of the products one bincount adds.
 _BLOCK_CELLS = 65_536
 
+# The keys of a chunk line, and those it cannot lack.
+_CHUNK_FIELDS = {f.name for f in fields(DocumentChunk)}
+_CHUNK_REQUIRED = {"source_uri", "kind", "text"}
+
 
 @dataclass(slots=True)
 class RetrievalResult:
@@ -118,26 +143,30 @@ class RetrievalResult:
 
 
 class VectorIndex:
-    def __init__(self, chunks: list[DocumentChunk], dimension: int, postings) -> None:
-        """An index over ``chunks``, whose vectors ``postings`` holds, row i
-        the vector of chunk i: what ``_postings`` returns for row blocks of
-        ``_block_rows(dimension)`` rows."""
+    def __init__(self, ids: list[str], offsets: np.ndarray, dimension: int, postings, lines: Path | bytes) -> None:
+        """An index over the chunks whose ids ``ids`` holds in row order,
+        row i the chunk whose line starts at byte ``offsets[i]`` of
+        ``lines`` (a chunks file, or its bytes), whose vectors ``postings``
+        holds, row i the vector of chunk i: what ``_postings`` returns for
+        row blocks of ``_block_rows(dimension)`` rows."""
         self.dimension = dimension
         self._rows, self._values, self._starts = postings
-        self._chunks = chunks
+        self._ids = ids
+        self._offsets = offsets
+        self._lines = lines
         # sorted() is stable, so equal ids keep their insertion order.
-        by_id = sorted(range(len(chunks)), key=lambda row: chunks[row].chunk_id)
+        by_id = sorted(range(len(ids)), key=ids.__getitem__)
         self._id_rank = np.empty(len(by_id), dtype=np.intp)
         self._id_rank[by_id] = np.arange(len(by_id))
 
     def __len__(self) -> int:
-        return len(self._chunks)
+        return len(self._ids)
 
     def scores(self, vectors: np.ndarray) -> np.ndarray:
         """One row of cosine scores per row of ``vectors``, one column per
         entry, each summed in ascending bucket order; see the module
         docstring."""
-        count, entries = len(vectors), len(self._chunks)
+        count, entries = len(vectors), len(self._ids)
         texts, buckets = np.nonzero(vectors)  # by text, then by bucket
         # One segment per row block and (text, bucket) pair, block after
         # block: the postings of that bucket in that block.
@@ -164,8 +193,8 @@ class VectorIndex:
             out = sums if out is None else np.add(out, sums, out=out)
         return out.reshape(count, entries)
 
-    def top_k(self, scores: np.ndarray, k: int) -> list[list[tuple[DocumentChunk, float]]]:
-        """For each row of ``scores``, (chunk, score) of its k best entries
+    def top_k(self, scores: np.ndarray, k: int) -> list[list[tuple[int, float]]]:
+        """For each row of ``scores``, (row, score) of its k best entries
         under ``(-round(s, 12), id)``, best first; see the module docstring."""
         n = scores.shape[1]
         k = min(k, n)
@@ -180,47 +209,65 @@ class VectorIndex:
         # rows before it, and its result is the first k of them.
         counts = np.bincount(rows, minlength=len(scores))
         kept = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows] < k
-        best: list[list[tuple[DocumentChunk, float]]] = [[] for _ in range(len(scores))]
+        best: list[list[tuple[int, float]]] = [[] for _ in range(len(scores))]
         for row, col, value in zip(rows[kept].tolist(), cols[kept].tolist(), values[kept].tolist()):
-            best[row].append((self._chunks[col], value))
+            best[row].append((col, value))
         return best
+
+    def chunks(self, rows) -> dict[int, DocumentChunk]:
+        """The chunk of each of ``rows``, built from its line; the lines are
+        read in one pass in file order. A line that does not hold its row's
+        chunk, as when the file was edited after the index was loaded, is
+        an IntegrityError naming the file and line."""
+        found: dict[int, DocumentChunk] = {}
+        with _opened(self._lines) as fh:
+            for row in sorted(set(rows)):
+                offset = int(self._offsets[row])
+                fh.seek(offset)
+                chunk = _chunk_of(fh.readline())
+                if chunk is None or chunk.chunk_id != self._ids[row]:
+                    fh.seek(0)
+                    lineno = fh.read(offset).count(b"\n") + 1
+                    raise IntegrityError(
+                        f"{self._lines}:{lineno}: does not hold chunk {self._ids[row]!r} of index row {row}: "
+                        "the file changed after the index was read"
+                    )
+                found[row] = chunk
+        return found
 
     # ---- persistence ----
 
     def save(self, index_path: str | Path, chunks_path: str | Path) -> None:
-        """Write both files, each whole or not at all."""
+        """Write ``index_path`` and put the chunk lines at ``chunks_path``,
+        each file whole or not at all: a build's temporary file for
+        ``chunks_path`` is renamed over it, any other copy written out first."""
         rows = _block_rows(self.dimension)
         with replacing(index_path) as fh:
-            fh.write(json.dumps({"dimension": self.dimension, "entries": len(self._chunks)}) + "\n")
+            fh.write(json.dumps({"dimension": self.dimension, "entries": len(self._ids)}) + "\n")
             # Each row block's dense rows, rebuilt from its postings.
-            for start, starts in zip(range(0, len(self._chunks), rows), self._starts):
-                chunks = self._chunks[start : start + rows]
-                block = np.zeros((len(chunks), self.dimension))
+            for start, starts in zip(range(0, len(self._ids), rows), self._starts):
+                ids = self._ids[start : start + rows]
+                block = np.zeros((len(ids), self.dimension))
                 cells = slice(starts[0], starts[-1])
                 block[self._rows[cells] - start, np.repeat(np.arange(self.dimension), np.diff(starts))] = self._values[cells]
-                fh.write(_rows_text([c.chunk_id for c in chunks], block))
-        encode = json.JSONEncoder(sort_keys=True).encode
-        with replacing(chunks_path) as fh:
-            for c in self._chunks:
-                fh.write(
-                    encode(
-                        {
-                            "source_uri": c.source_uri,
-                            "kind": c.kind,
-                            "text": c.text,
-                            "metadata": c.metadata,
-                            "ordinal": c.ordinal,
-                        }
-                    )
-                    + "\n"
-                )
+                fh.write(_rows_text(ids, block))
+        chunks_path = Path(chunks_path)
+        tmp = temporary(chunks_path)
+        if not (isinstance(self._lines, Path) and self._lines.resolve() == tmp.resolve()):
+            with _opened(self._lines) as source, tmp.open("wb") as fh:
+                shutil.copyfileobj(source, fh)
+        os.replace(tmp, chunks_path)
+        self._lines = chunks_path
 
     @classmethod
     def load(cls, index_path: str | Path, chunks_path: str | Path) -> "VectorIndex":
+        """The index saved at the two paths. Every line is checked as the
+        module docstring says, but no chunk is built: the index keeps each
+        chunk line's offset and reads the line when a query returns it."""
         index_path = Path(index_path)
         chunks_path = Path(chunks_path)
         records = _jsonl_records(index_path)
-        header_line, header = next(records, (1, {}))
+        header_line, _, header = next(records, (1, 0, {}))
         if "dimension" not in header or "entries" not in header:
             raise IntegrityError(f"{index_path}:{header_line}: index header has no dimension and entry count")
         try:
@@ -229,18 +276,19 @@ class VectorIndex:
             raise IntegrityError(f"{index_path}:{header_line}: corrupt index header: {exc}") from exc
         rows = _block_rows(dimension)
         chunk_records = _jsonl_records(chunks_path)
-        chunks: list[DocumentChunk] = []
+        ids: list[str] = []
+        offsets: list[int] = []
 
         def blocks():
             block, filled = None, 0
-            for lineno, rec in records:
-                chunk_lineno, chunk_rec = next(chunk_records, (None, None))
+            for lineno, _, rec in records:
+                chunk_lineno, offset, chunk_rec = next(chunk_records, (None, None, None))
                 try:
-                    chunk = None if chunk_rec is None else DocumentChunk(**chunk_rec)
+                    chunk_id = None if chunk_rec is None else _chunk_id(chunk_rec)
                 except TypeError as exc:
                     raise IntegrityError(f"{chunks_path}:{chunk_lineno}: corrupt chunk: {exc}") from exc
-                if chunk is None or chunk.chunk_id != rec.get("id"):
-                    found = "ends before it" if chunk is None else f"line {chunk_lineno} holds {chunk.chunk_id!r}"
+                if chunk_id is None or chunk_id != rec.get("id"):
+                    found = "ends before it" if chunk_id is None else f"line {chunk_lineno} holds {chunk_id!r}"
                     raise IntegrityError(f"{index_path}:{lineno}: id {rec.get('id')!r} has no chunk: {chunks_path} {found}")
                 try:
                     values = np.asarray(rec["v"], dtype=np.float64)
@@ -251,9 +299,8 @@ class VectorIndex:
                         f"{index_path}:{lineno}: vector dimension {values.size} "
                         f"does not match index dimension {dimension}"
                     )
-                if chunks and chunk.metadata == chunks[-1].metadata:
-                    chunk.metadata = chunks[-1].metadata  # one dict per file, as ingest builds them
-                chunks.append(chunk)
+                ids.append(chunk_id)
+                offsets.append(offset)
                 if block is None:  # allocated once a line has shown the dimension
                     block = np.empty((rows, dimension))
                 block[filled] = values
@@ -267,17 +314,17 @@ class VectorIndex:
         postings = _postings(dimension, blocks())
         if (left_over := next(chunk_records, None)) is not None:
             raise IntegrityError(f"{chunks_path}:{left_over[0]}: chunk line has no entry in {index_path}")
-        if len(chunks) != entries:
+        if len(ids) != entries:
             raise IntegrityError(
                 f"{index_path}:{header_line}: index file corrupt: "
-                f"header says {header['entries']} entries, found {len(chunks)}"
+                f"header says {header['entries']} entries, found {len(ids)}"
             )
         # json.loads reads the NaN and Infinity literals, and one such cell
         # would make every score it touches NaN or infinite.
         if (bad := np.flatnonzero(~np.isfinite(postings[1]))).size:
-            lineno, _ = next(islice(_jsonl_records(index_path), postings[0][bad].min() + 1, None))
+            lineno, _, _ = next(islice(_jsonl_records(index_path), postings[0][bad].min() + 1, None))
             raise IntegrityError(f"{index_path}:{lineno}: vector cell is not a finite number")
-        return cls(chunks, dimension, postings)
+        return cls(ids, np.array(offsets, dtype=np.int64), dimension, postings, chunks_path)
 
 
 def _block_rows(dimension: int) -> int:
@@ -343,38 +390,85 @@ def _rows_text(ids: list[str], block: np.ndarray) -> str:
 
 
 def _jsonl_records(path: Path):
-    """(line number, object) for each non-blank line; a line that is not a
-    JSON object is an IntegrityError naming the file and line."""
-    with path.open(encoding="utf-8") as fh:
+    """(line number, byte offset, object) for each non-blank line; a line
+    that is not a JSON object is an IntegrityError naming the file and line."""
+    with path.open("rb") as fh:
+        offset = 0
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise IntegrityError(f"{path}:{lineno}: corrupt line: {exc}") from exc
-            if not isinstance(rec, dict):
-                raise IntegrityError(f"{path}:{lineno}: corrupt line: not a JSON object")
-            yield lineno, rec
+            if line.strip():
+                try:
+                    rec = json.loads(line)
+                except ValueError as exc:  # not JSON, or not UTF-8
+                    raise IntegrityError(f"{path}:{lineno}: corrupt line: {exc}") from exc
+                if not isinstance(rec, dict):
+                    raise IntegrityError(f"{path}:{lineno}: corrupt line: not a JSON object")
+                yield lineno, offset, rec
+            offset += len(line)
 
 
-def build_index(chunks: list[DocumentChunk], embedder) -> VectorIndex:
-    """Embed the chunks one row block at a time, one ``embed`` call each,
-    and return the index."""
+def _chunk_id(rec: dict) -> str:
+    """The id of the chunk a chunk line's object holds, without building
+    the chunk; an object that holds none raises the TypeError that
+    building it would."""
+    if not _CHUNK_REQUIRED <= rec.keys() <= _CHUNK_FIELDS:
+        DocumentChunk(**rec)
+    return f"{rec['source_uri']}#{rec.get('ordinal', 0)}"
+
+
+def _chunk_of(line: bytes) -> DocumentChunk | None:
+    """The chunk a chunk line holds, or None for a line that holds none."""
+    try:
+        return DocumentChunk(**json.loads(line))
+    except (ValueError, TypeError):
+        return None
+
+
+def _opened(lines: Path | bytes):
+    """The chunk lines as a binary file: a chunks file, or bytes."""
+    return lines.open("rb") if isinstance(lines, Path) else io.BytesIO(lines)
+
+
+def build_index(chunks: Iterable[DocumentChunk], embedder, chunks_path: str | Path | None = None) -> VectorIndex:
+    """The index of ``chunks``, taken one row block at a time: one ``embed``
+    call embeds the block, and its chunk lines are written to the temporary
+    file that ``save`` renames over ``chunks_path``, or kept as bytes when
+    there is no path. No chunk outlives its block."""
     dimension = embedder.dimension
     rows = _block_rows(dimension)
+    chunks = iter(chunks)
+    encode = json.JSONEncoder(sort_keys=True).encode
+    ids: list[str] = []
+    offsets: list[np.ndarray] = []
+    tmp = None if chunks_path is None else temporary(Path(chunks_path))
 
     def blocks():
-        for start in range(0, len(chunks), rows):
-            texts = [c.text for c in chunks[start : start + rows]]
+        written = 0
+        while block := list(islice(chunks, rows)):
+            texts = [c.text for c in block]
             vectors = np.asarray(embedder.embed(texts), dtype=np.float64)
             if vectors.shape != (len(texts), dimension):
                 raise IntegrityError(
                     f"embedding of shape {vectors.shape} does not hold {len(texts)} rows of dimension {dimension}"
                 )
+            # The encoder escapes every non-ASCII character, so a line's
+            # length in characters is its length in bytes.
+            lines = [
+                encode({"source_uri": c.source_uri, "kind": c.kind, "text": c.text, "metadata": c.metadata,
+                        "ordinal": c.ordinal}) + "\n"
+                for c in block
+            ]
+            lengths = np.array([len(line) for line in lines], dtype=np.int64)
+            ends = np.cumsum(lengths) + written
+            offsets.append(ends - lengths)
+            written = int(ends[-1])
+            target.write("".join(lines).encode("ascii"))
+            ids.extend(c.chunk_id for c in block)
             yield vectors
 
-    return VectorIndex(chunks, dimension, _postings(dimension, blocks()))
+    with io.BytesIO() if tmp is None else tmp.open("wb") as target:
+        postings = _postings(dimension, blocks())
+        lines = target.getvalue() if tmp is None else tmp
+    return VectorIndex(ids, np.concatenate([np.empty(0, dtype=np.int64), *offsets]), dimension, postings, lines)
 
 
 def query_many(index: VectorIndex, texts: list[str], k: int, embedder) -> list[list[RetrievalResult]]:
@@ -386,16 +480,16 @@ def query_many(index: VectorIndex, texts: list[str], k: int, embedder) -> list[l
     if len(index) == 0:
         return [[] for _ in texts]
     rows = max(1, _BLOCK_CELLS // max(len(index), index.dimension))
-    results: list[list[RetrievalResult]] = []
+    hits: list[list[tuple[int, float]]] = []
     for start in range(0, len(texts), rows):
         vectors = embedder.embed(texts[start : start + rows])
         if vectors.shape[1] != index.dimension:
             raise IntegrityError(
                 f"query dimension {vectors.shape[1]} does not match index dimension {index.dimension}"
             )
-        for best in index.top_k(index.scores(vectors), k):
-            results.append([RetrievalResult(chunk, score) for chunk, score in best])
-    return results
+        hits += index.top_k(index.scores(vectors), k)
+    chunks = index.chunks(row for best in hits for row, _ in best)
+    return [[RetrievalResult(chunks[row], score) for row, score in best] for best in hits]
 
 
 def query(index: VectorIndex, text: str, k: int, embedder) -> list[RetrievalResult]:

@@ -25,7 +25,7 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from transmigrate.artifacts import missing, read_artifact, write_json, write_text
+from transmigrate.artifacts import missing, read_artifact, remove_temporaries, write_json, write_text
 from transmigrate.backends import LiveBackend, MockBackend
 from transmigrate.config import RunConfig
 from transmigrate.errors import ConfigurationError, IntegrityError
@@ -206,21 +206,29 @@ class Pipeline:
             logger.info("index cache hit; skipping embedding")
             self._mark_stage_done("index")
             return
-        # Comment chunks reuse the parse analyze left in this process; without
-        # it, ingest lexes the sources instead of parsing them here. Nothing
-        # after ingest reads the comments.
-        asts = self._java[0] if self._java is not None else {}
-        chunks = ingest_repository(self.source_root, self._files, asts)
-        for ast in asts.values():
-            ast.comments = []
-        crawl = self.config.knowledge.crawl
-        if crawl.start_url:
-            chunks.extend(crawl_site(crawl.start_url, crawl.max_depth, crawl.max_pages))
-        index = build_index(chunks, self._embedder())
+        # Chunks stream into the build, one source file's at a time, and the
+        # build writes their lines beside the index; a partial file that a
+        # kill left is removed first.
+        remove_temporaries(self._index_files[0].parent)
+        index = build_index(self._chunks(), self._embedder(), self._index_files[1])
         index.save(*self._index_files)
         self._index = index  # taken over by translate in this process
         logger.info("indexed %d chunks", len(index))
         self._mark_stage_done("index")
+
+    def _chunks(self):
+        """Every chunk to index, in order: each listed file's, then the
+        crawled pages'. Comment chunks reuse the parse analyze left in this
+        process; without it, ingest lexes the sources instead of parsing
+        them here. Nothing after ingest reads a file's comments."""
+        asts = self._java[0] if self._java is not None else {}
+        for rel in self._files:
+            yield from ingest_repository(self.source_root, [rel], asts)
+            if rel in asts:
+                asts[rel].comments = []
+        crawl = self.config.knowledge.crawl
+        if crawl.start_url:
+            yield from crawl_site(crawl.start_url, crawl.max_depth, crawl.max_pages)
 
     def stage_plan(self) -> None:
         analyze_dir = self.out / "analyze"

@@ -47,6 +47,13 @@ class FieldInfo:
         m = _BASE_TYPE_RE.search(self.declared_type)
         return m.group(0) if m else None
 
+    def argument_types(self) -> list[str]:
+        """The type names inside the declared type's generic arguments, in
+        order (``Map<String, List<B>>``: String, List, B); a wildcard's
+        ``extends`` or ``super`` names no type."""
+        arguments = self.declared_type.partition("<")[2]
+        return [name for name in _BASE_TYPE_RE.findall(arguments) if name not in ("extends", "super")]
+
 
 @dataclass
 class MethodDescriptor:

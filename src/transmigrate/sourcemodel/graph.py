@@ -3,10 +3,11 @@
 Resolution is name-based within the snapshot: an unqualified call resolves
 to every same-name method in the caller's class hierarchy; a call through
 a receiver resolves via the receiver's class (when the receiver names a
-snapshot class) or via the declared type of a same-named field. References
-that resolve to nothing in the snapshot (JDK / platform APIs) are recorded
-in a side table, never as graph nodes, so schedulers only order project
-code.
+snapshot class) or via the declared type of a same-named field. A field
+depends on its declared type and on every type named in that type's
+generic arguments. References that resolve to nothing in the snapshot
+(JDK / platform APIs) are recorded in a side table, never as graph nodes,
+so schedulers only order project code.
 
 The component graph is the quotient of the class graph under the
 class-to-package projection with self-edges removed.
@@ -248,12 +249,15 @@ def _class_graph(classes: list[ClassDescriptor], snapshot: _Snapshot) -> Depende
             base = f.base_type()
             if not base:
                 continue
-            resolved = snapshot.resolve_type(base, c)
-            if resolved is not None:
-                if resolved.qualified_name != src:
-                    weights[(src, resolved.qualified_name, EDGE_FIELD_TYPE)] += 1
-            elif base[:1].isupper():
-                externals[base] += 1
+            # ``List<B> bs`` depends on B as ``B b`` does: each type the
+            # field names counts once.
+            for name in dict.fromkeys([base, *f.argument_types()]):
+                resolved = snapshot.resolve_type(name, c)
+                if resolved is not None:
+                    if resolved.qualified_name != src:
+                        weights[(src, resolved.qualified_name, EDGE_FIELD_TYPE)] += 1
+                elif name[:1].isupper():
+                    externals[name] += 1
         sites = list(c.class_level_calls)
         for m in c.all_methods():
             sites.extend(m.call_sites)

@@ -162,6 +162,9 @@ _C_DECIDERS = frozenset({"=", "(", ";", "{", "}"})
 # Tokens that may follow a Java enum constant ("" is the end of input).
 _CONSTANT_FOLLOWERS = frozenset({",", ";", "(", "{", "}", ""})
 
+# The arguments a Swift modifier takes: ``private(set)``, ``unowned(safe)``.
+_MODIFIER_ARGUMENTS = frozenset({"set", "safe", "unsafe"})
+
 # Tokens that end a Swift field's type annotation.
 _TYPE_ANNOTATION_ENDS = frozenset({"=", "{", ";", "}", ",", ""})
 
@@ -271,14 +274,8 @@ class _Parser:
             if self.peek().text == "(":
                 self._skip_balanced("(", ")")
 
-        while (word := self.peek().text) in p.modifiers or (
-            word == "class" and self.peek(1).text in self._member_keywords
-        ):
-            # Guard: a modifier word directly followed by '(' is a call, not
-            # a modifier (only relevant for fragment inputs).
-            if self.peek(1).text == "(":
-                break
-            self.i += 1
+        while taken := self._modifier_length(0) or self._class_modifier():
+            self.i += taken
 
         tok = self.peek()
         if not tok.text:
@@ -294,6 +291,30 @@ class _Parser:
         if tok.text == "{":
             return self._initializer_block(start)
         return self._parse_loose_statement(start)
+
+    def _modifier_length(self, ahead: int) -> int:
+        """Tokens the modifier ``ahead`` of the cursor takes: 1 for a
+        modifier word, 4 for one with its argument (``private(set)``,
+        ``unowned(safe)``), 0 for none. A modifier word followed by any
+        other '(' is a call (only relevant for fragment inputs)."""
+        if self.peek(ahead).text not in self.profile.modifiers:
+            return 0
+        if self.peek(ahead + 1).text != "(":
+            return 1
+        if self.peek(ahead + 2).text in _MODIFIER_ARGUMENTS and self.peek(ahead + 3).text == ")":
+            return 4
+        return 0
+
+    def _class_modifier(self) -> int:
+        """1 when the cursor is on Swift's ``class`` as a modifier: only
+        modifiers stand between it and a member keyword (``class func``,
+        ``class override func``, ``class private(set) var``); else 0."""
+        if self.peek().text != "class":
+            return 0
+        ahead = 1
+        while taken := self._modifier_length(ahead):
+            ahead += taken
+        return int(self.peek(ahead).text in self._member_keywords)
 
     def _parse_path_statement(self, kind: str) -> AstNode:
         keyword = self.advance()

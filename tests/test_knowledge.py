@@ -16,7 +16,7 @@ from transmigrate.errors import ArgumentError, CrawlError, IntegrityError
 from transmigrate.knowledge.chunks import CHUNK_OVERLAP, CHUNK_SIZE, DocumentChunk, chunk_text, ingest_repository
 from transmigrate.knowledge.crawl import crawl_site
 from transmigrate.knowledge.embed import HashedTokenEmbedder
-from transmigrate.knowledge.index import VectorIndex, build_index, query
+from transmigrate.knowledge.index import VectorIndex, build_index, query, query_many
 from transmigrate.pipeline import hash_source_tree
 from transmigrate.sourcemodel.parser import SourceFile, parse_source
 
@@ -330,28 +330,81 @@ class TestIndexAndQuery:
         with pytest.raises(IntegrityError, match=message):
             VectorIndex.load(tmp_path / "index.jsonl", tmp_path / "chunks.jsonl")
 
-    def test_loaded_chunks_of_one_file_share_its_metadata(self, tmp_path):
+    def test_loaded_index_fetches_the_built_chunks(self, tmp_path):
         (tmp_path / "README.md").write_text("word " * 600)  # four chunks
         (tmp_path / "A.java").write_text("/** one */\nclass A {\n    // two\n    void f() {}\n    /* three */\n}\n")
         built = ingest_repository(tmp_path, ["A.java", "README.md"], {})
-        build_index(built, HashedTokenEmbedder(16)).save(tmp_path / "index.jsonl", tmp_path / "chunks.jsonl")
-        loaded = VectorIndex.load(tmp_path / "index.jsonl", tmp_path / "chunks.jsonl")._chunks
-        assert [(c.chunk_id, c.text, c.metadata) for c in loaded] == [(c.chunk_id, c.text, c.metadata) for c in built]
-        by_path = {}
-        for c in loaded:
-            by_path.setdefault(c.metadata["path"], []).append(id(c.metadata))
-        # (chunks, distinct metadata dicts) of each file
-        counts = {path: (len(ids), len(set(ids))) for path, ids in by_path.items()}
-        assert counts == {"A.java": (3, 1), "README.md": (4, 1)}
+        build_index(built, HashedTokenEmbedder(16), tmp_path / "chunks.jsonl").save(
+            tmp_path / "index.jsonl", tmp_path / "chunks.jsonl"
+        )
+        loaded = VectorIndex.load(tmp_path / "index.jsonl", tmp_path / "chunks.jsonl")
+        fetched = loaded.chunks(reversed(range(len(loaded))))
+        assert [fetched[row] for row in range(len(loaded))] == built
 
-    def test_index_keeps_chunks_by_row_and_no_copy_of_their_ids(self):
+    def test_index_keeps_ids_and_offsets_and_no_chunk(self, tmp_path):
         chunks = random_chunks(20, random.Random(3))
-        index = build_index(chunks, HashedTokenEmbedder(16))
-        assert not hasattr(index, "chunk")
-        ids = {c.chunk_id for c in chunks}
-        kept = reachable(index)
-        assert not [o for o in kept if isinstance(o, str) and o in ids]
-        assert [o for o in kept if isinstance(o, list) and o and isinstance(o[0], DocumentChunk)] == [chunks]
+        texts = {c.text for c in chunks}
+        built = build_index(chunks, HashedTokenEmbedder(16), tmp_path / "chunks.jsonl")
+        built.save(tmp_path / "index.jsonl", tmp_path / "chunks.jsonl")
+        loaded = VectorIndex.load(tmp_path / "index.jsonl", tmp_path / "chunks.jsonl")
+        for index in (built, loaded):
+            kept = reachable(index)
+            assert not [o for o in kept if isinstance(o, DocumentChunk) or (isinstance(o, str) and o in texts)]
+            ids = [c.chunk_id for c in chunks]
+            assert [o for o in kept if isinstance(o, list) and o and o[0] in ids] == [ids]
+
+    def test_loaded_index_retains_no_chunk_text(self, tmp_path):
+        # The texts of each size hold the same two tokens, so both indexes
+        # have the same postings and ids; only the chunk lines differ, by
+        # about 2 MB in all.
+        import tracemalloc
+
+        retained = {}
+        for size, text in (("short", "alpha beta"), ("long", " ".join(["alpha beta"] * 91))):
+            chunks = [DocumentChunk(f"doc{i:04d}", "api_doc", text) for i in range(2000)]
+            paths = (tmp_path / f"{size}.jsonl", tmp_path / f"{size}_chunks.jsonl")
+            build_index(chunks, HashedTokenEmbedder(64)).save(*paths)
+            tracemalloc.start()
+            try:
+                index = VectorIndex.load(*paths)
+                retained[size] = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert len(text) == (1000 if size == "long" else 10) and len(index) == 2000
+            del index
+        assert abs(retained["long"] - retained["short"]) < 20_000, retained
+
+    def test_query_builds_only_the_chunks_it_returns(self, tmp_path, monkeypatch):
+        import transmigrate.knowledge.index as index_module
+
+        built = []
+
+        class CountedChunk(DocumentChunk):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self.chunk_id)
+
+        e = HashedTokenEmbedder(32)
+        chunks = random_chunks(300, random.Random(4))
+        build_index(chunks, e).save(tmp_path / "index.jsonl", tmp_path / "chunks.jsonl")
+        monkeypatch.setattr(index_module, "DocumentChunk", CountedChunk)
+        index = VectorIndex.load(tmp_path / "index.jsonl", tmp_path / "chunks.jsonl")
+        assert built == []
+        results = query_many(index, ["alpha fetch", "swift view", "alpha fetch view"], 4, e)
+        returned = {r.chunk.chunk_id for rs in results for r in rs}
+        assert len(returned) >= 4 and sorted(built) == sorted(returned)
+
+    def test_chunk_line_edited_after_load_is_integrity_error(self, tmp_path):
+        e = HashedTokenEmbedder(32)
+        chunks = random_chunks(20, random.Random(6))
+        build_index(chunks, e).save(tmp_path / "index.jsonl", tmp_path / "chunks.jsonl")
+        index = VectorIndex.load(tmp_path / "index.jsonl", tmp_path / "chunks.jsonl")
+        lines = (tmp_path / "chunks.jsonl").read_text().splitlines(keepends=True)
+        lines[7] = lines[7].replace('"doc0007"', '"doc0070"')  # same length, another id
+        (tmp_path / "chunks.jsonl").write_text("".join(lines))
+        with pytest.raises(IntegrityError, match=r"chunks\.jsonl:8: does not hold chunk 'doc0007#0' of index row 7"):
+            query(index, chunks[7].text, 3, e)
+        assert query(index, chunks[3].text, 1, e)[0].chunk == chunks[3]
 
 
 SITE = {

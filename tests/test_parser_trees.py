@@ -6,8 +6,10 @@ reach every node kind the parser makes and each way a member, a body, a
 list or a header can end: complete, cut off at the end of input, or
 malformed. Trees are pinned as they are, odd ones included, so that a
 rewrite of the parser shows any change in them. A Java ``import static``
-reads ``static`` as a modifier and keeps the whole dotted name, and a
-Swift ``class func`` reads ``class`` as a modifier.
+reads ``static`` as a modifier and keeps the whole dotted name, a Swift
+``class`` with only modifiers before its member keyword (``class func``,
+``class override func``) reads as a modifier, and so does
+``private(set)``.
 """
 
 import textwrap
@@ -619,6 +621,64 @@ TREES = [
                 identifier 21 22
                 parameter_list 22 24
                 block 25 27
+        """,
+    ),
+    (
+        "swift",
+        "a class method with a modifier after class",
+        "class A { class override func f() {} }",
+        """
+        program 0 38
+          class_declaration 0 38
+            identifier 6 7
+            type_body 8 38
+              method_declaration 10 36
+                identifier 30 31
+                parameter_list 31 33
+                block 34 36
+        """,
+    ),
+    (
+        "swift",
+        "a final class method",
+        "class A { class final func g() {} }",
+        """
+        program 0 35
+          class_declaration 0 35
+            identifier 6 7
+            type_body 8 35
+              method_declaration 10 33
+                identifier 27 28
+                parameter_list 28 30
+                block 31 33
+        """,
+    ),
+    (
+        "swift",
+        "a class field with a setter's access level",
+        "class A { class private(set) var x = 0 }",
+        """
+        program 0 40
+          class_declaration 0 40
+            identifier 6 7
+            type_body 8 40
+              field_declaration 10 38
+                identifier 33 34
+        """,
+    ),
+    (
+        "swift",
+        "a setter's access level",
+        "class A { private(set) var x = 0; var y = 1 }",
+        """
+        program 0 45
+          class_declaration 0 45
+            identifier 6 7
+            type_body 8 45
+              field_declaration 10 33
+                identifier 27 28
+              field_declaration 34 43
+                identifier 38 39
         """,
     ),
 ]

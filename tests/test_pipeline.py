@@ -1096,6 +1096,39 @@ class TestStages:
         Pipeline(run_config).run_stage("index")
         assert embedded
 
+    def test_kill_during_the_index_build_leaves_no_file_a_resume_trusts(self, fixture_project, tmp_path, monkeypatch):
+        import transmigrate.knowledge.index as index_module
+
+        class Killed(BaseException):
+            pass
+
+        run_full(make_run_config(fixture_project, tmp_path / "fresh"))
+        config = make_run_config(fixture_project, tmp_path / "out")
+        # Two entries per row block, so the fixture's chunks take several
+        # blocks and the kill lands after the first block's chunk lines.
+        monkeypatch.setattr(index_module, "_BLOCK_CELLS", 2 * config.knowledge.embedding_dimension)
+        real_embed = HashedTokenEmbedder.embed
+        calls = []
+
+        def killing_embed(self, texts):
+            calls.append(texts)
+            if len(calls) == 2:
+                raise Killed
+            return real_embed(self, texts)
+
+        monkeypatch.setattr(HashedTokenEmbedder, "embed", killing_embed)
+        pipeline = Pipeline(config)
+        pipeline.run_stage("analyze")
+        with pytest.raises(Killed):
+            pipeline.run_stage("index")
+        monkeypatch.undo()
+        index_dir = tmp_path / "out" / "index"
+        assert [p.name for p in index_dir.iterdir()] == [".chunks.jsonl.tmp"]
+        assert (index_dir / ".chunks.jsonl.tmp").read_text().count("\n") == 2
+        assert "index" not in Pipeline(config).state.completed_stages
+        run_full(config)
+        assert output_tree(tmp_path / "out") == output_tree(tmp_path / "fresh")
+
     def test_stale_files_of_an_older_output_root_are_never_read(self, run_config):
         # An older version also wrote index/meta.json and
         # translate/unit_names.json; a root that still holds them resumes.

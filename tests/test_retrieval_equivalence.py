@@ -266,7 +266,7 @@ class TestPostingsScores:
         for k in (1, 3, entries + 2):
             for row, best in zip(scores.tolist(), index.top_k(scores, k)):
                 ranked = sorted(zip(ids, row), key=lambda pair: (-round(pair[1], 12), pair[0]))
-                assert [chunk.chunk_id for chunk, _ in best] == [cid for cid, _ in ranked[:k]]
+                assert [ids[col] for col, _ in best] == [cid for cid, _ in ranked[:k]]
 
 
 class TestEmbedEquivalence:

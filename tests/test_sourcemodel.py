@@ -434,6 +434,16 @@ class TestDependencyGraph:
         graph = build_dependency_graph(descs, "class")
         assert sorted(graph.edges) == [("b.D", "a.C", EDGE_IMPORT), ("b.E", "a.C", EDGE_IMPORT)]
 
+    def test_field_depends_on_the_types_in_its_generic_arguments(self):
+        descs = classes_of(
+            java("package p;\nclass A { List<B> bs; Map<String, C> m; D d; List<? extends B> more; }", "p/A.java"),
+            *(java(f"package p;\nclass {name} {{}}", f"p/{name}.java") for name in "BCD"),
+        )
+        graph = build_dependency_graph(descs, "class")
+        assert sorted(graph.edges) == [("p.A", f"p.{name}", EDGE_FIELD_TYPE) for name in "BCD"]
+        assert graph.weights[("p.A", "p.B", EDGE_FIELD_TYPE)] == 2  # once per field
+        assert graph.externals == {"List": 2, "Map": 1, "String": 1}
+
     def test_graph_json_round_trip(self):
         _files, descs = graph_fixture_classes()
         graph = build_dependency_graph(descs, "class")
