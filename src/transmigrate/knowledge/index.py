@@ -12,24 +12,24 @@ of an entry is exactly ``(-round(score, 12), chunk_id)``.
 
 Storage. An index holds its vectors, its ids in row order, the rank of
 each id, and one byte offset per entry: where the entry's chunk line
-starts in its chunks file (or in the bytes that hold the lines of an index
-built without one). It holds no chunk and no chunk text: a query result's
-chunk is built from its line when a query returns it (``chunks``). The
-vectors are kept as bucket-major postings, never as one dense matrix: a
-hashed count vector has few nonzero cells (about a quarter of them on a
-256-bucket index of 1,000-character chunks), and a posting takes 12 bytes
-where a dense row takes 8 per cell. The entries are cut into row blocks of
-``_BLOCK_CELLS // dimension`` rows (256 at the default dimension of 256).
-Two arrays hold, row block after row block and, within a block, bucket
-after bucket, the ascending int32 rows whose cell bits are nonzero and
-those cells' float64 values; a small table holds where each bucket of each
-block starts. Zero is positive zero only, so -0.0, NaN and every other
-stored bit pattern survive. ``build_index`` takes one row block of chunks
-at a time from its stream: it embeds their texts, appends the postings,
-writes their chunk lines, records the lines' offsets and drops the chunks.
-``load`` parses one row block of lines at a time. Both append each block
-to the two arrays, which grow in place, so neither holds more than one
-block of dense cells or of chunks, or a second copy of the postings.
+starts in its chunks file. It holds no chunk and no chunk text: a query
+result's chunk is built from its line when a query returns it
+(``chunks``). The vectors are kept as bucket-major postings, never as
+one dense matrix: a hashed count vector has few nonzero cells (about a
+quarter of them on a 256-bucket index of 1,000-character chunks), and a
+posting takes 12 bytes where a dense row takes 8 per cell. The entries
+are cut into row blocks of ``_BLOCK_CELLS // dimension`` rows (256 at
+the default dimension of 256). Two arrays hold, row block after row
+block and, within a block, bucket after bucket, the ascending int32 rows
+whose cell bits are nonzero and those cells' float64 values; a small
+table holds where each bucket of each block starts. Zero is positive
+zero only, so -0.0, NaN and every other stored bit pattern survive.
+``build_index`` takes one row block of chunks at a time from its stream:
+it embeds their texts, appends the postings, writes their chunk lines,
+records the lines' offsets and drops the chunks. ``load`` parses one row
+block of lines at a time. Both append each block to the two arrays,
+which grow in place, so neither holds more than one block of dense cells
+or of chunks, or a second copy of the postings.
 
 Scoring. The score of an entry for a query vector is the sum, over the
 buckets where both are nonzero, in ascending bucket order, of query cell
@@ -74,24 +74,24 @@ Persistence is line-delimited JSON: a header line with the dimension and
 entry count, then one ``{"id": ..., "v": [...]}`` line per entry, and
 beside it one line per chunk, as ``json.JSONEncoder(sort_keys=True)``
 encodes its fields. The encoder escapes every non-ASCII character, so a
-block's lines are encoded to bytes once and their offsets are the running
-sum of their lengths. The files pair by row: entry line i holds the id
-and vector of chunk line i. ``build_index`` writes the chunk lines to the
-temporary file beside the chunks path it is given; ``save`` writes
-``index.jsonl`` to its own temporary file, then renames both over their
-paths, index first (an index built without a path, or saved to another
-one, has its lines copied out first). A kill before both renames leaves
-at most a ``.tmp`` file that the index stage removes, or a pair that
-``load`` checks. ``load`` reads the two files together: a line that does
-not parse, a chunk line that holds no chunk or another id than its entry,
-a chunk line missing or left over, a vector of another dimension than the
-header's, an entry count other than the header's (named at the header
-line), or a NaN or infinite cell is an IntegrityError naming the file and
-line. It builds no chunk and keeps each chunk line's offset. ``chunks``
-reads the lines of the rows one ``query_many`` call returns in one pass,
-in file order; a line that no longer holds its row's chunk (the file was
-edited after the index was read) is an IntegrityError naming the file
-and line.
+block's lines are encoded to bytes once and their offsets are the
+running sum of their lengths. The files pair by row: entry line i holds
+the id and vector of chunk line i. ``build_index`` writes the chunk
+lines to the temporary file beside the chunks path it is given; ``save``
+writes ``index.jsonl`` to its own temporary file, then renames both over
+their paths, index first (a loaded index, or one saved to another path
+than it was built for, has its lines copied out first). A kill before
+both renames leaves at most a ``.tmp`` file that the index stage
+removes, or a pair that ``load`` checks. ``load`` reads the two files
+together: a line that does not parse, a chunk line that holds no chunk
+or another id than its entry, a chunk line missing or left over, a
+vector of another dimension than the header's, an entry count other than
+the header's (named at the header line), or a NaN or infinite cell is an
+IntegrityError naming the file and line. It keeps each chunk line's
+offset and no chunk. ``chunks`` reads the lines of the rows one
+``query_many`` call returns in one pass, in file order; a line that no
+longer holds its row's chunk (the file was edited after the index was
+read) is an IntegrityError naming the file and line.
 
 ``save`` writes the bytes ``json.dumps({"id": id, "v": [floats]})`` gives,
 one row block at a time: the block's dense rows are rebuilt from its
@@ -107,12 +107,11 @@ those texts; the id goes through ``json.dumps``.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import shutil
 from collections.abc import Iterable
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 
@@ -131,10 +130,6 @@ _CANDIDATE_MARGIN = 2e-12
 # cells of a ``query_many`` block, and of the products one bincount adds.
 _BLOCK_CELLS = 65_536
 
-# The keys of a chunk line, and those it cannot lack.
-_CHUNK_FIELDS = {f.name for f in fields(DocumentChunk)}
-_CHUNK_REQUIRED = {"source_uri", "kind", "text"}
-
 
 @dataclass(slots=True)
 class RetrievalResult:
@@ -143,12 +138,12 @@ class RetrievalResult:
 
 
 class VectorIndex:
-    def __init__(self, ids: list[str], offsets: np.ndarray, dimension: int, postings, lines: Path | bytes) -> None:
+    def __init__(self, ids: list[str], offsets: np.ndarray, dimension: int, postings, lines: Path) -> None:
         """An index over the chunks whose ids ``ids`` holds in row order,
-        row i the chunk whose line starts at byte ``offsets[i]`` of
-        ``lines`` (a chunks file, or its bytes), whose vectors ``postings``
-        holds, row i the vector of chunk i: what ``_postings`` returns for
-        row blocks of ``_block_rows(dimension)`` rows."""
+        row i the chunk whose line starts at byte ``offsets[i]`` of the
+        chunks file ``lines``, whose vectors ``postings`` holds, row i the
+        vector of chunk i: what ``_postings`` returns for row blocks of
+        ``_block_rows(dimension)`` rows."""
         self.dimension = dimension
         self._rows, self._values, self._starts = postings
         self._ids = ids
@@ -220,7 +215,7 @@ class VectorIndex:
         chunk, as when the file was edited after the index was loaded, is
         an IntegrityError naming the file and line."""
         found: dict[int, DocumentChunk] = {}
-        with _opened(self._lines) as fh:
+        with self._lines.open("rb") as fh:
             for row in sorted(set(rows)):
                 offset = int(self._offsets[row])
                 fh.seek(offset)
@@ -240,7 +235,7 @@ class VectorIndex:
     def save(self, index_path: str | Path, chunks_path: str | Path) -> None:
         """Write ``index_path`` and put the chunk lines at ``chunks_path``,
         each file whole or not at all: a build's temporary file for
-        ``chunks_path`` is renamed over it, any other copy written out first."""
+        ``chunks_path`` is renamed over it; a loaded index's file is copied."""
         rows = _block_rows(self.dimension)
         with replacing(index_path) as fh:
             fh.write(json.dumps({"dimension": self.dimension, "entries": len(self._ids)}) + "\n")
@@ -253,8 +248,8 @@ class VectorIndex:
                 fh.write(_rows_text(ids, block))
         chunks_path = Path(chunks_path)
         tmp = temporary(chunks_path)
-        if not (isinstance(self._lines, Path) and self._lines.resolve() == tmp.resolve()):
-            with _opened(self._lines) as source, tmp.open("wb") as fh:
+        if self._lines.resolve() != tmp.resolve():
+            with self._lines.open("rb") as source, tmp.open("wb") as fh:
                 shutil.copyfileobj(source, fh)
         os.replace(tmp, chunks_path)
         self._lines = chunks_path
@@ -262,8 +257,8 @@ class VectorIndex:
     @classmethod
     def load(cls, index_path: str | Path, chunks_path: str | Path) -> "VectorIndex":
         """The index saved at the two paths. Every line is checked as the
-        module docstring says, but no chunk is built: the index keeps each
-        chunk line's offset and reads the line when a query returns it."""
+        module docstring says; the index keeps each chunk line's offset,
+        not its chunk, and reads the line when a query returns it."""
         index_path = Path(index_path)
         chunks_path = Path(chunks_path)
         records = _jsonl_records(index_path)
@@ -284,7 +279,7 @@ class VectorIndex:
             for lineno, _, rec in records:
                 chunk_lineno, offset, chunk_rec = next(chunk_records, (None, None, None))
                 try:
-                    chunk_id = None if chunk_rec is None else _chunk_id(chunk_rec)
+                    chunk_id = None if chunk_rec is None else DocumentChunk(**chunk_rec).chunk_id
                 except TypeError as exc:
                     raise IntegrityError(f"{chunks_path}:{chunk_lineno}: corrupt chunk: {exc}") from exc
                 if chunk_id is None or chunk_id != rec.get("id"):
@@ -406,15 +401,6 @@ def _jsonl_records(path: Path):
             offset += len(line)
 
 
-def _chunk_id(rec: dict) -> str:
-    """The id of the chunk a chunk line's object holds, without building
-    the chunk; an object that holds none raises the TypeError that
-    building it would."""
-    if not _CHUNK_REQUIRED <= rec.keys() <= _CHUNK_FIELDS:
-        DocumentChunk(**rec)
-    return f"{rec['source_uri']}#{rec.get('ordinal', 0)}"
-
-
 def _chunk_of(line: bytes) -> DocumentChunk | None:
     """The chunk a chunk line holds, or None for a line that holds none."""
     try:
@@ -423,23 +409,18 @@ def _chunk_of(line: bytes) -> DocumentChunk | None:
         return None
 
 
-def _opened(lines: Path | bytes):
-    """The chunk lines as a binary file: a chunks file, or bytes."""
-    return lines.open("rb") if isinstance(lines, Path) else io.BytesIO(lines)
-
-
-def build_index(chunks: Iterable[DocumentChunk], embedder, chunks_path: str | Path | None = None) -> VectorIndex:
+def build_index(chunks: Iterable[DocumentChunk], embedder, chunks_path: str | Path) -> VectorIndex:
     """The index of ``chunks``, taken one row block at a time: one ``embed``
     call embeds the block, and its chunk lines are written to the temporary
-    file that ``save`` renames over ``chunks_path``, or kept as bytes when
-    there is no path. No chunk outlives its block."""
+    file that ``save`` renames over ``chunks_path``. No chunk outlives its
+    block."""
     dimension = embedder.dimension
     rows = _block_rows(dimension)
     chunks = iter(chunks)
     encode = json.JSONEncoder(sort_keys=True).encode
     ids: list[str] = []
     offsets: list[np.ndarray] = []
-    tmp = None if chunks_path is None else temporary(Path(chunks_path))
+    tmp = temporary(Path(chunks_path))
 
     def blocks():
         written = 0
@@ -465,10 +446,9 @@ def build_index(chunks: Iterable[DocumentChunk], embedder, chunks_path: str | Pa
             ids.extend(c.chunk_id for c in block)
             yield vectors
 
-    with io.BytesIO() if tmp is None else tmp.open("wb") as target:
+    with tmp.open("wb") as target:
         postings = _postings(dimension, blocks())
-        lines = target.getvalue() if tmp is None else tmp
-    return VectorIndex(ids, np.concatenate([np.empty(0, dtype=np.int64), *offsets]), dimension, postings, lines)
+    return VectorIndex(ids, np.concatenate([np.empty(0, dtype=np.int64), *offsets]), dimension, postings, tmp)
 
 
 def query_many(index: VectorIndex, texts: list[str], k: int, embedder) -> list[list[RetrievalResult]]:

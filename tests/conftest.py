@@ -64,9 +64,18 @@ class RowsEmbedder:
         return block
 
 
-def index_of(chunks, matrix):
-    """The index whose chunk i has row i of ``matrix`` as its vector."""
-    return build_index(chunks, RowsEmbedder(matrix))
+@pytest.fixture(scope="session")
+def chunks_path(tmp_path_factory) -> Path:
+    """Where an index that a test builds and never saves keeps its chunk
+    lines. Each build to it overwrites the last one's lines, so a test
+    holds one such index at a time."""
+    return tmp_path_factory.mktemp("index") / "chunks.jsonl"
+
+
+def index_of(chunks, matrix, chunks_path):
+    """The index whose chunk i has row i of ``matrix`` as its vector, its
+    chunk lines kept beside ``chunks_path``."""
+    return build_index(chunks, RowsEmbedder(matrix), chunks_path)
 
 
 def reachable(*roots) -> list:

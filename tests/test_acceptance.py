@@ -197,7 +197,7 @@ def test_criterion_4_scheduler_soundness_exhaustive_and_random():
     passed(f"4 scheduler soundness ({elapsed:.1f}s)")
 
 
-def test_criterion_5_retrieval_exactness_at_scale():
+def test_criterion_5_retrieval_exactness_at_scale(tmp_path):
     started = time.monotonic()
     rng = random.Random(31)
     vocabulary = [f"word{i}" for i in range(120)]
@@ -206,7 +206,7 @@ def test_criterion_5_retrieval_exactness_at_scale():
         for i in range(1000)
     ]
     embedder = HashedTokenEmbedder(KnowledgeConfig.embedding_dimension)
-    index = build_index(chunks, embedder)
+    index = build_index(chunks, embedder, tmp_path / "chunks.jsonl")
 
     vectors = {c.chunk_id: embedder.embed([c.text])[0] for c in chunks}
 

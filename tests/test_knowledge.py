@@ -201,60 +201,60 @@ def brute_force_top_k(chunks, text, k, embedder):
 
 
 class TestIndexAndQuery:
-    def test_query_on_empty_index(self):
+    def test_query_on_empty_index(self, tmp_path):
         e = HashedTokenEmbedder(16)
-        index = build_index([], e)
+        index = build_index([], e, tmp_path / "chunks.jsonl")
         assert query(index, "anything", 3, e) == []
 
-    def test_identical_text_scores_one_and_ranks_first(self):
+    def test_identical_text_scores_one_and_ranks_first(self, tmp_path):
         e = HashedTokenEmbedder(64)
         chunks = random_chunks(20, random.Random(3))
-        index = build_index(chunks, e)
+        index = build_index(chunks, e, tmp_path / "chunks.jsonl")
         results = query(index, chunks[11].text, 5, e)
         assert results[0].chunk.chunk_id == chunks[11].chunk_id
         assert abs(results[0].score - 1.0) < 1e-9
 
-    def test_matches_brute_force_scan(self):
+    def test_matches_brute_force_scan(self, tmp_path):
         rng = random.Random(17)
         e = HashedTokenEmbedder(48)
         chunks = random_chunks(100, rng)
-        index = build_index(chunks, e)
+        index = build_index(chunks, e, tmp_path / "chunks.jsonl")
         for qtext in [" ".join(rng.choices(["alpha", "fetch", "view", "swift"], k=4)) for _ in range(10)]:
             got = [r.chunk.chunk_id for r in query(index, qtext, 5, e)]
             assert got == brute_force_top_k(chunks, qtext, 5, e)
 
-    def test_prefix_monotonicity(self):
+    def test_prefix_monotonicity(self, tmp_path):
         e = HashedTokenEmbedder(32)
         chunks = random_chunks(40, random.Random(5))
-        index = build_index(chunks, e)
+        index = build_index(chunks, e, tmp_path / "chunks.jsonl")
         small = [r.chunk.chunk_id for r in query(index, "alpha fetch", 3, e)]
         large = [r.chunk.chunk_id for r in query(index, "alpha fetch", 10, e)]
         assert large[:3] == small
 
-    def test_invalid_k(self):
+    def test_invalid_k(self, tmp_path):
         e = HashedTokenEmbedder(16)
-        index = build_index(random_chunks(3, random.Random(0)), e)
+        index = build_index(random_chunks(3, random.Random(0)), e, tmp_path / "chunks.jsonl")
         with pytest.raises(ArgumentError):
             query(index, "x", 0, e)
 
-    def test_dimension_mismatch(self):
+    def test_dimension_mismatch(self, tmp_path):
         e16, e32 = HashedTokenEmbedder(16), HashedTokenEmbedder(32)
-        index = build_index(random_chunks(3, random.Random(0)), e16)
+        index = build_index(random_chunks(3, random.Random(0)), e16, tmp_path / "chunks.jsonl")
         with pytest.raises(IntegrityError):
             query(index, "x", 1, e32)
 
-    def test_index_rejects_a_matrix_of_another_row_count(self):
+    def test_index_rejects_a_matrix_of_another_row_count(self, tmp_path):
         e = HashedTokenEmbedder(16)
         chunks = random_chunks(3, random.Random(1))
         with pytest.raises(IntegrityError):
-            index_of(chunks, e.embed([c.text for c in chunks[:2]]))
+            index_of(chunks, e.embed([c.text for c in chunks[:2]]), tmp_path / "chunks.jsonl")
         with pytest.raises(IntegrityError):
-            index_of(chunks, np.zeros(3))
+            index_of(chunks, np.zeros(3), tmp_path / "chunks.jsonl")
 
     def test_save_load_round_trip(self, tmp_path):
         e = HashedTokenEmbedder(24)
         chunks = random_chunks(15, random.Random(9))
-        index = build_index(chunks, e)
+        index = build_index(chunks, e, tmp_path / "chunks.jsonl")
         index.save(tmp_path / "index.jsonl", tmp_path / "chunks.jsonl")
         loaded = VectorIndex.load(tmp_path / "index.jsonl", tmp_path / "chunks.jsonl")
         for qtext in ("alpha beta", "swift view"):
@@ -274,7 +274,7 @@ class TestIndexAndQuery:
         embedder = HashedTokenEmbedder(dimension)
         paths = (tmp_path / "index.jsonl", tmp_path / "chunks.jsonl")
         steps = {
-            "build": lambda: build_index(chunks, embedder),
+            "build": lambda: build_index(chunks, embedder, paths[1]),
             "save": lambda: index.save(*paths),
             "load": lambda: VectorIndex.load(*paths),
         }
@@ -307,7 +307,7 @@ class TestIndexAndQuery:
         ],
     )
     def test_load_rejects_a_header_that_disagrees_with_the_entries(self, tmp_path, header, message):
-        index = build_index(random_chunks(3, random.Random(9)), HashedTokenEmbedder(24))
+        index = build_index(random_chunks(3, random.Random(9)), HashedTokenEmbedder(24), tmp_path / "chunks.jsonl")
         index.save(tmp_path / "index.jsonl", tmp_path / "chunks.jsonl")
         lines = (tmp_path / "index.jsonl").read_text().splitlines(keepends=True)
         (tmp_path / "index.jsonl").write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
@@ -323,7 +323,7 @@ class TestIndexAndQuery:
         ids=["missing", "left-over"],
     )
     def test_load_pairs_each_entry_with_its_chunk_line(self, tmp_path, edit, message):
-        index = build_index(random_chunks(3, random.Random(9)), HashedTokenEmbedder(24))
+        index = build_index(random_chunks(3, random.Random(9)), HashedTokenEmbedder(24), tmp_path / "chunks.jsonl")
         index.save(tmp_path / "index.jsonl", tmp_path / "chunks.jsonl")
         lines = (tmp_path / "chunks.jsonl").read_text().splitlines(keepends=True)
         (tmp_path / "chunks.jsonl").write_text("".join(edit(lines)))
@@ -363,7 +363,7 @@ class TestIndexAndQuery:
         for size, text in (("short", "alpha beta"), ("long", " ".join(["alpha beta"] * 91))):
             chunks = [DocumentChunk(f"doc{i:04d}", "api_doc", text) for i in range(2000)]
             paths = (tmp_path / f"{size}.jsonl", tmp_path / f"{size}_chunks.jsonl")
-            build_index(chunks, HashedTokenEmbedder(64)).save(*paths)
+            build_index(chunks, HashedTokenEmbedder(64), paths[1]).save(*paths)
             tracemalloc.start()
             try:
                 index = VectorIndex.load(*paths)
@@ -386,10 +386,9 @@ class TestIndexAndQuery:
 
         e = HashedTokenEmbedder(32)
         chunks = random_chunks(300, random.Random(4))
-        build_index(chunks, e).save(tmp_path / "index.jsonl", tmp_path / "chunks.jsonl")
-        monkeypatch.setattr(index_module, "DocumentChunk", CountedChunk)
+        build_index(chunks, e, tmp_path / "chunks.jsonl").save(tmp_path / "index.jsonl", tmp_path / "chunks.jsonl")
         index = VectorIndex.load(tmp_path / "index.jsonl", tmp_path / "chunks.jsonl")
-        assert built == []
+        monkeypatch.setattr(index_module, "DocumentChunk", CountedChunk)
         results = query_many(index, ["alpha fetch", "swift view", "alpha fetch view"], 4, e)
         returned = {r.chunk.chunk_id for rs in results for r in rs}
         assert len(returned) >= 4 and sorted(built) == sorted(returned)
@@ -397,7 +396,7 @@ class TestIndexAndQuery:
     def test_chunk_line_edited_after_load_is_integrity_error(self, tmp_path):
         e = HashedTokenEmbedder(32)
         chunks = random_chunks(20, random.Random(6))
-        build_index(chunks, e).save(tmp_path / "index.jsonl", tmp_path / "chunks.jsonl")
+        build_index(chunks, e, tmp_path / "chunks.jsonl").save(tmp_path / "index.jsonl", tmp_path / "chunks.jsonl")
         index = VectorIndex.load(tmp_path / "index.jsonl", tmp_path / "chunks.jsonl")
         lines = (tmp_path / "chunks.jsonl").read_text().splitlines(keepends=True)
         lines[7] = lines[7].replace('"doc0007"', '"doc0070"')  # same length, another id

@@ -913,6 +913,17 @@ def python_command(code: str) -> str:
     return f"{shlex.quote(sys.executable)} -c {shlex.quote(code)} {{file}}"
 
 
+def grandchild_recording_its_pid(pid_file: pathlib.Path) -> str:
+    """Python code that writes its pid to ``pid_file`` and sleeps 30 s. The
+    pid is written beside the file and renamed over it, so the file never
+    exists without the pid in it."""
+    tmp = str(pid_file.with_name(pid_file.name + ".tmp"))
+    return (
+        f"import os, time; open({tmp!r}, 'w').write(str(os.getpid())); "
+        f"os.replace({tmp!r}, {str(pid_file)!r}); time.sleep(30)"
+    )
+
+
 class TestConcurrentChecks:
     """Round 0 of a component's units is checked on a thread pool while
     translate sends the next units' prompts."""
@@ -953,7 +964,7 @@ class TestConcurrentChecks:
         pid_file = tmp_path / "grandchild.pid"
         # The syntax checker starts a grandchild that records its pid and
         # sleeps 30 s, holding the output pipe open.
-        grandchild = f"import os, time; open({str(pid_file)!r}, 'w').write(str(os.getpid())); time.sleep(30)"
+        grandchild = grandchild_recording_its_pid(pid_file)
         config = make_run_config(project, tmp_path / "out")
         config.tools.syntax_check_cmd = python_command(
             f"import subprocess, sys; subprocess.Popen([sys.executable, '-c', {grandchild!r}]).wait()"
@@ -986,7 +997,7 @@ class TestConcurrentChecks:
 
         project = one_package_project(tmp_path / "project", repaired=("A",))
         pid_file = tmp_path / "grandchild.pid"
-        grandchild = f"import os, time; open({str(pid_file)!r}, 'w').write(str(os.getpid())); time.sleep(30)"
+        grandchild = grandchild_recording_its_pid(pid_file)
         # The syntax checker flags the ``init`` field of round 0, and on A's
         # repaired candidate only it starts a grandchild that records its
         # pid and sleeps 30 s, holding the output pipe open.

@@ -98,44 +98,44 @@ class TestQueryEquivalence:
     @SETTINGS
     @given(pool=st.lists(phrase, min_size=1, max_size=4), picks=st.lists(st.integers(0, 3), min_size=1, max_size=24),
            dimension=st.sampled_from([1, 7, 64]), probe=phrase)
-    def test_duplicate_texts_inserted_in_reverse_id_order(self, pool, picks, dimension, probe):
+    def test_duplicate_texts_inserted_in_reverse_id_order(self, pool, picks, dimension, probe, chunks_path):
         # Few distinct texts over many chunks: equal scores straddle every k.
         texts = [pool[p % len(pool)] for p in picks]
         chunks = [DocumentChunk(f"doc{i:03d}", "api_doc", t) for i, t in reversed(list(enumerate(texts)))]
         embedder = HashedTokenEmbedder(dimension)
-        index = build_index(chunks, embedder)
+        index = build_index(chunks, embedder, chunks_path)
         ids = [c.chunk_id for c in chunks]
         assert_every_k_matches(index, ids, [probe, texts[0], "", "!!!", "zzzz qqqq"], embedder)
 
     @SETTINGS
     @given(step=st.integers(0, 10**6), offsets=st.lists(st.integers(-40, 40), min_size=1, max_size=20),
            scale=st.sampled_from([1e-17, 1e-16, 1e-14, 1e-13, 4e-13]), sign=st.sampled_from([1.0, -1.0]))
-    def test_scores_closer_than_the_rounding_grain(self, step, offsets, scale, sign):
+    def test_scores_closer_than_the_rounding_grain(self, step, offsets, scale, sign, chunks_path):
         # One-dimensional vectors against the query [1.0] make each score
         # exactly its vector's value: values a few ulps to a few 1e-13
         # around a 1e-12 rounding half-point.
         half_point = (step + 0.5) * 1e-12
         entries = list(reversed(list(enumerate(offsets))))
         chunks = [DocumentChunk(f"c{i:02d}", "api_doc", "x") for i, _ in entries]
-        index = index_of(chunks, np.array([[sign * (half_point + off * scale)] for _, off in entries]))
+        index = index_of(chunks, np.array([[sign * (half_point + off * scale)] for _, off in entries]), chunks_path)
         ids = [c.chunk_id for c in chunks]
         assert_every_k_matches(index, ids, ["q"], FixedEmbedder([1.0]))
 
     @SETTINGS
     @given(texts=st.lists(phrase, min_size=1, max_size=30), dimension=st.sampled_from([1, 7, 256]))
-    def test_query_with_no_common_token(self, texts, dimension):
+    def test_query_with_no_common_token(self, texts, dimension, chunks_path):
         chunks = [DocumentChunk(f"doc{i:03d}", "api_doc", t) for i, t in enumerate(texts)]
         embedder = HashedTokenEmbedder(dimension)
-        index = build_index(chunks, embedder)
+        index = build_index(chunks, embedder, chunks_path)
         ids = [c.chunk_id for c in chunks]
         assert_every_k_matches(index, ids, ["unrelated words only", "", "!!!"], embedder)
 
-    def test_all_zero_scores_round_once(self, monkeypatch):
+    def test_all_zero_scores_round_once(self, monkeypatch, tmp_path):
         # Every chunk ties at 0.0 for an empty query: the exact key is
         # computed once for the one distinct score, not once per chunk.
         embedder = HashedTokenEmbedder(16)
         chunks = [DocumentChunk(f"doc{i:04d}", "api_doc", f"w{i}") for i in range(500, 0, -1)]
-        index = build_index(chunks, embedder)
+        index = build_index(chunks, embedder, tmp_path / "chunks.jsonl")
         calls = []
 
         def counting_round(value, ndigits):
@@ -170,21 +170,21 @@ class TestQueryManyEquivalence:
     @given(docs=st.lists(phrase, min_size=1, max_size=12),
            probes=st.lists(st.one_of(phrase, st.sampled_from(EDGE_TEXTS + ["zzzz qqqq"])), min_size=1, max_size=12),
            dimension=st.sampled_from([1, 7, 64]), cells=st.sampled_from([1, 5, 17, 65_536]))
-    def test_same_ids_as_one_query_per_text(self, docs, probes, dimension, cells):
+    def test_same_ids_as_one_query_per_text(self, docs, probes, dimension, cells, chunks_path):
         # Repeated probes, empty and punctuation-only texts, texts sharing no
         # token with the index; at 1, 5 and 17 cells a block holds a few
         # texts or one, so most lists cross a block boundary.
         texts = probes + probes[:3]
         chunks = [DocumentChunk(f"doc{i:03d}", "api_doc", t) for i, t in reversed(list(enumerate(docs)))]
         embedder = HashedTokenEmbedder(dimension)
-        index = build_index(chunks, embedder)
+        index = build_index(chunks, embedder, chunks_path)
         with mock.patch.object(index_module, "_BLOCK_CELLS", cells):
             assert_many_matches_each(index, [c.chunk_id for c in chunks], texts, embedder)
 
     @MANY_SETTINGS
     @given(seed=st.integers(0, 2**32 - 1), entries=st.integers(1, 30), copies=st.integers(1, 4),
            queries=st.integers(1, 40), cells=st.sampled_from([7, 64, 65_536]))
-    def test_dense_vectors_with_equal_rows(self, seed, entries, copies, queries, cells):
+    def test_dense_vectors_with_equal_rows(self, seed, entries, copies, queries, cells, chunks_path):
         # Dense vectors, as a remote embedder gives: a many-row BLAS product
         # can differ from a one-vector product in the last bits, a sum over
         # the postings cannot; equal rows of the index tie under the key.
@@ -193,19 +193,20 @@ class TestQueryManyEquivalence:
         rows = rng.standard_normal((entries, 8))
         rows = np.repeat(rows / np.linalg.norm(rows, axis=1, keepdims=True), copies, axis=0)
         chunks = [DocumentChunk(f"c{i:03d}", "api_doc", "x") for i in range(len(rows), 0, -1)]
-        index = index_of(chunks, rows)
+        index = index_of(chunks, rows, chunks_path)
         table = {f"q{i}": v for i, v in enumerate(rng.standard_normal((queries, 8)))}
         table["row"] = rows[0]
         texts = list(table) + ["row", "q0"]
         with mock.patch.object(index_module, "_BLOCK_CELLS", cells):
             assert_many_matches_each(index, [c.chunk_id for c in chunks], texts, TableEmbedder(table))
 
-    def test_empty_index_empty_texts_bad_k_and_wrong_width(self):
+    def test_empty_index_empty_texts_bad_k_and_wrong_width(self, tmp_path):
         embedder = FixedEmbedder([1.0, 0.0, 0.0, 0.0])
-        empty = index_of([], np.empty((0, 4)))
+        empty = index_of([], np.empty((0, 4)), tmp_path / "empty.jsonl")
         assert query_many(empty, ["a", "", "a"], 2, embedder) == [[], [], []]
         assert query(empty, "a", 2, embedder) == []
-        index = index_of([DocumentChunk("d", "api_doc", "x")], np.array([[0.5, 0.5, 0.5, 0.5]]))
+        one = [DocumentChunk("d", "api_doc", "x")]
+        index = index_of(one, np.array([[0.5, 0.5, 0.5, 0.5]]), tmp_path / "chunks.jsonl")
         assert query_many(index, [], 2, embedder) == []
         for target in (empty, index):
             with pytest.raises(ArgumentError):
@@ -218,12 +219,12 @@ class TestQueryManyEquivalence:
         with pytest.raises(IntegrityError, match="query dimension 3"):
             query(index, "a", 1, narrow)
 
-    def test_a_block_of_all_zero_scores_rounds_once(self, monkeypatch):
+    def test_a_block_of_all_zero_scores_rounds_once(self, monkeypatch, tmp_path):
         # Every empty text ties every chunk at 0.0: one distinct score in
         # the block, so the exact key is computed once for all its rows.
         embedder = HashedTokenEmbedder(16)
         chunks = [DocumentChunk(f"doc{i:04d}", "api_doc", f"w{i}") for i in range(500, 0, -1)]
-        index = build_index(chunks, embedder)
+        index = build_index(chunks, embedder, tmp_path / "chunks.jsonl")
         calls = []
 
         def counting_round(value, ndigits):
@@ -250,7 +251,7 @@ class TestPostingsScores:
     @MANY_SETTINGS
     @given(seed=st.integers(0, 2**32 - 1), entries=st.integers(1, 40), queries=st.integers(1, 12),
            dimension=st.sampled_from([1, 7, 64]), cells=st.sampled_from([1, 7, 64, 65_536]))
-    def test_scores_equal_the_dense_product(self, seed, entries, queries, dimension, cells):
+    def test_scores_equal_the_dense_product(self, seed, entries, queries, dimension, cells, chunks_path):
         # At 1 to 64 cells a row block holds a few rows or one and a group
         # of texts one text, so most indexes span several row blocks.
         rng = np.random.default_rng(seed)
@@ -259,7 +260,7 @@ class TestPostingsScores:
         chunks = [DocumentChunk(f"c{i:03d}", "api_doc", "x") for i in range(entries, 0, -1)]
         ids = [c.chunk_id for c in chunks]
         with mock.patch.object(index_module, "_BLOCK_CELLS", cells):
-            index = index_of(chunks, dense)
+            index = index_of(chunks, dense, chunks_path)
             scores = index.scores(vectors)
         assert scores.shape == (queries, entries)
         assert np.abs(scores - vectors @ dense.T).max() <= 1e-12
@@ -323,8 +324,9 @@ def reference_index_text(dimension: int, entries: list[tuple[str, np.ndarray]]) 
 
 def saved_index_bytes(dimension: int, entries: list[tuple[str, np.ndarray]]) -> bytes:
     chunks = [DocumentChunk(uri, "api_doc", "text", {}, ordinal) for ordinal, (uri, _) in enumerate(entries)]
-    index = index_of(chunks, np.array([vec for _, vec in entries]).reshape(len(entries), dimension))
     with tempfile.TemporaryDirectory() as tmp:
+        matrix = np.array([vec for _, vec in entries]).reshape(len(entries), dimension)
+        index = index_of(chunks, matrix, Path(tmp) / "chunks.jsonl")
         index.save(Path(tmp) / "index.jsonl", Path(tmp) / "chunks.jsonl")
         return (Path(tmp) / "index.jsonl").read_bytes()
 
@@ -386,7 +388,7 @@ class TestIndexWriterEquivalence:
         chunks = [DocumentChunk(f"doc{i:04d}", "api_doc", text) for i, text in enumerate(texts)]
         embedder = HashedTokenEmbedder(256)
         expected = reference_index_text(256, list(zip([c.chunk_id for c in chunks], embedder.embed(texts))))
-        index = build_index(chunks, embedder)
+        index = build_index(chunks, embedder, tmp_path / "chunks.jsonl")
         index.save(tmp_path / "index.jsonl", tmp_path / "chunks.jsonl")
         assert (tmp_path / "index.jsonl").read_bytes() == expected
         loaded = VectorIndex.load(tmp_path / "index.jsonl", tmp_path / "chunks.jsonl")
