@@ -136,13 +136,13 @@ def _build(cls: type, section, prefix: str, base_dir: Path | None):
     return cls(**values)
 
 
-def _splits(template: str) -> bool:
-    """Whether ``shlex`` can split a checker template (quotes closed)."""
+def _words(template: str) -> list[str] | None:
+    """A checker template's shell words; None when ``shlex`` cannot split
+    it (a quote left open)."""
     try:
-        shlex.split(template)
+        return shlex.split(template)
     except ValueError:
-        return False
-    return True
+        return None
 
 
 @dataclass
@@ -196,8 +196,14 @@ class RunConfig:
             ("backend_options.retry_count", opts.retry_count, opts.retry_count >= 0, "must be >= 0"),
             ("backend_options.timeout_seconds", opts.timeout_seconds, opts.timeout_seconds > 0, "must be > 0"),
             ("tools.timeout_seconds", tools.timeout_seconds, tools.timeout_seconds > 0, "must be > 0"),
-            *((key, template, "{file}" in template, "must contain {file}") for key, template in templates),
-            *((key, template, _splits(template), "must split into shell words") for key, template in templates),
+            *(
+                (key, template, _words(template) is not None, "must split into shell words")
+                for key, template in templates
+            ),
+            *(
+                (key, template, "{file}" in (_words(template) or ()), "must hold {file} as a shell word of its own")
+                for key, template in templates
+            ),
         ):
             if not ok:
                 raise ConfigurationError(f"config key {key} {wanted}, got {json.dumps(value)}")

@@ -47,12 +47,12 @@ class FieldInfo:
         m = _BASE_TYPE_RE.search(self.declared_type)
         return m.group(0) if m else None
 
-    def argument_types(self) -> list[str]:
-        """The type names inside the declared type's generic arguments, in
-        order (``Map<String, List<B>>``: String, List, B); a wildcard's
-        ``extends`` or ``super`` names no type."""
-        arguments = self.declared_type.partition("<")[2]
-        return [name for name in _BASE_TYPE_RE.findall(arguments) if name not in ("extends", "super")]
+    def type_names(self) -> list[str]:
+        """Every type name the declared type holds, in order, the base type
+        first (``Map<String, List<B>>``: Map, String, List, B; Swift's
+        ``[String: B]``: String, B); a wildcard's ``extends`` or ``super``
+        names no type."""
+        return [name for name in _BASE_TYPE_RE.findall(self.declared_type) if name not in ("extends", "super")]
 
 
 @dataclass

@@ -32,6 +32,8 @@ class GrammarProfile:
     line_comment: str | None
     block_comment: tuple[str, str] | None
     string_delimiters: tuple[str, ...]
+    # Repeated before a string delimiter, opens a raw string (Swift's ``#"..."#``).
+    raw_string_prefix: str | None
     char_delimiter: str | None
     keywords: frozenset[str]
     modifiers: frozenset[str]
@@ -69,6 +71,7 @@ def load_grammar(language: str) -> GrammarProfile:
         line_comment=raw.get("line_comment"),
         block_comment=tuple(block) if block else None,
         string_delimiters=tuple(raw.get("string_delimiters", [])),
+        raw_string_prefix=raw.get("raw_string_prefix"),
         char_delimiter=raw.get("char_delimiter"),
         keywords=frozenset(raw.get("keywords", [])),
         modifiers=frozenset(raw.get("modifiers", [])),

@@ -246,12 +246,9 @@ def _class_graph(classes: list[ClassDescriptor], snapshot: _Snapshot) -> Depende
             if target in snapshot.by_qualified and target != src:
                 weights[(src, target, EDGE_IMPORT)] += 1
         for f in c.fields:
-            base = f.base_type()
-            if not base:
-                continue
-            # ``List<B> bs`` depends on B as ``B b`` does: each type the
-            # field names counts once.
-            for name in dict.fromkeys([base, *f.argument_types()]):
+            # ``List<B> bs`` and ``[String: B] m`` depend on B as ``B b``
+            # does: each type the field names counts once.
+            for name in dict.fromkeys(f.type_names()):
                 resolved = snapshot.resolve_type(name, c)
                 if resolved is not None:
                     if resolved.qualified_name != src:

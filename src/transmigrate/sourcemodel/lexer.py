@@ -9,8 +9,13 @@ each built from the markers the profile declares:
 1. comment: the line-comment marker through the end of its line (the
    newline excluded), or a block comment through its closing marker or
    the end of input;
-2. string: a string delimiter tripled through the next triple or the end
-   of input, else a quoted literal (below);
+2. string: a raw string, else a string delimiter tripled through the next
+   triple or the end of input, else a quoted literal (below). A raw
+   string opens with the profile's raw-string prefix one or more times
+   and a delimiter, tripled or single, and closes with the same delimiter
+   and as many prefixes; no backslash escapes in it. Tripled, it runs
+   through its closer or the end of input; single, through its closer, an
+   unescaped newline (excluded) or the end of input;
 3. char: a quoted literal opened by the char delimiter;
 4. ident: an ASCII letter, ``_``, ``$`` or byte >= 0x80, then those and
    digits;
@@ -72,6 +77,7 @@ def _token_pattern(
     line_comment: str | None,
     block_comment: tuple[str, str] | None,
     string_delimiters: tuple[str, ...],
+    raw_string_prefix: str | None,
     char_delimiter: str | None,
 ) -> re.Pattern[bytes]:
     """The token rules of one profile's markers as one pattern, a named
@@ -83,6 +89,13 @@ def _token_pattern(
         opener, closer = map(re.escape, block_comment)
         comments.append(rf"{opener}.*?(?:{closer}|\Z)")
     strings = [rf"{re.escape(d * 3)}.*?(?:{re.escape(d * 3)}|\Z)|{_quoted(d)}" for d in string_delimiters]
+    if raw_string_prefix:
+        prefix = re.escape(raw_string_prefix)
+        strings[:0] = [
+            rf"(?P<raw{i}>(?:{prefix})+)(?:{re.escape(d * 3)}.*?(?:{re.escape(d * 3)}(?P=raw{i})|\Z)"
+            rf"|{re.escape(d)}[^\n]*?(?:{re.escape(d)}(?P=raw{i})|(?=\n)|\Z))"
+            for i, d in enumerate(string_delimiters)
+        ]
     rules = [
         (COMMENT, "|".join(comments)),
         (STRING, "|".join(strings)),
@@ -99,7 +112,11 @@ def tokenize(data: bytes, profile: GrammarProfile) -> list[Token]:
     callers needing comment text (documentation ingestion) can reuse the
     same pass; structural parsing filters them out."""
     pattern = _token_pattern(
-        profile.line_comment, profile.block_comment, profile.string_delimiters, profile.char_delimiter
+        profile.line_comment,
+        profile.block_comment,
+        profile.string_delimiters,
+        profile.raw_string_prefix,
+        profile.char_delimiter,
     )
     return [
         Token(m.lastgroup, m.start(), m.end(), m.group().decode("utf-8", "replace")) for m in pattern.finditer(data)

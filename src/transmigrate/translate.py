@@ -6,8 +6,10 @@ component prompt carries its classes' kept code, and the project prompt
 its components'. One function builds each level's slot values, every
 prompt, repair prompts included, goes through one send step
 (``_Chain.send``), and every refinement round is checked by
-``_Chain.check``. This thread sends every prompt and writes every file, so
-their order is the plan's. Only this module builds paths under
+``_Chain.check``: round 0 of a component's units as one batch, once its
+class prompts are sent, and each repair round as a batch of its one unit.
+One thread sends every prompt, runs every checker and writes every file,
+so their order is the plan's. Only this module builds paths under
 ``translate/``. An item is done once the last file it writes exists: a
 unit's refinement payload (``unit_names`` names the unit from the plan,
 and the payload records both names), a component's file, or
@@ -18,10 +20,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import shlex
-from concurrent.futures import Future, ThreadPoolExecutor, wait
 from pathlib import Path
-from typing import Callable
 
 from transmigrate.artifacts import read_artifact, read_saved, remove_temporaries, write_json, write_text
 from transmigrate.backends import extract_code
@@ -34,7 +35,7 @@ from transmigrate.sourcemodel.extract import ClassDescriptor, declarations_by_sp
 from transmigrate.validation.checks import platform_scan
 from transmigrate.validation.issues import ValidationReport, parse_tool_output
 from transmigrate.validation.refine import refine_loop, repair_inputs
-from transmigrate.validation.tools import kill_running_checkers, run_external_check
+from transmigrate.validation.tools import run_external_check
 
 
 def unit_names(class_names: list[str]) -> dict[str, str]:
@@ -119,38 +120,33 @@ def translate(config: RunConfig, out: Path, files, backend, embedder, index, jav
     retrieved = dict(zip(abouts, query_many(index, abouts, config.knowledge.retrieval_k, embedder))) if abouts else {}
 
     chain = _Chain(config, out, backend, retrieved)
-    try:
-        for comp, units, comp_about in prompts:
-            waits = []
-            for d, methods, class_about in units:
-                ast = asts[d.source_path]
-                declarations = declarations_by_span(ast)
-                method_codes = [
-                    (m.name, chain.send("method", label, _method_slots(d, m, ast, declarations), about))
-                    for label, m, about in methods
-                ]
-                slots = _class_slots(d, ast, declarations, method_codes, class_graph)
-                code = chain.send("class", f"class_{d.qualified_name}", slots, class_about)
-                base = names[d.qualified_name]
-                waits.append((d.qualified_name, base, code, chain.check(f"{base}.swift", code)))
-            # A check that failed raises here, the first in plan order.
-            for qualified, base, code, report in waits:
-                chain.refine(qualified, base, code, report())
-            slots = _component_slots(out, comp, names, component_graph)
-            code = chain.send("component", f"component_{comp.name or 'default'}", slots, comp_about)
-            write_text(_component_path(out, comp.name), code)
-    except BaseException:
-        chain.stop()
-        raise
-    finally:
-        chain.pool.shutdown()
+    for comp, units, comp_about in prompts:
+        rounds = {}  # unit file -> (qualified name, base name, round 0's code), in plan order
+        for d, methods, class_about in units:
+            ast = asts[d.source_path]
+            declarations = declarations_by_span(ast)
+            method_codes = [
+                (m.name, chain.send("method", label, _method_slots(d, m, ast, declarations), about))
+                for label, m, about in methods
+            ]
+            slots = _class_slots(d, ast, declarations, method_codes, class_graph)
+            code = chain.send("class", f"class_{d.qualified_name}", slots, class_about)
+            base = names[d.qualified_name]
+            rounds[f"{base}.swift"] = (d.qualified_name, base, code)
+        # A resumed component may have no unit left to check.
+        reports = chain.check({unit: code for unit, (_, _, code) in rounds.items()}) if rounds else {}
+        for unit, (qualified, base, code) in rounds.items():
+            chain.refine(qualified, base, code, reports[unit])
+        slots = _component_slots(out, comp, names, component_graph)
+        code = chain.send("component", f"component_{comp.name or 'default'}", slots, comp_about)
+        write_text(_component_path(out, comp.name), code)
     if project_pending:
         slots = _project_slots(config, out, files, component_graph)
         write_text(out / "translate" / "project.swift", chain.send("project", "project", slots, config.project_name))
 
 
 class _Chain:
-    """The send step and the check pool of one translate stage."""
+    """The send step and the check step of one translate stage."""
 
     def __init__(self, config: RunConfig, out: Path, backend, retrieved: dict) -> None:
         self.config, self.out, self.backend, self.retrieved = config, out, backend, retrieved
@@ -159,8 +155,7 @@ class _Chain:
         remove_temporaries(out / "prompts")
         prefixes = (path.name.partition("_")[0] for path in (out / "prompts").glob("*_*.txt"))
         self.ordinals = itertools.count(max((int(p) for p in prefixes if p.isdecimal()), default=-1) + 1)
-        self.pool = ThreadPoolExecutor()
-        self.checks: list[Future] = []
+        self.root = os.path.realpath(out)  # what a checker's absolute paths start with
 
     def send(self, level: str, label: str, slots: dict[str, str], about: str | None = None) -> str:
         """Render one level's prompt with the chunks retrieved for
@@ -174,51 +169,38 @@ class _Chain:
             write_text(self.out / "prompts" / f"{next(self.ordinals):04d}_{safe}.txt", envelope.rendered_text)
         return extract_code(self.backend.translate(envelope))
 
-    def check(self, unit: str, code: str) -> Callable[[], ValidationReport]:
-        """The check of one refinement round: write ``code`` whole to
-        ``translate/units/<unit>``, submit its checkers to the pool, scan
-        it for platform residue, and return what waits for the report: the
-        checkers' issues, then the scan's. A failed checker raises there."""
-        write_text(self.out / "translate" / "units" / unit, code)
-        checked = self.pool.submit(self._run_checkers, unit)
-        self.checks.append(checked)
-        scan = platform_scan(unit, code)
-
-        def report() -> ValidationReport:
-            report = checked.result()
-            report.extend(scan)
-            return report
-
-        return report
-
-    def stop(self) -> None:
-        """Cancel the checks not yet started and kill the running ones' checker
-        processes until every check has ended: a check may start its process
-        just after a kill, or go on from syntax to lint."""
-        self.pool.shutdown(wait=False, cancel_futures=True)
-        running = [check for check in self.checks if not check.done()]
-        while running:
-            kill_running_checkers()
-            running = list(wait(running, timeout=0.05).not_done)
-
-    def _run_checkers(self, unit: str) -> ValidationReport:
-        """The syntax checker's and then the lint checker's issues on
-        ``translate/units/<unit>``, which it reads and does not write."""
+    def check(self, codes: dict[str, str]) -> dict[str, ValidationReport]:
+        """The check of one refinement round of the units ``codes`` maps to
+        their code, in plan order: write each whole to
+        ``translate/units/<unit>``, run the syntax and then the lint checker
+        once over them all, and scan each for platform residue. Returns each
+        unit's report: its checkers' issues, then its scan's. A checker that
+        exits nonzero without a diagnostic, or names a file outside the
+        batch, raises ``ToolError``."""
+        rels = {f"translate/units/{unit}": unit for unit in codes}  # relative to the checker's cwd
+        for rel, code in zip(rels, codes.values()):
+            write_text(self.out / rel, code)
+        by_path = {os.path.join(self.root, rel): unit for rel, unit in rels.items()}
+        reports = {unit: ValidationReport() for unit in codes}
         tools = self.config.tools
-        rel = f"translate/units/{unit}"  # relative to the checker's cwd
-        report = ValidationReport()
         for template, source in ((tools.syntax_check_cmd, "syntax"), (tools.lint_cmd, "lint")):
-            status, output = run_external_check(rel, template, tools.timeout_seconds, self.out)
+            status, output = run_external_check(list(rels), template, tools.timeout_seconds, self.out)
             found = parse_tool_output(output, source)
+            checker = f"{source} checker {shlex.split(template)[0]!r}"
             if status != 0 and not found:
                 raise ToolError(
-                    f"{source} checker {shlex.split(template)[0]!r} exited {status} without "
-                    f"diagnostics on unit {unit}: {output.strip()[-500:]!r}"
+                    f"{checker} exited {status} without diagnostics on {_units_named(codes)}: "
+                    f"{output.strip()[-500:]!r}"
                 )
             for issue in found:
+                unit = by_path.get(os.path.realpath(os.path.join(self.root, issue.file)))
+                if unit is None:
+                    raise ToolError(f"{checker} reported on {issue.file!r}, not on {_units_named(codes)}")
                 issue.file = unit
-            report.extend(found)
-        return report
+                reports[unit].add(issue)
+        for unit, code in codes.items():
+            reports[unit].extend(platform_scan(unit, code))
+        return reports
 
     def refine(self, qualified: str, base: str, code: str, report: ValidationReport) -> None:
         """Refine unit ``<base>.swift`` from round 0's ``code`` and
@@ -230,7 +212,7 @@ class _Chain:
             code,
             report,
             lambda code, issues: self.send("repair", f"repair_{base}", repair_inputs(code, issues)),
-            lambda unit, code: self.check(unit, code)(),
+            lambda unit, code: self.check({unit: code})[unit],
             self.config.max_rounds,
         )
         if state.kept != len(state.history) - 1:  # a degraded unit keeps an earlier round
@@ -238,6 +220,10 @@ class _Chain:
         history = [{"code": code, "report": report.to_dict()} for code, report in state.history]
         payload = {"unit": unit, "class": qualified, "degraded": state.degraded, "kept": state.kept}
         write_json(_payload_path(self.out, base), {**payload, "history": history})
+
+
+def _units_named(codes: dict[str, str]) -> str:
+    return f"unit {next(iter(codes))}" if len(codes) == 1 else f"units {', '.join(codes)}"
 
 
 def _payload_path(out: Path, base: str) -> Path:

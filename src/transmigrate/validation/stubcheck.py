@@ -5,10 +5,12 @@ shape as the real tools so the rest of the pipeline cannot tell the
 difference. Intended for fixtures and CI hosts without Swift tooling;
 wire it in with the templates ``transmigrate-stubcheck syntax {file}`` and
 ``transmigrate-stubcheck lint {file}`` (``stub_tool_commands()``), which
-``run_external_check`` serves by calling ``run`` in the same process.
+``run_external_check`` serves by calling ``run`` in the same process. Like
+``swiftc -parse`` and ``swiftlint lint``, it takes several files and
+checks each in turn, naming the file in each diagnostic.
 
 Syntax mode: structural parse errors (unbalanced braces) and reserved
-words used as identifiers; exit 1 when any error is found. Lint mode:
+words used as identifiers; exit 1 when any file has an error. Lint mode:
 trailing whitespace and over-long lines; exit 0 (diagnostics are not
 failures).
 """
@@ -65,18 +67,21 @@ def check_lint(path: str, text: str) -> list[str]:
 
 
 def run(args: Sequence[str], cwd: str | Path) -> tuple[int, str]:
-    """Check one file the way a checker process would: ``args`` is
-    ``[mode, file]``, ``file`` is read relative to ``cwd``, and the result
-    is (exit status, output). Status 1 means syntax errors were found,
-    2 a bad usage or an unreadable file."""
-    if len(args) != 2 or args[0] not in ("syntax", "lint"):
-        return 2, "usage: transmigrate-stubcheck <syntax|lint> <file>\n"
-    mode, file_arg = args
-    try:
-        text = Path(cwd, file_arg).read_text(encoding="utf-8", errors="replace")
-    except OSError as exc:
-        return 2, f"stubcheck: cannot read {file_arg}: {exc}\n"
+    """Check files the way a checker process would: ``args`` is
+    ``[mode, file, ...]``, each file is read relative to ``cwd`` and
+    checked in turn, and the result is (exit status, output). Status 1
+    means syntax errors were found in some file, 2 a bad usage or an
+    unreadable file, whose message is then the whole output."""
+    if len(args) < 2 or args[0] not in ("syntax", "lint"):
+        return 2, "usage: transmigrate-stubcheck <syntax|lint> <file>...\n"
+    mode, *files = args
     checker = check_syntax if mode == "syntax" else check_lint
-    diagnostics = checker(file_arg, text)
+    diagnostics: list[str] = []
+    for file_arg in files:
+        try:
+            text = Path(cwd, file_arg).read_text(encoding="utf-8", errors="replace")
+        except OSError as exc:
+            return 2, f"stubcheck: cannot read {file_arg}: {exc}\n"
+        diagnostics += checker(file_arg, text)
     status = 1 if mode == "syntax" and diagnostics else 0
     return status, "".join(f"{line}\n" for line in diagnostics)

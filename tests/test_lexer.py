@@ -82,13 +82,25 @@ BOTH = [
     (b"", []),
 ]
 
-# (language, input, tokens) where the grammars differ: only Java has char literals.
+# (language, input, tokens) where the grammars differ: only Java has char
+# literals, and only Swift raw strings.
 DIFFERENT = [
     ("java", b"'a' x", [("char", 0, 3, "'a'"), ("ident", 4, 5, "x")]),
     ("java", b"'\\'' '\\", [("char", 0, 4, "'\\''"), ("char", 5, 7, "'\\")]),
     ("java", b"'a\nb", [("char", 0, 2, "'a"), ("ident", 3, 4, "b")]),
     ("swift", b"'a' x", [("punct", 0, 1, "'"), ("ident", 1, 2, "a"), ("punct", 2, 3, "'"), ("ident", 4, 5, "x")]),
     ("swift", b"'\\'", [("punct", 0, 1, "'"), ("punct", 1, 2, "\\"), ("punct", 2, 3, "'")]),
+    # A raw string ends at its delimiter with as many "#": a quote, a brace
+    # or a backslash inside it ends nothing.
+    ("swift", b'#"a " } b"# x', [("string", 0, 11, '#"a " } b"#'), ("ident", 12, 13, "x")]),
+    ("swift", b'##"a"# \\"##;', [("string", 0, 11, '##"a"# \\"##'), ("punct", 11, 12, ";")]),
+    ("swift", b'#"""\n" """ }\n"""# f', [("string", 0, 17, '#"""\n" """ }\n"""#'), ("ident", 18, 19, "f")]),
+    # Open: a single-line raw string stops before its newline, a multi-line one at the end.
+    ("swift", b'#"open\nx', [("string", 0, 6, '#"open'), ("ident", 7, 8, "x")]),
+    ("swift", b'#"""open }', [("string", 0, 10, '#"""open }')]),
+    # A "#" not before a quote is punctuation, and Java has no raw strings.
+    ("swift", b"#if", [("punct", 0, 1, "#"), ("ident", 1, 3, "if")]),
+    ("java", b'#"a"#', [("punct", 0, 1, "#"), ("string", 1, 4, '"a"'), ("punct", 4, 5, "#")]),
 ]
 
 

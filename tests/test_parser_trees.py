@@ -9,7 +9,7 @@ rewrite of the parser shows any change in them. A Java ``import static``
 reads ``static`` as a modifier and keeps the whole dotted name, a Swift
 ``class`` with only modifiers before its member keyword (``class func``,
 ``class override func``) reads as a modifier, and so does
-``private(set)``.
+``private(set)``. A Swift raw string (``#"a " } b"#``) is one string.
 """
 
 import textwrap
@@ -679,6 +679,23 @@ TREES = [
                 identifier 27 28
               field_declaration 34 43
                 identifier 38 39
+        """,
+    ),
+    (
+        "swift",
+        "a raw string holding a quote and a brace",
+        'class A { let s = #"a " } b"#\n func f() {} }',
+        """
+        program 0 44
+          class_declaration 0 44
+            identifier 6 7
+            type_body 8 44
+              field_declaration 10 29
+                identifier 14 15
+              method_declaration 31 42
+                identifier 36 37
+                parameter_list 37 39
+                block 40 42
         """,
     ),
 ]

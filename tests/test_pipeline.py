@@ -924,77 +924,146 @@ def grandchild_recording_its_pid(pid_file: pathlib.Path) -> str:
     )
 
 
+def run_interrupted_once_the_grandchild_runs(config, pid_file: pathlib.Path) -> None:
+    """Run ``config`` whole while a helper thread waits up to 10 s for
+    ``pid_file`` and then sends this process SIGINT. The run must end in
+    KeyboardInterrupt within 5 s of the signal, and the grandchild whose
+    pid the file holds must be gone within 10 s: an orphan until the init
+    process reaps it, which can take a second or two; unkilled, it would
+    sleep 30 s."""
+    import signal
+    import threading
+
+    interrupted = []  # when the SIGINT was sent
+    waited = []  # how long the helper waited for the pid file
+
+    def interrupt_once_the_grandchild_runs():
+        started = time.monotonic()
+        while not pid_file.exists():
+            if time.monotonic() - started > 10:
+                waited.append(time.monotonic() - started)
+                return  # no signal: the run then ends without KeyboardInterrupt
+            time.sleep(0.01)
+        interrupted.append(time.monotonic())
+        waited.append(interrupted[0] - started)
+        os.kill(os.getpid(), signal.SIGINT)
+
+    helper = threading.Thread(target=interrupt_once_the_grandchild_runs)
+    helper.start()
+    raised = None
+    try:
+        run_full(config)
+    except KeyboardInterrupt:
+        raised = time.monotonic()
+    finally:
+        helper.join(timeout=15)
+    assert not helper.is_alive()
+    assert interrupted, f"no SIGINT sent: no pid file after {waited[0]:.2f} s; the run ended uninterrupted"
+    assert raised is not None, f"no KeyboardInterrupt; SIGINT sent after {waited[0]:.2f} s of waiting for the pid file"
+    assert raised - interrupted[0] < 5, f"KeyboardInterrupt came {raised - interrupted[0]:.2f} s after the SIGINT"
+    pid = int(pid_file.read_text())
+    assert (state := process_left(pid, 10)) is None, f"grandchild {pid} still present after 10 s, state {state}"
+
+
 class TestConcurrentChecks:
-    """Round 0 of a component's units is checked on a thread pool while
-    translate sends the next units' prompts."""
+    """Round 0 of a component's units is checked in one batch, one process
+    per checker over every unit file, on translate's own thread once the
+    component's class prompts are sent; a repair round checks its one unit."""
 
-    def test_first_failing_unit_in_plan_order_fails_the_stage_and_a_resume_finishes(self, tmp_path):
-        import re
-
+    def test_silent_round_0_failure_names_the_batch_in_plan_order_and_a_resume_finishes(self, tmp_path):
         project = one_package_project(tmp_path / "project")
         failing = tmp_path / "lint-fails"
         failing.touch()
-        # While the marker exists, lint fails silently on B (slowly) and on C
-        # (at once): C's check ends first, but B comes first in plan order.
+        # While the marker exists, lint fails silently when it is given C.
         lint = python_command(
-            "import os, sys, time\n"
-            "unit = os.path.basename(sys.argv[1])\n"
-            f"if os.path.exists({str(failing)!r}) and unit in ('B.swift', 'C.swift'):\n"
-            "    time.sleep(0.5 if unit == 'B.swift' else 0)\n"
+            "import os, sys\n"
+            f"if os.path.exists({str(failing)!r}) and any(f.endswith('/C.swift') for f in sys.argv[1:]):\n"
             "    sys.exit(3)\n"
         )
         fresh = make_run_config(project, tmp_path / "fresh")
         config = make_run_config(project, tmp_path / "out")
         for c in (fresh, config):
             c.tools.lint_cmd = lint
-        with pytest.raises(ToolError, match=re.escape("exited 3 without diagnostics on unit B.swift")):
+        wanted = "exited 3 without diagnostics on units A.swift, B.swift, C.swift"
+        with pytest.raises(ToolError, match=re.escape(wanted)):
             run_full(config)
-        refinement = tmp_path / "out" / "translate" / "refinement"
-        assert sorted(p.name for p in refinement.iterdir()) == ["A.json"]
+        assert list((tmp_path / "out" / "translate" / "refinement").glob("*")) == []
 
         failing.unlink()
         run_full(config)
         run_full(fresh)
         assert output_tree(tmp_path / "out") == output_tree(tmp_path / "fresh")
 
-    def test_interrupt_kills_the_checker_in_flight(self, tmp_path, monkeypatch):
-        from transmigrate.backends import MockBackend
+    def test_each_checker_runs_once_per_round_over_the_rounds_units_in_plan_order(self, tmp_path):
+        project = one_package_project(tmp_path / "project", repaired=("B",))
+        log = tmp_path / "checks.jsonl"
+        config = make_run_config(project, tmp_path / "out")
+        # Each checker logs its name and its files; syntax flags B's ``init`` field.
+        for key, name in (("syntax_check_cmd", "syntax"), ("lint_cmd", "lint")):
+            setattr(
+                config.tools,
+                key,
+                python_command(
+                    "import json, sys\n"
+                    f"open({str(log)!r}, 'a').write(json.dumps([{name!r}, sys.argv[1:]]) + '\\n')\n"
+                    "for f in sys.argv[1:]:\n"
+                    f"    if {name!r} == 'syntax' and 'let init ' in open(f).read():\n"
+                    "        print(f + ':1:1: error: init field')\n"
+                ),
+            )
+        run_full(config)
+        units = [f"translate/units/{name}.swift" for name in "ABC"]
+        assert [json.loads(line) for line in log.read_text().splitlines()] == [
+            ["syntax", units],
+            ["lint", units],
+            ["syntax", ["translate/units/B.swift"]],
+            ["lint", ["translate/units/B.swift"]],
+        ]
+        payload = json.loads((tmp_path / "out" / "translate" / "refinement" / "B.json").read_text())
+        assert len(payload["history"]) == 2
+        assert payload["history"][0]["report"]["files"]["B.swift"][0]["message"] == "init field"
 
+    def test_a_diagnostic_with_an_absolute_path_lands_on_its_unit(self, tmp_path):
+        project = one_package_project(tmp_path / "project", repaired=("B",))
+        config = make_run_config(project, tmp_path / "out")
+        config.tools.syntax_check_cmd = python_command(
+            "import os, sys\n"
+            "for f in sys.argv[1:]:\n"
+            "    if 'let init ' in open(f).read():\n"
+            "        print(os.path.abspath(f) + ':2:5: error: init field')\n"
+        )
+        run_full(config)
+        refinement = tmp_path / "out" / "translate" / "refinement"
+        round_0 = {
+            name: json.loads((refinement / f"{name}.json").read_text())["history"][0]["report"]["files"]
+            for name in "ABC"
+        }
+        assert round_0["A"] == round_0["C"] == {}
+        (issue,) = round_0["B"]["B.swift"]
+        assert (issue["file"], issue["line"], issue["column"], issue["source"]) == ("B.swift", 2, 5, "syntax")
+
+    def test_a_diagnostic_for_a_file_outside_the_batch_fails_the_stage(self, tmp_path):
+        project = one_package_project(tmp_path / "project")
+        config = make_run_config(project, tmp_path / "out")
+        config.tools.lint_cmd = python_command("print('Other.swift:1:1: warning: stray (stray)')")
+        wanted = "reported on 'Other.swift', not on units A.swift, B.swift, C.swift"
+        with pytest.raises(ToolError, match=re.escape(wanted)):
+            run_full(config)
+        assert list((tmp_path / "out" / "translate" / "refinement").glob("*")) == []
+
+    def test_interrupt_kills_the_checker_in_flight(self, tmp_path):
         project = one_package_project(tmp_path / "project")
         pid_file = tmp_path / "grandchild.pid"
-        # The syntax checker starts a grandchild that records its pid and
-        # sleeps 30 s, holding the output pipe open.
+        # The syntax checker of round 0 starts a grandchild that records its
+        # pid and sleeps 30 s, holding the output pipe open.
         grandchild = grandchild_recording_its_pid(pid_file)
         config = make_run_config(project, tmp_path / "out")
         config.tools.syntax_check_cmd = python_command(
             f"import subprocess, sys; subprocess.Popen([sys.executable, '-c', {grandchild!r}]).wait()"
         )
-        real = MockBackend.translate
-        interrupted = []
-
-        def interrupting(self, envelope):
-            # B's class prompt is sent while A's check sleeps in the pool.
-            if envelope.level == "class" and envelope.slots["class_name"] == "p.B":
-                deadline = time.monotonic() + 10
-                while not pid_file.exists() and time.monotonic() < deadline:
-                    time.sleep(0.01)
-                interrupted.append(time.monotonic())
-                raise KeyboardInterrupt
-            return real(self, envelope)
-
-        monkeypatch.setattr(MockBackend, "translate", interrupting)
-        with pytest.raises(KeyboardInterrupt):
-            run_full(config)
-        assert time.monotonic() - interrupted[0] < 5
-        pid = int(pid_file.read_text())
-        # The killed grandchild is an orphan until the init process reaps
-        # it, which can take a second or two; unkilled, it would sleep 30 s.
-        assert (state := process_left(pid, 10)) is None, f"grandchild {pid} still present, state {state}"
+        run_interrupted_once_the_grandchild_runs(config, pid_file)
 
     def test_interrupt_during_a_repair_round_kills_its_checker(self, tmp_path):
-        import signal
-        import threading
-
         project = one_package_project(tmp_path / "project", repaired=("A",))
         pid_file = tmp_path / "grandchild.pid"
         grandchild = grandchild_recording_its_pid(pid_file)
@@ -1004,42 +1073,14 @@ class TestConcurrentChecks:
         config = make_run_config(project, tmp_path / "out")
         config.tools.syntax_check_cmd = python_command(
             "import subprocess, sys\n"
-            "code = open(sys.argv[1]).read()\n"
-            "if 'let init ' in code:\n"
-            "    print(sys.argv[1] + ':1:1: error: init field')\n"
-            "elif sys.argv[1].endswith('/A.swift') and 'initialValue' in code:\n"
-            f"    subprocess.Popen([sys.executable, '-c', {grandchild!r}]).wait()\n"
+            "for f in sys.argv[1:]:\n"
+            "    code = open(f).read()\n"
+            "    if 'let init ' in code:\n"
+            "        print(f + ':1:1: error: init field')\n"
+            "    elif f.endswith('/A.swift') and 'initialValue' in code:\n"
+            f"        subprocess.Popen([sys.executable, '-c', {grandchild!r}]).wait()\n"
         )
-        interrupted = []  # when the SIGINT was sent
-        waited = []  # how long the helper waited for the pid file
-
-        def interrupt_once_the_grandchild_runs():
-            started = time.monotonic()
-            while not pid_file.exists():
-                if time.monotonic() - started > 10:
-                    waited.append(time.monotonic() - started)
-                    return  # no signal: the run then ends without KeyboardInterrupt
-                time.sleep(0.01)
-            interrupted.append(time.monotonic())
-            waited.append(interrupted[0] - started)
-            os.kill(os.getpid(), signal.SIGINT)
-
-        helper = threading.Thread(target=interrupt_once_the_grandchild_runs)
-        helper.start()
-        raised = None
-        try:
-            run_full(config)
-        except KeyboardInterrupt:
-            raised = time.monotonic()
-        finally:
-            helper.join(timeout=15)
-        assert not helper.is_alive()
-        assert interrupted, f"no SIGINT sent: no pid file after {waited[0]:.2f} s; the run ended uninterrupted"
-        assert raised is not None, f"no KeyboardInterrupt; SIGINT sent after {waited[0]:.2f} s of waiting for the pid file"
-        assert raised - interrupted[0] < 5, f"KeyboardInterrupt came {raised - interrupted[0]:.2f} s after the SIGINT"
-        pid = int(pid_file.read_text())
-        # An orphan until the init process reaps it.
-        assert (state := process_left(pid, 10)) is None, f"grandchild {pid} still present after 10 s, state {state}"
+        run_interrupted_once_the_grandchild_runs(config, pid_file)
 
     def test_component_class_prompts_are_dumped_before_its_repair_prompts(self, tmp_path):
         project = one_package_project(tmp_path / "project", repaired=("A", "C"))
@@ -1307,6 +1348,7 @@ class TestCli:
             ("tools.syntax_check_cmd", "swiftc -parse", "tools.syntax_check_cmd"),
             ("tools.lint_cmd", "swiftlint 'lint {file}", "tools.lint_cmd"),
             ("tools.syntax_check_cmd", 'swiftc "-parse {file}', "tools.syntax_check_cmd"),
+            ("tools.lint_cmd", "swiftlint lint --path={file}", "tools.lint_cmd"),
         ],
     )
     def test_config_value_out_of_range_exits_2(

@@ -444,6 +444,17 @@ class TestDependencyGraph:
         assert graph.weights[("p.A", "p.B", EDGE_FIELD_TYPE)] == 2  # once per field
         assert graph.externals == {"List": 2, "Map": 1, "String": 1}
 
+    def test_swift_dictionary_field_depends_on_its_key_and_value_types(self):
+        text = (
+            "class A { var m: [String: B] = [:]; var k: [C: [D]]; var l: [B]; var o: B? }\n"
+            "class B {}\nclass C {}\nclass D {}"
+        )
+        descs = classes_of(SourceFile(path="A.swift", text=text, language="swift"))
+        graph = build_dependency_graph(descs, "class")
+        assert sorted(graph.edges) == [("A", name, EDGE_FIELD_TYPE) for name in "BCD"]
+        assert graph.weights[("A", "B", EDGE_FIELD_TYPE)] == 3  # once per field
+        assert graph.externals == {"String": 1}
+
     def test_graph_json_round_trip(self):
         _files, descs = graph_fixture_classes()
         graph = build_dependency_graph(descs, "class")

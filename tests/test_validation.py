@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import sys
 import shlex
 import subprocess
@@ -31,7 +32,6 @@ from transmigrate.validation.issues import (
 )
 from transmigrate.validation.tools import (
     build_argv,
-    kill_running_checkers,
     run_external_check,
     stub_tool_commands,
 )
@@ -267,21 +267,25 @@ class Weather {
 
 class TestExternalTools:
     def test_argv_substitution(self):
-        assert build_argv("swiftc -parse {file}", "a.swift") == ["swiftc", "-parse", "a.swift"]
+        assert build_argv("swiftc -parse {file}", ["a.swift"]) == ["swiftc", "-parse", "a.swift"]
+        # Every file takes the place of the one ``{file}`` word, in order.
+        argv = build_argv("swiftlint lint {file} --quiet", ["b.swift", "a b.swift", Path("c.swift")])
+        assert argv == ["swiftlint", "lint", "b.swift", "a b.swift", "c.swift", "--quiet"]
 
     def test_template_without_placeholder_rejected(self, tmp_path):
         # The configuration refuses such a template before any stage runs.
         config = RunConfig.from_dict(
             {"source_root": str(tmp_path), "backend": "mock", "tools": {"syntax_check_cmd": "swiftc -parse"}}
         )
-        with pytest.raises(ConfigurationError, match="tools.syntax_check_cmd must contain"):
+        wanted = "tools.syntax_check_cmd must hold {file} as a shell word of its own"
+        with pytest.raises(ConfigurationError, match=re.escape(wanted)):
             config.validate()
 
     def test_clean_file_exits_zero_with_no_issues(self, tmp_path):
         f = tmp_path / "Clean.swift"
         f.write_text("class Clean {\n    func ok() {\n    }\n}\n")
         syntax_cmd, _ = stub_tool_commands()
-        status, output = run_external_check(f, syntax_cmd, CHECK_TIMEOUT, tmp_path)
+        status, output = run_external_check([f], syntax_cmd, CHECK_TIMEOUT, tmp_path)
         issues = parse_tool_output(output, "syntax")
         assert status == 0 and issues == []
 
@@ -289,7 +293,7 @@ class TestExternalTools:
         f = tmp_path / "Bad.swift"
         f.write_text("class Bad {\n    let init = 0\n}\n")
         syntax_cmd, _ = stub_tool_commands()
-        status, output = run_external_check(f, syntax_cmd, CHECK_TIMEOUT, tmp_path)
+        status, output = run_external_check([f], syntax_cmd, CHECK_TIMEOUT, tmp_path)
         issues = parse_tool_output(output, "syntax")
         assert status == 1
         assert len(issues) == 1 and issues[0].line == 2 and issues[0].severity == "error"
@@ -316,14 +320,14 @@ class TestExternalTools:
         f = tmp_path / "a.swift"
         f.write_text("class A {}")
         with pytest.raises(ConfigurationError):
-            run_external_check(f, "definitely-not-a-real-tool-9x {file}", CHECK_TIMEOUT, tmp_path)
+            run_external_check([f], "definitely-not-a-real-tool-9x {file}", CHECK_TIMEOUT, tmp_path)
 
     def test_timeout_is_tool_error(self, tmp_path):
         f = tmp_path / "a.swift"
         f.write_text("class A {}")
         slow = f"{shlex.quote(sys.executable)} -c \"import time, sys; time.sleep(5)\" {{file}}"
         with pytest.raises(ToolError):
-            run_external_check(f, slow, 0.3, tmp_path)
+            run_external_check([f], slow, 0.3, tmp_path)
 
     def test_child_check_starts_no_thread(self, tmp_path, monkeypatch):
         # The timeout is kept by ``communicate`` itself, not by a watchdog
@@ -336,51 +340,14 @@ class TestExternalTools:
         f = tmp_path / "a.swift"
         f.write_text("class A {}")
         monkeypatch.setattr(threading.Thread, "start", no_thread)
-        assert run_external_check(f, "true {file}", CHECK_TIMEOUT, tmp_path) == (0, "")
-
-    def test_concurrent_checks_and_kills_leave_no_child_listed(self, tmp_path):
-        # Eight threads on a 2-core host run checks while this thread kills
-        # every running checker, under a short switch interval: the registry
-        # of running children never breaks mid-kill and ends empty.
-        import signal
-        import threading
-
-        from transmigrate.validation import tools
-
-        f = tmp_path / "a.swift"
-        f.write_text("class A {}")
-        results, errors = [], []
-
-        def checks():
-            try:
-                for _ in range(20):
-                    results.append(run_external_check(f, "true {file}", CHECK_TIMEOUT, tmp_path))
-            except BaseException as exc:
-                errors.append(exc)
-
-        threads = [threading.Thread(target=checks) for _ in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            while any(thread.is_alive() for thread in threads):
-                kill_running_checkers()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == [] and len(results) == 160
-        assert set(results) <= {(0, ""), (-signal.SIGKILL, "")}
-        assert tools._running == set()
+        assert run_external_check([f], "true {file}", CHECK_TIMEOUT, tmp_path) == (0, "")
 
     def test_child_diagnostic_and_status_returned(self, tmp_path):
         (tmp_path / "a.swift").write_text("class A {}")
         line = "a.swift:1:1: error: expected declaration"
         code = f"import sys; print({line!r}); sys.exit(1)"
         template = f"{shlex.quote(sys.executable)} -c {shlex.quote(code)} {{file}}"
-        assert run_external_check("a.swift", template, CHECK_TIMEOUT, tmp_path) == (1, line + "\n")
+        assert run_external_check(["a.swift"], template, CHECK_TIMEOUT, tmp_path) == (1, line + "\n")
 
     def test_timeout_kills_the_checkers_process_group(self, tmp_path):
         # The checker starts one grandchild that keeps the output pipe open
@@ -397,7 +364,7 @@ class TestExternalTools:
         timeout = 1.0
         started = time.monotonic()
         with pytest.raises(ToolError, match="timed out"):
-            run_external_check(f, template, timeout, tmp_path)
+            run_external_check([f], template, timeout, tmp_path)
         assert time.monotonic() - started < timeout + 2
         pid = int(pid_file.read_text())
         # The killed grandchild is an orphan until the init process reaps
@@ -426,7 +393,7 @@ class TestExternalTools:
         monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
         slow = f"{shlex.quote(sys.executable)} -c \"import time; time.sleep(30)\" {{file}}"
         with pytest.raises(KeyboardInterrupt):
-            run_external_check(f, slow, CHECK_TIMEOUT, tmp_path)
+            run_external_check([f], slow, CHECK_TIMEOUT, tmp_path)
         (child,) = children
         assert child.returncode == -signal.SIGKILL
 
@@ -439,7 +406,7 @@ class TestExternalTools:
         target.write_text("\n".join(lines) + "\n")
         _, lint_cmd = stub_tool_commands()
         status, output = run_external_check(
-            "WeatherApp/HTTPWeatherClient.swift", lint_cmd, CHECK_TIMEOUT, tmp_path
+            ["WeatherApp/HTTPWeatherClient.swift"], lint_cmd, CHECK_TIMEOUT, tmp_path
         )
         assert output.splitlines() == [LINT_LISTING_1]
 
@@ -452,7 +419,7 @@ class TestExternalTools:
         target.write_text("\n".join(lines) + "\n")
         _, lint_cmd = stub_tool_commands()
         _, output = run_external_check(
-            "AndroidTvMovie/GlideBackgroundManager.swift", lint_cmd, CHECK_TIMEOUT, tmp_path
+            ["AndroidTvMovie/GlideBackgroundManager.swift"], lint_cmd, CHECK_TIMEOUT, tmp_path
         )
         assert output.splitlines() == [LINT_LISTING_2]
 
@@ -474,7 +441,7 @@ class TestExternalTools:
         syntax_cmd, lint_cmd = stub_tool_commands()
 
         def check(file, template):
-            return run_external_check(file, template, CHECK_TIMEOUT, tmp_path)
+            return run_external_check([file], template, CHECK_TIMEOUT, tmp_path)
 
         assert check("WeatherApp/HTTPWeatherClient.swift", lint_cmd) == (0, LINT_LISTING_1 + "\n")
         assert check("AndroidTvMovie/GlideBackgroundManager.swift", lint_cmd) == (0, LINT_LISTING_2 + "\n")
@@ -483,6 +450,29 @@ class TestExternalTools:
             "Bad.swift:2:9: error: keyword 'init' cannot be used as an identifier\n",
         )
         assert check("WeatherApp/HTTPWeatherClient.swift", syntax_cmd) == (0, "")
+
+    def test_stub_checks_each_file_in_turn(self, tmp_path):
+        from transmigrate.validation import stubcheck
+
+        (tmp_path / "Worse.swift").write_text("class Worse {\n\n    let init = 0\n}\n")
+        (tmp_path / "Clean.swift").write_text("class Clean {}\n")
+        (tmp_path / "Bad.swift").write_text("class Bad {\n    let init = 0\n}\n")
+        syntax_cmd, _ = stub_tool_commands()
+
+        def check(*files):
+            return run_external_check(list(files), syntax_cmd, CHECK_TIMEOUT, tmp_path)
+
+        assert check("Worse.swift", "Clean.swift", "Bad.swift") == (
+            1,
+            "Worse.swift:3:9: error: keyword 'init' cannot be used as an identifier\n"
+            "Bad.swift:2:9: error: keyword 'init' cannot be used as an identifier\n",
+        )
+        assert check("Clean.swift", "Clean.swift") == (0, "")
+        # An unreadable file is a bad usage, as no file at all is: exit 2,
+        # with no diagnostic of the files read before it.
+        status, output = check("Bad.swift", "Missing.swift")
+        assert status == 2 and output.startswith("stubcheck: cannot read Missing.swift")
+        assert stubcheck.run(["syntax"], tmp_path) == (2, "usage: transmigrate-stubcheck <syntax|lint> <file>...\n")
 
     def test_stub_crash_is_tool_error(self, tmp_path, monkeypatch):
         # A crashed check must end as ToolError, as a crashed checker
@@ -496,12 +486,12 @@ class TestExternalTools:
         (tmp_path / "Deep.swift").write_text("class Deep {}\n")
         syntax_cmd, _ = stub_tool_commands()
         with pytest.raises(ToolError, match="crashed"):
-            run_external_check("Deep.swift", syntax_cmd, CHECK_TIMEOUT, tmp_path)
+            run_external_check(["Deep.swift"], syntax_cmd, CHECK_TIMEOUT, tmp_path)
 
     def test_stub_reports_deep_nesting_as_a_syntax_error(self, tmp_path):
         (tmp_path / "Deep.swift").write_text("{" * 1000 + "}" * 1000)
         syntax_cmd, _ = stub_tool_commands()
-        status, output = run_external_check("Deep.swift", syntax_cmd, CHECK_TIMEOUT, tmp_path)
+        status, output = run_external_check(["Deep.swift"], syntax_cmd, CHECK_TIMEOUT, tmp_path)
         assert status == 1
         assert output.splitlines() == [
             "Deep.swift:1:101: error: unbalanced or unparseable declaration structure"
