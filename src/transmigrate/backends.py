@@ -29,7 +29,7 @@ from functools import cached_property
 from pathlib import Path
 
 from transmigrate.config import BackendOptions
-from transmigrate.errors import BackendError, ExtractionError, RetryableBackendError
+from transmigrate.errors import BackendError, ConfigurationError, ExtractionError, RetryableBackendError
 from transmigrate.prompts import PromptEnvelope
 
 logger = logging.getLogger(__name__)
@@ -113,6 +113,24 @@ class LiveBackend:
         ) from last_error
 
 
+def _rule_problem(entry) -> str | None:
+    """Why a rule table entry is not a rule: an object with a string
+    ``pattern`` that compiles, a string ``replacement`` valid for it, and a
+    ``when``, if any, of ``always``, ``translate`` or ``repair``."""
+    if not isinstance(entry, dict):
+        return "not an object"
+    for key in ("pattern", "replacement"):
+        if not isinstance(entry.get(key), str):
+            return f'"{key}" must be a string'
+    if entry.get("when", "always") not in ("always", "translate", "repair"):
+        return '"when" must be "always", "translate" or "repair"'
+    try:
+        re.compile(entry["pattern"], flags=re.MULTILINE).sub(entry["replacement"], "")
+    except (re.error, IndexError) as exc:  # 3.11 raises IndexError for an unknown group name
+        return f"invalid pattern or replacement: {exc}"
+    return None
+
+
 @dataclass
 class MockRule:
     pattern: str
@@ -135,12 +153,23 @@ class MockBackend:
 
     @classmethod
     def from_rules_file(cls, path: str | Path) -> "MockBackend":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        entries = raw["rules"] if isinstance(raw, dict) else raw
-        rules = [
-            MockRule(e["pattern"], e["replacement"], e.get("when", "always")) for e in entries
-        ]
-        return cls(rules)
+        """The backend of a JSON rule table: a list of rules, or an object
+        whose ``"rules"`` is one. A table that cannot be read, or an entry
+        that is not a rule, is a ConfigurationError naming the file and the
+        entry."""
+        where = f"backend_options.rules_file {str(path)!r}"
+        try:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            raise ConfigurationError(f"{where}: cannot read a rule table: {exc}") from None
+        entries = raw.get("rules") if isinstance(raw, dict) else raw
+        if not isinstance(entries, list):
+            raise ConfigurationError(f'{where}: the rules must be a list, or an object whose "rules" is one')
+        for n, entry in enumerate(entries):
+            problem = _rule_problem(entry)
+            if problem:
+                raise ConfigurationError(f"{where}: rule {n} {json.dumps(entry)}: {problem}")
+        return cls([MockRule(e["pattern"], e["replacement"], e.get("when", "always")) for e in entries])
 
     def translate(self, envelope: PromptEnvelope) -> str:
         payload = None

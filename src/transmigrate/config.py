@@ -180,6 +180,8 @@ class RunConfig:
                 "must be >= 1",
             ),
             ("knowledge.retrieval_k", knowledge.retrieval_k, knowledge.retrieval_k >= 1, "must be >= 1"),
+            ("knowledge.crawl.max_depth", knowledge.crawl.max_depth, knowledge.crawl.max_depth >= 0, "must be >= 0"),
+            ("knowledge.crawl.max_pages", knowledge.crawl.max_pages, knowledge.crawl.max_pages >= 1, "must be >= 1"),
             (
                 "knowledge.provider",
                 knowledge.provider,

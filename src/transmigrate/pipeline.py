@@ -34,6 +34,8 @@ from transmigrate.knowledge.crawl import crawl_site
 from transmigrate.knowledge.embed import HashedTokenEmbedder, RemoteEmbedder
 from transmigrate.knowledge.index import VectorIndex, build_index
 from transmigrate.reporting import (
+    CONFIDENCE,
+    MARGIN,
     classify_issue,
     compute_project_metrics,
     draw_sample,
@@ -123,6 +125,9 @@ class Pipeline:
     def __init__(self, config: RunConfig) -> None:
         config.validate()
         self.config = config
+        # The mock's rule table is read, and so checked, before any stage runs.
+        rules_file = config.backend_options.rules_file if config.backend == "mock" else None
+        self._mock = MockBackend.from_rules_file(rules_file) if rules_file else MockBackend()
         self.out = Path(config.output_root)
         self.state_path = self.out / "state.json"
         self._index_files = (self.out / "index" / "index.jsonl", self.out / "index" / "chunks.jsonl")
@@ -179,10 +184,7 @@ class Pipeline:
         return HashedTokenEmbedder(k.embedding_dimension)
 
     def _backend(self):
-        opts = self.config.backend_options
-        if self.config.backend == "mock":
-            return MockBackend.from_rules_file(opts.rules_file) if opts.rules_file else MockBackend()
-        return LiveBackend(opts)
+        return self._mock if self.config.backend == "mock" else LiveBackend(self.config.backend_options)
 
     # ---- stages ------------------------------------------------------------
 
@@ -330,29 +332,20 @@ class Pipeline:
         validity_before, validity_after = read_artifact(validate_dir / "validity.json", "validate", _validity)
         metrics = compute_project_metrics(self.config.project_name, before, after, validity_before, validity_after)
 
-        pool: list[IssueRecord] = []
-        seen: set[str] = set()
+        unique: dict[str, IssueRecord] = {}  # each id's first issue
         for issue in before.all_issues() + after.all_issues():
-            if issue.issue_id not in seen:
-                seen.add(issue.issue_id)
-                pool.append(issue)
+            unique.setdefault(issue.issue_id, issue)
+        pool = list(unique.values())
         extras: dict = {"seed": self.config.seed}
         if self.config.sample_issues and pool:
             n = sample_size(len(pool))
-            sample = draw_sample(pool, min(n, len(pool)), self.config.seed)
-            chosen = {int(sid.split(":", 1)[0]) for sid in sample.selected_ids}
-            pool = [issue for idx, issue in enumerate(pool) if idx in chosen]
-            extras["sample"] = {
-                "population": sample.population_size,
-                "size": sample.sample_size,
-                "confidence": sample.confidence,
-                "margin": sample.margin,
-            }
-        labels = [classify_issue(i) for i in pool]
+            extras["sample"] = {"population": len(pool), "size": n, "confidence": CONFIDENCE, "margin": MARGIN}
+            pool = [pool[i] for i in draw_sample(len(pool), n, self.config.seed)]
+        categories = [classify_issue(i) for i in pool]
 
         report_dir = self.out / "report"
-        write_text(report_dir / "report.json", emit_report([metrics], labels, "json", extras))
-        write_text(report_dir / "report.md", emit_report([metrics], labels, "markdown", extras))
+        write_text(report_dir / "report.json", emit_report([metrics], categories, "json", extras))
+        write_text(report_dir / "report.md", emit_report([metrics], categories, "markdown", extras))
         self._mark_stage_done("report")
 
     # ---- drivers -----------------------------------------------------------

@@ -15,9 +15,11 @@ Issues classify into ten categories across three levels:
              Concerns, Platform-Specific - Design Features,
              Platform-Specific - System Settings, Data Storage Inconsistency
 
-Anything the cascade cannot place is surfaced as Unclassified for human
-review. Review sample sizes use the Cochran formula with finite-population
-correction, and sample draws are seeded and reproducible.
+A category is its name, a string; its level is ``CATEGORY_LEVELS[category]``.
+Anything the cascade cannot place is surfaced as Unclassified, which has no
+level, for human review. Review sample sizes use the Cochran formula with
+finite-population correction. A sample is a set of positions in the
+deduplicated issue pool, drawn seeded and reproducibly.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Sequence
@@ -59,6 +62,11 @@ CATEGORY_LEVELS: dict[str, str] = {
 }
 
 CATEGORIES = tuple(CATEGORY_LEVELS)
+_REPORT_ORDER = (*CATEGORIES, CATEGORY_UNCLASSIFIED)
+
+# The review sample's confidence and margin: sample_size's defaults and the report's notes.
+CONFIDENCE = 0.95
+MARGIN = 0.05
 
 _PLATFORM_RULE_CATEGORIES = {
     "third_party": CATEGORY_THIRD_PARTY,
@@ -71,36 +79,19 @@ _PLATFORM_RULE_CATEGORIES = {
 }
 
 
-@dataclass(frozen=True)
-class TaxonomyLabel:
-    category: str
-    level: str | None = None
-
-    def __post_init__(self) -> None:
-        expected = CATEGORY_LEVELS.get(self.category)
-        if self.category == CATEGORY_UNCLASSIFIED:
-            object.__setattr__(self, "level", None)
-        elif expected is None:
-            raise ArgumentError(f"unknown taxonomy category {self.category!r}")
-        else:
-            object.__setattr__(self, "level", expected)
-
-
-def classify_issue(issue: IssueRecord) -> TaxonomyLabel:
+def classify_issue(issue: IssueRecord) -> str:
     """Deterministic rule cascade from issue source (and, for platform
     issues, the matched rule family) to a taxonomy category."""
     if issue.source == "lint":
-        return TaxonomyLabel(CATEGORY_LINTING)
+        return CATEGORY_LINTING
     if issue.source == "syntax":
-        return TaxonomyLabel(CATEGORY_SYNTAX)
+        return CATEGORY_SYNTAX
     if issue.source in ("internal_reference", "graph_diff"):
-        return TaxonomyLabel(CATEGORY_INTERNAL_REFERENCE)
+        return CATEGORY_INTERNAL_REFERENCE
     if issue.source == "platform":
         family = (issue.rule or "").split(".", 1)[0]
-        category = _PLATFORM_RULE_CATEGORIES.get(family)
-        if category is not None:
-            return TaxonomyLabel(category)
-    return TaxonomyLabel(CATEGORY_UNCLASSIFIED)
+        return _PLATFORM_RULE_CATEGORIES.get(family, CATEGORY_UNCLASSIFIED)
+    return CATEGORY_UNCLASSIFIED
 
 
 @dataclass
@@ -126,16 +117,10 @@ class ProjectMetrics:
         return int(math.floor(pct * self.total_files / 100.0 + 0.5))
 
     def to_row(self) -> dict:
-        return {
-            "project": self.project,
-            "total_files": self.total_files,
-            "valid_pct_before": self.valid_pct_before,
-            "valid_pct_after": self.valid_pct_after,
-            "syntax_before": self.syntax_before,
-            "syntax_after": self.syntax_after,
-            "lint_before": self.lint_before,
-            "lint_after": self.lint_after,
-        }
+        """The report's row: every field but the raw valid counts."""
+        row = dict(vars(self))
+        del row["valid_before"], row["valid_after"]
+        return row
 
 
 def compute_project_metrics(
@@ -212,8 +197,8 @@ def percentage(count: int, population: int, decimals: int = 2) -> float:
 
 def sample_size(
     population: int | float | None,
-    confidence: float = 0.95,
-    margin: float = 0.05,
+    confidence: float = CONFIDENCE,
+    margin: float = MARGIN,
 ) -> int:
     """Cochran sample size at maximum variance (p = 0.5) with
     finite-population correction, rounded up. ``population`` of None or
@@ -232,69 +217,37 @@ def sample_size(
     return min(math.ceil(corrected), int(population))
 
 
-@dataclass
-class SampleSet:
-    population_size: int
-    confidence: float
-    margin: float
-    sample_size: int
-    selected_ids: list[str]
-    seed: int
+def draw_sample(population: int, n: int, seed: int) -> list[int]:
+    """The sorted positions of a uniform draw of ``n`` of ``population``
+    items without replacement, reproducible by seed."""
+    if n > population:
+        raise ArgumentError(f"sample size {n} exceeds population {population}")
+    return sorted(random.Random(seed).sample(range(population), n))
 
 
-def draw_sample(issues: Sequence[IssueRecord], n: int, seed: int,
-                confidence: float = 0.95, margin: float = 0.05) -> SampleSet:
-    """Uniform draw without replacement, reproducible by seed. Issues are
-    keyed by position-qualified id so duplicates stay distinguishable."""
-    if n > len(issues):
-        raise ArgumentError(f"sample size {n} exceeds population {len(issues)}")
-    ids = [f"{idx:06d}:{issue.issue_id}" for idx, issue in enumerate(issues)]
-    rng = random.Random(seed)
-    selected = sorted(rng.sample(ids, n))
-    return SampleSet(
-        population_size=len(issues),
-        confidence=confidence,
-        margin=margin,
-        sample_size=n,
-        selected_ids=selected,
-        seed=seed,
-    )
-
-
-@dataclass
-class TaxonomySummary:
-    category: str
-    level: str | None
-    count: int
-    pct: float
-
-
-def summarize_labels(labels: Sequence[TaxonomyLabel]) -> list[TaxonomySummary]:
-    """Per-category counts and percentages (two decimals) over the label
-    population, in canonical category order; absent categories omitted."""
-    if not labels:
-        return []
-    counts: dict[str, int] = {}
-    for label in labels:
-        counts[label.category] = counts.get(label.category, 0) + 1
-    order = list(CATEGORIES) + [CATEGORY_UNCLASSIFIED]
-    out = []
-    for category in order:
-        if category in counts:
-            out.append(
-                TaxonomySummary(
-                    category=category,
-                    level=CATEGORY_LEVELS.get(category),
-                    count=counts[category],
-                    pct=percentage(counts[category], len(labels), 2),
-                )
-            )
-    return out
+def summarize_labels(categories: Sequence[str]) -> list[dict]:
+    """The report's taxonomy rows in canonical order: each present
+    category's level, count and percentage (two decimals) of ``categories``.
+    A category outside the taxonomy is an ArgumentError."""
+    counts = Counter(categories)
+    for category in counts:
+        if category not in _REPORT_ORDER:
+            raise ArgumentError(f"unknown taxonomy category {category!r}")
+    return [
+        {
+            "category": category,
+            "level": CATEGORY_LEVELS.get(category),
+            "count": counts[category],
+            "pct": percentage(counts[category], len(categories), 2),
+        }
+        for category in _REPORT_ORDER
+        if category in counts
+    ]
 
 
 def emit_report(
     metrics: Sequence[ProjectMetrics],
-    labels: Sequence[TaxonomyLabel],
+    categories: Sequence[str],
     format: str,
     extras: dict | None = None,
 ) -> str:
@@ -306,17 +259,14 @@ def emit_report(
     """
     if format not in ("json", "markdown"):
         raise ArgumentError(f"unknown report format {format!r}")
-    totals = aggregate_metrics(metrics) if metrics else None
-    taxonomy = summarize_labels(labels)
+    totals = aggregate_metrics(metrics)
+    taxonomy = summarize_labels(categories)
 
     if format == "json":
         payload: dict = {
             "projects": [m.to_row() for m in metrics],
-            "total": totals.to_row() if totals else None,
-            "taxonomy": [
-                {"category": t.category, "level": t.level, "count": t.count, "pct": t.pct}
-                for t in taxonomy
-            ],
+            "total": totals.to_row(),
+            "taxonomy": taxonomy,
         }
         if extras:
             payload.update(extras)
@@ -328,15 +278,10 @@ def emit_report(
         "| Project Name | Total Files | Valid Files | # Syntax Errors | # Lint Issues |",
         "| --- | --- | --- | --- | --- |",
     ]
-    for m in metrics:
+    for m in (*metrics, totals):
+        project = f"**{m.project}**" if m is totals else m.project
         lines.append(
-            f"| {m.project} | {m.total_files} | {m.valid_pct_before}% / {m.valid_pct_after}% "
-            f"| {m.syntax_before} / {m.syntax_after} | {m.lint_before} / {m.lint_after} |"
-        )
-    if totals is not None:
-        m = totals
-        lines.append(
-            f"| **{m.project}** | {m.total_files} | {m.valid_pct_before}% / {m.valid_pct_after}% "
+            f"| {project} | {m.total_files} | {m.valid_pct_before}% / {m.valid_pct_after}% "
             f"| {m.syntax_before} / {m.syntax_after} | {m.lint_before} / {m.lint_after} |"
         )
     lines += ["", "## Issue Taxonomy", ""]
@@ -346,7 +291,7 @@ def emit_report(
         lines.append("| Category | Level | Count | Share |")
         lines.append("| --- | --- | --- | --- |")
         for t in taxonomy:
-            lines.append(f"| {t.category} | {t.level or '-'} | {t.count} | {t.pct}% |")
+            lines.append(f"| {t['category']} | {t['level'] or '-'} | {t['count']} | {t['pct']}% |")
     if extras:
         lines += ["", "## Notes", ""]
         for key in sorted(extras):

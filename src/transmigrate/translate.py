@@ -35,7 +35,7 @@ from transmigrate.sourcemodel.extract import ClassDescriptor, declarations_by_sp
 from transmigrate.validation.checks import platform_scan
 from transmigrate.validation.issues import ValidationReport, parse_tool_output
 from transmigrate.validation.refine import refine_loop, repair_inputs
-from transmigrate.validation.tools import run_external_check
+from transmigrate.validation.tools import resolve_checker, run_external_check
 
 
 def unit_names(class_names: list[str]) -> dict[str, str]:
@@ -114,6 +114,10 @@ def translate(config: RunConfig, out: Path, files, backend, embedder, index, jav
         comp_about = comp.name or "project root"
         prompts.append((comp, units, comp_about))
         abouts.append(comp_about)
+    # A pending class's rounds are checked: find both checkers before the first send.
+    if any(units for _, units, _ in prompts):
+        for template in (config.tools.syntax_check_cmd, config.tools.lint_cmd):
+            resolve_checker(template, out)
     if project_pending:
         abouts.append(config.project_name)
     abouts = list(dict.fromkeys(abouts))

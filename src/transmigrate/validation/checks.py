@@ -69,12 +69,13 @@ def load_platform_allowlist() -> frozenset[str]:
 
 def platform_scan(unit_name: str, code: str) -> list[IssueRecord]:
     """One platform issue per match of a shipped residue rule, carrying the
-    matched pattern id."""
+    matched pattern id. Its column counts UTF-8 bytes, as every other
+    check's does."""
     issues: list[IssueRecord] = []
+    data = code.encode("utf-8")
     for rule in load_residue_rules():
         for match in rule.compiled.finditer(code):
-            line = code.count("\n", 0, match.start()) + 1
-            col = match.start() - (code.rfind("\n", 0, match.start()) + 1) + 1
+            line, col = line_and_column(data, len(code[: match.start()].encode("utf-8")))
             snippet = match.group(0).strip()
             issues.append(
                 IssueRecord(

@@ -113,28 +113,10 @@ class ValidationReport:
         return merged
 
     def to_dict(self) -> dict:
-        return {
-            "files": {
-                name: [
-                    {
-                        "file": i.file,
-                        "line": i.line,
-                        "column": i.column,
-                        "severity": i.severity,
-                        "rule": i.rule,
-                        "message": i.message,
-                        "source": i.source,
-                    }
-                    for i in issues
-                ]
-                for name, issues in sorted(self.files.items())
-            },
-        }
+        return {"files": {name: [vars(i) for i in issues] for name, issues in sorted(self.files.items())}}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ValidationReport":
         report = cls()
-        for name, issues in payload.get("files", {}).items():
-            for rec in issues:
-                report.add(IssueRecord(**rec))
+        report.extend([IssueRecord(**rec) for issues in payload.get("files", {}).values() for rec in issues])
         return report

@@ -10,7 +10,9 @@ once per checker per refinement round, on translate's own thread: round 0
 of a component checks every unit file the component just wrote in one
 call, and a repair round checks its one unit. Each call runs in the output
 root with the configured ``tools.timeout_seconds`` as its bound, so that
-bound covers the whole batch. A template whose program is
+bound covers the whole batch. Before translate sends a prompt whose unit
+will be checked, ``resolve_checker`` finds both templates' programs, so a
+missing one costs no backend call. A template whose program is
 ``transmigrate-stubcheck`` runs the bundled stub checker in this process;
 any other template runs as a child process. A nonzero exit with
 diagnostics is a normal outcome. A missing tool, a timeout or a crashed
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import os
 import shlex
+import shutil
 import signal
 import subprocess
 from pathlib import Path
@@ -52,6 +55,16 @@ def build_argv(command_template: str, files: Sequence[str | Path]) -> list[str]:
     for part in shlex.split(command_template):
         argv.extend(map(str, files) if part == "{file}" else (part,))
     return argv
+
+
+def resolve_checker(command_template: str, cwd: str | Path) -> None:
+    """Raise the ConfigurationError that ``run_external_check`` would raise
+    in ``cwd`` when the template's program cannot be found, without running
+    it: a bare name is looked up on ``PATH``, a path with a slash in it
+    against ``cwd``, and the bundled stub is always found."""
+    program = shlex.split(command_template)[0]
+    if program != STUB_PROGRAM and not shutil.which(os.path.join(cwd, program) if "/" in program else program):
+        raise ConfigurationError(f"checker tool not found: {program!r}")
 
 
 def run_external_check(

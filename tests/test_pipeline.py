@@ -1335,6 +1335,9 @@ class TestCli:
             ("prompt_budget", 0, "prompt_budget"),
             ("knowledge.embedding_dimension", 0, "knowledge.embedding_dimension"),
             ("knowledge.retrieval_k", 0, "knowledge.retrieval_k"),
+            ("knowledge.crawl.max_depth", -3, "knowledge.crawl.max_depth"),
+            ("knowledge.crawl.max_pages", -1, "knowledge.crawl.max_pages"),
+            ("knowledge.crawl.max_pages", 0, "knowledge.crawl.max_pages"),
             ("knowledge.provider", "remtoe", "knowledge.provider"),
             ("knowledge.provider", "remote", "knowledge.remote_endpoint"),
             ("backend_options.temperature", 5.0, "backend_options.temperature"),
@@ -1372,6 +1375,61 @@ class TestCli:
         assert f"error: config key {named} must" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "content, named",
+        [
+            (None, "No such file"),
+            ("{rules", "cannot read a rule table"),
+            ('{"rules": {"pattern": "a"}}', "the rules must be a list"),
+            ('[{"pattern": "a", "replacement": "b"}, {"replacement": "b"}]', 'rule 1 {"replacement": "b"}'),
+            ('[{"pattern": "(", "replacement": ""}]', "rule 0"),
+            ('[{"pattern": "a", "replacement": "b", "when": "allways"}]', '"when" must be'),
+        ],
+        ids=["missing", "not-json", "rules-not-a-list", "no-pattern", "bad-pattern", "bad-when"],
+    )
+    def test_malformed_mock_rule_table_exits_2_before_any_work(
+        self, fixture_project, tmp_path, capsys, content, named
+    ):
+        config_path = self.write_config(tmp_path, fixture_project)
+        raw = json.loads(config_path.read_text())
+        rules = tmp_path / "rules.json"
+        if content is not None:
+            rules.write_text(content)
+        raw["backend_options"]["rules_file"] = str(rules)
+        config_path.write_text(json.dumps(raw))
+        assert cli_main(["run", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: backend_options.rules_file {str(rules)!r}: ")
+        assert named in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "key, template, program",
+        [
+            ("syntax_check_cmd", "no-such-checker {file}", "no-such-checker"),
+            # A path with a slash is looked up against the output root.
+            ("lint_cmd", "bin/no-such-checker {file}", "bin/no-such-checker"),
+        ],
+    )
+    def test_missing_checker_exits_2_before_any_backend_call(
+        self, fixture_project, tmp_path, capsys, monkeypatch, key, template, program
+    ):
+        from transmigrate.backends import MockBackend
+
+        calls = []
+        monkeypatch.setattr(MockBackend, "translate", lambda self, envelope: calls.append(envelope))
+        config_path = self.write_config(tmp_path, fixture_project)
+        raw = json.loads(config_path.read_text())
+        raw["tools"][key] = template
+        raw["dump_prompts"] = True
+        config_path.write_text(json.dumps(raw))
+        assert cli_main(["run", "--config", str(config_path)]) == 2
+        assert f"error: checker tool not found: {program!r}" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert calls == []
+        assert not list(out.glob("prompts/*"))
+        assert "translate" not in json.loads((out / "state.json").read_text())["completed_stages"]
 
     def test_null_and_integer_accepted_where_they_fit(self, fixture_project, tmp_path):
         config_path = self.write_config(tmp_path, fixture_project)

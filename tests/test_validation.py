@@ -31,7 +31,9 @@ from transmigrate.validation.issues import (
     parse_tool_output,
 )
 from transmigrate.validation.tools import (
+    STUB_PROGRAM,
     build_argv,
+    resolve_checker,
     run_external_check,
     stub_tool_commands,
 )
@@ -238,9 +240,18 @@ class Weather {
 """
         assert platform_scan("Weather.swift", code) == []
 
-    def test_match_carries_position_and_snippet(self):
-        issues = platform_scan("A.swift", "//\nGlide.with(x)\n")
-        assert issues[0].line == 2 and issues[0].column == 1
+    @pytest.mark.parametrize(
+        "code, line, column",
+        [
+            ("//\nGlide.with(x)\n", 2, 1),
+            # The column counts UTF-8 bytes, as the other checks' do: each "é" counts twice.
+            ('let s = "ééé"; let init = Glide.with(x)', 1, 30),
+        ],
+        ids=["ascii", "non-ascii"],
+    )
+    def test_match_carries_position_and_snippet(self, code, line, column):
+        issues = platform_scan("A.swift", code)
+        assert issues[0].line == line and issues[0].column == column
         assert "Glide.with(" in issues[0].message
 
     def test_performance_rules_are_warnings(self):
@@ -321,6 +332,30 @@ class TestExternalTools:
         f.write_text("class A {}")
         with pytest.raises(ConfigurationError):
             run_external_check([f], "definitely-not-a-real-tool-9x {file}", CHECK_TIMEOUT, tmp_path)
+
+    def test_resolve_checker_finds_exactly_the_programs_a_check_finds(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        (out / "bin").mkdir(parents=True)
+        (out / "bin" / "check").write_text("#!/bin/sh\nexit 0\n")
+        (out / "bin" / "check").chmod(0o755)
+        (out / "a.swift").write_text("class A {}")
+        monkeypatch.chdir(tmp_path)  # where bin/check is not
+        for program, found in [
+            ("true", True),
+            ("definitely-not-a-real-tool-9x", False),
+            ("bin/check", True),
+            ("bin/missing", False),
+            (STUB_PROGRAM + " syntax", True),
+        ]:
+            template = f"{program} {{file}}"
+            if found:
+                resolve_checker(template, out)
+                run_external_check(["a.swift"], template, CHECK_TIMEOUT, out)
+            else:
+                with pytest.raises(ConfigurationError, match="checker tool not found"):
+                    resolve_checker(template, out)
+                with pytest.raises(ConfigurationError, match="checker tool not found"):
+                    run_external_check(["a.swift"], template, CHECK_TIMEOUT, out)
 
     def test_timeout_is_tool_error(self, tmp_path):
         f = tmp_path / "a.swift"
