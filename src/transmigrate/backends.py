@@ -34,16 +34,15 @@ from transmigrate.prompts import PromptEnvelope
 
 logger = logging.getLogger(__name__)
 
-# The first of these slots present in an envelope is the code payload the
-# mock rewrites (repair prompts carry prior_code; translation prompts carry
-# the source at their level).
-_PAYLOAD_SLOTS = (
-    "prior_code",
-    "method_code",
-    "class_content",
-    "translated_classes",
-    "translated_components",
-)
+# The slot of each level's prompt that holds the code payload the mock
+# rewrites: the source at a translation level, the prior code in a repair.
+_PAYLOAD_SLOT = {
+    "method": "method_code",
+    "class": "class_content",
+    "component": "translated_classes",
+    "project": "translated_components",
+    "repair": "prior_code",
+}
 
 
 def split_system_user(rendered_text: str) -> tuple[str, str]:
@@ -172,15 +171,8 @@ class MockBackend:
         return cls([MockRule(e["pattern"], e["replacement"], e.get("when", "always")) for e in entries])
 
     def translate(self, envelope: PromptEnvelope) -> str:
-        payload = None
-        for slot in _PAYLOAD_SLOTS:
-            if slot in envelope.slots:
-                payload = envelope.slots[slot]
-                break
-        if payload is None:
-            payload = envelope.rendered_text
-        mode = "repair" if "prior_code" in envelope.slots else "translate"
-        out = payload
+        out = envelope.slots[_PAYLOAD_SLOT[envelope.level]]
+        mode = "repair" if envelope.level == "repair" else "translate"
         for rule in self.rules:
             if rule.when in ("always", mode):
                 out = rule.compiled.sub(rule.replacement, out)

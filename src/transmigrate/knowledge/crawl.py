@@ -76,8 +76,6 @@ def crawl_site(start_url: str, max_depth: int, max_pages: int) -> list[DocumentC
     fail to fetch are skipped and logged; an unreachable start URL raises
     CrawlError.
     """
-    if max_pages <= 0:
-        return []
     start_url, _ = urldefrag(start_url)
     start_host = urlsplit(start_url).netloc
     queue: list[tuple[str, int]] = [(start_url, 0)]

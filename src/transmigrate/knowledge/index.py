@@ -77,11 +77,10 @@ encodes its fields. The encoder escapes every non-ASCII character, so a
 block's lines are encoded to bytes once and their offsets are the
 running sum of their lengths. The files pair by row: entry line i holds
 the id and vector of chunk line i. ``build_index`` writes the chunk
-lines to the temporary file beside the chunks path it is given; ``save``
-writes ``index.jsonl`` to its own temporary file, then renames both over
-their paths, index first (a loaded index, or one saved to another path
-than it was built for, has its lines copied out first). A kill before
-both renames leaves at most a ``.tmp`` file that the index stage
+lines to the temporary file beside the chunks path it is given; ``save``,
+of a built index only, writes ``index.jsonl`` to its own temporary file,
+then renames both over their paths, index first. A kill before both
+renames leaves at most a ``.tmp`` file that the index stage
 removes, or a pair that ``load`` checks. ``load`` reads the two files
 together: a line that does not parse, a chunk line that holds no chunk
 or another id than its entry, a chunk line missing or left over, a
@@ -109,7 +108,6 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
 from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import islice
@@ -233,9 +231,9 @@ class VectorIndex:
     # ---- persistence ----
 
     def save(self, index_path: str | Path, chunks_path: str | Path) -> None:
-        """Write ``index_path`` and put the chunk lines at ``chunks_path``,
-        each file whole or not at all: a build's temporary file for
-        ``chunks_path`` is renamed over it; a loaded index's file is copied."""
+        """Write ``index_path``, then rename the temporary file of chunk
+        lines that ``build_index`` wrote over ``chunks_path``: each file
+        whole or not at all. Only a built index is saved."""
         rows = _block_rows(self.dimension)
         with replacing(index_path) as fh:
             fh.write(json.dumps({"dimension": self.dimension, "entries": len(self._ids)}) + "\n")
@@ -246,13 +244,8 @@ class VectorIndex:
                 cells = slice(starts[0], starts[-1])
                 block[self._rows[cells] - start, np.repeat(np.arange(self.dimension), np.diff(starts))] = self._values[cells]
                 fh.write(_rows_text(ids, block))
-        chunks_path = Path(chunks_path)
-        tmp = temporary(chunks_path)
-        if self._lines.resolve() != tmp.resolve():
-            with self._lines.open("rb") as source, tmp.open("wb") as fh:
-                shutil.copyfileobj(source, fh)
-        os.replace(tmp, chunks_path)
-        self._lines = chunks_path
+        os.replace(self._lines, chunks_path)
+        self._lines = Path(chunks_path)
 
     @classmethod
     def load(cls, index_path: str | Path, chunks_path: str | Path) -> "VectorIndex":

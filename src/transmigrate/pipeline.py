@@ -48,7 +48,7 @@ from transmigrate.sourcemodel.graph import DependencyGraph, build_dependency_gra
 from transmigrate.sourcemodel.parser import Ast, SourceFile, parse_source
 # Loaded with this module, not when the stage runs: the benchmark tracer
 # replaces functions imported by name only in modules loaded when it installs.
-from transmigrate.translate import pending, translate, translated_rounds
+from transmigrate.translate import pending, translate, translated_rounds, unit_files
 from transmigrate.validation.checks import (
     build_translated_class_graph,
     check_references,
@@ -104,12 +104,6 @@ def hash_source_tree(root: str | Path, output_root: str | Path) -> tuple[str, li
 def hash_config(config: RunConfig) -> str:
     payload = json.dumps(config.canonical_dict(), sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def _validity(text: str) -> list[dict[str, bool]]:
-    """The before and after validity flags of ``validate/validity.json``."""
-    validity = json.loads(text)
-    return [dict(validity[side].items()) for side in ("before", "after")]
 
 
 def _class_summaries(text: str) -> list[tuple[str, str, list[str]]]:
@@ -308,19 +302,8 @@ class Pipeline:
             for corpus, units in zip(parse_corpora(initial_units, final_units), (firsts, kepts))
         )
 
-        def validity(report: ValidationReport) -> dict[str, bool]:
-            """A unit is valid without syntax, reference and graph errors."""
-            return {
-                unit: not any(
-                    i.severity == "error" and i.source in ("syntax", "internal_reference", "graph_diff")
-                    for i in report.files.get(unit, [])
-                )
-                for unit in rounds
-            }
-
         write_json(self.out / "validate" / "before.json", before.to_dict())
         write_json(self.out / "validate" / "after.json", after.to_dict())
-        write_json(self.out / "validate" / "validity.json", {"before": validity(before), "after": validity(after)})
         self._mark_stage_done("validate")
 
     def stage_report(self) -> None:
@@ -329,12 +312,12 @@ class Pipeline:
             read_artifact(validate_dir / name, "validate", lambda t: ValidationReport.from_dict(json.loads(t)))
             for name in ("before.json", "after.json")
         )
-        validity_before, validity_after = read_artifact(validate_dir / "validity.json", "validate", _validity)
-        metrics = compute_project_metrics(self.config.project_name, before, after, validity_before, validity_after)
+        metrics = compute_project_metrics(self.config.project_name, unit_files(self._plan()), before, after)
 
-        unique: dict[str, IssueRecord] = {}  # each id's first issue
+        unique: dict[tuple, IssueRecord] = {}  # the first issue of those alike in all but severity
         for issue in before.all_issues() + after.all_issues():
-            unique.setdefault(issue.issue_id, issue)
+            key = (issue.source, issue.file, issue.line, issue.column, issue.rule, issue.message)
+            unique.setdefault(key, issue)
         pool = list(unique.values())
         extras: dict = {"seed": self.config.seed}
         if self.config.sample_issues and pool:

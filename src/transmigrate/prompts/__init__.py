@@ -31,13 +31,8 @@ _SLOT_RE = re.compile(r"\{(\w+)\}")
 NO_CONTEXT_SENTINEL = "none retrieved"
 _DROPPED_SENTINEL = "[omitted: context budget]"
 
-# Slot carrying retrieved documentation, by level.
-SPEC_SLOT = {
-    "method": "retrieved_specification",
-    "class": "specification",
-    "component": "specification",
-    "project": "specification",
-}
+# The slot carrying retrieved documentation, at every level but repair.
+SPEC_SLOT = "specification"
 
 MANDATORY_SLOTS = {
     "method": ("method_name", "file_name", "method_code", "ast"),
@@ -112,7 +107,9 @@ def load_template(level: str) -> PromptTemplate:
         raise AssemblyError(f"unknown prompt level {level!r}")
     body = (_TEMPLATES_DIR / f"{level}.txt").read_text(encoding="utf-8")
     template = PromptTemplate(level=level, body=body)
-    known = set(MANDATORY_SLOTS[level]) | {SPEC_SLOT.get(level, "")}
+    known = set(MANDATORY_SLOTS[level])
+    if level != "repair":
+        known.add(SPEC_SLOT)
     for slot in template.slots:
         if slot not in known:
             raise AssemblyError(f"template {level!r} uses unregistered slot {slot!r}")
@@ -140,9 +137,8 @@ def render_prompt(
             raise AssemblyError(f"missing mandatory slot {slot!r} for {level} prompt")
 
     slots = dict(inputs)
-    spec_slot = SPEC_SLOT.get(level)
-    if spec_slot is not None and spec_slot not in slots:
-        slots[spec_slot] = chunks_excerpt(retrieved) if retrieved else NO_CONTEXT_SENTINEL
+    if level != "repair" and SPEC_SLOT not in slots:
+        slots[SPEC_SLOT] = chunks_excerpt(retrieved) if retrieved else NO_CONTEXT_SENTINEL
     return _render(template, slots, dropped=[])
 
 
@@ -182,7 +178,7 @@ def truncate_context(envelope: PromptEnvelope, budget: int) -> PromptEnvelope:
     slots = dict(envelope.slots)
     dropped = list(envelope.dropped)
     current = envelope
-    for slot in (SPEC_SLOT.get(envelope.level), "ast", "dependency"):
+    for slot in (SPEC_SLOT, "ast", "dependency"):
         if slot not in slots or slots[slot] == _DROPPED_SENTINEL:
             continue
         slots[slot] = _DROPPED_SENTINEL

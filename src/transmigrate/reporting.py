@@ -4,8 +4,9 @@ Three per-project metrics are tracked before and after validation-driven
 refinement: percentage of valid translated files, syntax error count, and
 lint issue count. A file counts as valid when it passes the syntax check
 and has no internal-reference or dependency-graph errors (an automated
-proxy for manual review). Totals recompute the valid percentage from file
-counts rather than averaging row percentages.
+proxy for manual review); ``is_valid_file`` is the one place that rule is
+applied. Totals recompute the valid percentage from file counts rather
+than averaging row percentages.
 
 Issues classify into ten categories across three levels:
 
@@ -123,26 +124,28 @@ class ProjectMetrics:
         return row
 
 
-def compute_project_metrics(
-    project: str,
-    before_reports,
-    after_reports,
-    validity_before: dict[str, bool],
-    validity_after: dict[str, bool],
-) -> ProjectMetrics:
+def is_valid_file(issues: Sequence[IssueRecord]) -> bool:
+    """The valid-file rule: no error-severity issue of ``issues``, one
+    file's, comes from the syntax check, the reference check or the graph
+    comparison."""
+    return not any(
+        i.severity == "error" and i.source in ("syntax", "internal_reference", "graph_diff") for i in issues
+    )
+
+
+def compute_project_metrics(project: str, files: Sequence[str], before_reports, after_reports) -> ProjectMetrics:
     """Aggregate one project's reports into the three metrics.
 
-    ``before_reports`` / ``after_reports`` are ValidationReport values
-    covering the same file set; validity flags are per file.
+    ``files`` names every translated file; ``before_reports`` and
+    ``after_reports`` are ValidationReport values whose issues are filed
+    under those names. A file with no issue is valid.
     """
-    files = sorted(validity_before)
     if not files:
         raise ArgumentError("metrics require at least one file")
-    if sorted(validity_after) != files:
-        raise ArgumentError("before/after validity flags cover different file sets")
     total = len(files)
-    valid_before = sum(1 for f in files if validity_before[f])
-    valid_after = sum(1 for f in files if validity_after[f])
+    valid_before, valid_after = (
+        sum(is_valid_file(report.files.get(f, ())) for f in files) for report in (before_reports, after_reports)
+    )
 
     def syntax_count(report) -> int:
         return sum(1 for i in report.all_issues() if i.source == "syntax" and i.severity == "error")

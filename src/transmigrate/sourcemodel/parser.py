@@ -280,7 +280,8 @@ class _Parser:
         tok = self.peek()
         if not tok.text:
             return AstNode("error", start, self.eof) if self._last_end() > start else None
-        if tok.text in p.type_keywords:
+        # A type keyword that is not reserved (Swift's ``actor``) may be a name.
+        if tok.text in p.type_keywords and (tok.text in p.keywords or self.peek(1).kind == IDENT):
             return self._parse_type_declaration(start)
         if p.member_style == "c":
             return self._parse_c_member(start, enclosing_type)

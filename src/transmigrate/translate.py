@@ -13,7 +13,8 @@ so their order is the plan's. Only this module builds paths under
 ``translate/``. An item is done once the last file it writes exists: a
 unit's refinement payload (``unit_names`` names the unit from the plan,
 and the payload records both names), a component's file, or
-``project.swift``. ``pending`` and ``translated_rounds`` read them back.
+``project.swift``. ``pending`` and ``translated_rounds`` read them back,
+and ``unit_files`` names every unit's file.
 """
 
 from __future__ import annotations
@@ -72,6 +73,11 @@ def pending(out: Path, plan: TranslationPlan):
     return names, components, not (out / "translate" / "project.swift").is_file()
 
 
+def unit_files(plan: TranslationPlan) -> list[str]:
+    """The file of every planned class's unit, in file name order."""
+    return sorted(f"{base}.swift" for base in unit_names([c.name for _, c in plan.iter_classes()]).values())
+
+
 def translated_rounds(out: Path, plan: TranslationPlan):
     """The unit name of every planned class, and by unit file, in file
     name order, the code exactly as translate wrote it and the report of
@@ -79,8 +85,8 @@ def translated_rounds(out: Path, plan: TranslationPlan):
     OrderingError naming the translate stage."""
     names = unit_names([c.name for _, c in plan.iter_classes()])
     rounds = {
-        unit: read_artifact(_payload_path(out, base), "translate", _first_and_kept_rounds)
-        for unit, base in sorted((f"{base}.swift", base) for base in names.values())
+        unit: read_artifact(_payload_path(out, unit.removesuffix(".swift")), "translate", _first_and_kept_rounds)
+        for unit in unit_files(plan)
     }
     return names, rounds
 

@@ -55,7 +55,7 @@ def load_residue_rules() -> tuple[ResidueRule, ...]:
             rule_id=e["id"],
             pattern=e["pattern"],
             message=e["message"],
-            severity=e.get("severity", "error"),
+            severity=e["severity"],
         )
         for e in raw["rules"]
     )

@@ -13,7 +13,6 @@ raw tool output.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass, field
 
@@ -33,14 +32,6 @@ class IssueRecord:
     rule: str | None
     message: str
     source: str  # syntax, lint, internal_reference, graph_diff or platform
-
-    @property
-    def issue_id(self) -> str:
-        digest = hashlib.sha256(self.message.encode("utf-8")).hexdigest()[:8]
-        return (
-            f"{self.source}:{self.file}:{self.line or 0}:{self.column or 0}:"
-            f"{self.rule or '-'}:{digest}"
-        )
 
 
 def parse_diagnostic_line(line: str, source: str) -> IssueRecord | None:

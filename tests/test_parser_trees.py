@@ -683,6 +683,34 @@ TREES = [
     ),
     (
         "swift",
+        "an actor",
+        "actor A { func f() {} }",
+        """
+        program 0 23
+          class_declaration 0 23
+            identifier 6 7
+            type_body 8 23
+              method_declaration 10 21
+                identifier 15 16
+                parameter_list 16 18
+                block 19 21
+        """,
+    ),
+    (
+        "swift",
+        "actor as a name, then as a type",
+        "actor = 1\nactor.play()\nactor A {}",
+        """
+        program 0 33
+          member 0 9
+          member 10 22
+          class_declaration 23 33
+            identifier 29 30
+            type_body 31 33
+        """,
+    ),
+    (
+        "swift",
         "a raw string holding a quote and a brace",
         'class A { let s = #"a " } b"#\n func f() {} }',
         """

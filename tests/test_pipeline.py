@@ -226,7 +226,6 @@ class TestFullRun:
                 *(f"translate/units/{name}.swift" for name in units),
                 "validate/after.json",
                 "validate/before.json",
-                "validate/validity.json",
             ]
         )
 
@@ -427,7 +426,7 @@ class TestDeterminismAndResume:
         fresh = output_tree(tmp_path / "fresh")
         # Each refinement round writes its candidate to units/: MainScreen's
         # four rounds are four kill points whose resume translates it again.
-        assert len(renames) == 32 and "translate/project.swift" in renames
+        assert len(renames) == 31 and "translate/project.swift" in renames
         assert renames.count("translate/units/MainScreen.swift") == 4
 
         for at, artifact in enumerate(renames):
@@ -475,7 +474,7 @@ class TestDeterminismAndResume:
         run_full(make_run_config(project, tmp_path / "fresh", dump_prompts=dump_prompts))
         monkeypatch.undo()
         fresh = output_tree(tmp_path / "fresh")
-        assert len(renames) == (50 if dump_prompts else 34)
+        assert len(renames) == (49 if dump_prompts else 33)
 
         def split(tree):
             """The tree outside ``prompts/``, and the dumps' contents."""
@@ -1182,11 +1181,12 @@ class TestStages:
         assert output_tree(tmp_path / "out") == output_tree(tmp_path / "fresh")
 
     def test_stale_files_of_an_older_output_root_are_never_read(self, run_config):
-        # An older version also wrote index/meta.json and
-        # translate/unit_names.json; a root that still holds them resumes.
+        # An older version also wrote index/meta.json,
+        # translate/unit_names.json and validate/validity.json; a root that
+        # still holds them resumes.
         out = run_config_path(run_config.output_root)
         run_full(run_config)
-        for stale in ("index/meta.json", "translate/unit_names.json"):
+        for stale in ("index/meta.json", "translate/unit_names.json", "validate/validity.json"):
             (out / stale).write_text("not JSON")
         (out / "translate" / "project.swift").unlink()
         pipeline = Pipeline(run_config)
@@ -1453,11 +1453,11 @@ class TestCli:
     @pytest.mark.parametrize(
         "artifact, content, stage",
         [
-            ("validate/validity.json", "{}", "report"),
-            ("validate/validity.json", '{"before": {}}', "report"),
-            ("validate/validity.json", '{"before": [], "after": []}', "report"),
-            ("validate/validity.json", "[]", "report"),
-            ("validate/validity.json", "null", "report"),
+            ("validate/before.json", "[]", "report"),
+            ("validate/after.json", '{"files": {"A.swift": [{"line": 1}]}}', "report"),
+            ("plan/plan.jsonl", '{"kind": "comp', "report"),
+            ("plan/plan.jsonl", "[]", "report"),
+            ("plan/plan.jsonl", '{"kind": "class", "name": "A"}', "report"),
         ],
     )
     def test_artifact_of_wrong_shape_exits_1(self, fixture_project, tmp_path, capsys, artifact, content, stage):

@@ -112,7 +112,7 @@ class TestTruncation:
     def test_spec_slot_dropped_first_code_intact(self):
         envelope = self.big_envelope()
         truncated = truncate_context(envelope, budget=envelope.size_estimate - 1)
-        assert truncated.dropped == ["retrieved_specification"]
+        assert truncated.dropped == ["specification"]
         assert "c" * 2000 in truncated.rendered_text
         assert "a" * 4000 in truncated.rendered_text
 
@@ -120,7 +120,7 @@ class TestTruncation:
         envelope = self.big_envelope()
         # Between the sizes after one drop and after two drops: forces both.
         truncated = truncate_context(envelope, budget=1000)
-        assert truncated.dropped == ["retrieved_specification", "ast"]
+        assert truncated.dropped == ["specification", "ast"]
         assert "c" * 2000 in truncated.rendered_text
 
     def test_dependency_dropped_last_at_class_level(self):

@@ -24,6 +24,7 @@ from transmigrate.reporting import (
     compute_project_metrics,
     draw_sample,
     emit_report,
+    is_valid_file,
     percentage,
     sample_size,
     summarize_labels,
@@ -46,12 +47,25 @@ def issue(source, rule=None, severity="error", file="a.swift", line=1, message="
 class TestProjectMetrics:
     def test_percentage_arithmetic(self):
         before = ValidationReport()
-        after = ValidationReport()
-        flags_before = {f"f{i}.swift": i != 0 for i in range(4)}  # 3 of 4 valid
-        flags_after = dict(flags_before)
-        metrics = compute_project_metrics("P", before, after, flags_before, flags_after)
+        before.add(issue("syntax", file="f0.swift"))
+        files = [f"f{i}.swift" for i in range(4)]  # 3 of 4 valid
+        metrics = compute_project_metrics("P", files, before, ValidationReport())
         assert metrics.valid_pct_before == 75.0
+        assert metrics.valid_pct_after == 100.0
         assert metrics.total_files == 4
+
+    @pytest.mark.parametrize("severity", ["error", "warning"])
+    @pytest.mark.parametrize("source", ["syntax", "lint", "internal_reference", "graph_diff", "platform"])
+    def test_validity_rule_by_source_and_severity(self, source, severity):
+        # Only an error from the syntax check, the reference check or the
+        # graph comparison makes its file invalid; b.swift has no issue.
+        report = ValidationReport()
+        report.add(issue(source, severity=severity, file="a.swift"))
+        invalid = severity == "error" and source in ("syntax", "internal_reference", "graph_diff")
+        assert is_valid_file(report.files["a.swift"]) is not invalid
+        assert is_valid_file([]) is True
+        metrics = compute_project_metrics("P", ["a.swift", "b.swift"], report, ValidationReport())
+        assert (metrics.valid_before, metrics.valid_after) == (1 if invalid else 2, 2)
 
     def test_counts_by_source_and_severity(self):
         before = ValidationReport()
@@ -65,21 +79,14 @@ class TestProjectMetrics:
             ]
         )
         after = ValidationReport()
-        flags = {"a.swift": True}
-        metrics = compute_project_metrics("P", before, after, flags, dict(flags))
+        metrics = compute_project_metrics("P", ["a.swift"], before, after)
         assert metrics.syntax_before == 1
         assert metrics.lint_before == 2  # lint issues counted at any severity
         assert metrics.syntax_after == 0 and metrics.lint_after == 0
 
     def test_zero_files_rejected(self):
         with pytest.raises(ArgumentError):
-            compute_project_metrics("P", ValidationReport(), ValidationReport(), {}, {})
-
-    def test_mismatched_file_sets_rejected(self):
-        with pytest.raises(ArgumentError):
-            compute_project_metrics(
-                "P", ValidationReport(), ValidationReport(), {"a": True}, {"b": True}
-            )
+            compute_project_metrics("P", [], ValidationReport(), ValidationReport())
 
 
 class TestAggregation:

@@ -392,8 +392,6 @@ class TestIndexWriterEquivalence:
         index.save(tmp_path / "index.jsonl", tmp_path / "chunks.jsonl")
         assert (tmp_path / "index.jsonl").read_bytes() == expected
         loaded = VectorIndex.load(tmp_path / "index.jsonl", tmp_path / "chunks.jsonl")
-        loaded.save(tmp_path / "again.jsonl", tmp_path / "again_chunks.jsonl")
-        assert (tmp_path / "again.jsonl").read_bytes() == expected
         probes = texts[:20] + ["alpha beta", "", "!!!", "unrelated"]
 
         def results(target):
