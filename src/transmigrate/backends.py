@@ -95,21 +95,34 @@ class LiveBackend:
             started = time.monotonic()
             try:
                 with urllib.request.urlopen(request, timeout=self.options.timeout_seconds) as resp:
-                    payload = json.loads(resp.read().decode("utf-8"))
-                latency = time.monotonic() - started
-                logger.info(
-                    "backend call prompt=%s attempt=%d latency=%.3fs", prompt_hash, attempt, latency
-                )
-                return str(payload["choices"][0]["message"]["content"])
+                    reply = resp.read()
             except urllib.error.HTTPError as exc:
                 excerpt = exc.read()[:200].decode("utf-8", "replace")
                 raise BackendError(f"backend returned status {exc.code}: {excerpt}") from exc
             except (urllib.error.URLError, OSError, TimeoutError) as exc:
                 last_error = exc
                 logger.warning("backend transport failure (attempt %d): %s", attempt, exc)
+                continue
+            latency = time.monotonic() - started
+            logger.info("backend call prompt=%s attempt=%d latency=%.3fs", prompt_hash, attempt, latency)
+            return _message_content(reply, self.options.endpoint)
         raise RetryableBackendError(
             f"backend unreachable after {attempts} attempts: {last_error}"
         ) from last_error
+
+
+def _message_content(reply: bytes, endpoint: str) -> str:
+    """The first choice's message content of a success reply. A reply that
+    is not JSON with a string there is a BackendError, not retried: the
+    server answered, and asking again would send the same prompt."""
+    try:
+        content = json.loads(reply.decode("utf-8"))["choices"][0]["message"]["content"]
+    except (ValueError, LookupError, TypeError):
+        content = None
+    if not isinstance(content, str):
+        excerpt = reply[:200].decode("utf-8", "replace")
+        raise BackendError(f"backend {endpoint} sent no choices[0].message.content string: {excerpt}")
+    return content
 
 
 def _rule_problem(entry) -> str | None:

@@ -211,6 +211,11 @@ class RunConfig:
                 raise ConfigurationError(f"config key {key} {wanted}, got {json.dumps(value)}")
         if not Path(self.source_root).is_dir():
             raise ConfigurationError(f"source root is not a directory: {self.source_root}")
+        if Path(self.output_root).resolve() == Path(self.source_root).resolve():
+            # Outputs written into the hashed tree would refuse every resume.
+            raise ConfigurationError(
+                f"config key output_root must not be the source root, got {json.dumps(self.output_root)}"
+            )
 
     def canonical_dict(self) -> dict:
         """Serializable form with output-independent fields only, used for

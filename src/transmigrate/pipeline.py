@@ -189,8 +189,6 @@ class Pipeline:
                 f"no Java class found under source_root {self.config.source_root!r}: nothing to translate"
             )
         graphs = {g: build_dependency_graph(descriptors, g) for g in ("method", "class")}
-        components = {d.qualified_name: d.component for d in descriptors}
-        graphs["component"] = quotient_graph(graphs["class"], components, "component")
         write_json(self.out / "analyze" / "classes.json", [_descriptor_dict(d) for d in descriptors])
         for name, graph in graphs.items():
             write_text(self.out / "analyze" / f"graph_{name}.json", graph.to_json() + "\n")
@@ -228,20 +226,14 @@ class Pipeline:
 
     def stage_plan(self) -> None:
         analyze_dir = self.out / "analyze"
-        graphs = {
-            g: read_artifact(analyze_dir / f"graph_{g}.json", "analyze", DependencyGraph.from_json)
-            for g in ("method", "class", "component")
-        }
+        method_graph, class_graph = (
+            read_artifact(analyze_dir / f"graph_{g}.json", "analyze", DependencyGraph.from_json)
+            for g in ("method", "class")
+        )
         classes = read_artifact(analyze_dir / "classes.json", "analyze", _class_summaries)
         method_owner = {f"{qualified}.{m}": qualified for qualified, _, members in classes for m in members}
         class_component = {qualified: component for qualified, component, _ in classes}
-        plan = build_plan(
-            graphs["method"],
-            graphs["class"],
-            graphs["component"],
-            method_owner=method_owner,
-            class_component=class_component,
-        )
+        plan = build_plan(method_graph, class_graph, method_owner=method_owner, class_component=class_component)
         write_text(self.out / "plan" / "plan.jsonl", plan.to_jsonl())
         logger.info("plan covers %s components/classes/methods", plan.item_counts())
         self._mark_stage_done("plan")
@@ -251,12 +243,17 @@ class Pipeline:
         return read_artifact(self.out / "plan" / "plan.jsonl", stage, TranslationPlan.from_jsonl)
 
     def stage_translate(self) -> None:
-        todo = pending(self.out, self._plan())
+        plan = self._plan()
+        todo = pending(self.out, plan)
         _, components, project_pending = todo
-        graphs = tuple(
-            read_artifact(self.out / "analyze" / f"graph_{g}.json", "analyze", DependencyGraph.from_json)
-            for g in ("class", "component")
-        )
+        class_graph = read_artifact(self.out / "analyze" / "graph_class.json", "analyze", DependencyGraph.from_json)
+        # The component graph, as plan derived it: the class graph's quotient
+        # under each planned class's component.
+        class_component = {cls.name: comp for comp, cls in plan.iter_classes()}
+        if class_component.keys() != class_graph.nodes:
+            plan_path = self.out / "plan" / "plan.jsonl"
+            raise IntegrityError(f"corrupt artifact {plan_path}: its classes are not the class graph's")
+        graphs = class_graph, quotient_graph(class_graph, class_component, "component")
         # Taken over from analyze and index and released when this stage
         # returns. When they ran in an earlier process, the Java is parsed
         # only for a pending class and the index loaded only for a pending

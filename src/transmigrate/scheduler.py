@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from transmigrate.errors import IntegrityError
-from transmigrate.sourcemodel.graph import DependencyGraph
+from transmigrate.sourcemodel.graph import DependencyGraph, quotient_graph
 
 
 @dataclass
@@ -62,18 +62,35 @@ class TranslationPlan:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "TranslationPlan":
+        """The plan that ``to_jsonl`` wrote. A line of an unknown kind, or a
+        class or method line that names another component or class than
+        the one above it, is a ValueError naming the line."""
         plan = cls()
-        for line in text.splitlines():
+        above: dict = {}  # the last component line's plan, and the last class line's in it
+        for number, line in enumerate(text.splitlines(), 1):
             if not line.strip():
                 continue
             rec = json.loads(line)
-            if rec["kind"] == "component":
-                plan.components.append(ComponentPlan(rec["name"]))
-            elif rec["kind"] == "class":
-                plan.components[-1].classes.append(ClassPlan(rec["name"]))
+            kind, name = rec["kind"], rec["name"]
+            if kind not in _PARENT_KIND:
+                raise ValueError(f"line {number}: unknown kind {kind!r}")
+            up = _PARENT_KIND[kind]
+            parent = above.get(up)
+            if up and (parent is None or parent.name != rec[up]):
+                raise ValueError(f"line {number}: {kind} {name!r} names {up} {rec[up]!r}, not the {up} above it")
+            if kind == "component":
+                above = {"component": ComponentPlan(name)}
+                plan.components.append(above["component"])
+            elif kind == "class":
+                above["class"] = ClassPlan(name)
+                parent.classes.append(above["class"])
             else:
-                plan.components[-1].classes[-1].methods.append(rec["name"])
+                parent.methods.append(name)
         return plan
+
+
+# Each plan line's kind, and the kind of line it sits under.
+_PARENT_KIND = {"component": None, "class": "component", "method": "class"}
 
 
 def order_nodes(nodes: Iterable[str], deps: Mapping[str, set[str]]) -> list[str]:
@@ -189,31 +206,33 @@ def _condense(
 def build_plan(
     method_graph: DependencyGraph,
     class_graph: DependencyGraph,
-    component_graph: DependencyGraph,
     *,
     method_owner: Mapping[str, str],
     class_component: Mapping[str, str],
 ) -> TranslationPlan:
     """Order components, classes within each component, and methods within
-    each class. Class ordering uses intra-component edges only; method
-    ordering uses intra-class edges only (the coarser level already
-    sequences cross-boundary work).
+    each class. Components are ordered by the component graph, the quotient
+    of the class graph under ``class_component``; class ordering uses
+    intra-component edges only, and method ordering intra-class edges only
+    (the coarser level already sequences cross-boundary work).
 
     ``method_owner`` maps each method to its class and ``class_component``
-    each class to its component; a map naming an unknown class or component,
-    or missing a class or method of the graphs, raises IntegrityError.
+    each class to its component; a method mapped to an unknown class, or a
+    class or method of the graphs missing from its map, raises
+    IntegrityError.
     """
-    for kind, nodes, rollup, parent, parents in (
-        ("class", class_graph.nodes, class_component, "component", component_graph.nodes),
-        ("method", method_graph.nodes, method_owner, "class", class_graph.nodes),
+    for item, owner in method_owner.items():
+        if owner not in class_graph.nodes:
+            raise IntegrityError(f"method {item!r} rolls up to unknown class {owner!r}")
+    for kind, nodes, rollup, parent in (
+        ("class", class_graph.nodes, class_component, "component"),
+        ("method", method_graph.nodes, method_owner, "class"),
     ):
-        for item, up in rollup.items():
-            if up not in parents:
-                raise IntegrityError(f"{kind} {item!r} rolls up to unknown {parent} {up!r}")
         unmapped = sorted(set(nodes).difference(rollup))
         if unmapped:
             raise IntegrityError(f"{kind} {unmapped[0]!r} of the {kind} graph has no {parent}")
 
+    component_graph = quotient_graph(class_graph, class_component, "component")
     class_deps = class_graph.dependencies()
     method_deps = method_graph.dependencies()
 
@@ -240,12 +259,4 @@ def build_plan(
             }
             comp_plan.classes.append(ClassPlan(cls, order_nodes(methods, intra_method_deps)))
         plan.components.append(comp_plan)
-
-    n_comp, n_cls, n_meth = plan.item_counts()
-    if (n_comp, n_cls, n_meth) != (
-        len(component_graph.nodes),
-        len(class_graph.nodes),
-        len(method_graph.nodes),
-    ):
-        raise IntegrityError("plan does not cover every graph node exactly once")
     return plan

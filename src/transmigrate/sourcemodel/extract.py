@@ -152,7 +152,8 @@ def _extract_type(
     body = node.first("type_body")
     methods: list[MethodDescriptor] = []
     constructors: list[MethodDescriptor] = []
-    fields: list[FieldInfo] = []
+    # A record's components are fields declared in its header.
+    fields = [f for c in node.children if c.kind == "field_declaration" for f in _extract_fields(ast, c)]
     class_level_calls: list[CallSite] = []
     degraded = False
 

@@ -10,7 +10,10 @@ generic arguments. References that resolve to nothing in the snapshot
 so schedulers only order project code.
 
 The component graph is the quotient of the class graph under the
-class-to-package projection with self-edges removed.
+class-to-package projection with self-edges removed. It is never stored:
+analyze writes the method and class graphs, and plan and translate each
+derive the component graph from the class graph and the class-to-package
+map (``classes.json`` for plan, the plan's class lines for translate).
 """
 
 from __future__ import annotations
@@ -81,12 +84,12 @@ class DependencyGraph:
     @classmethod
     def from_json(cls, text: str) -> "DependencyGraph":
         payload = json.loads(text)
-        weights = {(e["from"], e["to"], e["kind"]): e.get("weight", 1) for e in payload["edges"]}
+        weights = {(e["from"], e["to"], e["kind"]): e["weight"] for e in payload["edges"]}
         return cls(
             granularity=payload["granularity"],
             nodes=frozenset(payload["nodes"]),
             weights=weights,
-            externals=dict(payload.get("externals", {})),
+            externals=dict(payload["externals"]),
         )
 
 

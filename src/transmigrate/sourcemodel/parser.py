@@ -356,6 +356,9 @@ class _Parser:
             end = name_tok.end
         if self.peek().text == "<":
             end = self._skip_generics()
+        if keyword.text == "record" and self.peek().text == "(":
+            children.extend(self._parse_record_components())
+            end = self._last_end()
 
         children.extend(self._parse_supertypes(kind))
         if children:
@@ -373,6 +376,43 @@ class _Parser:
         elif tok.text == ";":
             end = self.advance().end
         return AstNode(kind, start, end, children)
+
+    def _parse_record_components(self) -> list[AstNode]:
+        """A Java record's component list, from its '(' through its ')': a
+        ``field_declaration`` (type_reference, identifier) per component.
+        Annotations are skipped, and a comma inside generic arguments splits
+        no component. A '{', '}' or ';' before the ')' ends the list."""
+        toks = self.toks
+        keywords = self.profile.keywords
+        segments: list[list[Token]] = [[]]
+        self.i += 1  # '('
+        while (text := toks[self.i].text) not in (")", "{", "}", ";", ""):
+            if text == "@" and toks[self.i + 1].kind == IDENT:
+                self.i += 1
+                self._dotted_name()
+                if self.peek().text == "(":
+                    self._skip_balanced("(", ")")
+            elif text == "<" and (skipped := generic_arguments_end(toks, self.i)) is not None:
+                segments[-1].extend(toks[self.i : skipped])
+                self.i = skipped
+            elif text == ",":
+                segments.append([])
+                self.i += 1
+            else:
+                segments[-1].append(self.advance())
+        if toks[self.i].text == ")":
+            self.i += 1
+        fields = []
+        for segment in segments:
+            names = [at for at, t in enumerate(segment) if t.kind == IDENT and t.text not in keywords]
+            if not names:
+                continue
+            name = segment[names[-1]]
+            # As a field's type_reference does, the type runs up to the name.
+            children = [AstNode("type_reference", segment[0].start, name.start)] if names[-1] else []
+            children.append(AstNode("identifier", name.start, name.end))
+            fields.append(AstNode("field_declaration", segment[0].start, segment[-1].end, children))
+        return fields
 
     def _parse_supertypes(self, decl_kind: str) -> list[AstNode]:
         p = self.profile
@@ -484,6 +524,12 @@ class _Parser:
             return self._parse_c_field(start)
         if text == "{" and scan == self.i:
             return self._initializer_block(start)
+        if text == "{" and scan == self.i + 1 and toks[self.i].text == enclosing_type:
+            # A record's compact constructor: the type's name, then a block.
+            name_tok = self.advance()
+            block = self._parse_block()
+            identifier = AstNode("identifier", name_tok.start, name_tok.end)
+            return AstNode("constructor_declaration", start, block.end, [identifier, block])
         # Tokens before a bare block with no '(' or '=', or a '}' or the end
         # of input before any decider: the run becomes an error node.
         return self._consume_error(start, scan)

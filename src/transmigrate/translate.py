@@ -95,8 +95,9 @@ def translate(config: RunConfig, out: Path, files, backend, embedder, index, jav
     """Send every pending prompt in plan order and write what each returns.
     ``todo`` is what ``pending`` returns; ``java`` the Java trees by path
     and the descriptors of every pending class; ``graphs`` the source
-    class and component graphs; ``files`` the source listing; ``index`` is
-    None only when nothing is pending."""
+    class graph and the component graph that plan ordered components by,
+    its quotient under each planned class's component; ``files`` the
+    source listing; ``index`` is None only when nothing is pending."""
     names, components, project_pending = todo
     asts, descriptors = java
     class_graph, component_graph = graphs

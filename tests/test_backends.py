@@ -72,12 +72,13 @@ class TestMockBackend:
 class _CapturingHandler(BaseHTTPRequestHandler):
     captured: list = []
     status = 200
+    reply: bytes | None = None  # the body to send instead of a well-formed reply
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         body = json.loads(self.rfile.read(length))
         type(self).captured.append({"body": body, "auth": self.headers.get("Authorization")})
-        payload = json.dumps(
+        payload = type(self).reply or json.dumps(
             {"choices": [{"message": {"role": "assistant", "content": "```swift\nfunc go() {}\n```"}}]}
         ).encode()
         self.send_response(type(self).status)
@@ -94,6 +95,7 @@ class _CapturingHandler(BaseHTTPRequestHandler):
 def capture_server():
     _CapturingHandler.captured = []
     _CapturingHandler.status = 200
+    _CapturingHandler.reply = None
     server = ThreadingHTTPServer(("127.0.0.1", 0), _CapturingHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -134,6 +136,24 @@ class TestLiveBackend:
         with pytest.raises(BackendError) as exc:
             backend.translate(method_envelope("int x;"))
         assert not isinstance(exc.value, RetryableBackendError)
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            b"not json",
+            b'{"error": "overloaded"}',
+            b'{"choices": []}',
+            b'{"choices": [{"message": {"content": null}}]}',
+        ],
+    )
+    def test_success_reply_without_content_is_backend_error(self, capture_server, reply):
+        _CapturingHandler.reply = reply
+        backend = LiveBackend(BackendOptions(endpoint=capture_server, retry_count=2))
+        with pytest.raises(BackendError) as exc:
+            backend.translate(method_envelope("int x;"))
+        assert not isinstance(exc.value, RetryableBackendError)
+        assert capture_server in str(exc.value) and str(exc.value).endswith(reply.decode())
+        assert len(_CapturingHandler.captured) == 1  # not retried
 
     def test_transport_failures_retried_up_to_count(self, monkeypatch):
         attempts = []

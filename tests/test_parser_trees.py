@@ -9,7 +9,8 @@ rewrite of the parser shows any change in them. A Java ``import static``
 reads ``static`` as a modifier and keeps the whole dotted name, a Swift
 ``class`` with only modifiers before its member keyword (``class func``,
 ``class override func``) reads as a modifier, and so does
-``private(set)``. A Swift raw string (``#"a " } b"#``) is one string.
+``private(set)``. A Swift raw string (``#"a " } b"#``) is one string. A
+Java record's components are fields of its declaration, beside its name.
 """
 
 import textwrap
@@ -606,6 +607,55 @@ TREES = [
               field_declaration 10 39
                 type_reference 10 37
                 identifier 37 38
+        """,
+    ),
+    (
+        "java",
+        "a record beside the class of a component",
+        "record R(int x, B b) { void f() {} }\nclass B {}",
+        """
+        program 0 47
+          class_declaration 0 36
+            identifier 7 8
+            field_declaration 9 14
+              type_reference 9 13
+              identifier 13 14
+            field_declaration 16 19
+              type_reference 16 18
+              identifier 18 19
+            type_body 21 36
+              method_declaration 23 34
+                identifier 28 29
+                parameter_list 29 31
+                block 32 34
+          class_declaration 37 47
+            identifier 43 44
+            type_body 45 47
+        """,
+    ),
+    (
+        "java",
+        "a generic record with a compact constructor",
+        "public record R<T>(T x, B b) implements I { R { } void f() {} }",
+        """
+        program 0 63
+          class_declaration 0 63
+            identifier 14 15
+            field_declaration 19 22
+              type_reference 19 21
+              identifier 21 22
+            field_declaration 24 27
+              type_reference 24 26
+              identifier 26 27
+            interface_reference 40 41
+            type_body 42 63
+              constructor_declaration 44 49
+                identifier 44 45
+                block 46 49
+              method_declaration 50 61
+                identifier 55 56
+                parameter_list 56 58
+                block 59 61
         """,
     ),
     (

@@ -212,7 +212,7 @@ class TestFullRun:
         components = ("com.example.core", "com.example.net", "com.example.ui")
         assert sorted(output_tree(tmp_path / "out")) == sorted(
             [
-                *(f"analyze/{name}.json" for name in ("classes", "graph_class", "graph_component", "graph_method")),
+                *(f"analyze/{name}.json" for name in ("classes", "graph_class", "graph_method")),
                 "index/chunks.jsonl",
                 "index/index.jsonl",
                 "plan/plan.jsonl",
@@ -426,7 +426,7 @@ class TestDeterminismAndResume:
         fresh = output_tree(tmp_path / "fresh")
         # Each refinement round writes its candidate to units/: MainScreen's
         # four rounds are four kill points whose resume translates it again.
-        assert len(renames) == 31 and "translate/project.swift" in renames
+        assert len(renames) == 30 and "translate/project.swift" in renames
         assert renames.count("translate/units/MainScreen.swift") == 4
 
         for at, artifact in enumerate(renames):
@@ -474,7 +474,7 @@ class TestDeterminismAndResume:
         run_full(make_run_config(project, tmp_path / "fresh", dump_prompts=dump_prompts))
         monkeypatch.undo()
         fresh = output_tree(tmp_path / "fresh")
-        assert len(renames) == (49 if dump_prompts else 33)
+        assert len(renames) == (48 if dump_prompts else 32)
 
         def split(tree):
             """The tree outside ``prompts/``, and the dumps' contents."""
@@ -1181,16 +1181,16 @@ class TestStages:
         assert output_tree(tmp_path / "out") == output_tree(tmp_path / "fresh")
 
     def test_stale_files_of_an_older_output_root_are_never_read(self, run_config):
-        # An older version also wrote index/meta.json,
-        # translate/unit_names.json and validate/validity.json; a root that
-        # still holds them resumes.
+        # An older version also wrote analyze/graph_component.json,
+        # index/meta.json, translate/unit_names.json and
+        # validate/validity.json; a root that still holds them resumes.
         out = run_config_path(run_config.output_root)
         run_full(run_config)
-        for stale in ("index/meta.json", "translate/unit_names.json", "validate/validity.json"):
-            (out / stale).write_text("not JSON")
+        for stale in ("analyze/graph_component", "index/meta", "translate/unit_names", "validate/validity"):
+            (out / f"{stale}.json").write_text("not JSON")
         (out / "translate" / "project.swift").unlink()
         pipeline = Pipeline(run_config)
-        for stage in ("index", "translate", "validate", "report"):
+        for stage in ("index", "plan", "translate", "validate", "report"):
             pipeline.run_stage(stage)
         assert report_bytes(run_config)[1] == (GOLDEN_DIR / "report.json").read_bytes()
 
@@ -1248,6 +1248,10 @@ class TestNetworkIsolation:
         }
         result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
         assert result.stdout == "[]\n", result.stderr
+
+
+# A component line and a class line under it.
+PLAN_HEAD = '{"kind": "component", "name": "p"}\n{"component": "p", "kind": "class", "name": "p.A"}'
 
 
 class TestCli:
@@ -1376,6 +1380,21 @@ class TestCli:
         assert not (tmp_path / "out").exists()
         assert calls == []
 
+    @pytest.mark.parametrize("output_root", ["project", "project/.", "out/../project"])
+    def test_output_root_at_the_source_root_exits_2_before_any_work(
+        self, fixture_project, tmp_path, capsys, output_root
+    ):
+        # Outputs inside the hashed tree would make every resume refuse.
+        before = sorted(p.relative_to(fixture_project) for p in fixture_project.rglob("*"))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(fixture_config(fixture_project, output_root)))
+        for command in ("analyze", "run"):
+            assert cli_main([command, "--config", str(config_path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: config key output_root must not be the source root, got ")
+        assert not list(fixture_project.rglob("state.json"))
+        assert sorted(p.relative_to(fixture_project) for p in fixture_project.rglob("*")) == before
+
     @pytest.mark.parametrize(
         "content, named",
         [
@@ -1458,6 +1477,35 @@ class TestCli:
             ("plan/plan.jsonl", '{"kind": "comp', "report"),
             ("plan/plan.jsonl", "[]", "report"),
             ("plan/plan.jsonl", '{"kind": "class", "name": "A"}', "report"),
+            # A plan line of an unknown kind, and one that names another
+            # component or class than the line above it.
+            ("plan/plan.jsonl", PLAN_HEAD + '\n{"class": "p.A", "kind": "metod", "name": "p.A.f"}', "translate"),
+            (
+                "plan/plan.jsonl",
+                '{"kind": "component", "name": "p"}\n{"component": "q", "kind": "class", "name": "q.A"}',
+                "report",
+            ),
+            ("plan/plan.jsonl", PLAN_HEAD + '\n{"class": "p.B", "kind": "method", "name": "p.B.f"}', "report"),
+            (
+                "plan/plan.jsonl",
+                '{"kind": "component", "name": "p"}\n{"class": "p.A", "kind": "method", "name": "p.A.f"}',
+                "report",
+            ),
+            # A plan of other classes than the class graph's.
+            (
+                "plan/plan.jsonl",
+                '{"kind": "component", "name": "com.example.core"}\n'
+                '{"component": "com.example.core", "kind": "class", "name": "com.example.core.Logger"}',
+                "translate",
+            ),
+            # Every graph writer writes each edge's weight and the externals.
+            (
+                "analyze/graph_class.json",
+                '{"granularity": "class", "nodes": ["a", "b"], "externals": {},'
+                ' "edges": [{"from": "a", "to": "b", "kind": "call"}]}',
+                "validate",
+            ),
+            ("analyze/graph_class.json", '{"granularity": "class", "nodes": [], "edges": []}', "validate"),
         ],
     )
     def test_artifact_of_wrong_shape_exits_1(self, fixture_project, tmp_path, capsys, artifact, content, stage):

@@ -22,7 +22,7 @@ def make_graph(granularity, nodes, edges):
     )
 
 
-def plan_for(method_graph, class_graph, component_graph):
+def plan_for(method_graph, class_graph):
     """``build_plan`` with the roll-up maps that the plan stage reads from
     ``classes.json``: here a method's class and a class's component are its
     id without the last dotted part."""
@@ -32,7 +32,6 @@ def plan_for(method_graph, class_graph, component_graph):
     return build_plan(
         method_graph,
         class_graph,
-        component_graph,
         method_owner=parent(method_graph.nodes),
         class_component=parent(class_graph.nodes),
     )
@@ -173,8 +172,7 @@ def component_fixture():
         ["p.A", "p.B", "q.C"],
         [("p.B", "p.A", "call"), ("q.C", "p.B", "call")],
     )
-    component_graph = make_graph("component", ["p", "q"], [("q", "p", "call")])
-    return method_graph, class_graph, component_graph
+    return method_graph, class_graph
 
 
 class TestBuildPlan:
@@ -182,14 +180,12 @@ class TestBuildPlan:
         classes = make_graph(
             "class", ["m.A", "m.B", "m.C"], [("m.A", "m.B", "call"), ("m.B", "m.C", "call")]
         )
-        methods = make_graph("method", [], [])
-        components = make_graph("component", ["m"], [])
-        plan = plan_for(methods, classes, components)
+        plan = plan_for(make_graph("method", [], []), classes)
         assert [c.name for c in plan.components[0].classes] == ["m.C", "m.B", "m.A"]
 
     def test_no_edges_lexicographic(self):
         classes = make_graph("class", ["m.B", "m.A", "m.C"], [])
-        plan = plan_for(make_graph("method", [], []), classes, make_graph("component", ["m"], []))
+        plan = plan_for(make_graph("method", [], []), classes)
         assert [c.name for c in plan.components[0].classes] == ["m.A", "m.B", "m.C"]
 
     def test_cycle_condensation_order(self):
@@ -198,24 +194,31 @@ class TestBuildPlan:
             ["m.A", "m.B", "m.C"],
             [("m.A", "m.B", "call"), ("m.B", "m.A", "call"), ("m.A", "m.C", "call")],
         )
-        plan = plan_for(make_graph("method", [], []), classes, make_graph("component", ["m"], []))
+        plan = plan_for(make_graph("method", [], []), classes)
         assert [c.name for c in plan.components[0].classes] == ["m.C", "m.A", "m.B"]
 
     def test_plan_structure_and_completeness(self):
-        method_graph, class_graph, component_graph = component_fixture()
-        plan = plan_for(method_graph, class_graph, component_graph)
+        plan = plan_for(*component_fixture())
         assert [c.name for c in plan.components] == ["p", "q"]
         assert [c.name for c in plan.components[0].classes] == ["p.A", "p.B"]
         assert plan.components[0].classes[0].methods == ["p.A.x", "p.A.y"]
         assert plan.item_counts() == (2, 3, 4)
 
     def test_every_item_exactly_once(self):
-        method_graph, class_graph, component_graph = component_fixture()
-        plan = plan_for(method_graph, class_graph, component_graph)
+        method_graph, class_graph = component_fixture()
+        plan = plan_for(method_graph, class_graph)
         classes = [c.name for _, c in plan.iter_classes()]
         assert sorted(classes) == sorted(class_graph.nodes)
         methods = [m for _, c in plan.iter_classes() for m in c.methods]
         assert sorted(methods) == sorted(method_graph.nodes)
+
+    @pytest.mark.parametrize("edge, order", [(("q.C", "p.B"), ["p", "q"]), (("p.B", "q.C"), ["q", "p"])])
+    def test_component_order_follows_cross_component_class_edges(self, edge, order):
+        # The component graph is the class graph's quotient: q.C -> p.B
+        # makes q depend on p, so p comes first; reversed, q does.
+        class_graph = make_graph("class", ["p.B", "q.C"], [(*edge, "call")])
+        plan = plan_for(make_graph("method", [], []), class_graph)
+        assert [c.name for c in plan.components] == order
 
     def test_class_order_uses_only_intra_component_edges(self):
         # Cross-component edge p.A -> q.C must not influence p's class order.
@@ -224,17 +227,15 @@ class TestBuildPlan:
             ["p.A", "p.B", "q.C"],
             [("p.A", "q.C", "call")],
         )
-        component_graph = make_graph("component", ["p", "q"], [("p", "q", "call")])
-        plan = plan_for(make_graph("method", [], []), class_graph, component_graph)
+        plan = plan_for(make_graph("method", [], []), class_graph)
         p_component = [c for c in plan.components if c.name == "p"][0]
         assert [c.name for c in p_component.classes] == ["p.A", "p.B"]
 
     def test_inconsistent_rollup_is_integrity_error(self):
         method_graph = make_graph("method", ["orphan.m"], [])
         class_graph = make_graph("class", ["p.A"], [])
-        component_graph = make_graph("component", ["p"], [])
         with pytest.raises(IntegrityError):
-            plan_for(method_graph, class_graph, component_graph)
+            plan_for(method_graph, class_graph)
 
     @pytest.mark.parametrize(
         "method_owner, class_component, named",
@@ -258,6 +259,25 @@ class TestBuildPlan:
         loaded = TranslationPlan.from_jsonl(text)
         assert loaded.to_jsonl() == text
 
+    @pytest.mark.parametrize(
+        "line, problem",
+        [
+            ('{"class": "p.A", "kind": "metod", "name": "p.A.f"}', "unknown kind 'metod'"),
+            ('{"class": "p.B", "kind": "method", "name": "p.B.f"}', "names class 'p.B', not the class above it"),
+            ('{"component": "q", "kind": "class", "name": "q.C"}', "names component 'q', not the component above it"),
+        ],
+    )
+    def test_plan_line_out_of_place_names_its_line(self, line, problem):
+        lines = plan_for(*component_fixture()).to_jsonl().splitlines()
+        lines.insert(3, line)  # after p, p.A and p.A.x
+        with pytest.raises(ValueError, match=f"^line 4: .*{problem}"):
+            TranslationPlan.from_jsonl("\n".join(lines))
+
+    def test_method_line_under_a_new_component_names_its_line(self):
+        text = '{"kind": "component", "name": "p"}\n{"class": "p.A", "kind": "method", "name": "p.A.f"}\n'
+        with pytest.raises(ValueError, match="^line 2: method 'p.A.f' names class 'p.A', not the class above it"):
+            TranslationPlan.from_jsonl(text)
+
     def test_determinism_over_random_inputs(self):
         rng = random.Random(99)
         nodes = [f"m.K{i}" for i in range(8)]
@@ -266,9 +286,6 @@ class TestBuildPlan:
             a, b = rng.sample(nodes, 2)
             edges.add((a, b, "call"))
         class_graph = make_graph("class", nodes, edges)
-        component_graph = make_graph("component", ["m"], [])
         method_graph = make_graph("method", [], [])
-        plans = {
-            plan_for(method_graph, class_graph, component_graph).to_jsonl() for _ in range(3)
-        }
+        plans = {plan_for(method_graph, class_graph).to_jsonl() for _ in range(3)}
         assert len(plans) == 1

@@ -444,6 +444,22 @@ class TestDependencyGraph:
         assert graph.weights[("p.A", "p.B", EDGE_FIELD_TYPE)] == 2  # once per field
         assert graph.externals == {"List": 2, "Map": 1, "String": 1}
 
+    @pytest.mark.parametrize(
+        "record, x_type, constructors",
+        [
+            ("record R(int x, B b) { void f() {} }", "int", []),
+            ("public record R<T>(T x, B b) implements I { R { } void f() {} }", "T", ["R"]),
+        ],
+    )
+    def test_record_components_are_fields_with_type_edges(self, record, x_type, constructors):
+        descs = classes_of(java(f"package p;\n{record}\nclass B {{}}\ninterface I {{}}", "p/R.java"))
+        (r,) = [d for d in descs if d.qualified_name == "p.R"]
+        assert r.kind == "class"
+        assert [(f.name, f.declared_type) for f in r.fields] == [("x", x_type), ("b", "B")]
+        assert [m.name for m in r.methods] == ["f"]
+        assert [m.name for m in r.constructors] == constructors
+        assert ("p.R", "p.B", EDGE_FIELD_TYPE) in build_dependency_graph(descs, "class").edges
+
     def test_swift_dictionary_field_depends_on_its_key_and_value_types(self):
         text = (
             "class A { var m: [String: B] = [:]; var k: [C: [D]]; var l: [B]; var o: B? }\n"
