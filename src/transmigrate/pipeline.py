@@ -244,8 +244,6 @@ class Pipeline:
 
     def stage_translate(self) -> None:
         plan = self._plan()
-        todo = pending(self.out, plan)
-        _, components, project_pending = todo
         class_graph = read_artifact(self.out / "analyze" / "graph_class.json", "analyze", DependencyGraph.from_json)
         # The component graph, as plan derived it: the class graph's quotient
         # under each planned class's component.
@@ -254,6 +252,8 @@ class Pipeline:
             plan_path = self.out / "plan" / "plan.jsonl"
             raise IntegrityError(f"corrupt artifact {plan_path}: its classes are not the class graph's")
         graphs = class_graph, quotient_graph(class_graph, class_component, "component")
+        todo = pending(self.out, plan)
+        _, components, project_pending = todo
         # Taken over from analyze and index and released when this stage
         # returns. When they ran in an earlier process, the Java is parsed
         # only for a pending class and the index loaded only for a pending

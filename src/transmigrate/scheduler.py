@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
+from transmigrate.artifacts import json_lines
 from transmigrate.errors import IntegrityError
 from transmigrate.sourcemodel.graph import DependencyGraph, quotient_graph
 
@@ -62,22 +63,22 @@ class TranslationPlan:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "TranslationPlan":
-        """The plan that ``to_jsonl`` wrote. A line of an unknown kind, or a
-        class or method line that names another component or class than
+        """The plan that ``to_jsonl`` wrote. A line that is not a JSON
+        object, has no string ``kind`` or ``name``, is of an unknown kind, or
+        is a class or method line that names another component or class than
         the one above it, is a ValueError naming the line."""
         plan = cls()
         above: dict = {}  # the last component line's plan, and the last class line's in it
-        for number, line in enumerate(text.splitlines(), 1):
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            kind, name = rec["kind"], rec["name"]
+        for number, rec in json_lines(text.split("\n")):
+            kind, name = rec.get("kind"), rec.get("name")
+            if not isinstance(kind, str) or not isinstance(name, str):
+                raise ValueError(f"line {number}: no string 'kind' and 'name'")
             if kind not in _PARENT_KIND:
                 raise ValueError(f"line {number}: unknown kind {kind!r}")
             up = _PARENT_KIND[kind]
             parent = above.get(up)
-            if up and (parent is None or parent.name != rec[up]):
-                raise ValueError(f"line {number}: {kind} {name!r} names {up} {rec[up]!r}, not the {up} above it")
+            if up and (parent is None or parent.name != rec.get(up)):
+                raise ValueError(f"line {number}: {kind} {name!r} names {up} {rec.get(up)!r}, not the {up} above it")
             if kind == "component":
                 above = {"component": ComponentPlan(name)}
                 plan.components.append(above["component"])

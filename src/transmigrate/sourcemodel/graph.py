@@ -79,7 +79,7 @@ class DependencyGraph:
             ],
             "externals": dict(sorted(self.externals.items())),
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "DependencyGraph":

@@ -10,25 +10,35 @@ prompt, repair prompts included, goes through one send step
 class prompts are sent, and each repair round as a batch of its one unit.
 One thread sends every prompt, runs every checker and writes every file,
 so their order is the plan's. Only this module builds paths under
-``translate/``. An item is done once the last file it writes exists: a
-unit's refinement payload (``unit_names`` names the unit from the plan,
-and the payload records both names), a component's file, or
-``project.swift``. ``pending`` and ``translated_rounds`` read them back,
-and ``unit_files`` names every unit's file.
+``translate/``. A unit is done once its refinement payload is a whole
+line of the append-only log ``translate/refinement.jsonl`` (``unit_names``
+names the unit from the plan, and the payload records both names); the
+lines go in plan order, each flushed once the unit's ``units/`` file is
+final. A component is done once its file exists, and the project once
+``project.swift`` does. ``pending`` and ``translated_rounds`` read the log
+one line at a time, and ``unit_files`` names every unit's file.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import shlex
+from contextlib import nullcontext
 from pathlib import Path
 
-from transmigrate.artifacts import read_artifact, read_saved, remove_temporaries, write_json, write_text
+from transmigrate.artifacts import (
+    append_json_line,
+    appending,
+    missing,
+    read_log,
+    read_saved,
+    remove_temporaries,
+    write_text,
+)
 from transmigrate.backends import extract_code
 from transmigrate.config import RunConfig
-from transmigrate.errors import ToolError
+from transmigrate.errors import IntegrityError, OrderingError, ToolError
 from transmigrate.knowledge.index import query_many
 from transmigrate.prompts import ast_excerpt, dependency_excerpt, render_prompt, truncate_context
 from transmigrate.scheduler import TranslationPlan
@@ -65,8 +75,9 @@ def pending(out: Path, plan: TranslationPlan):
     name of every planned class, each component not yet done with its
     classes not yet done, and whether the project prompt is not yet done."""
     names = unit_names([c.name for _, c in plan.iter_classes()])
+    done = {unit for _, unit, _ in _logged(out, plan, names)}
     components = [
-        (comp, [c for c in comp.classes if not _payload_path(out, names[c.name]).is_file()])
+        (comp, [c for c in comp.classes if f"{names[c.name]}.swift" not in done])
         for comp in plan.components
         if not _component_path(out, comp.name).is_file()
     ]
@@ -81,13 +92,22 @@ def unit_files(plan: TranslationPlan) -> list[str]:
 def translated_rounds(out: Path, plan: TranslationPlan):
     """The unit name of every planned class, and by unit file, in file
     name order, the code exactly as translate wrote it and the report of
-    the unit's round 0 and of its kept round. A missing payload is an
-    OrderingError naming the translate stage."""
+    the unit's round 0 and of its kept round. A unit with no line in the
+    log is an OrderingError naming the translate stage; a payload of
+    another shape is an IntegrityError naming the log's file and line."""
     names = unit_names([c.name for _, c in plan.iter_classes()])
-    rounds = {
-        unit: read_artifact(_payload_path(out, unit.removesuffix(".swift")), "translate", _first_and_kept_rounds)
-        for unit in unit_files(plan)
-    }
+    path = _log_path(out)
+    logged = {}
+    for number, unit, payload in _logged(out, plan, names):
+        try:
+            logged[unit] = _first_and_kept_rounds(payload)
+        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            raise IntegrityError(f"corrupt artifact {path}: line {number}: {type(exc).__name__}: {exc}") from exc
+    rounds = {}
+    for unit in sorted(f"{base}.swift" for base in names.values()):
+        if unit not in logged:
+            raise OrderingError(f"no line for unit {unit!r} in {path}: run the 'translate' stage first")
+        rounds[unit] = logged[unit]
     return names, rounds
 
 
@@ -122,7 +142,8 @@ def translate(config: RunConfig, out: Path, files, backend, embedder, index, jav
         prompts.append((comp, units, comp_about))
         abouts.append(comp_about)
     # A pending class's rounds are checked: find both checkers before the first send.
-    if any(units for _, units, _ in prompts):
+    units_pending = any(units for _, units, _ in prompts)
+    if units_pending:
         for template in (config.tools.syntax_check_cmd, config.tools.lint_cmd):
             resolve_checker(template, out)
     if project_pending:
@@ -130,37 +151,41 @@ def translate(config: RunConfig, out: Path, files, backend, embedder, index, jav
     abouts = list(dict.fromkeys(abouts))
     retrieved = dict(zip(abouts, query_many(index, abouts, config.knowledge.retrieval_k, embedder))) if abouts else {}
 
-    chain = _Chain(config, out, backend, retrieved)
-    for comp, units, comp_about in prompts:
-        rounds = {}  # unit file -> (qualified name, base name, round 0's code), in plan order
-        for d, methods, class_about in units:
-            ast = asts[d.source_path]
-            declarations = declarations_by_span(ast)
-            method_codes = [
-                (m.name, chain.send("method", label, _method_slots(d, m, ast, declarations), about))
-                for label, m, about in methods
-            ]
-            slots = _class_slots(d, ast, declarations, method_codes, class_graph)
-            code = chain.send("class", f"class_{d.qualified_name}", slots, class_about)
-            base = names[d.qualified_name]
-            rounds[f"{base}.swift"] = (d.qualified_name, base, code)
-        # A resumed component may have no unit left to check.
-        reports = chain.check({unit: code for unit, (_, _, code) in rounds.items()}) if rounds else {}
-        for unit, (qualified, base, code) in rounds.items():
-            chain.refine(qualified, base, code, reports[unit])
-        slots = _component_slots(out, comp, names, component_graph)
-        code = chain.send("component", f"component_{comp.name or 'default'}", slots, comp_about)
-        write_text(_component_path(out, comp.name), code)
-    if project_pending:
-        slots = _project_slots(config, out, files, component_graph)
-        write_text(out / "translate" / "project.swift", chain.send("project", "project", slots, config.project_name))
+    # Each unit's payload is appended to the log; it is opened, and a torn
+    # last line cut off, only when some unit is pending.
+    with appending(_log_path(out)) if units_pending else nullcontext() as log:
+        chain = _Chain(config, out, backend, retrieved, log)
+        for comp, units, comp_about in prompts:
+            rounds = {}  # unit file -> (qualified name, base name, round 0's code), in plan order
+            for d, methods, class_about in units:
+                ast = asts[d.source_path]
+                declarations = declarations_by_span(ast)
+                method_codes = [
+                    (m.name, chain.send("method", label, _method_slots(d, m, ast, declarations), about))
+                    for label, m, about in methods
+                ]
+                slots = _class_slots(d, ast, declarations, method_codes, class_graph)
+                code = chain.send("class", f"class_{d.qualified_name}", slots, class_about)
+                base = names[d.qualified_name]
+                rounds[f"{base}.swift"] = (d.qualified_name, base, code)
+            # A resumed component may have no unit left to check.
+            reports = chain.check({unit: code for unit, (_, _, code) in rounds.items()}) if rounds else {}
+            for unit, (qualified, base, code) in rounds.items():
+                chain.refine(qualified, base, code, reports[unit])
+            slots = _component_slots(out, comp, names, component_graph)
+            code = chain.send("component", f"component_{comp.name or 'default'}", slots, comp_about)
+            write_text(_component_path(out, comp.name), code)
+        if project_pending:
+            slots = _project_slots(config, out, files, component_graph)
+            code = chain.send("project", "project", slots, config.project_name)
+            write_text(out / "translate" / "project.swift", code)
 
 
 class _Chain:
     """The send step and the check step of one translate stage."""
 
-    def __init__(self, config: RunConfig, out: Path, backend, retrieved: dict) -> None:
-        self.config, self.out, self.backend, self.retrieved = config, out, backend, retrieved
+    def __init__(self, config: RunConfig, out: Path, backend, retrieved: dict, log) -> None:
+        self.config, self.out, self.backend, self.retrieved, self.log = config, out, backend, retrieved, log
         # A resumed translate continues the dump series of the run before it,
         # so a dump's temporary file that a kill left is never renamed: remove it.
         remove_temporaries(out / "prompts")
@@ -215,8 +240,8 @@ class _Chain:
 
     def refine(self, qualified: str, base: str, code: str, report: ValidationReport) -> None:
         """Refine unit ``<base>.swift`` from round 0's ``code`` and
-        ``report``, then write its refinement payload: every round's code
-        and report, and ``kept``, the round that ``units/`` holds."""
+        ``report``, then append its refinement payload to the log: every
+        round's code and report, and ``kept``, the round that ``units/`` holds."""
         unit = f"{base}.swift"
         kept_code, state = refine_loop(
             unit,
@@ -230,21 +255,50 @@ class _Chain:
             write_text(self.out / "translate" / "units" / unit, kept_code)
         history = [{"code": code, "report": report.to_dict()} for code, report in state.history]
         payload = {"unit": unit, "class": qualified, "degraded": state.degraded, "kept": state.kept}
-        write_json(_payload_path(self.out, base), {**payload, "history": history})
+        append_json_line(self.log, {**payload, "history": history})
 
 
 def _units_named(codes: dict[str, str]) -> str:
     return f"unit {next(iter(codes))}" if len(codes) == 1 else f"units {', '.join(codes)}"
 
 
-def _payload_path(out: Path, base: str) -> Path:
-    return out / "translate" / "refinement" / f"{base}.json"
+def _log_path(out: Path) -> Path:
+    return out / "translate" / "refinement.jsonl"
 
 
-def _first_and_kept_rounds(text: str) -> list[tuple[str, ValidationReport]]:
+def _logged(out: Path, plan: TranslationPlan, names: dict[str, str]):
+    """(line number, unit file, payload) of each whole line of the log, in
+    log order. A unit logged twice or not planned, or, once the log is
+    read, a unit of a done component that it has no line for, is an
+    IntegrityError naming the log's file and line."""
+    path = _log_path(out)
+    planned = {f"{base}.swift" for base in names.values()}
+    seen: dict[str, int] = {}
+    number = 0
+    for number, payload in read_log(path):
+        unit = payload.get("unit")
+        if not isinstance(unit, str) or unit not in planned:
+            raise IntegrityError(f"corrupt artifact {path}: line {number}: unit {unit!r} is not in the plan")
+        if unit in seen:
+            raise IntegrityError(
+                f"corrupt artifact {path}: line {number}: unit {unit!r} is logged again, first at line {seen[unit]}"
+            )
+        seen[unit] = number
+        yield number, unit, payload
+    for comp in plan.components:
+        if _component_path(out, comp.name).is_file():
+            for c in comp.classes:
+                unit = f"{names[c.name]}.swift"
+                if unit not in seen:
+                    raise IntegrityError(
+                        f"corrupt artifact {path}: none of its {number} lines logs unit {unit!r}, "
+                        f"of the done component {comp.name!r}"
+                    )
+
+
+def _first_and_kept_rounds(payload: dict) -> list[tuple[str, ValidationReport]]:
     """Code and report of round 0 and of the kept round of a refinement
     payload."""
-    payload = json.loads(text)
     return [
         (entry["code"], ValidationReport.from_dict(entry["report"]))
         for entry in (payload["history"][0], payload["history"][payload["kept"]])
@@ -278,14 +332,23 @@ def _class_slots(d: ClassDescriptor, ast, declarations, method_codes, class_grap
 
 def _component_slots(out: Path, comp, names: dict[str, str], component_graph) -> dict[str, str]:
     """The kept code of the component's classes, read back as saved."""
-    units = out / "translate" / "units"
-    member_units = [f"// class: {c.name}\n" + read_saved(units / f"{names[c.name]}.swift") for c in comp.classes]
+    member_units = [f"// class: {c.name}\n" + _unit_code(out, names[c.name]) for c in comp.classes]
     return {
         "component_name": comp.name or "(default)",
         "translated_classes": "\n\n".join(member_units) or "none",
         "ast": "\n".join(f"(class_declaration {c.name})" for c in comp.classes) or "none",
         "dependency": dependency_excerpt(component_graph, comp.name),
     }
+
+
+def _unit_code(out: Path, base: str) -> str:
+    """A unit's kept code as saved. A missing file is the missing-artifact
+    error: the unit is done, so no resume writes its file again."""
+    path = out / "translate" / "units" / f"{base}.swift"
+    try:
+        return read_saved(path)
+    except FileNotFoundError:
+        raise missing(path, "translate") from None
 
 
 def _project_slots(config: RunConfig, out: Path, files: list[str], component_graph) -> dict[str, str]:

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import pathlib
@@ -13,6 +14,7 @@ import pytest
 
 from conftest import FIXTURE_PROJECT, GOLDEN_DIR, fixture_config, make_run_config, reachable
 
+import transmigrate.translate as translate_module
 from transmigrate.cli import main as cli_main
 from transmigrate.errors import BackendError, ConfigurationError, IntegrityError, OrderingError, ToolError
 from transmigrate.knowledge.embed import HashedTokenEmbedder
@@ -32,6 +34,18 @@ def output_tree(root):
     """Relative path -> bytes of every file under ``root``."""
     root = pathlib.Path(root)
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def logged(out):
+    """The refinement payloads of the log under ``out``, one per line, in
+    log order; an empty list when there is no log."""
+    log = pathlib.Path(out) / "translate" / "refinement.jsonl"
+    return [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()] if log.exists() else []
+
+
+def logged_by_unit(out):
+    """Unit base name -> refinement payload, from the log under ``out``."""
+    return {payload["unit"].removesuffix(".swift"): payload for payload in logged(out)}
 
 
 def process_left(pid: int, seconds: float) -> str | None:
@@ -146,7 +160,7 @@ class TestFullRun:
         monkeypatch.setattr(Pipeline, "_backend", lambda self: WorsensThenFails(real_factory(self)))
         run_full(run_config)
         translate = run_config_path(run_config.output_root) / "translate"
-        payload = json.loads((translate / "refinement" / "Logger.json").read_text(encoding="utf-8"))
+        payload = logged_by_unit(translate.parent)["Logger"]
         assert payload["degraded"] and payload["kept"] == 0 and len(payload["history"]) == 2
         assert (translate / "units" / "Logger.swift").read_text(encoding="utf-8") == payload["history"][0]["code"]
         row = report_bytes(run_config)[0]["projects"][0]
@@ -168,9 +182,8 @@ class TestFullRun:
         run_full(run_config)
         out = run_config_path(run_config.output_root)
         degraded = {}
-        for path in (out / "translate" / "refinement").iterdir():
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            degraded[path.stem] = (payload["degraded"], payload["kept"], len(payload["history"]))
+        for unit, payload in logged_by_unit(out).items():
+            degraded[unit] = (payload["degraded"], payload["kept"], len(payload["history"]))
         assert {name: d for name, d in degraded.items() if d[0]} == {
             "Logger": (True, 0, 1),
             "MainScreen": (True, 0, 1),
@@ -222,12 +235,15 @@ class TestFullRun:
                 "state.json",
                 *(f"translate/components/{name}.swift" for name in components),
                 "translate/project.swift",
-                *(f"translate/refinement/{name}.json" for name in units),
+                "translate/refinement.jsonl",
                 *(f"translate/units/{name}.swift" for name in units),
                 "validate/after.json",
                 "validate/before.json",
             ]
         )
+        assert not (tmp_path / "out" / "translate" / "refinement").exists()
+        plan_order = ["Logger.swift", "HttpClient.swift", "MainScreen.swift"]
+        assert [payload["unit"] for payload in logged(tmp_path / "out")] == plan_order
 
     def test_dump_prompts_writes_envelopes(self, fixture_project, tmp_path):
         config = make_run_config(fixture_project, tmp_path / "out", dump_prompts=True)
@@ -267,7 +283,7 @@ class TestFullRun:
             assert set(levels[cls_at + 1 : at]) <= {"repair"}
             unit = dumps[at].name.split("_repair_", 1)[1].removesuffix(".txt")
             assert sent[cls_at].slots["class_name"].rsplit(".", 1)[1] == unit
-            history = json.loads((tmp_path / "out" / "translate" / "refinement" / f"{unit}.json").read_text())["history"]
+            history = logged_by_unit(tmp_path / "out")[unit]["history"]
             assert envelope.slots["prior_code"] == history[at - cls_at - 1]["code"]
         assert [d.name for d, level in zip(dumps, levels) if level == "repair"] == [
             "0003_repair_Logger.txt",
@@ -335,6 +351,65 @@ def run_config_path(out):
     return Path(out)
 
 
+class Killed(BaseException):
+    """A simulated kill: nothing in the pipeline catches it."""
+
+
+def write_events(monkeypatch, config):
+    """Run ``config`` whole and return its write events in order: each
+    artifact rename, as ("rename", path relative to the output root), and
+    each refinement payload appended to the log, as ("append", unit file)."""
+    real_replace, real_append = os.replace, translate_module.append_json_line
+    root = pathlib.Path(config.output_root)
+    events = []
+
+    def counting_replace(src, dst):
+        events.append(("rename", pathlib.Path(dst).relative_to(root).as_posix()))
+        real_replace(src, dst)
+
+    def counting_append(log, payload):
+        events.append(("append", payload["unit"]))
+        real_append(log, payload)
+
+    monkeypatch.setattr(os, "replace", counting_replace)
+    monkeypatch.setattr(translate_module, "append_json_line", counting_append)
+    run_full(config)
+    monkeypatch.undo()
+    return events
+
+
+def kill_sides(kind):
+    """Where a sweep kills around a write event: before and after a rename;
+    after an append, since a kill just before one is a kill just after the
+    write before it."""
+    return (False, True) if kind == "rename" else (True,)
+
+
+def run_killed(monkeypatch, config, at, after):
+    """Run ``config`` until write event ``at`` (0-based, counted as
+    ``write_events`` lists them), and kill it just before that event or,
+    with ``after``, just after it."""
+    real_replace, real_append = os.replace, translate_module.append_json_line
+    count = [0]
+
+    def killing(real):
+        def write(*args):
+            count[0] += 1
+            if count[0] <= at:
+                return real(*args)
+            if after:
+                real(*args)
+            raise Killed(args[-1])
+
+        return write
+
+    monkeypatch.setattr(os, "replace", killing(real_replace))
+    monkeypatch.setattr(translate_module, "append_json_line", killing(real_append))
+    with pytest.raises(Killed):
+        run_full(config)
+    monkeypatch.undo()
+
+
 class TestDeterminismAndResume:
     def test_two_fresh_runs_byte_identical(self, tmp_path):
         import shutil
@@ -375,11 +450,10 @@ class TestDeterminismAndResume:
             interrupted.run()
         monkeypatch.setattr(Pipeline, "_backend", real_factory)
 
-        # Logger is the one completed unit: its refinement payload, written
-        # last, is the only one; state.json holds the stage cursor only.
+        # Logger is the one completed unit: its refinement payload, logged
+        # last, is the only line; state.json holds the stage cursor only.
         state = json.loads((tmp_path / "out" / "state.json").read_text())
-        payloads = sorted(p.name for p in (tmp_path / "out" / "translate" / "refinement").iterdir())
-        assert payloads == ["Logger.json"]
+        assert [payload["unit"] for payload in logged(tmp_path / "out")] == ["Logger.swift"]
         assert "unit_status" not in state
 
         class CountingBackend:
@@ -402,79 +476,46 @@ class TestDeterminismAndResume:
 
         assert report_bytes(config)[1] == (GOLDEN_DIR / "report.json").read_bytes()
 
-    def test_kill_at_any_artifact_rename_resumes_to_a_fresh_run(self, tmp_path, monkeypatch):
-        """Every artifact is renamed into place; a kill just before or just
-        after any of those renames leaves a run that a new Pipeline resumes
-        to the fresh run's whole output tree, byte for byte. A resumed
-        translate parses the Java again in its own process, so this also
-        checks that a new parse yields what the shared one held."""
-
-        class Killed(BaseException):
-            pass
-
+    def test_kill_at_any_rename_or_append_resumes_to_a_fresh_run(self, tmp_path, monkeypatch):
+        """Every artifact is renamed into place and every refinement payload
+        appended to the log; a kill just before or just after any of those
+        renames, or just after any append, leaves a run that a new Pipeline
+        resumes to the fresh run's whole output tree, byte for byte. A
+        resumed translate parses the Java again in its own process, so this
+        also checks that a new parse yields what the shared one held."""
         shutil.copytree(FIXTURE_PROJECT, tmp_path / "project")
-        real_replace = os.replace
-        renames = []
-
-        def counting_replace(src, dst):
-            renames.append(pathlib.Path(dst).relative_to(tmp_path / "fresh").as_posix())
-            real_replace(src, dst)
-
-        monkeypatch.setattr(os, "replace", counting_replace)
-        run_full(make_run_config(tmp_path / "project", tmp_path / "fresh"))
-        monkeypatch.undo()
+        events = write_events(monkeypatch, make_run_config(tmp_path / "project", tmp_path / "fresh"))
         fresh = output_tree(tmp_path / "fresh")
+        renames = [path for kind, path in events if kind == "rename"]
         # Each refinement round writes its candidate to units/: MainScreen's
         # four rounds are four kill points whose resume translates it again.
-        assert len(renames) == 30 and "translate/project.swift" in renames
+        assert len(renames) == 27 and "translate/project.swift" in renames
         assert renames.count("translate/units/MainScreen.swift") == 4
+        appended = [path for kind, path in events if kind == "append"]
+        assert appended == ["Logger.swift", "HttpClient.swift", "MainScreen.swift"]
 
-        for at, artifact in enumerate(renames):
-            for after in (False, True):
+        for at, (kind, artifact) in enumerate(events):
+            for after in kill_sides(kind):
                 out = tmp_path / f"kill{at:02d}{'after' if after else 'before'}"
                 config = make_run_config(tmp_path / "project", out)
-                count = [0]
-
-                def killing_replace(src, dst):
-                    count[0] += 1
-                    if count[0] <= at:
-                        real_replace(src, dst)
-                        return
-                    if after:
-                        real_replace(src, dst)
-                    raise Killed(dst)
-
-                monkeypatch.setattr(os, "replace", killing_replace)
-                with pytest.raises(Killed):
-                    run_full(config)
-                monkeypatch.undo()
+                run_killed(monkeypatch, config, at, after)
                 run_full(config)
-                assert output_tree(out) == fresh, (artifact, "after" if after else "before")
+                assert output_tree(out) == fresh, (kind, artifact, "after" if after else "before")
 
     @pytest.mark.parametrize("dump_prompts", [False, True])
-    def test_kill_at_any_rename_within_a_component_resumes_to_a_fresh_run(self, tmp_path, monkeypatch, dump_prompts):
+    def test_kill_at_any_rename_or_append_within_a_component_resumes_to_a_fresh_run(
+        self, tmp_path, monkeypatch, dump_prompts
+    ):
         """The fixture sweep on components of several units: a kill lands
         while round 0's checks overlap and between two units' repairs. With
         dumps, a resume sends again what was not done and numbers its dumps
         on, so it holds every fresh dump among its own; all else is the fresh
         tree. No run leaves a temporary file behind."""
-
-        class Killed(BaseException):
-            pass
-
         project = one_package_project(tmp_path / "project", ("A", "B", "D"), (("p", "ABC"), ("q", "DE")))
-        real_replace = os.replace
-        renames = []
-
-        def counting_replace(src, dst):
-            renames.append(pathlib.Path(dst).relative_to(tmp_path / "fresh").as_posix())
-            real_replace(src, dst)
-
-        monkeypatch.setattr(os, "replace", counting_replace)
-        run_full(make_run_config(project, tmp_path / "fresh", dump_prompts=dump_prompts))
-        monkeypatch.undo()
+        events = write_events(monkeypatch, make_run_config(project, tmp_path / "fresh", dump_prompts=dump_prompts))
         fresh = output_tree(tmp_path / "fresh")
-        assert len(renames) == (48 if dump_prompts else 32)
+        assert sum(kind == "rename" for kind, _ in events) == (43 if dump_prompts else 27)
+        assert [path for kind, path in events if kind == "append"] == [f"{name}.swift" for name in "ABCDE"]
 
         def split(tree):
             """The tree outside ``prompts/``, and the dumps' contents."""
@@ -482,27 +523,13 @@ class TestDeterminismAndResume:
             return {path: data for path, data in tree.items() if not path.startswith("prompts/")}, dumps
 
         fresh_rest, fresh_dumps = split(fresh)
-        for at, artifact in enumerate(renames):
-            for after in (False, True):
+        for at, (kind, artifact) in enumerate(events):
+            for after in kill_sides(kind):
                 out = tmp_path / f"kill{at:02d}{'after' if after else 'before'}"
                 config = make_run_config(project, out, dump_prompts=dump_prompts)
-                count = [0]
-
-                def killing_replace(src, dst):
-                    count[0] += 1
-                    if count[0] <= at:
-                        real_replace(src, dst)
-                        return
-                    if after:
-                        real_replace(src, dst)
-                    raise Killed(dst)
-
-                monkeypatch.setattr(os, "replace", killing_replace)
-                with pytest.raises(Killed):
-                    run_full(config)
-                monkeypatch.undo()
+                run_killed(monkeypatch, config, at, after)
                 run_full(config)
-                where = (artifact, "after" if after else "before")
+                where = (kind, artifact, "after" if after else "before")
                 assert [p.name for p in out.rglob(".*")] == [], where
                 if dump_prompts:
                     rest, dumps = split(output_tree(out))
@@ -510,6 +537,53 @@ class TestDeterminismAndResume:
                     assert all(dump in dumps for dump in fresh_dumps), where
                 else:
                     assert output_tree(out) == fresh, where
+
+    def test_torn_last_line_resumes_to_a_fresh_run_and_resends_only_its_unit(
+        self, fixture_project, tmp_path, monkeypatch
+    ):
+        """A kill mid-append leaves the log's last line with no newline, so
+        its unit is not done. The resume cuts the line off and translates
+        that unit again, and no other: its method, class and repair prompts,
+        then its component's prompt and the project's, which were not done."""
+        run_full(make_run_config(fixture_project, tmp_path / "fresh"))
+        config = make_run_config(fixture_project, tmp_path / "out")
+        real_append = translate_module.append_json_line
+
+        def torn_append(log, payload):
+            if payload["unit"] != "MainScreen.swift":
+                return real_append(log, payload)
+            line = io.BytesIO()
+            real_append(line, payload)
+            log.write(line.getvalue()[: len(line.getvalue()) // 2])
+            log.flush()
+            raise Killed(payload["unit"])
+
+        monkeypatch.setattr(translate_module, "append_json_line", torn_append)
+        with pytest.raises(Killed):
+            run_full(config)
+        monkeypatch.undo()
+        log = tmp_path / "out" / "translate" / "refinement.jsonl"
+        assert log.read_bytes().count(b"\n") == 2 and not log.read_bytes().endswith(b"\n")
+
+        sent = []
+        real_factory = Pipeline._backend
+
+        class Recording:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def translate(self, envelope):
+                sent.append(envelope)
+                return self.inner.translate(envelope)
+
+        monkeypatch.setattr(Pipeline, "_backend", lambda self: Recording(real_factory(self)))
+        run_full(config)
+        levels = ["method", "method", "class", "repair", "repair", "repair", "component", "project"]
+        assert [e.level for e in sent] == levels
+        assert {e.slots["file_name"] for e in sent if e.level == "method"} == {"src/com/example/ui/MainScreen.java"}
+        assert [e.slots["class_name"] for e in sent if e.level == "class"] == ["com.example.ui.MainScreen"]
+        assert [e.slots["component_name"] for e in sent if e.level == "component"] == ["com.example.ui"]
+        assert output_tree(tmp_path / "out") == output_tree(tmp_path / "fresh")
 
     def test_resume_after_failed_project_prompt_sends_no_component_prompt(
         self, fixture_project, tmp_path, monkeypatch
@@ -548,23 +622,21 @@ class TestDeterminismAndResume:
             Pipeline(config)
 
     def test_unit_without_refinement_payload_is_translated_again(self, fixture_project, tmp_path, monkeypatch):
-        import transmigrate.translate as translate_module
-
         config = make_run_config(fixture_project, tmp_path / "out")
-        real_write_json = translate_module.write_json
+        real_append = translate_module.append_json_line
 
-        def killed_before_payload(path, payload):
-            if path.name == "HttpClient.json" and path.parent.name == "refinement":
+        def killed_before_payload(log, payload):
+            if payload["unit"] == "HttpClient.swift":
                 raise RuntimeError("simulated kill")
-            real_write_json(path, payload)
+            real_append(log, payload)
 
-        monkeypatch.setattr(translate_module, "write_json", killed_before_payload)
+        monkeypatch.setattr(translate_module, "append_json_line", killed_before_payload)
         with pytest.raises(RuntimeError, match="simulated kill"):
             run_full(config)
         monkeypatch.undo()
         translate = tmp_path / "out" / "translate"
         assert (translate / "units" / "HttpClient.swift").is_file()
-        assert not (translate / "refinement" / "HttpClient.json").exists()
+        assert "HttpClient" not in logged_by_unit(tmp_path / "out")
 
         class_prompts = []
         real_factory = Pipeline._backend
@@ -710,9 +782,7 @@ class TestDeterminismAndResume:
 
         monkeypatch.setattr(MockBackend, "translate", crlf_class_reply)
         run_full(run_config)
-        payload = json.loads(
-            (pathlib.Path(run_config.output_root) / "translate" / "refinement" / "HttpClient.json").read_text()
-        )
+        payload = logged_by_unit(run_config.output_root)["HttpClient"]
         kept = payload["history"][payload["kept"]]["code"]
         assert "\r\n" in kept
         assert f"// class: com.example.net.HttpClient\n{kept}" in components["com.example.net"]
@@ -735,7 +805,7 @@ class TestParseOnce:
         assert java == Counter(expected_java)
 
         translate = run_config_path(run_config.output_root) / "translate"
-        payloads = [json.loads(p.read_text(encoding="utf-8")) for p in (translate / "refinement").glob("*.json")]
+        payloads = logged(translate.parent)
         expected_swift = {
             (payload["unit"], payload["history"][index]["code"])
             for payload in payloads
@@ -803,7 +873,7 @@ class TestUnitNames:
         config = make_run_config(source, tmp_path / "out")
         run_full(config)
         translate = tmp_path / "out" / "translate"
-        payloads = {p.stem: json.loads(p.read_text(encoding="utf-8")) for p in (translate / "refinement").iterdir()}
+        payloads = logged_by_unit(translate.parent)
         names = {payload["class"]: unit for unit, payload in payloads.items()}
         assert names == {"p.C": "C", "q.C": "q_C_2", "r.q_C": "q_C"}
         for qualified, unit in names.items():
@@ -986,7 +1056,7 @@ class TestConcurrentChecks:
         wanted = "exited 3 without diagnostics on units A.swift, B.swift, C.swift"
         with pytest.raises(ToolError, match=re.escape(wanted)):
             run_full(config)
-        assert list((tmp_path / "out" / "translate" / "refinement").glob("*")) == []
+        assert logged(tmp_path / "out") == []
 
         failing.unlink()
         run_full(config)
@@ -1018,7 +1088,7 @@ class TestConcurrentChecks:
             ["syntax", ["translate/units/B.swift"]],
             ["lint", ["translate/units/B.swift"]],
         ]
-        payload = json.loads((tmp_path / "out" / "translate" / "refinement" / "B.json").read_text())
+        payload = logged_by_unit(tmp_path / "out")["B"]
         assert len(payload["history"]) == 2
         assert payload["history"][0]["report"]["files"]["B.swift"][0]["message"] == "init field"
 
@@ -1032,11 +1102,8 @@ class TestConcurrentChecks:
             "        print(os.path.abspath(f) + ':2:5: error: init field')\n"
         )
         run_full(config)
-        refinement = tmp_path / "out" / "translate" / "refinement"
-        round_0 = {
-            name: json.loads((refinement / f"{name}.json").read_text())["history"][0]["report"]["files"]
-            for name in "ABC"
-        }
+        payloads = logged_by_unit(tmp_path / "out")
+        round_0 = {name: payloads[name]["history"][0]["report"]["files"] for name in "ABC"}
         assert round_0["A"] == round_0["C"] == {}
         (issue,) = round_0["B"]["B.swift"]
         assert (issue["file"], issue["line"], issue["column"], issue["source"]) == ("B.swift", 2, 5, "syntax")
@@ -1048,7 +1115,7 @@ class TestConcurrentChecks:
         wanted = "reported on 'Other.swift', not on units A.swift, B.swift, C.swift"
         with pytest.raises(ToolError, match=re.escape(wanted)):
             run_full(config)
-        assert list((tmp_path / "out" / "translate" / "refinement").glob("*")) == []
+        assert logged(tmp_path / "out") == []
 
     def test_interrupt_kills_the_checker_in_flight(self, tmp_path):
         project = one_package_project(tmp_path / "project")
@@ -1520,6 +1587,104 @@ class TestCli:
         assert err.startswith(f"error: corrupt artifact {path}: ")
         assert "Traceback" not in err
 
+    @staticmethod
+    def edit_log(lines, edit):
+        """The fixture's three log lines (Logger, HttpClient, MainScreen), edited."""
+        logger, http, main = lines
+        if edit == "line cut short":
+            return [logger, http[:40] + b"\n", main]
+        if edit == "unit logged twice":
+            return [logger, http, http, main]
+        if edit == "unit not planned":
+            return [logger, http.replace(b'"unit":"HttpClient.swift"', b'"unit":"Other.swift"'), main]
+        return [http, main]  # a done component's unit with no line
+
+    @pytest.mark.parametrize("stage", ["translate", "validate"])
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            ("line cut short", "line 2 column 41: Invalid control character"),
+            ("unit logged twice", re.escape("line 3: unit 'HttpClient.swift' is logged again, first at line 2")),
+            ("unit not planned", re.escape("line 2: unit 'Other.swift' is not in the plan")),
+            (
+                "done component's unit missing",
+                re.escape("none of its 2 lines logs unit 'Logger.swift', of the done component 'com.example.core'"),
+            ),
+        ],
+    )
+    def test_corrupt_refinement_log_exits_1_naming_file_and_line(
+        self, fixture_project, tmp_path, capsys, stage, edit, problem
+    ):
+        config_path = self.write_config(tmp_path, fixture_project)
+        assert cli_main(["run", "--config", str(config_path)]) == 0
+        log = tmp_path / "out" / "translate" / "refinement.jsonl"
+        log.write_bytes(b"".join(self.edit_log(log.read_bytes().splitlines(keepends=True), edit)))
+        capsys.readouterr()
+        assert cli_main([stage, "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert re.match(f"error: corrupt artifact {re.escape(str(log))}: {problem}", err), err
+        assert "Traceback" not in err
+
+    def test_output_root_of_the_per_unit_payload_layout_exits_1(self, fixture_project, tmp_path, capsys):
+        # An older version wrote one translate/refinement/<unit>.json per
+        # unit; its finished components then have units missing from the log.
+        config_path = self.write_config(tmp_path, fixture_project)
+        assert cli_main(["run", "--config", str(config_path)]) == 0
+        translate = tmp_path / "out" / "translate"
+        log = translate / "refinement.jsonl"
+        (translate / "refinement").mkdir()
+        for payload in logged(tmp_path / "out"):
+            name = payload["unit"].removesuffix(".swift")
+            (translate / "refinement" / f"{name}.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
+        log.unlink()
+        capsys.readouterr()
+        assert cli_main(["translate", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: corrupt artifact {log}: none of its 0 lines logs unit 'Logger.swift', "
+            "of the done component 'com.example.core'\n"
+        )
+
+    def test_validate_with_a_unit_missing_from_the_log_exits_2(self, fixture_project, tmp_path, capsys, monkeypatch):
+        # A translate that failed after Logger's unit: validate names the
+        # first unit of the plan's file name order that the log lacks.
+        from transmigrate.backends import MockBackend
+
+        config_path = self.write_config(tmp_path, fixture_project)
+        real = MockBackend.translate
+        budget = [4]  # Logger's two method prompts, class prompt and repair
+
+        def failing(self, envelope):
+            if budget[0] == 0:
+                raise BackendError("backend gone")
+            budget[0] -= 1
+            return real(self, envelope)
+
+        monkeypatch.setattr(MockBackend, "translate", failing)
+        assert cli_main(["run", "--config", str(config_path)]) == 1
+        monkeypatch.undo()
+        assert [payload["unit"] for payload in logged(tmp_path / "out")] == ["Logger.swift"]
+        capsys.readouterr()
+        assert cli_main(["validate", "--config", str(config_path)]) == 2
+        log = tmp_path / "out" / "translate" / "refinement.jsonl"
+        err = capsys.readouterr().err
+        assert err == f"error: no line for unit 'HttpClient.swift' in {log}: run the 'translate' stage first\n"
+
+    def test_resume_with_a_done_units_file_missing_exits_2(self, fixture_project, tmp_path, capsys):
+        # Logger's unit is done, so a resumed component prompt reads its
+        # file back: a missing one is the missing-artifact error, not a traceback.
+        config_path = self.write_config(tmp_path, fixture_project)
+        assert cli_main(["run", "--config", str(config_path)]) == 0
+        out = tmp_path / "out"
+        (out / "translate" / "units" / "Logger.swift").unlink()
+        (out / "translate" / "components" / "com.example.core.swift").unlink()
+        state = json.loads((out / "state.json").read_text())
+        state["completed_stages"] = ["analyze", "index", "plan"]
+        (out / "state.json").write_text(json.dumps(state))
+        capsys.readouterr()
+        assert cli_main(["translate", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == "error: missing artifact 'Logger.swift': run the 'translate' stage first\n"
+
     def test_state_with_unit_status_exits_1(self, fixture_project, tmp_path, capsys):
         # state.json kept per-unit status before units were marked complete
         # by their refinement payloads; such a file is refused, not half-read.
@@ -1965,25 +2130,19 @@ class TestRetrievalPass:
     def test_resume_after_a_kill_mid_component_embeds_the_pending_prompts_texts(
         self, packages_project, tmp_path, monkeypatch, embedded
     ):
-        from transmigrate import translate as translate_module
-
-        class Killed(BaseException):
-            pass
-
         config = make_run_config(packages_project, tmp_path / "out")
-        real_write_json = translate_module.write_json
+        real_append = translate_module.append_json_line
 
-        def killed_before_c_payload(path, payload):
-            if path.name == "C.json":
-                raise Killed(path)
-            real_write_json(path, payload)
+        def killed_before_c_payload(log, payload):
+            if payload["unit"] == "C.swift":
+                raise Killed(payload["unit"])
+            real_append(log, payload)
 
-        monkeypatch.setattr(translate_module, "write_json", killed_before_c_payload)
+        monkeypatch.setattr(translate_module, "append_json_line", killed_before_c_payload)
         with pytest.raises(Killed):
             run_full(config)
-        monkeypatch.setattr(translate_module, "write_json", real_write_json)
-        refinement = tmp_path / "out" / "translate" / "refinement"
-        assert sorted(p.name for p in refinement.iterdir()) == ["A.json", "B.json", "Main.json"]
+        monkeypatch.setattr(translate_module, "append_json_line", real_append)
+        assert sorted(logged_by_unit(tmp_path / "out")) == ["A", "B", "Main"]
         embedded.clear()
         Pipeline(config).run_stage("translate")
         assert embedded == [["C stop", "C q", "q", "MiniApp"]]

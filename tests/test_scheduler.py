@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -271,6 +272,21 @@ class TestBuildPlan:
         lines = plan_for(*component_fixture()).to_jsonl().splitlines()
         lines.insert(3, line)  # after p, p.A and p.A.x
         with pytest.raises(ValueError, match=f"^line 4: .*{problem}"):
+            TranslationPlan.from_jsonl("\n".join(lines))
+
+    @pytest.mark.parametrize(
+        "line, problem",
+        [
+            ('{"class": "p.A", "kind": "met', "line 3 column 26: Unterminated string"),
+            ('["p.A.f"]', "line 3: list is not a JSON object"),
+            ('{"class": "p.A", "name": "p.A.f"}', "line 3: no string 'kind' and 'name'"),
+            ('{"class": "p.A", "kind": "method"}', "line 3: no string 'kind' and 'name'"),
+        ],
+    )
+    def test_plan_line_that_is_no_plan_record_names_its_file_line(self, line, problem):
+        lines = plan_for(*component_fixture()).to_jsonl().splitlines()
+        lines[2] = line  # p, p.A, then the line in place of p.A's first method
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}"):
             TranslationPlan.from_jsonl("\n".join(lines))
 
     def test_method_line_under_a_new_component_names_its_line(self):
