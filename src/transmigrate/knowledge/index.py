@@ -70,38 +70,39 @@ numpy too, at most one block of cells. Ties, prefix order and the
 returned scores are those of a full sort by the key: the selection
 changes neither the tie rule nor the file format.
 
-Persistence is line-delimited JSON: a header line with the dimension and
-entry count, then one ``{"id": ..., "v": [...]}`` line per entry, and
-beside it one line per chunk, as ``json.JSONEncoder(sort_keys=True)``
-encodes its fields. The encoder escapes every non-ASCII character, so a
-block's lines are encoded to bytes once and their offsets are the
-running sum of their lengths. The files pair by row: entry line i holds
-the id and vector of chunk line i. ``build_index`` writes the chunk
-lines to the temporary file beside the chunks path it is given; ``save``,
-of a built index only, writes ``index.jsonl`` to its own temporary file,
-then renames both over their paths, index first. A kill before both
-renames leaves at most a ``.tmp`` file that the index stage
-removes, or a pair that ``load`` checks. ``load`` reads the two files
-together: a line that does not parse, a chunk line that holds no chunk
-or another id than its entry, a chunk line missing or left over, a
-vector of another dimension than the header's, an entry count other than
-the header's (named at the header line), or a NaN or infinite cell is an
-IntegrityError naming the file and line. It keeps each chunk line's
-offset and no chunk. ``chunks`` reads the lines of the rows one
-``query_many`` call returns in one pass, in file order; a line that no
-longer holds its row's chunk (the file was edited after the index was
-read) is an IntegrityError naming the file and line.
+Persistence is line-delimited JSON, in the bytes ``compact_json`` gives
+(``transmigrate.artifacts``): a header line with the dimension and entry
+count, then one ``{"id":...,"v":[...]}`` line per entry, and beside it
+one line per chunk, its fields. The encoder escapes every non-ASCII
+character, so a block's lines are encoded to bytes once and their
+offsets are the running sum of their lengths. The files pair by row:
+entry line i holds the id and vector of chunk line i. ``build_index``
+writes the chunk lines to the temporary file beside the chunks path it
+is given; ``save``, of a built index only, writes ``index.jsonl`` to its
+own temporary file, then renames both over their paths, index first. A
+kill before both renames leaves at most a ``.tmp`` file that the index
+stage removes, or a pair that ``load`` checks. ``load`` reads the two
+files together, each through ``read_lines``: a line that does not parse,
+a chunk line that holds no chunk or another id than its entry, a chunk
+line missing or left over, a vector of another dimension than the
+header's, an entry count other than the header's (named at the header
+line), or a NaN or infinite cell is a corrupt artifact naming the file
+and line. It keeps each chunk line's offset and no chunk. ``chunks``
+reads the lines of the rows one ``query_many`` call returns in one pass,
+in file order; a line that no longer holds its row's chunk (the file was
+edited after the index was read) is a corrupt artifact naming the file
+and line.
 
-``save`` writes the bytes ``json.dumps({"id": id, "v": [floats]})`` gives,
-one row block at a time: the block's dense rows are rebuilt from its
-postings (every other cell positive zero) and formatted by ``_rows_text``.
-A cell whose bits are 0 is written as ``0.0`` without sorting. The other
-cells of the block are formatted once per distinct float64 bit pattern
-(``np.unique`` on the bits), with ``float.__repr__``, the encoder's text
-for a finite float, or ``json.dumps`` when the block holds NaN or an
-infinity. The key is the bits, not the float: the float would merge
-``-0.0`` with ``0.0``. Each row is then joined from an object array of
-those texts; the id goes through ``json.dumps``.
+``save`` writes the bytes ``compact_json({"id": id, "v": [floats]})``
+gives, one row block at a time: the block's dense rows are rebuilt from
+its postings (every other cell positive zero) and formatted by
+``_rows_text``. A cell whose bits are 0 is written as ``0.0`` without
+sorting. The other cells of the block are formatted once per distinct
+float64 bit pattern (``np.unique`` on the bits), with ``float.__repr__``,
+the encoder's text for a finite float, or ``compact_json`` when the block
+holds NaN or an infinity. The key is the bits, not the float: the float
+would merge ``-0.0`` with ``0.0``. Each row is then joined from an object
+array of those texts; the id goes through ``compact_json``.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ from pathlib import Path
 
 import numpy as np
 
-from transmigrate.artifacts import replacing, temporary
+from transmigrate.artifacts import compact_json, corrupt, read_lines, replacing, temporary
 from transmigrate.errors import ArgumentError, IntegrityError
 from transmigrate.knowledge.chunks import DocumentChunk
 
@@ -211,19 +212,23 @@ class VectorIndex:
         """The chunk of each of ``rows``, built from its line; the lines are
         read in one pass in file order. A line that does not hold its row's
         chunk, as when the file was edited after the index was loaded, is
-        an IntegrityError naming the file and line."""
+        corrupt, naming the file and line."""
         found: dict[int, DocumentChunk] = {}
         with self._lines.open("rb") as fh:
             for row in sorted(set(rows)):
                 offset = int(self._offsets[row])
                 fh.seek(offset)
-                chunk = _chunk_of(fh.readline())
+                try:
+                    chunk = DocumentChunk(**json.loads(fh.readline()))
+                except (ValueError, TypeError):
+                    chunk = None
                 if chunk is None or chunk.chunk_id != self._ids[row]:
                     fh.seek(0)
                     lineno = fh.read(offset).count(b"\n") + 1
-                    raise IntegrityError(
-                        f"{self._lines}:{lineno}: does not hold chunk {self._ids[row]!r} of index row {row}: "
-                        "the file changed after the index was read"
+                    raise corrupt(
+                        self._lines,
+                        f"line {lineno}: does not hold chunk {self._ids[row]!r} of index row {row}: "
+                        "the file changed after the index was read",
                     )
                 found[row] = chunk
         return found
@@ -236,7 +241,7 @@ class VectorIndex:
         whole or not at all. Only a built index is saved."""
         rows = _block_rows(self.dimension)
         with replacing(index_path) as fh:
-            fh.write(json.dumps({"dimension": self.dimension, "entries": len(self._ids)}) + "\n")
+            fh.write(compact_json({"dimension": self.dimension, "entries": len(self._ids)}) + "\n")
             # Each row block's dense rows, rebuilt from its postings.
             for start, starts in zip(range(0, len(self._ids), rows), self._starts):
                 ids = self._ids[start : start + rows]
@@ -254,16 +259,16 @@ class VectorIndex:
         not its chunk, and reads the line when a query returns it."""
         index_path = Path(index_path)
         chunks_path = Path(chunks_path)
-        records = _jsonl_records(index_path)
+        records = read_lines(index_path)
         header_line, _, header = next(records, (1, 0, {}))
         if "dimension" not in header or "entries" not in header:
-            raise IntegrityError(f"{index_path}:{header_line}: index header has no dimension and entry count")
+            raise corrupt(index_path, f"line {header_line}: index header has no dimension and entry count")
         try:
             dimension, entries = int(header["dimension"]), int(header["entries"])
         except (TypeError, ValueError) as exc:
-            raise IntegrityError(f"{index_path}:{header_line}: corrupt index header: {exc}") from exc
+            raise corrupt(index_path, f"line {header_line}: corrupt index header: {exc}") from exc
         rows = _block_rows(dimension)
-        chunk_records = _jsonl_records(chunks_path)
+        chunk_records = read_lines(chunks_path)
         ids: list[str] = []
         offsets: list[int] = []
 
@@ -274,18 +279,18 @@ class VectorIndex:
                 try:
                     chunk_id = None if chunk_rec is None else DocumentChunk(**chunk_rec).chunk_id
                 except TypeError as exc:
-                    raise IntegrityError(f"{chunks_path}:{chunk_lineno}: corrupt chunk: {exc}") from exc
+                    raise corrupt(chunks_path, f"line {chunk_lineno}: corrupt chunk: {exc}") from exc
                 if chunk_id is None or chunk_id != rec.get("id"):
                     found = "ends before it" if chunk_id is None else f"line {chunk_lineno} holds {chunk_id!r}"
-                    raise IntegrityError(f"{index_path}:{lineno}: id {rec.get('id')!r} has no chunk: {chunks_path} {found}")
+                    raise corrupt(index_path, f"line {lineno}: id {rec.get('id')!r} has no chunk: {chunks_path} {found}")
                 try:
                     values = np.asarray(rec["v"], dtype=np.float64)
                 except (KeyError, TypeError, ValueError) as exc:
-                    raise IntegrityError(f"{index_path}:{lineno}: corrupt vector: {exc!r}") from exc
+                    raise corrupt(index_path, f"line {lineno}: corrupt vector: {exc!r}") from exc
                 if values.shape != (dimension,):
-                    raise IntegrityError(
-                        f"{index_path}:{lineno}: vector dimension {values.size} "
-                        f"does not match index dimension {dimension}"
+                    raise corrupt(
+                        index_path,
+                        f"line {lineno}: vector dimension {values.size} does not match index dimension {dimension}",
                     )
                 ids.append(chunk_id)
                 offsets.append(offset)
@@ -301,17 +306,14 @@ class VectorIndex:
 
         postings = _postings(dimension, blocks())
         if (left_over := next(chunk_records, None)) is not None:
-            raise IntegrityError(f"{chunks_path}:{left_over[0]}: chunk line has no entry in {index_path}")
+            raise corrupt(chunks_path, f"line {left_over[0]}: chunk line has no entry in {index_path}")
         if len(ids) != entries:
-            raise IntegrityError(
-                f"{index_path}:{header_line}: index file corrupt: "
-                f"header says {header['entries']} entries, found {len(ids)}"
-            )
+            raise corrupt(index_path, f"line {header_line}: header says {header['entries']} entries, found {len(ids)}")
         # json.loads reads the NaN and Infinity literals, and one such cell
         # would make every score it touches NaN or infinite.
         if (bad := np.flatnonzero(~np.isfinite(postings[1]))).size:
-            lineno, _, _ = next(islice(_jsonl_records(index_path), postings[0][bad].min() + 1, None))
-            raise IntegrityError(f"{index_path}:{lineno}: vector cell is not a finite number")
+            lineno, _, _ = next(islice(read_lines(index_path), postings[0][bad].min() + 1, None))
+            raise corrupt(index_path, f"line {lineno}: vector cell is not a finite number")
         return cls(ids, np.array(offsets, dtype=np.int64), dimension, postings, chunks_path)
 
 
@@ -361,45 +363,20 @@ def _group_cuts(texts: np.ndarray, blocks: int, before: np.ndarray) -> list[int]
 
 def _rows_text(ids: list[str], block: np.ndarray) -> str:
     """The entry lines of ``ids`` and their rows of the matrix, as
-    ``json.dumps`` writes them; see the module docstring."""
+    ``compact_json`` writes them; see the module docstring."""
     bits = block.view(np.int64).ravel()
     nonzero = np.flatnonzero(bits)
     distinct, where = np.unique(bits[nonzero], return_inverse=True)
     values = distinct.view(np.float64)
-    fmt = float.__repr__ if np.isfinite(values).all() else json.dumps
+    fmt = float.__repr__ if np.isfinite(values).all() else compact_json
     # Text i + 1 is that of distinct pattern i; text 0 is positive zero's.
     texts = np.array(["0.0", *map(fmt, values.tolist())], dtype=object)
     cells = np.zeros(len(bits), dtype=np.intp)
     cells[nonzero] = where + 1
     return "".join(
-        '{"id": ' + json.dumps(cid) + ', "v": [' + ", ".join(row) + "]}\n"
+        '{"id":' + compact_json(cid) + ',"v":[' + ",".join(row) + "]}\n"
         for cid, row in zip(ids, texts[cells].reshape(block.shape).tolist())
     )
-
-
-def _jsonl_records(path: Path):
-    """(line number, byte offset, object) for each non-blank line; a line
-    that is not a JSON object is an IntegrityError naming the file and line."""
-    with path.open("rb") as fh:
-        offset = 0
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                try:
-                    rec = json.loads(line)
-                except ValueError as exc:  # not JSON, or not UTF-8
-                    raise IntegrityError(f"{path}:{lineno}: corrupt line: {exc}") from exc
-                if not isinstance(rec, dict):
-                    raise IntegrityError(f"{path}:{lineno}: corrupt line: not a JSON object")
-                yield lineno, offset, rec
-            offset += len(line)
-
-
-def _chunk_of(line: bytes) -> DocumentChunk | None:
-    """The chunk a chunk line holds, or None for a line that holds none."""
-    try:
-        return DocumentChunk(**json.loads(line))
-    except (ValueError, TypeError):
-        return None
 
 
 def build_index(chunks: Iterable[DocumentChunk], embedder, chunks_path: str | Path) -> VectorIndex:
@@ -410,7 +387,6 @@ def build_index(chunks: Iterable[DocumentChunk], embedder, chunks_path: str | Pa
     dimension = embedder.dimension
     rows = _block_rows(dimension)
     chunks = iter(chunks)
-    encode = json.JSONEncoder(sort_keys=True).encode
     ids: list[str] = []
     offsets: list[np.ndarray] = []
     tmp = temporary(Path(chunks_path))
@@ -427,8 +403,8 @@ def build_index(chunks: Iterable[DocumentChunk], embedder, chunks_path: str | Pa
             # The encoder escapes every non-ASCII character, so a line's
             # length in characters is its length in bytes.
             lines = [
-                encode({"source_uri": c.source_uri, "kind": c.kind, "text": c.text, "metadata": c.metadata,
-                        "ordinal": c.ordinal}) + "\n"
+                compact_json({"source_uri": c.source_uri, "kind": c.kind, "text": c.text, "metadata": c.metadata,
+                              "ordinal": c.ordinal}) + "\n"
                 for c in block
             ]
             lengths = np.array([len(line) for line in lines], dtype=np.int64)

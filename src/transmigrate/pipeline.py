@@ -25,7 +25,7 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from transmigrate.artifacts import missing, read_artifact, remove_temporaries, write_json, write_text
+from transmigrate.artifacts import corrupt, missing, read_artifact, remove_temporaries, write_json, write_text
 from transmigrate.backends import LiveBackend, MockBackend
 from transmigrate.config import RunConfig
 from transmigrate.errors import ConfigurationError, IntegrityError
@@ -240,7 +240,11 @@ class Pipeline:
 
     def _plan(self, stage: str = "plan") -> TranslationPlan:
         """The saved plan; a missing one is an OrderingError naming ``stage``."""
-        return read_artifact(self.out / "plan" / "plan.jsonl", stage, TranslationPlan.from_jsonl)
+        path = self.out / "plan" / "plan.jsonl"
+        try:
+            return TranslationPlan.load(path)
+        except FileNotFoundError:
+            raise missing(path, stage) from None
 
     def stage_translate(self) -> None:
         plan = self._plan()
@@ -249,8 +253,7 @@ class Pipeline:
         # under each planned class's component.
         class_component = {cls.name: comp for comp, cls in plan.iter_classes()}
         if class_component.keys() != class_graph.nodes:
-            plan_path = self.out / "plan" / "plan.jsonl"
-            raise IntegrityError(f"corrupt artifact {plan_path}: its classes are not the class graph's")
+            raise corrupt(self.out / "plan" / "plan.jsonl", "its classes are not the class graph's")
         graphs = class_graph, quotient_graph(class_graph, class_component, "component")
         todo = pending(self.out, plan)
         _, components, project_pending = todo

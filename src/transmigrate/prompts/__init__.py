@@ -34,14 +34,6 @@ _DROPPED_SENTINEL = "[omitted: context budget]"
 # The slot carrying retrieved documentation, at every level but repair.
 SPEC_SLOT = "specification"
 
-MANDATORY_SLOTS = {
-    "method": ("method_name", "file_name", "method_code", "ast"),
-    "class": ("class_name", "class_content", "translated_methods", "ast", "dependency"),
-    "component": ("component_name", "translated_classes", "ast", "dependency"),
-    "project": ("translated_components", "dependency", "resource", "configuration"),
-    "repair": ("diagnostics", "prior_code", "output_requirements"),
-}
-
 MANDATORY_HEADINGS = {
     "method": (
         "Input:",
@@ -83,10 +75,6 @@ class PromptTemplate:
     level: str
     body: str
 
-    @property
-    def slots(self) -> list[str]:
-        return _SLOT_RE.findall(self.body)
-
 
 @dataclass
 class PromptEnvelope:
@@ -99,24 +87,17 @@ class PromptEnvelope:
 
 @functools.cache
 def load_template(level: str) -> PromptTemplate:
-    """Load and validate one level's shipped template: every slot must be
-    known for the level and every mandatory heading must appear verbatim.
-    A template is read once per process for each level; a missing or
-    invalid one raises on every call."""
+    """Load and validate one level's shipped template: every mandatory
+    heading must appear verbatim. A template is read once per process for
+    each level; a missing or invalid one raises on every call. Its slots
+    are checked when it renders."""
     if level not in LEVELS:
         raise AssemblyError(f"unknown prompt level {level!r}")
     body = (_TEMPLATES_DIR / f"{level}.txt").read_text(encoding="utf-8")
-    template = PromptTemplate(level=level, body=body)
-    known = set(MANDATORY_SLOTS[level])
-    if level != "repair":
-        known.add(SPEC_SLOT)
-    for slot in template.slots:
-        if slot not in known:
-            raise AssemblyError(f"template {level!r} uses unregistered slot {slot!r}")
     for heading in MANDATORY_HEADINGS[level]:
         if heading not in body:
             raise AssemblyError(f"template {level!r} is missing heading {heading!r}")
-    return template
+    return PromptTemplate(level=level, body=body)
 
 
 def render_prompt(
@@ -128,18 +109,13 @@ def render_prompt(
 
     ``inputs`` maps slot names to their text. Retrieved chunks fill the
     level's specification slot in score order, separated by source lines;
-    when none are supplied the slot reads "none retrieved". A missing
-    mandatory slot raises AssemblyError naming the slot.
+    when none are supplied the slot reads "none retrieved". A slot of the
+    template that has no value raises AssemblyError naming the slot.
     """
-    template = load_template(level)
-    for slot in MANDATORY_SLOTS[level]:
-        if slot not in inputs:
-            raise AssemblyError(f"missing mandatory slot {slot!r} for {level} prompt")
-
     slots = dict(inputs)
     if level != "repair" and SPEC_SLOT not in slots:
         slots[SPEC_SLOT] = chunks_excerpt(retrieved) if retrieved else NO_CONTEXT_SENTINEL
-    return _render(template, slots, dropped=[])
+    return _render(load_template(level), slots, dropped=[])
 
 
 def _render(template: PromptTemplate, slots: dict[str, str], dropped: list[str]) -> PromptEnvelope:

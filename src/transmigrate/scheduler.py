@@ -7,16 +7,21 @@ emitted dependencies-first, members of one component are emitted together
 in lexicographic order, and among simultaneously-ready components the one
 with the smallest (dependency degree, name) key goes first. The result is
 a total, deterministic order on any input graph.
+
+The plan is saved as JSON lines (``plan/plan.jsonl``), one ``compact_json``
+line per item in send order: each component, then each of its classes,
+each class followed by its methods. ``TranslationPlan.load`` reads it back
+through ``read_lines``.
 """
 
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterable, Mapping
 
-from transmigrate.artifacts import json_lines
+from transmigrate.artifacts import compact_json, corrupt, read_lines
 from transmigrate.errors import IntegrityError
 from transmigrate.sourcemodel.graph import DependencyGraph, quotient_graph
 
@@ -50,35 +55,31 @@ class TranslationPlan:
     def to_jsonl(self) -> str:
         lines = []
         for comp in self.components:
-            lines.append(json.dumps({"kind": "component", "name": comp.name}, sort_keys=True))
+            lines.append(compact_json({"kind": "component", "name": comp.name}))
             for cls in comp.classes:
-                lines.append(
-                    json.dumps({"kind": "class", "name": cls.name, "component": comp.name}, sort_keys=True)
-                )
-                for m in cls.methods:
-                    lines.append(
-                        json.dumps({"kind": "method", "name": m, "class": cls.name}, sort_keys=True)
-                    )
+                lines.append(compact_json({"kind": "class", "name": cls.name, "component": comp.name}))
+                lines.extend(compact_json({"kind": "method", "name": m, "class": cls.name}) for m in cls.methods)
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod
-    def from_jsonl(cls, text: str) -> "TranslationPlan":
-        """The plan that ``to_jsonl`` wrote. A line that is not a JSON
-        object, has no string ``kind`` or ``name``, is of an unknown kind, or
-        is a class or method line that names another component or class than
-        the one above it, is a ValueError naming the line."""
+    def load(cls, path: Path) -> "TranslationPlan":
+        """The plan that ``to_jsonl`` wrote to ``path``; a missing file is a
+        FileNotFoundError. A line that is not a JSON object, has no string
+        ``kind`` or ``name``, is of an unknown kind, or is a class or method
+        line that names another component or class than the one above it,
+        is corrupt, naming the line."""
         plan = cls()
         above: dict = {}  # the last component line's plan, and the last class line's in it
-        for number, rec in json_lines(text.split("\n")):
+        for number, _, rec in read_lines(path):
             kind, name = rec.get("kind"), rec.get("name")
             if not isinstance(kind, str) or not isinstance(name, str):
-                raise ValueError(f"line {number}: no string 'kind' and 'name'")
+                raise corrupt(path, f"line {number}: no string 'kind' and 'name'")
             if kind not in _PARENT_KIND:
-                raise ValueError(f"line {number}: unknown kind {kind!r}")
+                raise corrupt(path, f"line {number}: unknown kind {kind!r}")
             up = _PARENT_KIND[kind]
             parent = above.get(up)
             if up and (parent is None or parent.name != rec.get(up)):
-                raise ValueError(f"line {number}: {kind} {name!r} names {up} {rec.get(up)!r}, not the {up} above it")
+                raise corrupt(path, f"line {number}: {kind} {name!r} names {up} {rec.get(up)!r}, not the {up} above it")
             if kind == "component":
                 above = {"component": ComponentPlan(name)}
                 plan.components.append(above["component"])

@@ -24,6 +24,7 @@ from collections.abc import KeysView
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from transmigrate.artifacts import compact_json
 from transmigrate.errors import StructuralError
 from transmigrate.sourcemodel.extract import CallSite, ClassDescriptor
 
@@ -79,7 +80,7 @@ class DependencyGraph:
             ],
             "externals": dict(sorted(self.externals.items())),
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return compact_json(payload)
 
     @classmethod
     def from_json(cls, text: str) -> "DependencyGraph":

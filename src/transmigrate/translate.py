@@ -30,7 +30,7 @@ from pathlib import Path
 from transmigrate.artifacts import (
     append_json_line,
     appending,
-    missing,
+    corrupt,
     read_log,
     read_saved,
     remove_temporaries,
@@ -38,7 +38,7 @@ from transmigrate.artifacts import (
 )
 from transmigrate.backends import extract_code
 from transmigrate.config import RunConfig
-from transmigrate.errors import IntegrityError, OrderingError, ToolError
+from transmigrate.errors import OrderingError, ToolError
 from transmigrate.knowledge.index import query_many
 from transmigrate.prompts import ast_excerpt, dependency_excerpt, render_prompt, truncate_context
 from transmigrate.scheduler import TranslationPlan
@@ -94,7 +94,7 @@ def translated_rounds(out: Path, plan: TranslationPlan):
     name order, the code exactly as translate wrote it and the report of
     the unit's round 0 and of its kept round. A unit with no line in the
     log is an OrderingError naming the translate stage; a payload of
-    another shape is an IntegrityError naming the log's file and line."""
+    another shape is corrupt, naming the log's line."""
     names = unit_names([c.name for _, c in plan.iter_classes()])
     path = _log_path(out)
     logged = {}
@@ -102,7 +102,7 @@ def translated_rounds(out: Path, plan: TranslationPlan):
         try:
             logged[unit] = _first_and_kept_rounds(payload)
         except (ValueError, LookupError, TypeError, AttributeError) as exc:
-            raise IntegrityError(f"corrupt artifact {path}: line {number}: {type(exc).__name__}: {exc}") from exc
+            raise corrupt(path, f"line {number}: {type(exc).__name__}: {exc}") from exc
     rounds = {}
     for unit in sorted(f"{base}.swift" for base in names.values()):
         if unit not in logged:
@@ -269,20 +269,18 @@ def _log_path(out: Path) -> Path:
 def _logged(out: Path, plan: TranslationPlan, names: dict[str, str]):
     """(line number, unit file, payload) of each whole line of the log, in
     log order. A unit logged twice or not planned, or, once the log is
-    read, a unit of a done component that it has no line for, is an
-    IntegrityError naming the log's file and line."""
+    read, a unit of a done component that it has no line for, is corrupt,
+    naming the log's line."""
     path = _log_path(out)
     planned = {f"{base}.swift" for base in names.values()}
     seen: dict[str, int] = {}
     number = 0
-    for number, payload in read_log(path):
+    for number, _, payload in read_log(path):
         unit = payload.get("unit")
         if not isinstance(unit, str) or unit not in planned:
-            raise IntegrityError(f"corrupt artifact {path}: line {number}: unit {unit!r} is not in the plan")
+            raise corrupt(path, f"line {number}: unit {unit!r} is not in the plan")
         if unit in seen:
-            raise IntegrityError(
-                f"corrupt artifact {path}: line {number}: unit {unit!r} is logged again, first at line {seen[unit]}"
-            )
+            raise corrupt(path, f"line {number}: unit {unit!r} is logged again, first at line {seen[unit]}")
         seen[unit] = number
         yield number, unit, payload
     for comp in plan.components:
@@ -290,9 +288,8 @@ def _logged(out: Path, plan: TranslationPlan, names: dict[str, str]):
             for c in comp.classes:
                 unit = f"{names[c.name]}.swift"
                 if unit not in seen:
-                    raise IntegrityError(
-                        f"corrupt artifact {path}: none of its {number} lines logs unit {unit!r}, "
-                        f"of the done component {comp.name!r}"
+                    raise corrupt(
+                        path, f"none of its {number} lines logs unit {unit!r}, of the done component {comp.name!r}"
                     )
 
 
@@ -342,13 +339,15 @@ def _component_slots(out: Path, comp, names: dict[str, str], component_graph) ->
 
 
 def _unit_code(out: Path, base: str) -> str:
-    """A unit's kept code as saved. A missing file is the missing-artifact
-    error: the unit is done, so no resume writes its file again."""
+    """A done unit's kept code as saved. A missing file is corrupt: the
+    log marks the unit done, so no resume writes its file again."""
     path = out / "translate" / "units" / f"{base}.swift"
     try:
         return read_saved(path)
     except FileNotFoundError:
-        raise missing(path, "translate") from None
+        raise corrupt(
+            path, f"missing, though {_log_path(out)} logs the unit as done (delete the output root to start over)"
+        ) from None
 
 
 def _project_slots(config: RunConfig, out: Path, files: list[str], component_graph) -> dict[str, str]:

@@ -6,6 +6,8 @@ files and the assertions can never drift apart.
 
 from transmigrate.knowledge.chunks import DocumentChunk
 from transmigrate.knowledge.index import RetrievalResult
+from transmigrate.validation.issues import IssueRecord
+from transmigrate.validation.refine import repair_inputs
 
 RETRIEVED = [
     RetrievalResult(
@@ -98,9 +100,24 @@ PROJECT_INPUTS = {
     "configuration": "--- AndroidManifest.xml\n<manifest package=\"com.example\"/>",
 }
 
+# The slot values translate's repair step gives: the issues of a round as
+# diagnostic lines, its code, and the class prompt's output requirements.
+REPAIR_INPUTS = repair_inputs(
+    "class Logger {\n"
+    "    var tag: String\n"
+    "    init(tag: String) { self.tag = tag }\n"
+    '    func log(message: String) { System.out.println("\\(tag): \\(message)") }\n'
+    "}",
+    [
+        IssueRecord("Logger.swift", 4, 33, "error", None, "cannot find 'System' in scope", "syntax"),
+        IssueRecord("Logger.swift", 4, 33, "warning", "platform-api", "Android API 'System.out' left in", "platform"),
+    ],
+)
+
 ALL_INPUTS = {
     "method": METHOD_INPUTS,
     "class": CLASS_INPUTS,
     "component": COMPONENT_INPUTS,
     "project": PROJECT_INPUTS,
+    "repair": REPAIR_INPUTS,
 }

@@ -296,14 +296,14 @@ class TestIndexAndQuery:
     @pytest.mark.parametrize(
         "header, message",
         [
-            ({"dimension": 24, "entries": 2}, "index.jsonl:1: index file corrupt: header says 2 entries, found 3"),
-            ({"dimension": 24, "entries": 4}, "index.jsonl:1: index file corrupt: header says 4 entries, found 3"),
+            ({"dimension": 24, "entries": 2}, "index.jsonl: line 1: header says 2 entries, found 3"),
+            ({"dimension": 24, "entries": 4}, "index.jsonl: line 1: header says 4 entries, found 3"),
             (
                 {"dimension": 24, "entries": 10**15},
-                "index.jsonl:1: index file corrupt: header says 1000000000000000 entries, found 3",
+                "index.jsonl: line 1: header says 1000000000000000 entries, found 3",
             ),
-            ({"dimension": 23, "entries": 3}, "index.jsonl:2: vector dimension 24 does not match index dimension 23"),
-            ({"dimension": "x", "entries": 3}, "index.jsonl:1: corrupt index header"),
+            ({"dimension": 23, "entries": 3}, "index.jsonl: line 2: vector dimension 24 does not match index dimension 23"),
+            ({"dimension": "x", "entries": 3}, "index.jsonl: line 1: corrupt index header"),
         ],
     )
     def test_load_rejects_a_header_that_disagrees_with_the_entries(self, tmp_path, header, message):
@@ -311,14 +311,14 @@ class TestIndexAndQuery:
         index.save(tmp_path / "index.jsonl", tmp_path / "chunks.jsonl")
         lines = (tmp_path / "index.jsonl").read_text().splitlines(keepends=True)
         (tmp_path / "index.jsonl").write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
-        with pytest.raises(IntegrityError, match=message):
+        with pytest.raises(IntegrityError, match=f"^corrupt artifact {re.escape(str(tmp_path))}/{message}"):
             VectorIndex.load(tmp_path / "index.jsonl", tmp_path / "chunks.jsonl")
 
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda lines: lines[:-1], r"index\.jsonl:4: id 'doc0002#0' has no chunk: \S*chunks\.jsonl ends before it"),
-            (lambda lines: lines + lines[:1], r"chunks\.jsonl:4: chunk line has no entry in \S*index\.jsonl"),
+            (lambda lines: lines[:-1], r"index\.jsonl: line 4: id 'doc0002#0' has no chunk: \S*chunks\.jsonl ends before it"),
+            (lambda lines: lines + lines[:1], r"chunks\.jsonl: line 4: chunk line has no entry in \S*index\.jsonl"),
         ],
         ids=["missing", "left-over"],
     )
@@ -327,7 +327,7 @@ class TestIndexAndQuery:
         index.save(tmp_path / "index.jsonl", tmp_path / "chunks.jsonl")
         lines = (tmp_path / "chunks.jsonl").read_text().splitlines(keepends=True)
         (tmp_path / "chunks.jsonl").write_text("".join(edit(lines)))
-        with pytest.raises(IntegrityError, match=message):
+        with pytest.raises(IntegrityError, match=f"^corrupt artifact {re.escape(str(tmp_path))}/{message}"):
             VectorIndex.load(tmp_path / "index.jsonl", tmp_path / "chunks.jsonl")
 
     def test_loaded_index_fetches_the_built_chunks(self, tmp_path):
@@ -401,7 +401,7 @@ class TestIndexAndQuery:
         lines = (tmp_path / "chunks.jsonl").read_text().splitlines(keepends=True)
         lines[7] = lines[7].replace('"doc0007"', '"doc0070"')  # same length, another id
         (tmp_path / "chunks.jsonl").write_text("".join(lines))
-        with pytest.raises(IntegrityError, match=r"chunks\.jsonl:8: does not hold chunk 'doc0007#0' of index row 7"):
+        with pytest.raises(IntegrityError, match=r"^corrupt artifact \S*chunks\.jsonl: line 8: does not hold chunk 'doc0007#0' of index row 7"):
             query(index, chunks[7].text, 3, e)
         assert query(index, chunks[3].text, 1, e)[0].chunk == chunks[3]
 

@@ -887,13 +887,25 @@ class TestArtifactWrites:
         pipeline = Pipeline(run_config)
         pipeline.run_stage("analyze")
         before = pipeline.state_path.read_text()
-        real_write_text = pathlib.Path.write_text
+        real_open = pathlib.Path.open
 
-        def write_half_then_fail(self, data, *args, **kwargs):
-            real_write_text(self, data[: len(data) // 2], *args, **kwargs)
-            raise OSError("disk full")
+        class HalfThenFail:
+            """A file whose write writes half its data, then fails."""
 
-        monkeypatch.setattr(pathlib.Path, "write_text", write_half_then_fail)
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError("disk full")
+
+        monkeypatch.setattr(pathlib.Path, "open", lambda self, *args, **kwargs: HalfThenFail(real_open(self, *args, **kwargs)))
         pipeline.state.completed_stages.append("index")
         with pytest.raises(OSError, match="disk full"):
             pipeline.state.save(pipeline.state_path)
@@ -1603,7 +1615,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "edit, problem",
         [
-            ("line cut short", "line 2 column 41: Invalid control character"),
+            ("line cut short", "line 2 column 39: Unterminated string starting at"),
             ("unit logged twice", re.escape("line 3: unit 'HttpClient.swift' is logged again, first at line 2")),
             ("unit not planned", re.escape("line 2: unit 'Other.swift' is not in the plan")),
             (
@@ -1670,9 +1682,9 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"error: no line for unit 'HttpClient.swift' in {log}: run the 'translate' stage first\n"
 
-    def test_resume_with_a_done_units_file_missing_exits_2(self, fixture_project, tmp_path, capsys):
+    def test_resume_with_a_done_units_file_missing_exits_1(self, fixture_project, tmp_path, capsys):
         # Logger's unit is done, so a resumed component prompt reads its
-        # file back: a missing one is the missing-artifact error, not a traceback.
+        # file back: no resume writes a missing one again, so it is corrupt.
         config_path = self.write_config(tmp_path, fixture_project)
         assert cli_main(["run", "--config", str(config_path)]) == 0
         out = tmp_path / "out"
@@ -1682,8 +1694,12 @@ class TestCli:
         state["completed_stages"] = ["analyze", "index", "plan"]
         (out / "state.json").write_text(json.dumps(state))
         capsys.readouterr()
-        assert cli_main(["translate", "--config", str(config_path)]) == 2
-        assert capsys.readouterr().err == "error: missing artifact 'Logger.swift': run the 'translate' stage first\n"
+        for _ in range(2):  # running translate again does not help
+            assert cli_main(["translate", "--config", str(config_path)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: corrupt artifact {out / 'translate' / 'units' / 'Logger.swift'}: missing, though "
+                f"{out / 'translate' / 'refinement.jsonl'} logs the unit as done (delete the output root to start over)\n"
+            )
 
     def test_state_with_unit_status_exits_1(self, fixture_project, tmp_path, capsys):
         # state.json kept per-unit status before units were marked complete
@@ -1733,8 +1749,8 @@ class TestCli:
         err = self.corrupt_index_then_translate(
             tmp_path, fixture_project, capsys, lambda text: text[: len(text) // 2]
         )
-        assert err.startswith("error: ")
-        assert "index.jsonl:" in err and "corrupt line" in err
+        path = tmp_path / "out" / "index" / "index.jsonl"
+        assert re.match(rf"error: corrupt artifact {re.escape(str(path))}: line \d+ column \d+: ", err), err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("cell", [float("nan"), float("inf"), float("-inf")])
@@ -1748,7 +1764,7 @@ class TestCli:
 
         err = self.corrupt_index_then_translate(tmp_path, fixture_project, capsys, poison_second_entry)
         assert err.startswith("error: ")
-        assert "index.jsonl:3: vector cell is not a finite number" in err
+        assert "index.jsonl: line 3: vector cell is not a finite number" in err
         assert "Traceback" not in err
 
     def test_swapped_chunk_lines_exit_1(self, fixture_project, tmp_path, capsys):
@@ -1758,7 +1774,7 @@ class TestCli:
 
         err = self.corrupt_index_then_translate(tmp_path, fixture_project, capsys, swap_first_two, "chunks.jsonl")
         assert err.startswith("error: ")
-        assert re.search(r"index\.jsonl:2: id '[^']+' has no chunk: \S*chunks\.jsonl line 1 holds '[^']+'", err), err
+        assert re.search(r"index\.jsonl: line 2: id '[^']+' has no chunk: \S*chunks\.jsonl line 1 holds '[^']+'", err), err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("name", ["index.jsonl", "chunks.jsonl"])
@@ -1788,7 +1804,7 @@ class TestCli:
 
         err = self.corrupt_index_then_translate(tmp_path, fixture_project, capsys, rename_first_entry)
         assert err.startswith("error: ")
-        assert "index.jsonl:2: id 'missing.md#0' has no chunk" in err
+        assert "index.jsonl: line 2: id 'missing.md#0' has no chunk" in err
 
     def test_checker_that_never_ran_exits_1(self, fixture_project, tmp_path):
         config_path = self.write_config(tmp_path, fixture_project)
@@ -1893,6 +1909,36 @@ class TestStageBoundaryResume:
         single_tree = output_tree(single.output_root)
         assert any(name.startswith("prompts/") for name in single_tree)
         assert output_tree(stagewise.output_root) == single_tree
+
+    def test_root_of_the_spaced_encoding_resumes_to_a_fresh_run(self, fixture_project, tmp_path):
+        # An older version wrote the plan and both index files one spaced
+        # json.dumps per line. A root it left after plan must resume from
+        # them: translate, validate and report send and write what a fresh
+        # run does, the index loaded from its spaced files.
+        fresh = make_run_config(fixture_project, tmp_path / "fresh", dump_prompts=True)
+        run_full(fresh)
+        config = make_run_config(fixture_project, tmp_path / "out", dump_prompts=True)
+        run_full(config)
+        out = run_config_path(config.output_root)
+        rewritten = ("plan/plan.jsonl", "index/index.jsonl", "index/chunks.jsonl")
+        for rel in rewritten:
+            compact = (out / rel).read_text(encoding="utf-8")
+            spaced = "".join(json.dumps(json.loads(line), sort_keys=True) + "\n" for line in compact.splitlines())
+            assert spaced != compact
+            (out / rel).write_text(spaced, encoding="utf-8")
+        state = json.loads((out / "state.json").read_text())
+        state["completed_stages"] = ["analyze", "index", "plan"]
+        (out / "state.json").write_text(json.dumps(state))
+        for directory in ("translate", "prompts"):
+            shutil.rmtree(out / directory)
+        for stage in ("translate", "validate", "report"):
+            Pipeline(config).run_stage(stage)
+        resumed = output_tree(out)
+        expected = output_tree(fresh.output_root)
+        assert any(name.startswith("prompts/") for name in expected)
+        for name in (*rewritten, "state.json"):
+            del resumed[name], expected[name]
+        assert resumed == expected
 
     def test_full_run_after_partial_stages_skips_them(self, fixture_project, tmp_path, monkeypatch):
         config = make_run_config(fixture_project, tmp_path / "out")

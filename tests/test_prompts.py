@@ -25,7 +25,7 @@ def render_level(level, **extra):
 
 
 class TestGoldenRendering:
-    @pytest.mark.parametrize("level", ["method", "class", "component", "project"])
+    @pytest.mark.parametrize("level", ["method", "class", "component", "project", "repair"])
     def test_rendering_matches_golden_file(self, level):
         envelope = render_level(level)
         golden = (GOLDEN_DIR / f"prompt_{level}.txt").read_text(encoding="utf-8")
@@ -74,14 +74,18 @@ class TestRendering:
         assert size_units("abcd") == 1
         assert size_units("abcde") == 2
 
-    def test_templates_validate_on_load(self, tmp_path, monkeypatch):
-        (tmp_path / "method.txt").write_text("Hi {unknown_slot}")
+    def test_templates_validate_on_load(self, tmp_path, monkeypatch, request):
+        # A template edited in place: a slot no caller fills is named when
+        # the template renders, a missing heading when it loads.
+        headings = "\n".join(MANDATORY_HEADINGS["method"])
+        (tmp_path / "method.txt").write_text(f"{headings}\nHi {{method_name}} {{unknown_slot}}")
         (tmp_path / "class.txt").write_text("Hi {class_name}")
         monkeypatch.setattr(prompts, "_TEMPLATES_DIR", tmp_path)
         load_template.cache_clear()  # else the shipped templates read earlier are served
+        request.addfinalizer(load_template.cache_clear)  # nor this method template later
         for _ in range(2):
             with pytest.raises(AssemblyError, match="unknown_slot"):
-                load_template("method")
+                render_level("method")
             with pytest.raises(AssemblyError, match="missing heading"):
                 load_template("class")
 

@@ -4,12 +4,10 @@ Scores summed over the postings against the dense product ``vectors @
 matrix.T``: within 1e-12. Blocked retrieval (``query_many``) against one
 ``query`` per text: same ids for every k, bitwise the same scores. The
 block index writer, which formats each distinct cell of a block of rows
-once, against the per-entry ``json.dumps`` it replaced: same bytes, for
-an index of one row block or of several, saved after a build or a
-load."""
+once, against one ``compact_json`` per entry: same bytes, for an index
+of one row block or of several, saved after a build or a load."""
 
 import hashlib
-import json
 import math
 import random
 import re
@@ -25,6 +23,7 @@ from hypothesis import strategies as st
 from conftest import index_of
 
 import transmigrate.knowledge.index as index_module
+from transmigrate.artifacts import compact_json
 from transmigrate.errors import ArgumentError, IntegrityError
 from transmigrate.knowledge.chunks import DocumentChunk
 from transmigrate.knowledge.embed import HashedTokenEmbedder
@@ -315,10 +314,10 @@ class TestEmbedEquivalence:
 
 
 def reference_index_text(dimension: int, entries: list[tuple[str, np.ndarray]]) -> bytes:
-    """What ``VectorIndex.save`` wrote with one ``json.dumps`` per entry."""
-    lines = [json.dumps({"dimension": dimension, "entries": len(entries)}) + "\n"]
+    """What ``VectorIndex.save`` writes with one ``compact_json`` per entry."""
+    lines = [compact_json({"dimension": dimension, "entries": len(entries)}) + "\n"]
     for cid, vec in entries:
-        lines.append(json.dumps({"id": cid, "v": [float(x) for x in vec]}) + "\n")
+        lines.append(compact_json({"id": cid, "v": [float(x) for x in vec]}) + "\n")
     return "".join(lines).encode("utf-8")
 
 
@@ -342,7 +341,7 @@ class TestIndexWriterEquivalence:
            rows=st.lists(st.tuples(source_uri, st.randoms(use_true_random=False)), max_size=5))
     @example(dimension=1, pool=[0.0], rows=[])
     @example(dimension=256, pool=[0.0], rows=[])
-    def test_same_bytes_as_json_dumps_per_entry(self, dimension, pool, rows):
+    def test_same_bytes_as_compact_json_per_entry(self, dimension, pool, rows):
         # Every vector draws its cells from one small pool, so values repeat
         # within and across entries, as in normalised count vectors.
         entries = [(uri, np.array([rnd.choice(pool) for _ in range(dimension)])) for uri, rnd in rows]
@@ -405,7 +404,7 @@ class TestIndexWriterEquivalence:
         # At 65,536 cells per block, 600 rows of 256 cells make three
         # blocks; at 3 cells per block every block is one row (three rows
         # at dimension 1). The special cell sits in one block only, so only
-        # that block is written the json.dumps way.
+        # that block is written the compact_json way.
         rng = np.random.default_rng(dimension)
         counts = rng.integers(0, 3, size=(600, dimension)).astype(np.float64)
         norms = np.linalg.norm(counts, axis=1, keepdims=True)

@@ -162,6 +162,13 @@ class TestOrderNodes:
         assert runs[0] == runs[1] == runs[2]
 
 
+def saved(tmp_path, text):
+    """``text`` saved as ``plan.jsonl`` under ``tmp_path``; its path."""
+    path = tmp_path / "plan.jsonl"
+    path.write_text(text)
+    return path
+
+
 def component_fixture():
     method_graph = make_graph(
         "method",
@@ -254,10 +261,10 @@ class TestBuildPlan:
         with pytest.raises(IntegrityError, match=named):
             build_plan(*component_fixture(), method_owner=method_owner, class_component=class_component)
 
-    def test_plan_jsonl_round_trip(self):
+    def test_plan_jsonl_round_trip(self, tmp_path):
         plan = plan_for(*component_fixture())
         text = plan.to_jsonl()
-        loaded = TranslationPlan.from_jsonl(text)
+        loaded = TranslationPlan.load(saved(tmp_path, text))
         assert loaded.to_jsonl() == text
 
     @pytest.mark.parametrize(
@@ -268,11 +275,12 @@ class TestBuildPlan:
             ('{"component": "q", "kind": "class", "name": "q.C"}', "names component 'q', not the component above it"),
         ],
     )
-    def test_plan_line_out_of_place_names_its_line(self, line, problem):
+    def test_plan_line_out_of_place_names_its_line(self, tmp_path, line, problem):
         lines = plan_for(*component_fixture()).to_jsonl().splitlines()
         lines.insert(3, line)  # after p, p.A and p.A.x
-        with pytest.raises(ValueError, match=f"^line 4: .*{problem}"):
-            TranslationPlan.from_jsonl("\n".join(lines))
+        path = saved(tmp_path, "\n".join(lines))
+        with pytest.raises(IntegrityError, match=f"^corrupt artifact {re.escape(str(path))}: line 4: .*{problem}"):
+            TranslationPlan.load(path)
 
     @pytest.mark.parametrize(
         "line, problem",
@@ -283,16 +291,18 @@ class TestBuildPlan:
             ('{"class": "p.A", "kind": "method"}', "line 3: no string 'kind' and 'name'"),
         ],
     )
-    def test_plan_line_that_is_no_plan_record_names_its_file_line(self, line, problem):
+    def test_plan_line_that_is_no_plan_record_names_its_file_line(self, tmp_path, line, problem):
         lines = plan_for(*component_fixture()).to_jsonl().splitlines()
         lines[2] = line  # p, p.A, then the line in place of p.A's first method
-        with pytest.raises(ValueError, match=f"^{re.escape(problem)}"):
-            TranslationPlan.from_jsonl("\n".join(lines))
+        path = saved(tmp_path, "\n".join(lines))
+        with pytest.raises(IntegrityError, match=f"^{re.escape(f'corrupt artifact {path}: {problem}')}"):
+            TranslationPlan.load(path)
 
-    def test_method_line_under_a_new_component_names_its_line(self):
-        text = '{"kind": "component", "name": "p"}\n{"class": "p.A", "kind": "method", "name": "p.A.f"}\n'
-        with pytest.raises(ValueError, match="^line 2: method 'p.A.f' names class 'p.A', not the class above it"):
-            TranslationPlan.from_jsonl(text)
+    def test_method_line_under_a_new_component_names_its_line(self, tmp_path):
+        path = saved(tmp_path, '{"kind": "component", "name": "p"}\n{"class": "p.A", "kind": "method", "name": "p.A.f"}\n')
+        problem = "line 2: method 'p.A.f' names class 'p.A', not the class above it"
+        with pytest.raises(IntegrityError, match=f"^{re.escape(f'corrupt artifact {path}: {problem}')}"):
+            TranslationPlan.load(path)
 
     def test_determinism_over_random_inputs(self):
         rng = random.Random(99)
