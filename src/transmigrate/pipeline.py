@@ -44,7 +44,7 @@ from transmigrate.reporting import (
 )
 from transmigrate.scheduler import TranslationPlan, build_plan
 from transmigrate.sourcemodel.extract import ClassDescriptor, extract_classes
-from transmigrate.sourcemodel.graph import DependencyGraph, build_dependency_graph, quotient_graph
+from transmigrate.sourcemodel.graph import DependencyGraph, build_dependency_graph, quotient_graph, same_class_callees
 from transmigrate.sourcemodel.parser import Ast, SourceFile, parse_source
 # Loaded with this module, not when the stage runs: the benchmark tracer
 # replaces functions imported by name only in modules loaded when it installs.
@@ -81,8 +81,9 @@ def hash_source_tree(root: str | Path, output_root: str | Path) -> tuple[str, li
     root-relative POSIX paths in the order hashed (``sorted`` of ``Path``).
     A path with a ``.git`` component is left out (git rewrites its own
     files on a mere ``git status``), and so are files under ``output_root``
-    when it lies strictly inside ``root``. This is the one walk of the
-    source tree: every stage reads the listing instead of walking again."""
+    when it lies strictly inside ``root``. A file that cannot be read is a
+    ConfigurationError naming it. This is the one walk of the source tree:
+    every stage reads the listing instead of walking again."""
     digest = hashlib.sha256()
     root = Path(root)
     skip: tuple[str, ...] = ()
@@ -97,7 +98,11 @@ def hash_source_tree(root: str | Path, output_root: str | Path) -> tuple[str, li
         files.append(rel.as_posix())
         digest.update(files[-1].encode("utf-8"))
         digest.update(b"\0")
-        digest.update(hashlib.sha256(path.read_bytes()).digest())
+        try:
+            data = path.read_bytes()
+        except OSError as exc:
+            raise ConfigurationError(f"cannot read {path} under source_root: {exc.strerror or exc}") from None
+        digest.update(hashlib.sha256(data).digest())
     return digest.hexdigest(), files
 
 
@@ -106,13 +111,17 @@ def hash_config(config: RunConfig) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _class_summaries(text: str) -> list[tuple[str, str, list[str]]]:
-    """(qualified name, component, constructor and method names) of each
-    class in ``analyze/classes.json``."""
-    return [
-        (c["qualified_name"], c["component"], [m["name"] for m in c["constructors"] + c["methods"]])
-        for c in json.loads(text)
-    ]
+def _class_summaries(text: str) -> list[tuple[str, str, dict[str, set[str]]]]:
+    """(qualified name, component, callees by constructor and method name)
+    of each class in ``analyze/classes.json``. Overloads share a name, so
+    their callees are merged."""
+    summaries = []
+    for c in json.loads(text):
+        callees: dict[str, set[str]] = {}
+        for m in c["constructors"] + c["methods"]:
+            callees.setdefault(m["name"], set()).update(m["callees"])
+        summaries.append((c["qualified_name"], c["component"], callees))
+    return summaries
 
 
 class Pipeline:
@@ -188,10 +197,13 @@ class Pipeline:
             raise ConfigurationError(
                 f"no Java class found under source_root {self.config.source_root!r}: nothing to translate"
             )
-        graphs = {g: build_dependency_graph(descriptors, g) for g in ("method", "class")}
-        write_json(self.out / "analyze" / "classes.json", [_descriptor_dict(d) for d in descriptors])
-        for name, graph in graphs.items():
-            write_text(self.out / "analyze" / f"graph_{name}.json", graph.to_json() + "\n")
+        graph = build_dependency_graph(descriptors)
+        callees = same_class_callees(descriptors)
+        write_json(
+            self.out / "analyze" / "classes.json",
+            [_descriptor_dict(d, callees[d.qualified_name]) for d in descriptors],
+        )
+        write_text(self.out / "analyze" / "graph_class.json", graph.to_json() + "\n")
         logger.info("analyzed %d files, %d classes", len(asts), len(descriptors))
         self._mark_stage_done("analyze")
 
@@ -226,14 +238,13 @@ class Pipeline:
 
     def stage_plan(self) -> None:
         analyze_dir = self.out / "analyze"
-        method_graph, class_graph = (
-            read_artifact(analyze_dir / f"graph_{g}.json", "analyze", DependencyGraph.from_json)
-            for g in ("method", "class")
-        )
+        class_graph = read_artifact(analyze_dir / "graph_class.json", "analyze", DependencyGraph.from_json)
         classes = read_artifact(analyze_dir / "classes.json", "analyze", _class_summaries)
-        method_owner = {f"{qualified}.{m}": qualified for qualified, _, members in classes for m in members}
-        class_component = {qualified: component for qualified, component, _ in classes}
-        plan = build_plan(method_graph, class_graph, method_owner=method_owner, class_component=class_component)
+        plan = build_plan(
+            class_graph,
+            class_component={qualified: component for qualified, component, _ in classes},
+            methods={qualified: callees for qualified, _, callees in classes},
+        )
         write_text(self.out / "plan" / "plan.jsonl", plan.to_jsonl())
         logger.info("plan covers %s components/classes/methods", plan.item_counts())
         self._mark_stage_done("plan")
@@ -364,10 +375,12 @@ class Pipeline:
             logger.info("dry run: the project prompt would be sent")
 
 
-def _descriptor_dict(d: ClassDescriptor) -> dict:
-    def method_dict(m) -> dict:
-        return {"name": m.name, "span": list(m.span), "calls": [site.name for site in m.call_sites]}
-
+def _descriptor_dict(d: ClassDescriptor, callees: list[list[str]]) -> dict:
+    """``d`` as its ``classes.json`` record; ``callees`` holds each of its
+    constructors' and methods' callees, in ``all_methods`` order."""
+    members = [
+        {"name": m.name, "span": list(m.span), "callees": names} for m, names in zip(d.all_methods(), callees)
+    ]
     return {
         "qualified_name": d.qualified_name,
         "kind": d.kind,
@@ -375,8 +388,8 @@ def _descriptor_dict(d: ClassDescriptor) -> dict:
         "superclass": d.superclass,
         "interfaces": d.interfaces,
         "fields": [{"name": f.name, "declared_type": f.declared_type} for f in d.fields],
-        "constructors": [method_dict(m) for m in d.constructors],
-        "methods": [method_dict(m) for m in d.methods],
+        "constructors": members[: len(d.constructors)],
+        "methods": members[len(d.constructors) :],
         "component": d.component,
         "source_path": d.source_path,
         "imports": d.imports,

@@ -206,44 +206,35 @@ def _condense(
 
 
 def build_plan(
-    method_graph: DependencyGraph,
     class_graph: DependencyGraph,
     *,
-    method_owner: Mapping[str, str],
     class_component: Mapping[str, str],
+    methods: Mapping[str, Mapping[str, Iterable[str]]],
 ) -> TranslationPlan:
     """Order components, classes within each component, and methods within
     each class. Components are ordered by the component graph, the quotient
     of the class graph under ``class_component``; class ordering uses
-    intra-component edges only, and method ordering intra-class edges only
+    intra-component edges only, and method ordering intra-class calls only
     (the coarser level already sequences cross-boundary work).
 
-    ``method_owner`` maps each method to its class and ``class_component``
-    each class to its component; a method mapped to an unknown class, or a
-    class or method of the graphs missing from its map, raises
-    IntegrityError.
+    ``class_component`` maps each class to its component, and ``methods``
+    each class to its constructor and method names, each name to the names
+    of the members of the same class that it calls. A method's plan id is
+    ``<class>.<name>``. A class of the class graph that either map lacks,
+    or one of theirs that the class graph lacks, raises IntegrityError.
     """
-    for item, owner in method_owner.items():
-        if owner not in class_graph.nodes:
-            raise IntegrityError(f"method {item!r} rolls up to unknown class {owner!r}")
-    for kind, nodes, rollup, parent in (
-        ("class", class_graph.nodes, class_component, "component"),
-        ("method", method_graph.nodes, method_owner, "class"),
-    ):
-        unmapped = sorted(set(nodes).difference(rollup))
-        if unmapped:
-            raise IntegrityError(f"{kind} {unmapped[0]!r} of the {kind} graph has no {parent}")
+    nodes = set(class_graph.nodes)
+    stray = sorted(nodes.symmetric_difference(class_component) | nodes.symmetric_difference(methods))
+    if stray:
+        where, other = ("class graph", "class records") if stray[0] in nodes else ("class records", "class graph")
+        raise IntegrityError(f"class {stray[0]!r} is in the {where} but not in the {other}")
 
     component_graph = quotient_graph(class_graph, class_component, "component")
     class_deps = class_graph.dependencies()
-    method_deps = method_graph.dependencies()
 
     classes_by_component: dict[str, list[str]] = {c: [] for c in component_graph.nodes}
     for cls in class_graph.nodes:
         classes_by_component[class_component[cls]].append(cls)
-    methods_by_class: dict[str, list[str]] = {c: [] for c in class_graph.nodes}
-    for m in method_graph.nodes:
-        methods_by_class[method_owner[m]].append(m)
 
     plan = TranslationPlan()
     for comp in order_nodes(component_graph.nodes, component_graph.dependencies()):
@@ -254,11 +245,7 @@ def build_plan(
             for c in members
         }
         for cls in order_nodes(members, intra_class_deps):
-            methods = methods_by_class[cls]
-            intra_method_deps = {
-                m: {t for t in method_deps.get(m, set()) if method_owner.get(t) == cls}
-                for m in methods
-            }
-            comp_plan.classes.append(ClassPlan(cls, order_nodes(methods, intra_method_deps)))
+            calls = {f"{cls}.{name}": {f"{cls}.{c}" for c in callees} for name, callees in methods[cls].items()}
+            comp_plan.classes.append(ClassPlan(cls, order_nodes(calls, calls)))
         plan.components.append(comp_plan)
     return plan

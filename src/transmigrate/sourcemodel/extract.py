@@ -63,10 +63,6 @@ class MethodDescriptor:
     call_sites: list[CallSite] = field(default_factory=list)
     is_constructor: bool = False
 
-    @property
-    def node_id(self) -> str:
-        return f"{self.owner}.{self.name}"
-
 
 @dataclass
 class ClassDescriptor:

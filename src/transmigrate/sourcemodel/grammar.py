@@ -20,7 +20,7 @@ from transmigrate.errors import ConfigurationError
 _GRAMMARS_DIR = Path(__file__).parent / "grammars"
 
 # The one suffix -> language map: what the parser accepts and what ingest
-# and ``SourceFile.read`` take for source code.
+# takes for source code.
 LANGUAGE_BY_SUFFIX = {".java": "java", ".swift": "swift"}
 
 

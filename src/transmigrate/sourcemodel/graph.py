@@ -1,19 +1,23 @@
-"""Typed dependency graphs at method, class, and component granularity.
+"""Typed dependency graphs at class and component granularity, and each
+method's same-class callees.
 
 Resolution is name-based within the snapshot: an unqualified call resolves
 to every same-name method in the caller's class hierarchy; a call through
 a receiver resolves via the receiver's class (when the receiver names a
-snapshot class) or via the declared type of a same-named field. A field
-depends on its declared type and on every type named in that type's
-generic arguments. References that resolve to nothing in the snapshot
-(JDK / platform APIs) are recorded in a side table, never as graph nodes,
-so schedulers only order project code.
+snapshot class) or via the declared type of a same-named field; a
+constructor call resolves to the class it names. A field depends on its
+declared type and on every type named in that type's generic arguments.
+References that resolve to nothing in the snapshot (JDK / platform APIs)
+are recorded in a side table, never as graph nodes, so schedulers only
+order project code.
 
-The component graph is the quotient of the class graph under the
-class-to-package projection with self-edges removed. It is never stored:
-analyze writes the method and class graphs, and plan and translate each
-derive the component graph from the class graph and the class-to-package
-map (``classes.json`` for plan, the plan's class lines for translate).
+Analyze writes the class graph, and beside each constructor and method in
+``classes.json`` the names of its own class's members that it calls (its
+callees), which plan orders a class's methods by. The component graph is
+the quotient of the class graph under the class-to-package projection with
+self-edges removed. It is never stored: plan and translate each derive it
+from the class graph and the class-to-package map (``classes.json`` for
+plan, the plan's class lines for translate).
 """
 
 from __future__ import annotations
@@ -151,83 +155,11 @@ class _Snapshot:
         return order
 
 
-def build_dependency_graph(classes: list[ClassDescriptor], granularity: str) -> DependencyGraph:
-    """Build the typed graph at ``"method"`` or ``"class"`` granularity (the
-    component graph is ``quotient_graph`` of the class graph). Unresolved
-    references are tallied in ``externals`` rather than added as nodes."""
-    if granularity not in ("method", "class"):
-        raise ValueError(f"unknown granularity {granularity!r}")
+def build_dependency_graph(classes: list[ClassDescriptor]) -> DependencyGraph:
+    """Build the typed class graph (the component graph is ``quotient_graph``
+    of it). Unresolved references are tallied in ``externals`` rather than
+    added as nodes."""
     snapshot = _Snapshot(classes)
-    if granularity == "method":
-        return _method_graph(classes, snapshot)
-    return _class_graph(classes, snapshot)
-
-
-def _method_graph(classes: list[ClassDescriptor], snapshot: _Snapshot) -> DependencyGraph:
-    nodes = set()
-    for c in classes:
-        for m in c.all_methods():
-            nodes.add(m.node_id)
-    weights: Counter[Edge] = Counter()
-    externals: Counter[str] = Counter()
-
-    for c in classes:
-        for m in c.all_methods():
-            for site in m.call_sites:
-                targets = _resolve_call(site, c, snapshot)
-                if targets:
-                    for target in targets:
-                        weights[(m.node_id, target, EDGE_CALL)] += 1
-                else:
-                    externals[site.name] += 1
-            # Overrides: same-name method in a resolvable ancestor.
-            if not m.is_constructor:
-                for ancestor in snapshot.hierarchy(c)[1:]:
-                    for am in ancestor.methods:
-                        if am.name == m.name:
-                            weights[(m.node_id, am.node_id, EDGE_INHERITANCE)] += 1
-
-    return DependencyGraph(
-        granularity="method",
-        nodes=frozenset(nodes),
-        weights=dict(weights),
-        externals=dict(externals),
-    )
-
-
-def _resolve_call(site: CallSite, caller: ClassDescriptor, snapshot: _Snapshot) -> list[str]:
-    """All same-name candidates reachable by name-based resolution."""
-    candidate_classes: list[ClassDescriptor] = []
-    if site.is_constructor or (site.receiver is None and site.name[:1].isupper()):
-        target_cls = snapshot.resolve_type(site.name, caller)
-        if target_cls is not None:
-            ctor_ids = [m.node_id for m in target_cls.constructors]
-            return sorted(set(ctor_ids)) if ctor_ids else []
-        if site.is_constructor:
-            return []
-    if site.receiver is None or site.receiver in ("this", "self", "super"):
-        candidate_classes = snapshot.hierarchy(caller)
-    else:
-        receiver_cls = snapshot.resolve_type(site.receiver, caller)
-        if receiver_cls is not None:
-            candidate_classes = snapshot.hierarchy(receiver_cls)
-        else:
-            field_types = [f.base_type() for f in caller.fields if f.name == site.receiver]
-            for ft in field_types:
-                if ft:
-                    resolved = snapshot.resolve_type(ft, caller)
-                    if resolved is not None:
-                        candidate_classes = snapshot.hierarchy(resolved)
-                        break
-    targets = []
-    for cls in candidate_classes:
-        for m in cls.all_methods():
-            if m.name == site.name and not m.is_constructor:
-                targets.append(m.node_id)
-    return sorted(set(targets))
-
-
-def _class_graph(classes: list[ClassDescriptor], snapshot: _Snapshot) -> DependencyGraph:
     nodes = frozenset(c.qualified_name for c in classes)
     weights: Counter[Edge] = Counter()
     externals: Counter[str] = Counter()
@@ -265,8 +197,7 @@ def _class_graph(classes: list[ClassDescriptor], snapshot: _Snapshot) -> Depende
         for site in sites:
             targets = _resolve_call(site, c, snapshot)
             if targets:
-                for target in targets:
-                    owner = target.rsplit(".", 1)[0]
+                for owner, _ in targets:
                     if owner != src:
                         weights[(src, owner, EDGE_CALL)] += 1
             else:
@@ -278,6 +209,62 @@ def _class_graph(classes: list[ClassDescriptor], snapshot: _Snapshot) -> Depende
         weights=dict(weights),
         externals=dict(externals),
     )
+
+
+def same_class_callees(classes: list[ClassDescriptor]) -> dict[str, list[list[str]]]:
+    """Each class's callees, by qualified name: for each of its constructors
+    and methods, in ``all_methods`` order, the sorted names of the
+    constructors and methods of the same class that its call sites resolve
+    to, its own name left out. Calls that resolve only to another class,
+    an ancestor included, name no callee."""
+    snapshot = _Snapshot(classes)
+    callees: dict[str, list[list[str]]] = {}
+    for c in classes:
+        own = c.qualified_name
+        callees[own] = [
+            sorted({
+                name
+                for site in m.call_sites
+                for owner, name in _resolve_call(site, c, snapshot)
+                if owner == own and name is not None and name != m.name
+            })
+            for m in c.all_methods()
+        ]
+    return callees
+
+
+def _resolve_call(site: CallSite, caller: ClassDescriptor, snapshot: _Snapshot) -> set[tuple[str, str | None]]:
+    """(owner class, member name) of every same-name candidate reachable by
+    name-based resolution. A constructor call to a snapshot class that
+    declares no constructor resolves to that class with no member name."""
+    candidate_classes: list[ClassDescriptor] = []
+    if site.is_constructor or (site.receiver is None and site.name[:1].isupper()):
+        target_cls = snapshot.resolve_type(site.name, caller)
+        if target_cls is not None:
+            owner = target_cls.qualified_name
+            return {(owner, m.name) for m in target_cls.constructors} or {(owner, None)}
+        if site.is_constructor:
+            return set()
+    if site.receiver is None or site.receiver in ("this", "self", "super"):
+        candidate_classes = snapshot.hierarchy(caller)
+    else:
+        receiver_cls = snapshot.resolve_type(site.receiver, caller)
+        if receiver_cls is not None:
+            candidate_classes = snapshot.hierarchy(receiver_cls)
+        else:
+            field_types = [f.base_type() for f in caller.fields if f.name == site.receiver]
+            for ft in field_types:
+                if ft:
+                    resolved = snapshot.resolve_type(ft, caller)
+                    if resolved is not None:
+                        candidate_classes = snapshot.hierarchy(resolved)
+                        break
+    return {
+        (cls.qualified_name, m.name)
+        for cls in candidate_classes
+        for m in cls.methods
+        if m.name == site.name
+    }
 
 
 def quotient_graph(graph: DependencyGraph, mapping: dict[str, str], granularity: str) -> DependencyGraph:

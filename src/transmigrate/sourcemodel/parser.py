@@ -76,10 +76,8 @@ class SourceFile:
         return self.data.decode("utf-8")
 
     @classmethod
-    def read(cls, path: str | Path, repo_relative: str, language: str | None = None) -> "SourceFile":
+    def read(cls, path: str | Path, repo_relative: str, language: str) -> "SourceFile":
         p = Path(path)
-        if language is None:
-            language = LANGUAGE_BY_SUFFIX.get(p.suffix.lower(), "")
         try:
             text = p.read_text(encoding="utf-8", errors="replace")
         except OSError as exc:

@@ -204,7 +204,7 @@ def build_translated_class_graph(corpus: Mapping[str, ParsedUnit]) -> Dependency
                 superclass=desc.superclass if primary.superclass is None else primary.superclass,
                 degraded=primary.degraded or desc.degraded,
             )
-    return build_dependency_graph(list(merged.values()), "class")
+    return build_dependency_graph(list(merged.values()))
 
 
 def compare_graphs(

@@ -225,7 +225,7 @@ class TestFullRun:
         components = ("com.example.core", "com.example.net", "com.example.ui")
         assert sorted(output_tree(tmp_path / "out")) == sorted(
             [
-                *(f"analyze/{name}.json" for name in ("classes", "graph_class", "graph_method")),
+                *(f"analyze/{name}.json" for name in ("classes", "graph_class")),
                 "index/chunks.jsonl",
                 "index/index.jsonl",
                 "plan/plan.jsonl",
@@ -489,7 +489,7 @@ class TestDeterminismAndResume:
         renames = [path for kind, path in events if kind == "rename"]
         # Each refinement round writes its candidate to units/: MainScreen's
         # four rounds are four kill points whose resume translates it again.
-        assert len(renames) == 27 and "translate/project.swift" in renames
+        assert len(renames) == 26 and "translate/project.swift" in renames
         assert renames.count("translate/units/MainScreen.swift") == 4
         appended = [path for kind, path in events if kind == "append"]
         assert appended == ["Logger.swift", "HttpClient.swift", "MainScreen.swift"]
@@ -514,7 +514,7 @@ class TestDeterminismAndResume:
         project = one_package_project(tmp_path / "project", ("A", "B", "D"), (("p", "ABC"), ("q", "DE")))
         events = write_events(monkeypatch, make_run_config(project, tmp_path / "fresh", dump_prompts=dump_prompts))
         fresh = output_tree(tmp_path / "fresh")
-        assert sum(kind == "rename" for kind, _ in events) == (43 if dump_prompts else 27)
+        assert sum(kind == "rename" for kind, _ in events) == (42 if dump_prompts else 26)
         assert [path for kind, path in events if kind == "append"] == [f"{name}.swift" for name in "ABCDE"]
 
         def split(tree):
@@ -1201,6 +1201,37 @@ class TestStages:
             "com.example.ui",
         ]
 
+    def test_plan_orders_methods_by_their_overloads_merged_callees(self, tmp_path):
+        # Each overload keeps its own record; plan lists the name once,
+        # after every member that any of its overloads calls. Either
+        # overload's callees alone would put f before yak or zed.
+        source = tmp_path / "project" / "p" / "A.java"
+        source.parent.mkdir(parents=True)
+        source.write_text(
+            "package p;\n"
+            "class A {\n"
+            "    void f(int x) { zed(); }\n"
+            "    void f(String s) { yak(); }\n"
+            "    void c() { }\n"
+            "    void yak() { c(); }\n"
+            "    void zed() { c(); this.c(); }\n"
+            "}\n"
+        )
+        config = make_run_config(tmp_path / "project", tmp_path / "out")
+        pipeline = Pipeline(config)
+        pipeline.run_stage("analyze")
+        pipeline.run_stage("plan")
+        (record,) = json.loads((tmp_path / "out" / "analyze" / "classes.json").read_text())
+        assert [(m["name"], m["callees"]) for m in record["methods"]] == [
+            ("f", ["zed"]),
+            ("f", ["yak"]),
+            ("c", []),
+            ("yak", ["c"]),
+            ("zed", ["c"]),
+        ]
+        lines = [json.loads(line) for line in (tmp_path / "out" / "plan" / "plan.jsonl").read_text().splitlines()]
+        assert [line["name"] for line in lines if line["kind"] == "method"] == ["p.A.c", "p.A.yak", "p.A.zed", "p.A.f"]
+
     def test_index_second_run_is_cache_hit(self, run_config, monkeypatch):
         calls = []  # one entry per embedded text
         real_embed = HashedTokenEmbedder.embed
@@ -1547,6 +1578,41 @@ class TestCli:
         assert cli_main([command, "--config", str(config_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: corrupt artifact {path}: JSONDecodeError")
+
+    def test_classes_json_of_an_older_root_exits_1(self, fixture_project, tmp_path, capsys):
+        # An older analyze wrote each member's raw call names as ``calls``
+        # where ``callees`` now stands: plan refuses the file.
+        config_path = self.write_config(tmp_path, fixture_project)
+        assert cli_main(["run", "--config", str(config_path)]) == 0
+        path = tmp_path / "out" / "analyze" / "classes.json"
+        classes = json.loads(path.read_text())
+        for c in classes:
+            for m in c["constructors"] + c["methods"]:
+                m["calls"] = m.pop("callees")
+        path.write_text(json.dumps(classes))
+        capsys.readouterr()
+        assert cli_main(["plan", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: corrupt artifact {path}: KeyError: 'callees'")
+        assert "Traceback" not in err
+
+    def test_unreadable_source_file_exits_2(self, fixture_project, tmp_path, capsys, monkeypatch):
+        # ``chmod 000`` does not stop a superuser reading, so the read itself
+        # is made to fail.
+        read_bytes = pathlib.Path.read_bytes
+
+        def refuse_logger(path):
+            if path.name == "Logger.java":
+                raise PermissionError(13, "Permission denied", str(path))
+            return read_bytes(path)
+
+        monkeypatch.setattr(pathlib.Path, "read_bytes", refuse_logger)
+        config_path = self.write_config(tmp_path, fixture_project)
+        capsys.readouterr()
+        assert cli_main(["run", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert re.match(r"error: cannot read \S*/Logger\.java under source_root: Permission denied$", err.strip())
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "artifact, content, stage",

@@ -23,18 +23,15 @@ def make_graph(granularity, nodes, edges):
     )
 
 
-def plan_for(method_graph, class_graph):
-    """``build_plan`` with the roll-up maps that the plan stage reads from
-    ``classes.json``: here a method's class and a class's component are its
-    id without the last dotted part."""
-    def parent(nodes):
-        return {n: n.rpartition(".")[0] for n in nodes}
-
+def plan_for(class_graph, methods=None):
+    """``build_plan`` with the maps that the plan stage reads from
+    ``classes.json``: here a class's component is its id without the last
+    dotted part, and a class that ``methods`` leaves out has no methods."""
+    methods = methods or {}
     return build_plan(
-        method_graph,
         class_graph,
-        method_owner=parent(method_graph.nodes),
-        class_component=parent(class_graph.nodes),
+        class_component={n: n.rpartition(".")[0] for n in class_graph.nodes},
+        methods={n: methods.get(n, {}) for n in class_graph.nodes},
     )
 
 
@@ -83,8 +80,8 @@ class TestDegrees:
         assert compute_degrees(g)["A"] == 1
 
     def test_self_reference_not_a_dependency(self):
-        g = make_graph("method", ["A.m"], [("A.m", "A.m", "call")])
-        assert compute_degrees(g) == {"A.m": 0}
+        g = make_graph("class", ["A"], [("A", "A", "call")])
+        assert compute_degrees(g) == {"A": 0}
 
     def test_random_graph_matches_exhaustive_recount(self):
         rng = random.Random(11)
@@ -169,18 +166,18 @@ def saved(tmp_path, text):
     return path
 
 
+FIXTURE_COMPONENTS = {"p.A": "p", "p.B": "p", "q.C": "q"}
+FIXTURE_METHODS = {"p.A": {"x": [], "y": ["x"]}, "p.B": {"z": []}, "q.C": {"w": []}}
+
+
 def component_fixture():
-    method_graph = make_graph(
-        "method",
-        ["p.A.x", "p.A.y", "p.B.z", "q.C.w"],
-        [("p.A.y", "p.A.x", "call"), ("p.B.z", "p.A.x", "call"), ("q.C.w", "p.B.z", "call")],
-    )
+    """A class graph and each class's methods by name, with their callees."""
     class_graph = make_graph(
         "class",
         ["p.A", "p.B", "q.C"],
         [("p.B", "p.A", "call"), ("q.C", "p.B", "call")],
     )
-    return method_graph, class_graph
+    return class_graph, FIXTURE_METHODS
 
 
 class TestBuildPlan:
@@ -188,12 +185,12 @@ class TestBuildPlan:
         classes = make_graph(
             "class", ["m.A", "m.B", "m.C"], [("m.A", "m.B", "call"), ("m.B", "m.C", "call")]
         )
-        plan = plan_for(make_graph("method", [], []), classes)
+        plan = plan_for(classes)
         assert [c.name for c in plan.components[0].classes] == ["m.C", "m.B", "m.A"]
 
     def test_no_edges_lexicographic(self):
         classes = make_graph("class", ["m.B", "m.A", "m.C"], [])
-        plan = plan_for(make_graph("method", [], []), classes)
+        plan = plan_for(classes)
         assert [c.name for c in plan.components[0].classes] == ["m.A", "m.B", "m.C"]
 
     def test_cycle_condensation_order(self):
@@ -202,7 +199,7 @@ class TestBuildPlan:
             ["m.A", "m.B", "m.C"],
             [("m.A", "m.B", "call"), ("m.B", "m.A", "call"), ("m.A", "m.C", "call")],
         )
-        plan = plan_for(make_graph("method", [], []), classes)
+        plan = plan_for(classes)
         assert [c.name for c in plan.components[0].classes] == ["m.C", "m.A", "m.B"]
 
     def test_plan_structure_and_completeness(self):
@@ -213,19 +210,32 @@ class TestBuildPlan:
         assert plan.item_counts() == (2, 3, 4)
 
     def test_every_item_exactly_once(self):
-        method_graph, class_graph = component_fixture()
-        plan = plan_for(method_graph, class_graph)
+        class_graph, methods_by_class = component_fixture()
+        plan = plan_for(class_graph, methods_by_class)
         classes = [c.name for _, c in plan.iter_classes()]
         assert sorted(classes) == sorted(class_graph.nodes)
         methods = [m for _, c in plan.iter_classes() for m in c.methods]
-        assert sorted(methods) == sorted(method_graph.nodes)
+        assert sorted(methods) == sorted(f"{cls}.{name}" for cls, names in methods_by_class.items() for name in names)
+
+    @pytest.mark.parametrize(
+        "methods, order",
+        [
+            ({"b": [], "a": ["b"]}, ["p.A.b", "p.A.a"]),
+            ({"a": ["c"], "b": ["a"], "c": []}, ["p.A.c", "p.A.a", "p.A.b"]),
+            ({"a": ["b"], "b": ["a"], "c": ["a"]}, ["p.A.a", "p.A.b", "p.A.c"]),  # a cycle comes out together
+            ({"a": ["a", "gone"], "b": []}, ["p.A.a", "p.A.b"]),  # a self-call or an unknown name orders nothing
+        ],
+    )
+    def test_method_order_follows_callees(self, methods, order):
+        plan = plan_for(make_graph("class", ["p.A"], []), {"p.A": methods})
+        assert plan.components[0].classes[0].methods == order
 
     @pytest.mark.parametrize("edge, order", [(("q.C", "p.B"), ["p", "q"]), (("p.B", "q.C"), ["q", "p"])])
     def test_component_order_follows_cross_component_class_edges(self, edge, order):
         # The component graph is the class graph's quotient: q.C -> p.B
         # makes q depend on p, so p comes first; reversed, q does.
         class_graph = make_graph("class", ["p.B", "q.C"], [(*edge, "call")])
-        plan = plan_for(make_graph("method", [], []), class_graph)
+        plan = plan_for(class_graph)
         assert [c.name for c in plan.components] == order
 
     def test_class_order_uses_only_intra_component_edges(self):
@@ -235,31 +245,31 @@ class TestBuildPlan:
             ["p.A", "p.B", "q.C"],
             [("p.A", "q.C", "call")],
         )
-        plan = plan_for(make_graph("method", [], []), class_graph)
+        plan = plan_for(class_graph)
         p_component = [c for c in plan.components if c.name == "p"][0]
         assert [c.name for c in p_component.classes] == ["p.A", "p.B"]
 
-    def test_inconsistent_rollup_is_integrity_error(self):
-        method_graph = make_graph("method", ["orphan.m"], [])
+    def test_class_missing_from_the_graph_is_integrity_error(self):
         class_graph = make_graph("class", ["p.A"], [])
-        with pytest.raises(IntegrityError):
-            plan_for(method_graph, class_graph)
+        with pytest.raises(IntegrityError, match="class 'orphan' is in the class records but not in the class graph"):
+            build_plan(
+                class_graph,
+                class_component={"p.A": "p", "orphan": ""},
+                methods={"p.A": {}, "orphan": {"m": []}},
+            )
 
     @pytest.mark.parametrize(
-        "method_owner, class_component, named",
+        "class_component, methods, named",
         [
             ({}, {}, "class 'p.A'"),  # the analyze/classes.json of an empty project
-            ({"p.A.y": "p.A", "p.B.z": "p.B", "q.C.w": "q.C"}, {"p.A": "p", "p.B": "p", "q.C": "q"}, "method 'p.A.x'"),
-            (
-                {"p.A.x": "p.A", "p.A.y": "p.A", "p.B.z": "p.B", "q.C.w": "q.C"},
-                {"p.A": "p", "p.B": "p"},
-                "class 'q.C'",
-            ),
+            (FIXTURE_COMPONENTS, {"p.B": {"z": []}, "q.C": {"w": []}}, "class 'p.A'"),
+            ({"p.A": "p", "p.B": "p"}, FIXTURE_METHODS, "class 'q.C'"),
         ],
     )
-    def test_graph_node_missing_from_rollup_is_integrity_error(self, method_owner, class_component, named):
-        with pytest.raises(IntegrityError, match=named):
-            build_plan(*component_fixture(), method_owner=method_owner, class_component=class_component)
+    def test_graph_node_missing_from_class_records_is_integrity_error(self, class_component, methods, named):
+        class_graph, _ = component_fixture()
+        with pytest.raises(IntegrityError, match=f"{named} is in the class graph but not in the class records"):
+            build_plan(class_graph, class_component=class_component, methods=methods)
 
     def test_plan_jsonl_round_trip(self, tmp_path):
         plan = plan_for(*component_fixture())
@@ -312,6 +322,5 @@ class TestBuildPlan:
             a, b = rng.sample(nodes, 2)
             edges.add((a, b, "call"))
         class_graph = make_graph("class", nodes, edges)
-        method_graph = make_graph("method", [], [])
-        plans = {plan_for(method_graph, class_graph).to_jsonl() for _ in range(3)}
+        plans = {plan_for(class_graph).to_jsonl() for _ in range(3)}
         assert len(plans) == 1

@@ -16,6 +16,7 @@ from transmigrate.sourcemodel.graph import (
     EDGE_INHERITANCE,
     build_dependency_graph,
     quotient_graph,
+    same_class_callees,
 )
 from transmigrate.sourcemodel.parser import SourceFile, parse_source
 
@@ -348,66 +349,79 @@ def graph_fixture_classes():
 
 
 class TestDependencyGraph:
-    def test_intra_class_call_edge_at_method_granularity(self):
-        descs = classes_of(java("class Foo { void a(){} void b(){ a(); } }"))
-        graph = build_dependency_graph(descs, "method")
-        assert ("Foo.b", "Foo.a", EDGE_CALL) in graph.edges
-
     def test_inheritance_edge_at_class_granularity(self):
         descs = classes_of(java("class A {}"), java("class B extends A {}", "B.java"))
-        graph = build_dependency_graph(descs, "class")
+        graph = build_dependency_graph(descs)
         assert ("B", "A", EDGE_INHERITANCE) in graph.edges
 
     def test_unrelated_classes_have_no_edges(self):
         descs = classes_of(java("class A { void x(){} }"), java("class B { void y(){} }", "B.java"))
-        graph = build_dependency_graph(descs, "class")
+        graph = build_dependency_graph(descs)
         assert graph.edges == frozenset()
 
     def test_out_edges_are_the_sorted_edges_from_a_node(self):
         _files, descs = graph_fixture_classes()
-        class_graph = build_dependency_graph(descs, "class")
+        class_graph = build_dependency_graph(descs)
         mapping = {d.qualified_name: d.component for d in descs}
         component_graph = quotient_graph(class_graph, mapping, "component")
-        for graph in (build_dependency_graph(descs, "method"), class_graph, component_graph):
+        for graph in (class_graph, component_graph):
             for node in sorted(graph.nodes) + ["not-a-node"]:
                 assert graph.out_edges(node) == sorted(e for e in graph.edges if e[0] == node)
 
     def test_duplicate_qualified_names_error_names_both_files(self):
         descs = classes_of(java("class A {}", "one/A.java"), java("class A {}", "two/A.java"))
         with pytest.raises(StructuralError) as exc:
-            build_dependency_graph(descs, "class")
+            build_dependency_graph(descs)
         assert "one/A.java" in str(exc.value) and "two/A.java" in str(exc.value)
 
     def test_all_four_edge_kinds_present(self):
         _files, descs = graph_fixture_classes()
-        graph = build_dependency_graph(descs, "class")
+        graph = build_dependency_graph(descs)
         kinds = {k for _, _, k in graph.edges}
         assert kinds == {EDGE_CALL, EDGE_INHERITANCE, EDGE_IMPORT, EDGE_FIELD_TYPE}
 
     def test_externals_recorded_not_as_nodes(self):
         _files, descs = graph_fixture_classes()
-        graph = build_dependency_graph(descs, "class")
+        graph = build_dependency_graph(descs)
         assert "get" in graph.externals  # Util.get is outside the snapshot
         assert not any("Util" in n for n in graph.nodes)
 
     def test_call_edges_have_textual_support(self):
-        # Soundness: a call edge implies the target's name occurs in the
-        # caller's span.
+        # Soundness: a call edge implies that the caller's span names one of
+        # the target's constructors or methods.
         files, descs = graph_fixture_classes()
         by_path = {f.path: f for f in files}
-        methods = {m.node_id: (d, m) for d in descs for m in d.all_methods()}
-        graph = build_dependency_graph(descs, "method")
-        for f, t, kind in graph.edges:
-            if kind != EDGE_CALL:
-                continue
-            desc, m = methods[f]
-            body = method_body(by_path[desc.source_path], m)
-            target_name = t.rsplit(".", 1)[-1]
-            assert target_name in body, (f, t)
+        by_name = {d.qualified_name: d for d in descs}
+        graph = build_dependency_graph(descs)
+        call_edges = [(f, t) for f, t, kind in graph.edges if kind == EDGE_CALL]
+        assert ("p.b.Client", "p.a.Logger") in call_edges
+        for f, t in call_edges:
+            caller = by_name[f]
+            text = by_path[caller.source_path].text[caller.span[0] : caller.span[1]]
+            assert any(f"{m.name}(" in text for m in by_name[t].all_methods()), (f, t)
+
+    def test_callees_have_textual_support(self):
+        # Soundness: a callee's name occurs in its caller's body.
+        text = (
+            "class Repo {\n"
+            "    private Repo next;\n"
+            "    Repo() { reset(); }\n"
+            "    void reset() {}\n"
+            "    void load(int n) { this.reset(); next.save(); }\n"
+            "    void save() { load(1); }\n"
+            "}"
+        )
+        src = java(text)
+        descs = classes_of(src)
+        callees = same_class_callees(descs)
+        assert callees == {"Repo": [["reset"], [], ["reset", "save"], ["load"]]}
+        for m, names in zip(descs[0].all_methods(), callees["Repo"]):
+            body = method_body(src, m)
+            assert all(f"{name}(" in body for name in names), (m.name, names)
 
     def test_component_graph_is_quotient_of_class_graph(self):
         _files, descs = graph_fixture_classes()
-        class_graph = build_dependency_graph(descs, "class")
+        class_graph = build_dependency_graph(descs)
         mapping = {d.qualified_name: d.component for d in descs}
         component_graph = quotient_graph(class_graph, mapping, "component")
         assert component_graph.nodes == {"p.a", "p.b"}
@@ -419,10 +433,51 @@ class TestDependencyGraph:
         assert not any(f == t for f, t, _ in component_graph.edges)
 
     def test_reference_counts_expose_multiplicity(self):
-        descs = classes_of(java("class Foo { void a(){} void b(){ a(); a(); } }"))
-        graph = build_dependency_graph(descs, "method")
-        assert graph.dependencies()["Foo.b"] == {"Foo.a"}
-        assert [w for (f, _, _), w in graph.weights.items() if f == "Foo.b"] == [2]
+        descs = classes_of(java("class Foo { void b(){ Bar.a(); Bar.a(); } }\nclass Bar { static void a(){} }"))
+        graph = build_dependency_graph(descs)
+        assert graph.dependencies()["Foo"] == {"Bar"}
+        assert [w for (f, _, _), w in graph.weights.items() if f == "Foo"] == [2]
+        assert graph.weights[("Foo", "Bar", EDGE_CALL)] == 2
+
+    @pytest.mark.parametrize(
+        "caller, external",
+        [
+            ("class A { void f(){ B.make(); } }", None),  # a receiver naming a snapshot class
+            ("class A { B b; void f(){ b.make(); } }", None),  # a field's declared type
+            ("class A { List<B> bs; void f(){ bs.make(); } }", "make"),  # a field's base type is List
+            ("class A { void f(){ b.make(); } }", "make"),  # an unknown receiver
+        ],
+    )
+    def test_call_through_a_receiver_resolves_by_its_class(self, caller, external):
+        descs = classes_of(java(caller), java("class B { static void make(){} }", "B.java"))
+        graph = build_dependency_graph(descs)
+        assert (("A", "B", EDGE_CALL) in graph.edges) == (external is None)
+        assert ("make" in graph.externals) == (external is not None)
+
+    @pytest.mark.parametrize(
+        "files",
+        [
+            {"A.java": "class A { void f() { B b = new B(); } }", "B.java": "class B { void run() {} }"},
+            {"A.swift": "class A { func f() { let b = B() } }", "B.swift": "class B { func run() {} }"},
+        ],
+    )
+    def test_constructing_a_class_that_declares_no_constructor_is_a_call_edge(self, files):
+        language = "swift" if "A.swift" in files else "java"
+        descs = classes_of(*(SourceFile(path=path, text=text, language=language) for path, text in files.items()))
+        graph = build_dependency_graph(descs)
+        assert graph.weights == {("A", "B", EDGE_CALL): 1}
+        assert "B" not in graph.externals
+        assert same_class_callees(descs) == {"A": [[]], "B": [[]]}
+
+    def test_constructing_its_own_class_without_a_constructor_names_no_callee(self):
+        descs = classes_of(java("class A { static A make() { return new A(); } }"))
+        assert build_dependency_graph(descs).weights == {}
+        assert same_class_callees(descs) == {"A": [[]]}
+
+    def test_an_unknown_class_constructed_stays_external(self):
+        descs = classes_of(java("class A { void f() { Object o = new Gone(); } }"))
+        graph = build_dependency_graph(descs)
+        assert graph.edges == frozenset() and graph.externals == {"Gone": 1}
 
     def test_static_import_adds_an_edge_to_its_class(self):
         descs = classes_of(
@@ -431,7 +486,7 @@ class TestDependencyGraph:
             java("package b;\nimport a.C;\nclass E {}", "b/E.java"),
             java("package b;\nimport static b.F.g;\nimport static a.Missing.h;\nclass F { static void g() {} }", "b/F.java"),
         )
-        graph = build_dependency_graph(descs, "class")
+        graph = build_dependency_graph(descs)
         assert sorted(graph.edges) == [("b.D", "a.C", EDGE_IMPORT), ("b.E", "a.C", EDGE_IMPORT)]
 
     def test_field_depends_on_the_types_in_its_generic_arguments(self):
@@ -439,7 +494,7 @@ class TestDependencyGraph:
             java("package p;\nclass A { List<B> bs; Map<String, C> m; D d; List<? extends B> more; }", "p/A.java"),
             *(java(f"package p;\nclass {name} {{}}", f"p/{name}.java") for name in "BCD"),
         )
-        graph = build_dependency_graph(descs, "class")
+        graph = build_dependency_graph(descs)
         assert sorted(graph.edges) == [("p.A", f"p.{name}", EDGE_FIELD_TYPE) for name in "BCD"]
         assert graph.weights[("p.A", "p.B", EDGE_FIELD_TYPE)] == 2  # once per field
         assert graph.externals == {"List": 2, "Map": 1, "String": 1}
@@ -458,7 +513,7 @@ class TestDependencyGraph:
         assert [(f.name, f.declared_type) for f in r.fields] == [("x", x_type), ("b", "B")]
         assert [m.name for m in r.methods] == ["f"]
         assert [m.name for m in r.constructors] == constructors
-        assert ("p.R", "p.B", EDGE_FIELD_TYPE) in build_dependency_graph(descs, "class").edges
+        assert ("p.R", "p.B", EDGE_FIELD_TYPE) in build_dependency_graph(descs).edges
 
     def test_swift_dictionary_field_depends_on_its_key_and_value_types(self):
         text = (
@@ -466,20 +521,59 @@ class TestDependencyGraph:
             "class B {}\nclass C {}\nclass D {}"
         )
         descs = classes_of(SourceFile(path="A.swift", text=text, language="swift"))
-        graph = build_dependency_graph(descs, "class")
+        graph = build_dependency_graph(descs)
         assert sorted(graph.edges) == [("A", name, EDGE_FIELD_TYPE) for name in "BCD"]
         assert graph.weights[("A", "B", EDGE_FIELD_TYPE)] == 3  # once per field
         assert graph.externals == {"String": 1}
 
     def test_graph_json_round_trip(self):
         _files, descs = graph_fixture_classes()
-        graph = build_dependency_graph(descs, "class")
+        graph = build_dependency_graph(descs)
         from transmigrate.sourcemodel.graph import DependencyGraph
 
         loaded = DependencyGraph.from_json(graph.to_json())
         assert loaded.nodes == graph.nodes
         assert loaded.edges == graph.edges
         assert loaded.weights == graph.weights
+
+
+def callees_of(text: str) -> dict[str, list[list[str]]]:
+    return same_class_callees(classes_of(java(text)))
+
+
+class TestSameClassCallees:
+    def test_direct_call(self):
+        assert callees_of("class Foo { void a(){} void b(){ a(); } }") == {"Foo": [[], ["a"]]}
+
+    def test_calls_through_this(self):
+        assert callees_of("class Foo { Foo(){ this.a(); } void a(){} void b(){ this.a(); } }") == {
+            "Foo": [["a"], [], ["a"]]
+        }
+
+    def test_call_through_a_field_of_the_own_type(self):
+        assert callees_of("class Node { Node next; void a(){} void b(){ next.a(); } }") == {"Node": [[], ["a"]]}
+
+    def test_constructor_call_names_the_constructor(self):
+        assert callees_of("class Foo { Foo(){} Foo copy(){ return new Foo(); } }") == {"Foo": [[], ["Foo"]]}
+
+    def test_overloads_keep_one_record_each(self):
+        text = "class Foo { void a(){} void b(){} void f(int x){ a(); } void f(String s){ b(); } void g(){ f(1); } }"
+        assert callees_of(text) == {"Foo": [[], [], ["a"], ["b"], ["f"]]}
+
+    def test_self_call_and_sibling_overload_call_are_excluded(self):
+        text = "class Foo { void f(int x){ f(x - 1); } void f(String s){ f(1); } }"
+        assert callees_of(text) == {"Foo": [[], []]}
+
+    def test_call_resolving_to_an_ancestor_method_is_no_callee(self):
+        descs = classes_of(
+            java("class Base { void shared(){} void both(){} }"),
+            java("class Sub extends Base { void both(){} void run(){ shared(); both(); super.shared(); } }", "Sub.java"),
+        )
+        assert same_class_callees(descs) == {"Base": [[], []], "Sub": [[], ["both"]]}
+
+    def test_nested_class_methods_are_kept_apart(self):
+        text = "class Outer { void f(){ g(); } void g(){} class Inner { void g(){ h(); } void h(){ f(); } } }"
+        assert callees_of(text) == {"Outer": [["g"], []], "Outer.Inner": [["h"], []]}
 
 
 class TestSpanContainmentProperty:
@@ -520,7 +614,7 @@ class TestGenericInvocations:
                 "s/C.java",
             ),
         )
-        graph = build_dependency_graph(descs, "class")
+        graph = build_dependency_graph(descs)
         assert ("s.Cache", "u.Pair", EDGE_CALL) in graph.edges
 
     def test_diamond_constructor_shorthand(self):
@@ -528,7 +622,7 @@ class TestGenericInvocations:
             java("package u; public class Box<T> { public Box() {} }", "u/B.java"),
             java("package s; import u.Box; class S { Object b = new Box<>(); }", "s/S.java"),
         )
-        graph = build_dependency_graph(descs, "class")
+        graph = build_dependency_graph(descs)
         assert ("s.S", "u.Box", EDGE_CALL) in graph.edges
 
     def test_comparison_chains_are_not_calls(self):
@@ -540,10 +634,11 @@ class TestGenericInvocations:
                 "}"
             )
         )
-        graph = build_dependency_graph(descs, "method")
-        assert not any("LIMIT" in f or "LIMIT" in t for f, t, _ in graph.edges)
+        graph = build_dependency_graph(descs)
+        assert graph.edges == frozenset()
+        assert same_class_callees(descs) == {"Guard": [[]]}
 
 
 def test_unreadable_file_raises_io_error(tmp_path):
-    with pytest.raises(OSError):
-        SourceFile.read(tmp_path / "missing.java", "missing.java")
+    with pytest.raises(OSError, match="unreadable source file"):
+        SourceFile.read(tmp_path / "missing.java", "missing.java", "java")

@@ -170,7 +170,7 @@ def class_graph_of(*java_sources):
         descs.extend(extract_classes(parse_source(SourceFile(f"f{i}.java", text, "java"))))
     from transmigrate.sourcemodel.graph import build_dependency_graph
 
-    return build_dependency_graph(descs, "class")
+    return build_dependency_graph(descs)
 
 
 def identity(graph):
